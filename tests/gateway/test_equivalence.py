@@ -8,9 +8,14 @@ sequences on the same seed:
 * the thin batch driver (:func:`repro.sim.airlink.run_airlink`) over
   the extracted pipeline;
 * the streaming gateway feeding the pipeline one packet at a time.
+
+All three run the same PHY kernels, so a fault inside a kernel would
+pass every relative check; :data:`MIXED_STREAM_SHA256` pins the
+gateway's published stream in absolute bytes.
 """
 
 import asyncio
+import hashlib
 
 import numpy as np
 import pytest
@@ -53,8 +58,49 @@ def outcome_tuple(o):
     )
 
 
-def stream_outcomes(make_tag, *, decode_batch: int = 1):
-    """Run the gateway over the same schedule and collect outcomes."""
+#: sha256 over :func:`event_record` of every ``PacketEvent`` the
+#: gateway publishes for the mixed schedule (``MultiscatterTag``,
+#: :data:`N_PACKETS` packets).  Holds at any ``decode_batch`` and
+#: ``decode_workers``; a change here is a change in the decoded bits.
+MIXED_STREAM_SHA256 = "8131132e862f5a98e9c1b49c5e11f44583d3906cec77b7c5359ed5268961d5ff"
+
+
+def event_record(ev: PacketEvent) -> bytes:
+    """Canonical bytes of one ``PacketEvent``.
+
+    Every field except the wall-clock ``decode_latency_s``, with the
+    decoded tag bits included.
+    """
+    o = ev.outcome
+    fields = (
+        ev.tag_id,
+        int(ev.seq),
+        repr(float(ev.time_s)),
+        int(ev.stream_seq),
+        o.protocol.name,
+        repr(float(o.start_s)),
+        o.identified.name if o.identified is not None else "-",
+        int(bool(o.backscattered)),
+        int(o.tag_bits_sent),
+        int(o.tag_bits_correct),
+        int(o.productive_bits_correct),
+        int(o.productive_bits_total),
+        np.asarray(o.tag_bits_decoded, dtype=np.uint8).tobytes().hex(),
+    )
+    return ("|".join(str(f) for f in fields) + "\n").encode()
+
+
+def stream_digest(events) -> str:
+    """sha256 over the records of the ``PacketEvent``s in ``events``."""
+    h = hashlib.sha256()
+    for ev in events:
+        if isinstance(ev, PacketEvent):
+            h.update(event_record(ev))
+    return h.hexdigest()
+
+
+def stream_events(make_tag, *, decode_batch: int = 1):
+    """Run the gateway over the same schedule and collect its events."""
 
     async def run():
         source = AsyncExcitationSource(
@@ -68,22 +114,30 @@ def stream_outcomes(make_tag, *, decode_batch: int = 1):
         )
         await gw.register_tag("t", make_tag(), rng=np.random.default_rng(SEED))
         sub = gw.subscribe("s", maxlen=256)
-        outcomes = []
+        events = []
 
         async def consume():
             try:
                 async for ev in sub:
-                    if isinstance(ev, PacketEvent):
-                        outcomes.append(ev.outcome)
+                    events.append(ev)
             except Exception:
                 pass
 
         task = asyncio.ensure_future(consume())
         await gw.serve(source)
         await task
-        return outcomes
+        return events
 
     return asyncio.run(run())
+
+
+def stream_outcomes(make_tag, *, decode_batch: int = 1):
+    """The outcomes of :func:`stream_events`, in publication order."""
+    return [
+        ev.outcome
+        for ev in stream_events(make_tag, decode_batch=decode_batch)
+        if isinstance(ev, PacketEvent)
+    ]
 
 
 def assert_matches_reference(outcomes, reference):
@@ -153,11 +207,18 @@ class TestStreamingAgainstBatch:
             assert np.array_equal(got.tag_bits_decoded, want.tag_bits_decoded)
 
     def test_batched_decode_stage_is_bit_identical(self):
-        # decode_batch > 1 defers RNG-free decodes into grouped kernel
-        # dispatches; draw order and decoded bits must not move.
+        # decode_batch > 1 defers RNG-free decodes into groups; draw
+        # order and decoded bits must not move.
         unbatched = stream_outcomes(MultiscatterTag, decode_batch=1)
         batched = stream_outcomes(MultiscatterTag, decode_batch=6)
         assert len(batched) == len(unbatched) == N_PACKETS
         for a, b in zip(batched, unbatched):
             assert outcome_tuple(a) == outcome_tuple(b)
             assert np.array_equal(a.tag_bits_decoded, b.tag_bits_decoded)
+
+
+class TestGoldenStream:
+    def test_mixed_schedule_stream_digest(self):
+        events = stream_events(MultiscatterTag)
+        assert sum(isinstance(ev, PacketEvent) for ev in events) == N_PACKETS
+        assert stream_digest(events) == MIXED_STREAM_SHA256

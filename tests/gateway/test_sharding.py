@@ -22,10 +22,13 @@ from repro.sim import faults
 from repro.sim.traffic import ExcitationSource
 
 from tests.gateway.test_equivalence import (
+    MIXED_STREAM_SHA256,
     N_PACKETS,
     SEED,
     mixed_sources,
     outcome_tuple,
+    stream_digest,
+    stream_events,
     stream_outcomes,
 )
 from repro.core.tag import MultiscatterTag, SingleProtocolTag
@@ -94,11 +97,16 @@ class TestShardedByteIdentity:
     def test_multiscatter_mixed_schedule(self, workers):
         # The mixed schedule drives all four protocols through one tag,
         # so every receiver config crosses the executor hop.
-        inline = stream_outcomes(MultiscatterTag, decode_batch=4)
+        inline = stream_events(MultiscatterTag, decode_batch=4)
         events, stats = serve_sharded(MultiscatterTag, decode_workers=workers)
         assert_same_outcomes(
-            [ev.outcome for ev in packet_events(events)], inline
+            [ev.outcome for ev in packet_events(events)],
+            [ev.outcome for ev in packet_events(inline)],
         )
+        # Inline and pooled decode share every kernel, so the relative
+        # check above cannot see a kernel fault; the pinned digest can.
+        assert stream_digest(inline) == MIXED_STREAM_SHA256
+        assert stream_digest(events) == MIXED_STREAM_SHA256
         assert stats.drained_clean and stats.n_dropped_events == 0
         assert stats.n_decode_retries == 0
 
@@ -123,8 +131,8 @@ class TestShardedByteIdentity:
         assert seqs == list(range(1, N_PACKETS + 1))
 
     def test_immediate_flush_batches_match_large_batches(self):
-        # decode_batch=1 dispatches singleton groups; grouping is a
-        # fusion detail, never an ordering or value change.
+        # decode_batch=1 dispatches singleton groups; grouping only sets
+        # how many packets share an executor hop, never order or values.
         singletons, _ = serve_sharded(
             MultiscatterTag, decode_workers=2, decode_batch=1
         )
@@ -153,6 +161,7 @@ class TestDecodeFaultRecovery:
         assert_same_outcomes(
             [ev.outcome for ev in packet_events(events)], inline
         )
+        assert stream_digest(events) == MIXED_STREAM_SHA256
 
     def test_hung_worker_times_out_and_stream_is_identical(self):
         inline = stream_outcomes(MultiscatterTag, decode_batch=4)
