@@ -73,7 +73,7 @@ crash-test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Kernel + e2e + gateway benchmarks with their regression gates;
+# Kernel + gateway benchmarks with their regression gates;
 # updates the committed BENCH_*.json baselines.
 bench-primitives:
 	$(PYTHON) benchmarks/run_benchmarks.py

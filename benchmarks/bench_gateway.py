@@ -18,8 +18,8 @@ bound, not a knee.
 tag count, how does throughput scale when completed batches are decoded
 on a worker pool while the air loop keeps staging?  The worker sweep
 serves the same schedule with ``decode_workers`` in ``WORKER_SWEEP``
-(0 = inline) and ``decode_batch=WORKER_DECODE_BATCH`` so the batched
-PHY kernels fuse inside each worker.  The headline statistic is
+(0 = inline) and ``decode_batch=WORKER_DECODE_BATCH`` so each executor
+hop carries several packets (the kernels still run per packet).  The headline statistic is
 ``decode_speedup`` -- packets/sec with the largest pool over
 packets/sec with a single worker -- which
 ``benchmarks/run_benchmarks.py`` gates at ``--gateway-min-speedup``.
@@ -92,8 +92,8 @@ WORKER_SWEEP = (0, 1, 2, 4)
 #: like against like across machines and across sweep extensions.
 WORKER_SWEEP_TAGS = 64
 
-#: decode_batch used in the worker sweep so grouped receptions fuse
-#: into one batched-kernel call per receiver config inside a worker.
+#: decode_batch used in the worker sweep: packets per executor hop,
+#: which spreads the hop's cost (kernels still run per packet).
 WORKER_DECODE_BATCH = 4
 
 #: Packets served per sweep point; the first WARMUP_PACKETS are
@@ -102,10 +102,10 @@ WORKER_DECODE_BATCH = 4
 N_PACKETS = 48
 WARMUP_PACKETS = 8
 
-#: Rounds per sweep point.  The recorded statistic is the best round
-#: (same convention as the e2e throughput bench): scheduler hiccups
-#: only ever inflate a p99, never shrink it, so min-over-rounds is the
-#: noise-robust estimate a regression gate can trust.
+#: Rounds per sweep point.  The recorded statistic is the best round:
+#: scheduler hiccups only ever inflate a p99, never shrink it, so
+#: min-over-rounds is the noise-robust estimate a regression gate can
+#: trust.
 N_ROUNDS = 3
 
 SEED = 20260807

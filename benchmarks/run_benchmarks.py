@@ -6,15 +6,6 @@ extracts per-test mean times, pairs the frozen seed kernels with their
 vectorized replacements to record speedups, and writes the result to
 ``BENCH_primitives.json`` at the repository root.
 
-It then runs ``benchmarks/bench_e2e_throughput.py`` -- the end-to-end
-packets-decoded/sec workload over all four protocol modems -- and
-writes ``BENCH_e2e.json``.  Two gates apply to it:
-
-* the batched dispatch must decode at least ``--e2e-min-speedup``
-  (default 3x) times as many packets/sec as the per-packet loop;
-* the batched mean time must not regress beyond
-  ``--regression-factor`` against the committed baseline.
-
 It then runs ``benchmarks/bench_gateway.py`` -- the streaming-gateway
 load sweep (concurrent tags vs p99 decode latency, plus the
 decode-worker tags-per-host sweep) -- and writes
@@ -49,12 +40,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILE = REPO_ROOT / "benchmarks" / "bench_primitives.py"
 OUTPUT = REPO_ROOT / "BENCH_primitives.json"
-E2E_BENCH_FILE = REPO_ROOT / "benchmarks" / "bench_e2e_throughput.py"
-E2E_OUTPUT = REPO_ROOT / "BENCH_e2e.json"
 GATEWAY_BENCH_FILE = REPO_ROOT / "benchmarks" / "bench_gateway.py"
 GATEWAY_OUTPUT = REPO_ROOT / "BENCH_gateway.json"
-E2E_SCALAR = "test_e2e_decode_per_packet"
-E2E_BATCHED = "test_e2e_decode_batched"
 
 #: label -> (seed-kernel bench, vectorized-kernel bench).
 SPEEDUP_PAIRS = {
@@ -89,12 +76,12 @@ def _check_bench_coverage() -> list[str]:
     return missing
 
 
-def _run_pytest_benchmark(json_path: Path, bench_file: Path = BENCH_FILE) -> None:
+def _run_pytest_benchmark(json_path: Path) -> None:
     cmd = [
         sys.executable,
         "-m",
         "pytest",
-        str(bench_file),
+        str(BENCH_FILE),
         "--benchmark-only",
         f"--benchmark-json={json_path}",
         "-q",
@@ -156,58 +143,6 @@ def _check_regressions(
                 f"{base['mean_s'] * 1e3:.3f} ms ({ratio:.2f}x slower)"
             )
     return failures
-
-
-def _e2e_total_packets() -> int:
-    """``TOTAL_PACKETS`` from the e2e bench module (single source of truth)."""
-    return int(_load_module("bench_e2e_throughput", E2E_BENCH_FILE).TOTAL_PACKETS)
-
-
-def _check_e2e(
-    results: dict[str, dict[str, float]],
-    *,
-    min_speedup: float,
-    regression_factor: float,
-) -> tuple[dict[str, object], list[str]]:
-    """Packets/sec summary plus speedup-floor and regression failures."""
-    scalar = results.get(E2E_SCALAR)
-    batched = results.get(E2E_BATCHED)
-    if not scalar or not batched:
-        return {}, [
-            f"e2e results incomplete: need {E2E_SCALAR} and {E2E_BATCHED}"
-        ]
-    failures = []
-    total = _e2e_total_packets()
-    # Best-of-rounds is the noise-robust statistic for a throughput
-    # ratio: scheduler hiccups only ever inflate a round, never shrink
-    # it, and they do not hit both dispatch modes equally.
-    speedup = scalar["min_s"] / batched["min_s"]
-    summary: dict[str, object] = {
-        "total_packets_per_round": total,
-        "packets_per_sec": {
-            "per_packet": round(total / scalar["min_s"], 1),
-            "batched": round(total / batched["min_s"], 1),
-        },
-        "batched_speedup": round(speedup, 2),
-    }
-    if speedup < min_speedup:
-        failures.append(
-            f"batched decode throughput only {speedup:.2f}x the per-packet "
-            f"loop (floor: {min_speedup:.2f}x)"
-        )
-    if E2E_OUTPUT.exists():
-        baseline = json.loads(E2E_OUTPUT.read_text()).get("results", {})
-        for name, stats in results.items():
-            base = baseline.get(name)
-            if not base:
-                continue
-            ratio = stats["min_s"] / base["min_s"]
-            if ratio > regression_factor:
-                failures.append(
-                    f"{name}: {stats['min_s'] * 1e3:.1f} ms vs baseline "
-                    f"{base['min_s'] * 1e3:.1f} ms ({ratio:.2f}x slower)"
-                )
-    return summary, failures
 
 
 def _load_module(name: str, path: Path):
@@ -303,13 +238,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fail if a kernel's mean time exceeds baseline * factor (default 2)",
     )
     parser.add_argument(
-        "--e2e-min-speedup",
-        type=float,
-        default=3.0,
-        help="fail if batched decode is not at least this many times the "
-        "per-packet packets/sec (default 3)",
-    )
-    parser.add_argument(
         "--gateway-min-speedup",
         type=float,
         default=2.0,
@@ -342,29 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print("PERFORMANCE REGRESSIONS (vs committed BENCH_primitives.json):")
         for line in failures:
-            print(f"  {line}")
-        return 1
-
-    with tempfile.TemporaryDirectory() as tmp:
-        json_path = Path(tmp) / "bench_e2e.json"
-        _run_pytest_benchmark(json_path, E2E_BENCH_FILE)
-        e2e_results = _extract_means(json_path)
-    e2e_summary, e2e_failures = _check_e2e(
-        e2e_results,
-        min_speedup=args.e2e_min_speedup,
-        regression_factor=args.regression_factor,
-    )
-    if e2e_summary:
-        pps = e2e_summary["packets_per_sec"]
-        print(
-            "e2e decode throughput: "
-            f"{pps['per_packet']:.0f} pkt/s per-packet, "
-            f"{pps['batched']:.0f} pkt/s batched "
-            f"({e2e_summary['batched_speedup']}x)"
-        )
-    if e2e_failures:
-        print("E2E THROUGHPUT GATE FAILURES (vs committed BENCH_e2e.json):")
-        for line in e2e_failures:
             print(f"  {line}")
         return 1
 
@@ -422,21 +327,6 @@ def main(argv: list[str] | None = None) -> int:
             + "\n"
         )
         print(f"wrote {OUTPUT.relative_to(REPO_ROOT)}")
-        E2E_OUTPUT.write_text(
-            json.dumps(
-                {
-                    "workload": "AWGN packets at Eb/N0 = 8 dB, 128 packets "
-                    "x 4 protocols x 30-byte payloads; timed region is "
-                    "demodulation only (packets decoded per second)",
-                    "results": e2e_results,
-                    **e2e_summary,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        print(f"wrote {E2E_OUTPUT.relative_to(REPO_ROOT)}")
         GATEWAY_OUTPUT.write_text(
             json.dumps(gateway_payload, indent=2, sort_keys=True) + "\n"
         )

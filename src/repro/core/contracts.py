@@ -30,14 +30,15 @@ seen, so they are most useful on the output side.  ``;`` separates
 consecutive ndarray positional arguments; non-array positionals are
 skipped when matching specs to arguments.
 
-Ragged batch entry points (``modulate_batch``-style functions taking a
-*sequence* of per-item arrays) use the bracketed per-item form::
+Ragged batch entry points (functions taking a *sequence* of per-item
+arrays, such as :func:`repro.phy.viterbi.decode_batch`) use the
+bracketed per-item form::
 
-    @shapes("[n_codes] ->")             # each capture in the sequence is 1-D
+    @shapes("[n_coded] ->")             # each stream in the sequence is 1-D
 
 A bracketed argument spec matches either a list/tuple whose ndarray
 elements each satisfy the inner dims (with an independent symbol
-binding per item, so ragged batches bind ``n_codes`` per capture), or
+binding per item, so ragged batches bind ``n_coded`` per stream), or
 a stacked ndarray with one extra leading batch axis.
 
 The mini-language is shared with the static verifier

@@ -16,21 +16,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.core.templates import TemplateBank
-from repro.phy.batch import run_grouped
 from repro.phy.protocols import Protocol
 
 __all__ = [
     "dc_estimate",
     "score_capture",
-    "score_capture_batch",
     "BlindMatcher",
     "OrderedMatcher",
     "DEFAULT_ORDER",
@@ -81,7 +77,7 @@ def score_capture(
     offset the first ``l_p`` samples (after the offset) estimate the DC
     level, the next ``l_m`` are correlated.
     """
-    perf.dispatch("matching.score_capture", 1, batched=False)
+    perf.count("matching.score_capture")
     arr = np.asarray(codes, dtype=float)
     l_p = bank.l_p
     l_m = bank.l_m
@@ -126,90 +122,6 @@ def score_capture(
     for p, v in zip(protocols, best):
         scores[p] = float(v)
     return scores
-
-
-@contracts.shapes("[n_codes] ->")
-def score_capture_batch(
-    captures: Sequence[np.ndarray],
-    bank: TemplateBank,
-    *,
-    quantized: bool,
-    offsets: tuple[int, ...] = (0,),
-) -> list[dict[Protocol, float]]:
-    """Score many captures at once; bit-identical to per-capture calls.
-
-    Captures are grouped by length (the valid-offset set depends on
-    it); each group runs the sliding correlation as one stacked GEMM
-    over all captures and offsets instead of one GEMM per capture.
-    """
-    arrays = [np.asarray(c, dtype=float) for c in captures]
-    return run_grouped(
-        arrays,
-        key_fn=lambda a: a.size,
-        group_fn=lambda group: _score_group(
-            group, bank, quantized=quantized, offsets=offsets
-        ),
-        where="matching.score_capture_batch",
-    )
-
-
-def _score_group(
-    arrays: Sequence[np.ndarray],
-    bank: TemplateBank,
-    *,
-    quantized: bool,
-    offsets: tuple[int, ...],
-) -> list[dict[Protocol, float]]:
-    """Sliding correlation for one group of equal-length captures."""
-    backend = get_backend()
-    xp = backend.xp
-    n_batch = len(arrays)
-    perf.dispatch("matching.score_capture", n_batch, batched=True)
-
-    l_p = bank.l_p
-    l_m = bank.l_m
-    size = arrays[0].size
-    valid = [o for o in offsets if 0 <= o and o + l_p + l_m <= size]
-    if not valid:
-        return [{p: -1.0 for p in bank.templates} for _ in range(n_batch)]
-
-    arr = xp.stack([backend.asarray(a) for a in arrays])
-    off = np.asarray(valid)
-    win = np.lib.stride_tricks.sliding_window_view(np.asarray(arr), l_p + l_m, axis=1)
-    # ascontiguousarray: the fancy-indexed offset rows come back with a
-    # strided layout whose reductions sum in a different order than the
-    # scalar path's contiguous copies.
-    sel = xp.ascontiguousarray(win[:, off])  # (n_batch, n_offsets, l_p + l_m)
-    window = sel[:, :, l_p:]
-    if quantized:
-        pre = sel[:, :, :l_p]
-        dc = pre[:, :, l_p // 2 :].mean(axis=2, keepdims=True)
-        q = xp.where(window - dc >= 0.0, 1.0, -1.0)
-        protocols, mat = bank.stacked(quantized=True)
-        best = (q @ mat.T).max(axis=1) / l_m  # (n_batch, n_protocols)
-    else:
-        protocols, mat = bank.stacked(quantized=False)
-        raw = window @ mat.T  # (n_batch, n_offsets, n_protocols)
-        zero = xp.zeros((n_batch, 1))
-        c1 = xp.concatenate([zero, xp.cumsum(arr, axis=1)], axis=1)
-        c2 = xp.concatenate([zero, xp.cumsum(arr * arr, axis=1)], axis=1)
-        s = c1[:, off + l_p + l_m] - c1[:, off + l_p]
-        ss = c2[:, off + l_p + l_m] - c2[:, off + l_p]
-        mean = s / l_m
-        norm = xp.sqrt(xp.maximum(ss - s * mean, 0.0))
-        norm = xp.where(norm <= 1e-12, 1.0, norm)
-        tsum = mat.sum(axis=1)
-        best = (
-            (raw - mean[:, :, None] * tsum[None, None, :]) / norm[:, :, None]
-        ).max(axis=1)
-    best_np = backend.to_numpy(best)
-    results = []
-    for b in range(n_batch):
-        scores: dict[Protocol, float] = {p: -1.0 for p in bank.templates}
-        for p, v in zip(protocols, best_np[b]):
-            scores[p] = float(v)
-        results.append(scores)
-    return results
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.overlay import OverlayCodec
 from repro.phy import ble, wifi_b, wifi_n, zigbee
-from repro.phy.batch import require_batch
+from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 
@@ -64,15 +64,12 @@ class OverlayDecoder:
         return list(result.symbol_bits)
 
     def symbol_values_batch(self, waves: Sequence[Waveform]) -> list[list]:
-        """Batched :meth:`symbol_values`: one vectorized PHY dispatch.
+        """:meth:`symbol_values` for each waveform, in input order.
 
-        Routes through the batched commodity receivers
-        (``demodulate_batch``), which are bit-identical to per-waveform
-        ``demodulate`` calls -- so the comparison-domain decisions, and
-        therefore both decoded data streams, match the scalar path
-        exactly at any batch size (including 1).
+        Goes through the protocol's ``demodulate_batch``, which applies
+        the scalar receive chain to each waveform in turn.
         """
-        require_batch(waves, "OverlayDecoder.symbol_values_batch")
+        require_nonempty(waves, "OverlayDecoder.symbol_values_batch")
         protocol = self.codec.config.protocol
         if protocol is Protocol.WIFI_B:
             return [
@@ -103,21 +100,3 @@ class OverlayDecoder:
         return OverlayDecodeOutput(
             productive_bits=productive, tag_bits=tag, symbol_values=values
         )
-
-    def decode_batch(self, waves: Sequence[Waveform]) -> list[OverlayDecodeOutput]:
-        """Batched :meth:`decode`: bit-identical to the scalar loop.
-
-        All waveforms must belong to this decoder's protocol/mode (one
-        codec describes one overlay layout).  The PHY stage is a single
-        grouped dispatch through the batched receive chains; the
-        comparison decode is per-packet integer logic.
-        """
-        out = []
-        for values in self.symbol_values_batch(waves):
-            productive, tag = self.codec.decode_symbols(values)
-            out.append(
-                OverlayDecodeOutput(
-                    productive_bits=productive, tag_bits=tag, symbol_values=values
-                )
-            )
-        return out

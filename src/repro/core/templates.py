@@ -113,9 +113,9 @@ class TemplateBank:
     window_us: Microseconds
     preprocess_us: Microseconds
     templates: dict[Protocol, Template] = field(default_factory=dict)
-    #: Stacked-matrix cache for the batched correlator; keyed by the
-    #: quantization flag plus the identity of every template so any
-    #: replacement invalidates it.
+    #: Stacked-matrix cache for score_capture's one-GEMM correlator;
+    #: keyed by the quantization flag plus the identity of every
+    #: template so any replacement invalidates it.
     _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod

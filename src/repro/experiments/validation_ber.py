@@ -57,29 +57,6 @@ def _demodulate(protocol: Protocol, wave, n_bits: int) -> np.ndarray:
     return zigbee.demodulate(wave).payload_bits
 
 
-def _modulate_batch(protocol: Protocol, payloads: list[bytes]):
-    if protocol is Protocol.WIFI_B:
-        return wifi_b.modulate_batch(payloads)
-    if protocol is Protocol.WIFI_N:
-        return wifi_n.modulate_batch(payloads)
-    if protocol is Protocol.BLE:
-        return ble.modulate_batch(payloads)
-    return zigbee.modulate_batch(payloads)
-
-
-def _demodulate_batch(protocol: Protocol, waves: list, n_bits: int) -> list[np.ndarray]:
-    if protocol is Protocol.WIFI_B:
-        return [
-            r.payload_bits
-            for r in wifi_b.demodulate_batch(waves, n_payload_bits=n_bits)
-        ]
-    if protocol is Protocol.WIFI_N:
-        return [r.psdu_bits for r in wifi_n.demodulate_batch(waves, n_psdu_bits=n_bits)]
-    if protocol is Protocol.BLE:
-        return [r.payload_bits for r in ble.demodulate_batch(waves)]
-    return [r.payload_bits for r in zigbee.demodulate_batch(waves)]
-
-
 def _occupied_bw_hz(protocol: Protocol) -> float:
     """Noise bandwidth at complex baseband equals the sample rate."""
     return {
@@ -97,20 +74,12 @@ def measure_ber(
     n_packets: int,
     payload_bytes: int,
     rng: np.random.Generator,
-    batched: bool = False,
 ) -> float:
     """Simulated BER of the real modem at a target Eb/N0.
 
     The AWGN level is set from Eb/N0 via the protocol's bit rate and
     the simulation's noise bandwidth (= sample rate at complex
     baseband).
-
-    ``batched`` routes every packet through the fused
-    ``modulate_batch``/``demodulate_batch`` kernels.  The RNG draw
-    order of the scalar loop (payload, then that packet's noise) is
-    reproduced exactly -- the waveform length needed to size the noise
-    draw is known ahead of time from a dummy modulation, which consumes
-    no randomness -- so both paths return bit-identical BER.
     """
     bit_rate = {
         Protocol.WIFI_B: 1e6,
@@ -124,29 +93,6 @@ def measure_ber(
     snr_db = ebn0_db - 10.0 * np.log10(fs / bit_rate)
     errors = 0
     total = 0
-    if batched:
-        n_samples = _modulate(protocol, bytes(payload_bytes)).n_samples
-        payloads: list[bytes] = []
-        noises: list[np.ndarray] = []
-        for _ in range(n_packets):
-            payloads.append(
-                rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
-            )
-            noises.append(
-                rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-            )
-        waves = _modulate_batch(protocol, payloads)
-        refs = [bitlib.bits_from_bytes(p) for p in payloads]
-        for wave, noise in zip(waves, noises):
-            sigma = (
-                np.sqrt(wave.mean_power()) * 10.0 ** (-snr_db / 20.0) / np.sqrt(2.0)
-            )
-            wave.iq = wave.iq + sigma * noise
-        for ref, got in zip(refs, _demodulate_batch(protocol, waves, refs[0].size)):
-            n = min(got.size, ref.size)
-            errors += int(np.count_nonzero(got[:n] != ref[:n])) + (ref.size - n)
-            total += ref.size
-        return errors / max(total, 1)
     for _ in range(n_packets):
         payload = rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
         ref = bitlib.bits_from_bytes(payload)

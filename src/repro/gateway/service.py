@@ -24,8 +24,9 @@ inline because it consumes per-tag RNG streams and determinism
 requires a single consumer in schedule order, but the RNG-free decode
 stage can run on a pool of worker processes
 (``decode_workers > 0``).  Completed batches are dispatched to the
-pool grouped by receiver config (so the PR-6 batched kernels still
-fuse) while the air loop stages the next batch; a single **publisher
+pool grouped by receiver config (one executor hop per group; the
+kernels run per packet) while the air loop stages the next batch; a
+single **publisher
 task** consumes batches from a bounded queue in dispatch order and
 republishes outcomes in schedule order, stamped with a global
 ``stream_seq``, so any worker count is bit-identical to
@@ -106,9 +107,10 @@ class GatewayConfig:
     queue_maxlen: int = 64
     #: How long a BLOCK subscriber may stall the publisher.
     stall_timeout_s: float = 0.5
-    #: Pending receptions decoded per grouped kernel dispatch (1 =
-    #: decode each packet as it arrives; >1 batches the RNG-free
-    #: decode stage without touching draw order).
+    #: Pending receptions collected before a decode (1 = decode each
+    #: packet as it arrives; >1 defers the RNG-free decode stage
+    #: without touching draw order, so one executor hop carries more
+    #: packets).
     decode_batch: int = 1
     #: Decode worker processes (0 = decode inline on the air loop;
     #: >0 dispatches batches to a process pool, overlapped with
@@ -582,7 +584,7 @@ class Gateway:
         events always publish in schedule order, whatever
         ``decode_batch`` or the worker count is.  With a pool,
         receptions are grouped by receiver config — each group is one
-        fused kernel dispatch on a worker — and the loop returns to
+        executor hop to a worker — and the loop returns to
         staging while they decode; inline, the grouped decode runs
         here as before.
         """

@@ -10,13 +10,9 @@ call counts and cumulative/mean wall time, plus the waveform/template
 cache counters from :mod:`repro.core.wavecache`.  :func:`report`
 renders the same table on demand.
 
-Batched-kernel visibility: every PHY/matching kernel entry point
-reports its dispatches through :func:`dispatch`, which maintains (a)
-``dispatch.<kernel>.batched`` / ``dispatch.<kernel>.scalar`` counters
-and (b) a per-kernel batch-size histogram
-(:func:`batch_histograms`).  A campaign that silently regresses to the
-per-packet path shows up immediately in the ``REPRO_PERF=1`` report:
-the scalar counter climbs and the histogram mass sits at batch size 1.
+Every PHY/matching kernel entry point bumps a counter named after
+itself (``wifi_n.demodulate``, ``viterbi.decode``, ...), so the
+``REPRO_PERF=1`` report shows how often each kernel ran.
 
 Robustness events from the fault-tolerant Monte-Carlo runner
 (:mod:`repro.sim.runner`) land in the counters section under the
@@ -46,8 +42,6 @@ __all__ = [
     "gauge",
     "gauges",
     "timings",
-    "dispatch",
-    "batch_histograms",
     "reset",
     "report",
 ]
@@ -59,9 +53,6 @@ _TIMINGS: dict[str, list[float]] = defaultdict(lambda: [0, 0.0])
 
 #: name -> count
 _COUNTERS: dict[str, int] = defaultdict(int)
-
-#: kernel -> {batch size -> dispatch count}
-_BATCH_HIST: dict[str, dict[int, int]] = defaultdict(lambda: defaultdict(int))
 
 #: name -> [last, min, max, n_samples] for level-style metrics
 _GAUGES: dict[str, list[float]] = {}
@@ -133,32 +124,15 @@ def gauges() -> dict[str, dict[str, float]]:
     }
 
 
-def dispatch(kernel: str, n: int, *, batched: bool) -> None:
-    """Record one kernel dispatch covering ``n`` packets/captures.
-
-    Scalar entry points report ``n=1, batched=False``; batched entry
-    points report their group size.  Both feed the per-kernel batch
-    histogram and the ``dispatch.<kernel>.{batched,scalar}`` counters.
-    """
-    _COUNTERS[f"dispatch.{kernel}.{'batched' if batched else 'scalar'}"] += 1  # reproflow: disable=F001
-    _BATCH_HIST[kernel][int(n)] += 1  # reproflow: disable=F001
-
-
-def batch_histograms() -> dict[str, dict[int, int]]:
-    """Snapshot of batch-size histograms: kernel -> {size -> count}."""
-    return {k: dict(v) for k, v in _BATCH_HIST.items()}
-
-
 def timings() -> dict[str, tuple[int, float]]:
     """Snapshot of timers: name -> (n_calls, total_seconds)."""
     return {k: (int(v[0]), float(v[1])) for k, v in _TIMINGS.items()}
 
 
 def reset() -> None:
-    """Clear all timers, counters, gauges and batch histograms."""
+    """Clear all timers, counters and gauges."""
     _TIMINGS.clear()
     _COUNTERS.clear()
-    _BATCH_HIST.clear()
     _GAUGES.clear()
 
 
@@ -187,15 +161,6 @@ def report() -> str:
                 f"  {name:<{width}s} {s['last']:12.4f} {s['min']:12.4f} "
                 f"{s['max']:12.4f} {int(s['n']):8d}"
             )
-    hist = batch_histograms()
-    if hist:
-        lines.append("batch-size histograms (kernel: size x dispatches):")
-        width = max(len(k) for k in hist)
-        for kernel, sizes in sorted(hist.items()):
-            cells = "  ".join(
-                f"{size}x{cnt}" for size, cnt in sorted(sizes.items())
-            )
-            lines.append(f"  {kernel:<{width}s} {cells}")
     try:
         from repro.core.wavecache import cache_stats
 

@@ -21,10 +21,9 @@ import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
 from repro.phy import pulse
-from repro.phy.batch import run_grouped
+from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.types import Hertz
@@ -34,7 +33,6 @@ __all__ = [
     "BleConfig",
     "modulate",
     "demodulate",
-    "modulate_batch",
     "demodulate_batch",
     "BleDecodeResult",
 ]
@@ -118,7 +116,7 @@ def modulate(payload: bytes | np.ndarray, config: BleConfig | None = None) -> Wa
     ``payload`` may also be a raw on-air bit array (no framing or
     whitening applied) for carrier-crafting use.
     """
-    perf.dispatch("ble.modulate", 1, batched=False)
+    perf.count("ble.modulate")
     cfg = config or BleConfig()
     bits, payload_bit, n_payload_bits, whitened = _onair_bits(payload, cfg)
 
@@ -135,14 +133,24 @@ def modulate(payload: bytes | np.ndarray, config: BleConfig | None = None) -> Wa
     return Waveform(
         iq=iq,
         sample_rate=cfg.sample_rate,
-        annotations=_annotations(cfg, bits.size, payload_bit, n_payload_bits, whitened),
+        annotations={
+            "protocol": Protocol.BLE,
+            "payload_start": payload_bit * sps,
+            "samples_per_symbol": sps,
+            "n_payload_symbols": bits.size - payload_bit,
+            "n_payload_bits": n_payload_bits,
+            "channel": cfg.channel,
+            "n_frame_bits": bits.size,
+            "n_preamble_bits": 16 if cfg.phy == "2M" else 8,
+            "whitened": whitened,
+        },
     )
 
 
 def _onair_bits(
     payload: bytes | np.ndarray, cfg: BleConfig
 ) -> tuple[np.ndarray, int, int, bool]:
-    """On-air bit assembly shared by the scalar and batched modulators.
+    """On-air bit assembly for :func:`modulate`.
 
     Returns ``(bits, first_payload_bit, n_payload_bits, whitened)``.
     """
@@ -157,27 +165,6 @@ def _onair_bits(
         preamble = 1 - preamble
     bits = np.concatenate([preamble, aa_bits, raw])
     return bits, preamble.size + aa_bits.size, raw.size, False
-
-
-def _annotations(
-    cfg: BleConfig,
-    n_bits: int,
-    payload_bit: int,
-    n_payload_bits: int,
-    whitened: bool,
-) -> dict:
-    sps = cfg.samples_per_symbol
-    return {
-        "protocol": Protocol.BLE,
-        "payload_start": payload_bit * sps,
-        "samples_per_symbol": sps,
-        "n_payload_symbols": n_bits - payload_bit,
-        "n_payload_bits": n_payload_bits,
-        "channel": cfg.channel,
-        "n_frame_bits": n_bits,
-        "n_preamble_bits": 16 if cfg.phy == "2M" else 8,
-        "whitened": whitened,
-    }
 
 
 @dataclass
@@ -199,7 +186,7 @@ class BleDecodeResult:
 
 def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
     """Discriminator demodulation of a BLE waveform."""
-    perf.dispatch("ble.demodulate", 1, batched=False)
+    perf.count("ble.demodulate")
     ann = wave.annotations
     if ann.get("protocol") is not Protocol.BLE:
         raise ValueError("waveform is not annotated as BLE")
@@ -271,163 +258,12 @@ def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
     )
 
 
-# ----------------------------------------------------------------------
-# batched entry points
-# ----------------------------------------------------------------------
-@contracts.dtypes(np.uint8)
-def modulate_batch(
-    payloads: Sequence[bytes | np.ndarray],
-    config: BleConfig | None = None,
-) -> list[Waveform]:
-    """Modulate N PDUs with one vectorized dispatch per frame length.
-
-    Bit-identical to ``[modulate(p, config) for p in payloads]``: the
-    per-frame pulse-shaping convolution keeps the scalar call, while
-    the phase integration and complex exponential (the bulk of the
-    samples-domain work) run once over the stacked batch.
-    """
-    cfg = config or BleConfig()
-    framed = [_onair_bits(p, cfg) for p in payloads]
-    return run_grouped(
-        framed,
-        lambda f: (f[0].size, f[1], f[2], f[3]),
-        lambda group: _modulate_group(group, cfg),
-        where="ble.modulate_batch",
-    )
-
-
-def _modulate_group(
-    group: list[tuple[np.ndarray, int, int, bool]], cfg: BleConfig
-) -> list[Waveform]:
-    n_batch = len(group)
-    perf.dispatch("ble.modulate", n_batch, batched=True)
-    xp = get_backend().xp
-    bits = np.stack([f[0] for f in group])  # (B, n_bits)
-    _, payload_bit, n_payload_bits, whitened = group[0]
-    sps = cfg.samples_per_symbol
-    nrz = 2.0 * bits.astype(float) - 1.0
-    taps = pulse.gaussian_taps(cfg.bt, sps)
-    delay = (len(taps) - 1) // 2
-    n_out = bits.shape[1] * sps
-    shaped = np.empty((n_batch, n_out))
-    for b in range(n_batch):
-        # np.convolve per frame: identical call (and result) to the
-        # scalar path; the taps are short so this is not the hot part.
-        full = np.convolve(np.repeat(nrz[b], sps), taps)
-        shaped[b] = full[delay : delay + n_out]
-    phase = (
-        2.0
-        * np.pi
-        * cfg.freq_deviation_hz
-        * xp.cumsum(shaped, axis=1)
-        / cfg.sample_rate
-    )
-    iq = xp.exp(1j * phase)
-    ann = _annotations(cfg, bits.shape[1], payload_bit, n_payload_bits, whitened)
-    return [
-        Waveform(iq=iq[b].copy(), sample_rate=cfg.sample_rate, annotations=dict(ann))
-        for b in range(n_batch)
-    ]
-
-
 def demodulate_batch(
     waves: Sequence[Waveform], *, dewhiten: bool = True
 ) -> list[BleDecodeResult]:
-    """Batched :func:`demodulate`: bit-identical to the scalar loop.
+    """:func:`demodulate` applied to each waveform, in input order.
 
-    The pre-detection filter, discriminator, AFC and integrate-and-dump
-    all reduce along the sample axis only, so stacking frames adds no
-    cross-talk and no float divergence (``sosfiltfilt`` over ``axis=-1``
-    filters rows independently).
+    An empty batch raises ``ValueError``.
     """
-
-    def key(wave: Waveform) -> tuple:
-        ann = wave.annotations
-        if ann.get("protocol") is not Protocol.BLE:
-            raise ValueError("waveform is not annotated as BLE")
-        return (
-            wave.iq.size,
-            int(ann["samples_per_symbol"]),
-            int(ann["n_frame_bits"]),
-            int(ann.get("n_preamble_bits", 8)),
-            ("channel" in ann, ann.get("channel")),
-            ("n_payload_bits" in ann, ann.get("n_payload_bits")),
-            bool(ann.get("whitened", True)),
-        )
-
-    return run_grouped(
-        list(waves),
-        key,
-        lambda group: _demodulate_group(group, dewhiten=dewhiten),
-        where="ble.demodulate_batch",
-    )
-
-
-def _demodulate_group(
-    waves: list[Waveform], *, dewhiten: bool
-) -> list[BleDecodeResult]:
-    xp = get_backend().xp
-    n_batch = len(waves)
-    perf.dispatch("ble.demodulate", n_batch, batched=True)
-    ann = waves[0].annotations
-    sps = int(ann["samples_per_symbol"])
-    n_bits = int(ann["n_frame_bits"])
-    iq = xp.stack([w.iq for w in waves])  # (B, n_samples)
-
-    if sps >= 4:
-        from scipy import signal as sp_signal
-
-        cutoff = 0.7 / sps
-        sos = sp_signal.butter(4, 2.0 * cutoff, output="sos")
-        if iq.shape[1] > 24:
-            iq = sp_signal.sosfiltfilt(sos, iq, axis=-1)
-
-    dphi = xp.angle(iq[:, 1:] * xp.conj(iq[:, :-1]))
-    dphi = xp.concatenate([xp.zeros((n_batch, 1)), dphi], axis=1)
-
-    n_pre_bits = int(ann.get("n_preamble_bits", 8))
-    pre = dphi[:, : n_pre_bits * sps]
-    dc = pre.mean(axis=1) if pre.shape[1] else xp.zeros(n_batch)
-    dphi = dphi - dc[:, None]
-
-    need = n_bits * sps
-    if dphi.shape[1] < need:
-        dphi = xp.pad(dphi, ((0, 0), (0, need - dphi.shape[1])))
-    core = dphi[:, :need].reshape(n_batch, n_bits, sps)[
-        :, :, sps // 4 : sps - sps // 4
-    ]
-    decisions = (core.sum(axis=2) > 0).astype(np.uint8)
-
-    aa_start = int(ann.get("n_preamble_bits", 8))
-    framed = bool(ann.get("whitened", True))
-
-    results = []
-    for b in range(n_batch):
-        row = decisions[b]
-        aa = bitlib.int_from_bits(row[aa_start : aa_start + 32])
-        pdu_onair = row[aa_start + 32 :].copy()
-        if framed and dewhiten and "channel" in ann:
-            pdu = bitlib.whiten_ble(pdu_onair, ann["channel"])
-        else:
-            pdu = pdu_onair.copy()
-        n_payload_bits = ann.get("n_payload_bits", max(pdu.size - 16 - 24, 0))
-        crc_ok = False
-        if framed and pdu.size >= 16 + 24:
-            body = pdu[: 16 + n_payload_bits]
-            crc_rx = pdu[16 + n_payload_bits : 16 + n_payload_bits + 24]
-            crc_ok = bool(
-                crc_rx.size == 24
-                and np.array_equal(bitlib.crc24_ble(body), crc_rx)
-            )
-            payload_bits = pdu[16 : 16 + n_payload_bits]
-        else:
-            payload_bits = pdu[:n_payload_bits]
-        results.append(
-            BleDecodeResult(
-                payload_bits=payload_bits,
-                onair_bits=pdu_onair,
-                crc_ok=crc_ok,
-                access_address=aa,
-            )
-        )
-    return results
+    require_nonempty(waves, "ble.demodulate_batch")
+    return [demodulate(w, dewhiten=dewhiten) for w in waves]

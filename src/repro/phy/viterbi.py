@@ -27,15 +27,18 @@ import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
-from repro.phy.batch import require_batch
+from repro.phy.batch import require_nonempty
 from repro.phy.convcode import CONSTRAINT, ERASURE, G0, G1
 from repro.types import BitArray
 
-__all__ = ["decode", "decode_soft", "decode_batch", "decode_soft_batch"]
+__all__ = ["decode", "decode_soft", "decode_batch"]
 
 _N_STATES = 1 << (CONSTRAINT - 1)  # 64
 _K = 4  # trellis steps per vectorized block
+#: Blocks whose branch-metric table is built at once; bounds the
+#: decoder's working set on long frames (a whole 802.11n frame's table
+#: would be several MB).
+_CHUNK = 64
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +207,7 @@ def decode(coded: np.ndarray | list[int], *, n_info: int | None = None) -> BitAr
     zero, matching :func:`repro.phy.convcode.encode`; the end state is
     unconstrained.
     """
-    perf.dispatch("viterbi.decode", 1, batched=False)
+    perf.count("viterbi.decode")
     arr = np.asarray(coded, dtype=np.uint8)
     if arr.size % 2:
         arr = np.concatenate([arr, np.array([ERASURE], dtype=np.uint8)])
@@ -225,13 +228,15 @@ def decode(coded: np.ndarray | list[int], *, n_info: int | None = None) -> BitAr
     surv_blocks = np.empty((n_blocks, _N_STATES), dtype=np.intp)
     states = np.arange(_N_STATES)
 
-    if n_blocks:
-        pt = ptype[: n_blocks * _K].reshape(n_blocks, _K)
-        block_bm = _G12[pt[:, 0] * 9 + pt[:, 1]] + np.repeat(
-            _G34[pt[:, 2] * 9 + pt[:, 3]], 4, axis=2
+    pt = ptype[: n_blocks * _K].reshape(n_blocks, _K)
+    i12 = pt[:, 0] * 9 + pt[:, 1]
+    i34 = pt[:, 2] * 9 + pt[:, 3]
+    for c0 in range(0, n_blocks, _CHUNK):
+        block_bm = _G12[i12[c0 : c0 + _CHUNK]] + np.repeat(
+            _G34[i34[c0 : c0 + _CHUNK]], 4, axis=2
         )
-        for nblk in range(n_blocks):
-            cand = metrics[_SRC] + block_bm[nblk]
+        for nblk, bm in enumerate(block_bm, start=c0):
+            cand = metrics[_SRC] + bm
             cidx = cand.argmin(axis=1)
             surv_blocks[nblk] = cidx
             metrics = cand[states, cidx]
@@ -262,7 +267,7 @@ def decode_soft(llrs: np.ndarray, *, n_info: int | None = None) -> BitArray:
     decoded bits only change on exact metric ties, which continuous
     LLRs do not produce).
     """
-    perf.dispatch("viterbi.decode_soft", 1, batched=False)
+    perf.count("viterbi.decode_soft")
     arr = np.asarray(llrs, dtype=float)
     if arr.size % 2:
         arr = np.concatenate([arr, [0.0]])
@@ -322,256 +327,15 @@ def decode_soft(llrs: np.ndarray, *, n_info: int | None = None) -> BitArray:
     return _traceback(metrics, surv_blocks, surv_tail, n_steps, n_info)
 
 
-# ----------------------------------------------------------------------
-# batched entry points
-# ----------------------------------------------------------------------
-def _stack_batch(
-    batch: Sequence[np.ndarray | list[int]] | np.ndarray,
-    dtype: np.dtype,
-    where: str,
-) -> np.ndarray:
-    """Stack equal-length streams into a ``(B, L)`` array.
-
-    Batched decoding requires one shared stream length; ragged batches
-    must be grouped by length upstream (see :mod:`repro.phy.batch`).
-    """
-    arrs = [np.asarray(item, dtype=dtype) for item in batch]
-    require_batch(arrs, where)
-    lengths = {a.size for a in arrs}
-    if len(lengths) != 1:
-        raise ValueError(
-            f"{where}: streams have mixed lengths {sorted(lengths)}; "
-            "group ragged batches by length before dispatching"
-        )
-    return np.stack(arrs)
-
-
-@contracts.shapes("b,64 ; b,nblk,64 ; b,nblk ; b,nblk ; b,rem,64")
-def _traceback_batch_hard(
-    metrics: np.ndarray,
-    mprev: np.ndarray,
-    i12: np.ndarray,
-    i34: np.ndarray,
-    surv_tail: np.ndarray,
-    n_steps: int,
-    n_info: int,
-) -> list[BitArray]:
-    """Lazy batch traceback for the hard path.
-
-    The forward pass stores only each block's entry metrics; the 16
-    candidates of the one state actually visited per packet are
-    recomputed here from the same int32 tables, so ``argmin`` sees the
-    exact row the forward pass would have stored and the survivor
-    choice (first-minimum tie rule included) is bit-identical.
-    """
-    n_batch = metrics.shape[0]
-    n_blocks = mprev.shape[1]
-    rem = surv_tail.shape[1]
-    rows = np.arange(n_batch)
-    state = metrics.argmin(axis=1)
-    decoded = np.empty((n_batch, n_steps), dtype=np.uint8)
-    for i in range(rem - 1, -1, -1):
-        packed = surv_tail[rows, i, state]
-        decoded[:, n_blocks * _K + i] = packed & 1
-        state = packed >> 1
-    for nblk in range(n_blocks - 1, -1, -1):
-        g12 = _G12[i12[:, nblk], state]  # (B, 16)
-        g34 = _G34[i34[:, nblk], state]  # (B, 4)
-        bm = (g12.reshape(n_batch, 4, 4) + g34[:, :, None]).reshape(n_batch, 16)
-        cand = mprev[rows[:, None], nblk, _SRC[state]] + bm
-        c = cand.argmin(axis=1)
-        decoded[:, nblk * _K : (nblk + 1) * _K] = _BITS[state]
-        state = _SRC[state, c]
-    return [decoded[b, :n_info].copy() for b in range(n_batch)]
-
-
-@contracts.shapes("b,64 ; b,nblk,64 ; b,rem,64")
-def _traceback_batch(
-    metrics: np.ndarray,
-    surv_blocks: np.ndarray,
-    surv_tail: np.ndarray,
-    n_steps: int,
-    n_info: int,
-) -> list[BitArray]:
-    """Batch traceback: all packets walk their trellises in lockstep."""
-    n_batch = metrics.shape[0]
-    n_blocks = surv_blocks.shape[1]
-    rem = surv_tail.shape[1]
-    rows = np.arange(n_batch)
-    state = metrics.argmin(axis=1)
-    decoded = np.empty((n_batch, n_steps), dtype=np.uint8)
-    for i in range(rem - 1, -1, -1):
-        packed = surv_tail[rows, i, state]
-        decoded[:, n_blocks * _K + i] = packed & 1
-        state = packed >> 1
-    for nblk in range(n_blocks - 1, -1, -1):
-        c = surv_blocks[rows, nblk, state]
-        decoded[:, nblk * _K : (nblk + 1) * _K] = _BITS[state]
-        state = _SRC[state, c]
-    return [decoded[b, :n_info].copy() for b in range(n_batch)]
-
-
 @contracts.shapes("[n_coded] ->")
 def decode_batch(
     coded_batch: Sequence[np.ndarray | list[int]] | np.ndarray,
     *,
     n_info: int | None = None,
 ) -> list[BitArray]:
-    """Hard-decision decode of N equal-length coded streams at once.
+    """:func:`decode` applied to each coded stream, in input order.
 
-    Semantically identical to ``[decode(c, n_info=n_info) for c in
-    coded_batch]`` -- the ACS recursion advances all N trellises per
-    block step, and because every quantity is integer the batched path
-    is *bit-identical* to the scalar loop (``argmin`` keeps the same
-    first-occurrence tie rule along the candidate axis).
+    Streams may differ in length.  An empty batch raises ``ValueError``.
     """
-    xp = get_backend().xp
-    arr = _stack_batch(coded_batch, np.dtype(np.uint8), "viterbi.decode_batch")
-    n_batch = arr.shape[0]
-    perf.dispatch("viterbi.decode", n_batch, batched=True)
-    if arr.shape[1] % 2:
-        pad = xp.full((n_batch, 1), ERASURE, dtype=np.uint8)
-        arr = xp.concatenate([arr, pad], axis=1)
-    n_steps = arr.shape[1] // 2
-    if n_info is None:
-        n_info = n_steps
-    if n_steps == 0:
-        return [np.zeros(0, dtype=np.uint8) for _ in range(n_batch)]
-
-    pairs = arr.reshape(n_batch, n_steps, 2).astype(np.intp)
-    ptype = pairs[:, :, 0] * 3 + pairs[:, :, 1]
-
-    n_blocks = n_steps // _K
-    rem = n_steps - n_blocks * _K
-
-    metrics = xp.full((n_batch, _N_STATES), 1 << 28, dtype=np.int32)
-    metrics[:, 0] = 0
-    # Entry metrics per block, for the lazy traceback; no survivor
-    # indices are stored, so the forward ACS is add + min only.
-    mprev = np.empty((n_batch, n_blocks, _N_STATES), dtype=np.int32)
-    i12 = np.zeros((n_batch, n_blocks), dtype=np.intp)
-    i34 = np.zeros((n_batch, n_blocks), dtype=np.intp)
-
-    if n_blocks:
-        pt = ptype[:, : n_blocks * _K].reshape(n_batch, n_blocks, _K)
-        i12 = pt[:, :, 0] * 9 + pt[:, :, 1]
-        i34 = pt[:, :, 2] * 9 + pt[:, :, 3]
-        for nblk in range(n_blocks):
-            # Same int32 table sums as the scalar path, one batch row
-            # per packet.  ``repeat(g34, 4)[..., j] == g34[..., j // 4]``,
-            # so the broadcast add over a (64, 4, 4) view reproduces the
-            # scalar ``repeat`` sums without materializing the repeat;
-            # per-block (B, 64, 16) working sets stay cache-resident,
-            # which beats precomputing all blocks upfront.  min(axis)
-            # returns the same value take-at-argmin would, and the
-            # survivor index is recovered lazily during traceback.
-            g12 = _G12[i12[:, nblk]]  # (B, 64, 16)
-            g34 = _G34[i34[:, nblk]]  # (B, 64, 4)
-            mprev[:, nblk] = metrics
-            # Incremental minimum over the 16 candidates: all-integer
-            # adds and mins are exact in any evaluation order, and the
-            # (B, 64) working set per candidate stays cache-resident
-            # where a materialized (B, 64, 16) candidate tensor does
-            # not.
-            new = metrics[:, _SRC[:, 0]] + g12[:, :, 0] + g34[:, :, 0]
-            for j in range(1, 16):
-                xp.minimum(
-                    new,
-                    metrics[:, _SRC[:, j]] + g12[:, :, j] + g34[:, :, j >> 2],
-                    out=new,
-                )
-            metrics = new
-
-    surv_tail = np.empty((n_batch, rem, _N_STATES), dtype=np.int64)
-    for i in range(rem):
-        bm = _BMTAB[ptype[:, n_blocks * _K + i]]
-        cand0 = metrics[:, _SRC0] + bm[:, _BM0]
-        cand1 = metrics[:, _SRC1] + bm[:, _BM1]
-        take1 = cand1 < cand0
-        metrics = xp.where(take1, cand1, cand0)
-        surv_tail[:, i] = xp.where(take1, _PACK1, _PACK0)
-
-    return _traceback_batch_hard(
-        metrics, mprev, i12, i34, surv_tail, n_steps, n_info
-    )
-
-
-@contracts.shapes("[n_llrs] ->")
-def decode_soft_batch(
-    llrs_batch: Sequence[np.ndarray] | np.ndarray,
-    *,
-    n_info: int | None = None,
-) -> list[BitArray]:
-    """Soft-decision decode of N equal-length LLR streams at once.
-
-    Bit-identical to ``[decode_soft(x, n_info=n_info) for x in
-    llrs_batch]``: the float branch-sum tree nests additions exactly
-    like the scalar blocked recursion (only a leading batch axis is
-    added), so even the path-metric epsilons match.
-    """
-    xp = get_backend().xp
-    arr = _stack_batch(
-        llrs_batch, np.dtype(np.float64), "viterbi.decode_soft_batch"
-    )
-    n_batch = arr.shape[0]
-    perf.dispatch("viterbi.decode_soft", n_batch, batched=True)
-    if arr.shape[1] % 2:
-        arr = xp.concatenate([arr, xp.zeros((n_batch, 1))], axis=1)
-    n_steps = arr.shape[1] // 2
-    if n_info is None:
-        n_info = n_steps
-    if n_steps == 0:
-        return [np.zeros(0, dtype=np.uint8) for _ in range(n_batch)]
-    pairs = arr.reshape(n_batch, n_steps, 2)
-
-    exp_a = 2.0 * _OUT[:, :, 0].astype(float).reshape(-1) - 1.0
-    exp_b = 2.0 * _OUT[:, :, 1].astype(float).reshape(-1) - 1.0
-    bm_all = -(
-        pairs[:, :, :1] * exp_a[None, None, :]
-        + pairs[:, :, 1:] * exp_b[None, None, :]
-    )
-
-    n_blocks = n_steps // _K
-    rem = n_steps - n_blocks * _K
-
-    metrics = xp.full((n_batch, _N_STATES), 1e18)
-    metrics[:, 0] = 0.0
-    surv_blocks = np.empty((n_batch, n_blocks, _N_STATES), dtype=np.intp)
-    rows = np.arange(n_batch)[:, None]
-    states = np.arange(_N_STATES)[None, :]
-
-    for nblk in range(n_blocks):
-        steps = bm_all[:, nblk * _K : (nblk + 1) * _K]
-        # The float branch-sum tree nests additions exactly like the
-        # scalar blocked recursion (elementwise, so the added batch
-        # axis cannot change any rounding).
-        a1 = steps[:, 0][:, _IDX_DC[0]]  # (B, 64, 16)
-        a2 = steps[:, 1][:, _IDX_DC[1]]  # (B, 64, 8)
-        a3 = steps[:, 2][:, _IDX_DC[2]]  # (B, 64, 4)
-        a4 = steps[:, 3][:, _IDX_DC[3]]  # (B, 64, 2)
-        nb = n_batch
-        block_bm = (
-            a1.reshape(nb, _N_STATES, 8, 2)
-            + (
-                a2.reshape(nb, _N_STATES, 4, 2, 1)
-                + (
-                    a3.reshape(nb, _N_STATES, 2, 2, 1)
-                    + a4.reshape(nb, _N_STATES, 2, 1, 1)
-                ).reshape(nb, _N_STATES, 4, 1, 1)
-            ).reshape(nb, _N_STATES, 8, 1)
-        ).reshape(nb, _N_STATES, 16)
-        cand = metrics[:, _SRC] + block_bm
-        cidx = cand.argmin(axis=2)
-        surv_blocks[:, nblk] = cidx
-        metrics = cand[rows, states, cidx]
-
-    surv_tail = np.empty((n_batch, rem, _N_STATES), dtype=np.int64)
-    for i in range(rem):
-        bm = bm_all[:, n_blocks * _K + i]
-        cand0 = metrics[:, _SRC0] + bm[:, _BM0]
-        cand1 = metrics[:, _SRC1] + bm[:, _BM1]
-        take1 = cand1 < cand0
-        metrics = xp.where(take1, cand1, cand0)
-        surv_tail[:, i] = xp.where(take1, _PACK1, _PACK0)
-
-    return _traceback_batch(metrics, surv_blocks, surv_tail, n_steps, n_info)
+    require_nonempty(coded_batch, "viterbi.decode_batch")
+    return [decode(coded, n_info=n_info) for coded in coded_batch]

@@ -20,17 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import ModuleType
 from typing import Sequence
 
 import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
 from repro.phy import pulse
-from repro.phy.batch import run_grouped
+from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.types import Hertz
@@ -40,7 +38,6 @@ __all__ = [
     "WifiBConfig",
     "modulate",
     "demodulate",
-    "modulate_batch",
     "demodulate_batch",
     "build_psdu_symbols",
     "demap_psdu_symbols",
@@ -309,7 +306,7 @@ def modulate(
     commodity sender would be handed is recoverable via
     :func:`repro.phy.bits.descramble_80211b`.
     """
-    perf.dispatch("wifi_b.modulate", 1, batched=False)
+    perf.count("wifi_b.modulate")
     cfg = config or WifiBConfig()
     if isinstance(payload, (bytes, bytearray)):
         payload_bits = bitlib.bits_from_bytes(payload)
@@ -510,7 +507,7 @@ def demodulate(
     payload bits are delivered (§3 "the CRC functions of NICs are
     turned off").
     """
-    perf.dispatch("wifi_b.demodulate", 1, batched=False)
+    perf.count("wifi_b.demodulate")
     ann = wave.annotations
     if ann.get("protocol") is not Protocol.WIFI_B:
         raise ValueError("waveform is not annotated as 802.11b")
@@ -576,370 +573,17 @@ def demodulate(
     )
 
 
-# ----------------------------------------------------------------------
-# batched entry points
-# ----------------------------------------------------------------------
-@contracts.dtypes(np.uint8)
-def modulate_batch(
-    payloads: Sequence[bytes | np.ndarray],
-    config: WifiBConfig | None = None,
-    *,
-    scrambled_domain: bool = False,
-) -> list[Waveform]:
-    """Modulate N PSDUs with one vectorized dispatch per payload length.
-
-    Bit-identical to ``[modulate(p, config, ...) for p in payloads]``:
-    the stateful per-frame pieces (scrambler, chip-shaping convolution)
-    keep their scalar calls, while differential phase accumulation,
-    spreading and the CCK codeword synthesis run over the stacked
-    batch.
-    """
-    cfg = config or WifiBConfig()
-    all_bits = [
-        bitlib.bits_from_bytes(p)
-        if isinstance(p, (bytes, bytearray))
-        else np.asarray(p, dtype=np.uint8)
-        for p in payloads
-    ]
-    return run_grouped(
-        all_bits,
-        lambda b: b.size,
-        lambda group: _modulate_group(
-            group, cfg, scrambled_domain=scrambled_domain
-        ),
-        where="wifi_b.modulate_batch",
-    )
-
-
-def _modulate_group(
-    bits_group: list[np.ndarray], cfg: WifiBConfig, *, scrambled_domain: bool
-) -> list[Waveform]:
-    xp = get_backend().xp
-    n_batch = len(bits_group)
-    perf.dispatch("wifi_b.modulate", n_batch, batched=True)
-    head_chips, last_phase, scr_state, n_head = _cached_head(
-        cfg.rate_mbps,
-        (bits_group[0].size + 7) // 8,
-        cfg.seed,
-        cfg.short_preamble,
-    )
-    if scrambled_domain:
-        psdu_rows = list(bits_group)
-    else:
-        psdu_rows = [
-            bitlib.scramble_80211b(b, seed=scr_state) for b in bits_group
-        ]
-
-    tenths = cfg.rate_tenths
-    if tenths == 10:
-        psdu_bits = np.stack(psdu_rows)
-        phases = last_phase + xp.cumsum(
-            xp.where(psdu_bits == 1, np.pi, 0.0), axis=1
-        )
-        psdu_chips = _barker_chips_batch(phases, xp)
-        chips_per_symbol = 11
-    elif tenths == 20:
-        if psdu_rows[0].size % 2:
-            psdu_rows = [
-                np.concatenate([b, np.zeros(1, np.uint8)]) for b in psdu_rows
-            ]
-        psdu_bits = np.stack(psdu_rows)
-        pairs = psdu_bits.reshape(n_batch, -1, 2)
-        increments = _DQPSK_PHASE_LUT[2 * pairs[:, :, 0] + pairs[:, :, 1]]
-        phases = last_phase + xp.cumsum(increments, axis=1)
-        psdu_chips = _barker_chips_batch(phases, xp)
-        chips_per_symbol = 11
-    elif tenths == 55:
-        pad = (-psdu_rows[0].size) % 4
-        if pad:
-            psdu_rows = [
-                np.concatenate([b, np.zeros(pad, np.uint8)])
-                for b in psdu_rows
-            ]
-        psdu_bits = np.stack(psdu_rows)
-        d = psdu_bits.reshape(n_batch, -1, 4)
-        phi1 = last_phase + xp.cumsum(
-            _DQPSK_PHASE_LUT[2 * d[:, :, 0] + d[:, :, 1]], axis=1
-        )
-        phi2 = np.pi / 2 + d[:, :, 2] * np.pi
-        phi3 = xp.zeros(d.shape[:2])
-        phi4 = d[:, :, 3] * np.pi
-        psdu_chips = _cck_codewords_batch(phi1, phi2, phi3, phi4, xp).reshape(
-            n_batch, -1
-        )
-        chips_per_symbol = 8
-    else:  # CCK 11
-        pad = (-psdu_rows[0].size) % 8
-        if pad:
-            psdu_rows = [
-                np.concatenate([b, np.zeros(pad, np.uint8)])
-                for b in psdu_rows
-            ]
-        psdu_bits = np.stack(psdu_rows)
-        d = psdu_bits.reshape(n_batch, -1, 8)
-        phi1 = last_phase + xp.cumsum(
-            _DQPSK_PHASE_LUT[2 * d[:, :, 0] + d[:, :, 1]], axis=1
-        )
-        phi2 = _CCK11_QPSK_LUT[2 * d[:, :, 2] + d[:, :, 3]] + np.pi / 2
-        phi3 = _CCK11_QPSK_LUT[2 * d[:, :, 4] + d[:, :, 5]]
-        phi4 = _CCK11_QPSK_LUT[2 * d[:, :, 6] + d[:, :, 7]]
-        psdu_chips = _cck_codewords_batch(phi1, phi2, phi3, phi4, xp).reshape(
-            n_batch, -1
-        )
-        chips_per_symbol = 8
-
-    taps = pulse.rrc_taps(0.5, cfg.samples_per_chip) if cfg.shaped else None
-    payload_start = head_chips.size * cfg.samples_per_chip
-    n_payload_symbols = psdu_chips.shape[1] // chips_per_symbol
-    waves = []
-    for b in range(n_batch):
-        # pulse.shape_chips keeps its scalar convolution: np.convolve
-        # per frame is the identical call (and result) the scalar
-        # modulator makes.
-        chips = np.concatenate([head_chips, psdu_chips[b]])
-        iq = pulse.shape_chips(chips, cfg.samples_per_chip, taps)
-        waves.append(
-            Waveform(
-                iq=iq,
-                sample_rate=cfg.sample_rate,
-                annotations={
-                    "protocol": Protocol.WIFI_B,
-                    "rate_mbps": cfg.rate_mbps,
-                    "payload_start": payload_start,
-                    "samples_per_symbol": chips_per_symbol
-                    * cfg.samples_per_chip,
-                    "n_payload_symbols": n_payload_symbols,
-                    "payload_bits": psdu_bits[b].copy(),
-                    "scrambler_seed": cfg.seed,
-                    "short_preamble": cfg.short_preamble,
-                    "n_head_bits": n_head,
-                    "scrambled_domain": scrambled_domain,
-                },
-            )
-        )
-    return waves
-
-
-@contracts.shapes("b,n -> b,n*11")
-def _barker_chips_batch(phases: np.ndarray, xp: ModuleType) -> np.ndarray:
-    """Batched :func:`_barker_chips`: ``(B, n_sym)`` -> ``(B, n_chips)``."""
-    symbols = xp.exp(1j * phases)
-    return (symbols[:, :, None] * BARKER11[None, None, :]).reshape(
-        phases.shape[0], -1
-    )
-
-
-@contracts.shapes("b,n ; b,n ; b,n ; b,n -> b,n,8")
-def _cck_codewords_batch(
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    phi3: np.ndarray,
-    phi4: np.ndarray,
-    xp: ModuleType,
-) -> np.ndarray:
-    """Batched :func:`_cck_codewords`: ``(B, n_sym)`` -> ``(B, n_sym, 8)``."""
-    phases = phi1[:, :, None] + xp.stack(
-        [phi2, phi3, phi4], axis=2
-    ) @ _CCK_PHI_COEF.T
-    return _CCK_CHIP_SIGN * xp.exp(1j * phases)
-
-
 def demodulate_batch(
     waves: Sequence[Waveform],
     *,
     n_payload_bits: int | None = None,
 ) -> list[WifiBDecodeResult]:
-    """Batched :func:`demodulate`: bit-identical to the scalar loop.
+    """:func:`demodulate` applied to each waveform, in input order.
 
-    Despreading is a row-stacked Barker gemv and the CCK bank search a
-    per-frame gemm of the same shape the scalar path issues, so both
-    decisions and the differential phases match the per-packet receiver
-    exactly.
+    An empty batch raises ``ValueError``.
     """
-
-    def key(wave: Waveform) -> tuple:
-        ann = wave.annotations
-        if ann.get("protocol") is not Protocol.WIFI_B:
-            raise ValueError("waveform is not annotated as 802.11b")
-        return (
-            wave.iq.size,
-            _rate_tenths(ann["rate_mbps"]),
-            int(ann["payload_start"]),
-            int(ann["samples_per_symbol"]),
-            int(ann["n_payload_symbols"]),
-            bool(ann.get("short_preamble", False)),
-            int(ann.get("scrambler_seed", 0x6C)),
-        )
-
-    return run_grouped(
-        list(waves),
-        key,
-        lambda group: _demodulate_group(group, n_payload_bits=n_payload_bits),
-        where="wifi_b.demodulate_batch",
-    )
-
-
-def _demodulate_group(
-    waves: list[Waveform], *, n_payload_bits: int | None
-) -> list[WifiBDecodeResult]:
-    xp = get_backend().xp
-    n_batch = len(waves)
-    perf.dispatch("wifi_b.demodulate", n_batch, batched=True)
-    ann = waves[0].annotations
-    rate = ann["rate_mbps"]
-    tenths = _rate_tenths(rate)
-    sps = ann["samples_per_symbol"] // (11 if tenths in (10, 20) else 8)
-    payload_start = ann["payload_start"]
-    short = ann.get("short_preamble", False)
-    n_head_symbols = payload_start // (11 * sps)
-    iq = xp.stack([w.iq for w in waves])  # (B, n_samples)
-
-    head_syms = _despread_barker_batch(iq, sps, n_head_symbols, 0, xp)
-    first_bit = (xp.real(head_syms[:, 0]) < 0).astype(np.uint8)[:, None]
-    if short:
-        n_sync = 72
-        sync_bits = _diff_bits_batch(
-            head_syms[:, 1:n_sync], head_syms[:, 0], xp
-        )
-        hdr_bits = _diff_dibits_batch(
-            head_syms[:, n_sync:], head_syms[:, n_sync - 1], xp
-        )
-        head_onair = xp.concatenate([first_bit, sync_bits, hdr_bits], axis=1)
-        sync_len = n_sync
-    else:
-        body = _diff_bits_batch(head_syms[:, 1:], head_syms[:, 0], xp)
-        head_onair = xp.concatenate([first_bit, body], axis=1)
-        sync_len = 144
-
-    n_sym = ann["n_payload_symbols"]
-    prev = (
-        head_syms[:, -1]
-        if head_syms.shape[1]
-        else xp.full(n_batch, 1.0 + 0j)
-    )
-    if tenths == 10:
-        syms = _despread_barker_batch(iq, sps, n_sym, payload_start, xp)
-        psdu_onair = _diff_bits_batch(syms, prev, xp)
-    elif tenths == 20:
-        syms = _despread_barker_batch(iq, sps, n_sym, payload_start, xp)
-        psdu_onair = _diff_dibits_batch(syms, prev, xp)
-    elif tenths == 55:
-        psdu_onair = _cck_decode_batch(
-            iq, sps, n_sym, payload_start, prev, _CCK55_BANK, _CCK55_BITS, xp
-        )
-    else:
-        psdu_onair = _cck_decode_batch(
-            iq, sps, n_sym, payload_start, prev, _CCK11_BANK, _CCK11_BITS, xp
-        )
-
-    onair = xp.concatenate([head_onair, psdu_onair], axis=1)
-    n_head_bits = head_onair.shape[1]
-    seed = ann.get("scrambler_seed", 0x6C)
-
-    results = []
-    for b in range(n_batch):
-        descrambled = bitlib.descramble_80211b(onair[b], seed=seed)
-        header_bits = descrambled[sync_len:n_head_bits]
-        header_ok = bool(
-            header_bits.size == 48
-            and np.array_equal(
-                bitlib.crc16_80211b_plcp(header_bits[:32]), header_bits[32:48]
-            )
-        )
-        signal = (
-            bitlib.int_from_bits(header_bits[:8])
-            if header_bits.size == 48
-            else 0
-        )
-        payload_bits = descrambled[n_head_bits:]
-        if n_payload_bits is not None:
-            payload_bits = payload_bits[:n_payload_bits]
-        results.append(
-            WifiBDecodeResult(
-                payload_bits=payload_bits,
-                onair_bits=psdu_onair[b].copy(),
-                header_ok=header_ok,
-                rate_mbps=_RATE_BY_SIGNAL.get(signal, rate),
-            )
-        )
-    return results
-
-
-@contracts.shapes("b,_ -> b,_,_")
-def _symbol_matrix_batch(
-    iq: np.ndarray, sym_len: int, n_symbols: int, start: int, xp: ModuleType
-) -> np.ndarray:
-    """Batched :func:`_symbol_matrix`: ``(B, n_symbols, sym_len)``."""
-    end = start + n_symbols * sym_len
-    seg = iq[:, start:end]
-    if seg.shape[1] < n_symbols * sym_len:
-        seg = xp.pad(seg, ((0, 0), (0, n_symbols * sym_len - seg.shape[1])))
-    return seg.reshape(iq.shape[0], n_symbols, sym_len)
-
-
-@contracts.shapes("b,_ -> b,_")
-def _despread_barker_batch(
-    iq: np.ndarray, sps: int, n_symbols: int, start: int, xp: ModuleType
-) -> np.ndarray:
-    """Batched :func:`_despread_barker`: ``(B, n_symbols)`` symbols."""
-    chip_kernel = np.repeat(BARKER11, sps) / (11 * sps)
-    return _symbol_matrix_batch(iq, 11 * sps, n_symbols, start, xp) @ chip_kernel
-
-
-@contracts.shapes("b,n ; b -> b,n")
-def _diff_bits_batch(
-    symbols: np.ndarray, prev: np.ndarray, xp: ModuleType
-) -> np.ndarray:
-    """Batched :func:`_diff_bits` with a per-row previous symbol."""
-    prev_col = xp.asarray(prev).reshape(-1, 1)
-    ref = xp.concatenate([prev_col, symbols[:, :-1]], axis=1)
-    return (xp.real(symbols * xp.conj(ref)) < 0).astype(np.uint8)
-
-
-@contracts.shapes("b,n ; b -> b,n*2")
-def _diff_dibits_batch(
-    symbols: np.ndarray, prev: np.ndarray, xp: ModuleType
-) -> np.ndarray:
-    """Batched :func:`_diff_dibits`; rows of interleaved (d0, d1) bits."""
-    prev_col = xp.asarray(prev).reshape(-1, 1)
-    ref = xp.concatenate([prev_col, symbols[:, :-1]], axis=1)
-    rot = symbols * xp.conj(ref)
-    phase = xp.mod(xp.angle(rot) + np.pi / 4, 2 * np.pi)
-    quadrant = (phase // (np.pi / 2)).astype(int)
-    return _DQPSK_INV_LUT[quadrant].reshape(symbols.shape[0], -1)
-
-
-def _cck_decode_batch(
-    iq: np.ndarray,
-    sps: int,
-    n_symbols: int,
-    start: int,
-    prev: np.ndarray,
-    bank: np.ndarray,
-    bank_bits: np.ndarray,
-    xp: ModuleType,
-) -> np.ndarray:
-    """Batched :func:`_cck_decode` over stacked captures."""
-    n_batch = iq.shape[0]
-    if n_symbols == 0:
-        return np.zeros((n_batch, 0), dtype=np.uint8)
-    chips = (
-        _symbol_matrix_batch(iq, 8 * sps, n_symbols, start, xp)
-        .reshape(n_batch, n_symbols, 8, sps)
-        .mean(axis=3)
-    )
-    corr = chips @ bank.conj().T  # (B, n_symbols, n_codewords)
-    best = xp.argmax(xp.abs(corr), axis=2)
-    corr_best = xp.take_along_axis(corr, best[:, :, None], axis=2)[:, :, 0]
-
-    prev_col = xp.asarray(prev).reshape(-1, 1)
-    ref = xp.concatenate([prev_col, corr_best[:, :-1]], axis=1)
-    rot = corr_best * xp.where(xp.abs(ref) == 0, 1.0 + 0j, xp.conj(ref))
-    phase = xp.mod(xp.angle(rot) + np.pi / 4, 2 * np.pi)
-    quadrant = (phase // (np.pi / 2)).astype(int)
-    return xp.concatenate(
-        [_DQPSK_INV_LUT[quadrant], bank_bits[best]], axis=2
-    ).reshape(n_batch, -1)
+    require_nonempty(waves, "wifi_b.demodulate_batch")
+    return [demodulate(w, n_payload_bits=n_payload_bits) for w in waves]
 
 
 def demap_psdu_symbols(result: WifiBDecodeResult) -> np.ndarray:

@@ -24,17 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import ModuleType
 from typing import Sequence
 
 import numpy as np
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
 from repro.phy import convcode, viterbi
-from repro.phy.batch import run_grouped
+from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.types import Hertz
@@ -43,7 +41,6 @@ __all__ = [
     "WifiNConfig",
     "modulate",
     "demodulate",
-    "modulate_batch",
     "demodulate_batch",
     "WifiNDecodeResult",
     "estimate_cfo",
@@ -415,7 +412,7 @@ def modulate(
     PSDU + tail + pad) directly -- the overlay carrier generator uses
     this to align crafted bit groups with OFDM symbol boundaries.
     """
-    perf.dispatch("wifi_n.modulate", 1, batched=False)
+    perf.count("wifi_n.modulate")
     cfg = config or WifiNConfig()
     if data_bits is None:
         if isinstance(payload, (bytes, bytearray)):
@@ -543,7 +540,7 @@ def demodulate(
     channel estimation.  ``soft`` switches to max-log LLR demapping and
     soft-decision Viterbi (~2 dB gain over hard decisions).
     """
-    perf.dispatch("wifi_n.demodulate", 1, batched=False)
+    perf.count("wifi_n.demodulate")
     ann = wave.annotations
     if ann.get("protocol") is not Protocol.WIFI_N:
         raise ValueError("waveform is not annotated as 802.11n")
@@ -626,114 +623,6 @@ def demodulate(
     )
 
 
-# ----------------------------------------------------------------------
-# batched entry points
-# ----------------------------------------------------------------------
-@contracts.dtypes(np.uint8)
-def modulate_batch(
-    payloads: Sequence[bytes | np.ndarray],
-    config: WifiNConfig | None = None,
-) -> list[Waveform]:
-    """Modulate many PSDUs at once; bit-identical to per-packet calls.
-
-    Packets are grouped by PSDU bit length; each group shares one
-    preamble build and one fused OFDM assembly (interleave scatter,
-    constellation map, 64-point IFFT and CP insertion all carry a
-    leading batch axis).  The per-packet scramble/encode/puncture calls
-    are identical to the scalar path, so outputs match ``modulate``
-    exactly.
-    """
-    cfg = config or WifiNConfig()
-
-    def to_bits(payload: bytes | np.ndarray) -> np.ndarray:
-        if isinstance(payload, (bytes, bytearray)):
-            return bitlib.bits_from_bytes(payload)
-        return np.asarray(payload, dtype=np.uint8)
-
-    bit_arrays = [to_bits(p) for p in payloads]
-    return run_grouped(
-        bit_arrays,
-        key_fn=lambda b: b.size,
-        group_fn=lambda group: _modulate_group(group, cfg),
-        where="wifi_n.modulate_batch",
-    )
-
-
-def _modulate_group(psdus: Sequence[np.ndarray], cfg: WifiNConfig) -> list[Waveform]:
-    """Modulate a group of equal-length PSDUs with fused OFDM assembly."""
-    xp = get_backend().xp
-    n_batch = len(psdus)
-    perf.dispatch("wifi_n.modulate", n_batch, batched=True)
-
-    psdu_size = psdus[0].size
-    n_unpadded = 16 + psdu_size + 6
-    n_sym = max(1, int(np.ceil(n_unpadded / cfg.n_dbps)))
-    pad = n_sym * cfg.n_dbps - n_unpadded
-    # The scalar path pads ``stream`` in place before annotating, so the
-    # recorded stream length is the padded one.
-    n_stream = n_sym * cfg.n_dbps
-
-    coded_rows = []
-    for psdu in psdus:
-        stream = np.concatenate(
-            [np.zeros(16, np.uint8), psdu, np.zeros(6 + pad, np.uint8)]
-        )
-        scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
-        coded_rows.append(convcode.puncture(convcode.encode(scrambled), cfg.coding_rate))
-    coded = xp.stack([get_backend().asarray(c) for c in coded_rows])
-
-    blocks = coded.reshape(n_batch, n_sym, cfg.n_cbps)
-    perm = _ht_permutation(cfg.n_cbps, cfg.n_bpsc)
-    inter = xp.empty_like(blocks)
-    inter[:, :, perm] = blocks
-    # _map_bits is elementwise over fixed-size bit groups, so mapping the
-    # flattened batch produces the same value per point as per-symbol calls.
-    points = _map_bits(np.asarray(inter).reshape(-1), cfg.constellation).reshape(
-        n_batch, n_sym, 52
-    )
-
-    spec = xp.zeros((n_batch, n_sym, N_FFT), dtype=complex)
-    spec[:, :, HT_DATA_CARRIERS % N_FFT] = points
-    polarity = PILOT_POLARITY[(np.arange(n_sym) + 3) % PILOT_POLARITY.size]
-    spec[:, :, PILOT_CARRIERS % N_FFT] = (
-        PILOT_VALUES[None, None, :] * polarity[None, :, None]
-    )
-    body = xp.fft.ifft(spec, axis=-1) * N_FFT / np.sqrt(52.0)
-    data = xp.concatenate([body[:, :, -CP_LEN:], body], axis=2).reshape(n_batch, -1)
-
-    preamble = np.concatenate(
-        [
-            _l_stf(),
-            _l_ltf(),
-            _l_sig(0b1011, max(1, psdu_size // 8)),
-            _ht_sig(cfg.mcs, max(1, psdu_size // 8)),
-            _ht_stf(),
-            _ht_ltf(),
-        ]
-    )
-    payload_start = preamble.size
-    data_np = get_backend().to_numpy(data)
-    waves = []
-    for b in range(n_batch):
-        waves.append(
-            Waveform(
-                iq=np.concatenate([preamble, data_np[b]]),
-                sample_rate=cfg.sample_rate,
-                annotations={
-                    "protocol": Protocol.WIFI_N,
-                    "mcs": cfg.mcs,
-                    "payload_start": payload_start,
-                    "samples_per_symbol": SYMBOL_LEN,
-                    "n_payload_symbols": n_sym,
-                    "n_stream_bits": n_stream,
-                    "scrambler_seed": cfg.scrambler_seed,
-                    "ht_ltf_start": payload_start - SYMBOL_LEN,
-                },
-            )
-        )
-    return waves
-
-
 def demodulate_batch(
     waves: Sequence[Waveform],
     *,
@@ -741,190 +630,12 @@ def demodulate_batch(
     correct_cfo: bool = True,
     soft: bool = False,
 ) -> list[WifiNDecodeResult]:
-    """Demodulate many 802.11n waveforms; decision-identical to loops.
+    """:func:`demodulate` applied to each waveform, in input order.
 
-    Waveforms are grouped by the annotation fields that steer control
-    flow (frame geometry, MCS, scrambler seed); each group runs one
-    vectorized receive chain -- batched CFO estimation and masked
-    derotation, channel estimation and per-symbol equalization with a
-    leading batch axis, and a single blocked Viterbi call -- producing
-    the same bits as per-waveform :func:`demodulate` calls.
+    An empty batch raises ``ValueError``.
     """
-
-    def key_fn(wave: Waveform) -> tuple[object, ...]:
-        ann = wave.annotations
-        if ann.get("protocol") is not Protocol.WIFI_N:
-            raise ValueError("waveform is not annotated as 802.11n")
-        return (
-            wave.iq.size,
-            wave.sample_rate,
-            ann["mcs"],
-            ann.get("scrambler_seed", 0x5D),
-            ann["payload_start"],
-            ann["n_payload_symbols"],
-            ann["n_stream_bits"],
-            ann["ht_ltf_start"],
-        )
-
-    return run_grouped(
-        list(waves),
-        key_fn=key_fn,
-        group_fn=lambda group: _demodulate_group(
-            group, n_psdu_bits=n_psdu_bits, correct_cfo=correct_cfo, soft=soft
-        ),
-        where="wifi_n.demodulate_batch",
-    )
-
-
-@contracts.shapes("b,n -> b")
-def _estimate_cfo_batch(iq: np.ndarray, fs: Hertz, xp: ModuleType) -> np.ndarray:
-    """Row-wise CFO estimates matching :func:`estimate_cfo` exactly."""
-    n_batch = iq.shape[0]
-    if iq.shape[1] < 320:
-        return xp.zeros(n_batch)
-    stf = iq[:, 16:144]
-    c16 = xp.sum(stf * xp.conj(iq[:, 0:128]), axis=1)
-    coarse = xp.angle(c16) / (2.0 * np.pi * 16.0 / fs)
-    b1 = iq[:, 192:256]
-    b2 = iq[:, 256:320]
-    c64 = xp.sum(b2 * xp.conj(b1), axis=1)
-    fine = xp.angle(c64) / (2.0 * np.pi * 64.0 / fs)
-    alias = fs / 64.0
-    k = xp.round((coarse - fine) / alias)
-    return fine + k * alias
-
-
-@contracts.shapes("b,n -> b,64")
-def _estimate_channel_batch(
-    iq: np.ndarray, ht_ltf_start: int, xp: ModuleType
-) -> np.ndarray:
-    """Row-wise HT-LTF channel estimates matching ``_estimate_channel``."""
-    start = ht_ltf_start + CP_LEN
-    body = iq[:, start : start + N_FFT]
-    spec = xp.fft.fft(body, axis=-1) * np.sqrt(52.0) / N_FFT
-    h = xp.zeros((iq.shape[0], N_FFT), dtype=complex)
-    ks = np.arange(-28, 29)
-    nz = _HTLTF28 != 0
-    idx = ks[nz] % N_FFT
-    h[:, idx] = spec[:, idx] / _HTLTF28[nz]
-    return h
-
-
-def _demodulate_group(
-    waves: Sequence[Waveform],
-    *,
-    n_psdu_bits: int | None,
-    correct_cfo: bool,
-    soft: bool,
-) -> list[WifiNDecodeResult]:
-    """Vectorized receive chain for one dispatch-key group."""
-    backend = get_backend()
-    xp = backend.xp
-    n_batch = len(waves)
-    perf.dispatch("wifi_n.demodulate", n_batch, batched=True)
-
-    ann = waves[0].annotations
-    cfg = WifiNConfig(mcs=ann["mcs"], scrambler_seed=ann.get("scrambler_seed", 0x5D))
-    fs = waves[0].sample_rate
-    iq = xp.stack([backend.asarray(w.iq) for w in waves])
-
-    if correct_cfo:
-        cfo = _estimate_cfo_batch(iq, fs, xp)
-        # Scalar path derotates only when |cfo| > 1 Hz; masking the
-        # shift to 0.0 keeps untouched rows bit-identical (exp(0) == 1).
-        shift = xp.where(xp.abs(cfo) > 1.0, -cfo, 0.0)
-        if bool(xp.any(xp.abs(shift) > 0.0)):
-            # Row-by-row mix: numpy's complex multiply rounds a fused
-            # (B, n) operand differently than the 1-D rows the scalar
-            # path multiplies, which drifts the pilot CPE by an ulp.
-            t = xp.arange(iq.shape[1]) / fs
-            iq = xp.stack(
-                [
-                    iq[b] * xp.exp(2j * np.pi * shift[b] * t)
-                    for b in range(n_batch)
-                ]
-            )
-
-    h = _estimate_channel_batch(iq, ann["ht_ltf_start"], xp)
-    h = xp.where(xp.abs(h) < 1e-12, 1e-12, h)
-
-    start = ann["payload_start"]
-    n_sym = ann["n_payload_symbols"]
-    coded_blocks = []
-    soft_blocks = []
-    cpes = xp.zeros((n_batch, n_sym))
-    prev_cpe = xp.zeros(n_batch)
-    perm = _ht_permutation(cfg.n_cbps, cfg.n_bpsc)
-    ht_idx = HT_DATA_CARRIERS % N_FFT
-    for s in range(n_sym):
-        seg = iq[:, start + s * SYMBOL_LEN : start + (s + 1) * SYMBOL_LEN]
-        if seg.shape[1] < SYMBOL_LEN:
-            seg = xp.pad(seg, ((0, 0), (0, SYMBOL_LEN - seg.shape[1])))
-        spec = xp.fft.fft(seg[:, CP_LEN:], axis=-1) * np.sqrt(52.0) / N_FFT
-        eq = spec / h
-        polarity = PILOT_POLARITY[(s + 3) % PILOT_POLARITY.size]
-        expected = PILOT_VALUES * polarity
-        # ascontiguousarray: the fancy-indexed pilot columns come back
-        # non-C-contiguous, and a strided axis-1 reduction sums in a
-        # different order than the scalar path's contiguous 1-D sum.
-        received = xp.ascontiguousarray(eq[:, PILOT_CARRIERS % N_FFT])
-        corr = xp.sum(received * xp.conj(expected)[None, :], axis=1)
-        cpe_raw = xp.angle(corr)
-        k = xp.round((prev_cpe - cpe_raw) / np.pi)
-        cpe_mod = cpe_raw + k * np.pi
-        prev_cpe = cpe_mod
-        cpes[:, s] = cpe_mod
-        eq = eq * xp.exp(-1j * cpe_mod)[:, None]
-        points = eq[:, ht_idx]
-        # _demap_symbols / _demap_soft are elementwise per constellation
-        # point, so demapping the flattened batch matches per-row calls.
-        hard = _demap_symbols(np.asarray(points).reshape(-1), cfg.constellation)
-        coded_blocks.append(hard.reshape(n_batch, cfg.n_cbps)[:, perm])
-        if soft:
-            csi = np.abs(np.asarray(h[:, ht_idx])) ** 2
-            llr = _demap_soft(
-                np.asarray(points).reshape(-1), cfg.constellation, csi.reshape(-1)
-            )
-            soft_blocks.append(llr.reshape(n_batch, cfg.n_cbps)[:, perm])
-
-    n_stream = ann["n_stream_bits"]
-    if soft:
-        llr_stream = np.concatenate(soft_blocks, axis=1)
-        llr_rows = [
-            convcode.depuncture_soft(llr_stream[b], cfg.coding_rate)
-            for b in range(n_batch)
-        ]
-        scrambled_rows = viterbi.decode_soft_batch(llr_rows, n_info=n_stream)
-    else:
-        coded_stream = np.concatenate(coded_blocks, axis=1)
-        coded_rows = [
-            convcode.depuncture(coded_stream[b], cfg.coding_rate)
-            for b in range(n_batch)
-        ]
-        scrambled_rows = viterbi.decode_batch(coded_rows, n_info=n_stream)
-
-    n_padded = n_sym * cfg.n_dbps
-    cpes_np = backend.to_numpy(cpes)
-    results = []
-    for b in range(n_batch):
-        scrambled = scrambled_rows[b]
-        if scrambled.size < n_padded:
-            scrambled = np.pad(scrambled, (0, n_padded - scrambled.size))
-        data_bits = bitlib.scramble_80211_frame(scrambled, seed=cfg.scrambler_seed)[
-            :n_padded
-        ]
-        psdu = data_bits[16 : n_stream - 6] if n_stream >= 22 else data_bits[16:]
-        if n_psdu_bits is not None:
-            psdu = psdu[:n_psdu_bits]
-        symbol_bits = [
-            data_bits[s * cfg.n_dbps : (s + 1) * cfg.n_dbps] for s in range(n_sym)
-        ]
-        results.append(
-            WifiNDecodeResult(
-                data_bits=data_bits,
-                psdu_bits=psdu,
-                symbol_bits=symbol_bits,
-                cpe_per_symbol=cpes_np[b].copy(),
-            )
-        )
-    return results
+    require_nonempty(waves, "wifi_n.demodulate_batch")
+    return [
+        demodulate(w, n_psdu_bits=n_psdu_bits, correct_cfo=correct_cfo, soft=soft)
+        for w in waves
+    ]

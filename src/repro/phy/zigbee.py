@@ -16,7 +16,6 @@ symbol it cuts through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +24,9 @@ from repro.types import BitArray, ComplexIQ, Hertz
 
 from repro import perf
 from repro.core import contracts
-from repro.core.backend import get_backend
 from repro.phy import bits as bitlib
 from repro.phy import pulse
-from repro.phy.batch import run_grouped
+from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 
@@ -37,7 +35,6 @@ __all__ = [
     "ZigbeeConfig",
     "modulate",
     "demodulate",
-    "modulate_batch",
     "demodulate_batch",
     "estimate_cfo",
     "ZigbeeDecodeResult",
@@ -168,7 +165,7 @@ def modulate(
     appended little-endian) is added to the PSDU -- the paper turns CRC
     checking *off* at the NICs, hence the default.
     """
-    perf.dispatch("zigbee.modulate", 1, batched=False)
+    perf.count("zigbee.modulate")
     cfg = config or ZigbeeConfig()
     payload_bits = _payload_bits(payload, include_fcs=include_fcs)
 
@@ -273,7 +270,7 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
     ``correct_cfo`` derotates the waveform by the preamble-estimated
     frequency offset before the coherent chip sampling.
     """
-    perf.dispatch("zigbee.demodulate", 1, batched=False)
+    perf.count("zigbee.demodulate")
     ann = wave.annotations
     if ann.get("protocol") is not Protocol.ZIGBEE:
         raise ValueError("waveform is not annotated as ZigBee")
@@ -337,292 +334,12 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
     )
 
 
-# ----------------------------------------------------------------------
-# batched entry points
-# ----------------------------------------------------------------------
-@contracts.shapes("b,n")
-@contracts.dtypes(np.uint8)
-def _oqpsk_waveform_batch(
-    chips: np.ndarray, cfg: ZigbeeConfig, xp: ModuleType
-) -> np.ndarray:
-    """Batched :func:`_oqpsk_waveform`: ``chips`` is ``(B, n_chips)``."""
-    bipolar = 2.0 * chips.astype(float) - 1.0
-    i_chips = bipolar[:, 0::2]
-    q_chips = bipolar[:, 1::2]
-    sps_ichip = 2 * cfg.samples_per_chip
-    p = pulse.half_sine_pulse(sps_ichip)
-    half = sps_ichip // 2
-    n_batch, n_chips = chips.shape
-    n_total = n_chips * cfg.samples_per_chip + half
-    # Writing I/Q straight into one complex buffer skips the separate
-    # i_wave/q_wave temporaries the per-packet path can afford but a
-    # batch cannot.  The final scaling stays a complex-by-real divide
-    # (NOT a pre-scaled pulse): numpy's complex division does not round
-    # like two per-component float divisions, and bit-identity with the
-    # scalar path requires the identical ufunc on identical operands.
-    wave = xp.zeros((n_batch, n_total), dtype=complex)
-    wave.real[:, : i_chips.shape[1] * sps_ichip] = (
-        i_chips[:, :, None] * p
-    ).reshape(n_batch, -1)
-    wave.imag[:, half : half + q_chips.shape[1] * sps_ichip] = (
-        q_chips[:, :, None] * p
-    ).reshape(n_batch, -1)
-    return wave / np.sqrt(2.0)
-
-
-@contracts.dtypes(np.uint8)
-def modulate_batch(
-    payloads: Sequence[bytes | np.ndarray],
-    config: ZigbeeConfig | None = None,
-    *,
-    include_fcs: bool = False,
-) -> list[Waveform]:
-    """Modulate N PSDUs with one vectorized dispatch per payload length.
-
-    Bit-identical to ``[modulate(p, config, include_fcs=...) for p in
-    payloads]`` -- every sample comes from the same elementwise
-    arithmetic, just with a leading batch axis (see
-    :mod:`repro.phy.batch` for the ragged-input grouping policy).
-    """
-    cfg = config or ZigbeeConfig()
-    all_bits = [_payload_bits(p, include_fcs=include_fcs) for p in payloads]
-    return run_grouped(
-        all_bits,
-        lambda b: b.size,
-        lambda group: _modulate_group(group, cfg, include_fcs=include_fcs),
-        where="zigbee.modulate_batch",
-    )
-
-
-def _modulate_group(
-    bits_group: list[BitArray], cfg: ZigbeeConfig, *, include_fcs: bool
-) -> list[Waveform]:
-    xp = get_backend().xp
-    n_batch = len(bits_group)
-    perf.dispatch("zigbee.modulate", n_batch, batched=True)
-    bits = np.stack(bits_group)  # (B, n_bits) -- equal length by grouping
-    phr = bitlib.bits_from_int((bits.shape[1] // 8) & 0x7F, 8)
-    header_symbols = np.concatenate(
-        [
-            np.zeros(_N_PREAMBLE_SYMBOLS, dtype=np.uint8),
-            np.array(_SFD_SYMBOLS, dtype=np.uint8),
-            symbols_from_bits(phr),
-        ]
-    )
-    blocks = bits.reshape(n_batch, -1, 4)
-    payload_symbols = (blocks * np.array([1, 2, 4, 8], dtype=np.uint8)).sum(
-        axis=2
-    )
-    symbols = np.concatenate(
-        [np.tile(header_symbols, (n_batch, 1)), payload_symbols], axis=1
-    )
-    chips = PN_TABLE[symbols].reshape(n_batch, -1)
-    iq = _oqpsk_waveform_batch(chips, cfg, xp)
-
-    samples_per_symbol = CHIPS_PER_SYMBOL * cfg.samples_per_chip
-    n_payload_symbols = payload_symbols.shape[1]
-    return [
-        Waveform(
-            iq=iq[b].copy(),
-            sample_rate=cfg.sample_rate,
-            annotations={
-                "protocol": Protocol.ZIGBEE,
-                "payload_start": header_symbols.size * samples_per_symbol,
-                "samples_per_symbol": samples_per_symbol,
-                "n_payload_symbols": n_payload_symbols,
-                "n_header_symbols": header_symbols.size,
-                "has_fcs": include_fcs,
-            },
-        )
-        for b in range(n_batch)
-    ]
-
-
 def demodulate_batch(
     waves: Sequence[Waveform], *, correct_cfo: bool = True
 ) -> list[ZigbeeDecodeResult]:
-    """Batched :func:`demodulate`: one dispatch per frame geometry.
+    """:func:`demodulate` applied to each waveform, in input order.
 
-    Every result field -- ``symbols``, ``payload_bits``,
-    ``correlations``, ``sfd_ok``, ``fcs_ok`` -- is bit-identical to the
-    scalar loop; float-sensitive steps (CFO mix, PN scoring, norms)
-    deliberately mirror the scalar path's operation shapes.
+    An empty batch raises ``ValueError``.
     """
-
-    def key(wave: Waveform) -> tuple:
-        ann = wave.annotations
-        if ann.get("protocol") is not Protocol.ZIGBEE:
-            raise ValueError("waveform is not annotated as ZigBee")
-        return (
-            wave.iq.size,
-            float(wave.sample_rate),
-            int(ann["n_header_symbols"]),
-            int(ann["n_payload_symbols"]),
-            int(ann["samples_per_symbol"]),
-            bool(ann.get("has_fcs")),
-        )
-
-    return run_grouped(
-        list(waves),
-        key,
-        lambda group: _demodulate_group(group, correct_cfo=correct_cfo),
-        where="zigbee.demodulate_batch",
-    )
-
-
-def _demodulate_group(
-    waves: list[Waveform], *, correct_cfo: bool
-) -> list[ZigbeeDecodeResult]:
-    xp = get_backend().xp
-    n_batch = len(waves)
-    perf.dispatch("zigbee.demodulate", n_batch, batched=True)
-    ann = waves[0].annotations
-    sample_rate = waves[0].sample_rate
-    iq = xp.stack([w.iq for w in waves])  # (B, n_samples)
-
-    if correct_cfo:
-        cfo = _estimate_cfo_batch(iq, ann, sample_rate, xp)
-        shift = xp.where(xp.abs(cfo) > 0.5, -cfo, 0.0)
-        if bool(xp.any(xp.abs(shift) > 0.0)):
-            # Same mix expression as Waveform.frequency_shifted, with a
-            # per-row shift; rows below the threshold get shift 0, and
-            # multiplying by exp(0j) == 1+0j is exact.  The mix runs
-            # row by row because numpy's complex multiply rounds
-            # differently on a fused (B, n) operand than on the 1-D
-            # rows the scalar path sees.
-            t = xp.arange(iq.shape[1]) / sample_rate
-            iq = xp.stack(
-                [
-                    iq[b] * xp.exp(2j * np.pi * shift[b] * t)
-                    for b in range(n_batch)
-                ]
-            )
-
-    n_header = int(ann["n_header_symbols"])
-    n_payload = int(ann["n_payload_symbols"])
-    n_symbols = n_header + n_payload
-    z = _chip_matched_outputs_batch(
-        iq, n_symbols * CHIPS_PER_SYMBOL, int(ann["samples_per_symbol"]), xp
-    )
-    q_axis = np.resize(
-        np.array([1.0, 1j], dtype=np.complex128), CHIPS_PER_SYMBOL
-    )
-    even = np.arange(CHIPS_PER_SYMBOL) % 2 == 0
-
-    symbols = np.empty((n_batch, n_symbols), dtype=np.uint8)
-    corrs = np.empty((n_batch, n_symbols))
-    phase = xp.zeros(n_batch)
-    for k in range(n_symbols):
-        zk = z[:, k * CHIPS_PER_SYMBOL : (k + 1) * CHIPS_PER_SYMBOL]
-        rotated = zk * xp.exp(-1j * phase)[:, None]
-        seg = xp.where(even[None, :], rotated.real, rotated.imag)
-        # Stacked per-packet gemvs: each (16, 32) @ (32, 1) slice runs
-        # the scalar path's ``_PN_BIPOLAR @ seg`` BLAS call unchanged,
-        # so the scores stay bit-identical at every batch size.  The
-        # batch axis must stay OUT of the per-slice operands: a fused
-        # (B, 32) @ (32, 16) gemm -- and even a (16, B, 32) @
-        # (16, 32, 1) stacking, at B=1 -- rounds differently.
-        scores = xp.matmul(_PN_BIPOLAR[None, :, :], seg[:, :, None])[:, :, 0]
-        best = scores.argmax(axis=1)
-        symbols[:, k] = best
-        # Row norms via stacked (1, 32) @ (32, 1) matmuls: each slice
-        # runs the same BLAS dot as the scalar ``np.linalg.norm(seg)``,
-        # where the axis-reduction form drifts by an ulp.
-        sq = xp.matmul(seg[:, None, :], seg[:, :, None])[:, 0, 0]
-        norm = xp.sqrt(sq) * np.sqrt(CHIPS_PER_SYMBOL)
-        safe = norm > 1e-12
-        denom = xp.where(safe, norm, 1.0)
-        best_score = xp.take_along_axis(scores, best[:, None], axis=1)[:, 0]
-        corrs[:, k] = xp.where(safe, best_score / denom, 0.0)
-        ideal = _PN_BIPOLAR[best] * q_axis
-        residual = xp.sum(rotated * xp.conj(ideal), axis=1)
-        phase = xp.where(
-            xp.abs(residual) > 1e-12,
-            phase + 0.5 * xp.angle(residual),
-            phase,
-        )
-
-    sfd_ok_rows = (
-        n_header >= _N_PREAMBLE_SYMBOLS + 2
-        and n_symbols >= _N_PREAMBLE_SYMBOLS + 2
-    ) and (
-        (symbols[:, _N_PREAMBLE_SYMBOLS] == _SFD_SYMBOLS[0])
-        & (symbols[:, _N_PREAMBLE_SYMBOLS + 1] == _SFD_SYMBOLS[1])
-    )
-    payload_symbols = symbols[:, n_header:]
-    payload_bits = (
-        (payload_symbols[:, :, None] >> np.arange(4, dtype=np.uint8)) & 1
-    ).astype(np.uint8)
-    payload_bits = payload_bits.reshape(n_batch, -1)
-
-    results = []
-    for b in range(n_batch):
-        bits_b = payload_bits[b]
-        fcs_ok: bool | None = None
-        if ann.get("has_fcs") and bits_b.size >= 16:
-            body, fcs_rx = bits_b[:-16], bits_b[-16:]
-            fcs_ok = bool(np.array_equal(bitlib.crc16_ccitt(body), fcs_rx))
-            bits_b = body
-        results.append(
-            ZigbeeDecodeResult(
-                payload_bits=bits_b.copy(),
-                symbols=payload_symbols[b].copy(),
-                correlations=corrs[b, n_header:].copy(),
-                sfd_ok=bool(np.asarray(sfd_ok_rows)[b])
-                if not isinstance(sfd_ok_rows, bool)
-                else sfd_ok_rows,
-                fcs_ok=fcs_ok,
-            )
-        )
-    return results
-
-
-@contracts.shapes("b,n -> b")
-def _estimate_cfo_batch(
-    iq: np.ndarray, ann: dict, sample_rate: Hertz, xp: ModuleType
-) -> np.ndarray:
-    """Row-wise :func:`estimate_cfo` over stacked captures."""
-    sym_len = int(ann["samples_per_symbol"])
-    n_pre = min(int(ann.get("n_header_symbols", 10)) - 2, 7)
-    if n_pre < 1 or iq.shape[1] < (n_pre + 1) * sym_len:
-        return xp.zeros(iq.shape[0])
-    a = iq[:, : n_pre * sym_len]
-    b = iq[:, sym_len : (n_pre + 1) * sym_len]
-    # numpy's complex multiply rounds differently on strided 2-D views
-    # than on 1-D rows (SIMD loop selection), so a fused
-    # ``sum(b * conj(a), axis=1)`` drifts 1 ulp from the scalar
-    # estimator; row-wise 1-D products reproduce it bit-for-bit.
-    corr = xp.stack(
-        [xp.sum(b[k] * xp.conj(a[k])) for k in range(iq.shape[0])]
-    )
-    period_s = sym_len / sample_rate
-    return xp.angle(corr) / (2.0 * np.pi * period_s)
-
-
-@contracts.shapes("b,n")
-def _chip_matched_outputs_batch(
-    iq: np.ndarray, n_chips: int, samples_per_symbol: int, xp: ModuleType
-) -> np.ndarray:
-    """Batched :func:`_chip_matched_outputs` over ``(B, n)`` captures."""
-    spc = samples_per_symbol // CHIPS_PER_SYMBOL
-    sps_ichip = 2 * spc
-    half = sps_ichip // 2
-    p = pulse.half_sine_pulse(sps_ichip)
-    p = p / np.sum(p)
-    n_batch = iq.shape[0]
-    n_i = (n_chips + 1) // 2
-    n_q = n_chips // 2
-    needed = half + n_q * sps_ichip if n_q else n_i * sps_ichip
-    needed = max(needed, n_i * sps_ichip)
-    if iq.shape[1] < needed:
-        iq = xp.pad(iq, ((0, 0), (0, needed - iq.shape[1])))
-    out = xp.zeros((n_batch, n_chips), dtype=complex)
-    out[:, 0::2] = iq[:, : n_i * sps_ichip].reshape(n_batch, n_i, sps_ichip) @ p
-    if n_q:
-        out[:, 1::2] = (
-            iq[:, half : half + n_q * sps_ichip].reshape(
-                n_batch, n_q, sps_ichip
-            )
-            @ p
-        )
-    return out
+    require_nonempty(waves, "zigbee.demodulate_batch")
+    return [demodulate(w, correct_cfo=correct_cfo) for w in waves]

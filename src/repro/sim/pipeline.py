@@ -21,10 +21,10 @@ Receiver-side construction (overlay codec, tag modulator, commodity
 decoder, calibrated link) is hoisted behind
 :mod:`repro.core.wavecache`: the monolith rebuilt this per-protocol
 receiver/template set on every call, which the gateway hot loop cannot
-afford.  The decode stage dispatches through the PR-6 batched kernels
-(``demodulate_batch``), which are bit-identical to the scalar receive
-chains at every batch size, so batching pending receptions never
-changes a decoded bit.
+afford.  The decode stage runs the scalar receive chain on each
+pending reception (through ``demodulate_batch``, which loops over
+``demodulate``), so deferring receptions into groups never changes a
+decoded bit.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def receiver_set(config: OverlayConfig, frequency_shift_hz: float) -> ReceiverSe
 class PendingReception:
     """A backscattered packet after the channel, awaiting decode.
 
-    Splitting the decode stage off lets the gateway batch several
-    pending receptions into one grouped kernel dispatch (PR-6 batched
-    receive chains) without perturbing any earlier RNG draw.
+    Splitting the decode stage off lets the gateway defer several
+    pending receptions and decode them together (inline or on a decode
+    worker) without perturbing any earlier RNG draw.
     """
 
     protocol: Protocol
@@ -356,23 +356,13 @@ class AirlinkPipeline:
         )
 
     def decode(self, pending: PendingReception) -> PacketOutcome:
-        """Decode one pending reception (batch of one).
-
-        The batched receive chains are bit-identical to the scalar
-        demodulators at every batch size, so this is the same result
-        the monolithic loop produced.
-        """
+        """Decode one pending reception (a group of one)."""
         return self.decode_many([pending])[0]
 
     def decode_many(
         self, pendings: list[PendingReception]
     ) -> list[PacketOutcome]:
-        """Decode pending receptions with grouped batched kernels.
-
-        Receptions are grouped by (protocol, mode, shift); each group
-        is one ``demodulate_batch`` dispatch.  Results come back in
-        input order and are bit-identical to per-packet decodes.
-        """
+        """Decode pending receptions; see :func:`decode_pending_many`."""
         return decode_pending_many(pendings)
 
     # -- the whole loop for one packet ----------------------------------
@@ -396,14 +386,15 @@ class AirlinkPipeline:
 
 
 def decode_pending_many(pendings: list[PendingReception]) -> list[PacketOutcome]:
-    """Decode pending receptions with grouped batched kernels.
+    """Decode pending receptions, one packet at a time.
 
     Module-level (tag-independent) so the gateway's decode pool can run
     it in worker processes: the decode stage reads only the reception
     and its receivers, never tag or pipeline state, and draws no RNG.
-    Receptions are grouped by (protocol, mode, shift); each group is
-    one ``demodulate_batch`` dispatch.  Results come back in input
-    order and are bit-identical to per-packet decodes.
+    Receptions are grouped by (protocol, mode, shift) so each group
+    shares one receiver set; each group is one ``demodulate_batch``
+    call, which loops over the scalar receive chain.  Results come back
+    in input order and equal per-packet decodes.
     """
     outcomes: list[PacketOutcome | None] = [None] * len(pendings)
     groups: dict[tuple[OverlayConfig, float], list[int]] = {}
@@ -426,11 +417,11 @@ def decode_worker_group(
     """Decode one receiver-config group inside a pool worker.
 
     This is the gateway's executor entry point: payloads in a group
-    share one (config, shift) key, so the whole group is a single
-    fused ``demodulate_batch`` dispatch after the memoized receiver
-    rebuild.  The ``decode`` fault site fires first so tests can model
-    a worker that crashes (``kill``) or wedges (``hang``) mid-decode
-    and prove the retry-in-pool recovery is bit-identical.
+    share one (config, shift) key, so the whole group is decoded by one
+    memoized receiver set.  The ``decode`` fault site fires first so
+    tests can model a worker that crashes (``kill``) or wedges
+    (``hang``) mid-decode and prove the retry-in-pool recovery is
+    bit-identical.
     """
     faults.check("decode", index=group_index, name=group_name, attempt=attempt)
     pendings = [payload_to_pending(p) for p in payloads]

@@ -794,13 +794,14 @@ class TestRepoClean:
     def test_no_parity_violations(self, result):
         statuses = {r["batch"]: r["status"] for r in result.parity}
         assert "violation" not in statuses.values()
-        # The PHY batch kernels are actually *proven*, not just unflagged.
-        assert statuses["repro.phy.viterbi._traceback_batch"] == "proven"
+        # The ragged Viterbi wrapper is actually *proven*, not just
+        # unflagged; the demodulate wrappers take Waveforms, not arrays.
         assert statuses["repro.phy.viterbi.decode_batch"] == "proven"
-        assert statuses["repro.core.matching.score_capture_batch"] == "proven"
-        assert statuses["repro.phy.wifi_b._cck_codewords_batch"] == "proven"
+        for proto in ("ble", "wifi_b", "wifi_n", "zigbee"):
+            batch = f"repro.phy.{proto}.demodulate_batch"
+            assert statuses[batch] == "exempt-no-arrays"
 
     def test_shape_table_covers_known_kernels(self, result):
         by_fn = {e["function"]: e for e in result.table}
-        assert by_fn["repro.core.matching.score_capture_batch"]["mode"] == "ragged"
-        assert by_fn["repro.phy.wifi_b._cck_codewords_batch"]["out"] == ["b", "n", "8"]
+        assert by_fn["repro.phy.viterbi.decode_batch"]["mode"] == "ragged"
+        assert by_fn["repro.phy.wifi_b._cck_codewords"]["out"] == ["n", "8"]

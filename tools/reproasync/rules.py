@@ -81,12 +81,9 @@ _HEAVY_KERNELS = frozenset(
         "run_airlink",
         "modulate",
         "demodulate",
-        "modulate_batch",
         "demodulate_batch",
         "decode_batch",
-        "decode_soft_batch",
         "score_capture",
-        "score_capture_batch",
     }
 )
 

@@ -59,14 +59,11 @@ ENTRY_POINT_NAMES: frozenset[str] = frozenset(
     {
         "modulate",
         "demodulate",
-        "modulate_batch",
         "demodulate_batch",
         "decode",
         "decode_soft",
         "decode_batch",
-        "decode_soft_batch",
         "score_capture",
-        "score_capture_batch",
     }
 )
 
