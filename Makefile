@@ -2,17 +2,14 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast smoke serve-smoke crash-test bench bench-primitives bench-gateway bench-tables perf-report examples lint analyze typecheck check clean
+.PHONY: install test smoke serve-smoke crash-test bench bench-primitives bench-gateway bench-tables perf-report examples lint analyze typecheck check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
 
+# Every test under pyproject's testpaths (tests/ and perfbench/).
 test:
-	$(PYTHON) -m pytest tests/
-
-# Skip multi-process / long-running tests (marked @pytest.mark.slow).
-test-fast:
-	$(PYTHON) -m pytest tests/ -m "not slow"
+	$(PYTHON) -m pytest
 
 # Determinism/dtype AST linter + units/purity dataflow analyzer +
 # symbolic shape/dtype verifier + asyncio/concurrency safety analyzer
@@ -42,7 +39,7 @@ typecheck:
 		|| echo "typecheck: mypy not installed, skipping (pip install mypy)"
 
 # The pre-commit gate: what CI runs on every push/PR.
-check: lint typecheck test-fast
+check: lint typecheck test
 
 # Every experiment at quick scale, in parallel, with artifact gating
 # (what the CI smoke job runs).

@@ -26,7 +26,7 @@ def main() -> None:
     codec = OverlayCodec(OverlayConfig.for_mode(Protocol.BLE, Mode.MODE_1))
     productive = rng.integers(0, 2, 48).astype(np.uint8)
     carrier = codec.build_carrier(productive)
-    print(f"carrier: {carrier.duration * 1e6:.0f} us of BLE at "
+    print(f"carrier: {carrier.duration_s * 1e6:.0f} us of BLE at "
           f"{carrier.sample_rate / 1e6:.0f} Msps, kappa={codec.config.kappa}, "
           f"gamma={codec.config.gamma}")
 

@@ -72,8 +72,8 @@ def _run_all_worker(
 ) -> tuple[str, bool, str]:
     """Pool entry point for ``run-all``: never raises.
 
-    Runs in a child process; inner Monte-Carlo pools are disabled so
-    parallelism lives at exactly one level.
+    Runs in a child process; inner ``labeled_traces`` pools are
+    disabled so parallelism lives at exactly one level.
     """
     os.environ["REPRO_WORKERS"] = "1"
     return _run_all_serial(name, preset, seed, out_dir)
@@ -276,14 +276,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sim.traffic import ExcitationSource
 
     seed = args.seed if args.seed is not None else 0
-    config = GatewayConfig(
-        seed=seed,
-        keepalive_timeout_s=args.keepalive_timeout,
-        queue_maxlen=args.queue_maxlen,
-        decode_batch=args.decode_batch,
-        decode_workers=args.decode_workers,
-        drain_timeout_s=args.drain_timeout,
-    )
+    try:
+        config = GatewayConfig(
+            seed=seed,
+            keepalive_timeout_s=args.keepalive_timeout,
+            queue_maxlen=args.queue_maxlen,
+            decode_batch=args.decode_batch,
+            decode_workers=args.decode_workers,
+            drain_timeout_s=args.drain_timeout,
+        )
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     policy = Backpressure(args.policy)
 
     async def _serve() -> tuple[GatewayStats, list[int], list[str]]:
@@ -527,9 +531,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    if getattr(args, "decode_workers", 0) < 0:
-        print("--decode-workers must be >= 0", file=sys.stderr)
-        return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "info":

@@ -14,7 +14,6 @@ benchmarks sweep (an affine model in tap count and toggle rate).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.types import Hertz, Microseconds, Milliwatts, Samples
@@ -56,38 +55,13 @@ _POWER_PER_LUT_MHZ_QUANT = 3.472e-4
 _POWER_PER_LUT_MHZ_FULL = 8.09e-4
 
 
-def _deprecated_size(
-    new: int | None, old: int | None, func: str
-) -> int:
-    """Resolve the deprecated ``template_size=`` keyword alias."""
-    if old is not None:
-        warnings.warn(
-            f"{func}(template_size=...) is deprecated; "
-            "use template_size_samples=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if new is None:
-            new = old
-    if new is None:
-        raise TypeError(f"{func}() missing argument 'template_size_samples'")
-    return new
-
-
 def naive_correlator_dffs(
-    template_size_samples: Samples | None = None,
-    n_protocols: int = 4,
-    *,
-    template_size: int | None = None,  # reproflow: disable=U004
+    template_size_samples: Samples, n_protocols: int = 4
 ) -> dict[str, int]:
     """Table 2's naive implementation: full-precision correlation.
 
     Returns the per-protocol and total resource counts.
-    ``template_size=`` is a deprecated alias of ``template_size_samples=``.
     """
-    template_size_samples = _deprecated_size(
-        template_size_samples, template_size, "naive_correlator_dffs"
-    )
     if template_size_samples < 1 or n_protocols < 1:
         raise ValueError("template_size_samples and n_protocols must be positive")
     mults = template_size_samples
@@ -102,18 +76,9 @@ def naive_correlator_dffs(
 
 
 def quantized_correlator_dffs(
-    template_size_samples: Samples | None = None,
-    n_protocols: int = 4,
-    *,
-    template_size: int | None = None,  # reproflow: disable=U004
+    template_size_samples: Samples, n_protocols: int = 4
 ) -> int:
-    """The nano implementation: +-1 samples, adders only (Table 2).
-
-    ``template_size=`` is a deprecated alias of ``template_size_samples=``.
-    """
-    template_size_samples = _deprecated_size(
-        template_size_samples, template_size, "quantized_correlator_dffs"
-    )
+    """The nano implementation: +-1 samples, adders only (Table 2)."""
     if template_size_samples < 1 or n_protocols < 1:
         raise ValueError("template_size_samples and n_protocols must be positive")
     return round(_DFF_PER_QUANT_TAP * template_size_samples * n_protocols)

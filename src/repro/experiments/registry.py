@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -92,11 +91,6 @@ class ExperimentSpec:
     params_type: type
     presets: Mapping[str, Any]
     module: str
-    #: renamed parameter fields still accepted as override keys:
-    #: old name -> current field name (a DeprecationWarning is issued)
-    deprecated_params: Mapping[str, str] = dataclasses.field(
-        default_factory=lambda: MappingProxyType({})
-    )
 
     # -- parameters ----------------------------------------------------
     def preset_names(self) -> tuple[str, ...]:
@@ -105,27 +99,8 @@ class ExperimentSpec:
     def has_param(self, field_name: str) -> bool:
         return any(f.name == field_name for f in dataclasses.fields(self.params_type))
 
-    def _remap_deprecated(self, overrides: dict[str, Any]) -> dict[str, Any]:
-        for old, new in self.deprecated_params.items():
-            if old not in overrides:
-                continue
-            if new in overrides:
-                raise RegistryError(
-                    f"experiment {self.name!r}: both {old!r} (deprecated) "
-                    f"and {new!r} given"
-                )
-            warnings.warn(
-                f"parameter {old!r} of experiment {self.name!r} is "
-                f"deprecated; use {new!r}",
-                DeprecationWarning,
-                stacklevel=4,
-            )
-            overrides[new] = overrides.pop(old)
-        return overrides
-
     def params(self, preset: str = "full", **overrides: Any) -> Any:
         """Preset instance with ``overrides`` applied field-wise."""
-        overrides = self._remap_deprecated(overrides)
         try:
             base = self.presets[preset]
         except KeyError:
@@ -271,7 +246,6 @@ def _declare(
     *,
     quick: Any = None,
     paper: Any = None,
-    deprecated: Mapping[str, str] | None = None,
 ) -> None:
     """Catalog helper: ``full`` is the dataclass defaults; ``quick``/
     ``paper`` default to ``full`` when an experiment has no scale knob."""
@@ -290,7 +264,6 @@ def _declare(
                 }
             ),
             module=f"repro.experiments.{name}",
-            deprecated_params=MappingProxyType(dict(deprecated or {})),
         )
     )
 
@@ -410,7 +383,6 @@ _declare(
     "Table 2",
     "FPGA resource comparison for multiprotocol identification",
     _p.Table2Params,
-    deprecated={"template_size": "template_size_samples"},
 )
 _declare(
     "table3_power",

@@ -130,6 +130,8 @@ class GatewayConfig:
     drain_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
+        if self.queue_maxlen < 1:
+            raise ValueError("queue_maxlen must be >= 1")
         if self.decode_batch < 1:
             raise ValueError("decode_batch must be >= 1")
         if self.decode_workers < 0:

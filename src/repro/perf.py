@@ -13,15 +13,6 @@ renders the same table on demand.
 Every PHY/matching kernel entry point bumps a counter named after
 itself (``wifi_n.demodulate``, ``viterbi.decode``, ...), so the
 ``REPRO_PERF=1`` report shows how often each kernel ran.
-
-Robustness events from the fault-tolerant Monte-Carlo runner
-(:mod:`repro.sim.runner`) land in the counters section under the
-``mc.`` prefix -- ``mc.chunk_retries`` (chunks re-run after a
-failure), ``mc.chunk_timeouts`` (chunks abandoned at the wall-clock
-deadline), ``mc.worker_crashes`` (pool workers that died mid-chunk) --
-so a ``REPRO_PERF=1`` run shows at a glance whether its results
-needed any recovery.  All three are counted in the parent process;
-workers never mutate shared perf state.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Deterministic fault injection for robustness testing.
 
-The fault-tolerance paths in :mod:`repro.sim.runner` (per-chunk retry,
-chunk timeouts, worker-crash recovery) and :mod:`repro.core.atomicio`
-(crash-safe artifact writes) are only trustworthy if tests can *force*
-each failure mode on demand.  This module is that switch: a tiny,
-fully deterministic harness driven by the ``REPRO_FAULTS`` environment
-variable, so faults propagate unchanged into pool workers and CLI
-subprocesses and the same spec always kills the same trial on the same
-attempt.
+The recovery paths in :mod:`repro.core.atomicio` (crash-safe artifact
+writes behind ``run-all --resume``) and :mod:`repro.gateway` (decode
+worker crashes and hangs, stalled subscribers, crashed tag tasks) are
+only trustworthy if tests can *force* each failure mode on demand.
+This module is that switch: a tiny, fully deterministic harness driven
+by the ``REPRO_FAULTS`` environment variable, so faults propagate
+unchanged into pool workers and CLI subprocesses and the same spec
+always fails the same site on the same attempt.
 
 Spec grammar (semicolon-separated entries)::
 
@@ -24,19 +24,20 @@ Spec grammar (semicolon-separated entries)::
 
 Keys:
 
-``site``      required; one of ``trial``, ``chunk``, ``save``,
-              ``gateway``, ``decode``
-``index``     integer; fire only at this trial/chunk index
+``site``      required; one of ``save``, ``gateway``, ``decode``
+``index``     integer; fire only at this index (the dispatch counter
+              for ``decode`` sites)
 ``name``      substring matched against the site name (e.g. the
               artifact path for ``save`` sites)
 ``attempts``  fire only while ``attempt <= attempts`` (default 1), so
-              a retried chunk succeeds once the budget is spent
+              a resubmitted decode group succeeds once the budget is
+              spent
 ``hang_s``    sleep duration for ``hang`` faults, in seconds
 
 Examples::
 
-    REPRO_FAULTS="raise:site=trial,index=3,attempts=2"
-    REPRO_FAULTS="hang:site=chunk,index=0,attempts=1,hang_s=60"
+    REPRO_FAULTS="kill:site=decode,index=1,attempts=1"
+    REPRO_FAULTS="hang:site=decode,index=0,attempts=1,hang_s=60"
     REPRO_FAULTS="kill:site=save,name=fig15_occlusion"
 
 Instrumented code calls :func:`check` at each site; with the
@@ -80,7 +81,7 @@ ENV_VAR = "REPRO_FAULTS"
 #: (:func:`repro.sim.pipeline.decode_worker_group`): ``kill`` models a
 #: crashed decode worker, ``hang`` a stuck one; ``index`` is the
 #: dispatch counter and ``name`` the receiver-group label.
-SITES = ("trial", "chunk", "save", "gateway", "decode")
+SITES = ("save", "gateway", "decode")
 
 #: Supported fault actions.
 KINDS = ("raise", "hang", "kill")

@@ -1,31 +1,17 @@
-"""Fault injection and the fault-tolerant Monte-Carlo runner.
+"""The deterministic fault harness and the runner's metric-key check.
 
-Every recovery path in ``repro.sim.runner`` is exercised here by
-forcing its failure mode with the deterministic harness in
-``repro.sim.faults``: trial exceptions retried to success, hung chunks
-recovered via the wall-clock timeout, killed workers re-run in a fresh
-pool, and exhausted retry budgets surfaced as ``ChunkError`` with
-chunk/trial context.  Recovered runs must stay bit-identical to
-undisturbed ones -- retry re-runs the same seed list, never new draws.
+``repro.sim.faults`` parses ``REPRO_FAULTS`` specs and fires them at
+the instrumented sites; the recovery paths those sites exercise are
+tested with their owners (``tests/gateway``, ``tests/experiments``).
 """
 
-import numpy as np
 import pytest
 
-from repro import perf
 from repro.sim import faults
-from repro.sim.runner import (
-    ChunkError,
-    MonteCarlo,
-    TrialError,
-    resolve_backoff_s,
-    resolve_retries,
-    resolve_timeout_s,
-)
+from repro.sim.runner import MonteCarlo
 
 
 def _trial(rng):
-    """Module-level so the process pool can pickle it."""
     x = rng.normal(size=64)
     return {"mean": float(x.mean()), "max": float(x.max())}
 
@@ -45,11 +31,11 @@ def _no_inherited_faults(monkeypatch):
 
 class TestSpecParsing:
     def test_full_spec_round_trip(self):
-        spec = "raise:site=trial,index=3,attempts=2;hang:site=chunk,hang_s=0.5"
+        spec = "raise:site=decode,index=3,attempts=2;hang:site=decode,hang_s=0.5"
         parsed = faults.parse_spec(spec)
         assert parsed == (
-            faults.FaultSpec(kind="raise", site="trial", index=3, attempts=2),
-            faults.FaultSpec(kind="hang", site="chunk", hang_s=0.5),
+            faults.FaultSpec(kind="raise", site="decode", index=3, attempts=2),
+            faults.FaultSpec(kind="hang", site="decode", hang_s=0.5),
         )
 
     def test_install_validates_and_sets_env(self, monkeypatch):
@@ -63,13 +49,15 @@ class TestSpecParsing:
     @pytest.mark.parametrize(
         "bad",
         [
-            "explode:site=trial",          # unknown kind
-            "raise:index=3",               # missing site
-            "raise:site=nowhere",          # unknown site
-            "raise:site=trial,index=x",    # non-numeric index
-            "raise:site=trial,attempts=0", # attempts below 1
-            "raise:site=trial,color=red",  # unknown field
-            "raise:site=trial,index",      # malformed field
+            "explode:site=decode",          # unknown kind
+            "raise:index=3",                # missing site
+            "raise:site=nowhere",           # unknown site
+            "raise:site=trial",             # removed site
+            "hang:site=chunk",              # removed site
+            "raise:site=decode,index=x",    # non-numeric index
+            "raise:site=decode,attempts=0", # attempts below 1
+            "raise:site=decode,color=red",  # unknown field
+            "raise:site=decode,index",      # malformed field
         ],
     )
     def test_malformed_specs_fail_loudly(self, bad):
@@ -77,93 +65,23 @@ class TestSpecParsing:
             faults.parse_spec(bad)
 
     def test_check_is_noop_without_env(self):
-        faults.check("trial", index=0, attempt=1)  # must not raise
+        faults.check("decode", index=0, attempt=1)  # must not raise
 
     def test_matching_gates(self, monkeypatch):
         monkeypatch.setenv(
-            faults.ENV_VAR, "raise:site=trial,index=2,attempts=2"
+            faults.ENV_VAR, "raise:site=decode,index=2,attempts=2"
         )
-        faults.check("trial", index=1, attempt=1)       # wrong index
-        faults.check("chunk", index=2, attempt=1)       # wrong site
-        faults.check("trial", index=2, attempt=3)       # budget spent
+        faults.check("decode", index=1, attempt=1)      # wrong index
+        faults.check("save", index=2, attempt=1)        # wrong site
+        faults.check("decode", index=2, attempt=3)      # budget spent
         with pytest.raises(faults.FaultInjected):
-            faults.check("trial", index=2, attempt=2)
+            faults.check("decode", index=2, attempt=2)
 
     def test_name_substring_match(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "raise:site=save,name=fig15")
         faults.check("save", name="runs/x/fig13_los.json")
         with pytest.raises(faults.FaultInjected):
             faults.check("save", name="runs/x/fig15_occlusion.json")
-
-
-class TestEnvKnobs:
-    def test_resolve_retries(self, monkeypatch):
-        assert resolve_retries() == 0
-        assert resolve_retries(3) == 3
-        monkeypatch.setenv("REPRO_RETRIES", "2")
-        assert resolve_retries() == 2
-        monkeypatch.setenv("REPRO_RETRIES", "-1")
-        with pytest.warns(RuntimeWarning, match="REPRO_RETRIES"):
-            assert resolve_retries() == 0
-        with pytest.raises(ValueError):
-            resolve_retries(-1)
-
-    def test_resolve_timeout(self, monkeypatch):
-        assert resolve_timeout_s() is None
-        assert resolve_timeout_s(1.5) == 1.5
-        monkeypatch.setenv("REPRO_TIMEOUT_S", "2.5")
-        assert resolve_timeout_s() == 2.5
-        monkeypatch.setenv("REPRO_TIMEOUT_S", "nope")
-        with pytest.warns(RuntimeWarning, match="REPRO_TIMEOUT_S"):
-            assert resolve_timeout_s() is None
-        with pytest.raises(ValueError):
-            resolve_timeout_s(0.0)
-
-    def test_resolve_backoff(self, monkeypatch):
-        assert resolve_backoff_s() == pytest.approx(0.05)
-        assert resolve_backoff_s(0.0) == 0.0
-        monkeypatch.setenv("REPRO_BACKOFF_S", "junk")
-        with pytest.warns(RuntimeWarning, match="REPRO_BACKOFF_S"):
-            assert resolve_backoff_s() == pytest.approx(0.05)
-        with pytest.raises(ValueError):
-            resolve_backoff_s(-0.1)
-
-
-class TestSerialRecovery:
-    def test_trial_retry_is_bit_identical(self, monkeypatch):
-        clean = MonteCarlo(n_trials=5, seed=11).run(_trial)
-        perf.reset()
-        monkeypatch.setenv(
-            faults.ENV_VAR, "raise:site=trial,index=3,attempts=2"
-        )
-        recovered = MonteCarlo(
-            n_trials=5, seed=11, max_retries=2, backoff_s=0.0
-        ).run(_trial)
-        for key in clean:
-            assert np.array_equal(clean[key].values, recovered[key].values)
-        assert perf.counters()["mc.chunk_retries"] == 2
-
-    def test_exhausted_budget_names_chunk_and_trial(self, monkeypatch):
-        monkeypatch.setenv(
-            faults.ENV_VAR, "raise:site=trial,index=2,attempts=99"
-        )
-        mc = MonteCarlo(n_trials=5, seed=0, max_retries=1, backoff_s=0.0)
-        with pytest.raises(ChunkError) as excinfo:
-            mc.run(_trial)
-        err = excinfo.value
-        assert err.chunk_index == 0
-        assert (err.trial_start, err.trial_stop) == (0, 5)
-        assert err.attempts == 2
-        assert "trial 2" in str(err)
-        assert isinstance(err.__cause__, TrialError)
-        assert err.__cause__.trial_index == 2
-
-    def test_real_trial_exception_carries_index(self):
-        def boom(rng):
-            raise ValueError("bad physics")
-
-        with pytest.raises(ChunkError, match="bad physics"):
-            MonteCarlo(n_trials=3, seed=0).run(boom)
 
 
 class TestMetricKeyAlignment:
@@ -179,53 +97,3 @@ class TestMetricKeyAlignment:
     def test_aligned_keys_pass(self):
         stats = MonteCarlo(n_trials=4, seed=0).run(_trial)
         assert stats["mean"].n == 4
-
-
-@pytest.mark.slow
-class TestParallelRecovery:
-    def test_killed_worker_is_retried_bit_identically(self, monkeypatch):
-        clean = MonteCarlo(n_trials=8, seed=5).run(_trial)
-        perf.reset()
-        monkeypatch.setenv(faults.ENV_VAR, "kill:site=chunk,index=1,attempts=1")
-        recovered = MonteCarlo(
-            n_trials=8, seed=5, n_workers=2, max_retries=1, backoff_s=0.0
-        ).run(_trial)
-        for key in clean:
-            assert np.array_equal(clean[key].values, recovered[key].values)
-        counters = perf.counters()
-        assert counters["mc.worker_crashes"] >= 1
-        assert counters["mc.chunk_retries"] >= 1
-
-    def test_hung_chunk_times_out_and_recovers(self, monkeypatch):
-        clean = MonteCarlo(n_trials=8, seed=7).run(_trial)
-        perf.reset()
-        monkeypatch.setenv(
-            faults.ENV_VAR, "hang:site=chunk,index=0,attempts=1,hang_s=60"
-        )
-        recovered = MonteCarlo(
-            n_trials=8, seed=7, n_workers=2,
-            max_retries=1, timeout_s=1.0, backoff_s=0.0,
-        ).run(_trial)
-        for key in clean:
-            assert np.array_equal(clean[key].values, recovered[key].values)
-        assert perf.counters()["mc.chunk_timeouts"] >= 1
-
-    def test_parallel_exhausted_budget_raises_chunk_error(self, monkeypatch):
-        monkeypatch.setenv(
-            faults.ENV_VAR, "raise:site=chunk,index=1,attempts=99"
-        )
-        mc = MonteCarlo(
-            n_trials=8, seed=0, n_workers=2, max_retries=1, backoff_s=0.0
-        )
-        with pytest.raises(ChunkError) as excinfo:
-            mc.run(_trial)
-        assert excinfo.value.chunk_index == 1
-        assert excinfo.value.attempts == 2
-
-    def test_trial_error_pickles_through_pool(self, monkeypatch):
-        monkeypatch.setenv(
-            faults.ENV_VAR, "raise:site=trial,index=6,attempts=99"
-        )
-        mc = MonteCarlo(n_trials=8, seed=0, n_workers=2, backoff_s=0.0)
-        with pytest.raises(ChunkError, match="trial 6"):
-            mc.run(_trial)

@@ -84,6 +84,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             MonteCarlo(n_trials=0).run(lambda rng: {})
 
+    def test_trial_exception_propagates_unchanged(self):
+        class PhysicsError(Exception):
+            pass
+
+        def trial(rng):
+            raise PhysicsError("bad physics")
+
+        with pytest.raises(PhysicsError, match="bad physics"):
+            MonteCarlo(n_trials=3, seed=0).run(trial)
+
     def test_multiple_metrics(self):
         def trial(rng):
             return {"a": 1.0, "b": rng.uniform()}

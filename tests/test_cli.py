@@ -105,6 +105,20 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["serve", "--policy", "yolo"])
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "field"),
+        [
+            ("--decode-batch", "0", "decode_batch"),
+            ("--queue-maxlen", "0", "queue_maxlen"),
+            ("--decode-workers", "-1", "decode_workers"),
+        ],
+    )
+    def test_bad_gateway_setting_is_a_usage_error(self, capsys, flag, value, field):
+        assert main(["serve", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert err.count("\n") == 1
+
 
 class TestRunAll:
     @pytest.fixture
@@ -135,7 +149,6 @@ class TestRunAll:
         assert "deliberate test failure" in captured.out
         assert "1 failed" in captured.err
 
-    @pytest.mark.slow
     def test_run_all_parallel(self, capsys, tmp_path, monkeypatch, two_experiment_registry):
         # The parallel path forks workers; results must match serial.
         # main() publishes --workers via REPRO_WORKERS; monkeypatch

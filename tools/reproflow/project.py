@@ -432,7 +432,6 @@ class _CallCollector:
     # -- per-function -----------------------------------------------------
     def _collect(self, fn: FunctionInfo) -> None:
         local_instances = local_instance_map(self.index, self.mod, fn)
-        mc_locals = monte_carlo_locals(self.index, self.mod, fn)
         for node in walk_function_body(fn.node):
             if isinstance(node, ast.Call):
                 target = resolve_call(
@@ -440,7 +439,7 @@ class _CallCollector:
                 )
                 if target is not None:
                     fn.calls.append(target.fq)
-                self._spawn_targets(fn, node, mc_locals)
+                self._spawn_targets(fn, node)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 ref = self._function_ref(fn, node.id)
                 if ref is not None:
@@ -456,12 +455,12 @@ class _CallCollector:
             return fq
         return None
 
-    def _spawn_targets(
-        self, fn: FunctionInfo, node: ast.Call, mc_locals: set[str]
-    ) -> None:
+    def _spawn_targets(self, fn: FunctionInfo, node: ast.Call) -> None:
         """Record worker-pool entry points fanned out from this call."""
         func = node.func
         if not isinstance(func, ast.Attribute) or not node.args:
+            return
+        if func.attr not in {"submit", "map", "run_in_executor"}:
             return
         # loop.run_in_executor(pool, fn, *args) is the asyncio hop into
         # a pool: the callable rides second, behind the executor.
@@ -476,18 +475,8 @@ class _CallCollector:
             fq = self.index.resolve_symbol(self.mod, _dotted(first))
             if fq in self.index.functions:
                 target = fq
-        if target is None:
-            return
-        if func.attr in {"submit", "map", "run_in_executor"}:
+        if target is not None:
             fn.spawn_targets.append(target)
-        elif func.attr == "run":
-            base = func.value
-            if isinstance(base, ast.Name) and base.id in mc_locals:
-                fn.spawn_targets.append(target)
-            elif isinstance(base, ast.Call) and _dotted(base.func).endswith(
-                "MonteCarlo"
-            ):
-                fn.spawn_targets.append(target)
 
 
 def walk_function_body(

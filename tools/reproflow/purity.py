@@ -1,10 +1,11 @@
 """F-series rules: purity / fork-safety of worker-reachable code.
 
-The parallel surfaces — :class:`repro.sim.runner.MonteCarlo` chunk
-workers, the CLI ``run-all`` process-pool fan-out, and the experiment
-``@implements`` entry points it dispatches — must stay deterministic
-under fork/spawn.  That requires every function reachable from those
-roots to avoid mutating module-level state:
+The parallel surfaces — the CLI ``run-all`` process-pool fan-out, the
+experiment ``@implements`` entry points it dispatches, and the other
+pool workers (``labeled_traces`` trace builders, gateway decode
+groups) — must stay deterministic under fork/spawn.  That requires
+every function reachable from those roots to avoid mutating
+module-level state:
 
 F001  worker-reachable function mutates a module-level global
 F002  worker-reachable function writes wavecache state outside its
@@ -12,9 +13,9 @@ F002  worker-reachable function writes wavecache state outside its
       ``clear_caches``/``register_functools_cache`` are not)
 
 Roots are detected statically: the callable handed to ``pool.submit``
-/ ``pool.map``, the function passed to ``MonteCarlo(...).run``, and
-any function decorated with ``@implements`` (the experiment-registry
-hook ``run-all`` fans out over).
+/ ``pool.map`` / ``loop.run_in_executor``, and any function decorated
+with ``@implements`` (the experiment-registry hook ``run-all`` fans out
+over).
 """
 
 from __future__ import annotations
