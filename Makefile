@@ -21,9 +21,9 @@ lint:
 	$(PYTHON) -m tools.reproasync src/repro
 
 # The whole-program analyzers with their JSON reports: the annotated
-# call graph (reproflow), the symbolic shape table + batch/scalar
-# parity proofs (reproshape), and the async task graph + determinism
-# proofs (reproasync) land next to the tree for inspection.
+# call graph (reproflow), the symbolic shape table (reproshape), and
+# the async task graph + determinism proofs (reproasync) land next to
+# the tree for inspection.
 analyze:
 	$(PYTHON) -m tools.reproflow src/repro --format=json > reproflow-report.json
 	$(PYTHON) -m tools.reproshape src/repro --format=json > reproshape-report.json

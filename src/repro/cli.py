@@ -277,6 +277,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else 0
     try:
+        for flag, value in (
+            ("--tags", args.tags),
+            ("--subscribers", args.subscribers),
+            ("--rate", args.rate),
+        ):
+            if value < 0:
+                raise ValueError(f"{flag} must be >= 0")
         config = GatewayConfig(
             seed=seed,
             keepalive_timeout_s=args.keepalive_timeout,
@@ -285,6 +292,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             decode_workers=args.decode_workers,
             drain_timeout_s=args.drain_timeout,
         )
+        source = AsyncExcitationSource(
+            [
+                ExcitationSource(protocol=p, rate_pkts=args.rate, periodic=False)
+                for p in Protocol
+            ],
+            duration_s=args.duration,
+            rng=np.random.default_rng(seed),
+            time_scale=args.time_scale,
+            max_packets=args.max_packets,
+        )
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
@@ -292,17 +309,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> tuple[GatewayStats, list[int], list[str]]:
         gateway = Gateway(config)
-        sources = [
-            ExcitationSource(protocol=p, rate_pkts=args.rate, periodic=False)
-            for p in Protocol
-        ]
-        source = AsyncExcitationSource(
-            sources,
-            duration_s=args.duration,
-            rng=np.random.default_rng(seed),
-            time_scale=args.time_scale,
-            max_packets=args.max_packets,
-        )
         loop = asyncio.get_running_loop()
         try:
             # Ctrl-C asks the air loop to finish the current packet

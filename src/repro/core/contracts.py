@@ -9,9 +9,8 @@ taxing the hot path:
 * **Disabled (the default)** the decorators return the wrapped
   function *unchanged* — zero wrapper, zero overhead, byte-identical
   behavior.  Enable by setting ``REPRO_CONTRACTS=1`` in the
-  environment before import, or calling :func:`set_enabled` before the
-  decorated module is imported (tests use :func:`checked` instead,
-  which binds eagerly).
+  environment before import; the switch is read once, at import
+  (tests use :func:`checked` instead, which always validates).
 * **Enabled** each call validates ndarray positional arguments (and
   optionally the return value) and raises :class:`ContractError` with
   the offending argument, expected and actual shape/dtype.
@@ -30,22 +29,11 @@ seen, so they are most useful on the output side.  ``;`` separates
 consecutive ndarray positional arguments; non-array positionals are
 skipped when matching specs to arguments.
 
-Ragged batch entry points (functions taking a *sequence* of per-item
-arrays, such as :func:`repro.phy.viterbi.decode_batch`) use the
-bracketed per-item form::
-
-    @shapes("[n_coded] ->")             # each stream in the sequence is 1-D
-
-A bracketed argument spec matches either a list/tuple whose ndarray
-elements each satisfy the inner dims (with an independent symbol
-binding per item, so ragged batches bind ``n_coded`` per stream), or
-a stacked ndarray with one extra leading batch axis.
-
 The mini-language is shared with the static verifier
 (``tools/reproshape``): :func:`parse_shape_spec` returns the parsed
 :class:`ShapeSpec` and :func:`eval_shape_expr` evaluates one dimension
 expression under a symbol binding.  Both are pure and importable
-without touching the runtime toggle, so the static and runtime
+without touching the runtime switch, so the static and runtime
 semantics cannot drift.
 """
 
@@ -67,7 +55,6 @@ __all__ = [
     "dim_kind",
     "eval_shape_expr",
     "enabled",
-    "set_enabled",
     "shapes",
     "dtypes",
     "checked",
@@ -92,17 +79,6 @@ class ContractError(TypeError):
 def enabled() -> bool:
     """Whether contract decorators are active (``REPRO_CONTRACTS``)."""
     return _ENABLED
-
-
-def set_enabled(flag: bool) -> None:
-    """Toggle contract checking for *subsequently decorated* functions.
-
-    Functions decorated while checking was disabled stay unwrapped (the
-    zero-overhead guarantee cuts both ways); use :func:`checked` to
-    build an always-validating wrapper explicitly, e.g. in tests.
-    """
-    global _ENABLED
-    _ENABLED = bool(flag)
 
 
 # ----------------------------------------------------------------------
@@ -134,15 +110,9 @@ _EXPR_NODES = (
 
 @dataclass(frozen=True)
 class ArgSpec:
-    """Shape spec for one ndarray positional argument.
-
-    ``per_item`` marks the bracketed form (``"[n_codes]"``): the
-    argument is a *sequence* of arrays (or a stacked array with one
-    extra leading batch axis) whose items each match ``dims``.
-    """
+    """Shape spec for one ndarray positional argument."""
 
     dims: tuple[str, ...]
-    per_item: bool = False
 
 
 @dataclass(frozen=True)
@@ -234,8 +204,8 @@ def parse_shape_spec(spec: str) -> ShapeSpec:
     """Parse the shape mini-language into a :class:`ShapeSpec`.
 
     ``"n,64 ; m -> n*80"`` -> ``ShapeSpec((ArgSpec(("n","64")),
-    ArgSpec(("m",))), ("n*80",))``; ``"[n] ->"`` marks a per-item
-    (ragged batch) argument.  Raises ``ValueError`` on malformed specs.
+    ArgSpec(("m",))), ("n*80",))``.  Raises ``ValueError`` on malformed
+    specs.
     """
     if "->" in spec:
         lhs, _, rhs = spec.partition("->")
@@ -245,49 +215,22 @@ def parse_shape_spec(spec: str) -> ShapeSpec:
         )
     else:
         lhs, out_dims = spec, None
-    if out_dims is not None and any(
-        "[" in d or "]" in d for d in out_dims
-    ):
-        raise ValueError(
-            f"per-item brackets are not allowed on the output side: {spec!r}"
-        )
     args: list[ArgSpec] = []
     lhs = lhs.strip()
     if lhs:
         for arg_spec in lhs.split(";"):
-            arg_spec = arg_spec.strip()
-            per_item = arg_spec.startswith("[")
-            if per_item:
-                if not arg_spec.endswith("]"):
-                    raise ValueError(
-                        f"unbalanced per-item brackets in shape contract {spec!r}"
-                    )
-                arg_spec = arg_spec[1:-1]
-            if "[" in arg_spec or "]" in arg_spec:
-                raise ValueError(
-                    f"stray bracket inside argument spec in shape contract {spec!r}"
-                )
             dims = tuple(d.strip() for d in arg_spec.split(",") if d.strip())
             if not dims:
                 raise ValueError(f"empty argument spec in shape contract {spec!r}")
             for dim in dims:
                 if dim_kind(dim) == "expr":
                     parse_dim_expr(dim)  # fail fast on grammar violations
-            args.append(ArgSpec(dims=dims, per_item=per_item))
+            args.append(ArgSpec(dims=dims))
     if out_dims is not None:
         for dim in out_dims:
             if dim_kind(dim) == "expr":
                 parse_dim_expr(dim)
     return ShapeSpec(args=tuple(args), out_dims=out_dims)
-
-
-def _parse_spec(spec: str) -> tuple[list[list[str]], list[str] | None]:
-    """Historical tuple form of :func:`parse_shape_spec` (kept for tests)."""
-    parsed = parse_shape_spec(spec)
-    return (
-        [list(a.dims) for a in parsed.args],
-        list(parsed.out_dims) if parsed.out_dims is not None else None,
-    )
 
 
 def _check_dims(
@@ -353,119 +296,28 @@ def _iter_arrays(args: tuple[Any, ...]) -> Iterator[np.ndarray]:
             yield a
 
 
-def _check_per_item(
-    dims: Sequence[str],
-    value: Any,
-    *,
-    where: str,
-    fname: str,
-) -> None:
-    """Validate a bracketed per-item argument (sequence or stacked array).
-
-    Each item gets an *independent* symbol binding — ragged batches
-    legitimately bind ``n`` differently per item — so only literals,
-    expressions and intra-item symbol consistency are enforced.
-    """
-    if isinstance(value, np.ndarray):
-        if value.ndim != len(dims) + 1:
-            raise ContractError(
-                f"{fname}: {where} is a stacked array with {value.ndim} "
-                f"dimension(s) {value.shape}, per-item contract expects "
-                f"{len(dims) + 1} (batch axis + {','.join(dims)})"
-            )
-        binding: dict[str, int] = {}
-        deferred = _check_dims(
-            dims, value.shape[1:], binding, where=f"{where} items", fname=fname
-        )
-        _eval_deferred(deferred, binding, fname=fname)
-        return
-    for i, item in enumerate(value):
-        if not isinstance(item, np.ndarray):
-            continue
-        item_binding: dict[str, int] = {}
-        deferred = _check_dims(
-            dims,
-            item.shape,
-            item_binding,
-            where=f"{where} item {i}",
-            fname=fname,
-        )
-        _eval_deferred(deferred, item_binding, fname=fname)
-
-
-def _is_sequence_arg(value: Any) -> bool:
-    return isinstance(value, (list, tuple))
-
-
-def _shape_wrapper(spec: str, fn: F, *, force: bool = False) -> F:
+def _shape_wrapper(spec: str, fn: F) -> F:
     import functools
 
     parsed = parse_shape_spec(spec)
     fname = getattr(fn, "__qualname__", repr(fn))
-    has_per_item = any(a.per_item for a in parsed.args)
-    plain_specs = [a.dims for a in parsed.args if not a.per_item]
+    arg_dims = [a.dims for a in parsed.args]
     out_dims = parsed.out_dims
 
     @functools.wraps(fn)
     def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if not (_ENABLED or force):
-            return fn(*args, **kwargs)
         binding: dict[str, int] = {}
         deferred: list[tuple[str, int]] = []
-        if has_per_item:
-            # Generalized left-to-right matching: plain specs consume
-            # the next ndarray positional, per-item specs the next
-            # sequence (or stacked-ndarray) positional.
-            cursor = 0
-            for spec_i, arg_spec in enumerate(parsed.args):
-                match = None
-                while cursor < len(args):
-                    candidate = args[cursor]
-                    cursor += 1
-                    if arg_spec.per_item and (
-                        _is_sequence_arg(candidate)
-                        or isinstance(candidate, np.ndarray)
-                    ):
-                        match = candidate
-                        break
-                    if not arg_spec.per_item and isinstance(
-                        candidate, np.ndarray
-                    ):
-                        match = candidate
-                        break
-                if match is None:
-                    raise ContractError(
-                        f"{fname}: contract declares {len(parsed.args)} array "
-                        f"argument(s), call supplied no match for spec "
-                        f"{spec_i} ({'per-item ' if arg_spec.per_item else ''}"
-                        f"{','.join(arg_spec.dims)})"
-                    )
-                if arg_spec.per_item:
-                    _check_per_item(
-                        arg_spec.dims,
-                        match,
-                        where=f"argument {spec_i}",
-                        fname=fname,
-                    )
-                else:
-                    deferred += _check_dims(
-                        arg_spec.dims,
-                        match.shape,
-                        binding,
-                        where=f"array argument {spec_i}",
-                        fname=fname,
-                    )
-        else:
-            arrays = list(_iter_arrays(args))
-            if len(arrays) < len(plain_specs):
-                raise ContractError(
-                    f"{fname}: contract declares {len(plain_specs)} array "
-                    f"argument(s), call supplied {len(arrays)}"
-                )
-            for i, (dims, arr) in enumerate(zip(plain_specs, arrays)):
-                deferred += _check_dims(
-                    dims, arr.shape, binding, where=f"array argument {i}", fname=fname
-                )
+        arrays = list(_iter_arrays(args))
+        if len(arrays) < len(arg_dims):
+            raise ContractError(
+                f"{fname}: contract declares {len(arg_dims)} array "
+                f"argument(s), call supplied {len(arrays)}"
+            )
+        for i, (dims, arr) in enumerate(zip(arg_dims, arrays)):
+            deferred += _check_dims(
+                dims, arr.shape, binding, where=f"array argument {i}", fname=fname
+            )
         _eval_deferred(deferred, binding, fname=fname)
         result = fn(*args, **kwargs)
         if out_dims is not None and isinstance(result, np.ndarray):
@@ -478,9 +330,7 @@ def _shape_wrapper(spec: str, fn: F, *, force: bool = False) -> F:
     return wrapper  # type: ignore[return-value]
 
 
-def _dtype_wrapper(
-    arg_dtypes: tuple[Any, ...], out: Any, fn: F, *, force: bool = False
-) -> F:
+def _dtype_wrapper(arg_dtypes: tuple[Any, ...], out: Any, fn: F) -> F:
     import functools
 
     fname = getattr(fn, "__qualname__", repr(fn))
@@ -489,8 +339,6 @@ def _dtype_wrapper(
 
     @functools.wraps(fn)
     def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if not (_ENABLED or force):
-            return fn(*args, **kwargs)
         arrays = list(_iter_arrays(args))
         for i, (want, arr) in enumerate(zip(expected, arrays)):
             if want is not None and arr.dtype != want:
@@ -553,12 +401,12 @@ def checked(
 ) -> Callable[..., Any]:
     """Build an *always-on* contract wrapper around ``fn``.
 
-    Unlike the decorators, this validates regardless of the global
-    toggle — intended for tests and debugging sessions.
+    Unlike the decorators, this wraps whatever ``REPRO_CONTRACTS``
+    says — intended for tests and debugging sessions.
     """
     wrapped = fn
     if arg_dtypes or out is not None:
-        wrapped = _dtype_wrapper(tuple(arg_dtypes), out, wrapped, force=True)
+        wrapped = _dtype_wrapper(tuple(arg_dtypes), out, wrapped)
     if shape is not None:
-        wrapped = _shape_wrapper(shape, wrapped, force=True)
+        wrapped = _shape_wrapper(shape, wrapped)
     return wrapped

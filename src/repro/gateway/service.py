@@ -130,6 +130,8 @@ class GatewayConfig:
     drain_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
+        if self.keepalive_timeout_s <= 0:
+            raise ValueError("keepalive_timeout_s must be positive")
         if self.queue_maxlen < 1:
             raise ValueError("queue_maxlen must be >= 1")
         if self.decode_batch < 1:
@@ -142,6 +144,8 @@ class GatewayConfig:
             raise ValueError("decode_retries must be >= 0")
         if self.max_inflight_batches < 1:
             raise ValueError("max_inflight_batches must be >= 1")
+        if self.drain_timeout_s < 0:
+            raise ValueError("drain_timeout_s must be >= 0")
 
 
 @dataclass

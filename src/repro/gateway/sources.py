@@ -39,6 +39,8 @@ class AsyncExcitationSource:
     ) -> None:
         if time_scale < 0:
             raise ValueError("time_scale must be >= 0")
+        if duration_s < 0:
+            raise ValueError("duration_s must be >= 0")
         self.time_scale = time_scale
         # The schedule is rendered eagerly so the packet sequence is a
         # pure function of (sources, duration, rng) -- identical to

@@ -327,7 +327,6 @@ def decode_soft(llrs: np.ndarray, *, n_info: int | None = None) -> BitArray:
     return _traceback(metrics, surv_blocks, surv_tail, n_steps, n_info)
 
 
-@contracts.shapes("[n_coded] ->")
 def decode_batch(
     coded_batch: Sequence[np.ndarray | list[int]] | np.ndarray,
     *,

@@ -111,6 +111,13 @@ class TestServe:
             ("--decode-batch", "0", "decode_batch"),
             ("--queue-maxlen", "0", "queue_maxlen"),
             ("--decode-workers", "-1", "decode_workers"),
+            ("--keepalive-timeout", "0", "keepalive_timeout_s"),
+            ("--drain-timeout", "-1", "drain_timeout_s"),
+            ("--time-scale", "-1", "time_scale"),
+            ("--duration", "-1", "duration_s"),
+            ("--tags", "-1", "--tags"),
+            ("--subscribers", "-1", "--subscribers"),
+            ("--rate", "-1", "--rate"),
         ],
     )
     def test_bad_gateway_setting_is_a_usage_error(self, capsys, flag, value, field):
@@ -118,6 +125,7 @@ class TestServe:
         err = capsys.readouterr().err
         assert field in err
         assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestRunAll:

@@ -5,7 +5,7 @@ known-bad fixtures (must fire) and known-good fixtures (must stay
 silent), plus the symbolic algebra itself, pragma suppression, the
 baseline round-trip, the JSON report with its shape table, the CLI
 contract, and the repo-wide self-check that ``src/repro`` verifies
-clean with every batch/scalar parity proof intact.
+clean.
 """
 
 import ast
@@ -34,7 +34,7 @@ def _write(tmp_path: pathlib.Path, source: str, name: str = "mod.py") -> pathlib
 
 def _analyze(tmp_path: pathlib.Path, source: str, *, strict: bool = False, **kwargs):
     # ``strict`` plants the fixture under repro/phy/ so the strict-dir
-    # rules (S003 coverage arm, S004) apply to it.
+    # rule (S004) applies to it.
     name = "repro/phy/mod.py" if strict else "mod.py"
     _write(tmp_path, source, name=name)
     return analyze_paths([str(tmp_path)], **kwargs)
@@ -286,137 +286,6 @@ class TestS002:
 
 
 # ----------------------------------------------------------------------
-# S003: batch/scalar contract parity
-# ----------------------------------------------------------------------
-class TestS003:
-    def test_batch_axis_drop_fires(self, tmp_path):
-        # The classic mutation: scalar returns (n, 8), the batch twin
-        # flattens to (b, n*8) instead of lifting to (b, n, 8).
-        src = """\
-            import numpy as np
-            from repro.core import contracts
-
-            @contracts.shapes("n -> n,8")
-            def kernel(x: np.ndarray) -> np.ndarray:
-                ...
-
-            @contracts.shapes("b,n -> b,n*8")
-            def kernel_batch(x: np.ndarray) -> np.ndarray:
-                ...
-        """
-        result = _analyze(tmp_path, src)
-        assert [f.code for f in result.findings] == ["S003"]
-        msg = result.findings[0].message
-        assert "kernel_batch()" in msg and "kernel()" in msg
-
-    def test_proper_lift_proven(self, tmp_path):
-        src = """\
-            import numpy as np
-            from repro.core import contracts
-
-            @contracts.shapes("n -> n,8")
-            def kernel(x: np.ndarray) -> np.ndarray:
-                ...
-
-            @contracts.shapes("b,n -> b,n,8")
-            def kernel_batch(x: np.ndarray) -> np.ndarray:
-                ...
-        """
-        result = _analyze(tmp_path, src)
-        assert result.findings == []
-        (record,) = [r for r in result.parity if r["batch"].endswith("kernel_batch")]
-        assert record["status"] == "proven"
-        assert record["mode"] == "stacked"
-
-    def test_lifted_per_packet_state_allowed(self, tmp_path):
-        src = """\
-            import numpy as np
-            from repro.core import contracts
-
-            @contracts.shapes("n -> n")
-            def kernel(x: np.ndarray, seed: int) -> np.ndarray:
-                ...
-
-            @contracts.shapes("b,n ; b -> b,n")
-            def kernel_batch(x: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-                ...
-        """
-        result = _analyze(tmp_path, src)
-        assert result.findings == []
-        (record,) = [r for r in result.parity if r["batch"].endswith("kernel_batch")]
-        assert record["status"] == "proven"
-
-    def test_ragged_parity_proven_and_broken(self, tmp_path):
-        good = """\
-            import numpy as np
-            from repro.core import contracts
-
-            @contracts.shapes("n ->")
-            def kernel(x: np.ndarray) -> np.ndarray:
-                ...
-
-            @contracts.shapes("[n] ->")
-            def kernel_batch(xs: Sequence[np.ndarray]) -> list:
-                ...
-        """
-        result = _analyze(tmp_path, good)
-        assert result.findings == []
-        (record,) = [r for r in result.parity if r["batch"].endswith("kernel_batch")]
-        assert record["status"] == "proven"
-        assert record["mode"] == "ragged"
-
-        bad = good.replace('"[n] ->"', '"[n,2] ->"')
-        assert _codes(tmp_path, bad) == ["S003"]
-
-    def test_missing_scalar_contract_fires_in_strict_dir_only(self, tmp_path):
-        src = """\
-            import numpy as np
-            from repro.core import contracts
-
-            def kernel(x: np.ndarray) -> np.ndarray:
-                ...
-
-            @contracts.shapes("b,n -> b,n")
-            def kernel_batch(x: np.ndarray) -> np.ndarray:
-                ...
-        """
-        assert _codes(tmp_path / "lax", src) == []
-        assert _codes(tmp_path / "strict", src, strict=True) == ["S003"]
-
-    def test_dtype_asymmetry_fires_in_strict_dir(self, tmp_path):
-        src = """\
-            import numpy as np
-            from repro.core import contracts
-
-            @contracts.shapes("n -> n")
-            @contracts.dtypes(np.uint8)
-            def kernel(x: np.ndarray) -> np.ndarray:
-                ...
-
-            @contracts.shapes("b,n -> b,n")
-            def kernel_batch(x: np.ndarray) -> np.ndarray:
-                ...
-        """
-        result = _analyze(tmp_path, src, strict=True)
-        assert [f.code for f in result.findings] == ["S003"]
-        assert "dtypes contract declared on one side only" in result.findings[0].message
-
-    def test_no_twin_recorded_not_fired(self, tmp_path):
-        src = """\
-            import numpy as np
-            from repro.core import contracts
-
-            @contracts.shapes("b,n -> b,n")
-            def orphan_batch(x: np.ndarray) -> np.ndarray:
-                ...
-        """
-        result = _analyze(tmp_path, src, strict=True)
-        assert result.findings == []
-        (record,) = [r for r in result.parity if r["batch"].endswith("orphan_batch")]
-        assert record["status"] == "no-twin"
-
-
-# ----------------------------------------------------------------------
 # S004: contract coverage on public entry points
 # ----------------------------------------------------------------------
 class TestS004:
@@ -585,23 +454,19 @@ class TestSelectAndBaseline:
         import numpy as np
         from repro.core import contracts
 
-        @contracts.shapes("n -> n,8")
-        def kernel(x: np.ndarray) -> np.ndarray:
-            ...
-
-        @contracts.shapes("b,n -> b,n*8")
-        def kernel_batch(x: np.ndarray) -> np.ndarray:
-            ...
+        @contracts.shapes("n -> n*2")
+        def stretch(x: np.ndarray) -> np.ndarray:
+            return x
 
         def modulate(payload: np.ndarray) -> None:
             ...
     """
 
     def test_select_filters(self, tmp_path):
-        assert _codes(tmp_path, self.SRC, strict=True, select=("S003",)) == ["S003"]
+        assert _codes(tmp_path, self.SRC, strict=True, select=("S005",)) == ["S005"]
         assert sorted(_codes(tmp_path, self.SRC, strict=True, select=("S",))) == [
-            "S003",
             "S004",
+            "S005",
         ]
 
     def test_baseline_round_trip(self, tmp_path):
@@ -651,29 +516,11 @@ class TestReport:
         (entry,) = report["shape_table"]
         assert entry["function"].endswith(".stretch")
         assert entry["shapes"] == "n -> n*2"
-        assert entry["args"] == [{"dims": ["n"], "per_item": False}]
+        assert entry["args"] == [{"dims": ["n"]}]
         assert entry["out"] == ["n*2"]
-        assert entry["mode"] == "plain"
         assert entry["dtypes"] == {"args": ["uint8"], "out": "uint8"}
         assert entry["params"] == ["x"]
         json.dumps(report)  # must be serializable as-is
-
-    def test_parity_records_in_report(self, tmp_path):
-        src = """\
-            import numpy as np
-            from repro.core import contracts
-
-            @contracts.shapes("n -> n,8")
-            def kernel(x: np.ndarray) -> np.ndarray:
-                ...
-
-            @contracts.shapes("b,n -> b,n,8")
-            def kernel_batch(x: np.ndarray) -> np.ndarray:
-                ...
-        """
-        result = _analyze(tmp_path, src)
-        report = build_report(result)
-        assert report["summary"]["parity_status"] == {"proven": 1}
 
 
 # ----------------------------------------------------------------------
@@ -754,7 +601,7 @@ class TestCli:
         assert doc["tool"] == "reproshape"
         assert doc["summary"]["findings"] == 1
         assert doc["findings"][0]["code"] == "S005"
-        assert "shape_table" in doc and "parity" in doc
+        assert "shape_table" in doc
 
     def test_write_and_use_baseline(self, tmp_path):
         _write(
@@ -791,17 +638,6 @@ class TestRepoClean:
         assert result.baselined == []  # no baseline shipped: zero entries
         assert result.errors == []
 
-    def test_no_parity_violations(self, result):
-        statuses = {r["batch"]: r["status"] for r in result.parity}
-        assert "violation" not in statuses.values()
-        # The ragged Viterbi wrapper is actually *proven*, not just
-        # unflagged; the demodulate wrappers take Waveforms, not arrays.
-        assert statuses["repro.phy.viterbi.decode_batch"] == "proven"
-        for proto in ("ble", "wifi_b", "wifi_n", "zigbee"):
-            batch = f"repro.phy.{proto}.demodulate_batch"
-            assert statuses[batch] == "exempt-no-arrays"
-
     def test_shape_table_covers_known_kernels(self, result):
         by_fn = {e["function"]: e for e in result.table}
-        assert by_fn["repro.phy.viterbi.decode_batch"]["mode"] == "ragged"
         assert by_fn["repro.phy.wifi_b._cck_codewords"]["out"] == ["n", "8"]

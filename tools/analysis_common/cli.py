@@ -28,7 +28,7 @@ EXIT_ERROR = 2
 
 
 def parse_select(text: str | None) -> tuple[str, ...] | None:
-    """``"S001, S003"`` -> ``("S001", "S003")``; ``None``/empty -> ``None``."""
+    """``"S001, S004"`` -> ``("S001", "S004")``; ``None``/empty -> ``None``."""
     if not text:
         return None
     codes = tuple(c.strip() for c in text.split(",") if c.strip())

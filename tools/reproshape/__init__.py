@@ -10,8 +10,6 @@ reproflow's project call graph:
 
 S001  caller/callee shape incompatibility at a call site
 S002  caller/callee dtype mismatch or implicit narrow-to-wide widening
-S003  ``*_batch`` kernel contract is not the scalar twin's contract
-      lifted over the batch axis
 S004  public PHY/matching entry point without a contract
 S005  contract-derivable in-function shape error (reshape/stack/@/return)
 
@@ -71,8 +69,6 @@ class AnalysisResult:
     baselined: list[Finding] = field(default_factory=list)
     #: per-function symbolic shape/dtype table
     table: list[dict[str, object]] = field(default_factory=list)
-    #: per-``*_batch``-kernel parity proofs
-    parity: list[dict[str, object]] = field(default_factory=list)
     index: ProjectIndex | None = None
     contracts: ContractIndex | None = None
     #: (path, line, message) parse failures (files or contract specs)
@@ -88,7 +84,7 @@ def analyze_paths(
     """Analyze ``paths`` and return findings plus the symbolic tables."""
     index = ProjectIndex.build(paths)
     cindex = ContractIndex(index)
-    findings, parity = check_project(index, cindex)
+    findings = check_project(index, cindex)
 
     # rule selection (prefix semantics, like reproflow)
     findings = [f for f in findings if selected_by_prefix(f.code, select)]
@@ -116,7 +112,6 @@ def analyze_paths(
         findings=kept,
         baselined=baselined,
         table=shape_table(cindex),
-        parity=parity,
         index=index,
         contracts=cindex,
         errors=[*index.errors, *cindex.errors],
@@ -125,23 +120,17 @@ def analyze_paths(
 
 def build_report(result: AnalysisResult) -> dict[str, object]:
     """JSON report: findings + the per-function symbolic shape table."""
-    statuses: dict[str, int] = {}
-    for record in result.parity:
-        status = str(record.get("status", "unknown"))
-        statuses[status] = statuses.get(status, 0) + 1
     return {
         "tool": "reproshape",
         "rules": RULES,
         "findings": [f.to_json() for f in result.findings],
         "baselined": [f.to_json() for f in result.baselined],
         "shape_table": result.table,
-        "parity": result.parity,
         "summary": {
             "functions_indexed": (
                 len(result.index.functions) if result.index is not None else 0
             ),
             "functions_contracted": len(result.table),
-            "parity_status": statuses,
             "findings": len(result.findings),
             "baselined": len(result.baselined),
             "errors": len(result.errors),

@@ -1,13 +1,10 @@
 """The S-rules: symbolic shape/dtype verification over the call graph.
 
-``check_project`` runs three passes over a
+``check_project`` runs two passes over a
 :class:`tools.reproshape.contracts_index.ContractIndex`:
 
 * **Coverage (S004)** — public entry points in the strict contract
   directories must declare a contract.
-* **Parity (S003)** — every ``*_batch`` kernel's contract must be its
-  scalar twin's contract lifted over the batch axis (stacked form) or
-  the scalar contract applied per item (ragged/bracketed form).
 * **Abstract interpretation (S001/S002/S005)** — each function body is
   walked once with a symbolic environment seeded from its own
   contract; project call sites are unified against the callee's
@@ -25,7 +22,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.core.contracts import ArgSpec, ShapeSpec, dim_kind
+from repro.core.contracts import ArgSpec
 
 from tools.reproflow.project import (
     ModuleInfo,
@@ -51,7 +48,7 @@ __all__ = [
     "shape_table",
 ]
 
-#: Path fragments (posix form) where S003/S004 are enforced strictly.
+#: Path fragments (posix form) where S004 is enforced.
 STRICT_CONTRACT_DIRS: tuple[str, ...] = ("repro/phy/", "repro/core/matching")
 
 #: Public entry-point names S004 requires a contract on.
@@ -59,10 +56,8 @@ ENTRY_POINT_NAMES: frozenset[str] = frozenset(
     {
         "modulate",
         "demodulate",
-        "demodulate_batch",
         "decode",
         "decode_soft",
-        "decode_batch",
         "score_capture",
     }
 )
@@ -111,190 +106,6 @@ def check_coverage(cindex: ContractIndex) -> list[Finding]:
                 )
             )
     return findings
-
-
-# ----------------------------------------------------------------------
-# S003: batch/scalar contract parity
-# ----------------------------------------------------------------------
-def _lifted_equal(batch: ShapeSpec, scalar: ShapeSpec) -> str | None:
-    """Stacked-mode proof: batch spec == scalar spec with a prepended
-    batch axis on every array argument and the output.
-
-    Returns a mismatch description or ``None`` when parity holds.
-    Extra batch-side arg specs of exactly ``(lead,)`` are allowed —
-    per-packet scalar state (e.g. a previous-symbol seed) lifts to a
-    1-D array over the batch axis.
-    """
-    if not batch.args or not batch.args[0].dims:
-        return "batch contract declares no array arguments"
-    lead = batch.args[0].dims[0]
-    if dim_kind(lead) != "symbol":
-        return f"leading batch dim {lead!r} is not a symbol"
-    si = 0
-    for i, barg in enumerate(batch.args):
-        if si < len(scalar.args) and barg.dims == (lead, *scalar.args[si].dims):
-            si += 1
-        elif barg.dims == (lead,):
-            continue
-        else:
-            want = (
-                f"({lead},{','.join(scalar.args[si].dims)})"
-                if si < len(scalar.args)
-                else f"({lead},)"
-            )
-            return (
-                f"arg {i} spec ({','.join(barg.dims)}) is not the scalar "
-                f"contract lifted over the batch axis (expected {want})"
-            )
-    if si != len(scalar.args):
-        return (
-            f"scalar contract arg {si} ({','.join(scalar.args[si].dims)}) "
-            "has no lifted counterpart in the batch contract"
-        )
-    bout, sout = batch.out_dims, scalar.out_dims
-    if sout is None:
-        if bout is not None and bout != (lead,):
-            return (
-                f"output spec ({','.join(bout)}) declared on the batch side "
-                "only; scalar twin declares no output"
-            )
-    elif bout != (lead, *sout):
-        have = ",".join(bout) if bout is not None else "<none>"
-        return (
-            f"output spec ({have}) is not the scalar output "
-            f"({','.join(sout)}) lifted over the batch axis"
-        )
-    return None
-
-
-def _ragged_equal(batch: ShapeSpec, scalar: ShapeSpec) -> str | None:
-    """Ragged-mode proof: unbracketed per-item specs == scalar specs."""
-    if len(batch.args) != len(scalar.args):
-        return (
-            f"batch contract declares {len(batch.args)} array argument(s), "
-            f"scalar twin declares {len(scalar.args)}"
-        )
-    for i, (barg, sarg) in enumerate(zip(batch.args, scalar.args)):
-        if barg.dims != sarg.dims:
-            return (
-                f"arg {i} per-item spec ({','.join(barg.dims)}) != scalar "
-                f"spec ({','.join(sarg.dims)})"
-            )
-    if batch.out_dims != scalar.out_dims:
-        return "output specs differ between batch and scalar contracts"
-    return None
-
-
-def _dtype_parity(batch: ContractInfo, scalar: ContractInfo) -> str | None:
-    if (batch.dtype_args is None) != (scalar.dtype_args is None):
-        missing = "batch" if batch.dtype_args is None else "scalar"
-        return f"dtypes contract declared on one side only (missing on {missing})"
-    if batch.dtype_args is not None and (
-        batch.dtype_args != scalar.dtype_args or batch.dtype_out != scalar.dtype_out
-    ):
-        return (
-            f"dtypes contracts differ: batch {batch.dtype_args}"
-            f"->{batch.dtype_out} vs scalar {scalar.dtype_args}"
-            f"->{scalar.dtype_out}"
-        )
-    return None
-
-
-def _twin_of(cindex: ContractIndex, info: ContractInfo) -> ContractInfo | None:
-    fn = info.fn
-    base = fn.qualname[: -len("_batch")]
-    candidates = [base]
-    if base.startswith("_"):
-        candidates.append(base[1:])
-    mod = cindex.project.modules.get(fn.module)
-    if mod is None:
-        return None
-    for cand in candidates:
-        if cand and cand in mod.functions:
-            return cindex.get(mod.functions[cand].fq)
-    return None
-
-
-def check_parity(
-    cindex: ContractIndex,
-) -> tuple[list[Finding], list[dict[str, object]]]:
-    findings: list[Finding] = []
-    records: list[dict[str, object]] = []
-    for fq, info in sorted(cindex.by_fq.items()):
-        fn = info.fn
-        if not fn.qualname.endswith("_batch") or "." in fn.qualname:
-            continue
-        record: dict[str, object] = {"batch": fq}
-        scalar = _twin_of(cindex, info)
-        if scalar is None:
-            record["status"] = "no-twin"
-            records.append(record)
-            continue
-        record["scalar"] = scalar.fn.fq
-        strict = in_strict_dirs(fn.path)
-
-        def emit(detail: str) -> None:
-            findings.append(
-                Finding(
-                    path=fn.path,
-                    line=info.shapes_line or fn.node.lineno,
-                    col=fn.node.col_offset + 1,
-                    code="S003",
-                    message=(
-                        f"batch/scalar parity broken for {fn.qualname}() vs "
-                        f"{scalar.fn.qualname}(): {detail}"
-                    ),
-                    symbol=fq,
-                )
-            )
-            record["status"] = "violation"
-            record["detail"] = detail
-
-        if info.is_ragged:
-            record["mode"] = "ragged"
-            assert info.shape is not None
-            if scalar.shape is None:
-                record["status"] = "unproven"
-                record["detail"] = "scalar twin has no shapes contract"
-            else:
-                mismatch = _ragged_equal(info.shape, scalar.shape)
-                if mismatch is not None:
-                    emit(mismatch)
-                else:
-                    record["status"] = "proven"
-        elif info.shape is not None:
-            record["mode"] = "stacked"
-            if scalar.shape is None:
-                if not scalar.array_param_names():
-                    record["status"] = "exempt-no-arrays"
-                elif strict:
-                    emit("scalar twin lacks a shapes contract; parity unprovable")
-                else:
-                    record["status"] = "unproven"
-                    record["detail"] = "scalar twin has no shapes contract"
-            else:
-                mismatch = _lifted_equal(info.shape, scalar.shape)
-                if mismatch is not None:
-                    emit(mismatch)
-                else:
-                    record["status"] = "proven"
-        else:
-            record["mode"] = "uncontracted"
-            if scalar.shape is not None and info.array_param_names() and strict:
-                emit("batch kernel lacks a shapes contract; parity unprovable")
-            elif not info.array_param_names() and not scalar.array_param_names():
-                record["status"] = "exempt-no-arrays"
-            elif info.dtype_args is not None and scalar.dtype_args is not None:
-                record["status"] = "proven-dtypes"
-            else:
-                record["status"] = "unproven"
-
-        if record.get("status") != "violation":
-            dt = _dtype_parity(info, scalar)
-            if dt is not None and strict and record.get("status") != "exempt-no-arrays":
-                emit(dt)
-        records.append(record)
-    return findings, records
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +199,7 @@ class _BodyChecker:
             if kind == "array":
                 spec = spec_for.get(name)
                 shape: SymShape | None = None
-                if spec is not None and not spec.per_item:
+                if spec is not None:
                     shape = tuple(sym_from_dim(d, self._own_atom) for d in spec.dims)
                 self.env.shapes[name] = _Abstract(
                     "array", shape=shape, dtype=dtype_for.get(name)
@@ -595,7 +406,7 @@ class _BodyChecker:
         if callee is None:
             return _UNKNOWN
         cinfo = self.cindex.get(callee.fq)
-        if cinfo is None or not cinfo.has_contract or cinfo.is_ragged:
+        if cinfo is None or not cinfo.has_contract:
             return _UNKNOWN
         if any(isinstance(a, ast.Starred) for a in node.args):
             return _UNKNOWN
@@ -881,14 +692,10 @@ def shape_table(cindex: ContractIndex) -> list[dict[str, object]]:
         if info.shapes_spec is not None:
             entry["shapes"] = info.shapes_spec
         if info.shape is not None:
-            entry["args"] = [
-                {"dims": list(a.dims), "per_item": a.per_item}
-                for a in info.shape.args
-            ]
+            entry["args"] = [{"dims": list(a.dims)} for a in info.shape.args]
             entry["out"] = (
                 list(info.shape.out_dims) if info.shape.out_dims is not None else None
             )
-            entry["mode"] = "ragged" if info.is_ragged else "plain"
         if info.dtype_args is not None:
             entry["dtypes"] = {
                 "args": list(info.dtype_args),
@@ -902,13 +709,9 @@ def shape_table(cindex: ContractIndex) -> list[dict[str, object]]:
     return table
 
 
-def check_project(
-    project: ProjectIndex, cindex: ContractIndex
-) -> tuple[list[Finding], list[dict[str, object]]]:
-    """All S-rules; returns (findings, parity records)."""
+def check_project(project: ProjectIndex, cindex: ContractIndex) -> list[Finding]:
+    """All S-rules, sorted by location."""
     findings = check_coverage(cindex)
-    parity_findings, parity = check_parity(cindex)
-    findings.extend(parity_findings)
     findings.extend(check_bodies(project, cindex))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings, parity
+    return findings

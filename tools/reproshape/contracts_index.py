@@ -7,9 +7,8 @@ own* grammar, :func:`repro.core.contracts.parse_shape_spec`, so static
 and dynamic semantics cannot drift), classifies positional parameters
 by annotation (ndarray-like, sequence-of-arrays, or non-array), and
 aligns contract arg specs to parameters the same way the runtime
-matcher consumes positional arguments: plain specs bind to the next
-array-like positional, bracketed per-item specs to the next
-sequence-of-arrays positional, everything else is skipped.
+matcher consumes positional arguments: each spec binds to the next
+ndarray-annotated positional, everything else is skipped.
 """
 
 from __future__ import annotations
@@ -130,10 +129,6 @@ class ContractInfo:
     def has_contract(self) -> bool:
         return self.shape is not None or self.dtype_args is not None
 
-    @property
-    def is_ragged(self) -> bool:
-        return self.shape is not None and any(a.per_item for a in self.shape.args)
-
     def array_param_names(self) -> list[str]:
         return [name for name, kind in self.params if kind in ("array", "seq")]
 
@@ -186,9 +181,8 @@ def _align(info: ContractInfo) -> None:
         bound: list[str] = []
         cursor = 0
         ok = True
-        for spec in info.shape.args:
-            want = ("seq", "array") if spec.per_item else ("array",)
-            while cursor < len(info.params) and info.params[cursor][1] not in want:
+        for _spec in info.shape.args:
+            while cursor < len(info.params) and info.params[cursor][1] != "array":
                 if info.params[cursor][1] == "unknown":
                     ok = False
                     info.notes.append(

@@ -24,7 +24,6 @@ __all__ = [
 RULES: dict[str, str] = {
     "S001": "call-site array shape incompatible with the callee's shapes contract",
     "S002": "call-site dtype mismatch or implicit narrow-to-wide widening",
-    "S003": "batch kernel contract is not the scalar twin's contract lifted over the batch axis",
     "S004": "public PHY/matching entry point lacks a shapes/dtypes contract",
     "S005": "contract-derivable shape error inside a function body",
 }
