@@ -13,7 +13,8 @@ resolution.  Three paper-relevant behaviours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,21 @@ class AdcCapture:
         return self.codes.astype(float) * self.v_ref / full_scale
 
 
+@lru_cache(maxsize=16)
+def _antialias_design(wn: float) -> tuple[np.ndarray, np.ndarray]:
+    """4th-order Butterworth low-pass at normalized cutoff ``wn``: the
+    ``sos`` sections and their unit-step steady state ``zi``.
+
+    Both arrays are read-only: scipy's ``sosfilt`` needs writable
+    sections, so callers hand it a copy.
+    """
+    sos = sp_signal.butter(4, wn, output="sos")
+    zi = sp_signal.sosfilt_zi(sos)
+    sos.flags.writeable = False
+    zi.flags.writeable = False
+    return sos, zi
+
+
 @dataclass(frozen=True)
 class Adc:
     """A sampling + quantization stage.
@@ -63,26 +79,44 @@ class Adc:
         if self.v_ref <= 0:
             raise ValueError("v_ref must be positive")
 
-    def _bandlimit(self, analog: RectifierOutput) -> FloatArray:
-        """Anti-aliasing low-pass of the ADC driver stage.
+    def _bandlimit(self, analog: RectifierOutput, n: int | None = None) -> FloatArray:
+        """Anti-aliasing low-pass of the ADC driver stage, over the
+        first ``n`` samples (all by default).
 
         The converter's input network band-limits the envelope to
         ~0.4x the sampling rate; without this, sub-sample timing
         jitter aliases the fast DSSS/OFDM envelope ripple into noise
-        and template correlation collapses at low rates.
+        and template correlation collapses at low rates.  The filter
+        is causal and its initial state depends only on the first
+        sample, so a prefix filters to the prefix of the full output.
         """
+        v = analog.voltage[:n]
         cutoff = 0.4 * self.sample_rate
         nyq = analog.sample_rate / 2.0
-        if not self.antialias or cutoff >= nyq:
-            return analog.voltage
-        sos = sp_signal.butter(4, cutoff / nyq, output="sos")
+        if not self.antialias or cutoff >= nyq or not v.size:
+            return v
+        sos, zi = _antialias_design(cutoff / nyq)
         # Start the filter in steady state at the first sample's level
         # so the capture window is not polluted by a startup ramp.
-        zi = sp_signal.sosfilt_zi(sos) * analog.voltage[0] if analog.voltage.size else None
-        if zi is None:
-            return analog.voltage
-        filtered, _ = sp_signal.sosfilt(sos, analog.voltage, zi=zi)
+        filtered, _ = sp_signal.sosfilt(sos.copy(), v, zi=zi * v[0])
         return filtered
+
+    def samples_read(
+        self, input_rate: Hertz, duration_s: Seconds, *, phase_s: Seconds = 0.0
+    ) -> int:
+        """How many leading samples of an ``input_rate`` trace a capture
+        of ``duration_s`` reads when its grid starts at ``phase_s``.
+
+        That is every sample up to the grid's last instant plus that
+        instant's interpolation neighbour, and one guard sample so float
+        rounding never makes the count short.  A trace cut to this
+        prefix digitizes to the same codes as the whole trace.
+        """
+        t_last = phase_s + max(self._n_out(duration_s) - 1, 0) / self.sample_rate
+        return max(int(np.floor(t_last * input_rate)), 0) + 3
+
+    def _n_out(self, duration_s: Seconds) -> int:
+        return max(int(np.floor(duration_s * self.sample_rate)), 0)
 
     def capture(
         self,
@@ -101,11 +135,16 @@ class Adc:
         if duration_s is None:
             duration_s = total_s - start_s
         t0 = start_s + phase_s
-        n_out = max(int(np.floor(duration_s * self.sample_rate)), 0)
+        n_out = self._n_out(duration_s)
         times = t0 + np.arange(n_out) / self.sample_rate
         times = np.clip(times, 0.0, total_s - 1.0 / analog.sample_rate)
-        src_t = np.arange(analog.voltage.size) / analog.sample_rate
-        volts = np.interp(times, src_t, self._bandlimit(analog))
+        # Only the head the grid reaches is band-limited and read.
+        n_in = min(
+            self.samples_read(analog.sample_rate, duration_s, phase_s=t0),
+            analog.voltage.size,
+        )
+        src_t = np.arange(n_in) / analog.sample_rate
+        volts = np.interp(times, src_t, self._bandlimit(analog, n_in))
         full_scale = (1 << self.n_bits) - 1
         codes = np.clip(
             np.round(volts / self.v_ref * full_scale), 0, full_scale
@@ -122,6 +161,4 @@ class Adc:
         input's full-scale range so more output codes are used."""
         if full_scale_v <= 0:
             raise ValueError("full_scale_v must be positive")
-        return Adc(
-            sample_rate=self.sample_rate, n_bits=self.n_bits, v_ref=full_scale_v
-        )
+        return replace(self, v_ref=full_scale_v)

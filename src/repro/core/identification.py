@@ -147,13 +147,17 @@ class ProtocolIdentifier:
         rng = fallback_rng(rng)
         if sampling_phase_s is None:
             sampling_phase_s = float(rng.uniform(0.0, 1.0 / cfg.sample_rate_hz))
-        analog = self.rectifier.rectify(wave, power, rng=rng)
         offsets = cfg.resolved_offsets()
         need = cfg.l_p + cfg.l_m + max(offsets) + 2
+        duration_s = need / cfg.sample_rate_hz
+        # The correlator reads only the packet head (the FPGA gates the
+        # ADC off after it), so only that head is rectified.
+        window = self.adc.samples_read(
+            wave.sample_rate, duration_s, phase_s=sampling_phase_s
+        )
+        analog = self.rectifier.rectify(wave, power, rng=rng, n_samples=window)
         capture = self.adc.capture(
-            analog,
-            duration_s=need / cfg.sample_rate_hz,
-            phase_s=sampling_phase_s,
+            analog, duration_s=duration_s, phase_s=sampling_phase_s
         )
         return score_capture(
             capture.codes,

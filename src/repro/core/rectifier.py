@@ -149,6 +149,7 @@ class _EnvelopeRectifier:
         *,
         rng: np.random.Generator | None = None,
         matching_boost: float = 4.0,
+        n_samples: int | None = None,
     ) -> RectifierOutput:
         """Produce the baseband voltage for a waveform.
 
@@ -157,20 +158,29 @@ class _EnvelopeRectifier:
         the waveform is taken as already being in antenna volts --
         composite (multi-packet) scenes are built that way so relative
         interferer powers survive (Fig 16).
+
+        ``n_samples`` limits the output to the trace's first samples
+        (the ADC's read window, :meth:`repro.core.adc.Adc.samples_read`);
+        they equal the head of the full output.  The rms normalization
+        and the noise draw still span the whole waveform, so ``rng``
+        advances exactly as for a full-length call.
         """
+        n = wave.n_samples if n_samples is None else min(n_samples, wave.n_samples)
+        iq = wave.iq[:n]
         rms = np.sqrt(wave.mean_power())
         if rms <= 0:
-            env = np.zeros(wave.n_samples)
-            f_inst = np.zeros(wave.n_samples)
+            env = np.zeros(n)
+            f_inst = np.zeros(n)
         else:
             if incident_power_dbm is None:
-                env = np.abs(wave.iq) * matching_boost
+                env = np.abs(iq) * matching_boost
             else:
                 scale = incident_peak_voltage(
                     incident_power_dbm, matching_boost=matching_boost
                 )
-                env = np.abs(wave.iq) / rms * scale
-            f_inst = _instantaneous_freq(wave.iq, wave.sample_rate)
+                env = np.abs(iq) / rms * scale
+            # One sample past the head keeps f_inst[0] a phase difference.
+            f_inst = _instantaneous_freq(wave.iq[: n + 1], wave.sample_rate)[:n]
         # FM-to-AM conversion in the matching network.
         env = env * (1.0 + self.fm_am_slope * f_inst / 1e6)
         env = np.clip(env, 0.0, None)
@@ -180,7 +190,8 @@ class _EnvelopeRectifier:
         out = detected * self.output_divider
         if self.noise_v_rms > 0:
             rng = fallback_rng(rng)
-            out = out + rng.normal(scale=self.noise_v_rms, size=out.size)
+            noise = rng.normal(scale=self.noise_v_rms, size=wave.n_samples)
+            out = out + noise[:n]
         return RectifierOutput(voltage=out, sample_rate=wave.sample_rate)
 
     def output_for_constant_input(self, incident_power_dbm: DbmPower, *, matching_boost: float = 4.0) -> Volts:

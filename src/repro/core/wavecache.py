@@ -12,7 +12,8 @@ Two kinds of caches are tracked:
   where the cached value is a mutable object (waveforms) that callers
   receive as defensive copies;
 * ``functools.lru_cache``-wrapped functions inside the PHY modules
-  (scrambler cycles, 802.11b packet heads, 802.11n training fields),
+  and the ADC (scrambler cycles, 802.11b packet heads, 802.11n training
+  fields, the ADC's anti-aliasing and BLE's receive filter designs),
   registered here so :func:`cache_stats` and :func:`clear_caches`
   cover them too.
 
@@ -114,10 +115,13 @@ def register_functools_cache(name: str, wrapper: Any) -> None:
 
 
 def _register_phy_caches() -> None:
-    """Register the PHY-module lru_caches (idempotent, import-lazy)."""
-    from repro.phy import bits, wifi_b, wifi_n
+    """Register the PHY-module and ADC lru_caches (idempotent, import-lazy)."""
+    from repro.core import adc
+    from repro.phy import ble, bits, wifi_b, wifi_n
 
     for name, fn in (
+        ("core.adc.antialias_design", adc._antialias_design),
+        ("phy.ble.rx_filter", ble._rx_filter),
         ("phy.bits.lfsr_cycle", bits._lfsr_cycle),
         ("phy.bits.ble_whiten_cycle", bits._ble_whiten_cycle),
         ("phy.wifi_b.cached_head", wifi_b._cached_head),

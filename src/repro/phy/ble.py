@@ -15,6 +15,7 @@ reads the flipped bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -184,6 +185,22 @@ class BleDecodeResult:
     access_address: int
 
 
+@lru_cache(maxsize=8)
+def _rx_filter(sps: int) -> np.ndarray:
+    """Receive channel filter for ``sps`` samples per symbol: 4th-order
+    Butterworth ``sos`` at ~0.7x the symbol rate.
+
+    Read-only: scipy's filters need writable sections, so callers hand
+    them a copy.
+    """
+    from scipy import signal as sp_signal
+
+    cutoff = 0.7 / sps  # ~0.7 x symbol rate, normalized to Nyquist
+    sos = sp_signal.butter(4, 2.0 * cutoff, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
     """Discriminator demodulation of a BLE waveform."""
     perf.count("ble.demodulate")
@@ -197,16 +214,13 @@ def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
     # to wideband noise ("click" noise), so real receivers band-limit
     # to ~the symbol rate first.
     iq = wave.iq
-    if sps >= 4:
+    if sps >= 4 and iq.size > 24:
         from scipy import signal as sp_signal
 
-        cutoff = 0.7 / sps  # ~0.7 x symbol rate, normalized to Nyquist
-        sos = sp_signal.butter(4, 2.0 * cutoff, output="sos")
         # Zero-phase filtering keeps the symbol grid aligned (a real
         # receiver compensates the filter's group delay in its timing
         # recovery).
-        if iq.size > 24:
-            iq = sp_signal.sosfiltfilt(sos, iq)
+        iq = sp_signal.sosfiltfilt(_rx_filter(sps).copy(), iq)
 
     # Instantaneous frequency from phase differences.
     dphi = np.angle(iq[1:] * np.conj(iq[:-1]))

@@ -24,19 +24,17 @@ from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.types import Hertz
 from repro.phy.wifi_n import (
-    CP_LEN,
     LEGACY_DATA_CARRIERS,
     N_FFT,
-    PILOT_CARRIERS,
-    PILOT_POLARITY,
-    PILOT_VALUES,
     SYMBOL_LEN,
     _demap_symbols,
     _l_ltf,
     _l_sig,
     _l_stf,
     _map_bits,
-    _ofdm_symbol,
+    _modulate_symbols,
+    _pilot_polarity,
+    _receive_symbols,
 )
 
 __all__ = ["WifiAConfig", "modulate", "demodulate", "RATE_TABLE"]
@@ -115,13 +113,11 @@ def modulate(payload: bytes | np.ndarray, config: WifiAConfig | None = None) -> 
     scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
     coded = convcode.puncture(convcode.encode(scrambled), cfg.coding_rate)
 
-    data_samples = []
-    for s in range(n_sym):
-        block = coded[s * cfg.n_cbps : (s + 1) * cfg.n_cbps]
-        inter = legacy_interleave(block, n_cbps=cfg.n_cbps, n_bpsc=cfg.n_bpsc)
-        points = _map_bits(inter, cfg.constellation)
-        polarity = PILOT_POLARITY[(s + 1) % PILOT_POLARITY.size]
-        data_samples.append(_ofdm_symbol(points, LEGACY_DATA_CARRIERS, polarity))
+    inter = legacy_interleave(coded, n_cbps=cfg.n_cbps, n_bpsc=cfg.n_bpsc)
+    points = _map_bits(inter, cfg.constellation)
+    data = _modulate_symbols(
+        points.reshape(n_sym, -1), LEGACY_DATA_CARRIERS, _pilot_polarity(n_sym, 1)
+    )
 
     preamble = np.concatenate(
         [
@@ -130,7 +126,7 @@ def modulate(payload: bytes | np.ndarray, config: WifiAConfig | None = None) -> 
             _l_sig(RATE_TABLE[cfg.rate_mbps][3], max(1, psdu.size // 8)),
         ]
     )
-    iq = np.concatenate([preamble] + data_samples)
+    iq = np.concatenate([preamble, data])
     return Waveform(
         iq=iq,
         sample_rate=cfg.sample_rate,
@@ -152,7 +148,7 @@ def demodulate(wave: Waveform, *, n_psdu_bits: int | None = None) -> np.ndarray:
     """Legacy OFDM receive chain; returns the PSDU bits.
 
     Channel estimation uses the L-LTF (the legacy training field), and
-    the data path mirrors :func:`repro.phy.wifi_n.demodulate` with the
+    the data path is :func:`repro.phy.wifi_n.demodulate`'s with the
     48-subcarrier mapping and the 16-column interleaver.
     """
     ann = wave.annotations
@@ -175,30 +171,17 @@ def demodulate(wave: Waveform, *, n_psdu_bits: int | None = None) -> np.ndarray:
             h[k % N_FFT] = spec[k % N_FFT] / ref
     h = np.where(np.abs(h) < 1e-12, 1e-12, h)
 
-    start = ann["payload_start"]
     n_sym = ann["n_payload_symbols"]
-    coded = []
-    prev_cpe = 0.0
-    for s in range(n_sym):
-        seg = wave.iq[start + s * SYMBOL_LEN : start + (s + 1) * SYMBOL_LEN]
-        if seg.size < SYMBOL_LEN:
-            seg = np.pad(seg, (0, SYMBOL_LEN - seg.size))
-        spec = np.fft.fft(seg[CP_LEN:]) * np.sqrt(52.0) / N_FFT
-        eq = spec / h
-        polarity = PILOT_POLARITY[(s + 1) % PILOT_POLARITY.size]
-        expected = PILOT_VALUES * polarity
-        received = np.array([eq[int(c) % N_FFT] for c in PILOT_CARRIERS])
-        cpe_raw = float(np.angle(np.sum(received * np.conj(expected))))
-        # Continuous modulo-pi tracking (see wifi_n.demodulate).
-        k = np.round((prev_cpe - cpe_raw) / np.pi)
-        cpe = cpe_raw + k * np.pi
-        prev_cpe = cpe
-        eq = eq * np.exp(-1j * cpe)
-        points = np.array([eq[int(c) % N_FFT] for c in LEGACY_DATA_CARRIERS])
-        hard = _demap_symbols(points, cfg.constellation)
-        coded.append(legacy_deinterleave(hard, n_cbps=cfg.n_cbps, n_bpsc=cfg.n_bpsc))
-
-    coded_stream = np.concatenate(coded) if coded else np.zeros(0, np.uint8)
+    points, _ = _receive_symbols(
+        wave.iq,
+        ann["payload_start"],
+        n_sym,
+        h,
+        LEGACY_DATA_CARRIERS,
+        _pilot_polarity(n_sym, 1),
+    )
+    hard = _demap_symbols(points.ravel(), cfg.constellation)
+    coded_stream = legacy_deinterleave(hard, n_cbps=cfg.n_cbps, n_bpsc=cfg.n_bpsc)
     coded_stream = convcode.depuncture(coded_stream, cfg.coding_rate)
     scrambled = viterbi.decode(coded_stream, n_info=ann["n_stream_bits"])
     n_padded = n_sym * cfg.n_dbps

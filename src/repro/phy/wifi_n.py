@@ -280,25 +280,30 @@ def _ht_permutation(n_cbps: int, n_bpsc: int) -> np.ndarray:
     return j
 
 
-@contracts.shapes("n_cbps -> n_cbps")
-def ht_interleave(bits: np.ndarray, n_bpsc: int) -> np.ndarray:
-    """Interleave one OFDM symbol's coded bits."""
+def _ht_blocks(bits: np.ndarray, n_bpsc: int) -> np.ndarray:
+    """A coded stream as one row of ``52 * n_bpsc`` bits per OFDM symbol."""
     arr = np.asarray(bits, dtype=np.uint8)
     n_cbps = 52 * n_bpsc
-    if arr.size != n_cbps:
-        raise ValueError(f"expected {n_cbps} bits, got {arr.size}")
-    perm = _ht_permutation(n_cbps, n_bpsc)
-    out = np.empty_like(arr)
-    out[perm] = arr
-    return out
+    if arr.size % n_cbps:
+        raise ValueError(f"stream length {arr.size} not a multiple of {n_cbps}")
+    return arr.reshape(-1, n_cbps)
 
 
-@contracts.shapes("n_cbps -> n_cbps")
+@contracts.shapes("n -> n")
+def ht_interleave(bits: np.ndarray, n_bpsc: int) -> np.ndarray:
+    """Interleave a coded stream symbol by symbol (length a multiple of
+    ``52 * n_bpsc``)."""
+    blocks = _ht_blocks(bits, n_bpsc)
+    out = np.empty_like(blocks)
+    out[:, _ht_permutation(blocks.shape[1], n_bpsc)] = blocks
+    return out.ravel()
+
+
+@contracts.shapes("n -> n")
 def ht_deinterleave(bits: np.ndarray, n_bpsc: int) -> np.ndarray:
     """Inverse of :func:`ht_interleave`."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    perm = _ht_permutation(52 * n_bpsc, n_bpsc)
-    return arr[perm]
+    blocks = _ht_blocks(bits, n_bpsc)
+    return blocks[:, _ht_permutation(blocks.shape[1], n_bpsc)].ravel()
 
 
 # ----------------------------------------------------------------------
@@ -312,13 +317,59 @@ def _freq_to_time(carriers: dict[int, complex]) -> np.ndarray:
     return np.fft.ifft(spec) * N_FFT / np.sqrt(52.0)
 
 
-def _ofdm_symbol(data_points: np.ndarray, carriers: np.ndarray, pilot_polarity: float) -> np.ndarray:
-    """One 80-sample OFDM symbol with CP, pilots included."""
-    spec = np.zeros(N_FFT, dtype=complex)
-    spec[np.asarray(carriers) % N_FFT] = data_points
-    spec[PILOT_CARRIERS % N_FFT] = PILOT_VALUES * pilot_polarity
-    body = np.fft.ifft(spec) * N_FFT / np.sqrt(52.0)
-    return np.concatenate([body[-CP_LEN:], body])
+def _pilot_polarity(n_sym: int, first: int) -> np.ndarray:
+    """Pilot polarities p_first, p_first+1, ... of ``n_sym`` symbols."""
+    return PILOT_POLARITY[(np.arange(n_sym) + first) % PILOT_POLARITY.size]
+
+
+def _modulate_symbols(
+    points: np.ndarray, carriers: np.ndarray, polarity: np.ndarray
+) -> np.ndarray:
+    """80-sample OFDM symbols with CP and pilots, one per row of
+    ``points``, built with one 2-D IFFT."""
+    spec = np.zeros((points.shape[0], N_FFT), dtype=complex)
+    spec[:, carriers % N_FFT] = points
+    spec[:, PILOT_CARRIERS % N_FFT] = PILOT_VALUES * polarity[:, None]
+    body = np.fft.ifft(spec, axis=1) * N_FFT / np.sqrt(52.0)
+    return np.concatenate([body[:, -CP_LEN:], body], axis=1).ravel()
+
+
+def _receive_symbols(
+    iq: np.ndarray,
+    start: int,
+    n_sym: int,
+    h: np.ndarray,
+    carriers: np.ndarray,
+    polarity: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equalized, phase-corrected data points of ``n_sym`` OFDM symbols
+    (one row each) and the common phase error applied to each.
+
+    All symbols go through one 2-D FFT; a frame cut short is
+    zero-padded to whole symbols.
+    """
+    need = n_sym * SYMBOL_LEN
+    seg = iq[start : start + need]
+    if seg.size < need:
+        seg = np.pad(seg, (0, need - seg.size))
+    body = seg.reshape(n_sym, SYMBOL_LEN)[:, CP_LEN:]
+    eq = np.fft.fft(body, axis=1) * np.sqrt(52.0) / N_FFT / h
+    # Pilot-based common phase error.  The correction is tracked
+    # continuously but only within its modulo-pi class: the applied
+    # value is the representative of angle(corr) + k*pi closest to
+    # the previous symbol's correction.  Slow drift (residual CFO)
+    # is followed without the sign flips a per-symbol wrap at
+    # +-pi/2 would cause, while a tag-induced pi flip -- a jump of
+    # exactly pi -- stays in the same class and is never "fixed".
+    expected = PILOT_VALUES * polarity[:, None]
+    corr = np.sum(eq[:, PILOT_CARRIERS % N_FFT] * np.conj(expected), axis=1)
+    cpes = np.empty(n_sym)
+    prev = 0.0
+    for s, raw in enumerate(np.angle(corr).tolist()):
+        prev = raw + np.rint((prev - raw) / np.pi) * np.pi
+        cpes[s] = prev
+    eq = eq * np.exp(-1j * cpes)[:, None]
+    return eq[:, carriers % N_FFT], cpes
 
 
 @lru_cache(maxsize=1)
@@ -360,7 +411,7 @@ def _legacy_bpsk_symbol(bits24: np.ndarray, *, qbpsk: bool = False) -> np.ndarra
     points = _map_bits(inter, "BPSK")
     if qbpsk:
         points = points * 1j  # HT-SIG uses 90-degree rotated BPSK
-    return _ofdm_symbol(points, LEGACY_DATA_CARRIERS, pilot_polarity=1.0)
+    return _modulate_symbols(points[None, :], LEGACY_DATA_CARRIERS, np.ones(1))
 
 
 @lru_cache(maxsize=64)
@@ -431,13 +482,10 @@ def modulate(
     scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
     coded = convcode.puncture(convcode.encode(scrambled), cfg.coding_rate)
 
-    data_samples = []
-    for s in range(n_sym):
-        block = coded[s * cfg.n_cbps : (s + 1) * cfg.n_cbps]
-        inter = ht_interleave(block, cfg.n_bpsc)
-        points = _map_bits(inter, cfg.constellation)
-        polarity = PILOT_POLARITY[(s + 3) % PILOT_POLARITY.size]
-        data_samples.append(_ofdm_symbol(points, HT_DATA_CARRIERS, polarity))
+    points = _map_bits(ht_interleave(coded, cfg.n_bpsc), cfg.constellation)
+    data = _modulate_symbols(
+        points.reshape(n_sym, -1), HT_DATA_CARRIERS, _pilot_polarity(n_sym, 3)
+    )
 
     preamble = np.concatenate(
         [
@@ -449,7 +497,7 @@ def modulate(
             _ht_ltf(),
         ]
     )
-    iq = np.concatenate([preamble] + data_samples)
+    iq = np.concatenate([preamble, data])
     payload_start = preamble.size
     return Waveform(
         iq=iq,
@@ -553,53 +601,27 @@ def demodulate(
     # Guard against nulls.
     h = np.where(np.abs(h) < 1e-12, 1e-12, h)
 
-    start = ann["payload_start"]
     n_sym = ann["n_payload_symbols"]
-    coded = []
-    soft_blocks = []
-    cpes = np.zeros(n_sym)
-    prev_cpe = 0.0
-    for s in range(n_sym):
-        seg = wave.iq[start + s * SYMBOL_LEN : start + (s + 1) * SYMBOL_LEN]
-        if seg.size < SYMBOL_LEN:
-            seg = np.pad(seg, (0, SYMBOL_LEN - seg.size))
-        spec = np.fft.fft(seg[CP_LEN:]) * np.sqrt(52.0) / N_FFT
-        eq = spec / h
-        # Pilot-based common phase error.  The correction is tracked
-        # continuously but only within its modulo-pi class: the applied
-        # value is the representative of angle(corr) + k*pi closest to
-        # the previous symbol's correction.  Slow drift (residual CFO)
-        # is followed without the sign flips a per-symbol wrap at
-        # +-pi/2 would cause, while a tag-induced pi flip -- a jump of
-        # exactly pi -- stays in the same class and is never "fixed".
-        polarity = PILOT_POLARITY[(s + 3) % PILOT_POLARITY.size]
-        expected = PILOT_VALUES * polarity
-        received = eq[PILOT_CARRIERS % N_FFT]
-        corr = np.sum(received * np.conj(expected))
-        cpe_raw = float(np.angle(corr))
-        k = np.round((prev_cpe - cpe_raw) / np.pi)
-        cpe_mod = cpe_raw + k * np.pi
-        prev_cpe = cpe_mod
-        cpes[s] = cpe_mod
-        eq = eq * np.exp(-1j * cpe_mod)
-        points = eq[HT_DATA_CARRIERS % N_FFT]
-        hard = _demap_symbols(points, cfg.constellation)
-        coded.append(ht_deinterleave(hard, cfg.n_bpsc))
-        if soft:
-            csi = np.abs(h[HT_DATA_CARRIERS % N_FFT]) ** 2
-            llr = _demap_soft(points, cfg.constellation, csi)
-            perm = _ht_permutation(cfg.n_cbps, cfg.n_bpsc)
-            soft_blocks.append(llr[perm])
-
+    points, cpes = _receive_symbols(
+        wave.iq,
+        ann["payload_start"],
+        n_sym,
+        h,
+        HT_DATA_CARRIERS,
+        _pilot_polarity(n_sym, 3),
+    )
     if soft:
-        llr_stream = (
-            np.concatenate(soft_blocks) if soft_blocks else np.zeros(0)
-        )
+        csi = np.abs(h[HT_DATA_CARRIERS % N_FFT]) ** 2
+        llrs = _demap_soft(points.ravel(), cfg.constellation, np.tile(csi, n_sym))
+        perm = _ht_permutation(cfg.n_cbps, cfg.n_bpsc)
+        llr_stream = llrs.reshape(n_sym, cfg.n_cbps)[:, perm].ravel()
         llr_stream = convcode.depuncture_soft(llr_stream, cfg.coding_rate)
         scrambled = viterbi.decode_soft(llr_stream, n_info=ann["n_stream_bits"])
     else:
-        coded_stream = np.concatenate(coded) if coded else np.zeros(0, np.uint8)
-        coded_stream = convcode.depuncture(coded_stream, cfg.coding_rate)
+        hard = _demap_symbols(points.ravel(), cfg.constellation)
+        coded_stream = convcode.depuncture(
+            ht_deinterleave(hard, cfg.n_bpsc), cfg.coding_rate
+        )
         scrambled = viterbi.decode(coded_stream, n_info=ann["n_stream_bits"])
     # Pad the Viterbi output to the padded stream length before
     # descrambling so the additive sequence aligns.
@@ -612,9 +634,8 @@ def demodulate(
     psdu = data_bits[16:n_stream - 6] if n_stream >= 22 else data_bits[16:]
     if n_psdu_bits is not None:
         psdu = psdu[:n_psdu_bits]
-    symbol_bits = [
-        data_bits[s * cfg.n_dbps : (s + 1) * cfg.n_dbps] for s in range(n_sym)
-    ]
+    n_dbps = cfg.n_dbps
+    symbol_bits = [data_bits[s * n_dbps : (s + 1) * n_dbps] for s in range(n_sym)]
     return WifiNDecodeResult(
         data_bits=data_bits,
         psdu_bits=psdu,

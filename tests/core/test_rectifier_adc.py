@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adc import Adc
+from repro.core.identification import IdentificationConfig, ProtocolIdentifier
+from repro.core.matching import score_capture
 from repro.core.rectifier import (
     BasicRectifier,
     ClampRectifier,
@@ -14,8 +16,11 @@ from repro.core.rectifier import (
     incident_peak_voltage,
     recommended_tau,
 )
+from repro.core.templates import reference_waveform
 from repro.phy import wifi_b
+from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
+from tests import reference_impls as ref
 
 
 def _tone(n=2000, fs=22e6):
@@ -133,6 +138,12 @@ class TestAdc:
         b = Adc(sample_rate=2e6, antialias=False).capture(analog, phase_s=2.5e-7)
         assert not np.array_equal(a.codes, b.codes)
 
+    def test_tuning_keeps_the_other_settings(self):
+        adc = Adc(sample_rate=2e6, n_bits=7, antialias=False)
+        assert adc.tuned_to(0.2) == Adc(
+            sample_rate=2e6, n_bits=7, v_ref=0.2, antialias=False
+        )
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             Adc(sample_rate=0)
@@ -150,3 +161,69 @@ class TestAdc:
         err_lo = np.abs(adc_lo.capture(analog).volts() - analog.voltage).mean()
         err_hi = np.abs(adc_hi.capture(analog).volts() - analog.voltage).mean()
         assert err_hi <= err_lo + 1e-9
+
+
+class TestWindowedFrontEnd:
+    """Rectifying and digitizing only the ADC's read window gives the
+    head of the full-length result, and draws the same noise."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("power", [-20.0, None])
+    def test_rectify_head_matches_full_trace(self, protocol, power):
+        wave = reference_waveform(protocol, n_payload_bytes=16)
+        if power is None:  # prescaled: the waveform is in antenna volts
+            wave = wave.scaled(0.05)
+        rect = ClampRectifier()
+        window = Adc(sample_rate=2.5e6).samples_read(wave.sample_rate, 42e-6)
+        for k in (1, 2, window, wave.n_samples - 1, wave.n_samples + 5):
+            g1, g2 = np.random.default_rng(k), np.random.default_rng(k)
+            head = rect.rectify(wave, power, rng=g1, n_samples=k).voltage
+            full = rect.rectify(wave, power, rng=g2).voltage
+            assert head.tobytes() == full[:k].tobytes()
+            assert np.array_equal(g1.random(4), g2.random(4))
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("phase_s", [0.0, 1.7e-7])
+    def test_capture_reads_only_its_window(self, protocol, phase_s):
+        wave = reference_waveform(protocol, n_payload_bytes=16)
+        analog = ClampRectifier().rectify(wave, -20.0, rng=np.random.default_rng(4))
+        for adc in (Adc(sample_rate=2.5e6), Adc(sample_rate=10e6, n_bits=4)):
+            duration_s = 105 / adc.sample_rate
+            k = adc.samples_read(analog.sample_rate, duration_s, phase_s=phase_s)
+            assert k < analog.voltage.size
+            head = RectifierOutput(analog.voltage[:k], analog.sample_rate)
+            full = adc.capture(analog, duration_s=duration_s, phase_s=phase_s).codes
+            part = adc.capture(head, duration_s=duration_s, phase_s=phase_s).codes
+            seed = ref.adc_capture_codes(adc, analog, duration_s=duration_s, phase_s=phase_s)
+            assert full.tobytes() == part.tobytes() == seed.tobytes()
+
+    @pytest.mark.parametrize("adc", [Adc(), Adc(sample_rate=2.5e6), Adc(antialias=False)])
+    def test_full_capture_matches_seed(self, adc):
+        analog = ClampRectifier().rectify(
+            reference_waveform(Protocol.WIFI_B), -20.0, rng=np.random.default_rng(5)
+        )
+        got = adc.capture(analog, phase_s=3e-8).codes
+        assert got.tobytes() == ref.adc_capture_codes(adc, analog, phase_s=3e-8).tobytes()
+
+    @pytest.mark.parametrize("n_samples", [None, 40])
+    def test_scores_match_full_trace_pipeline(self, n_samples):
+        """``scores`` on its window, also for a packet shorter than the
+        window, equals rectifying and digitizing the whole packet."""
+        ident = ProtocolIdentifier(IdentificationConfig(sample_rate_hz=2.5e6, window_us=38.0))
+        cfg = ident.config
+        need = cfg.l_p + cfg.l_m + max(cfg.resolved_offsets()) + 2
+        for protocol in Protocol:
+            wave = reference_waveform(protocol, n_payload_bytes=16)
+            wave = Waveform(wave.iq[:n_samples], wave.sample_rate)
+            g1, g2 = np.random.default_rng(8), np.random.default_rng(8)
+            got = ident.scores(wave, rng=g1)
+            phase_s = float(g2.uniform(0.0, 1.0 / cfg.sample_rate_hz))
+            analog = ident.rectifier.rectify(wave, cfg.incident_power_dbm, rng=g2)
+            codes = ident.adc.capture(
+                analog, duration_s=need / cfg.sample_rate_hz, phase_s=phase_s
+            ).codes
+            want = score_capture(
+                codes, ident.bank, quantized=cfg.quantized, offsets=cfg.resolved_offsets()
+            )
+            assert got == want
+            assert np.array_equal(g1.random(4), g2.random(4))

@@ -63,8 +63,23 @@ class TestRegistry:
         assert "core.templates.reference_waveform" in stats
         assert "phy.wifi_b.cached_head" in stats
         assert "phy.wifi_n.l_stf" in stats
+        assert "core.adc.antialias_design" in stats
+        assert "phy.ble.rx_filter" in stats
         for s in stats.values():
             assert set(s) == {"hits", "misses", "evictions", "size", "maxsize"}
+
+    def test_filter_designs_are_made_once(self):
+        from repro.core.rectifier import RectifierOutput
+        from repro.phy import ble
+
+        wavecache.clear_caches()
+        analog = RectifierOutput(np.linspace(0.0, 0.1, 400), 20e6)
+        for _ in range(3):
+            Adc(sample_rate=2.5e6).capture(analog)
+            ble.demodulate(ble.modulate(b"\x5a" * 4))
+        stats = wavecache.cache_stats()
+        for name in ("core.adc.antialias_design", "phy.ble.rx_filter"):
+            assert (stats[name]["misses"], stats[name]["hits"]) == (1, 2), name
 
     def test_clear_caches_empties_everything(self):
         reference_waveform(Protocol.ZIGBEE)

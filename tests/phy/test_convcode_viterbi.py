@@ -88,6 +88,15 @@ class TestInterleavers:
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, 52 * n_bpsc).astype(np.uint8)
         assert np.array_equal(ht_deinterleave(ht_interleave(bits, n_bpsc), n_bpsc), bits)
+        # A multi-symbol stream is interleaved symbol by symbol.
+        stream = rng.integers(0, 2, 3 * 52 * n_bpsc).astype(np.uint8)
+        out = ht_interleave(stream, n_bpsc)
+        for s in range(3):
+            block = slice(s * 52 * n_bpsc, (s + 1) * 52 * n_bpsc)
+            assert np.array_equal(out[block], ht_interleave(stream[block], n_bpsc))
+        assert np.array_equal(ht_deinterleave(out, n_bpsc), stream)
+        with pytest.raises(ValueError):
+            ht_interleave(stream[:-1], n_bpsc)
 
     @pytest.mark.parametrize("n_bpsc", [1, 2, 4])
     def test_ht_permutation_spreads_adjacent_bits(self, n_bpsc):

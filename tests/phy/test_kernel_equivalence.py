@@ -4,9 +4,12 @@
 hot loops the NumPy kernels replaced.  These tests pin the contract:
 integer/bit kernels (convolutional code, Viterbi, scramblers, DQPSK
 mappings) must be *byte-identical* to the references over randomized
-inputs; the batched correlator reorders float accumulation (one GEMM
-instead of per-template GEMVs plus prefix-sum normalization), so its
-scores are checked to 1e-12 and its decisions exactly.
+inputs, and so must the OFDM transmitters and receivers, which run a
+whole frame through one 2-D transform where the seed ran one 64-point
+transform per symbol; the batched correlator reorders float
+accumulation (one GEMM instead of per-template GEMVs plus prefix-sum
+normalization), so its scores are checked to 1e-12 and its decisions
+exactly.
 """
 
 import numpy as np
@@ -17,8 +20,9 @@ from repro.core.matching import score_capture
 from repro.core.rectifier import ClampRectifier
 from repro.core.templates import TemplateBank, reference_waveform
 from repro.phy import bits as bitlib
-from repro.phy import convcode, viterbi, wifi_b
+from repro.phy import convcode, viterbi, wifi_a, wifi_b, wifi_n
 from repro.phy.protocols import Protocol
+from repro.phy.waveform import Waveform
 from tests import reference_impls as ref
 
 
@@ -176,3 +180,55 @@ class TestMatching:
             np.zeros(4), bank, quantized=True, offsets=(0, 999999)
         )
         assert scores == {p: -1.0 for p in bank.templates}
+
+
+def _received(wave, rng, *, truncate):
+    """``wave`` after noise, a phase offset and a small CFO; with
+    ``truncate`` the frame is cut inside its last symbols, so the
+    receiver zero-pads them."""
+    n = wave.n_samples
+    iq = wave.iq + (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.uniform(0.02, 0.3)
+    cfo_hz = rng.uniform(-3e3, 3e3)
+    iq = iq * np.exp(1j * (rng.uniform(-np.pi, np.pi) + 2 * np.pi * cfo_hz * np.arange(n) / 20e6))
+    if truncate:
+        iq = iq[: n - int(rng.integers(1, 150))]
+    return Waveform(iq, wave.sample_rate, annotations=dict(wave.annotations))
+
+
+class TestOfdm:
+    def test_signal_symbols_identical(self):
+        rng = np.random.default_rng(61)
+        for _ in range(8):
+            bits = rng.integers(0, 2, 24).astype(np.uint8)
+            for qbpsk in (False, True):
+                got = wifi_n._legacy_bpsk_symbol(bits, qbpsk=qbpsk)
+                want = ref.legacy_bpsk_symbol(bits, qbpsk=qbpsk)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mcs", range(8))
+    def test_wifi_n_byte_identical(self, mcs):
+        rng = np.random.default_rng(70 + mcs)
+        for trial in range(4):
+            n_bytes = int(rng.integers(1, 400))
+            payload = rng.integers(0, 256, n_bytes).astype(np.uint8).tobytes()
+            cfg = wifi_n.WifiNConfig(mcs=mcs, scrambler_seed=int(rng.integers(1, 128)))
+            wave = wifi_n.modulate(payload, cfg)
+            assert wave.iq.tobytes() == ref.wifi_n_modulate_iq(payload, cfg).tobytes()
+            rx = _received(wave, rng, truncate=trial == 3)
+            for soft in (False, True):
+                got = wifi_n.demodulate(rx, soft=soft)
+                data_bits, cpes = ref.wifi_n_demodulate(rx, soft=soft)
+                assert got.data_bits.tobytes() == data_bits.tobytes(), (trial, soft)
+                assert got.cpe_per_symbol.tobytes() == cpes.tobytes(), (trial, soft)
+
+    @pytest.mark.parametrize("rate", sorted(wifi_a.RATE_TABLE))
+    def test_wifi_a_byte_identical(self, rate):
+        rng = np.random.default_rng(int(rate))
+        for trial in range(3):
+            n_bytes = int(rng.integers(1, 200))
+            payload = rng.integers(0, 256, n_bytes).astype(np.uint8).tobytes()
+            cfg = wifi_a.WifiAConfig(rate_mbps=rate)
+            wave = wifi_a.modulate(payload, cfg)
+            assert wave.iq.tobytes() == ref.wifi_a_modulate_iq(payload, cfg).tobytes()
+            rx = _received(wave, rng, truncate=trial == 2)
+            assert wifi_a.demodulate(rx).tobytes() == ref.wifi_a_demodulate(rx).tobytes()

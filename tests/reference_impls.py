@@ -325,3 +325,253 @@ def reference_run_airlink(
              np.asarray(got_tag, dtype=np.uint8))
         )
     return outcomes
+
+
+# ----------------------------------------------------------------------
+# Tag ADC: the whole trace band-limited, with a filter designed per call
+# ----------------------------------------------------------------------
+def adc_capture_codes(adc, analog, *, duration_s=None, phase_s=0.0):
+    """Seed ``Adc.capture`` codes (``start_s=0``): the anti-aliasing
+    filter is designed, and the whole trace filtered, on every call."""
+    from scipy import signal as sp_signal
+
+    def bandlimit():
+        cutoff = 0.4 * adc.sample_rate
+        nyq = analog.sample_rate / 2.0
+        if not adc.antialias or cutoff >= nyq:
+            return analog.voltage
+        sos = sp_signal.butter(4, cutoff / nyq, output="sos")
+        zi = sp_signal.sosfilt_zi(sos) * analog.voltage[0] if analog.voltage.size else None
+        if zi is None:
+            return analog.voltage
+        filtered, _ = sp_signal.sosfilt(sos, analog.voltage, zi=zi)
+        return filtered
+
+    total_s = analog.voltage.size / analog.sample_rate
+    if duration_s is None:
+        duration_s = total_s
+    t0 = phase_s
+    n_out = max(int(np.floor(duration_s * adc.sample_rate)), 0)
+    times = t0 + np.arange(n_out) / adc.sample_rate
+    times = np.clip(times, 0.0, total_s - 1.0 / analog.sample_rate)
+    src_t = np.arange(analog.voltage.size) / analog.sample_rate
+    volts = np.interp(times, src_t, bandlimit())
+    full_scale = (1 << adc.n_bits) - 1
+    return np.clip(np.round(volts / adc.v_ref * full_scale), 0, full_scale).astype(np.int32)
+
+
+# ----------------------------------------------------------------------
+# 802.11n / 802.11a OFDM: one 64-point transform per symbol
+# ----------------------------------------------------------------------
+def ofdm_symbol(data_points, carriers, pilot_polarity):
+    """Seed OFDM symbol builder: one 80-sample symbol, one IFFT."""
+    from repro.phy.wifi_n import CP_LEN, N_FFT, PILOT_CARRIERS, PILOT_VALUES
+
+    spec = np.zeros(N_FFT, dtype=complex)
+    spec[np.asarray(carriers) % N_FFT] = data_points
+    spec[PILOT_CARRIERS % N_FFT] = PILOT_VALUES * pilot_polarity
+    body = np.fft.ifft(spec) * N_FFT / np.sqrt(52.0)
+    return np.concatenate([body[-CP_LEN:], body])
+
+
+def legacy_bpsk_symbol(bits24, *, qbpsk=False):
+    """Seed L-SIG / HT-SIG symbol."""
+    from repro.phy import convcode
+    from repro.phy.interleaver import interleave as legacy_interleave
+    from repro.phy.wifi_n import LEGACY_DATA_CARRIERS, _map_bits
+
+    coded = convcode.encode(bits24)
+    inter = legacy_interleave(coded, n_cbps=48, n_bpsc=1)
+    points = _map_bits(inter, "BPSK")
+    if qbpsk:
+        points = points * 1j  # HT-SIG uses 90-degree rotated BPSK
+    return ofdm_symbol(points, LEGACY_DATA_CARRIERS, pilot_polarity=1.0)
+
+
+def wifi_n_modulate_iq(payload, cfg):
+    """Seed ``wifi_n.modulate`` samples: interleave, map and transform
+    symbol by symbol (the one-symbol HT interleaver inlined).  The
+    preamble comes from the module's cached training and SIG fields."""
+    from repro.phy import bits as bitlib
+    from repro.phy import convcode
+    from repro.phy import wifi_n as w
+
+    psdu = bitlib.bits_from_bytes(payload)
+    stream = np.concatenate([np.zeros(16, np.uint8), psdu, np.zeros(6, np.uint8)])
+    n_sym = max(1, int(np.ceil(stream.size / cfg.n_dbps)))
+    pad = n_sym * cfg.n_dbps - stream.size
+    stream = np.concatenate([stream, np.zeros(pad, np.uint8)])
+
+    scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
+    coded = convcode.puncture(convcode.encode(scrambled), cfg.coding_rate)
+
+    perm = w._ht_permutation(cfg.n_cbps, cfg.n_bpsc)
+    data_samples = []
+    for s in range(n_sym):
+        block = coded[s * cfg.n_cbps : (s + 1) * cfg.n_cbps]
+        inter = np.empty_like(block)
+        inter[perm] = block
+        points = w._map_bits(inter, cfg.constellation)
+        polarity = w.PILOT_POLARITY[(s + 3) % w.PILOT_POLARITY.size]
+        data_samples.append(ofdm_symbol(points, w.HT_DATA_CARRIERS, polarity))
+
+    preamble = np.concatenate(
+        [
+            w._l_stf(),
+            w._l_ltf(),
+            w._l_sig(0b1011, max(1, psdu.size // 8)),
+            w._ht_sig(cfg.mcs, max(1, psdu.size // 8)),
+            w._ht_stf(),
+            w._ht_ltf(),
+        ]
+    )
+    return np.concatenate([preamble] + data_samples)
+
+
+def wifi_n_demodulate(wave, *, soft=False):
+    """Seed ``wifi_n.demodulate``: FFT, equalize, track the common phase,
+    demap and deinterleave symbol by symbol (the one-symbol HT
+    deinterleaver inlined).  Returns ``(data_bits, cpe_per_symbol)``."""
+    from repro.phy import bits as bitlib
+    from repro.phy import convcode, viterbi
+    from repro.phy import wifi_n as w
+
+    ann = wave.annotations
+    cfg = w.WifiNConfig(mcs=ann["mcs"], scrambler_seed=ann.get("scrambler_seed", 0x5D))
+    cfo = w.estimate_cfo(wave)
+    if abs(cfo) > 1.0:
+        wave = wave.frequency_shifted(-cfo)
+    h = w._estimate_channel(wave)
+    h = np.where(np.abs(h) < 1e-12, 1e-12, h)
+
+    start = ann["payload_start"]
+    n_sym = ann["n_payload_symbols"]
+    coded = []
+    soft_blocks = []
+    cpes = np.zeros(n_sym)
+    prev_cpe = 0.0
+    perm = w._ht_permutation(cfg.n_cbps, cfg.n_bpsc)
+    for s in range(n_sym):
+        seg = wave.iq[start + s * w.SYMBOL_LEN : start + (s + 1) * w.SYMBOL_LEN]
+        if seg.size < w.SYMBOL_LEN:
+            seg = np.pad(seg, (0, w.SYMBOL_LEN - seg.size))
+        spec = np.fft.fft(seg[w.CP_LEN :]) * np.sqrt(52.0) / w.N_FFT
+        eq = spec / h
+        polarity = w.PILOT_POLARITY[(s + 3) % w.PILOT_POLARITY.size]
+        expected = w.PILOT_VALUES * polarity
+        received = eq[w.PILOT_CARRIERS % w.N_FFT]
+        corr = np.sum(received * np.conj(expected))
+        cpe_raw = float(np.angle(corr))
+        k = np.round((prev_cpe - cpe_raw) / np.pi)
+        cpe_mod = cpe_raw + k * np.pi
+        prev_cpe = cpe_mod
+        cpes[s] = cpe_mod
+        eq = eq * np.exp(-1j * cpe_mod)
+        points = eq[w.HT_DATA_CARRIERS % w.N_FFT]
+        hard = w._demap_symbols(points, cfg.constellation)
+        coded.append(hard[perm])
+        if soft:
+            csi = np.abs(h[w.HT_DATA_CARRIERS % w.N_FFT]) ** 2
+            llr = w._demap_soft(points, cfg.constellation, csi)
+            soft_blocks.append(llr[perm])
+
+    if soft:
+        llr_stream = np.concatenate(soft_blocks) if soft_blocks else np.zeros(0)
+        llr_stream = convcode.depuncture_soft(llr_stream, cfg.coding_rate)
+        scrambled = viterbi.decode_soft(llr_stream, n_info=ann["n_stream_bits"])
+    else:
+        coded_stream = np.concatenate(coded) if coded else np.zeros(0, np.uint8)
+        coded_stream = convcode.depuncture(coded_stream, cfg.coding_rate)
+        scrambled = viterbi.decode(coded_stream, n_info=ann["n_stream_bits"])
+    n_padded = n_sym * cfg.n_dbps
+    if scrambled.size < n_padded:
+        scrambled = np.pad(scrambled, (0, n_padded - scrambled.size))
+    data_bits = bitlib.scramble_80211_frame(scrambled, seed=cfg.scrambler_seed)[:n_padded]
+    return data_bits, cpes
+
+
+def wifi_a_modulate_iq(payload, cfg):
+    """Seed ``wifi_a.modulate`` samples (per-symbol interleave and IFFT)."""
+    from repro.phy import bits as bitlib
+    from repro.phy import convcode
+    from repro.phy import wifi_n as w
+    from repro.phy.interleaver import interleave as legacy_interleave
+    from repro.phy.wifi_a import RATE_TABLE
+
+    psdu = bitlib.bits_from_bytes(payload)
+    stream = np.concatenate([np.zeros(16, np.uint8), psdu, np.zeros(6, np.uint8)])
+    n_sym = max(1, int(np.ceil(stream.size / cfg.n_dbps)))
+    pad = n_sym * cfg.n_dbps - stream.size
+    stream = np.concatenate([stream, np.zeros(pad, np.uint8)])
+
+    scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
+    coded = convcode.puncture(convcode.encode(scrambled), cfg.coding_rate)
+
+    data_samples = []
+    for s in range(n_sym):
+        block = coded[s * cfg.n_cbps : (s + 1) * cfg.n_cbps]
+        inter = legacy_interleave(block, n_cbps=cfg.n_cbps, n_bpsc=cfg.n_bpsc)
+        points = w._map_bits(inter, cfg.constellation)
+        polarity = w.PILOT_POLARITY[(s + 1) % w.PILOT_POLARITY.size]
+        data_samples.append(ofdm_symbol(points, w.LEGACY_DATA_CARRIERS, polarity))
+
+    preamble = np.concatenate(
+        [
+            w._l_stf(),
+            w._l_ltf(),
+            w._l_sig(RATE_TABLE[cfg.rate_mbps][3], max(1, psdu.size // 8)),
+        ]
+    )
+    return np.concatenate([preamble] + data_samples)
+
+
+def wifi_a_demodulate(wave):
+    """Seed ``wifi_a.demodulate`` (per-symbol receive loop); PSDU bits."""
+    from repro.phy import bits as bitlib
+    from repro.phy import convcode, viterbi
+    from repro.phy import wifi_n as w
+    from repro.phy.interleaver import deinterleave as legacy_deinterleave
+    from repro.phy.wifi_a import WifiAConfig
+
+    ann = wave.annotations
+    cfg = WifiAConfig(rate_mbps=ann["rate_mbps"], scrambler_seed=ann.get("scrambler_seed", 0x5D))
+    start_ltf = ann["l_ltf_start"] + 32
+    body = wave.iq[start_ltf : start_ltf + w.N_FFT]
+    spec = np.fft.fft(body) * np.sqrt(52.0) / w.N_FFT
+    h = np.ones(w.N_FFT, dtype=complex)
+    for k in range(-26, 27):
+        ref = w._L26[k + 26]
+        if ref != 0:
+            h[k % w.N_FFT] = spec[k % w.N_FFT] / ref
+    h = np.where(np.abs(h) < 1e-12, 1e-12, h)
+
+    start = ann["payload_start"]
+    n_sym = ann["n_payload_symbols"]
+    coded = []
+    prev_cpe = 0.0
+    for s in range(n_sym):
+        seg = wave.iq[start + s * w.SYMBOL_LEN : start + (s + 1) * w.SYMBOL_LEN]
+        if seg.size < w.SYMBOL_LEN:
+            seg = np.pad(seg, (0, w.SYMBOL_LEN - seg.size))
+        spec = np.fft.fft(seg[w.CP_LEN :]) * np.sqrt(52.0) / w.N_FFT
+        eq = spec / h
+        polarity = w.PILOT_POLARITY[(s + 1) % w.PILOT_POLARITY.size]
+        expected = w.PILOT_VALUES * polarity
+        received = np.array([eq[int(c) % w.N_FFT] for c in w.PILOT_CARRIERS])
+        cpe_raw = float(np.angle(np.sum(received * np.conj(expected))))
+        k = np.round((prev_cpe - cpe_raw) / np.pi)
+        cpe = cpe_raw + k * np.pi
+        prev_cpe = cpe
+        eq = eq * np.exp(-1j * cpe)
+        points = np.array([eq[int(c) % w.N_FFT] for c in w.LEGACY_DATA_CARRIERS])
+        hard = w._demap_symbols(points, cfg.constellation)
+        coded.append(legacy_deinterleave(hard, n_cbps=cfg.n_cbps, n_bpsc=cfg.n_bpsc))
+
+    coded_stream = np.concatenate(coded) if coded else np.zeros(0, np.uint8)
+    coded_stream = convcode.depuncture(coded_stream, cfg.coding_rate)
+    scrambled = viterbi.decode(coded_stream, n_info=ann["n_stream_bits"])
+    n_padded = n_sym * cfg.n_dbps
+    if scrambled.size < n_padded:
+        scrambled = np.pad(scrambled, (0, n_padded - scrambled.size))
+    data_bits = bitlib.scramble_80211_frame(scrambled, seed=cfg.scrambler_seed)[:n_padded]
+    return data_bits[16 : ann["n_stream_bits"] - 6]
