@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test smoke serve-smoke crash-test bench bench-primitives bench-gateway bench-tables perf-report examples lint analyze typecheck check clean
+.PHONY: install test smoke serve-smoke crash-test bench perf-report examples lint analyze typecheck check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -67,32 +67,20 @@ crash-test:
 	$(PYTHON) -m repro run-all --resume runs/crashy
 	diff -r runs/fresh runs/crashy
 
+# The anchored performance gates (docs/PERFORMANCE.md): seed-to-shipped
+# kernel speed ratios against fixed floors, and the decode pool against
+# the Amdahl bound of the same run's stage/decode split.  CI's last step.
+# The repository benchmark is perfbench (BENCHMARK.json).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m tools.perfgate
 
-# Kernel + gateway benchmarks with their regression gates;
-# updates the committed BENCH_*.json baselines.
-bench-primitives:
-	$(PYTHON) benchmarks/run_benchmarks.py
-
-# Gateway load sweep alone: concurrent tags vs p99 decode latency,
-# doubling past the configured points until the budget breaks, plus
-# the decode-worker (tags-per-host) sweep (prints the
-# BENCH_gateway.json payload without touching baselines).
-bench-gateway:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_gateway.py \
-		--rounds 3 --max-tags 256
-
-# Timers/counters/cache hit-rates of one representative experiment.
+# Counters/gauges/cache hit-rates of one representative experiment.
 perf-report:
 	REPRO_PERF=1 $(PYTHON) -m repro run fig05_envelope_id
-
-bench-tables:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
 
 clean:
-	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks runs
+	rm -rf build dist src/*.egg-info .pytest_cache runs
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -21,5 +21,5 @@ __version__ = "1.0.0"
 import os as _os
 
 if _os.environ.get("REPRO_PERF", "") not in ("", "0"):
-    # Arms the atexit perf report (timers/counters/cache hit rates).
+    # Arms the atexit perf report (counters/gauges/cache hit rates).
     from repro import perf as _perf  # noqa: F401

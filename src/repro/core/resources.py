@@ -9,7 +9,7 @@ correlator into adder trees (2,860 DFFs).
 Table 5 reports simulated Artix-7 power/LUTs for three identification
 variants; the LUT and power coefficients here are fitted once to the
 paper's published triples and then used for every configuration the
-benchmarks sweep (an affine model in tap count and toggle rate).
+experiments sweep (an affine model in tap count and toggle rate).
 """
 
 from __future__ import annotations

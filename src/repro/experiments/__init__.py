@@ -2,8 +2,9 @@
 
 Each module exposes ``run(...)`` returning a structured result and
 ``format_result(result)`` rendering the same rows/series the paper
-reports.  The ``benchmarks/`` tree wraps these with pytest-benchmark;
-the modules are also directly runnable (``python -m
+reports.  ``tests/paper/`` checks each result against the paper's
+numbers, and perfbench's ``campaign-paper`` workload times them; the
+modules are also directly runnable (``python -m
 repro.experiments.fig05_envelope_id``).
 
 | Module                  | Paper artifact |

@@ -1,14 +1,15 @@
 """Lightweight performance instrumentation.
 
-Zero-dependency counters and timers for the hot paths: wrap a region
-in :func:`timer` (or decorate with :func:`timed`) and bump
-:func:`count` for interesting events.  Everything is process-local and
-cheap enough to leave on.
+Zero-dependency counters and gauges for the hot paths: bump
+:func:`count` for interesting events and record level-style samples
+with :func:`gauge`.  Everything is process-local and cheap enough to
+leave on.  Per-layer timing lives outside the package, in perfbench's
+spans (``perfbench/tracing.py``).
 
-Set ``REPRO_PERF=1`` to print a report at interpreter exit -- per-name
-call counts and cumulative/mean wall time, plus the waveform/template
-cache counters from :mod:`repro.core.wavecache`.  :func:`report`
-renders the same table on demand.
+Set ``REPRO_PERF=1`` to print a report at interpreter exit -- the
+counters and gauges, plus the waveform/template cache counters from
+:mod:`repro.core.wavecache`.  :func:`report` renders the same table on
+demand.
 
 Every PHY/matching kernel entry point bumps a counter named after
 itself (``wifi_n.demodulate``, ``viterbi.decode``, ...), so the
@@ -18,63 +19,23 @@ itself (``wifi_n.demodulate``, ``viterbi.decode``, ...), so the
 from __future__ import annotations
 
 import atexit
-import functools
 import os
-import time
 from collections import defaultdict
-from contextlib import contextmanager
-from typing import Callable, Iterator, TypeVar
 
 __all__ = [
-    "timer",
-    "timed",
     "count",
     "counters",
     "gauge",
     "gauges",
-    "timings",
     "reset",
     "report",
 ]
-
-_F = TypeVar("_F", bound=Callable)
-
-#: name -> [n_calls, total_seconds]
-_TIMINGS: dict[str, list[float]] = defaultdict(lambda: [0, 0.0])
 
 #: name -> count
 _COUNTERS: dict[str, int] = defaultdict(int)
 
 #: name -> [last, min, max, n_samples] for level-style metrics
 _GAUGES: dict[str, list[float]] = {}
-
-
-@contextmanager
-def timer(name: str) -> Iterator[None]:
-    """Accumulate wall time of the enclosed block under ``name``."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        cell = _TIMINGS[name]
-        cell[0] += 1
-        cell[1] += time.perf_counter() - t0
-
-
-def timed(name: str | None = None) -> Callable[[_F], _F]:
-    """Decorator form of :func:`timer` (defaults to the function name)."""
-
-    def deco(fn: _F) -> _F:
-        label = name or f"{fn.__module__}.{fn.__qualname__}"
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with timer(label):
-                return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return deco
 
 
 def count(name: str, n: int = 1) -> None:
@@ -115,28 +76,15 @@ def gauges() -> dict[str, dict[str, float]]:
     }
 
 
-def timings() -> dict[str, tuple[int, float]]:
-    """Snapshot of timers: name -> (n_calls, total_seconds)."""
-    return {k: (int(v[0]), float(v[1])) for k, v in _TIMINGS.items()}
-
-
 def reset() -> None:
-    """Clear all timers, counters and gauges."""
-    _TIMINGS.clear()
+    """Clear all counters and gauges."""
     _COUNTERS.clear()
     _GAUGES.clear()
 
 
 def report() -> str:
-    """Render timers, counters and cache statistics as a text table."""
+    """Render counters, gauges and cache statistics as a text table."""
     lines = ["==== repro perf report ===="]
-    t = timings()
-    if t:
-        lines.append("timers (name, calls, total s, mean ms):")
-        width = max(len(k) for k in t)
-        for name, (calls, total) in sorted(t.items(), key=lambda kv: -kv[1][1]):
-            mean_ms = total / calls * 1e3 if calls else 0.0
-            lines.append(f"  {name:<{width}s} {calls:8d} {total:10.4f} {mean_ms:10.4f}")
     c = counters()
     if c:
         lines.append("counters:")

@@ -1,13 +1,16 @@
 """Registry contract tests, parametrized over every declared spec.
 
 These pin the declarative-experiment contract: completeness of the
-catalog, the three-preset rule, quick-preset runnability with
+catalog, a claim test in ``tests/paper/`` per experiment, the
+three-preset rule, quick-preset runnability with
 per-experiment structural assertions, artifact round-trip byte
 stability, lazy listing, and centralized bounds validation.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +84,19 @@ class TestCatalog:
         assert spec.module == f"repro.experiments.{name}"
         for preset in PRESET_NAMES:
             assert isinstance(spec.params(preset), spec.params_type)
+
+    def test_every_experiment_has_a_claim_test(self):
+        # The paper-vs-measured assertions run in tier-1: each
+        # experiment has test_<name> in tests/paper/test_<name>.py, and
+        # the four tables share test_tables.py.
+        paper = Path(__file__).resolve().parents[1] / "paper"
+        missing = []
+        for name in registry.names():
+            path = paper / f"test_{'tables' if name.startswith('table') else name}.py"
+            body = ast.parse(path.read_text()).body if path.is_file() else []
+            if f"test_{name}" not in {n.name for n in body if isinstance(n, ast.FunctionDef)}:
+                missing.append(f"{name} (expected test_{name} in tests/paper/{path.name})")
+        assert not missing, missing
 
     def test_unknown_experiment(self):
         with pytest.raises(UnknownExperimentError, match="fig99_nope"):

@@ -8,14 +8,12 @@ immune to the drift that produces Hitchhike's Fig 9b offsets.
 """
 
 import numpy as np
-from conftest import print_experiment
 
 from repro.core.overlay import Mode, OverlayCodec, OverlayConfig
 from repro.core.overlay_decoder import OverlayDecoder
 from repro.core.tag_modulation import TagModulator
 from repro.experiments.common import ExperimentResult
 from repro.phy.protocols import Protocol
-from repro.sim.metrics import format_table
 
 PPMS = (0.0, 100.0, 1000.0, 5000.0, 20000.0)
 
@@ -46,15 +44,8 @@ def run_clock_ablation() -> ExperimentResult:
     )
 
 
-def test_ablation_clock(benchmark):
-    result = benchmark.pedantic(run_clock_ablation, rounds=1, iterations=1)
-    print_experiment(
-        result,
-        lambda r: format_table(
-            ["clock error (ppm)", "tag BER"],
-            [[f"{p:.0f}", f"{b:.3f}"] for p, b in r["rows"].items()],
-        ),
-    )
+def test_ablation_clock():
+    result = run_clock_ablation()
     rows = result["rows"]
     # Crystal-grade errors are harmless; percent-level errors are not.
     assert rows[100.0] == 0.0

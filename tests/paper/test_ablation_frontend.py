@@ -10,7 +10,6 @@
 """
 
 import numpy as np
-from conftest import print_experiment
 
 from repro.core.identification import (
     IdentificationConfig,
@@ -20,7 +19,6 @@ from repro.core.identification import (
 from repro.core.rectifier import ClampRectifier
 from repro.experiments.common import ExperimentResult, labeled_traces
 from repro.phy import wifi_b
-from repro.sim.metrics import format_table
 
 
 # ----------------------------------------------------------------------
@@ -48,16 +46,8 @@ def run_tau_sweep() -> ExperimentResult:
     )
 
 
-def test_ablation_tau(benchmark):
-    result = benchmark.pedantic(run_tau_sweep, rounds=1, iterations=1)
-    rows = result["rows"]
-    print_experiment(
-        result,
-        lambda r: format_table(
-            ["tau", "802.11b envelope fidelity"],
-            [[f"{t * 1e9:.0f} ns", f"{f:.3f}"] for t, f in r["rows"].items()],
-        ),
-    )
+def test_ablation_tau():
+    rows = run_tau_sweep()["rows"]
     # Fast constants track the envelope; the WISP-like 2 us smears it.
     assert rows[5e-9] > 0.4
     assert rows[2e-6] < 0.5 * rows[5e-9]
@@ -83,16 +73,8 @@ def run_window_sweep(n_traces: int = 10, seed: int = 21) -> ExperimentResult:
     )
 
 
-def test_ablation_window(benchmark):
-    result = benchmark.pedantic(run_window_sweep, rounds=1, iterations=1)
-    rows = result["rows"]
-    print_experiment(
-        result,
-        lambda r: format_table(
-            ["window (us)", "avg accuracy"],
-            [[f"{w:.0f}", f"{a:.3f}"] for w, a in r["rows"].items()],
-        ),
-    )
+def test_ablation_window():
+    rows = run_window_sweep()["rows"]
     # The longest window beats the shortest by a clear margin.
     assert rows[38.0] > rows[6.0] + 0.05
 
@@ -119,15 +101,7 @@ def run_bits_sweep(n_traces: int = 10, seed: int = 22) -> ExperimentResult:
     )
 
 
-def test_ablation_bits(benchmark):
-    result = benchmark.pedantic(run_bits_sweep, rounds=1, iterations=1)
-    rows = result["rows"]
-    print_experiment(
-        result,
-        lambda r: format_table(
-            ["samples", "avg accuracy"],
-            [[k, f"{a:.3f}"] for k, a in r["rows"].items()],
-        ),
-    )
+def test_ablation_bits():
+    rows = run_bits_sweep()["rows"]
     # 1-bit matching stays within 15 points of 9-bit full precision.
     assert rows["+-1 (1 bit)"] >= rows["9 bits"] - 0.15

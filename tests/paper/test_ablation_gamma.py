@@ -1,7 +1,7 @@
 """Ablation: the tag-data spreading factor gamma (Table 6 choices).
 
 Two of the paper's gamma choices are load-bearing in a way the text
-argues qualitatively; this bench quantifies both at the signal level:
+argues qualitatively; this test quantifies both at the signal level:
 
 * **ZigBee** (§2.4 "ZigBee"): a pi flip damages the half-chip-offset
   structure at its boundary, so the first modulated symbol of a run is
@@ -16,14 +16,12 @@ Noise-free channels hide the effect (any corruption still reads as
 """
 
 import numpy as np
-from conftest import print_experiment
 
 from repro.core.overlay import OverlayCodec, OverlayConfig
 from repro.core.overlay_decoder import OverlayDecoder
 from repro.core.tag_modulation import TagModulator
 from repro.experiments.common import ExperimentResult
 from repro.phy.protocols import Protocol
-from repro.sim.metrics import format_table
 
 
 _SNR_DB = {Protocol.ZIGBEE: -6.0, Protocol.WIFI_N: 3.0}
@@ -73,20 +71,8 @@ def run_gamma_ablation(n_trials: int = 10, seed: int = 7) -> ExperimentResult:
     )
 
 
-def _format(result: ExperimentResult) -> str:
-    rows = []
-    for protocol, by_gamma in result["table"].items():
-        rows.append(
-            [protocol.value] + [f"{by_gamma[g] * 100:.1f}%" for g in result["gammas"]]
-        )
-    headers = ["protocol"] + [f"gamma={g}" for g in result["gammas"]]
-    return format_table(headers, rows)
-
-
-def test_ablation_gamma(benchmark):
-    result = benchmark.pedantic(run_gamma_ablation, rounds=1, iterations=1)
-    print_experiment(result, _format)
-    table = result["table"]
+def test_ablation_gamma():
+    table = run_gamma_ablation()["table"]
     # gamma=1 is unreliable for both protocols; the paper's gamma=2
     # (and anything above) decodes cleanly in a noise-free channel.
     for protocol in (Protocol.ZIGBEE, Protocol.WIFI_N):

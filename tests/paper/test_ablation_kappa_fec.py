@@ -10,8 +10,6 @@
 """
 
 import numpy as np
-import pytest
-from conftest import print_experiment
 
 from repro.core.fec import (
     hamming74_decode,
@@ -23,7 +21,6 @@ from repro.core.overlay import OverlayCodec, OverlayConfig
 from repro.core.throughput import OverlayThroughputModel
 from repro.experiments.common import ExperimentResult
 from repro.phy.protocols import Protocol
-from repro.sim.metrics import format_table
 
 
 # ----------------------------------------------------------------------
@@ -47,18 +44,8 @@ def run_kappa_sweep(distance_m: float = 2.0) -> ExperimentResult:
     )
 
 
-def _format_kappa(result: ExperimentResult) -> str:
-    rows = [
-        [k, f"{p:.1f}", f"{t:.1f}", f"{t / max(p, 1e-9):.1f}"]
-        for k, (p, t) in result["rows"].items()
-    ]
-    return format_table(["kappa", "productive kbps", "tag kbps", "tag:prod"], rows)
-
-
-def test_ablation_kappa(benchmark):
-    result = benchmark.pedantic(run_kappa_sweep, rounds=1, iterations=1)
-    print_experiment(result, _format_kappa)
-    rows = result["rows"]
+def test_ablation_kappa():
+    rows = run_kappa_sweep()["rows"]
     prods = [p for p, _ in rows.values()]
     tags = [t for _, t in rows.values()]
     # Productive throughput falls monotonically with kappa; tag
@@ -104,18 +91,8 @@ def run_fec_ablation(
     )
 
 
-def _format_fec(result: ExperimentResult) -> str:
-    rows = [
-        [f"{ber:.2f}", f"{v['repetition3']:.4f}", f"{v['hamming74']:.4f}"]
-        for ber, v in result["rows"].items()
-    ]
-    return format_table(["channel BER", "residual (rep-3)", "residual (Hamming74)"], rows)
-
-
-def test_ablation_fec(benchmark):
-    result = benchmark.pedantic(run_fec_ablation, rounds=1, iterations=1)
-    print_experiment(result, _format_fec)
-    rows = result["rows"]
+def test_ablation_fec():
+    rows = run_fec_ablation()["rows"]
     for ber, v in rows.items():
         # Both codes beat the raw channel BER.
         assert v["repetition3"] < ber

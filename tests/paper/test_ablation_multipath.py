@@ -2,13 +2,12 @@
 
 The paper's §2.3.2 threshold search "covers more than 200,000 traces of
 different ranges, scenarios, and protocols ... no location-sensitivity
-is observed".  This bench probes the claim in simulation: per-location
+is observed".  This test probes the claim in simulation: per-location
 multipath (exponential PDP) distorts the envelope the templates match,
 and accuracy should degrade gracefully, not collapse.
 """
 
 import numpy as np
-from conftest import print_experiment
 
 from repro.channel.fading import MultipathChannel
 from repro.core.identification import (
@@ -18,7 +17,6 @@ from repro.core.identification import (
 )
 from repro.experiments.common import ExperimentResult
 from repro.phy.protocols import Protocol
-from repro.sim.metrics import format_table
 from repro.sim.traffic import random_packet
 
 SPREADS_NS = (0.0, 30.0, 80.0, 150.0)
@@ -62,16 +60,8 @@ def run_multipath_ablation(n_per_protocol: int = 5, seed: int = 3) -> Experiment
     )
 
 
-def test_ablation_multipath(benchmark):
-    result = benchmark.pedantic(run_multipath_ablation, rounds=1, iterations=1)
-    print_experiment(
-        result,
-        lambda r: format_table(
-            ["RMS delay spread", "avg accuracy"],
-            [[f"{s:.0f} ns", f"{a:.2f}"] for s, a in r["rows"].items()],
-        ),
-    )
-    rows = result["rows"]
+def test_ablation_multipath():
+    rows = run_multipath_ablation()["rows"]
     # Graceful degradation: even heavy indoor multipath keeps accuracy
     # within 0.2 of the clean channel.
     assert rows[150.0] >= rows[0.0] - 0.2

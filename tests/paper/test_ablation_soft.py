@@ -1,18 +1,16 @@
 """Ablation: hard vs CSI-weighted soft OFDM decoding.
 
 The paper's receivers are commodity NICs (hard-decision equivalents);
-the library also ships a soft (LLR) path.  This bench quantifies the
+the library also ships a soft (LLR) path.  This test quantifies the
 soft-decision gain at the MCS ladder's sensitive end -- context for
 how much receiver implementation quality moves the Fig 13/14 cliffs.
 """
 
 import numpy as np
-from conftest import print_experiment
 
 from repro.experiments.common import ExperimentResult
 from repro.phy import bits as bitlib
 from repro.phy import wifi_n
-from repro.sim.metrics import format_table
 
 
 def _errors(mcs: int, noise: float, soft: bool, seed: int, n_trials: int) -> float:
@@ -45,17 +43,8 @@ def run_soft_ablation(n_trials: int = 5, seed: int = 31) -> ExperimentResult:
     )
 
 
-def _format(result: ExperimentResult) -> str:
-    rows = [
-        [f"MCS{mcs}", f"{noise:.3f}", f"{v['hard']:.4f}", f"{v['soft']:.4f}"]
-        for (mcs, noise), v in result["rows"].items()
-    ]
-    return format_table(["MCS", "noise sigma", "hard BER", "soft BER"], rows)
-
-
-def test_ablation_soft(benchmark):
-    result = benchmark.pedantic(run_soft_ablation, rounds=1, iterations=1)
-    print_experiment(result, _format)
+def test_ablation_soft():
+    result = run_soft_ablation()
     for v in result["rows"].values():
         assert v["soft"] <= v["hard"]
     # At least one point shows a strict soft win.

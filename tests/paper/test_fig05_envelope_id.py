@@ -1,17 +1,13 @@
-"""Bench for Fig 5: 20 Msps identification accuracy over (L_p, L_t)."""
+"""Paper claims of Fig 5: 20 Msps identification accuracy over (L_p, L_t)."""
 
-from conftest import print_experiment
 
 from repro.experiments.registry import get_spec
 
 SPEC = get_spec("fig05_envelope_id")
 
 
-def test_fig05_envelope_id(benchmark):
-    result = benchmark.pedantic(
-        SPEC.run, kwargs={"n_traces": 10}, rounds=1, iterations=1
-    )
-    print_experiment(result, SPEC.format)
+def test_fig05_envelope_id():
+    result = SPEC.run(n_traces=10)
 
     # Paper: L_p=40, L_t=120 reaches >= 99.3% minimum accuracy; our
     # simulated envelopes are cleaner, so demand a high floor.

@@ -1,18 +1,13 @@
-"""Bench for Fig 7: blind vs ordered matching at 10 Msps, quantized."""
+"""Paper claims of Fig 7: blind vs ordered matching at 10 Msps, quantized."""
 
-from conftest import print_experiment
 
 from repro.experiments.registry import get_spec
 
 SPEC = get_spec("fig07_ordered")
 
 
-def test_fig07_ordered(benchmark):
-    result = benchmark.pedantic(
-        SPEC.run, kwargs={"n_traces": 12, "n_train": 16},
-        rounds=1, iterations=1,
-    )
-    print_experiment(result, SPEC.format)
+def test_fig07_ordered():
+    result = SPEC.run(n_traces=12, n_train=16)
 
     blind = result["blind"].average
     ordered = result["ordered"].average

@@ -1,7 +1,6 @@
-"""Bench for Fig 9: two-receiver baseline defects."""
+"""Paper claims of Fig 9: two-receiver baseline defects."""
 
 import numpy as np
-from conftest import print_experiment
 
 from repro.channel.occlusion import Material
 from repro.experiments.registry import get_spec
@@ -9,11 +8,8 @@ from repro.experiments.registry import get_spec
 SPEC = get_spec("fig09_baseline_flaws")
 
 
-def test_fig09_baseline_flaws(benchmark):
-    result = benchmark.pedantic(
-        SPEC.run, kwargs={"n_packets": 300}, rounds=1, iterations=1
-    )
-    print_experiment(result, SPEC.format)
+def test_fig09_baseline_flaws():
+    result = SPEC.run(n_packets=300)
 
     for system in ("hitchhike", "freerider"):
         bers = result["bers"][system]

@@ -1,7 +1,6 @@
-"""Bench for Fig 12 + Table 6: productive/tag throughput tradeoffs."""
+"""Paper claims of Fig 12 + Table 6: productive/tag throughput tradeoffs."""
 
 import pytest
-from conftest import print_experiment
 
 from repro.core.overlay import Mode
 from repro.experiments.registry import get_spec
@@ -11,11 +10,8 @@ from repro.phy.protocols import Protocol
 SPEC = get_spec("fig12_tradeoffs")
 
 
-def test_fig12_tradeoffs(benchmark):
-    result = benchmark.pedantic(
-        SPEC.run, kwargs={"n_locations": 50}, rounds=1, iterations=1
-    )
-    print_experiment(result, SPEC.format)
+def test_fig12_tradeoffs():
+    result = SPEC.run(n_locations=50)
     table = result["table"]
 
     # Mode 1: productive ~= tag for every protocol.

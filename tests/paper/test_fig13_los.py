@@ -1,7 +1,6 @@
-"""Bench for Fig 13: LoS RSSI/BER/throughput across distances."""
+"""Paper claims of Fig 13: LoS RSSI/BER/throughput across distances."""
 
 import pytest
-from conftest import print_experiment
 
 from repro.experiments.registry import get_spec
 
@@ -10,9 +9,8 @@ from repro.phy.protocols import Protocol
 SPEC = get_spec("fig13_los")
 
 
-def test_fig13_los(benchmark):
-    result = benchmark.pedantic(SPEC.run, rounds=1, iterations=1)
-    print_experiment(result, SPEC.format)
+def test_fig13_los():
+    result = SPEC.run()
     per = result["per_protocol"]
 
     # Paper Fig 13a: max ranges 28 m WiFi / 22 m ZigBee / 20 m BLE.

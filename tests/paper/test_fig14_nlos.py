@@ -1,7 +1,6 @@
-"""Bench for Fig 14: NLoS RSSI/BER/throughput across distances."""
+"""Paper claims of Fig 14: NLoS RSSI/BER/throughput across distances."""
 
 import pytest
-from conftest import print_experiment
 
 from repro.experiments.registry import get_spec
 from repro.phy.protocols import Protocol
@@ -9,9 +8,8 @@ from repro.phy.protocols import Protocol
 SPEC = get_spec("fig14_nlos")
 
 
-def test_fig14_nlos(benchmark):
-    result = benchmark.pedantic(SPEC.run, rounds=1, iterations=1)
-    print_experiment(result, SPEC.format)
+def test_fig14_nlos():
+    result = SPEC.run()
     per = result["per_protocol"]
 
     # Paper Fig 14a: NLoS max ranges 22 / 18 / 16 m.

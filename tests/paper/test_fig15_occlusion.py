@@ -1,18 +1,14 @@
-"""Bench for Fig 15: tag throughput with the original channel occluded."""
+"""Paper claims of Fig 15: tag throughput with the original channel occluded."""
 
 import pytest
-from conftest import print_experiment
 
 from repro.experiments.registry import get_spec
 
 SPEC = get_spec("fig15_occlusion")
 
 
-def test_fig15_occlusion(benchmark):
-    result = benchmark.pedantic(
-        SPEC.run, kwargs={"n_packets": 400}, rounds=1, iterations=1
-    )
-    print_experiment(result, SPEC.format)
+def test_fig15_occlusion():
+    result = SPEC.run(n_packets=400)
 
     multi_ble = result["multiscatter_ble_kbps"]
     multi_11b = result["multiscatter_11b_kbps"]

@@ -1,17 +1,13 @@
-"""Bench for Fig 16: time- and frequency-domain excitation collisions."""
+"""Paper claims of Fig 16: time- and frequency-domain excitation collisions."""
 
-from conftest import print_experiment
 
 from repro.experiments.registry import get_spec
 
 SPEC = get_spec("fig16_collisions")
 
 
-def test_fig16_collisions(benchmark):
-    result = benchmark.pedantic(
-        SPEC.run, kwargs={"n_trials": 12}, rounds=1, iterations=1
-    )
-    print_experiment(result, SPEC.format)
+def test_fig16_collisions():
+    result = SPEC.run(n_trials=12)
 
     tc = result["time_collision"]
     fc = result["freq_collision"]

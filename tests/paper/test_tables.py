@@ -1,15 +1,13 @@
-"""Benches for Tables 2, 3, 4, 5 (Table 6 is exercised by Fig 12)."""
+"""Paper claims of Tables 2, 3, 4, 5 (Table 6 is exercised by Fig 12)."""
 
 import pytest
-from conftest import print_experiment
 
 from repro.experiments.registry import get_spec
 from repro.phy.protocols import Protocol
 
 
-def test_table2_resources(benchmark):
-    result = benchmark.pedantic(get_spec("table2_resources").run, rounds=1, iterations=1)
-    print_experiment(result, get_spec("table2_resources").format)
+def test_table2_resources():
+    result = get_spec("table2_resources").run()
     assert result["per_protocol_dffs"] == 33341
     assert result["naive_total_dffs"] == 133364
     assert result["nano_impl_dffs"] == 2860
@@ -17,16 +15,14 @@ def test_table2_resources(benchmark):
     assert result["naive_total_dffs"] > result["agln250_dffs"]
 
 
-def test_table3_power(benchmark):
-    result = benchmark.pedantic(get_spec("table3_power").run, rounds=1, iterations=1)
-    print_experiment(result, get_spec("table3_power").format)
+def test_table3_power():
+    result = get_spec("table3_power").run()
     assert result["total_mw"] == pytest.approx(279.5)
     assert result["total_at_2p5msps_mw"] < result["total_mw"]
 
 
-def test_table4_energy(benchmark):
-    result = benchmark.pedantic(get_spec("table4_energy").run, rounds=1, iterations=1)
-    print_experiment(result, get_spec("table4_energy").format)
+def test_table4_energy():
+    result = get_spec("table4_energy").run()
     table = result["table"]
     assert table[Protocol.WIFI_N]["exchange_packets"] == pytest.approx(360, rel=0.02)
     assert table[Protocol.WIFI_N]["indoor_s"] == pytest.approx(0.60, abs=0.02)
@@ -37,9 +33,8 @@ def test_table4_energy(benchmark):
     assert result["harvest_outdoor_s"] == pytest.approx(0.78, rel=0.01)
 
 
-def test_table5_idpower(benchmark):
-    result = benchmark.pedantic(get_spec("table5_idpower").run, rounds=1, iterations=1)
-    print_experiment(result, get_spec("table5_idpower").format)
+def test_table5_idpower():
+    result = get_spec("table5_idpower").run()
     rows = result["rows"]
     assert rows["20MS/s, no +-1 quan."]["power_mw"] == pytest.approx(564, rel=0.05)
     assert rows["20MS/s, +-1 quan."]["power_mw"] == pytest.approx(12, rel=0.1)

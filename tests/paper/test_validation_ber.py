@@ -1,4 +1,4 @@
-"""Bench: modem-vs-analytic BER cross-validation.
+"""Claim test: modem-vs-analytic BER cross-validation.
 
 Quantifies each software receiver's implementation loss against the
 ideal waterfalls the range sweeps use.  Shape assertions: BER falls
@@ -6,7 +6,6 @@ with Eb/N0 for every protocol, and the high-Eb/N0 points are clean
 (bounded implementation loss).
 """
 
-from conftest import print_experiment
 
 from repro.experiments.registry import get_spec
 
@@ -15,11 +14,8 @@ from repro.phy.protocols import Protocol
 SPEC = get_spec("validation_ber")
 
 
-def test_validation_ber(benchmark):
-    result = benchmark.pedantic(
-        SPEC.run, kwargs={"n_packets": 3}, rounds=1, iterations=1
-    )
-    print_experiment(result, SPEC.format)
+def test_validation_ber():
+    result = SPEC.run(n_packets=3)
     rows = result["rows"]
 
     for p in Protocol:

@@ -1,7 +1,7 @@
 """Regression tests for receiver phase/frequency tracking.
 
 Each test pins a failure mode found while cross-validating the modems
-against the analytic waterfalls (benchmarks/bench_validation_ber.py).
+against the analytic waterfalls (tests/paper/test_validation_ber.py).
 """
 
 import numpy as np
