@@ -13,9 +13,9 @@ Two kinds of caches are tracked:
   receive as defensive copies;
 * ``functools.lru_cache``-wrapped functions inside the PHY modules
   and the ADC (scrambler cycles, 802.11b packet heads, 802.11n training
-  fields, the ADC's anti-aliasing and BLE's receive filter designs),
-  registered here so :func:`cache_stats` and :func:`clear_caches`
-  cover them too.
+  fields, the ADC's anti-aliasing, BLE's receive and the resampler's
+  polyphase filter designs), registered here so :func:`cache_stats`
+  and :func:`clear_caches` cover them too.
 
 Cache keys always include every input that shapes the cached value --
 ``(protocol, config fields, payload hash)`` for waveform-level caches
@@ -117,11 +117,12 @@ def register_functools_cache(name: str, wrapper: Any) -> None:
 def _register_phy_caches() -> None:
     """Register the PHY-module and ADC lru_caches (idempotent, import-lazy)."""
     from repro.core import adc
-    from repro.phy import ble, bits, wifi_b, wifi_n
+    from repro.phy import ble, bits, waveform, wifi_b, wifi_n
 
     for name, fn in (
         ("core.adc.antialias_design", adc._antialias_design),
         ("phy.ble.rx_filter", ble._rx_filter),
+        ("phy.waveform.resample_taps", waveform._resample_taps),
         ("phy.bits.lfsr_cycle", bits._lfsr_cycle),
         ("phy.bits.ble_whiten_cycle", bits._ble_whiten_cycle),
         ("phy.wifi_b.cached_head", wifi_b._cached_head),

@@ -7,6 +7,8 @@ modulation exercises).
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.types import BitArray, FloatArray
@@ -61,43 +63,32 @@ def puncture(coded: np.ndarray | list[int], rate: str) -> BitArray:
         raise ValueError(f"unknown coding rate {rate!r}")
     arr = np.asarray(coded, dtype=np.uint8)
     pattern = np.array(PUNCTURE_PATTERNS[rate], dtype=bool)
-    mask = np.resize(pattern, arr.size)
+    mask = np.tile(pattern, -(-arr.size // pattern.size))[: arr.size]
     return arr[mask]
 
 
 def depuncture(punctured: np.ndarray | list[int], rate: str) -> BitArray:
     """Re-insert :data:`ERASURE` markers at the punctured positions."""
-    if rate not in PUNCTURE_PATTERNS:
-        raise ValueError(f"unknown coding rate {rate!r}")
-    arr = np.asarray(punctured, dtype=np.uint8)
-    pattern = np.array(PUNCTURE_PATTERNS[rate], dtype=bool)
-    keep_per_period = int(pattern.sum())
-    n_periods = int(np.ceil(arr.size / keep_per_period))
-    mask = np.resize(pattern, n_periods * pattern.size)
-    out = np.full(mask.size, ERASURE, dtype=np.uint8)
-    out[mask] = np.resize(arr, int(mask.sum()))[: int(mask.sum())]
-    # Trim to the exact number of original positions covered.
-    kept = np.cumsum(mask)
-    end = int(np.searchsorted(kept, arr.size)) + 1
-    return out[:end]
+    return _depunctured(punctured, rate, np.uint8, ERASURE)
 
 
 def depuncture_soft(llrs: np.ndarray | list[float], rate: str) -> FloatArray:
     """Re-insert zero LLRs at the punctured positions (soft path)."""
+    return _depunctured(llrs, rate, float, 0.0)
+
+
+def _depunctured(values: np.ndarray | list[Any], rate: str, dtype: type, fill: float) -> np.ndarray:
+    """``values`` back at the stream positions ``rate`` keeps, ``fill`` at
+    the punctured ones, up to the last position ``values`` covers."""
     if rate not in PUNCTURE_PATTERNS:
         raise ValueError(f"unknown coding rate {rate!r}")
-    arr = np.asarray(llrs, dtype=float)
+    arr = np.asarray(values, dtype=dtype)
     pattern = np.array(PUNCTURE_PATTERNS[rate], dtype=bool)
-    keep_per_period = int(pattern.sum())
-    n_periods = int(np.ceil(arr.size / keep_per_period))
-    mask = np.resize(pattern, n_periods * pattern.size)
-    out = np.zeros(mask.size, dtype=float)
-    filled = np.zeros(int(mask.sum()), dtype=float)
-    filled[: arr.size] = arr
-    out[mask] = filled
-    kept = np.cumsum(mask)
-    end = int(np.searchsorted(kept, arr.size)) + 1
-    return out[:end]
+    n_periods = -(-arr.size // int(pattern.sum()))
+    slots = np.flatnonzero(np.tile(pattern, n_periods))[: arr.size]
+    out = np.full(slots[-1] + 1 if arr.size else 0, fill, dtype=dtype)
+    out[slots] = arr
+    return out
 
 
 def encode(bits: np.ndarray | list[int]) -> BitArray:

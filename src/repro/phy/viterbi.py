@@ -163,6 +163,9 @@ def _build_block_tables() -> tuple[
 
 
 _BMTAB, _G12, _G34, _SRC, _BITS, _IDX_DC = _build_block_tables()
+#: ``_G34`` repeated along the candidate axis to all 16 candidates, so a
+#: chunk's block sums are one gather from each table.
+_G34_REP = np.repeat(_G34, 4, axis=2)
 
 _SRC0 = _PREV[:, 0, 0]
 _BIT0 = _PREV[:, 0, 1]
@@ -232,9 +235,7 @@ def decode(coded: np.ndarray | list[int], *, n_info: int | None = None) -> BitAr
     i12 = pt[:, 0] * 9 + pt[:, 1]
     i34 = pt[:, 2] * 9 + pt[:, 3]
     for c0 in range(0, n_blocks, _CHUNK):
-        block_bm = _G12[i12[c0 : c0 + _CHUNK]] + np.repeat(
-            _G34[i34[c0 : c0 + _CHUNK]], 4, axis=2
-        )
+        block_bm = _G12[i12[c0 : c0 + _CHUNK]] + _G34_REP[i34[c0 : c0 + _CHUNK]]
         for nblk, bm in enumerate(block_bm, start=c0):
             cand = metrics[_SRC] + bm
             cidx = cand.argmin(axis=1)

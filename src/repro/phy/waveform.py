@@ -9,6 +9,7 @@ type: DSP transforms return new instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -17,6 +18,21 @@ from repro.types import ComplexIQ, Decibels, FloatArray, Hertz, Samples, Seconds
 from scipy import signal as sp_signal
 
 __all__ = ["Waveform"]
+
+
+@lru_cache(maxsize=16)
+def _resample_taps(up: int, down: int) -> np.ndarray:
+    """The low-pass ``resample_poly`` designs for a reduced ``up/down``
+    ratio when it is given no window: a Kaiser (beta 5) FIR of
+    ``2 * 10 * max(up, down) + 1`` taps cut off at ``1 / max(up, down)``.
+
+    Read-only: ``resample_poly`` copies an array window before scaling
+    it by ``up``.
+    """
+    max_rate = max(up, down)
+    taps = sp_signal.firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    taps.flags.writeable = False
+    return taps
 
 
 @dataclass
@@ -108,7 +124,18 @@ class Waveform:
         from fractions import Fraction
 
         frac = Fraction(new_rate_hz / self.sample_rate).limit_denominator(1000)
-        iq = sp_signal.resample_poly(self.iq, frac.numerator, frac.denominator)
+        up, down = frac.numerator, frac.denominator
+        # The taps are real, so I and Q are filtered as two real rows:
+        # given a complex input, resample_poly would cast them to complex
+        # and run complex-by-complex products.
+        rows = np.stack([self.iq.real, self.iq.imag])
+        if up != down:  # at 1/1 resample_poly returns its input unfiltered
+            rows = sp_signal.resample_poly(
+                rows, up, down, axis=-1, window=_resample_taps(up, down)
+            )
+        # Part by part: ``rows[0] + 1j * rows[1]`` can turn -0.0 into +0.0.
+        iq = np.empty(rows.shape[1], dtype=np.complex128)
+        iq.real, iq.imag = rows
         ratio = new_rate_hz / self.sample_rate
         ann = dict(self.annotations)
         for key in ("payload_start", "samples_per_symbol"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.types import FloatArray
+from repro.types import ComplexIQ
 
 from repro.core.rectifier import incident_peak_voltage
 from repro.phy.waveform import Waveform
@@ -39,33 +39,23 @@ def superimpose(
     result is meant for ``rectify(..., incident_power_dbm=None)`` /
     ``identify(..., prescaled=True)``.
     """
-    # Pad before resampling so the polyphase filter's edge transient
-    # falls in the padding, not on the packet head the templates match.
-    pad_v = 64
-    v = victim.padded(before=pad_v).resampled(scene_rate_hz)
-    pad_scaled = int(round(pad_v * scene_rate_hz / victim.sample_rate))
-    v = v.sliced(pad_scaled)
-    v.annotations = dict(victim.annotations)
-    i = interferer.padded(before=64).resampled(scene_rate_hz)
-    i = i.sliced(int(round(64 * scene_rate_hz / interferer.sample_rate)))
+    v_iq = _at_scene_rate(victim, scene_rate_hz)
+    i_iq = _at_scene_rate(interferer, scene_rate_hz)
+    n = v_iq.size if duration_s is None else int(duration_s * scene_rate_hz)
 
-    # Scale to unboosted antenna volts.
-    def to_volts(w: Waveform, dbm: float) -> FloatArray:
-        rms = np.sqrt(w.mean_power())
-        if rms <= 0:
-            return w.iq
-        return w.iq / rms * incident_peak_voltage(dbm, matching_boost=1.0)
-
-    v_iq = to_volts(v, victim_dbm)
-    i_iq = to_volts(i, interferer_dbm)
+    # Scale to unboosted antenna volts.  Both rms values span the whole
+    # packet; of the victim only the samples the scene keeps are scaled.
+    # The interferer is scaled and shifted at full length: numpy elides
+    # the temporary in ``i_iq * np.exp(...)`` from 16,384 samples on and
+    # then multiplies in the other operand order, which the complex
+    # product's last bit depends on (docs/PERFORMANCE.md).
+    scene = np.zeros(n, dtype=complex)
+    scene[: min(v_iq.size, n)] = _to_volts(v_iq, victim_dbm, n)
+    i_iq = _to_volts(i_iq, interferer_dbm)
 
     if freq_offset_hz:
         t = np.arange(i_iq.size) / scene_rate_hz
         i_iq = i_iq * np.exp(2j * np.pi * freq_offset_hz * t)
-
-    n = v_iq.size if duration_s is None else int(duration_s * scene_rate_hz)
-    scene = np.zeros(n, dtype=complex)
-    scene[: min(v_iq.size, n)] = v_iq[:n]
 
     shift = int(round(time_offset_s * scene_rate_hz))
     src_lo = max(-shift, 0)
@@ -74,9 +64,28 @@ def superimpose(
     if span > 0:
         scene[dst_lo : dst_lo + span] += i_iq[src_lo : src_lo + span]
 
-    ann = dict(v.annotations)
     return Waveform(
         iq=scene,
         sample_rate=scene_rate_hz,
-        annotations=ann,
+        annotations=dict(victim.annotations),
     )
+
+
+def _at_scene_rate(wave: Waveform, scene_rate_hz: float) -> ComplexIQ:
+    """``wave`` resampled to the scene rate, as a view that drops the
+    64 samples of leading silence padded in before resampling: the
+    polyphase filter's edge transient falls there, not on the packet
+    head the templates match."""
+    pad = 64
+    resampled = wave.padded(before=pad).resampled(scene_rate_hz)
+    return resampled.iq[int(round(pad * scene_rate_hz / wave.sample_rate)) :]
+
+
+def _to_volts(iq: ComplexIQ, dbm: float, n: int | None = None) -> ComplexIQ:
+    """The first ``n`` samples of ``iq`` (all by default) scaled so that
+    ``iq``'s rms is the peak voltage of ``dbm`` at the antenna, matching
+    network unboosted."""
+    rms = np.sqrt(float(np.mean(np.abs(iq) ** 2))) if iq.size else 0.0
+    if rms <= 0:
+        return iq[:n]
+    return iq[:n] / rms * incident_peak_voltage(dbm, matching_boost=1.0)

@@ -65,6 +65,7 @@ class TestRegistry:
         assert "phy.wifi_n.l_stf" in stats
         assert "core.adc.antialias_design" in stats
         assert "phy.ble.rx_filter" in stats
+        assert "phy.waveform.resample_taps" in stats
         for s in stats.values():
             assert set(s) == {"hits", "misses", "evictions", "size", "maxsize"}
 
@@ -80,6 +81,20 @@ class TestRegistry:
         stats = wavecache.cache_stats()
         for name in ("core.adc.antialias_design", "phy.ble.rx_filter"):
             assert (stats[name]["misses"], stats[name]["hits"]) == (1, 2), name
+
+    def test_resample_taps_are_designed_once_per_ratio(self):
+        from repro.phy.waveform import Waveform
+
+        wavecache.clear_caches()
+        wave = Waveform(np.ones(64, dtype=complex), 8e6)
+        for _ in range(3):
+            wave.resampled(50e6)
+        stats = wavecache.cache_stats()["phy.waveform.resample_taps"]
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 2, 1)
+        wave.resampled(20e6)
+        assert wavecache.cache_stats()["phy.waveform.resample_taps"]["size"] == 2
+        wavecache.clear_caches()
+        assert wavecache.cache_stats()["phy.waveform.resample_taps"]["size"] == 0
 
     def test_clear_caches_empties_everything(self):
         reference_waveform(Protocol.ZIGBEE)

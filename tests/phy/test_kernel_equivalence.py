@@ -6,11 +6,14 @@ integer/bit kernels (convolutional code, Viterbi, scramblers, DQPSK
 mappings) must be *byte-identical* to the references over randomized
 inputs, and so must the OFDM transmitters and receivers, which run a
 whole frame through one 2-D transform where the seed ran one 64-point
-transform per symbol; the batched correlator reorders float
-accumulation (one GEMM instead of per-template GEMVs plus prefix-sum
-normalization), so its scores are checked to 1e-12 and its decisions
-exactly.
+transform per symbol, and the resampler, which filters I and Q as
+real rows with taps designed once; the batched correlator reorders
+float accumulation (one GEMM instead of per-template GEMVs plus
+prefix-sum normalization), so its scores are checked to 1e-12 and its
+decisions exactly.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.phy import bits as bitlib
 from repro.phy import convcode, viterbi, wifi_a, wifi_b, wifi_n
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
+from repro.sim.traffic import random_packet
 from tests import reference_impls as ref
 
 
@@ -39,6 +43,44 @@ class TestConvcode:
             n = int(rng.integers(1, 300))
             bits = rng.integers(0, 2, n).astype(np.uint8)
             assert np.array_equal(convcode.encode(bits), ref.convcode_encode(bits))
+
+
+def _puncture_by_resize(coded, rate):
+    pattern = np.array(convcode.PUNCTURE_PATTERNS[rate], dtype=bool)
+    return coded[np.resize(pattern, coded.size)]
+
+
+def _depuncture_by_resize(arr, rate, fill):
+    pattern = np.array(convcode.PUNCTURE_PATTERNS[rate], dtype=bool)
+    n_periods = int(np.ceil(arr.size / int(pattern.sum())))
+    mask = np.resize(pattern, n_periods * pattern.size)
+    out = np.full(mask.size, fill, dtype=arr.dtype)
+    out[mask] = np.resize(arr, int(mask.sum()))[: int(mask.sum())]
+    end = int(np.searchsorted(np.cumsum(mask), arr.size)) + 1
+    return out[:end]
+
+
+class TestPuncturing:
+    """The keep masks, as first defined by ``np.resize`` of the pattern."""
+
+    @pytest.mark.parametrize("rate", sorted(convcode.PUNCTURE_PATTERNS))
+    def test_exact_outputs(self, rate):
+        rng = np.random.default_rng(len(rate))
+        for n in range(41):
+            coded = rng.integers(0, 3, n).astype(np.uint8)
+            llrs = rng.normal(size=n)
+            llrs[::5] = -0.0
+            pairs = (
+                (convcode.puncture(coded, rate), _puncture_by_resize(coded, rate)),
+                (
+                    convcode.depuncture(coded, rate),
+                    _depuncture_by_resize(coded, rate, convcode.ERASURE),
+                ),
+                (convcode.depuncture_soft(llrs, rate), _depuncture_by_resize(llrs, rate, 0.0)),
+            )
+            for got, want in pairs:
+                assert got.dtype == want.dtype and got.shape == want.shape, (rate, n)
+                assert got.tobytes() == want.tobytes(), (rate, n)
 
 
 class TestViterbi:
@@ -232,3 +274,37 @@ class TestOfdm:
             assert wave.iq.tobytes() == ref.wifi_a_modulate_iq(payload, cfg).tobytes()
             rx = _received(wave, rng, truncate=trial == 2)
             assert wifi_a.demodulate(rx).tobytes() == ref.wifi_a_demodulate(rx).tobytes()
+
+
+class TestResample:
+    """``Waveform.resampled`` against the seed, which let ``resample_poly``
+    design its filter per call and filter the complex samples."""
+
+    @pytest.mark.parametrize(
+        ("protocol", "n_bytes", "ratio"),
+        [
+            (Protocol.BLE, 37, "25/4"),
+            (Protocol.ZIGBEE, 20, "25/4"),
+            (Protocol.WIFI_N, 300, "5/2"),
+            (Protocol.WIFI_B, 20, "25/11"),
+        ],
+    )
+    def test_byte_identical_at_every_ratio(self, protocol, n_bytes, ratio):
+        rng = np.random.default_rng(n_bytes)
+        for _ in range(3):
+            wave = random_packet(protocol, rng, n_payload_bytes=n_bytes).padded(before=64)
+            got, want = wave.resampled(50e6), ref.waveform_resampled(wave, 50e6)
+            assert str(Fraction(50e6 / wave.sample_rate).limit_denominator(1000)) == ratio
+            assert got.iq.tobytes() == want.iq.tobytes()
+            assert got.annotations == want.annotations
+            assert (got.sample_rate, got.center_offset_hz) == (
+                want.sample_rate,
+                want.center_offset_hz,
+            )
+
+    def test_equal_rate_keeps_the_samples(self):
+        wave = random_packet(Protocol.BLE, np.random.default_rng(3), n_payload_bytes=10)
+        got, want = wave.resampled(wave.sample_rate), ref.waveform_resampled(wave, wave.sample_rate)
+        assert got.iq.tobytes() == want.iq.tobytes() == wave.iq.tobytes()
+        assert got.annotations == want.annotations == wave.annotations
+        assert got.annotations is not wave.annotations

@@ -575,3 +575,96 @@ def wifi_a_demodulate(wave):
         scrambled = np.pad(scrambled, (0, n_padded - scrambled.size))
     data_bits = bitlib.scramble_80211_frame(scrambled, seed=cfg.scrambler_seed)[:n_padded]
     return data_bits[16 : ann["n_stream_bits"] - 6]
+
+
+# ----------------------------------------------------------------------
+# Collision scenes: a filter designed per resample, complex filtering,
+# and both packets scaled at full length
+# ----------------------------------------------------------------------
+def waveform_resampled(wave, new_rate_hz):
+    """Seed ``Waveform.resampled``: ``resample_poly`` designs its FIR on
+    every call and, given complex samples, filters with complex taps."""
+    from dataclasses import replace
+
+    from scipy import signal as sp_signal
+
+    from repro.phy.waveform import Waveform
+
+    if new_rate_hz <= 0:
+        raise ValueError("new_rate_hz must be positive")
+    if abs(new_rate_hz - wave.sample_rate) < 1e-9:
+        return replace(wave, annotations=dict(wave.annotations))
+    from fractions import Fraction
+
+    frac = Fraction(new_rate_hz / wave.sample_rate).limit_denominator(1000)
+    iq = sp_signal.resample_poly(wave.iq, frac.numerator, frac.denominator)
+    ratio = new_rate_hz / wave.sample_rate
+    ann = dict(wave.annotations)
+    for key in ("payload_start", "samples_per_symbol"):
+        if key in ann:
+            ann[key] = int(round(ann[key] * ratio))
+    return Waveform(
+        iq=iq,
+        sample_rate=new_rate_hz,
+        center_offset_hz=wave.center_offset_hz,
+        annotations=ann,
+    )
+
+
+def superimpose(
+    victim,
+    victim_dbm,
+    interferer,
+    interferer_dbm,
+    *,
+    freq_offset_hz,
+    time_offset_s=0.0,
+    scene_rate_hz=50e6,
+    duration_s=None,
+):
+    """Seed ``scene.superimpose``, resampling through the seed
+    :func:`waveform_resampled`."""
+    from repro.core.rectifier import incident_peak_voltage
+    from repro.phy.waveform import Waveform
+
+    # Pad before resampling so the polyphase filter's edge transient
+    # falls in the padding, not on the packet head the templates match.
+    pad_v = 64
+    v = waveform_resampled(victim.padded(before=pad_v), scene_rate_hz)
+    pad_scaled = int(round(pad_v * scene_rate_hz / victim.sample_rate))
+    v = v.sliced(pad_scaled)
+    v.annotations = dict(victim.annotations)
+    i = waveform_resampled(interferer.padded(before=64), scene_rate_hz)
+    i = i.sliced(int(round(64 * scene_rate_hz / interferer.sample_rate)))
+
+    # Scale to unboosted antenna volts.
+    def to_volts(w, dbm):
+        rms = np.sqrt(w.mean_power())
+        if rms <= 0:
+            return w.iq
+        return w.iq / rms * incident_peak_voltage(dbm, matching_boost=1.0)
+
+    v_iq = to_volts(v, victim_dbm)
+    i_iq = to_volts(i, interferer_dbm)
+
+    if freq_offset_hz:
+        t = np.arange(i_iq.size) / scene_rate_hz
+        i_iq = i_iq * np.exp(2j * np.pi * freq_offset_hz * t)
+
+    n = v_iq.size if duration_s is None else int(duration_s * scene_rate_hz)
+    scene = np.zeros(n, dtype=complex)
+    scene[: min(v_iq.size, n)] = v_iq[:n]
+
+    shift = int(round(time_offset_s * scene_rate_hz))
+    src_lo = max(-shift, 0)
+    dst_lo = max(shift, 0)
+    span = min(i_iq.size - src_lo, n - dst_lo)
+    if span > 0:
+        scene[dst_lo : dst_lo + span] += i_iq[src_lo : src_lo + span]
+
+    ann = dict(v.annotations)
+    return Waveform(
+        iq=scene,
+        sample_rate=scene_rate_hz,
+        annotations=ann,
+    )

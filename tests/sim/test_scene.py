@@ -7,6 +7,19 @@ from repro.core.rectifier import incident_peak_voltage
 from repro.phy.protocols import Protocol
 from repro.sim.scene import superimpose
 from repro.sim.traffic import random_packet
+from tests import reference_impls as ref
+
+#: fig16's scene shapes: victim, interferer, interferer payload bytes,
+#: frequency and time offsets.  The victims carry 20 bytes.
+FIG16_CASES = [
+    (Protocol.BLE, Protocol.WIFI_N, 300, -15e6, -50e-6),
+    (Protocol.BLE, Protocol.BLE, 20, -15e6, 0.0),
+    (Protocol.WIFI_N, Protocol.BLE, 37, 15e6, -50e-6),
+    (Protocol.WIFI_N, Protocol.WIFI_N, 20, 15e6, 0.0),
+    (Protocol.ZIGBEE, Protocol.WIFI_N, 300, 2e6, -50e-6),
+    (Protocol.ZIGBEE, Protocol.ZIGBEE, 20, 2e6, 0.0),
+    (Protocol.ZIGBEE, Protocol.WIFI_N, 300, 2e6, 400e-6),
+]
 
 
 class TestSuperimpose:
@@ -53,3 +66,38 @@ class TestSuperimpose:
         scene = superimpose(v, -30.0, i, -20.0, freq_offset_hz=2e6,
                             duration_s=50e-6)
         assert scene.annotations["protocol"] is Protocol.BLE
+
+
+class TestSeedEquivalence:
+    """``superimpose`` against the seed, which scaled the whole victim
+    and resampled through ``resample_poly``'s per-call filter design."""
+
+    @pytest.mark.parametrize("case", FIG16_CASES)
+    @pytest.mark.parametrize("interferer_dbm", [-21.2, -120.0])
+    def test_fig16_scenes_byte_identical(self, case, interferer_dbm):
+        victim, interferer, n_bytes, freq_offset_hz, time_offset_s = case
+        rng = np.random.default_rng(n_bytes)
+        for _ in range(2):
+            v = random_packet(victim, rng, n_payload_bytes=20)
+            i = random_packet(interferer, rng, n_payload_bytes=n_bytes)
+            for duration_s in (90e-6, None):
+                args = (v, -31.2, i, interferer_dbm)
+                kwargs = dict(
+                    freq_offset_hz=freq_offset_hz,
+                    time_offset_s=time_offset_s,
+                    duration_s=duration_s,
+                )
+                got, want = superimpose(*args, **kwargs), ref.superimpose(*args, **kwargs)
+                assert got.iq.tobytes() == want.iq.tobytes()
+                assert got.annotations == want.annotations == v.annotations
+                assert got.sample_rate == want.sample_rate
+
+    def test_interferers_straddle_the_elision_boundary(self):
+        # numpy reuses the phasor temporary (and so swaps the complex
+        # product's operands) from 16,384 complex128 samples on.
+        rng = np.random.default_rng(0)
+        sizes = {
+            round(random_packet(p, rng, n_payload_bytes=n).duration_s * 50e6)
+            for _, p, n, _, _ in FIG16_CASES
+        }
+        assert min(sizes) < 16_384 < max(sizes)

@@ -54,9 +54,10 @@ KERNEL_ROUNDS = 20
 #: reference host (2 vCPU, one BLAS thread), rounded down to 0.1.
 #: ``None`` marks a pair whose floor would fall below 1.5, printed but
 #: not gated: the seed soft Viterbi already vectorizes over the 64
-#: states, and the other three spend most of their time in kernels both
+#: states, and the other four spend most of their time in kernels both
 #: sides share (the shipped Viterbi in the OFDM receivers, the whole PHY
-#: in ``reference_run_airlink``).
+#: in ``reference_run_airlink``, ``upfirdn`` and the interferer's
+#: full-length shift in ``superimpose``).
 FLOORS: dict[str, float | None] = {
     "viterbi_decode": 4.0,
     "convcode_encode": 14.4,
@@ -72,6 +73,7 @@ FLOORS: dict[str, float | None] = {
     "wifi_n_demodulate": None,
     "wifi_a_demodulate": None,
     "reference_run_airlink": None,
+    "superimpose": None,
 }
 
 #: The pool gate's schedule: its seed (also the gateway's), tag and
@@ -115,7 +117,8 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
     """Seed kernel -> (shipped kernel, seed call, shipped call) on one workload.
 
     The Viterbi and correlation workloads are the ones the kernels were
-    first benchmarked on; the rest run on one 64-byte frame.
+    first benchmarked on; the scene is one of fig16's, and the rest run
+    on one 64-byte frame.
     """
     import numpy as np
 
@@ -127,7 +130,8 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
     from repro.phy import bits, convcode, viterbi, wifi_a, wifi_b, wifi_n
     from repro.phy.protocols import Protocol
     from repro.sim.airlink import run_airlink
-    from repro.sim.traffic import ExcitationSchedule, ExcitationSource
+    from repro.sim.scene import superimpose
+    from repro.sim.traffic import ExcitationSchedule, ExcitationSource, random_packet
     from tests import reference_impls as ref
 
     rng = np.random.default_rng(0)
@@ -161,6 +165,17 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
         rng=np.random.default_rng(5),
     )
     tag = MultiscatterTag()
+
+    # fig16's overlapped ZigBee scene: a 20-byte ZigBee victim, hit 50 us
+    # into a 300-byte 802.11n packet 2 MHz away.
+    scene_rng = np.random.default_rng(6)
+    scene_args = (
+        random_packet(Protocol.ZIGBEE, scene_rng, n_payload_bytes=20),
+        -31.2,
+        random_packet(Protocol.WIFI_N, scene_rng, n_payload_bytes=300),
+        -21.2,
+    )
+    scene_kwargs = {"freq_offset_hz": 2e6, "time_offset_s": -50e-6, "duration_s": 90e-6}
 
     return {
         "viterbi_decode": (
@@ -234,6 +249,11 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
                 schedule, tag, rng=np.random.default_rng(5), max_packets=24
             ),
             lambda: run_airlink(schedule, tag, rng=np.random.default_rng(5), max_packets=24),
+        ),
+        "superimpose": (
+            "scene.superimpose",
+            lambda: ref.superimpose(*scene_args, **scene_kwargs),
+            lambda: superimpose(*scene_args, **scene_kwargs),
         ),
     }
 
