@@ -48,14 +48,15 @@ smoke:
 	$(PYTHON) tools/check_artifacts.py runs/smoke --expect-all
 
 # Streaming gateway smoke: 8 tags, 2 subscribers, block policy,
-# 2 decode workers (the sharded data plane crosses the executor hop);
+# 2 decode workers (the sharded data plane crosses the executor hop,
+# 8 receptions of mixed protocols to a hop);
 # fails on any drop, eviction, consumer error, event-loop lag
 # violation, or unclean drain (the CI gateway smoke step).  Runs under
 # asyncio debug mode with the loopwatch sanitizer armed.
 serve-smoke:
 	PYTHONASYNCIODEBUG=1 REPRO_LOOPWATCH=1 \
 		$(PYTHON) -m repro serve --tags 8 --subscribers 2 --max-packets 32 \
-		--decode-workers 2 --policy block --require-clean
+		--decode-workers 2 --decode-batch 8 --policy block --require-clean
 
 # Crash a run mid-save with the fault-injection harness, resume it,
 # and require byte-identity with an undisturbed run

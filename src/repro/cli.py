@@ -28,6 +28,7 @@ Gives the repository an adoption-grade front door:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -282,8 +283,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ("--subscribers", args.subscribers),
             ("--rate", args.rate),
         ):
-            if value < 0:
+            if not value >= 0:
                 raise ValueError(f"{flag} must be >= 0")
+        if not math.isfinite(args.rate):
+            raise ValueError("--rate must be finite")
         config = GatewayConfig(
             seed=seed,
             keepalive_timeout_s=args.keepalive_timeout,
@@ -489,7 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_p.add_argument(
         "--decode-batch", type=int, default=1, metavar="N",
-        help="pending receptions per grouped decode dispatch (default 1)",
+        help="pending receptions per decode dispatch; with decode "
+        "workers, one executor hop carries them all (default 1)",
     )
     serve_p.add_argument(
         "--decode-workers", type=int, default=0, metavar="N",

@@ -11,13 +11,11 @@ Hitchhike and FreeRider.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.overlay import OverlayCodec
 from repro.phy import ble, wifi_b, wifi_n, zigbee
-from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 
@@ -49,44 +47,25 @@ class OverlayDecoder:
         self.codec = codec
 
     def symbol_values(self, wave: Waveform) -> list:
-        """Per-payload-symbol decisions in the comparison domain."""
-        protocol = self.codec.config.protocol
-        if protocol is Protocol.WIFI_B:
-            result = wifi_b.demodulate(wave)
-            return [int(b) for b in result.onair_bits]
-        if protocol is Protocol.BLE:
-            result = ble.demodulate(wave)
-            return [int(b) for b in result.onair_bits]
-        if protocol is Protocol.ZIGBEE:
-            result = zigbee.demodulate(wave)
-            return [int(s) for s in result.symbols]
-        result = wifi_n.demodulate(wave)
-        return list(result.symbol_bits)
+        """Per-payload-symbol decisions in the comparison domain.
 
-    def symbol_values_batch(self, waves: Sequence[Waveform]) -> list[list]:
-        """:meth:`symbol_values` for each waveform, in input order.
-
-        Goes through the protocol's ``demodulate_batch``, which applies
-        the scalar receive chain to each waveform in turn.
+        Calls the protocol's ``demodulate_batch`` on the one waveform:
+        it has ``demodulate``'s defaults, and it is the decode stage's
+        per-protocol entry point that perfbench's ``decode.demod.*``
+        spans time.
         """
-        require_nonempty(waves, "OverlayDecoder.symbol_values_batch")
         protocol = self.codec.config.protocol
         if protocol is Protocol.WIFI_B:
-            return [
-                [int(b) for b in r.onair_bits]
-                for r in wifi_b.demodulate_batch(waves)
-            ]
+            result = wifi_b.demodulate_batch([wave])[0]
+            return [int(b) for b in result.onair_bits]
         if protocol is Protocol.BLE:
-            return [
-                [int(b) for b in r.onair_bits]
-                for r in ble.demodulate_batch(waves)
-            ]
+            result = ble.demodulate_batch([wave])[0]
+            return [int(b) for b in result.onair_bits]
         if protocol is Protocol.ZIGBEE:
-            return [
-                [int(s) for s in r.symbols]
-                for r in zigbee.demodulate_batch(waves)
-            ]
-        return [list(r.symbol_bits) for r in wifi_n.demodulate_batch(waves)]
+            result = zigbee.demodulate_batch([wave])[0]
+            return [int(s) for s in result.symbols]
+        result = wifi_n.demodulate_batch([wave])[0]
+        return list(result.symbol_bits)
 
     def decode(self, wave: Waveform) -> OverlayDecodeOutput:
         """Decode productive and tag data from a received waveform.

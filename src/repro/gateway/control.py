@@ -78,7 +78,7 @@ class ControlPlane:
         keepalive_timeout_s: float = 5.0,
         selector: CarrierSelector | None = None,
     ) -> None:
-        if keepalive_timeout_s <= 0:
+        if not keepalive_timeout_s > 0:
             raise ValueError("keepalive_timeout_s must be positive")
         self.keepalive_timeout_s = keepalive_timeout_s
         self.selector = selector or CarrierSelector()

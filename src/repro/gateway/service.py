@@ -23,17 +23,16 @@ The data plane is **sharded**: staging (``excite_and_react``) stays
 inline because it consumes per-tag RNG streams and determinism
 requires a single consumer in schedule order, but the RNG-free decode
 stage can run on a pool of worker processes
-(``decode_workers > 0``).  Completed batches are dispatched to the
-pool grouped by receiver config (one executor hop per group; the
-kernels run per packet) while the air loop stages the next batch; a
-single **publisher
-task** consumes batches from a bounded queue in dispatch order and
-republishes outcomes in schedule order, stamped with a global
-``stream_seq``, so any worker count is bit-identical to
+(``decode_workers > 0``).  Each completed batch crosses to the pool in
+one executor hop (the worker decodes its packets one at a time, in
+schedule order) while the air loop stages the next batch; a single
+**publisher task** consumes batches from a bounded queue in dispatch
+order and republishes outcomes in schedule order, stamped with a
+global ``stream_seq``, so any worker count is bit-identical to
 ``decode_workers=1`` and single-tag streams stay byte-identical to
 ``run_airlink``.  Decode workers that crash (``REPRO_FAULTS`` site
 ``decode``, kind ``kill``) or wedge (``hang`` + ``decode_timeout_s``)
-are replaced and their groups resubmitted — same payloads, bumped
+are replaced and their batches resubmitted — same payloads, bumped
 attempt — so recovery is bit-identical too.
 
 With ``REPRO_LOOPWATCH=1`` the serve loop runs under the
@@ -116,11 +115,11 @@ class GatewayConfig:
     #: >0 dispatches batches to a process pool, overlapped with
     #: staging, bit-identical at every worker count).
     decode_workers: int = 0
-    #: Wall-clock budget for one dispatched decode group; ``None``
+    #: Wall-clock budget for one dispatched decode batch; ``None``
     #: waits forever.  On expiry the pool is force-replaced and the
-    #: group resubmitted (a hung worker must not wedge the stream).
+    #: batch resubmitted (a hung worker must not wedge the stream).
     decode_timeout_s: float | None = None
-    #: Resubmissions allowed per decode group after a worker crash or
+    #: Resubmissions allowed per decode batch after a worker crash or
     #: hang before the gateway gives up and fails the stream.
     decode_retries: int = 2
     #: Dispatched-but-unpublished batches the air loop may run ahead
@@ -130,7 +129,8 @@ class GatewayConfig:
     drain_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.keepalive_timeout_s <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.keepalive_timeout_s > 0:
             raise ValueError("keepalive_timeout_s must be positive")
         if self.queue_maxlen < 1:
             raise ValueError("queue_maxlen must be >= 1")
@@ -138,13 +138,13 @@ class GatewayConfig:
             raise ValueError("decode_batch must be >= 1")
         if self.decode_workers < 0:
             raise ValueError("decode_workers must be >= 0")
-        if self.decode_timeout_s is not None and self.decode_timeout_s <= 0:
+        if self.decode_timeout_s is not None and not self.decode_timeout_s > 0:
             raise ValueError("decode_timeout_s must be positive")
         if self.decode_retries < 0:
             raise ValueError("decode_retries must be >= 0")
         if self.max_inflight_batches < 1:
             raise ValueError("max_inflight_batches must be >= 1")
-        if self.drain_timeout_s < 0:
+        if not self.drain_timeout_s >= 0:
             raise ValueError("drain_timeout_s must be >= 0")
 
 
@@ -184,13 +184,19 @@ class GatewayStats:
 
 
 @dataclass
-class _GroupDispatch:
-    """One receiver-config group of a batch, in flight on the pool."""
+class _Dispatch:
+    """One batch's receptions, in flight on the pool as one hop.
+
+    ``index`` is the gateway's dispatch counter and ``name`` the
+    protocols of the hop's receptions in first-seen order, joined by
+    commas; both reach the ``decode`` fault site.
+    """
 
     payloads: list[DecodePayload]
     index: int
     name: str
-    generation: int
+    #: Pool generation of the latest submit, stamped by ``_submit_dispatch``.
+    generation: int = 0
     attempt: int = 1
     future: asyncio.Future | None = None
 
@@ -200,16 +206,14 @@ class _BatchEntry:
     """One staged packet inside a dispatched batch.
 
     ``outcome`` is set for pipeline short-circuits (and, inline, after
-    the loop-side decode); dispatched receptions carry their group and
-    slot instead and resolve when the group's future lands.
+    the loop-side decode); a dispatched reception keeps ``None`` and
+    takes the next outcome of its batch's dispatch, in schedule order.
     """
 
     session: TagSession
     stage_s: float
     enqueued_t: float
     outcome: PacketOutcome | None
-    group: int = -1
-    slot: int = -1
 
 
 @dataclass
@@ -217,7 +221,7 @@ class _PendingBatch:
     """A dispatched batch travelling through the reordering buffer."""
 
     entries: list[_BatchEntry]
-    groups: list[_GroupDispatch]
+    dispatch: _Dispatch | None
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor, *, force: bool) -> None:
@@ -234,7 +238,7 @@ def _shutdown_pool(pool: ProcessPoolExecutor, *, force: bool) -> None:
 def _mark_retrieved(future: asyncio.Future) -> None:
     """Keep abandoned dispatch futures from warning at GC time.
 
-    A group resubmitted after a crash, or torn down mid-cancel, leaves
+    A batch resubmitted after a crash, or torn down mid-cancel, leaves
     its old future behind with an exception nobody will await.
     """
     if not future.cancelled():
@@ -482,37 +486,37 @@ class Gateway:
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.config.decode_workers)
 
-    def _submit_group(self, group: _GroupDispatch) -> None:
-        """Dispatch (or resubmit) one receiver-config group to the pool."""
+    def _submit_dispatch(self, dispatch: _Dispatch) -> None:
+        """Dispatch (or resubmit) one batch's receptions to the pool."""
         pool = self._decode_pool
         assert pool is not None
-        group.generation = self._pool_generation
+        dispatch.generation = self._pool_generation
         loop = asyncio.get_running_loop()
         try:
             future = loop.run_in_executor(
                 pool,
                 decode_worker_group,
-                group.payloads,
-                group.index,
-                group.name,
-                group.attempt,
+                dispatch.payloads,
+                dispatch.index,
+                dispatch.name,
+                dispatch.attempt,
             )
         except BrokenExecutor as exc:
-            # The pool broke under an earlier group before the
+            # The pool broke under an earlier batch before the
             # publisher could rebuild it.  Hand the breakage to the
             # publisher as a pre-failed future so the air loop keeps
             # staging and the normal crash-recovery path resubmits.
             future = loop.create_future()
             future.set_exception(BrokenExecutor(str(exc)))
         future.add_done_callback(_mark_retrieved)
-        group.future = future
+        dispatch.future = future
 
     async def _recover_pool(self, *, force: bool, generation: int) -> None:
-        """Replace a crashed/hung pool once, however many groups failed.
+        """Replace a crashed/hung pool once, however many batches failed.
 
         A worker crash breaks every in-flight future of the pool at
         once; the generation stamp makes sure only the first failing
-        group pays for the rebuild and later ones just resubmit.  The
+        batch pays for the rebuild and later ones just resubmit.  The
         new pool goes up before the old one is torn down so the air
         loop can keep dispatching while stuck workers are terminated
         off-loop.
@@ -525,21 +529,21 @@ class Gateway:
         self._decode_pool = self._new_pool()
         await asyncio.to_thread(_shutdown_pool, old, force=force)
 
-    async def _await_group(self, group: _GroupDispatch) -> list[PacketOutcome]:
-        """Await one group's outcomes, replacing dead workers.
+    async def _await_dispatch(self, dispatch: _Dispatch) -> list[PacketOutcome]:
+        """Await one batch's outcomes, replacing dead workers.
 
         Crashes surface as :class:`BrokenExecutor`, hangs as a timeout
         (``decode_timeout_s``), and a pool replaced by a sibling
-        group's recovery as a cancelled future.  Each failure mode
+        batch's recovery as a cancelled future.  Each failure mode
         resubmits the identical payloads with a bumped attempt, so the
         ``decode`` fault site's attempt gate releases the retry and
         the decoded bits are identical to an undisturbed run.
         """
         cfg = self.config
         while True:
-            assert group.future is not None
+            assert dispatch.future is not None
             try:
-                return await asyncio.wait_for(group.future, cfg.decode_timeout_s)
+                return await asyncio.wait_for(dispatch.future, cfg.decode_timeout_s)
             except asyncio.TimeoutError:
                 self.stats.n_decode_timeouts += 1
                 perf.count("gateway.decode.timeouts")
@@ -549,19 +553,19 @@ class Gateway:
                 perf.count("gateway.decode.crashes")
                 failure, force = "crashed", False
             except asyncio.CancelledError:
-                if not group.future.cancelled():
+                if not dispatch.future.cancelled():
                     raise  # the gateway itself is being cancelled
                 failure, force = "cancelled with its pool", False
-            if group.attempt > cfg.decode_retries:
+            if dispatch.attempt > cfg.decode_retries:
                 raise RuntimeError(
-                    f"decode group {group.index} ({group.name}) {failure} on "
-                    f"attempt {group.attempt}; retry budget exhausted"
+                    f"decode batch {dispatch.index} ({dispatch.name}) {failure} "
+                    f"on attempt {dispatch.attempt}; retry budget exhausted"
                 )
-            await self._recover_pool(force=force, generation=group.generation)
-            group.attempt += 1
+            await self._recover_pool(force=force, generation=dispatch.generation)
+            dispatch.attempt += 1
             self.stats.n_decode_retries += 1
             perf.count("gateway.decode.retries")
-            self._submit_group(group)
+            self._submit_dispatch(dispatch)
 
     def _teardown_pool(self) -> None:
         pool = self._decode_pool
@@ -588,62 +592,46 @@ class Gateway:
         Ready outcomes (pipeline short-circuits such as identification
         misses) ride in the same batch behind queued receptions so
         events always publish in schedule order, whatever
-        ``decode_batch`` or the worker count is.  With a pool,
-        receptions are grouped by receiver config — each group is one
-        executor hop to a worker — and the loop returns to
-        staging while they decode; inline, the grouped decode runs
-        here as before.
+        ``decode_batch`` or the worker count is.  With a pool, the
+        batch's receptions cross to a worker in one executor hop and
+        the loop returns to staging while they decode; inline, they
+        decode here.
         """
         if not pending:
             return
-        entries: list[_BatchEntry] = []
-        receptions: list[tuple[_BatchEntry, PendingReception]] = []
-        for session, stage_s, enqueued_t, staged in pending:
-            entry = _BatchEntry(
+        entries = [
+            _BatchEntry(
                 session=session,
                 stage_s=stage_s,
                 enqueued_t=enqueued_t,
                 outcome=staged if isinstance(staged, PacketOutcome) else None,
             )
-            entries.append(entry)
-            if isinstance(staged, PendingReception):
-                receptions.append((entry, staged))
-        groups: list[_GroupDispatch] = []
+            for session, stage_s, enqueued_t, staged in pending
+        ]
+        receptions = [
+            staged for *_, staged in pending if isinstance(staged, PendingReception)
+        ]
+        dispatch: _Dispatch | None = None
         if receptions and self._decode_pool is None:
             # Decoding inline (not in an executor) keeps the unsharded
             # gateway single-tasked; per-packet kernel cost is
             # ~0.1-3 ms and the loopwatch sanitizer bounds the worst
             # case at runtime.
-            outcomes = decode_pending_many(  # reproasync: disable=C001
-                [staged for _, staged in receptions]
-            )
-            for (entry, _), outcome in zip(receptions, outcomes):
-                entry.outcome = outcome
+            decoded = iter(decode_pending_many(receptions))  # reproasync: disable=C001
+            for entry in entries:
+                if entry.outcome is None:
+                    entry.outcome = next(decoded)
         elif receptions:
-            by_key: dict[object, int] = {}
-            for entry, staged in receptions:
-                key = staged._decode_key()
-                index = by_key.get(key)
-                if index is None:
-                    index = len(groups)
-                    by_key[key] = index
-                    groups.append(
-                        _GroupDispatch(
-                            payloads=[],
-                            index=self._dispatch_counter,
-                            name=staged.protocol.name,
-                            generation=self._pool_generation,
-                        )
-                    )
-                    self._dispatch_counter += 1
-                group = groups[index]
-                entry.group = index
-                entry.slot = len(group.payloads)
-                group.payloads.append(pending_to_payload(staged))
-            for group in groups:
-                self._submit_group(group)
+            names = dict.fromkeys(staged.protocol.name for staged in receptions)
+            dispatch = _Dispatch(
+                payloads=[pending_to_payload(staged) for staged in receptions],
+                index=self._dispatch_counter,
+                name=",".join(names),
+            )
+            self._dispatch_counter += 1
+            self._submit_dispatch(dispatch)
         pending.clear()
-        await self._enqueue_batch(_PendingBatch(entries=entries, groups=groups))
+        await self._enqueue_batch(_PendingBatch(entries=entries, dispatch=dispatch))
 
     async def _enqueue_batch(self, batch: _PendingBatch | None) -> None:
         """Queue a batch for the publisher, surfacing its death.
@@ -686,8 +674,8 @@ class Gateway:
 
         Batches arrive in dispatch (= schedule) order on the bounded
         queue; within a batch, entries are already in schedule order
-        and groups resolve out of order on the pool — awaiting them
-        batch-by-batch restores the global order before any event
+        and dispatches resolve out of order on the pool — awaiting them
+        batch by batch restores the global order before any event
         reaches the hub.  A ``None`` sentinel ends the stream.
         """
         queue = self._publish_queue
@@ -696,13 +684,14 @@ class Gateway:
             batch = await queue.get()
             if batch is None:
                 return
-            resolved = [await self._await_group(group) for group in batch.groups]
+            decoded: list[PacketOutcome] = []
+            if batch.dispatch is not None:
+                decoded = await self._await_dispatch(batch.dispatch)
+            next_decoded = iter(decoded)
             for entry in batch.entries:
-                if entry.group >= 0:
-                    outcome = resolved[entry.group][entry.slot]
-                else:
-                    assert entry.outcome is not None
-                    outcome = entry.outcome
+                outcome = entry.outcome
+                if outcome is None:
+                    outcome = next(next_decoded)
                 latency_s = entry.stage_s + (perf_counter() - entry.enqueued_t)
                 await self._publish_outcome(entry.session, outcome, latency_s)
 

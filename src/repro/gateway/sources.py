@@ -15,6 +15,7 @@ would at speed.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import AsyncIterator, Sequence
 
 import numpy as np
@@ -37,10 +38,12 @@ class AsyncExcitationSource:
         time_scale: float = 0.0,
         max_packets: int | None = None,
     ) -> None:
-        if time_scale < 0:
-            raise ValueError("time_scale must be >= 0")
-        if duration_s < 0:
-            raise ValueError("duration_s must be >= 0")
+        if not (math.isfinite(time_scale) and time_scale >= 0):
+            raise ValueError("time_scale must be finite and >= 0")
+        if not (math.isfinite(duration_s) and duration_s >= 0):
+            raise ValueError("duration_s must be finite and >= 0")
+        if max_packets is not None and max_packets < 0:
+            raise ValueError("max_packets must be >= 0")
         self.time_scale = time_scale
         # The schedule is rendered eagerly so the packet sequence is a
         # pure function of (sources, duration, rng) -- identical to

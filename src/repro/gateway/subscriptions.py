@@ -165,7 +165,7 @@ class SubscriptionHub:
     ) -> None:
         if default_maxlen < 1:
             raise ValueError("default_maxlen must be >= 1")
-        if stall_timeout_s <= 0:
+        if not stall_timeout_s > 0:
             raise ValueError("stall_timeout_s must be positive")
         self.default_maxlen = default_maxlen
         self.stall_timeout_s = stall_timeout_s

@@ -25,12 +25,13 @@ Spec grammar (semicolon-separated entries)::
 Keys:
 
 ``site``      required; one of ``save``, ``gateway``, ``decode``
-``index``     integer; fire only at this index (the dispatch counter
-              for ``decode`` sites)
+``index``     integer; fire only at this index (the batch dispatch
+              counter for ``decode`` sites)
 ``name``      substring matched against the site name (e.g. the
-              artifact path for ``save`` sites)
+              artifact path for ``save`` sites, or a decode hop's
+              protocol label such as ``WIFI_N,BLE,ZIGBEE``)
 ``attempts``  fire only while ``attempt <= attempts`` (default 1), so
-              a resubmitted decode group succeeds once the budget is
+              a resubmitted decode batch succeeds once the budget is
               spent
 ``hang_s``    sleep duration for ``hang`` faults, in seconds
 
@@ -38,6 +39,7 @@ Examples::
 
     REPRO_FAULTS="kill:site=decode,index=1,attempts=1"
     REPRO_FAULTS="hang:site=decode,index=0,attempts=1,hang_s=60"
+    REPRO_FAULTS="kill:site=decode,name=ZIGBEE"
     REPRO_FAULTS="kill:site=save,name=fig15_occlusion"
 
 Instrumented code calls :func:`check` at each site; with the
@@ -79,8 +81,9 @@ ENV_VAR = "REPRO_FAULTS"
 #: ``tag:<tag_id>`` and ``subscriber:<name>``.  ``decode`` sites run
 #: inside the gateway's decode worker pool
 #: (:func:`repro.sim.pipeline.decode_worker_group`): ``kill`` models a
-#: crashed decode worker, ``hang`` a stuck one; ``index`` is the
-#: dispatch counter and ``name`` the receiver-group label.
+#: crashed decode worker, ``hang`` a stuck one; ``index`` is the batch
+#: dispatch counter and ``name`` the hop's protocol label (the
+#: protocols of its receptions in first-seen order, joined by commas).
 SITES = ("save", "gateway", "decode")
 
 #: Supported fault actions.

@@ -22,9 +22,8 @@ decoder, calibrated link) is hoisted behind
 :mod:`repro.core.wavecache`: the monolith rebuilt this per-protocol
 receiver/template set on every call, which the gateway hot loop cannot
 afford.  The decode stage runs the scalar receive chain on each
-pending reception (through ``demodulate_batch``, which loops over
-``demodulate``), so deferring receptions into groups never changes a
-decoded bit.
+pending reception in input order, so deferring receptions into a batch
+never changes a decoded bit.
 """
 
 from __future__ import annotations
@@ -143,10 +142,6 @@ class PendingReception:
     productive: np.ndarray
     receivers: ReceiverSet
 
-    def _decode_key(self) -> tuple[OverlayConfig, float]:
-        cfg = self.receivers.codec.config
-        return (cfg, self.receivers.modulator.frequency_shift_hz)
-
 
 @dataclass
 class DecodePayload:
@@ -155,8 +150,8 @@ class DecodePayload:
     Carries the reception's data plus the *key* of its receiver set
     (overlay config and frequency shift) instead of the constructed
     :class:`ReceiverSet`: the worker rebuilds the receivers through
-    :func:`receiver_set`, so the first group a worker process sees
-    warms its own wavecache and every later group hits it.  All fields
+    :func:`receiver_set`, so the first batch a worker process sees
+    warms its own wavecache and every later batch hits it.  All fields
     are plain dataclasses/arrays, so the payload crosses the process
     boundary without dragging decoder state along.
     """
@@ -173,7 +168,6 @@ class DecodePayload:
 
 def pending_to_payload(pending: PendingReception) -> DecodePayload:
     """Strip a pending reception down to its picklable decode inputs."""
-    config, shift = pending._decode_key()
     return DecodePayload(
         protocol=pending.protocol,
         start_s=pending.start_s,
@@ -181,8 +175,8 @@ def pending_to_payload(pending: PendingReception) -> DecodePayload:
         received=pending.received,
         reaction=pending.reaction,
         productive=pending.productive,
-        config=config,
-        frequency_shift_hz=shift,
+        config=pending.receivers.codec.config,
+        frequency_shift_hz=pending.receivers.modulator.frequency_shift_hz,
     )
 
 
@@ -356,14 +350,8 @@ class AirlinkPipeline:
         )
 
     def decode(self, pending: PendingReception) -> PacketOutcome:
-        """Decode one pending reception (a group of one)."""
-        return self.decode_many([pending])[0]
-
-    def decode_many(
-        self, pendings: list[PendingReception]
-    ) -> list[PacketOutcome]:
-        """Decode pending receptions; see :func:`decode_pending_many`."""
-        return decode_pending_many(pendings)
+        """Decode one pending reception; see :func:`decode_pending_many`."""
+        return decode_pending_many([pending])[0]
 
     # -- the whole loop for one packet ----------------------------------
     def process(
@@ -386,43 +374,35 @@ class AirlinkPipeline:
 
 
 def decode_pending_many(pendings: list[PendingReception]) -> list[PacketOutcome]:
-    """Decode pending receptions, one packet at a time.
+    """Decode pending receptions, one packet at a time, in input order.
 
     Module-level (tag-independent) so the gateway's decode pool can run
     it in worker processes: the decode stage reads only the reception
     and its receivers, never tag or pipeline state, and draws no RNG.
-    Receptions are grouped by (protocol, mode, shift) so each group
-    shares one receiver set; each group is one ``demodulate_batch``
-    call, which loops over the scalar receive chain.  Results come back
-    in input order and equal per-packet decodes.
+    Each reception is decoded by its own memoized receiver set.
     """
-    outcomes: list[PacketOutcome | None] = [None] * len(pendings)
-    groups: dict[tuple[OverlayConfig, float], list[int]] = {}
-    for i, pending in enumerate(pendings):
-        groups.setdefault(pending._decode_key(), []).append(i)
-    for idx in groups.values():
-        decoder = pendings[idx[0]].receivers.decoder
-        waves = [pendings[i].received for i in idx]
-        for i, values in zip(idx, decoder.symbol_values_batch(waves)):
-            outcomes[i] = AirlinkPipeline._outcome_from_decode(pendings[i], values)
-    return [o for o in outcomes if o is not None]
+    return [
+        AirlinkPipeline._outcome_from_decode(
+            p, p.receivers.decoder.symbol_values(p.received)
+        )
+        for p in pendings
+    ]
 
 
 def decode_worker_group(
     payloads: list[DecodePayload],
-    group_index: int,
-    group_name: str,
+    index: int,
+    name: str,
     attempt: int,
 ) -> list[PacketOutcome]:
-    """Decode one receiver-config group inside a pool worker.
+    """Decode one dispatched batch inside a pool worker.
 
-    This is the gateway's executor entry point: payloads in a group
-    share one (config, shift) key, so the whole group is decoded by one
-    memoized receiver set.  The ``decode`` fault site fires first so
-    tests can model a worker that crashes (``kill``) or wedges
-    (``hang``) mid-decode and prove the retry-in-pool recovery is
-    bit-identical.
+    This is the gateway's executor entry point, one call per batch.
+    The ``decode`` fault site fires first (``index`` is the batch's
+    dispatch counter, ``name`` its protocol label) so tests can model
+    a worker that crashes (``kill``) or wedges (``hang``) mid-decode
+    and prove the retry-in-pool recovery is bit-identical.
     """
-    faults.check("decode", index=group_index, name=group_name, attempt=attempt)
+    faults.check("decode", index=index, name=name, attempt=attempt)
     pendings = [payload_to_pending(p) for p in payloads]
     return decode_pending_many(pendings)

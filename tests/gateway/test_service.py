@@ -1,6 +1,7 @@
 """Gateway service: concurrency, liveness, determinism, drain."""
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from repro.gateway import (
     AsyncExcitationSource,
     Backpressure,
     ControlEvent,
+    ControlPlane,
     Gateway,
     GatewayConfig,
     PacketEvent,
+    SubscriptionHub,
 )
 from repro.phy.protocols import Protocol
 from repro.sim.traffic import ExcitationSource
@@ -196,6 +199,31 @@ class TestControlPlane:
             await gw.deregister_tag("dup")
 
         asyncio.run(run())
+
+
+class TestRangeChecks:
+    """NaN fails every range check; infinite timeouts stay legal."""
+
+    @pytest.mark.parametrize(
+        ("cls", "field"),
+        [
+            (ControlPlane, "keepalive_timeout_s"),
+            (SubscriptionHub, "stall_timeout_s"),
+            (GatewayConfig, "decode_timeout_s"),
+        ],
+    )
+    def test_nan_is_rejected(self, cls, field):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: math.nan})
+
+    def test_infinite_timeouts_are_accepted(self):
+        GatewayConfig(
+            keepalive_timeout_s=math.inf,
+            decode_timeout_s=math.inf,
+            drain_timeout_s=math.inf,
+        )
+        ControlPlane(keepalive_timeout_s=math.inf)
+        SubscriptionHub(stall_timeout_s=math.inf)
 
 
 class TestShutdown:

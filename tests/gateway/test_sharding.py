@@ -6,11 +6,12 @@ be byte-identical to the inline (``decode_workers=0``) gateway, which
 is itself byte-identical to the batch driver (see
 ``test_equivalence.py``).  This module proves that, plus the failure
 half of the contract: a killed or wedged decode worker is replaced and
-its groups re-decoded bit-identically, and a hard-cancelled serve
+its batches re-decoded bit-identically, and a hard-cancelled serve
 leaves no orphaned worker processes behind.
 """
 
 import asyncio
+import math
 import time
 
 import numpy as np
@@ -43,6 +44,17 @@ def _no_inherited_faults(monkeypatch):
 
 def serve_sharded(make_tag, *, decode_workers, decode_batch=4, **cfg_kwargs):
     """Gateway run over the equivalence schedule; returns (events, stats)."""
+    gw, events = serve_gateway(
+        make_tag,
+        decode_workers=decode_workers,
+        decode_batch=decode_batch,
+        **cfg_kwargs,
+    )
+    return events, gw.stats
+
+
+def serve_gateway(make_tag, *, decode_workers, decode_batch, **cfg_kwargs):
+    """:func:`serve_sharded`, returning the served gateway and its events."""
 
     async def run():
         source = AsyncExcitationSource(
@@ -72,9 +84,9 @@ def serve_sharded(make_tag, *, decode_workers, decode_batch=4, **cfg_kwargs):
                 pass
 
         task = asyncio.ensure_future(consume())
-        stats = await gw.serve(source)
+        await gw.serve(source)
         await task
-        return events, stats
+        return gw, events
 
     return asyncio.run(run())
 
@@ -96,7 +108,8 @@ class TestShardedByteIdentity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_multiscatter_mixed_schedule(self, workers):
         # The mixed schedule drives all four protocols through one tag,
-        # so every receiver config crosses the executor hop.
+        # so every receiver config crosses the executor hop, several
+        # protocols to a hop.
         inline = stream_events(MultiscatterTag, decode_batch=4)
         events, stats = serve_sharded(MultiscatterTag, decode_workers=workers)
         assert_same_outcomes(
@@ -131,8 +144,9 @@ class TestShardedByteIdentity:
         assert seqs == list(range(1, N_PACKETS + 1))
 
     def test_immediate_flush_batches_match_large_batches(self):
-        # decode_batch=1 dispatches singleton groups; grouping only sets
-        # how many packets share an executor hop, never order or values.
+        # decode_batch=1 dispatches one-packet hops; the batch size only
+        # sets how many packets share an executor hop, never order or
+        # values.
         singletons, _ = serve_sharded(
             MultiscatterTag, decode_workers=2, decode_batch=1
         )
@@ -145,14 +159,39 @@ class TestShardedByteIdentity:
         )
 
 
+class TestOneHopPerBatch:
+    """Receptions of every protocol share their batch's executor hop."""
+
+    @pytest.mark.parametrize("decode_batch", (4, 6))
+    def test_each_batch_crosses_to_the_pool_in_one_hop(self, decode_batch):
+        # The dispatch counter counts batches, not receiver configs.
+        gw, _ = serve_gateway(
+            MultiscatterTag, decode_workers=1, decode_batch=decode_batch
+        )
+        assert gw._dispatch_counter == math.ceil(
+            gw.stats.n_backscattered / decode_batch
+        )
+
+
 class TestDecodeFaultRecovery:
     """Killed/wedged workers are replaced; re-decode is bit-identical."""
 
-    def test_killed_worker_is_replaced_and_stream_is_identical(self):
+    # ``index`` matches the dispatch counter (the first batch), ``name``
+    # every hop whose protocol label lists a ZigBee reception.  Each
+    # crash fails every dispatch in flight on that pool, so under the
+    # name fault one dispatch can lose an attempt to each of the
+    # schedule's three hops: its budget is one retry per hop.
+    @pytest.mark.parametrize(
+        ("spec", "retries"),
+        [("kill:site=decode,index=0", 2), ("kill:site=decode,name=ZIGBEE", 3)],
+    )
+    def test_killed_worker_is_replaced_and_stream_is_identical(self, spec, retries):
         inline = stream_outcomes(MultiscatterTag, decode_batch=4)
-        faults.install("kill:site=decode,index=0")
+        faults.install(spec)
         try:
-            events, stats = serve_sharded(MultiscatterTag, decode_workers=2)
+            events, stats = serve_sharded(
+                MultiscatterTag, decode_workers=2, decode_retries=retries
+            )
         finally:
             faults.clear()
         assert stats.n_decode_worker_crashes >= 1

@@ -118,6 +118,17 @@ class TestServe:
             ("--tags", "-1", "--tags"),
             ("--subscribers", "-1", "--subscribers"),
             ("--rate", "-1", "--rate"),
+            ("--max-packets", "-1", "max_packets"),
+            # NaN fails every range check; schedule and rate must be
+            # finite (an infinite time scale would sleep forever).
+            ("--keepalive-timeout", "nan", "keepalive_timeout_s"),
+            ("--drain-timeout", "nan", "drain_timeout_s"),
+            ("--time-scale", "nan", "time_scale"),
+            ("--time-scale", "inf", "time_scale"),
+            ("--duration", "nan", "duration_s"),
+            ("--duration", "inf", "duration_s"),
+            ("--rate", "nan", "--rate"),
+            ("--rate", "inf", "--rate"),
         ],
     )
     def test_bad_gateway_setting_is_a_usage_error(self, capsys, flag, value, field):
