@@ -129,6 +129,12 @@ class OverlayCodec:
 
     def __init__(self, config: OverlayConfig) -> None:
         self.config = config
+        if config.protocol is Protocol.ZIGBEE:
+            #: Productive bit per PN symbol index, chip-distance
+            #: fallback included.
+            self._zigbee_bits = np.array(
+                [self.productive_bit_from_symbol(v) for v in range(16)], dtype=np.uint8
+            )
 
     # ------------------------------------------------------------------
     # layout
@@ -222,15 +228,6 @@ class OverlayCodec:
     # ------------------------------------------------------------------
     # decoding (single commodity receiver)
     # ------------------------------------------------------------------
-    def _values_differ(self, a, b) -> bool:
-        if self.config.protocol is Protocol.WIFI_N:
-            a = np.asarray(a)
-            b = np.asarray(b)
-            lo = a.size // 4
-            hi = a.size - a.size // 4
-            return float(np.mean(a[lo:hi] != b[lo:hi])) > 0.25
-        return int(a) != int(b)
-
     def decode_symbols(self, symbol_values: list) -> tuple[np.ndarray, np.ndarray]:
         """Recover (productive_bits, tag_bits) from the receiver's
         per-symbol decisions.
@@ -239,23 +236,34 @@ class OverlayCodec:
         protocol's comparison domain (bits, PN indices, or 26-bit
         groups).  Tag bits are majority votes of "differs from the
         reference" across each gamma-group -- the XOR decoding of
-        §2.4 generalized to all four protocols.
+        §2.4 generalized to all four protocols.  802.11n compares the
+        middle half of each bit group (more than a quarter of it
+        differing is a flip).
         """
         cfg = self.config
         n_seq = self.n_sequences(len(symbol_values))
-        productive = np.zeros(n_seq, dtype=np.uint8)
-        tag = np.zeros(n_seq * cfg.tag_bits_per_sequence, dtype=np.uint8)
-        for s in range(n_seq):
-            ref = symbol_values[self.sequence_start(s)]
-            productive[s] = self.productive_bit_from_symbol(ref)
-            for j, group in enumerate(self.tag_symbol_groups(s)):
-                votes = [
-                    self._values_differ(symbol_values[idx], ref) for idx in group
-                ]
-                tag[s * cfg.tag_bits_per_sequence + j] = int(
-                    np.count_nonzero(votes) * 2 > len(votes)
-                )
-        return productive, tag
+        if n_seq == 0:
+            return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8)
+        first = self.first_sequence_symbol
+        seqs = np.asarray(symbol_values[first : first + n_seq * cfg.kappa])
+        seqs = seqs.reshape(n_seq, cfg.kappa, *seqs.shape[1:])
+        n_groups = cfg.tag_bits_per_sequence
+        ref = seqs[:, :1, None]  # (n_seq, 1, 1[, w]) against every group
+        groups = seqs[:, 1 : 1 + n_groups * cfg.gamma].reshape(
+            n_seq, n_groups, cfg.gamma, *seqs.shape[2:]
+        )
+        if cfg.protocol is Protocol.WIFI_N:
+            w = seqs.shape[-1]
+            mid = slice(w // 4, w - w // 4)
+            differ = (groups[..., mid] != ref[..., mid]).mean(axis=-1) > 0.25
+            productive = seqs[:, 0].mean(axis=-1) > 0.5
+        else:
+            differ = groups != ref
+            productive = seqs[:, 0]
+            if cfg.protocol is Protocol.ZIGBEE:
+                productive = self._zigbee_bits[productive]
+        tag = 2 * np.count_nonzero(differ, axis=-1) > cfg.gamma
+        return productive.astype(np.uint8), tag.astype(np.uint8).ravel()
 
     # ------------------------------------------------------------------
     # tag-side flip layout

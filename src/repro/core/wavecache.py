@@ -14,8 +14,8 @@ Two kinds of caches are tracked:
 * ``functools.lru_cache``-wrapped functions inside the PHY modules
   and the ADC (scrambler cycles, 802.11b packet heads, 802.11n training
   fields, the ADC's anti-aliasing, BLE's receive and the resampler's
-  polyphase filter designs), registered here so :func:`cache_stats`
-  and :func:`clear_caches` cover them too.
+  polyphase filter designs, the channel shift's phasors), registered
+  here so :func:`cache_stats` and :func:`clear_caches` cover them too.
 
 Cache keys always include every input that shapes the cached value --
 ``(protocol, config fields, payload hash)`` for waveform-level caches
@@ -123,6 +123,7 @@ def _register_phy_caches() -> None:
         ("core.adc.antialias_design", adc._antialias_design),
         ("phy.ble.rx_filter", ble._rx_filter),
         ("phy.waveform.resample_taps", waveform._resample_taps),
+        ("phy.waveform.shift_phasor", waveform._shift_phasor),
         ("phy.bits.lfsr_cycle", bits._lfsr_cycle),
         ("phy.bits.ble_whiten_cycle", bits._ble_whiten_cycle),
         ("phy.wifi_b.cached_head", wifi_b._cached_head),

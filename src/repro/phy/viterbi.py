@@ -166,6 +166,10 @@ _BMTAB, _G12, _G34, _SRC, _BITS, _IDX_DC = _build_block_tables()
 #: ``_G34`` repeated along the candidate axis to all 16 candidates, so a
 #: chunk's block sums are one gather from each table.
 _G34_REP = np.repeat(_G34, 4, axis=2)
+#: ``_SRC`` as Python ints for the traceback walk, row ``d`` at ``16 * d``.
+_SRC_FLAT = _SRC.ravel().tolist()
+#: Flat offset of each destination's row in a block's (64, 16) candidates.
+_ROW_OFFSETS = np.arange(_N_STATES) * 16
 
 _SRC0 = _PREV[:, 0, 0]
 _BIT0 = _PREV[:, 0, 1]
@@ -175,6 +179,23 @@ _PACK0 = (_SRC0 << 1) | _BIT0
 _PACK1 = (_SRC1 << 1) | _BIT1
 _BM0 = _SRC0 * 2 + _BIT0  # bmtab columns via predecessor 0
 _BM1 = _SRC1 * 2 + _BIT1
+
+
+def _acs_blocks(
+    metrics: np.ndarray, block_bm: np.ndarray, surv_blocks: np.ndarray, start: int
+) -> np.ndarray:
+    """Radix-16 add-compare-select over ``block_bm``'s blocks.
+
+    Block ``i``'s winning candidate per destination goes to
+    ``surv_blocks[start + i]`` (first ``argmin``, the serial tie rule);
+    returns the path metrics after the last block.
+    """
+    for nblk, bm in enumerate(block_bm, start=start):
+        cand = metrics.take(_SRC)
+        cand += bm
+        cidx = cand.argmin(axis=1, out=surv_blocks[nblk])
+        metrics = cand.take(cidx + _ROW_OFFSETS)
+    return metrics
 
 
 @contracts.shapes("64 ; nblk,64 ; rem,64")
@@ -190,13 +211,17 @@ def _traceback(
     state = int(np.argmin(metrics))
     decoded = np.empty(n_steps, dtype=np.uint8)
     for i in range(rem - 1, -1, -1):
-        packed = surv_tail[i, state]
+        packed = int(surv_tail[i, state])
         decoded[n_blocks * _K + i] = packed & 1
-        state = int(packed >> 1)
+        state = packed >> 1
+    # The walk is serial, so it runs on Python ints; each block's bits
+    # are fixed by its end state and written in one gather afterwards.
+    survivor = surv_blocks.ravel().item
+    path = []
     for nblk in range(n_blocks - 1, -1, -1):
-        c = int(surv_blocks[nblk, state])
-        decoded[nblk * _K : (nblk + 1) * _K] = _BITS[state]
-        state = int(_SRC[state, c])
+        path.append(state)
+        state = _SRC_FLAT[16 * state + survivor(nblk * _N_STATES + state)]
+    decoded[: n_blocks * _K] = _BITS[path[::-1]].ravel()
     return decoded[:n_info]
 
 
@@ -229,18 +254,13 @@ def decode(coded: np.ndarray | list[int], *, n_info: int | None = None) -> BitAr
     metrics = np.full(_N_STATES, 1 << 28, dtype=np.int32)
     metrics[0] = 0
     surv_blocks = np.empty((n_blocks, _N_STATES), dtype=np.intp)
-    states = np.arange(_N_STATES)
 
     pt = ptype[: n_blocks * _K].reshape(n_blocks, _K)
     i12 = pt[:, 0] * 9 + pt[:, 1]
     i34 = pt[:, 2] * 9 + pt[:, 3]
     for c0 in range(0, n_blocks, _CHUNK):
         block_bm = _G12[i12[c0 : c0 + _CHUNK]] + _G34_REP[i34[c0 : c0 + _CHUNK]]
-        for nblk, bm in enumerate(block_bm, start=c0):
-            cand = metrics[_SRC] + bm
-            cidx = cand.argmin(axis=1)
-            surv_blocks[nblk] = cidx
-            metrics = cand[states, cidx]
+        metrics = _acs_blocks(metrics, block_bm, surv_blocks, c0)
 
     surv_tail = np.empty((rem, _N_STATES), dtype=np.int64)
     for i in range(rem):
@@ -291,7 +311,6 @@ def decode_soft(llrs: np.ndarray, *, n_info: int | None = None) -> BitArray:
     metrics = np.full(_N_STATES, 1e18)
     metrics[0] = 0.0
     surv_blocks = np.empty((n_blocks, _N_STATES), dtype=np.intp)
-    states = np.arange(_N_STATES)
 
     if n_blocks:
         steps = bm_all[: n_blocks * _K].reshape(n_blocks, _K, 2 * _N_STATES)
@@ -310,11 +329,7 @@ def decode_soft(llrs: np.ndarray, *, n_info: int | None = None) -> BitArray:
                 ).reshape(nb, _N_STATES, 4, 1, 1)
             ).reshape(nb, _N_STATES, 8, 1)
         ).reshape(nb, _N_STATES, 16)
-        for nblk in range(n_blocks):
-            cand = metrics[_SRC] + block_bm[nblk]
-            cidx = cand.argmin(axis=1)
-            surv_blocks[nblk] = cidx
-            metrics = cand[states, cidx]
+        metrics = _acs_blocks(metrics, block_bm, surv_blocks, 0)
 
     surv_tail = np.empty((rem, _N_STATES), dtype=np.int64)
     for i in range(rem):

@@ -35,6 +35,24 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     return taps
 
 
+#: Length, in samples, from which NumPy elides the ``np.exp`` temporary
+#: of ``iq * np.exp(...)`` (its 256 KiB threshold over 16-byte samples)
+#: and evaluates ``exp * iq`` in place.  The two operand orders can
+#: round the imaginary part differently.
+_ELIDE_SAMPLES = 16384
+
+
+@lru_cache(maxsize=16)
+def _shift_phasor(shift_hz: Hertz, sample_rate: Hertz, n: Samples) -> np.ndarray:
+    """``exp(j 2 pi shift t)`` over ``n`` samples at ``sample_rate``.
+
+    Read-only: every caller multiplies it into a new array.
+    """
+    phasor = np.exp(2j * np.pi * shift_hz * (np.arange(n) / sample_rate))
+    phasor.flags.writeable = False
+    return phasor
+
+
 @dataclass
 class Waveform:
     """Complex-baseband samples plus metadata.
@@ -79,10 +97,6 @@ class Waveform:
         """Length in seconds."""
         return self.iq.size / self.sample_rate
 
-    def times(self) -> FloatArray:
-        """Per-sample timestamps in seconds."""
-        return np.arange(self.iq.size) / self.sample_rate
-
     def mean_power(self) -> float:
         """Mean |iq|^2 (linear power, carrier-normalized units)."""
         if not self.iq.size:
@@ -105,9 +119,18 @@ class Waveform:
         return self.scaled(10.0 ** (gain_db / 20.0))
 
     def frequency_shifted(self, shift_hz: Hertz) -> "Waveform":
-        """Mix by ``exp(j 2 pi shift t)`` and track the channel offset."""
-        t = self.times()
-        iq = self.iq * np.exp(2j * np.pi * shift_hz * t)
+        """Mix by ``exp(j 2 pi shift t)`` and track the channel offset.
+
+        The phasor is memoized per ``(shift, rate, length)``: a tag's
+        fixed channel shift repeats on every packet of a carrier.  The
+        product keeps the operand order of an inline ``np.exp``, whose
+        temporary NumPy elides from :data:`_ELIDE_SAMPLES` on.
+        """
+        phasor = _shift_phasor(shift_hz, self.sample_rate, self.iq.size)
+        if self.iq.size < _ELIDE_SAMPLES:
+            iq = self.iq * phasor
+        else:
+            iq = phasor * self.iq
         return replace(
             self,
             iq=iq,

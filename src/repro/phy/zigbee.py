@@ -69,6 +69,14 @@ def _build_pn_table() -> np.ndarray:
 PN_TABLE = _build_pn_table()
 _PN_BIPOLAR = 2.0 * PN_TABLE.astype(float) - 1.0
 
+#: Per-chip projection axis: I chips live on the real axis, Q chips on
+#: the imaginary axis.  ``_PICK`` selects exactly those parts from a
+#: symbol's complex chips viewed as float64 (re, im) pairs, and
+#: ``_IDEAL_CONJ[s]`` is the conjugate of PN symbol ``s``'s ideal chips.
+_Q_AXIS = np.resize(np.array([1.0, 1j], dtype=np.complex128), CHIPS_PER_SYMBOL)
+_PICK = 2 * np.arange(CHIPS_PER_SYMBOL) + np.arange(CHIPS_PER_SYMBOL) % 2
+_IDEAL_CONJ = np.conj(_PN_BIPOLAR * _Q_AXIS)
+
 #: SFD value 0xA7 -> symbols [7, 0xA] (low nibble first).
 _SFD_SYMBOLS = (0x7, 0xA)
 
@@ -283,9 +291,6 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
     n_payload = ann["n_payload_symbols"]
     n_symbols = n_header + n_payload
     z = _chip_matched_outputs(wave, n_symbols * CHIPS_PER_SYMBOL)
-    # Per-chip projection axis: I chips live on the real axis, Q chips
-    # on the imaginary axis.
-    q_axis = np.resize(np.array([1.0, 1j], dtype=np.complex128), CHIPS_PER_SYMBOL)
 
     # Decision-directed phase tracking: residual CFO/phase noise is
     # re-estimated from each decided symbol (a one-shot derotation is
@@ -296,20 +301,18 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
     for k in range(n_symbols):
         zk = z[k * CHIPS_PER_SYMBOL : (k + 1) * CHIPS_PER_SYMBOL]
         rotated = zk * np.exp(-1j * phase)
-        seg = np.where(
-            np.arange(CHIPS_PER_SYMBOL) % 2 == 0, rotated.real, rotated.imag
-        )
+        seg = rotated.view(np.float64)[_PICK]
         scores = _PN_BIPOLAR @ seg
         best = int(np.argmax(scores))
         symbols[k] = best
-        norm = np.linalg.norm(seg) * np.sqrt(CHIPS_PER_SYMBOL)
+        # What np.linalg.norm computes for a real vector.
+        norm = np.sqrt(seg.dot(seg)) * np.sqrt(CHIPS_PER_SYMBOL)
         corrs[k] = scores[best] / norm if norm > 1e-12 else 0.0
         # Residual phase of this symbol relative to its decision: the
         # ideal rotated outputs are (+-1) on I chips and (+-j) on Q
         # chips, so projecting onto the decided chips re-centers them
         # on the real axis.
-        ideal = _PN_BIPOLAR[best] * q_axis
-        residual = np.sum(rotated * np.conj(ideal))
+        residual = np.sum(rotated * _IDEAL_CONJ[best])
         if abs(residual) > 1e-12:
             phase += 0.5 * float(np.angle(residual))
 

@@ -131,14 +131,15 @@ class PendingReception:
 
     Splitting the decode stage off lets the gateway defer several
     pending receptions and decode them together (inline or on a decode
-    worker) without perturbing any earlier RNG draw.
+    worker) without perturbing any earlier RNG draw.  Of the tag's
+    :class:`TagReaction` the decode needs only the tag bits it sent.
     """
 
     protocol: Protocol
     start_s: float
     identified: Protocol | None
     received: Waveform
-    reaction: TagReaction
+    tag_bits_sent: np.ndarray
     productive: np.ndarray
     receivers: ReceiverSet
 
@@ -153,14 +154,15 @@ class DecodePayload:
     :func:`receiver_set`, so the first batch a worker process sees
     warms its own wavecache and every later batch hits it.  All fields
     are plain dataclasses/arrays, so the payload crosses the process
-    boundary without dragging decoder state along.
+    boundary without dragging decoder state along; the one waveform it
+    carries is the received one.
     """
 
     protocol: Protocol
     start_s: float
     identified: Protocol | None
     received: Waveform
-    reaction: TagReaction
+    tag_bits_sent: np.ndarray
     productive: np.ndarray
     config: OverlayConfig
     frequency_shift_hz: float
@@ -173,7 +175,7 @@ def pending_to_payload(pending: PendingReception) -> DecodePayload:
         start_s=pending.start_s,
         identified=pending.identified,
         received=pending.received,
-        reaction=pending.reaction,
+        tag_bits_sent=pending.tag_bits_sent,
         productive=pending.productive,
         config=pending.receivers.codec.config,
         frequency_shift_hz=pending.receivers.modulator.frequency_shift_hz,
@@ -192,7 +194,7 @@ def payload_to_pending(payload: DecodePayload) -> PendingReception:
         start_s=payload.start_s,
         identified=payload.identified,
         received=payload.received,
-        reaction=payload.reaction,
+        tag_bits_sent=payload.tag_bits_sent,
         productive=payload.productive,
         receivers=receiver_set(payload.config, payload.frequency_shift_hz),
     )
@@ -316,7 +318,7 @@ class AirlinkPipeline:
                 start_s=scheduled.start_s,
                 identified=reaction.identified,
                 received=received,
-                reaction=reaction,
+                tag_bits_sent=reaction.tag_bits_sent,
                 productive=productive,
                 receivers=receivers,
             ),
@@ -330,7 +332,7 @@ class AirlinkPipeline:
     ) -> PacketOutcome:
         codec = pending.receivers.codec
         productive_bits, tag_bits = codec.decode_symbols(symbol_values)
-        sent = pending.reaction.tag_bits_sent
+        sent = pending.tag_bits_sent
         got_tag = tag_bits[: sent.size]
         tag_correct = int(np.count_nonzero(got_tag == sent)) if sent.size else 0
         got_prod = productive_bits[:N_PRODUCTIVE_BITS]

@@ -66,6 +66,7 @@ class TestRegistry:
         assert "core.adc.antialias_design" in stats
         assert "phy.ble.rx_filter" in stats
         assert "phy.waveform.resample_taps" in stats
+        assert "phy.waveform.shift_phasor" in stats
         for s in stats.values():
             assert set(s) == {"hits", "misses", "evictions", "size", "maxsize"}
 
@@ -95,6 +96,25 @@ class TestRegistry:
         assert wavecache.cache_stats()["phy.waveform.resample_taps"]["size"] == 2
         wavecache.clear_caches()
         assert wavecache.cache_stats()["phy.waveform.resample_taps"]["size"] == 0
+
+    def test_shift_phasor_is_made_once_per_key(self):
+        from repro.phy.waveform import Waveform, _shift_phasor
+
+        wavecache.clear_caches()
+        wave = Waveform(np.ones(8480, dtype=complex), 20e6)
+        for _ in range(3):
+            wave.frequency_shifted(10e6)
+        stats = wavecache.cache_stats()["phy.waveform.shift_phasor"]
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 2, 1)
+        assert stats["maxsize"] == 16
+        wave.frequency_shifted(-10e6)
+        assert wavecache.cache_stats()["phy.waveform.shift_phasor"]["size"] == 2
+        phasor = _shift_phasor(10e6, 20e6, 8480)
+        assert not phasor.flags.writeable
+        with pytest.raises(ValueError):
+            phasor[0] = 0.0
+        wavecache.clear_caches()
+        assert wavecache.cache_stats()["phy.waveform.shift_phasor"]["size"] == 0
 
     def test_clear_caches_empties_everything(self):
         reference_waveform(Protocol.ZIGBEE)

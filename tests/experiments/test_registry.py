@@ -3,11 +3,13 @@
 These pin the declarative-experiment contract: completeness of the
 catalog, a claim test in ``tests/paper/`` per experiment, the
 three-preset rule, quick-preset runnability with
-per-experiment structural assertions, artifact round-trip byte
-stability, lazy listing, and centralized bounds validation.
+per-experiment structural assertions, an absolute digest of every
+quick-preset artifact, artifact round-trip byte stability, lazy
+listing, and centralized bounds validation.
 """
 
 import ast
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +65,35 @@ _CHECKS = {
     "table3_power": lambda r: r["total_mw"] > 0,
     "table4_energy": lambda r: set(r["table"]) == set(Protocol),
     "table5_idpower": lambda r: r["reduction_factor"] > 100,
+}
+
+
+#: sha256 of each quick-preset artifact at the default seed, as saved
+#: (``to_json() + "\n"``).  A change here is a change in an
+#: experiment's numbers.  Computed with numpy 2.4.6 and scipy 1.17.1
+#: (``ci/constraints.txt``, installed on CI's Python 3.12 leg).  numpy
+#: >= 2.3 does not support Python 3.10, so CI's 3.10 leg runs an older,
+#: unpinned stack, and nobody has verified whether these digests hold
+#: there.  docs/PERFORMANCE.md ("Numeric stack") shows how to
+#: regenerate them.
+QUICK_SHA256 = {
+    "fig04_rectifier": "a0c8c62824f14b44249138a45a360eb07fc60908e0c57351ef6f7a453a7d339d",
+    "fig05_envelope_id": "eb3909cff8d67734dca80fcead9d41833b61f0399eaed61228741463d8df3ee2",
+    "fig07_ordered": "253d9da27b12a210e9b144fe65ab974640af00edd8a1a73a16b783bcaadac4ad",
+    "fig08_sampling": "0c413dddd4e0864b5182be362cf2d88ced64ad3c13b3323e361b2f64fc15d7f2",
+    "fig09_baseline_flaws": "7347fc2e52991af485a4534f33f6956ee0857d07d422f68bc65694f30ab5fbe7",
+    "fig12_tradeoffs": "fe07622efc94b1edff2b10c2501545253e25ca3829a8e59c90b4e943817d56a8",
+    "fig13_los": "198b04d7ac71c16721c02689b3660d8c59814c86cff34ad77a4746beef097306",
+    "fig14_nlos": "55fc23407c8fc53333860e567853a56f1769c70cc852f9c7d926c29002deedd8",
+    "fig15_occlusion": "d923e2ee242ccafafc564115fe12849d61ead85b172cc974f9723c844b656364",
+    "fig16_collisions": "18c0ec125e035c430b770133dd523557444cbf668e1a3e912a547eb428e72bff",
+    "fig17_refmod": "356db44c5e870bbe5d1935640899bfe142fba1ecb8589b958a08d245d23b8b3d",
+    "fig18_diversity": "249ab96a9d282fc46c508e8a6b2a1b0b631f8e5dd5717d032b5ee61b37dd4a43",
+    "validation_ber": "642581d92c8b71cd996748833d4796e3041e359194d3e31bb1b5685d7842f85c",
+    "table2_resources": "335c73c66ad7701495345b8ef680b9d6d88b506a1ec0f665679d5f1a71581469",
+    "table3_power": "2619faa049571a3e8a5b2d54ae0fcc605a0a0959f85d50ca8ec79e5726cd5c10",
+    "table4_energy": "f1b3fd5dedc3b74b1486ed72bd0c7aceed0229d7d9d8770a8105918cf101ad5b",
+    "table5_idpower": "b772cd6b1128079067c9e42867f1f5535e74fc7d2d814a1934e9f473e7f52309",
 }
 
 
@@ -126,6 +157,11 @@ class TestQuickRuns:
         restored = ExperimentResult.from_json(s1)
         assert restored.to_json() == s1
         assert restored.render() == quick_results[name].render()
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_artifact_digest(self, quick_results, name):
+        data = (quick_results[name].to_json() + "\n").encode()
+        assert hashlib.sha256(data).hexdigest() == QUICK_SHA256[name]
 
     @pytest.mark.parametrize(
         "name", ["fig12_tradeoffs", "fig15_occlusion", "table4_energy"]

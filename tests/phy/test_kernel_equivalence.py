@@ -6,8 +6,10 @@ integer/bit kernels (convolutional code, Viterbi, scramblers, DQPSK
 mappings) must be *byte-identical* to the references over randomized
 inputs, and so must the OFDM transmitters and receivers, which run a
 whole frame through one 2-D transform where the seed ran one 64-point
-transform per symbol, and the resampler, which filters I and Q as
-real rows with taps designed once; the batched correlator reorders
+transform per symbol, the resampler, which filters I and Q as real
+rows with taps designed once, the channel shift, which reuses a
+memoized phasor, the overlay vote, which is one array expression per
+packet, and the ZigBee phase tracker; the batched correlator reorders
 float accumulation (one GEMM instead of per-template GEMVs plus
 prefix-sum normalization), so its scores are checked to 1e-12 and its
 decisions exactly.
@@ -18,12 +20,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.channel.noise import awgn
+from repro.core import wavecache
 from repro.core.adc import Adc
 from repro.core.matching import score_capture
+from repro.core.overlay import OverlayCodec, OverlayConfig
 from repro.core.rectifier import ClampRectifier
 from repro.core.templates import TemplateBank, reference_waveform
 from repro.phy import bits as bitlib
-from repro.phy import convcode, viterbi, wifi_a, wifi_b, wifi_n
+from repro.phy import convcode, viterbi, wifi_a, wifi_b, wifi_n, zigbee
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.sim.traffic import random_packet
@@ -119,6 +124,21 @@ class TestViterbi:
             got = viterbi.decode_soft(llrs, n_info=n)
             want = ref.viterbi_decode_soft(llrs, n_info=n)
             assert np.array_equal(got, want), f"trial {trial}"
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_short_frames_byte_identical(self, n):
+        # Below 4 steps there is no radix-16 block, and every length
+        # that is not a multiple of 4 ends in per-step tail survivors.
+        rng = np.random.default_rng(100 + n)
+        for _ in range(8):
+            coded = ref.convcode_encode(rng.integers(0, 2, n).astype(np.uint8))
+            coded[rng.random(coded.size) < 0.1] ^= 1
+            coded[rng.random(coded.size) < 0.1] = convcode.ERASURE
+            assert np.array_equal(viterbi.decode(coded, n_info=n), ref.viterbi_decode(coded, n_info=n))
+            llrs = (2.0 * coded - 1.0) + rng.normal(0.0, 0.9, coded.size)
+            assert np.array_equal(
+                viterbi.decode_soft(llrs, n_info=n), ref.viterbi_decode_soft(llrs, n_info=n)
+            )
 
     def test_roundtrip_clean(self):
         rng = np.random.default_rng(5)
@@ -308,3 +328,106 @@ class TestResample:
         assert got.iq.tobytes() == want.iq.tobytes() == wave.iq.tobytes()
         assert got.annotations == want.annotations == wave.annotations
         assert got.annotations is not wave.annotations
+
+
+class TestChannelShift:
+    """``Waveform.frequency_shifted`` against the seed, which built its
+    phasor with a fresh ``np.exp`` per call and multiplied it inline."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 1856, 8448, 8480, 13828, 16383, 16384, 16385, 41625]
+    )
+    @pytest.mark.parametrize(
+        ("shift_hz", "rate_hz"),
+        # At +-fs/2 the phasor is +-1 and either operand order gives the
+        # same bytes; the other two shifts expose the order.
+        [(10e6, 20e6), (-10e6, 20e6), (1.37e6, 20e6), (-0.41e6, 8e6)],
+    )
+    def test_byte_identical_on_miss_and_hit(self, n, shift_hz, rate_hz):
+        rng = np.random.default_rng(n)
+        wave = Waveform(
+            rng.normal(size=n) + 1j * rng.normal(size=n),
+            rate_hz,
+            center_offset_hz=-3e6,
+            annotations={"protocol": Protocol.BLE},
+        )
+        want = ref.waveform_frequency_shifted(wave, shift_hz)
+        wavecache.clear_caches()
+        for _ in ("miss", "hit"):
+            got = wave.frequency_shifted(shift_hz)
+            assert got.iq.tobytes() == want.iq.tobytes()
+            assert got.center_offset_hz == want.center_offset_hz
+            assert got.annotations == want.annotations
+            assert got.annotations is not wave.annotations
+            got.iq[:] = 0.0  # a caller's edit must not reach the next result
+
+
+def _decision_stream(protocol, n, rng):
+    """``n`` random payload-symbol decisions in ``protocol``'s domain,
+    with runs near a reference so that votes go both ways."""
+    if protocol is Protocol.WIFI_N:
+        base = rng.integers(0, 2, 26).astype(np.uint8)
+        return [
+            np.where(rng.random(26) < rng.random() * 0.6, 1 - base, base).astype(np.uint8)
+            for _ in range(n)
+        ]
+    if protocol is Protocol.ZIGBEE:
+        # Mostly the two reference symbols, but any of the 16 can occur.
+        return [int(v) for v in rng.choice([0x0, 0x8, int(rng.integers(0, 16))], size=n)]
+    return [int(v) for v in rng.integers(0, 2, n)]
+
+
+class TestOverlayVotes:
+    """``OverlayCodec.decode_symbols`` against the seed's per-sequence,
+    per-group, per-symbol loops."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_random_streams_identical(self, protocol):
+        rng = np.random.default_rng(list(Protocol).index(protocol))
+        for trial in range(100):
+            gamma = int(rng.integers(1, 6))
+            kappa = gamma * (2 if trial % 2 else 4)
+            codec = OverlayCodec(OverlayConfig(protocol, kappa=kappa, gamma=gamma))
+            # From no whole sequence (n_seq = 0) up to six of them.
+            values = _decision_stream(protocol, int(rng.integers(0, 6 * kappa + 3)), rng)
+            got, want = codec.decode_symbols(values), ref.overlay_decode_symbols(codec, values)
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape), trial
+                assert g.tobytes() == w.tobytes(), trial
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_no_whole_sequence(self, protocol):
+        codec = OverlayCodec(OverlayConfig(protocol, kappa=4, gamma=2))
+        values = _decision_stream(protocol, 4, np.random.default_rng(0))
+        for n in (0, 3, 4):  # 802.11n also reserves payload symbol 0
+            got = codec.decode_symbols(values[:n])
+            want = ref.overlay_decode_symbols(codec, values[:n])
+            for g, w in zip(got, want):
+                assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
+
+    def test_zigbee_off_reference_symbols(self):
+        codec = OverlayCodec(OverlayConfig(Protocol.ZIGBEE, kappa=2, gamma=1))
+        values = [v for s in range(16) for v in (s, 0x8)]
+        got, want = codec.decode_symbols(values), ref.overlay_decode_symbols(codec, values)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestZigbeeDemodulate:
+    """``zigbee.demodulate`` against the seed's per-symbol tracker."""
+
+    def test_noisy_frames_with_cfo_identical(self):
+        rng = np.random.default_rng(41)
+        for trial in range(20):
+            payload = rng.integers(0, 256, int(rng.integers(1, 40))).astype(np.uint8)
+            clean = zigbee.modulate(payload.tobytes(), include_fcs=bool(trial % 2))
+            drifted = clean.frequency_shifted(float(rng.uniform(-20e3, 20e3)))
+            drifted.annotations = clean.annotations
+            noisy = awgn(drifted, snr_db=float(rng.uniform(-2.0, 15.0)), rng=rng)
+            for correct_cfo in (True, False):
+                got = zigbee.demodulate(noisy, correct_cfo=correct_cfo)
+                want = ref.zigbee_demodulate(noisy, correct_cfo=correct_cfo)
+                assert got.symbols.tobytes() == want.symbols.tobytes(), trial
+                assert got.correlations.tobytes() == want.correlations.tobytes(), trial
+                assert got.payload_bits.tobytes() == want.payload_bits.tobytes(), trial
+                assert (got.sfd_ok, got.fcs_ok) == (want.sfd_ok, want.fcs_ok), trial

@@ -668,3 +668,113 @@ def superimpose(
         sample_rate=scene_rate_hz,
         annotations=ann,
     )
+
+
+# ----------------------------------------------------------------------
+# Per-packet hot path: a fresh channel-shift phasor per call, and the
+# per-symbol overlay vote and ZigBee phase tracker
+# ----------------------------------------------------------------------
+def waveform_frequency_shifted(wave, shift_hz):
+    """Seed ``Waveform.frequency_shifted``: one ``np.exp`` per call,
+    multiplied inline so NumPy elides its temporary on long waveforms."""
+    from dataclasses import replace
+
+    t = np.arange(wave.iq.size) / wave.sample_rate
+    iq = wave.iq * np.exp(2j * np.pi * shift_hz * t)
+    return replace(
+        wave,
+        iq=iq,
+        center_offset_hz=wave.center_offset_hz + shift_hz,
+        annotations=dict(wave.annotations),
+    )
+
+
+def overlay_decode_symbols(codec, symbol_values):
+    """Seed ``OverlayCodec.decode_symbols``: one comparison per
+    modulatable symbol, one vote per gamma-group, in Python loops."""
+    from repro.phy.protocols import Protocol
+
+    def values_differ(a, b):
+        if codec.config.protocol is Protocol.WIFI_N:
+            a = np.asarray(a)
+            b = np.asarray(b)
+            lo = a.size // 4
+            hi = a.size - a.size // 4
+            return float(np.mean(a[lo:hi] != b[lo:hi])) > 0.25
+        return int(a) != int(b)
+
+    cfg = codec.config
+    n_seq = codec.n_sequences(len(symbol_values))
+    productive = np.zeros(n_seq, dtype=np.uint8)
+    tag = np.zeros(n_seq * cfg.tag_bits_per_sequence, dtype=np.uint8)
+    for s in range(n_seq):
+        ref = symbol_values[codec.sequence_start(s)]
+        productive[s] = codec.productive_bit_from_symbol(ref)
+        for j, group in enumerate(codec.tag_symbol_groups(s)):
+            votes = [values_differ(symbol_values[idx], ref) for idx in group]
+            tag[s * cfg.tag_bits_per_sequence + j] = int(
+                np.count_nonzero(votes) * 2 > len(votes)
+            )
+    return productive, tag
+
+
+def zigbee_demodulate(wave, *, correct_cfo=True):
+    """Seed ``zigbee.demodulate``: per symbol, the I/Q projection by
+    ``np.where``, ``np.linalg.norm`` and the ideal chips rebuilt; the
+    CFO derotation goes through the seed
+    :func:`waveform_frequency_shifted`."""
+    from repro.phy import bits as bitlib
+    from repro.phy import zigbee
+    from repro.phy.protocols import Protocol
+
+    n_chips_sym = zigbee.CHIPS_PER_SYMBOL
+    ann = wave.annotations
+    if ann.get("protocol") is not Protocol.ZIGBEE:
+        raise ValueError("waveform is not annotated as ZigBee")
+    if correct_cfo:
+        cfo = zigbee.estimate_cfo(wave)
+        if abs(cfo) > 0.5:
+            wave = waveform_frequency_shifted(wave, -cfo)
+            wave.annotations = ann
+    n_header = ann["n_header_symbols"]
+    n_payload = ann["n_payload_symbols"]
+    n_symbols = n_header + n_payload
+    z = zigbee._chip_matched_outputs(wave, n_symbols * n_chips_sym)
+    q_axis = np.resize(np.array([1.0, 1j], dtype=np.complex128), n_chips_sym)
+
+    symbols = np.empty(n_symbols, dtype=np.uint8)
+    corrs = np.empty(n_symbols)
+    phase = 0.0
+    for k in range(n_symbols):
+        zk = z[k * n_chips_sym : (k + 1) * n_chips_sym]
+        rotated = zk * np.exp(-1j * phase)
+        seg = np.where(np.arange(n_chips_sym) % 2 == 0, rotated.real, rotated.imag)
+        scores = zigbee._PN_BIPOLAR @ seg
+        best = int(np.argmax(scores))
+        symbols[k] = best
+        norm = np.linalg.norm(seg) * np.sqrt(n_chips_sym)
+        corrs[k] = scores[best] / norm if norm > 1e-12 else 0.0
+        ideal = zigbee._PN_BIPOLAR[best] * q_axis
+        residual = np.sum(rotated * np.conj(ideal))
+        if abs(residual) > 1e-12:
+            phase += 0.5 * float(np.angle(residual))
+
+    sfd_ok = bool(
+        n_header >= zigbee._N_PREAMBLE_SYMBOLS + 2
+        and tuple(symbols[zigbee._N_PREAMBLE_SYMBOLS : zigbee._N_PREAMBLE_SYMBOLS + 2])
+        == zigbee._SFD_SYMBOLS
+    )
+    payload_symbols = symbols[n_header:]
+    payload_bits = zigbee.bits_from_symbols(payload_symbols)
+    fcs_ok = None
+    if ann.get("has_fcs") and payload_bits.size >= 16:
+        body, fcs_rx = payload_bits[:-16], payload_bits[-16:]
+        fcs_ok = bool(np.array_equal(bitlib.crc16_ccitt(body), fcs_rx))
+        payload_bits = body
+    return zigbee.ZigbeeDecodeResult(
+        payload_bits=payload_bits,
+        symbols=payload_symbols,
+        correlations=corrs[n_header:],
+        sfd_ok=sfd_ok,
+        fcs_ok=fcs_ok,
+    )

@@ -1,12 +1,15 @@
 """Integration tests: the full waveform-level system loop."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.tag import MultiscatterTag, SingleProtocolTag
 from repro.phy.protocols import Protocol
 from repro.sim.airlink import run_airlink
-from repro.sim.traffic import ExcitationSchedule, ExcitationSource
+from repro.sim.pipeline import AirlinkPipeline, PendingReception, pending_to_payload
+from repro.sim.traffic import ExcitationSchedule, ExcitationSource, ScheduledPacket
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +90,25 @@ class TestSingleProtocolLoop:
         multi_sent = sum(o.tag_bits_sent for o in multi.outcomes)
         single_sent = sum(o.tag_bits_sent for o in single.outcomes)
         assert multi_sent > single_sent
+
+
+class TestDecodePayload:
+    def test_payload_carries_no_tag_waveform(self):
+        # The decode pool pickles one payload per reception: besides the
+        # received waveform it holds only the tag bits sent, the
+        # productive bits and the receiver key, not the tag's
+        # pre-channel waveform.
+        source = ExcitationSource(Protocol.WIFI_N)
+        scheduled = ScheduledPacket(Protocol.WIFI_N, 0.0, 1e-3, source)
+        tag_bits = np.random.default_rng(0).integers(0, 2, 4096).astype(np.uint8)
+        pipeline = AirlinkPipeline(MultiscatterTag())
+        for seed in range(8):
+            staged, cursor = pipeline.excite_and_react(
+                scheduled, tag_bits, 0, np.random.default_rng(seed)
+            )
+            if isinstance(staged, PendingReception):
+                break
+        assert isinstance(staged, PendingReception)
+        assert np.array_equal(staged.tag_bits_sent, tag_bits[:cursor])
+        payload = pending_to_payload(staged)
+        assert len(pickle.dumps(payload)) <= len(pickle.dumps(staged.received)) + 4096
