@@ -44,11 +44,6 @@ def occlusion_loss_db(material: Material) -> float:
     return _MATERIAL_TABLE[material][0]
 
 
-def occlusion_shadowing_std_db(material: Material) -> float:
-    """Shadowing standard deviation behind ``material``."""
-    return _MATERIAL_TABLE[material][1]
-
-
 @dataclass
 class OccludedChannel:
     """Per-packet channel state for a path crossing ``material``.

@@ -80,10 +80,6 @@ class RectifierOutput:
     def mean_v(self) -> Volts:
         return float(self.voltage.mean()) if self.voltage.size else 0.0
 
-    @property
-    def peak_v(self) -> Volts:
-        return float(self.voltage.max()) if self.voltage.size else 0.0
-
 
 def _instantaneous_freq(iq: np.ndarray, fs: float) -> FloatArray:
     """Instantaneous frequency in Hz from phase differences."""

@@ -70,12 +70,10 @@ _CHECKS = {
 
 #: sha256 of each quick-preset artifact at the default seed, as saved
 #: (``to_json() + "\n"``).  A change here is a change in an
-#: experiment's numbers.  Computed with numpy 2.4.6 and scipy 1.17.1
-#: (``ci/constraints.txt``, installed on CI's Python 3.12 leg).  numpy
-#: >= 2.3 does not support Python 3.10, so CI's 3.10 leg runs an older,
-#: unpinned stack, and nobody has verified whether these digests hold
-#: there.  docs/PERFORMANCE.md ("Numeric stack") shows how to
-#: regenerate them.
+#: experiment's numbers.  Computed on Python 3.11 with numpy 2.4.6 and
+#: scipy 1.17.1 (``ci/constraints.txt``, which both CI legs, Python 3.11
+#: and 3.12, install).  docs/PERFORMANCE.md ("Numeric stack") shows how
+#: to regenerate them.
 QUICK_SHA256 = {
     "fig04_rectifier": "a0c8c62824f14b44249138a45a360eb07fc60908e0c57351ef6f7a453a7d339d",
     "fig05_envelope_id": "eb3909cff8d67734dca80fcead9d41833b61f0399eaed61228741463d8df3ee2",

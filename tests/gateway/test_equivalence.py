@@ -62,10 +62,9 @@ def outcome_tuple(o):
 #: gateway publishes for the mixed schedule (``MultiscatterTag``,
 #: :data:`N_PACKETS` packets).  Holds at any ``decode_batch`` and
 #: ``decode_workers``; a change here is a change in the decoded bits.
-#: Computed with numpy 2.4.6 and scipy 1.17.1 (``ci/constraints.txt``,
-#: installed on CI's Python 3.12 leg).  numpy >= 2.3 does not support
-#: Python 3.10, so CI's 3.10 leg runs an older, unpinned stack, and
-#: nobody has verified whether this digest holds there.
+#: Computed on Python 3.11 with numpy 2.4.6 and scipy 1.17.1
+#: (``ci/constraints.txt``, which both CI legs, Python 3.11 and 3.12,
+#: install).
 MIXED_STREAM_SHA256 = "8131132e862f5a98e9c1b49c5e11f44583d3906cec77b7c5359ed5268961d5ff"
 
 

@@ -1,23 +1,17 @@
 """Self-tests for the shared analyzer scaffolding in tools/analysis_common.
 
-reprolint, reproflow, and reproshape all build on these primitives, so
-the semantics pinned here (pragma grammar, fingerprint identity,
-baseline file format, exit codes, --select parsing) are load-bearing
-for all three CLIs at once.
+All four analyzers build on these primitives, so the semantics pinned
+here (pragma grammar, the select/pragma filter, exit codes, --select
+parsing) are load-bearing for every CLI at once.
 """
-
-import dataclasses
-import json
-
-import pytest
 
 from tools.analysis_common import (
     EXIT_CLEAN,
     EXIT_ERROR,
     EXIT_FINDINGS,
     FILE_PRAGMA_MAX_LINE,
-    BaselineBase,
-    finding_fingerprint,
+    Finding,
+    filter_findings,
     is_code_suppressed,
     parse_select,
     parse_suppressions,
@@ -71,72 +65,17 @@ class TestIsCodeSuppressed:
         assert is_code_suppressed("X777", 1, {}, {"all"})
 
 
-class TestFingerprint:
-    def test_line_independent_and_stable(self):
-        a = finding_fingerprint("src/m.py", "X001", "m.f", "boom")
-        assert a == finding_fingerprint("src/m.py", "X001", "m.f", "boom")
-        assert len(a) == 16
-
-    def test_windows_paths_normalize(self):
-        assert finding_fingerprint(
-            "src\\m.py", "X001", "m.f", "boom"
-        ) == finding_fingerprint("src/m.py", "X001", "m.f", "boom")
-
-    def test_components_matter(self):
-        base = finding_fingerprint("src/m.py", "X001", "m.f", "boom")
-        assert base != finding_fingerprint("src/m.py", "X002", "m.f", "boom")
-        assert base != finding_fingerprint("src/m.py", "X001", "m.g", "boom")
-        assert base != finding_fingerprint("src/m.py", "X001", "m.f", "bust")
-
-
-@dataclasses.dataclass(frozen=True)
-class _Finding:
-    path: str
-    code: str
-    symbol: str
-    message: str
-
-    def fingerprint(self) -> str:
-        return finding_fingerprint(self.path, self.code, self.symbol, self.message)
-
-
-class _ToolBaseline(BaselineBase):
-    TOOL = "faketool"
-
-
-class TestBaselineBase:
-    F1 = _Finding("src/a.py", "X001", "a.f", "one")
-    F2 = _Finding("src/b.py", "X002", "b.g", "two")
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        _ToolBaseline.from_findings([self.F1, self.F2]).write(str(path))
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 1
-        assert len(doc["fingerprints"]) == 2
-        loaded = _ToolBaseline.load(str(path))
-        new, baselined = loaded.split([self.F1, self.F2])
-        assert new == [] and len(baselined) == 2
-
-    def test_split_keeps_unknown_findings(self):
-        baseline = _ToolBaseline.from_findings([self.F1])
-        new, baselined = baseline.split([self.F1, self.F2])
-        assert new == [self.F2]
-        assert baselined == [self.F1]
-
-    def test_format_is_tool_agnostic(self, tmp_path):
-        # Byte-compatibility promise: baselines written before the
-        # extraction (no "tool" field, or another tool's) still load.
-        path = tmp_path / "other.json"
-        path.write_text('{"version": 1, "fingerprints": {"abc": "src/a.py:X:f"}}')
-        loaded = _ToolBaseline.load(str(path))
-        assert loaded.fingerprints == {"abc": "src/a.py:X:f"}
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "vnext.json"
-        path.write_text('{"tool": "faketool", "version": 99, "fingerprints": {}}')
-        with pytest.raises(ValueError):
-            _ToolBaseline.load(str(path))
+class TestFilterFindings:
+    def test_select_pragmas_and_order(self):
+        late = Finding("src/a.py", 9, 0, "X001", "late")
+        silenced = Finding("src/a.py", 2, 0, "X001", "silenced")
+        unselected = Finding("src/a.py", 3, 0, "Y001", "unselected")
+        elsewhere = Finding("src/b.py", 1, 4, "X002", "no source, no pragmas")
+        sources = {"src/a.py": "\nx = 1  # mytool: disable=X001\n"}
+        kept = filter_findings(
+            [elsewhere, late, silenced, unselected], "mytool", sources, ("X",)
+        )
+        assert kept == [late, elsewhere]
 
 
 class TestCliHelpers:

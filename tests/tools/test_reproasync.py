@@ -3,21 +3,20 @@
 Mirrors the reproflow test layout: every C-rule gets known-bad
 fixtures (must fire) and known-good fixtures (must stay silent), the
 MacArbiter zero-draw proof gets a mutation test, plus pragma
-suppression, the baseline round-trip, the CLI contract, and the
-repo-wide self-check that ``src/repro`` analyzes clean with the
-determinism obligation proved.
+suppression, ``select``, and the repo-wide self-check that
+``src/repro`` analyzes clean with the determinism obligation proved.
+The CLI contract shared by all four analyzers is written once in
+``cli_contract.py``; ``TestCli`` binds it to reproasync.
 """
 
-import json
 import pathlib
-import subprocess
-import sys
 import textwrap
 
-from tools.reproasync import RULES, analyze_paths, build_report
-from tools.reproasync.model import Baseline
+from tools.reproasync import analyze_paths, build_report
 from tools.reproasync.taskgraph import build_async_graph
 from tools.reproflow.project import ProjectIndex
+
+from tests.tools import cli_contract
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -631,7 +630,7 @@ class TestTaskGraph:
 
 
 # ----------------------------------------------------------------------
-# suppression, baselines, CLI
+# suppression and select
 # ----------------------------------------------------------------------
 class TestSuppression:
     def test_line_pragma_silences(self, tmp_path):
@@ -680,67 +679,26 @@ class TestSuppression:
         assert _codes(tmp_path, src, select=("C002",)) == ["C002"]
 
 
-class TestBaseline:
-    def test_round_trip_suppresses_known_findings(self, tmp_path):
-        src = """\
-            import time
-
-            async def f():
-                time.sleep(1.0)
-        """
-        _write(tmp_path, src)
-        first = analyze_paths([str(tmp_path)])
-        assert len(first.findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).write(str(baseline_path))
-        second = analyze_paths(
-            [str(tmp_path)], baseline=Baseline.load(str(baseline_path))
-        )
-        assert second.findings == []
-        assert [f.code for f in second.baselined] == ["C001"]
-
-
+# ----------------------------------------------------------------------
+# CLI: exit codes and the JSON report
+# ----------------------------------------------------------------------
 class TestCli:
-    def _run(self, *argv: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "tools.reproasync", *argv],
-            capture_output=True,
-            text=True,
-            cwd=_REPO_ROOT,
-        )
+    tool = cli_contract.TOOLS["reproasync"]
 
     def test_findings_exit_1(self, tmp_path):
-        _write(tmp_path, "import time\n\nasync def f():\n    time.sleep(1)\n")
-        proc = self._run(str(tmp_path))
-        assert proc.returncode == 1
-        assert "C001" in proc.stdout
+        cli_contract.check_findings_exit_one(self.tool, tmp_path)
 
     def test_clean_exit_0(self, tmp_path):
-        _write(tmp_path, "import asyncio\n\nasync def f():\n    await asyncio.sleep(0)\n")
-        proc = self._run(str(tmp_path))
-        assert proc.returncode == 0
-        assert proc.stdout == ""
+        cli_contract.check_clean_exits_zero(self.tool, tmp_path)
 
     def test_json_report_shape(self, tmp_path):
-        _write(tmp_path, "import time\n\nasync def f():\n    time.sleep(1)\n")
-        proc = self._run(str(tmp_path), "--format", "json")
-        assert proc.returncode == 1
-        report = json.loads(proc.stdout)
-        assert report["tool"] == "reproasync"
-        assert report["summary"]["by_code"] == {"C001": 1}
-        assert "mod.f" in report["call_graph"]
-        assert report["call_graph"]["mod.f"]["is_async"] is True
+        cli_contract.check_json_report(self.tool, tmp_path)
 
     def test_list_rules(self):
-        proc = self._run("--list-rules")
-        assert proc.returncode == 0
-        for code in RULES:
-            assert code in proc.stdout
+        cli_contract.check_list_rules(self.tool)
 
     def test_parse_error_exit_2(self, tmp_path):
-        _write(tmp_path, "def broken(:\n")
-        proc = self._run(str(tmp_path))
-        assert proc.returncode == 2
+        cli_contract.check_parse_error_exits_two(self.tool, tmp_path)
 
 
 # ----------------------------------------------------------------------

@@ -2,24 +2,22 @@
 
 Mirrors the reprolint test layout: every shipped rule gets known-bad
 fixtures (must fire) and known-good fixtures (must stay silent), plus
-pragma suppression, the baseline round-trip, the CLI contract, the
-annotated call graph, and the repo-wide self-check that ``src/repro``
-analyzes clean.
+pragma suppression, ``select``, the annotated call graph, and the
+repo-wide self-check that ``src/repro`` analyzes clean.  The CLI
+contract shared by all four analyzers is written once in
+``cli_contract.py``; ``TestCli`` binds it to reproflow.
 """
 
-import json
 import pathlib
 import subprocess
-import sys
 import textwrap
 
-import pytest
-
-from tools.reproflow import RULES, analyze_paths, build_report
+from tools.reproflow import analyze_paths, build_report
 from tools.reproflow.bytecode import check_tracked_bytecode
-from tools.reproflow.model import Baseline, Finding
 from tools.reproflow.project import ProjectIndex, module_name_for
 from tools.reproflow.purity import reachable_functions, worker_roots
+
+from tests.tools import cli_contract
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -611,9 +609,9 @@ class TestPragmas:
 
 
 # ----------------------------------------------------------------------
-# select + baseline
+# select
 # ----------------------------------------------------------------------
-class TestSelectAndBaseline:
+class TestSelect:
     SRC = """\
         def f(window_us: float, duration_s: float, p_dbm: float, p_mw: float):
             a = window_us + duration_s
@@ -624,45 +622,6 @@ class TestSelectAndBaseline:
     def test_select_filters(self, tmp_path):
         assert _codes(tmp_path, self.SRC, select=("U002",)) == ["U002"]
         assert _codes(tmp_path, self.SRC, select=("U",)) == ["U001", "U002"]
-
-    def test_baseline_round_trip(self, tmp_path):
-        _write(tmp_path, self.SRC)
-        first = analyze_paths([str(tmp_path)], check_bytecode=False)
-        assert len(first.findings) == 2
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).write(str(baseline_path))
-        loaded = Baseline.load(str(baseline_path))
-        again = analyze_paths(
-            [str(tmp_path)], check_bytecode=False, baseline=loaded
-        )
-        assert again.findings == []
-        assert len(again.baselined) == 2
-
-    def test_fingerprint_survives_line_shift(self, tmp_path):
-        _write(tmp_path, self.SRC)
-        before = analyze_paths([str(tmp_path)], check_bytecode=False)
-        _write(tmp_path, "# a new leading comment\n" + textwrap.dedent(self.SRC))
-        after = analyze_paths([str(tmp_path)], check_bytecode=False)
-        assert {f.fingerprint() for f in before.findings} == {
-            f.fingerprint() for f in after.findings
-        }
-
-    def test_new_finding_not_baselined(self, tmp_path):
-        _write(tmp_path, self.SRC)
-        first = analyze_paths([str(tmp_path)], check_bytecode=False)
-        baseline = Baseline.from_findings(first.findings[:1])
-        again = analyze_paths(
-            [str(tmp_path)], check_bytecode=False, baseline=baseline
-        )
-        assert len(again.findings) == 1
-        assert len(again.baselined) == 1
-
-    def test_bad_baseline_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99}')
-        with pytest.raises(ValueError):
-            Baseline.load(str(path))
-
 
 # ----------------------------------------------------------------------
 # call graph / report
@@ -741,63 +700,25 @@ class TestCallGraph:
 
 
 # ----------------------------------------------------------------------
-# CLI contract
+# CLI: exit codes and the JSON report
 # ----------------------------------------------------------------------
 class TestCli:
-    def _run(self, *args, cwd=None):
-        return subprocess.run(
-            [sys.executable, "-m", "tools.reproflow", *args],
-            capture_output=True,
-            text=True,
-            cwd=cwd or _REPO_ROOT,
-        )
+    tool = cli_contract.TOOLS["reproflow"]
 
     def test_list_rules(self):
-        proc = self._run("--list-rules")
-        assert proc.returncode == 0
-        for code in RULES:
-            assert code in proc.stdout
+        cli_contract.check_list_rules(self.tool)
 
     def test_clean_file_exits_zero(self, tmp_path):
-        _write(tmp_path, "def f(window_us: float) -> float:\n    return window_us\n")
-        proc = self._run(str(tmp_path), "--no-bytecode-check")
-        assert proc.returncode == 0, proc.stderr
+        cli_contract.check_clean_exits_zero(self.tool, tmp_path)
 
     def test_findings_exit_one(self, tmp_path):
-        _write(
-            tmp_path,
-            "def f(window_us: float, span_s: float):\n    return window_us + span_s\n",
-        )
-        proc = self._run(str(tmp_path), "--no-bytecode-check")
-        assert proc.returncode == 1
-        assert "U001" in proc.stdout
+        cli_contract.check_findings_exit_one(self.tool, tmp_path)
+
+    def test_parse_error_exits_two(self, tmp_path):
+        cli_contract.check_parse_error_exits_two(self.tool, tmp_path)
 
     def test_json_format(self, tmp_path):
-        _write(
-            tmp_path,
-            "def f(window_us: float, span_s: float):\n    return window_us + span_s\n",
-        )
-        proc = self._run(str(tmp_path), "--no-bytecode-check", "--format=json")
-        doc = json.loads(proc.stdout)
-        assert doc["summary"]["findings"] == 1
-        assert doc["findings"][0]["code"] == "U001"
-        assert "call_graph" in doc
-
-    def test_write_and_use_baseline(self, tmp_path):
-        _write(
-            tmp_path,
-            "def f(window_us: float, span_s: float):\n    return window_us + span_s\n",
-        )
-        baseline = tmp_path / "baseline.json"
-        wrote = self._run(
-            str(tmp_path), "--no-bytecode-check", "--write-baseline", str(baseline)
-        )
-        assert wrote.returncode == 0
-        gated = self._run(
-            str(tmp_path), "--no-bytecode-check", "--baseline", str(baseline)
-        )
-        assert gated.returncode == 0
-        assert "baselined" in gated.stderr
+        cli_contract.check_json_report(self.tool, tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -809,7 +730,6 @@ class TestRepoClean:
             [str(_REPO_ROOT / "src" / "repro")], repo_root=str(_REPO_ROOT)
         )
         assert [f.render() for f in result.findings] == []
-        assert result.baselined == []  # no baseline shipped: zero suppressions
 
     def test_worker_surfaces_are_roots(self):
         result = analyze_paths([str(_REPO_ROOT / "src" / "repro")])

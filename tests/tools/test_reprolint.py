@@ -1,16 +1,18 @@
 """Self-tests for the reprolint determinism/dtype linter.
 
 Each rule gets known-bad fixtures (must flag) and known-good fixtures
-(must stay silent), plus the ``# reprolint: disable=`` escape hatches
-and the CLI's exit-code contract.
+(must stay silent), plus the ``# reprolint: disable=`` escape hatches,
+directory walking, and the check that ``src/`` lints clean.  The CLI
+contract shared by all four analyzers is written once in
+``cli_contract.py``; ``TestCli`` binds it to reprolint.
 """
 
 import pathlib
-import subprocess
-import sys
 import textwrap
 
 from tools.reprolint import RULES, lint_paths, lint_source
+
+from tests.tools import cli_contract
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -192,36 +194,27 @@ class TestSelectAndErrors:
 # CLI: exit codes and directory walking
 # ----------------------------------------------------------------------
 class TestCli:
-    def _run(self, *argv: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "tools.reprolint", *argv],
-            capture_output=True,
-            text=True,
-            cwd=_REPO_ROOT,
-        )
+    tool = cli_contract.TOOLS["reprolint"]
 
-    def test_clean_tree_exits_zero(self):
-        result = self._run("src/")
-        assert result.returncode == 0, result.stdout + result.stderr
+    def test_clean_tree_exits_zero(self, tmp_path):
+        cli_contract.check_clean_exits_zero(self.tool, tmp_path)
+        result = cli_contract.run(self.tool, "src/")
+        assert (result.returncode, result.stdout) == (0, ""), result.stderr
 
     def test_bad_fixture_exits_nonzero(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\nnp.random.seed(0)\n")
-        result = self._run(str(bad))
-        assert result.returncode == 1
-        assert "R001" in result.stdout
+        cli_contract.check_findings_exit_one(self.tool, tmp_path)
+
+    def test_parse_error_exits_two(self, tmp_path):
+        cli_contract.check_parse_error_exits_two(self.tool, tmp_path)
 
     def test_list_rules(self):
-        result = self._run("--list-rules")
-        assert result.returncode == 0
-        for code in ("R001", "R002", "R003", "R004", "R005"):
-            assert code in result.stdout
+        cli_contract.check_list_rules(self.tool)
 
     def test_lint_paths_walks_directories(self, tmp_path):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "a.py").write_text("np.random.seed(0)\n")
         (pkg / "b.py").write_text("x = 1\n")
-        violations = lint_paths([str(pkg)])
-        assert [v.code for v in violations] == ["R001"]
-        assert violations[0].path.endswith("a.py")
+        findings = lint_paths([str(pkg)])
+        assert [f.code for f in findings] == ["R001"]
+        assert findings[0].path.endswith("a.py")

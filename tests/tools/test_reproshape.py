@@ -2,25 +2,25 @@
 
 Mirrors the reprolint/reproflow test layout: every S-rule gets
 known-bad fixtures (must fire) and known-good fixtures (must stay
-silent), plus the symbolic algebra itself, pragma suppression, the
-baseline round-trip, the JSON report with its shape table, the CLI
-contract, and the repo-wide self-check that ``src/repro`` verifies
-clean.
+silent), plus the symbolic algebra itself, pragma suppression,
+``select``, the JSON report with its shape table, and the repo-wide
+self-check that ``src/repro`` verifies clean.  The CLI contract
+shared by all four analyzers is written once in ``cli_contract.py``;
+``TestCli`` binds it to reproshape.
 """
 
 import ast
 import json
 import pathlib
-import subprocess
-import sys
 import textwrap
 
 import pytest
 
 from tools.reproshape import RULES, analyze_paths, build_report
 from tools.reproshape.contracts_index import classify_annotation
-from tools.reproshape.model import Baseline
 from tools.reproshape.symbolic import SymDim, sym_from_dim, unify_dims
+
+from tests.tools import cli_contract
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -447,9 +447,9 @@ class TestPragmas:
 
 
 # ----------------------------------------------------------------------
-# select + baseline
+# select
 # ----------------------------------------------------------------------
-class TestSelectAndBaseline:
+class TestSelect:
     SRC = """\
         import numpy as np
         from repro.core import contracts
@@ -468,30 +468,6 @@ class TestSelectAndBaseline:
             "S004",
             "S005",
         ]
-
-    def test_baseline_round_trip(self, tmp_path):
-        first = _analyze(tmp_path, self.SRC, strict=True)
-        assert len(first.findings) == 2
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).write(str(baseline_path))
-        loaded = Baseline.load(str(baseline_path))
-        again = analyze_paths([str(tmp_path)], baseline=loaded)
-        assert again.findings == []
-        assert len(again.baselined) == 2
-
-    def test_new_finding_not_baselined(self, tmp_path):
-        first = _analyze(tmp_path, self.SRC, strict=True)
-        baseline = Baseline.from_findings(first.findings[:1])
-        again = analyze_paths([str(tmp_path)], baseline=baseline)
-        assert len(again.findings) == 1
-        assert len(again.baselined) == 1
-
-    def test_bad_baseline_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99}')
-        with pytest.raises(ValueError):
-            Baseline.load(str(path))
-
 
 # ----------------------------------------------------------------------
 # the JSON report and its shape table
@@ -522,107 +498,47 @@ class TestReport:
         assert entry["params"] == ["x"]
         json.dumps(report)  # must be serializable as-is
 
+    def test_unparsable_contract_spec_is_an_error(self, tmp_path):
+        src = """\
+            import numpy as np
+            from repro.core import contracts
+
+            @contracts.shapes("n -> [b]")
+            def f(x: np.ndarray):
+                return x
+        """
+        result = _analyze(tmp_path, src)
+        ((path, line, _),) = result.errors
+        assert path.endswith("mod.py") and line == 4
+        assert build_report(result)["summary"]["errors"] == 1
+
 
 # ----------------------------------------------------------------------
-# CLI contract
+# CLI: exit codes and the JSON report
 # ----------------------------------------------------------------------
 class TestCli:
-    def _run(self, *args, cwd=None):
-        return subprocess.run(
-            [sys.executable, "-m", "tools.reproshape", *args],
-            capture_output=True,
-            text=True,
-            cwd=cwd or _REPO_ROOT,
-        )
+    tool = cli_contract.TOOLS["reproshape"]
 
     def test_list_rules(self):
-        proc = self._run("--list-rules")
-        assert proc.returncode == 0
-        for code in RULES:
-            assert code in proc.stdout
+        cli_contract.check_list_rules(self.tool)
 
     def test_clean_file_exits_zero(self, tmp_path):
-        _write(tmp_path, "import numpy as np\n\ndef f(x: np.ndarray):\n    return x\n")
-        proc = self._run(str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
+        cli_contract.check_clean_exits_zero(self.tool, tmp_path)
 
     def test_findings_exit_one(self, tmp_path):
-        _write(
-            tmp_path,
-            textwrap.dedent(
-                """\
-                import numpy as np
-                from repro.core import contracts
-
-                @contracts.shapes("n -> n*2")
-                def f(x: np.ndarray):
-                    return x
-                """
-            ),
-        )
-        proc = self._run(str(tmp_path))
-        assert proc.returncode == 1
-        assert "S005" in proc.stdout
+        cli_contract.check_findings_exit_one(self.tool, tmp_path)
 
     def test_parse_error_exits_two(self, tmp_path):
-        _write(
-            tmp_path,
-            textwrap.dedent(
-                """\
-                import numpy as np
-                from repro.core import contracts
-
-                @contracts.shapes("n -> [b]")
-                def f(x: np.ndarray):
-                    return x
-                """
-            ),
-        )
-        proc = self._run(str(tmp_path))
+        cli_contract.check_parse_error_exits_two(self.tool, tmp_path)
+        # a contract spec that does not parse is a parse error too
+        spec_error = cli_contract.SHAPE_FIRING.replace("n -> n*2", "n -> [b]")
+        spec_dir = cli_contract.fixture(tmp_path / "spec", spec_error)
+        proc = cli_contract.run(self.tool, spec_dir)
         assert proc.returncode == 2
         assert "parse error" in proc.stderr
 
     def test_json_format(self, tmp_path):
-        _write(
-            tmp_path,
-            textwrap.dedent(
-                """\
-                import numpy as np
-                from repro.core import contracts
-
-                @contracts.shapes("n -> n*2")
-                def f(x: np.ndarray):
-                    return x
-                """
-            ),
-        )
-        proc = self._run(str(tmp_path), "--format=json")
-        doc = json.loads(proc.stdout)
-        assert doc["tool"] == "reproshape"
-        assert doc["summary"]["findings"] == 1
-        assert doc["findings"][0]["code"] == "S005"
-        assert "shape_table" in doc
-
-    def test_write_and_use_baseline(self, tmp_path):
-        _write(
-            tmp_path,
-            textwrap.dedent(
-                """\
-                import numpy as np
-                from repro.core import contracts
-
-                @contracts.shapes("n -> n*2")
-                def f(x: np.ndarray):
-                    return x
-                """
-            ),
-        )
-        baseline = tmp_path / "baseline.json"
-        wrote = self._run(str(tmp_path), "--write-baseline", str(baseline))
-        assert wrote.returncode == 0
-        gated = self._run(str(tmp_path), "--baseline", str(baseline))
-        assert gated.returncode == 0
-        assert "baselined" in gated.stderr
+        cli_contract.check_json_report(self.tool, tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +551,6 @@ class TestRepoClean:
 
     def test_src_repro_verifies_clean(self, result):
         assert [f.render() for f in result.findings] == []
-        assert result.baselined == []  # no baseline shipped: zero entries
         assert result.errors == []
 
     def test_shape_table_covers_known_kernels(self, result):

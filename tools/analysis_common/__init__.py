@@ -1,48 +1,54 @@
-"""Shared scaffolding for the repo's static analyzers.
+"""Shared scaffolding for the repo's four static analyzers.
 
 ``tools/reprolint`` (per-file AST lint), ``tools/reproflow``
-(whole-program units/purity dataflow) and ``tools/reproshape``
-(symbolic shape/dtype verification) share three pieces of ergonomics
-that used to be copy-pasted per tool:
+(whole-program units/purity dataflow), ``tools/reproshape`` (symbolic
+shape/dtype verification) and ``tools/reproasync`` (asyncio/concurrency
+safety) differ only in their rules.  What surrounds the rules lives
+here, once:
 
+* **One finding record** — :class:`Finding` and the
+  :class:`AnalysisResult` fields every run fills
+  (:mod:`tools.analysis_common.finding`).
 * **Pragma suppression** — ``# <tool>: disable=CODE`` on the offending
   line, ``# <tool>: disable-file=CODE`` in the first ten lines,
-  ``disable=all`` for generated code (:mod:`tools.analysis_common.pragmas`).
-* **Baselines** — content-fingerprinted acknowledged-findings files
-  (path + code + symbol + message, line-number independent), so
-  adopting an analyzer on a dirty tree doesn't require fixing the
-  world first (:mod:`tools.analysis_common.baseline`).
-* **CLI scaffolding** — ``--select`` parsing and the shared exit-code
-  contract: 0 clean, 1 new findings, 2 usage/parse errors
+  ``disable=all`` for generated code, applied with ``--select`` by
+  :func:`filter_findings` (:mod:`tools.analysis_common.pragmas`).  A
+  justified pragma is the only way to silence a finding.
+* **One CLI** — :func:`main`: ``paths``, ``--select``, ``--list-rules``,
+  ``--format`` for the analyzers with a JSON report, and the exit-code
+  contract 0 clean, 1 findings, 2 usage/parse errors
   (:mod:`tools.analysis_common.cli`).
 
-The grammar and file formats are owned here; each analyzer binds its
-tool name (pragma prefix, baseline identity) and keeps its own rule
-catalog and finding model.
+Each analyzer binds its tool name (the pragma prefix) and keeps its own
+rule catalog.
 """
 
 from __future__ import annotations
 
-from tools.analysis_common.baseline import BaselineBase, finding_fingerprint
 from tools.analysis_common.cli import (
     EXIT_CLEAN,
     EXIT_ERROR,
     EXIT_FINDINGS,
+    main,
     parse_select,
     selected_by_prefix,
 )
+from tools.analysis_common.finding import AnalysisResult, Finding
 from tools.analysis_common.pragmas import (
     FILE_PRAGMA_MAX_LINE,
+    filter_findings,
     is_code_suppressed,
     parse_suppressions,
 )
 
 __all__ = [
-    "BaselineBase",
-    "finding_fingerprint",
+    "Finding",
+    "AnalysisResult",
+    "filter_findings",
     "parse_suppressions",
     "is_code_suppressed",
     "FILE_PRAGMA_MAX_LINE",
+    "main",
     "parse_select",
     "selected_by_prefix",
     "EXIT_CLEAN",

@@ -21,14 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from tools.analysis_common import selected_by_prefix
-from tools.reproasync.model import (
-    RULES,
-    Baseline,
-    Finding,
-    is_suppressed,
-    suppressions,
-)
+from tools.analysis_common import AnalysisResult as _BaseResult
+from tools.analysis_common import Finding, filter_findings
+from tools.reproasync.model import RULES
 from tools.reproasync.rules import check_concurrency
 from tools.reproasync.taskgraph import AsyncGraph, build_async_graph
 from tools.reproflow.project import ProjectIndex
@@ -36,7 +31,6 @@ from tools.reproflow.project import ProjectIndex
 __all__ = [
     "RULES",
     "Finding",
-    "Baseline",
     "AnalysisResult",
     "analyze_paths",
     "build_report",
@@ -44,18 +38,13 @@ __all__ = [
 
 
 @dataclass
-class AnalysisResult:
+class AnalysisResult(_BaseResult):
     """Findings plus the async task graph one run produced."""
 
-    findings: list[Finding] = field(default_factory=list)
-    #: findings matched by ``--baseline`` (reported but non-fatal)
-    baselined: list[Finding] = field(default_factory=list)
     index: ProjectIndex | None = None
     graph: AsyncGraph | None = None
     #: determinism proof records (obligation/symbol/status)
     proofs: list[dict[str, str]] = field(default_factory=list)
-    #: (path, line, message) parse failures
-    errors: list[tuple[str, int, str]] = field(default_factory=list)
 
 
 def analyze_paths(
@@ -63,46 +52,22 @@ def analyze_paths(
     *,
     select: tuple[str, ...] | None = None,
     strict_dirs: tuple[str, ...] | None = None,
-    baseline: Baseline | None = None,
 ) -> AnalysisResult:
     """Analyze ``paths`` and return findings + the async task graph.
 
-    Pragma suppressions and ``select`` filtering are applied here;
-    ``baseline`` (if given) partitions surviving findings into new vs.
-    acknowledged.
+    ``select`` and the ``# reproasync:`` pragmas filter the findings;
+    ``strict_dirs`` (default ``src/repro/gateway``) scopes C006.
     """
     index = ProjectIndex.build(paths)
     graph = build_async_graph(index)
     findings, proofs = check_concurrency(graph, strict_dirs=strict_dirs)
-
-    pragma_cache: dict[str, tuple[dict[int, set[str]], set[str]]] = {}
-    kept: list[Finding] = []
-    for f in findings:
-        if not selected_by_prefix(f.code, select):
-            continue
-        if f.path not in pragma_cache:
-            source = ""
-            for mod in index.modules.values():
-                if mod.path == f.path:
-                    source = mod.source
-                    break
-            pragma_cache[f.path] = suppressions(source)
-        per_line, per_file = pragma_cache[f.path]
-        if not is_suppressed(f, per_line, per_file):
-            kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-
-    result = AnalysisResult(
+    return AnalysisResult(
+        findings=filter_findings(findings, "reproasync", index.sources(), select),
+        errors=list(index.errors),
         index=index,
         graph=graph,
         proofs=proofs,
-        errors=list(index.errors),
     )
-    if baseline is not None:
-        result.findings, result.baselined = baseline.split(kept)
-    else:
-        result.findings = kept
-    return result
 
 
 def build_report(result: AnalysisResult) -> dict[str, object]:
@@ -140,7 +105,6 @@ def build_report(result: AnalysisResult) -> dict[str, object]:
         "tool": "reproasync",
         "rules": RULES,
         "findings": [f.to_json() for f in result.findings],
-        "baselined": [f.to_json() for f in result.baselined],
         "call_graph": graph_json,
         "task_roots": dict(sorted(result.graph.task_roots.items()))
         if result.graph is not None
@@ -151,7 +115,6 @@ def build_report(result: AnalysisResult) -> dict[str, object]:
         "proofs": sorted(result.proofs, key=lambda p: p["symbol"]),
         "summary": {
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
             "by_code": dict(sorted(by_code.items())),
             "functions": len(graph_json),
             "async_functions": n_async,

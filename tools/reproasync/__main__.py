@@ -1,132 +1,26 @@
 """CLI entry point: ``python -m tools.reproasync [paths...]``.
 
-Exit codes: 0 clean (baselined findings allowed), 1 new findings,
-2 usage / parse errors — the shared analyzer contract.
+Exit codes: 0 clean, 1 findings, 2 usage / parse errors.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
-from tools.analysis_common import (
-    EXIT_CLEAN,
-    EXIT_ERROR,
-    EXIT_FINDINGS,
-    parse_select,
-)
+from tools.analysis_common import main
 from tools.reproasync import RULES, analyze_paths, build_report
-from tools.reproasync.model import Baseline
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="reproasync",
-        description=(
-            "whole-program asyncio/concurrency safety analyzer for the "
-            "multiscatter reproduction"
-        ),
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=[], help="files or directories to analyze"
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes/prefixes to check (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog and exit"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (json includes the async call graph + proofs)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline JSON of acknowledged findings (matched ones are non-fatal)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings as a new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--strict-dirs",
-        metavar="FRAGMENTS",
-        help=(
-            "comma-separated path fragments where C006 (bounded queues) is "
-            "enforced (default: src/repro/gateway)"
-        ),
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for code, desc in sorted(RULES.items()):
-            print(f"{code}  {desc}")
-        return EXIT_CLEAN
-    if not args.paths:
-        parser.error("no paths given (try: python -m tools.reproasync src/repro)")
-
-    select = parse_select(args.select)
-    strict_dirs = (
-        tuple(s.strip() for s in args.strict_dirs.split(",") if s.strip())
-        if args.strict_dirs
-        else None
-    )
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"reproasync: cannot load baseline: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-
-    result = analyze_paths(
-        args.paths, select=select, strict_dirs=strict_dirs, baseline=baseline
-    )
-
-    for path, line, msg in result.errors:
-        print(f"{path}:{line}:1: parse error: {msg}", file=sys.stderr)
-
-    if args.write_baseline:
-        Baseline.from_findings([*result.findings, *result.baselined]).write(
-            args.write_baseline
-        )
-        print(
-            f"reproasync: wrote {len(result.findings) + len(result.baselined)} "
-            f"fingerprint(s) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return EXIT_CLEAN
-
-    if args.format == "json":
-        json.dump(build_report(result), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for f in result.findings:
-            print(f.render())
-        if result.baselined:
-            print(
-                f"reproasync: {len(result.baselined)} baselined finding(s) "
-                "suppressed",
-                file=sys.stderr,
-            )
-
-    if result.errors:
-        return EXIT_ERROR
-    if result.findings:
-        if args.format == "text":
-            print(
-                f"reproasync: {len(result.findings)} finding(s)", file=sys.stderr
-            )
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
-
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(
+        main(
+            prog="reproasync",
+            description=(
+                "whole-program asyncio/concurrency safety analyzer for the "
+                "multiscatter reproduction"
+            ),
+            rules=RULES,
+            analyze=analyze_paths,
+            report=build_report,
+            report_help="json includes the async call graph + proofs",
+        )
+    )

@@ -24,7 +24,7 @@ import ast
 import os
 from typing import Iterator
 
-from tools.reproasync.model import Finding
+from tools.analysis_common import Finding
 from tools.reproasync.taskgraph import (
     DRAW_METHODS,
     AsyncGraph,

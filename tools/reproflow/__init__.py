@@ -16,15 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from tools.analysis_common import selected_by_prefix
+from tools.analysis_common import AnalysisResult as _BaseResult
+from tools.analysis_common import Finding, filter_findings
 from tools.reproflow.bytecode import check_tracked_bytecode
-from tools.reproflow.model import (
-    RULES,
-    Baseline,
-    Finding,
-    is_suppressed,
-    suppressions,
-)
+from tools.reproflow.model import RULES
 from tools.reproflow.project import ProjectIndex
 from tools.reproflow.purity import check_purity
 from tools.reproflow.unitcheck import check_ambiguous_params, check_units
@@ -32,7 +27,6 @@ from tools.reproflow.unitcheck import check_ambiguous_params, check_units
 __all__ = [
     "RULES",
     "Finding",
-    "Baseline",
     "AnalysisResult",
     "analyze_paths",
     "build_report",
@@ -40,21 +34,12 @@ __all__ = [
 
 
 @dataclass
-class AnalysisResult:
-    """Everything one run produced: findings plus the annotated graph."""
+class AnalysisResult(_BaseResult):
+    """Findings plus the annotated call graph one run produced."""
 
-    findings: list[Finding] = field(default_factory=list)
-    #: findings matched by ``--baseline`` (reported but non-fatal)
-    baselined: list[Finding] = field(default_factory=list)
     index: ProjectIndex | None = None
     roots: set[str] = field(default_factory=set)
     reachable: set[str] = field(default_factory=set)
-    #: (path, line, message) parse failures
-    errors: list[tuple[str, int, str]] = field(default_factory=list)
-
-
-def _selected(code: str, select: tuple[str, ...] | None) -> bool:
-    return selected_by_prefix(code, select)
 
 
 def analyze_paths(
@@ -62,15 +47,13 @@ def analyze_paths(
     *,
     select: tuple[str, ...] | None = None,
     strict_unit_dirs: tuple[str, ...] | None = None,
-    baseline: Baseline | None = None,
     check_bytecode: bool = True,
     repo_root: str = ".",
 ) -> AnalysisResult:
     """Analyze ``paths`` and return findings + the annotated index.
 
-    Pragma suppressions and ``select`` filtering are applied here;
-    ``baseline`` (if given) partitions surviving findings into new vs.
-    acknowledged.
+    ``select`` and the ``# reproflow:`` pragmas filter the findings;
+    the B001/B002 guards run on the git work tree at ``repo_root``.
     """
     index = ProjectIndex.build(paths)
     findings = check_units(index)
@@ -79,36 +62,13 @@ def analyze_paths(
     findings.extend(purity_findings)
     if check_bytecode:
         findings.extend(check_tracked_bytecode(repo_root))
-
-    # pragma suppression, by source file
-    pragma_cache: dict[str, tuple[dict[int, set[str]], set[str]]] = {}
-    kept: list[Finding] = []
-    for f in findings:
-        if not _selected(f.code, select):
-            continue
-        if f.path not in pragma_cache:
-            source = ""
-            for mod in index.modules.values():
-                if mod.path == f.path:
-                    source = mod.source
-                    break
-            pragma_cache[f.path] = suppressions(source)
-        per_line, per_file = pragma_cache[f.path]
-        if not is_suppressed(f, per_line, per_file):
-            kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-
-    result = AnalysisResult(
+    return AnalysisResult(
+        findings=filter_findings(findings, "reproflow", index.sources(), select),
+        errors=list(index.errors),
         index=index,
         roots=roots,
         reachable=reachable,
-        errors=list(index.errors),
     )
-    if baseline is not None:
-        result.findings, result.baselined = baseline.split(kept)
-    else:
-        result.findings = kept
-    return result
 
 
 def build_report(result: AnalysisResult) -> dict[str, object]:
@@ -140,12 +100,10 @@ def build_report(result: AnalysisResult) -> dict[str, object]:
         "tool": "reproflow",
         "rules": RULES,
         "findings": [f.to_json() for f in result.findings],
-        "baselined": [f.to_json() for f in result.baselined],
         "call_graph": graph,
         "worker_roots": sorted(result.roots),
         "summary": {
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
             "by_code": dict(sorted(by_code.items())),
             "functions": len(graph),
             "worker_reachable": len(result.reachable),

@@ -1,133 +1,26 @@
 """CLI entry point: ``python -m tools.reproflow [paths...]``.
 
-Exit codes: 0 clean (baselined findings allowed), 1 new findings,
-2 usage / parse errors.
+Exit codes: 0 clean, 1 findings, 2 usage / parse errors.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
-from tools.analysis_common import (
-    EXIT_CLEAN,
-    EXIT_ERROR,
-    EXIT_FINDINGS,
-    parse_select,
-)
+from tools.analysis_common import main
 from tools.reproflow import RULES, analyze_paths, build_report
-from tools.reproflow.model import Baseline
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="reproflow",
-        description=(
-            "cross-module units-and-purity dataflow analyzer for the "
-            "multiscatter reproduction"
-        ),
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=[], help="files or directories to analyze"
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes/prefixes to check (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog and exit"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (json includes the annotated call graph)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline JSON of acknowledged findings (matched ones are non-fatal)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings as a new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--no-bytecode-check",
-        action="store_true",
-        help="skip the B001/B002 tracked-artifact repo guards",
-    )
-    parser.add_argument(
-        "--repo-root",
-        default=".",
-        help="repository root for the B001/B002 guards (default: cwd)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for code, desc in sorted(RULES.items()):
-            print(f"{code}  {desc}")
-        return EXIT_CLEAN
-    if not args.paths:
-        parser.error("no paths given (try: python -m tools.reproflow src/repro)")
-
-    select = parse_select(args.select)
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"reproflow: cannot load baseline: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-
-    result = analyze_paths(
-        args.paths,
-        select=select,
-        baseline=baseline,
-        check_bytecode=not args.no_bytecode_check,
-        repo_root=args.repo_root,
-    )
-
-    for path, line, msg in result.errors:
-        print(f"{path}:{line}:1: parse error: {msg}", file=sys.stderr)
-
-    if args.write_baseline:
-        Baseline.from_findings([*result.findings, *result.baselined]).write(
-            args.write_baseline
-        )
-        print(
-            f"reproflow: wrote {len(result.findings) + len(result.baselined)} "
-            f"fingerprint(s) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return EXIT_CLEAN
-
-    if args.format == "json":
-        json.dump(build_report(result), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for f in result.findings:
-            print(f.render())
-        if result.baselined:
-            print(
-                f"reproflow: {len(result.baselined)} baselined finding(s) "
-                "suppressed",
-                file=sys.stderr,
-            )
-
-    if result.errors:
-        return EXIT_ERROR
-    if result.findings:
-        if args.format == "text":
-            print(
-                f"reproflow: {len(result.findings)} finding(s)", file=sys.stderr
-            )
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
-
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(
+        main(
+            prog="reproflow",
+            description=(
+                "cross-module units-and-purity dataflow analyzer for the "
+                "multiscatter reproduction"
+            ),
+            rules=RULES,
+            analyze=analyze_paths,
+            report=build_report,
+            report_help="json includes the annotated call graph",
+        )
+    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import subprocess
 
-from tools.reproflow.model import Finding
+from tools.analysis_common import Finding
 
 __all__ = ["check_tracked_bytecode"]
 

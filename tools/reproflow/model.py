@@ -1,31 +1,8 @@
-"""Finding model, rule catalog, pragma suppression, and baselines.
-
-reproflow mirrors reprolint's ergonomics (stable rule codes, per-line
-``# reproflow: disable=U001`` pragmas, ``--select``) and adds the
-baseline workflow: a JSON file of *fingerprints* for findings that are
-acknowledged but not yet fixed.  Fingerprints hash the file, rule,
-enclosing symbol, and message — not the line number — so unrelated
-edits to a file do not invalidate the baseline.
-"""
+"""reproflow's rule catalog (``# reproflow: disable=U001`` pragmas)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from tools.analysis_common import (
-    BaselineBase,
-    finding_fingerprint,
-    is_code_suppressed,
-    parse_suppressions,
-)
-
-__all__ = [
-    "RULES",
-    "Finding",
-    "Baseline",
-    "suppressions",
-    "is_suppressed",
-]
+__all__ = ["RULES"]
 
 #: code -> one-line description (shown by ``--list-rules``; the full
 #: catalog with rationale lives in docs/STATIC_ANALYSIS.md).
@@ -39,67 +16,3 @@ RULES: dict[str, str] = {
     "B001": "compiled bytecode tracked by git; remove and gitignore it",
     "B002": "packaging metadata (egg-info) tracked by git; remove and gitignore it",
 }
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One rule hit: location, code, message, enclosing symbol."""
-
-    path: str
-    line: int
-    col: int
-    code: str
-    message: str
-    #: dotted module + qualname of the enclosing function ("" at module
-    #: scope); part of the baseline fingerprint.
-    symbol: str = ""
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by baseline files."""
-        return finding_fingerprint(self.path, self.code, self.symbol, self.message)
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "path": self.path.replace("\\", "/"),
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "symbol": self.symbol,
-            "fingerprint": self.fingerprint(),
-        }
-
-
-# ----------------------------------------------------------------------
-# pragma suppression (shared grammar, reproflow prefix)
-# ----------------------------------------------------------------------
-def suppressions(source: str) -> tuple[dict[int, set[str]], set[str]]:
-    """Per-line and file-level ``# reproflow: disable`` pragmas.
-
-    ``# reproflow: disable=U001,F001`` suppresses on that line;
-    ``# reproflow: disable-file=U003`` within the first ten lines
-    suppresses for the whole file; ``disable=all`` matches every code.
-    """
-    return parse_suppressions(source, "reproflow")
-
-
-def is_suppressed(
-    finding: Finding, per_line: dict[int, set[str]], per_file: set[str]
-) -> bool:
-    return is_code_suppressed(finding.code, finding.line, per_line, per_file)
-
-
-# ----------------------------------------------------------------------
-# baseline files
-# ----------------------------------------------------------------------
-class Baseline(BaselineBase):
-    """Acknowledged reproflow findings, keyed by fingerprint.
-
-    Format and semantics live in :class:`tools.analysis_common.BaselineBase`;
-    only the tool identity (used in load-error messages) is bound here.
-    """
-
-    TOOL = "reproflow"

@@ -218,6 +218,10 @@ class ProjectIndex:
         self.classes: dict[str, ClassInfo] = {}
         self.errors: list[tuple[str, int, str]] = []
 
+    def sources(self) -> dict[str, str]:
+        """Path -> source text of every indexed module (for pragmas)."""
+        return {mod.path: mod.source for mod in self.modules.values()}
+
     # ------------------------------------------------------------- build
     @classmethod
     def build(cls, paths: list[str]) -> "ProjectIndex":

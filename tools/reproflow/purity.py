@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 
-from tools.reproflow.model import Finding
+from tools.analysis_common import Finding
 from tools.reproflow.project import (
     FunctionInfo,
     ModuleInfo,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 
-from tools.reproflow.model import Finding
+from tools.analysis_common import Finding
 from tools.reproflow.project import (
     ClassInfo,
     FunctionInfo,

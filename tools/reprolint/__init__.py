@@ -13,32 +13,28 @@ see :mod:`tools.reprolint.rules` and docs/STATIC_ANALYSIS.md.
 
 from __future__ import annotations
 
-from tools.reprolint.rules import (
-    RULES,
-    STRICT_RETURN_DIRS,
-    Violation,
-    iter_violations,
-    lint_source,
-)
+import os
+
+from tools.analysis_common import AnalysisResult, Finding
+from tools.reprolint.rules import RULES, STRICT_RETURN_DIRS, lint_source
 
 __all__ = [
     "RULES",
     "STRICT_RETURN_DIRS",
-    "Violation",
-    "iter_violations",
+    "Finding",
     "lint_source",
     "lint_paths",
+    "analyze_paths",
 ]
 
 
 def lint_paths(
     paths: list[str],
     *,
-    select: list[str] | None = None,
-) -> list[Violation]:
-    """Lint files and directory trees; returns all violations found."""
-    import os
-
+    select: list[str] | tuple[str, ...] | None = None,
+) -> list[Finding]:
+    """Lint files and directory trees; returns all findings, ``E999``
+    for each file that does not parse."""
     files: list[str] = []
     for p in paths:
         if os.path.isdir(p):
@@ -49,8 +45,19 @@ def lint_paths(
                 )
         elif p.endswith(".py"):
             files.append(p)
-    out: list[Violation] = []
+    out: list[Finding] = []
     for path in files:
         with open(path, encoding="utf-8") as fh:
             out.extend(lint_source(fh.read(), path, select=select))
     return out
+
+
+def analyze_paths(
+    paths: list[str], *, select: tuple[str, ...] | None = None
+) -> AnalysisResult:
+    """:func:`lint_paths` for the CLI: an ``E999`` is a parse error."""
+    found = lint_paths(paths, select=select)
+    return AnalysisResult(
+        findings=[f for f in found if f.code != "E999"],
+        errors=[(f.path, f.line, f.message) for f in found if f.code == "E999"],
+    )

@@ -1,45 +1,23 @@
-"""CLI entry point: ``python -m tools.reprolint [paths...]``."""
+"""CLI entry point: ``python -m tools.reprolint [paths...]``.
+
+Exit codes: 0 clean, 1 findings, 2 usage / parse errors.
+"""
 
 from __future__ import annotations
 
-import argparse
 import sys
 
-from tools.analysis_common import EXIT_CLEAN, EXIT_FINDINGS, parse_select
-from tools.reprolint import RULES, lint_paths
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="reprolint",
-        description="determinism & dtype AST linter for the multiscatter reproduction",
-    )
-    parser.add_argument("paths", nargs="*", default=[], help="files or directories to lint")
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to check (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog and exit"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for code, desc in sorted(RULES.items()):
-            print(f"{code}  {desc}")
-        return EXIT_CLEAN
-    if not args.paths:
-        parser.error("no paths given (try: python -m tools.reprolint src/)")
-
-    violations = lint_paths(args.paths, select=parse_select(args.select))
-    for v in violations:
-        print(v.render())
-    if violations:
-        print(f"reprolint: {len(violations)} violation(s)", file=sys.stderr)
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
-
+from tools.analysis_common import main
+from tools.reprolint import RULES, analyze_paths
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(
+        main(
+            prog="reprolint",
+            description=(
+                "determinism & dtype AST linter for the multiscatter reproduction"
+            ),
+            rules=RULES,
+            analyze=analyze_paths,
+        )
+    )

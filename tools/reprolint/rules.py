@@ -26,13 +26,11 @@ the file.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from tools.analysis_common import is_code_suppressed, parse_suppressions
+from tools.analysis_common import Finding, filter_findings
 
 __all__ = [
-    "Violation",
     "RULES",
     "STRICT_RETURN_DIRS",
     "lint_source",
@@ -131,20 +129,6 @@ _NP_ARRAY_FUNCS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One rule hit: location, code, and human-readable message."""
-
-    path: str
-    line: int
-    col: int
-    code: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-
 def _dotted(node: ast.expr) -> str:
     """``np.random.default_rng`` -> that string; '' for non-name chains."""
     parts: list[str] = []
@@ -217,11 +201,11 @@ class _Linter(ast.NodeVisitor):
     def __init__(self, path: str, strict_return: bool) -> None:
         self.path = path
         self.strict_return = strict_return
-        self.violations: list[Violation] = []
+        self.findings: list[Finding] = []
 
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
-        self.violations.append(
-            Violation(
+        self.findings.append(
+            Finding(
                 path=self.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -351,33 +335,25 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _suppressions(source: str) -> tuple[dict[int, set[str]], set[str]]:
-    """Per-line and file-level ``# reprolint: disable`` pragmas."""
-    return parse_suppressions(source, "reprolint")
-
-
-def _suppressed(v: Violation, per_line: dict[int, set[str]], per_file: set[str]) -> bool:
-    return is_code_suppressed(v.code, v.line, per_line, per_file)
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
     *,
     select: Iterable[str] | None = None,
     strict_return_dirs: tuple[str, ...] = STRICT_RETURN_DIRS,
-) -> list[Violation]:
-    """Lint one module's source text; returns surviving violations.
+) -> list[Finding]:
+    """Lint one module's source text; returns surviving findings.
 
-    ``select`` restricts checking to the given rule codes; ``path`` is
-    used both for reporting and for R005's directory scoping (posix or
-    native separators both work).
+    ``select`` restricts checking to the given rule codes or code
+    prefixes; ``path`` is used both for reporting and for R005's
+    directory scoping (posix or native separators both work).  A file
+    that does not parse yields one ``E999`` finding.
     """
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [
-            Violation(
+            Finding(
                 path=path,
                 line=exc.lineno or 1,
                 col=exc.offset or 0,
@@ -389,23 +365,10 @@ def lint_source(
     strict = any(fragment in norm for fragment in strict_return_dirs)
     linter = _Linter(path=path, strict_return=strict)
     linter.visit(tree)
-    per_line, per_file = _suppressions(source)
-    wanted = set(select) if select is not None else None
-    out = [
-        v
-        for v in linter.violations
-        if not _suppressed(v, per_line, per_file)
-        and (wanted is None or v.code in wanted or v.code == "E999")
-    ]
-    out.sort(key=lambda v: (v.line, v.col, v.code))
-    return out
+    return filter_findings(
+        linter.findings,
+        "reprolint",
+        {path: source},
+        tuple(select) if select is not None else None,
+    )
 
-
-def iter_violations(
-    sources: Iterable[tuple[str, str]],
-    *,
-    select: Iterable[str] | None = None,
-) -> Iterator[Violation]:
-    """Lint many ``(path, source)`` pairs lazily."""
-    for path, source in sources:
-        yield from lint_source(source, path, select=select)

@@ -38,22 +38,16 @@ except ModuleNotFoundError:  # pragma: no cover
 
 from dataclasses import dataclass, field
 
-from tools.analysis_common import selected_by_prefix
+from tools.analysis_common import AnalysisResult as _BaseResult
+from tools.analysis_common import Finding, filter_findings
 from tools.reproflow.project import ProjectIndex
 from tools.reproshape.checker import check_project, shape_table
 from tools.reproshape.contracts_index import ContractIndex
-from tools.reproshape.model import (
-    RULES,
-    Baseline,
-    Finding,
-    is_suppressed,
-    suppressions,
-)
+from tools.reproshape.model import RULES
 
 __all__ = [
     "RULES",
     "Finding",
-    "Baseline",
     "AnalysisResult",
     "analyze_paths",
     "build_report",
@@ -61,60 +55,31 @@ __all__ = [
 
 
 @dataclass
-class AnalysisResult:
-    """Everything one run produced: findings plus the shape table."""
+class AnalysisResult(_BaseResult):
+    """Findings plus the shape table one run produced; ``errors`` also
+    holds contract specs that fail to parse."""
 
-    findings: list[Finding] = field(default_factory=list)
-    #: findings matched by ``--baseline`` (reported but non-fatal)
-    baselined: list[Finding] = field(default_factory=list)
     #: per-function symbolic shape/dtype table
     table: list[dict[str, object]] = field(default_factory=list)
     index: ProjectIndex | None = None
     contracts: ContractIndex | None = None
-    #: (path, line, message) parse failures (files or contract specs)
-    errors: list[tuple[str, int, str]] = field(default_factory=list)
 
 
 def analyze_paths(
     paths: list[str],
     *,
     select: tuple[str, ...] | None = None,
-    baseline: Baseline | None = None,
 ) -> AnalysisResult:
     """Analyze ``paths`` and return findings plus the symbolic tables."""
     index = ProjectIndex.build(paths)
     cindex = ContractIndex(index)
     findings = check_project(index, cindex)
-
-    # rule selection (prefix semantics, like reproflow)
-    findings = [f for f in findings if selected_by_prefix(f.code, select)]
-
-    # pragma suppression, by source file
-    pragma_cache: dict[str, tuple[dict[int, set[str]], set[str]]] = {}
-    kept: list[Finding] = []
-    for f in findings:
-        if f.path not in pragma_cache:
-            source = ""
-            for mod in index.modules.values():
-                if mod.path == f.path:
-                    source = mod.source
-                    break
-            pragma_cache[f.path] = suppressions(source)
-        per_line, per_file = pragma_cache[f.path]
-        if not is_suppressed(f, per_line, per_file):
-            kept.append(f)
-
-    baselined: list[Finding] = []
-    if baseline is not None:
-        kept, baselined = baseline.split(kept)
-
     return AnalysisResult(
-        findings=kept,
-        baselined=baselined,
+        findings=filter_findings(findings, "reproshape", index.sources(), select),
+        errors=[*index.errors, *cindex.errors],
         table=shape_table(cindex),
         index=index,
         contracts=cindex,
-        errors=[*index.errors, *cindex.errors],
     )
 
 
@@ -124,7 +89,6 @@ def build_report(result: AnalysisResult) -> dict[str, object]:
         "tool": "reproshape",
         "rules": RULES,
         "findings": [f.to_json() for f in result.findings],
-        "baselined": [f.to_json() for f in result.baselined],
         "shape_table": result.table,
         "summary": {
             "functions_indexed": (
@@ -132,7 +96,6 @@ def build_report(result: AnalysisResult) -> dict[str, object]:
             ),
             "functions_contracted": len(result.table),
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
             "errors": len(result.errors),
         },
     }

@@ -32,7 +32,7 @@ from tools.reproflow.project import (
     resolve_call,
 )
 from tools.reproshape.contracts_index import ContractIndex, ContractInfo
-from tools.reproshape.model import Finding
+from tools.analysis_common import Finding
 from tools.reproshape.symbolic import (
     SymDim,
     SymShape,
