@@ -277,17 +277,11 @@ class OverlayCodec:
         unmodulated.
         """
         bits = np.asarray(tag_bits, dtype=np.uint8)
+        cfg = self.config
         flags = np.zeros(n_payload_symbols, dtype=bool)
-        n_seq = self.n_sequences(n_payload_symbols)
-        per_seq = self.config.tag_bits_per_sequence
-        k = 0
-        for s in range(n_seq):
-            for group in self.tag_symbol_groups(s):
-                if k >= bits.size:
-                    return flags
-                if bits[k]:
-                    for idx in group:
-                        if idx < n_payload_symbols:
-                            flags[idx] = True
-                k += 1
+        n_bits = self.n_sequences(n_payload_symbols) * cfg.tag_bits_per_sequence
+        # Tag bit k is group k % per_seq of sequence k // per_seq.
+        seq, group = np.divmod(np.flatnonzero(bits[:n_bits]), cfg.tag_bits_per_sequence)
+        first = self.first_sequence_symbol + seq * cfg.kappa + 1 + group * cfg.gamma
+        flags[(first[:, None] + np.arange(cfg.gamma)).ravel()] = True
         return flags

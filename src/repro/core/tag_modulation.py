@@ -67,17 +67,17 @@ class TagModulator:
     frequency_shift_hz: float = DEFAULT_SHIFT_HZ
     clock_ppm: float = 0.0
 
-    def _payload_symbol_span(self, wave: Waveform, index: int) -> tuple[int, int]:
-        start = wave.annotations["payload_start"]
-        sym = wave.annotations["samples_per_symbol"]
-        lo = start + index * sym
-        hi = lo + sym
+    def _symbol_edges(self, wave: Waveform, n_symbols: int) -> np.ndarray:
+        """Sample offset of each payload symbol boundary (``n_symbols + 1``).
+
+        Symbol ``i`` spans ``[edges[i], edges[i + 1])``.  With a clock
+        error the boundaries drift linearly from the (resynced) packet
+        head.
+        """
+        edges = np.arange(n_symbols + 1) * wave.annotations["samples_per_symbol"]
         if self.clock_ppm:
-            # Boundaries drift linearly from the (resynced) packet head.
-            drift = self.clock_ppm * 1e-6
-            lo = start + int(round(index * sym * (1.0 + drift)))
-            hi = start + int(round((index + 1) * sym * (1.0 + drift)))
-        return lo, hi
+            edges = np.rint(edges * (1.0 + self.clock_ppm * 1e-6)).astype(np.intp)
+        return wave.annotations["payload_start"] + edges
 
     def modulate(
         self, wave: Waveform, tag_bits: np.ndarray | list[int]
@@ -98,19 +98,18 @@ class TagModulator:
             )
         n_symbols = ann["n_payload_symbols"]
         flags = self.codec.tag_flip_flags(tag_bits, n_symbols)
+        edges = self._symbol_edges(wave, n_symbols)
         out = wave.copy()
 
-        if protocol in (Protocol.WIFI_N, Protocol.ZIGBEE):
-            for idx in np.flatnonzero(flags):
-                lo, hi = self._payload_symbol_span(wave, int(idx))
-                out.iq[lo:hi] *= -1.0
-        elif protocol is Protocol.WIFI_B:
-            # Differential precoding: phase state toggles at flip starts.
-            state = np.cumsum(flags.astype(int)) % 2
-            for idx in np.flatnonzero(state):
-                lo, hi = self._payload_symbol_span(wave, int(idx))
-                out.iq[lo:hi] *= -1.0
-        elif protocol is Protocol.BLE:
+        if protocol is not Protocol.BLE:
+            # 802.11b precodes differentially: its phase state toggles at
+            # flip starts.  The others flip the flagged symbols.
+            flipped = np.cumsum(flags) % 2 == 1 if protocol is Protocol.WIFI_B else flags
+            inside = np.repeat(flipped, np.diff(edges))[: max(out.iq.size - edges[0], 0)]
+            mask = np.zeros(out.iq.size, dtype=bool)
+            mask[edges[0] : edges[0] + inside.size] = inside
+            np.multiply(out.iq, -1.0, out=out.iq, where=mask)
+        else:
             # Mirror contiguous runs of flagged symbols as one segment:
             # the tag holds a single toggling mode across the run, so
             # the mirrored waveform is phase-continuous inside it
@@ -130,8 +129,7 @@ class TagModulator:
             if run_start is not None:
                 runs.append((run_start, prev))
             for a, b in runs:
-                lo, _ = self._payload_symbol_span(wave, a)
-                _, hi = self._payload_symbol_span(wave, b)
+                lo, hi = edges[a], edges[b + 1]
                 seg = out.iq[lo:hi]
                 # Surviving sideband of the f +- 500 kHz toggle: the
                 # spectrum mirrors, swapping f0 and f1.  Preserve the
@@ -141,8 +139,6 @@ class TagModulator:
                 if mirrored.size:
                     mirrored *= np.exp(2j * np.angle(seg[0]))
                 out.iq[lo:hi] = mirrored
-        else:  # pragma: no cover - exhaustive over Protocol
-            raise ValueError(f"unsupported protocol {protocol}")
 
         if self.frequency_shift_hz:
             out = out.frequency_shifted(self.frequency_shift_hz)

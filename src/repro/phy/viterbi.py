@@ -17,6 +17,18 @@ candidate ordering is chosen so that ``argmin`` ties resolve exactly
 like the per-step recursion (predecessor slot 0 preferred, latest step
 most significant), keeping decisions bit-identical to the scalar
 reference implementation.
+
+The hard decoder folds each candidate's index into its integer metric
+(``16 * metric + candidate``), so one minimum over the candidate axis
+picks the winner by the same first-minimum rule.  A long frame is cut
+into ``_SEGMENTS`` segments that advance one block per iteration
+through the same NumPy calls.  Every segment after the first starts
+``_WARMUP`` blocks early from all-zero metrics; integer add-compare-
+select decisions do not change when one constant is added to every
+path metric, so a segment whose metrics at its first owned block equal
+the true ones up to a constant has exact survivors.  Each segment is
+checked, and one that fails is re-run exactly from the true metrics
+until the two agree (``viterbi.resyncs`` counts these).
 """
 
 from __future__ import annotations
@@ -35,10 +47,23 @@ __all__ = ["decode", "decode_soft", "decode_batch"]
 
 _N_STATES = 1 << (CONSTRAINT - 1)  # 64
 _K = 4  # trellis steps per vectorized block
-#: Blocks whose branch-metric table is built at once; bounds the
-#: decoder's working set on long frames (a whole 802.11n frame's table
-#: would be several MB).
+#: Blocks whose branch-metric table is built at once (over all
+#: segments); bounds the decoder's working set on long frames (a whole
+#: 802.11n frame's table would be several MB).
 _CHUNK = 64
+#: Segments a long hard-decision frame is decoded in, and the blocks of
+#: warm-up each segment after the first runs before the blocks it owns.
+#: Frames shorter than ``(_SEGMENTS + 1) * _WARMUP`` blocks run as one
+#: segment.
+_SEGMENTS = 8
+_WARMUP = 16
+#: Start metric of the states other than zero.  Any value above 12
+#: makes the same decisions: within the first 6 steps a path from state
+#: 0 costs at most 12, and after them every state has one.
+_UNREACHED = 1 << 8
+#: Pair-type index of an all-erasure block (zero branch metric), which
+#: pads the last segment.
+_ERASED_BLOCK = 80
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +188,21 @@ def _build_block_tables() -> tuple[
 
 
 _BMTAB, _G12, _G34, _SRC, _BITS, _IDX_DC = _build_block_tables()
-#: ``_G34`` repeated along the candidate axis to all 16 candidates, so a
-#: chunk's block sums are one gather from each table.
-_G34_REP = np.repeat(_G34, 4, axis=2)
+#: Candidate index ``c = (s2 s3 s4 s5)`` of the start states ``4u..4u+3``
+#: whose high nibble is ``u = (s5 s4 s3 s2)``: the nibble reversed.
+_SLOT = np.array([int(f"{u:04b}"[::-1], 2) for u in range(16)])
+#: Folded block branch sums in ``[pair types, u, dst]`` layout:
+#: ``16 * (steps 1-2) + c`` per source row ``u``, and ``16 * (steps 3-4)``,
+#: which depends on ``u``'s low two bits only (``s3 s2``), per ``u & 3``.
+#: A folded metric ``16 * metric + c`` stays below 2**15 because the
+#: lockstep kernel renormalizes every chunk (metrics then span at most
+#: ``_UNREACHED + 12`` plus 8 per block).
+_FOLD12 = (16 * _G12[:, :, _SLOT] + _SLOT).transpose(0, 2, 1).astype(np.int16)
+_FOLD34 = (16 * _G34[:, :, _SLOT[:4] >> 2]).transpose(0, 2, 1).astype(np.int16)
+#: Clears a folded metric's candidate bits.
+_METRIC_MASK = np.int16(-16)
+_ROWS12 = np.arange(16)[:, None]
+_ROWS34 = np.arange(4)[:, None]
 #: ``_SRC`` as Python ints for the traceback walk, row ``d`` at ``16 * d``.
 _SRC_FLAT = _SRC.ravel().tolist()
 #: Flat offset of each destination's row in a block's (64, 16) candidates.
@@ -198,6 +235,103 @@ def _acs_blocks(
     return metrics
 
 
+def _acs_lockstep(
+    metrics: np.ndarray, i12: np.ndarray, i34: np.ndarray, folded: np.ndarray
+) -> None:
+    """Radix-16 add-compare-select of ``S`` segments in lockstep.
+
+    ``metrics`` (S, 64) holds ``16 * metric`` per segment and is updated
+    in place; iteration ``i`` advances segment ``s`` through the block
+    with pair-type indices ``i12[i, s]``, ``i34[i, s]`` and writes the
+    folded winners ``16 * metric + c`` to ``folded[i, s]``.  Candidates
+    are laid out source row first, so the minimum over axis 0 picks the
+    smallest metric, then the smallest ``c``: the first-``argmin`` rule.
+    Once per chunk each segment's metrics are shifted to make state 0's
+    zero, which changes no decision and keeps them within int16.
+    """
+    n_iter, n_seg = i12.shape
+    rows = metrics.reshape(n_seg, 16, 4, 1).transpose(1, 0, 2, 3)
+    cand = np.empty((16, n_seg, _N_STATES), dtype=np.int16)
+    cand4 = cand.reshape(16, n_seg, 4, 16)
+    step = max(1, _CHUNK // n_seg)
+    for c0 in range(0, n_iter, step):
+        metrics -= metrics[:, :1]
+        bm = _FOLD12[i12[c0 : c0 + step, None, :], _ROWS12]
+        k = bm.shape[0]
+        bm.reshape(k, 4, 4, n_seg, _N_STATES)[...] += _FOLD34[
+            i34[c0 : c0 + step, None, None, :], _ROWS34
+        ]
+        for blk, out in zip(bm.reshape(k, 16, n_seg, 4, 16), folded[c0 : c0 + step]):
+            # Start state 4u + h feeds destination 16h + l for every l.
+            np.add(rows, blk, cand4)
+            np.minimum.reduce(cand, 0, None, out)
+            np.bitwise_and(out, _METRIC_MASK, metrics)
+
+
+def _same_up_to_constant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row: do ``a`` and ``b`` differ by one constant (masked metrics)?"""
+    diff = (a & _METRIC_MASK) - (b & _METRIC_MASK)
+    return (diff == diff[..., :1]).all(axis=-1)
+
+
+def _resync(
+    spec: np.ndarray, metrics: np.ndarray, i12: np.ndarray, i34: np.ndarray
+) -> np.ndarray | None:
+    """Re-run one segment's owned blocks exactly from ``metrics``.
+
+    ``spec`` holds the segment's speculative winners per owned block (a
+    view into the lockstep output) and ``i12``/``i34`` their pair types.
+    Exact winners overwrite the speculative ones until, after some block,
+    the two metric vectors agree up to a constant; from the next block on
+    the speculative survivors are exact, and ``None`` is returned.  If
+    they never agree, the exact metrics after the last owned block are
+    returned for the next segment's check.
+    """
+    perf.count("viterbi.resyncs")
+    metrics = metrics[None].copy()
+    for c0 in range(0, spec.shape[0], _WARMUP):
+        exact = np.empty((len(spec[c0 : c0 + _WARMUP]), 1, _N_STATES), dtype=np.int16)
+        _acs_lockstep(metrics, i12[c0 : c0 + _WARMUP, None], i34[c0 : c0 + _WARMUP, None], exact)
+        agree = _same_up_to_constant(exact[:, 0], spec[c0 : c0 + _WARMUP])
+        if agree.any():
+            n_exact = int(agree.argmax()) + 1
+            spec[c0 : c0 + n_exact] = exact[:n_exact, 0]
+            return None
+        spec[c0 : c0 + _WARMUP] = exact[:, 0]
+    return metrics[0]
+
+
+def _verify_segments(
+    folded: np.ndarray, i12: np.ndarray, i34: np.ndarray, warm: int, owned: list[int]
+) -> np.ndarray | None:
+    """Check each segment's warm-up against its predecessor's end.
+
+    Segment ``j`` is exact if its metrics entering its first owned block
+    (after iteration ``warm - 1``) equal the true ones up to a constant.
+    The true ones are segment ``j - 1``'s last metrics when that segment
+    was exact from some block on, else the metrics its resync returned.
+    Returns the exact metrics after the last owned block when the last
+    resync never agreed, else ``None``.
+    """
+    ends = folded[-1, :-1]
+    starts = folded[warm - 1, 1:]
+    ok = _same_up_to_constant(starts, ends)
+    carried: np.ndarray | None = None
+    for seg in range(1, folded.shape[1]):
+        if carried is None:
+            if ok[seg - 1]:
+                continue
+            true = ends[seg - 1] & _METRIC_MASK
+        elif _same_up_to_constant(starts[seg - 1], carried):
+            carried = None
+            continue
+        else:
+            true = carried
+        own = slice(warm, warm + owned[seg])
+        carried = _resync(folded[own, seg], true, i12[own, seg], i34[own, seg])
+    return carried
+
+
 @contracts.shapes("64 ; nblk,64 ; rem,64")
 def _traceback(
     metrics: np.ndarray,
@@ -216,11 +350,13 @@ def _traceback(
         state = packed >> 1
     # The walk is serial, so it runs on Python ints; each block's bits
     # are fixed by its end state and written in one gather afterwards.
+    # A survivor's low four bits are the winning candidate (the hard
+    # decoder's folded winners carry the metric above them).
     survivor = surv_blocks.ravel().item
     path = []
     for nblk in range(n_blocks - 1, -1, -1):
         path.append(state)
-        state = _SRC_FLAT[16 * state + survivor(nblk * _N_STATES + state)]
+        state = _SRC_FLAT[16 * state + (survivor(nblk * _N_STATES + state) & 15)]
     decoded[: n_blocks * _K] = _BITS[path[::-1]].ravel()
     return decoded[:n_info]
 
@@ -249,19 +385,42 @@ def decode(coded: np.ndarray | list[int], *, n_info: int | None = None) -> BitAr
     ptype = pairs[:, 0] * 3 + pairs[:, 1]
 
     n_blocks = n_steps // _K
-    rem = n_steps - n_blocks * _K
 
-    metrics = np.full(_N_STATES, 1 << 28, dtype=np.int32)
-    metrics[0] = 0
-    surv_blocks = np.empty((n_blocks, _N_STATES), dtype=np.intp)
-
+    # Segment 0 owns blocks [0, warm + own); segment j >= 1 starts at
+    # block j * own and owns [j * own + warm, (j + 1) * own + warm),
+    # the last one up to the frame's end.
+    n_seg = _SEGMENTS if n_blocks >= (_SEGMENTS + 1) * _WARMUP else 1
+    warm = _WARMUP if n_seg > 1 else 0
+    own = -(-(n_blocks - warm) // n_seg)
+    if n_seg > 1:
+        n_seg = -(-(n_blocks - warm) // own)  # rounding can leave the last ones empty
+    n_iter = warm + own
+    i12 = np.full(own * (n_seg - 1) + n_iter, _ERASED_BLOCK, dtype=np.intp)
+    i34 = i12.copy()
     pt = ptype[: n_blocks * _K].reshape(n_blocks, _K)
-    i12 = pt[:, 0] * 9 + pt[:, 1]
-    i34 = pt[:, 2] * 9 + pt[:, 3]
-    for c0 in range(0, n_blocks, _CHUNK):
-        block_bm = _G12[i12[c0 : c0 + _CHUNK]] + _G34_REP[i34[c0 : c0 + _CHUNK]]
-        metrics = _acs_blocks(metrics, block_bm, surv_blocks, c0)
+    i12[:n_blocks] = pt[:, 0] * 9 + pt[:, 1]
+    i34[:n_blocks] = pt[:, 2] * 9 + pt[:, 3]
+    layout = np.arange(n_iter)[:, None] + own * np.arange(n_seg)
+    i12, i34 = i12[layout], i34[layout]
 
+    metrics = np.zeros((n_seg, _N_STATES), dtype=np.int16)
+    metrics[0, 1:] = 16 * _UNREACHED
+    folded = np.empty((n_iter, n_seg, _N_STATES), dtype=np.int16)
+    _acs_lockstep(metrics, i12, i34, folded)
+
+    end, surv_blocks = metrics[0], folded[:, 0]
+    if n_seg > 1:
+        # Blocks each segment owns (the last one's run ends in padding).
+        owned = [warm + own] + [own] * (n_seg - 2) + [n_blocks - (n_seg - 1) * own - warm]
+        exact = _verify_segments(folded, i12, i34, warm, owned)
+        end = folded[warm + owned[-1] - 1, -1] if exact is None else exact
+        # Block n's winners: segment j's iteration n - j * own.
+        blocks = np.arange(n_blocks)
+        seg = np.maximum((blocks - warm) // own, 0)
+        surv_blocks = folded.reshape(-1, _N_STATES)[(blocks - seg * own) * n_seg + seg]
+
+    metrics = (end & _METRIC_MASK) >> 4
+    rem = n_steps - n_blocks * _K
     surv_tail = np.empty((rem, _N_STATES), dtype=np.int64)
     for i in range(rem):
         bm = _BMTAB[ptype[n_blocks * _K + i]]

@@ -15,6 +15,8 @@ symbol it cuts through.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,6 +78,7 @@ _PN_BIPOLAR = 2.0 * PN_TABLE.astype(float) - 1.0
 _Q_AXIS = np.resize(np.array([1.0, 1j], dtype=np.complex128), CHIPS_PER_SYMBOL)
 _PICK = 2 * np.arange(CHIPS_PER_SYMBOL) + np.arange(CHIPS_PER_SYMBOL) % 2
 _IDEAL_CONJ = np.conj(_PN_BIPOLAR * _Q_AXIS)
+_SQRT_CHIPS = math.sqrt(CHIPS_PER_SYMBOL)
 
 #: SFD value 0xA7 -> symbols [7, 0xA] (low nibble first).
 _SFD_SYMBOLS = (0x7, 0xA)
@@ -295,26 +298,29 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
     # Decision-directed phase tracking: residual CFO/phase noise is
     # re-estimated from each decided symbol (a one-shot derotation is
     # not enough over a multi-millisecond coherent packet).
+    # The loop is serial, so it calls the scalar and array methods
+    # directly: ``cmath.exp``, ``math.sqrt``, ``.argmax()`` and ``.sum()``
+    # give the same values as their NumPy wrappers, and ``np.arctan2`` is
+    # what ``np.angle`` computes (``math.atan2`` can differ in the last bit).
     symbols = np.empty(n_symbols, dtype=np.uint8)
     corrs = np.empty(n_symbols)
     phase = 0.0
-    for k in range(n_symbols):
-        zk = z[k * CHIPS_PER_SYMBOL : (k + 1) * CHIPS_PER_SYMBOL]
-        rotated = zk * np.exp(-1j * phase)
+    for k, zk in enumerate(z.reshape(n_symbols, CHIPS_PER_SYMBOL)):
+        rotated = zk * cmath.exp(-1j * phase)
         seg = rotated.view(np.float64)[_PICK]
         scores = _PN_BIPOLAR @ seg
-        best = int(np.argmax(scores))
+        best = int(scores.argmax())
         symbols[k] = best
         # What np.linalg.norm computes for a real vector.
-        norm = np.sqrt(seg.dot(seg)) * np.sqrt(CHIPS_PER_SYMBOL)
+        norm = math.sqrt(seg.dot(seg)) * _SQRT_CHIPS
         corrs[k] = scores[best] / norm if norm > 1e-12 else 0.0
         # Residual phase of this symbol relative to its decision: the
         # ideal rotated outputs are (+-1) on I chips and (+-j) on Q
         # chips, so projecting onto the decided chips re-centers them
         # on the real axis.
-        residual = np.sum(rotated * _IDEAL_CONJ[best])
+        residual = (rotated * _IDEAL_CONJ[best]).sum()
         if abs(residual) > 1e-12:
-            phase += 0.5 * float(np.angle(residual))
+            phase += 0.5 * float(np.arctan2(residual.imag, residual.real))
 
     sfd_ok = bool(
         n_header >= _N_PREAMBLE_SYMBOLS + 2

@@ -9,30 +9,54 @@ whole frame through one 2-D transform where the seed ran one 64-point
 transform per symbol, the resampler, which filters I and Q as real
 rows with taps designed once, the channel shift, which reuses a
 memoized phasor, the overlay vote, which is one array expression per
-packet, and the ZigBee phase tracker; the batched correlator reorders
+packet, the backscatter flips, which are one masked multiply per
+carrier, and the ZigBee phase tracker; the batched correlator reorders
 float accumulation (one GEMM instead of per-template GEMVs plus
 prefix-sum normalization), so its scores are checked to 1e-12 and its
 decisions exactly.
 """
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.channel.noise import awgn
 from repro.core import wavecache
 from repro.core.adc import Adc
 from repro.core.matching import score_capture
-from repro.core.overlay import OverlayCodec, OverlayConfig
+from repro.core.overlay import Mode, OverlayCodec, OverlayConfig
 from repro.core.rectifier import ClampRectifier
+from repro.core.tag import MultiscatterTag
+from repro.core.tag_modulation import TagModulator
 from repro.core.templates import TemplateBank, reference_waveform
 from repro.phy import bits as bitlib
 from repro.phy import convcode, viterbi, wifi_a, wifi_b, wifi_n, zigbee
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
-from repro.sim.traffic import random_packet
+from repro.sim.pipeline import AirlinkPipeline, PendingReception
+from repro.sim.traffic import ExcitationSource, ScheduledPacket, random_packet
 from tests import reference_impls as ref
+
+
+def _staged_receptions(protocol, n):
+    """The first ``n`` receptions of ``protocol`` that the gateway's
+    staging (``excite_and_react``) hands its decode stage, over seeds."""
+    tag = MultiscatterTag()
+    packet = ScheduledPacket(protocol, 0.0, 1e-3, ExcitationSource(protocol))
+    payload = np.random.default_rng(7).integers(0, 2, 4096).astype(np.uint8)
+    out = []
+    for seed in range(8 * n):
+        staged, _ = AirlinkPipeline(tag).excite_and_react(
+            packet, payload, 0, np.random.default_rng(seed)
+        )
+        if isinstance(staged, PendingReception):
+            out.append(staged)
+            if len(out) == n:
+                return out
+    raise RuntimeError(f"only {len(out)} {protocol} receptions staged")
 
 
 class TestConvcode:
@@ -144,6 +168,73 @@ class TestViterbi:
         rng = np.random.default_rng(5)
         info = rng.integers(0, 2, 600).astype(np.uint8)
         assert np.array_equal(viterbi.decode(convcode.encode(info), n_info=600), info)
+
+
+def _noisy_frame(rng, n_steps):
+    """A coded frame of ``n_steps`` steps with random bit flips and
+    erasure bursts (as depuncturing and deep fades leave them)."""
+    coded = ref.convcode_encode(rng.integers(0, 2, n_steps).astype(np.uint8))
+    coded[rng.random(coded.size) < rng.uniform(0.0, 0.12)] ^= 1
+    for _ in range(int(rng.integers(0, 6))):
+        lo = int(rng.integers(0, coded.size))
+        coded[lo : lo + int(rng.integers(1, 200))] = convcode.ERASURE
+    return coded
+
+
+class TestViterbiLockstep:
+    """Frames of at least ``(_SEGMENTS + 1) * _WARMUP`` blocks run as
+    segments in lockstep, each verified against its predecessor and
+    re-run where the check fails.  Every frame is decoded with the
+    shipped warm-up and with one block of warm-up, which fails most
+    checks, and must equal the seed either way."""
+
+    @staticmethod
+    def _assert_seed(monkeypatch, frames, *, must_resync=True):
+        for warmup in (viterbi._WARMUP, 1):
+            monkeypatch.setattr(viterbi, "_WARMUP", warmup)
+            before = perf.counters().get("viterbi.resyncs", 0)
+            for i, coded in enumerate(frames):
+                n = (coded.size + 1) // 2
+                got = viterbi.decode(coded, n_info=n)
+                assert got.tobytes() == ref.viterbi_decode(coded, n_info=n).tobytes(), (warmup, i)
+            if warmup == 1 and must_resync:
+                assert perf.counters().get("viterbi.resyncs", 0) > before
+
+    def test_random_frames(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        frames = [_noisy_frame(rng, int(rng.integers(1, 3001))) for _ in range(16)]
+        frames.append(_noisy_frame(rng, 576)[:-1])  # odd length, 144 blocks: just segmented
+        self._assert_seed(monkeypatch, frames)
+
+    def test_all_erasure_frames(self, monkeypatch):
+        # Every branch metric ties in every segment: the results rest on
+        # the folded tie rule alone.
+        frames = [np.full(2 * n, convcode.ERASURE, dtype=np.uint8) for n in (576, 579, 1000, 2522)]
+        self._assert_seed(monkeypatch, frames, must_resync=False)
+
+    def test_pure_noise_frames(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        frames = [rng.integers(0, 2, 2 * n).astype(np.uint8) for n in (600, 1001, 2522, 3000)]
+        frames += [rng.integers(0, 3, 2 * n).astype(np.uint8) for n in (777, 2900)]
+        self._assert_seed(monkeypatch, frames)
+
+    def test_staged_gateway_reception(self, monkeypatch):
+        (reception,) = _staged_receptions(Protocol.WIFI_N, 1)
+        streams = []
+        decode = viterbi.decode
+
+        def record(coded, *, n_info=None):
+            streams.append((np.array(coded, dtype=np.uint8), n_info))
+            return decode(coded, n_info=n_info)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(viterbi, "decode", record)
+            reception.receivers.decoder.symbol_values(reception.received)
+        ((coded, n_info),) = streams
+        assert coded.size == 5044 and n_info == 2522
+        want = ref.viterbi_decode(coded, n_info=n_info).tobytes()
+        assert ref.viterbi_decode_radix16(coded, n_info=n_info).tobytes() == want
+        self._assert_seed(monkeypatch, [coded], must_resync=False)
 
 
 class TestWifiBMappings:
@@ -416,6 +507,33 @@ class TestOverlayVotes:
 class TestZigbeeDemodulate:
     """``zigbee.demodulate`` against the seed's per-symbol tracker."""
 
+    @staticmethod
+    def _assert_identical(got, want, label):
+        assert got.symbols.tobytes() == want.symbols.tobytes(), label
+        assert got.correlations.tobytes() == want.correlations.tobytes(), label
+        assert got.payload_bits.tobytes() == want.payload_bits.tobytes(), label
+        assert (got.sfd_ok, got.fcs_ok) == (want.sfd_ok, want.fcs_ok), label
+
+    def test_staged_gateway_receptions_identical(self):
+        for i, reception in enumerate(_staged_receptions(Protocol.ZIGBEE, 4)):
+            wave = reception.received
+            for correct_cfo in (True, False):
+                got = zigbee.demodulate(wave, correct_cfo=correct_cfo)
+                want = ref.zigbee_demodulate(wave, correct_cfo=correct_cfo)
+                self._assert_identical(got, want, (i, correct_cfo))
+
+    def test_scalar_calls_match_numpy(self):
+        # The tracker calls cmath.exp and np.arctan2 on scalars where the
+        # seed called np.exp and np.angle; the values must be the same.
+        rng = np.random.default_rng(47)
+        phases = np.concatenate([rng.uniform(-4.0, 4.0, 3000), rng.uniform(-2e3, 2e3, 3000)])
+        for phase in phases.tolist():
+            assert np.complex128(cmath.exp(-1j * phase)).tobytes() == np.exp(-1j * phase).tobytes()
+        points = rng.normal(size=(3000, 2)) * rng.choice([1e-6, 1.0, 1e3], size=(3000, 1))
+        for re, im in points.tolist():
+            z = np.complex128(complex(re, im))
+            assert float(np.arctan2(z.imag, z.real)) == float(np.angle(z))
+
     def test_noisy_frames_with_cfo_identical(self):
         rng = np.random.default_rng(41)
         for trial in range(20):
@@ -427,7 +545,59 @@ class TestZigbeeDemodulate:
             for correct_cfo in (True, False):
                 got = zigbee.demodulate(noisy, correct_cfo=correct_cfo)
                 want = ref.zigbee_demodulate(noisy, correct_cfo=correct_cfo)
-                assert got.symbols.tobytes() == want.symbols.tobytes(), trial
-                assert got.correlations.tobytes() == want.correlations.tobytes(), trial
-                assert got.payload_bits.tobytes() == want.payload_bits.tobytes(), trial
-                assert (got.sfd_ok, got.fcs_ok) == (want.sfd_ok, want.fcs_ok), trial
+                self._assert_identical(got, want, trial)
+
+
+class TestTagFlips:
+    """``OverlayCodec.tag_flip_flags`` and ``TagModulator.modulate``
+    against the parent's per-sequence flags and per-symbol flips."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_flags_identical(self, protocol):
+        rng = np.random.default_rng(list(Protocol).index(protocol) + 80)
+        for trial in range(60):
+            gamma = int(rng.integers(1, 6))
+            kappa = gamma * (2 if trial % 2 else 4)
+            codec = OverlayCodec(OverlayConfig(protocol, kappa=kappa, gamma=gamma))
+            n_symbols = int(rng.integers(0, 6 * kappa + 3))
+            _, capacity = codec.capacity(n_symbols)
+            n_bits = int(rng.choice([0, capacity // 2, capacity, capacity + 5]))
+            bits = rng.integers(0, 3 if trial % 3 == 0 else 2, n_bits)
+            got = codec.tag_flip_flags(bits, n_symbols)
+            want = ref.overlay_tag_flip_flags(codec, bits, n_symbols)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), trial
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("clock_ppm", [0.0, 100.0, -2500.0, 20000.0])
+    def test_modulate_identical(self, protocol, mode, clock_ppm):
+        rng = np.random.default_rng(int(abs(clock_ppm)) + mode.value)
+        codec = OverlayCodec(OverlayConfig.for_mode(protocol, mode, payload_symbols=48))
+        carrier = codec.build_carrier(rng.integers(0, 2, 6), trailing_symbols=3)
+        _, capacity = codec.capacity(carrier.annotations["n_payload_symbols"])
+        for shift_hz in (0.0, 10e6):
+            modulator = TagModulator(codec, frequency_shift_hz=shift_hz, clock_ppm=clock_ppm)
+            for n_bits in (capacity // 2, capacity, capacity + 9):
+                bits = rng.integers(0, 2, n_bits).astype(np.uint8)
+                got = modulator.modulate(carrier, bits)
+                want = ref.tag_modulate(modulator, carrier, bits)
+                assert got.iq.tobytes() == want.iq.tobytes(), (shift_hz, n_bits)
+                assert got.center_offset_hz == want.center_offset_hz
+                flags = got.annotations.pop("tag_flip_flags")
+                assert flags.tobytes() == want.annotations.pop("tag_flip_flags").tobytes()
+                assert got.annotations == want.annotations
+
+    def test_span_past_the_capture(self):
+        # A truncated carrier: the last flipped symbols run past its end.
+        codec = OverlayCodec(OverlayConfig.for_mode(Protocol.ZIGBEE, Mode.MODE_1))
+        carrier = codec.build_carrier(np.ones(8, np.uint8))
+        short = Waveform(
+            carrier.iq[: carrier.iq.size - 700].copy(),
+            carrier.sample_rate,
+            annotations=dict(carrier.annotations),
+        )
+        bits = np.ones(codec.capacity(carrier.annotations["n_payload_symbols"])[1], np.uint8)
+        for clock_ppm in (0.0, 3000.0):
+            modulator = TagModulator(codec, frequency_shift_hz=0.0, clock_ppm=clock_ppm)
+            got = modulator.modulate(short, bits)
+            assert got.iq.tobytes() == ref.tag_modulate(modulator, short, bits).iq.tobytes()

@@ -778,3 +778,146 @@ def zigbee_demodulate(wave, *, correct_cfo=True):
         sfd_ok=sfd_ok,
         fcs_ok=fcs_ok,
     )
+
+
+# ----------------------------------------------------------------------
+# The single-stream radix-16 hard Viterbi, and the backscatter flips
+# placed per sequence and applied per symbol
+# ----------------------------------------------------------------------
+def viterbi_decode_radix16(coded, *, n_info=None):
+    """Parent ``viterbi.decode``: one stream through radix-16 blocks,
+    ``argmin`` over each block's 16 candidates and a ``take`` of the
+    winners.  The trellis tables are the shipped module's."""
+    from repro.phy import viterbi as v
+
+    g34_rep = np.repeat(v._G34, 4, axis=2)
+    arr = np.asarray(coded, dtype=np.uint8)
+    if arr.size % 2:
+        arr = np.concatenate([arr, np.array([ERASURE], dtype=np.uint8)])
+    n_steps = arr.size // 2
+    if n_info is None:
+        n_info = n_steps
+    if n_steps == 0:
+        return np.zeros(0, dtype=np.uint8)
+
+    pairs = arr.reshape(n_steps, 2).astype(np.intp)
+    ptype = pairs[:, 0] * 3 + pairs[:, 1]
+    n_blocks = n_steps // 4
+    rem = n_steps - n_blocks * 4
+
+    metrics = np.full(_N_STATES, 1 << 28, dtype=np.int32)
+    metrics[0] = 0
+    surv_blocks = np.empty((n_blocks, _N_STATES), dtype=np.intp)
+    pt = ptype[: n_blocks * 4].reshape(n_blocks, 4)
+    i12 = pt[:, 0] * 9 + pt[:, 1]
+    i34 = pt[:, 2] * 9 + pt[:, 3]
+    for c0 in range(0, n_blocks, 64):
+        block_bm = v._G12[i12[c0 : c0 + 64]] + g34_rep[i34[c0 : c0 + 64]]
+        for nblk, bm in enumerate(block_bm, start=c0):
+            cand = metrics.take(v._SRC)
+            cand += bm
+            cidx = cand.argmin(axis=1, out=surv_blocks[nblk])
+            metrics = cand.take(cidx + np.arange(_N_STATES) * 16)
+
+    surv_tail = np.empty((rem, _N_STATES), dtype=np.int64)
+    for i in range(rem):
+        bm = v._BMTAB[ptype[n_blocks * 4 + i]]
+        cand0 = metrics[v._SRC0] + bm[v._BM0]
+        cand1 = metrics[v._SRC1] + bm[v._BM1]
+        take1 = cand1 < cand0
+        metrics = np.where(take1, cand1, cand0)
+        surv_tail[i] = np.where(take1, v._PACK1, v._PACK0)
+
+    state = int(np.argmin(metrics))
+    decoded = np.empty(n_steps, dtype=np.uint8)
+    for i in range(rem - 1, -1, -1):
+        packed = int(surv_tail[i, state])
+        decoded[n_blocks * 4 + i] = packed & 1
+        state = packed >> 1
+    src_flat = v._SRC.ravel().tolist()
+    survivor = surv_blocks.ravel().item
+    path = []
+    for nblk in range(n_blocks - 1, -1, -1):
+        path.append(state)
+        state = src_flat[16 * state + survivor(nblk * _N_STATES + state)]
+    decoded[: n_blocks * 4] = v._BITS[path[::-1]].ravel()
+    return decoded[:n_info]
+
+
+def overlay_tag_flip_flags(codec, tag_bits, n_payload_symbols):
+    """Parent ``OverlayCodec.tag_flip_flags``: sequence by sequence,
+    group by group, symbol by symbol."""
+    bits = np.asarray(tag_bits, dtype=np.uint8)
+    flags = np.zeros(n_payload_symbols, dtype=bool)
+    n_seq = codec.n_sequences(n_payload_symbols)
+    k = 0
+    for s in range(n_seq):
+        for group in codec.tag_symbol_groups(s):
+            if k >= bits.size:
+                return flags
+            if bits[k]:
+                for idx in group:
+                    if idx < n_payload_symbols:
+                        flags[idx] = True
+            k += 1
+    return flags
+
+
+def tag_modulate(modulator, wave, tag_bits):
+    """Parent ``TagModulator.modulate``: one slice multiply per flipped
+    symbol, each span computed on its own; flags from
+    :func:`overlay_tag_flip_flags`."""
+    from repro.phy.protocols import Protocol
+
+    def span(index):
+        start = wave.annotations["payload_start"]
+        sym = wave.annotations["samples_per_symbol"]
+        lo = start + index * sym
+        hi = lo + sym
+        if modulator.clock_ppm:
+            drift = modulator.clock_ppm * 1e-6
+            lo = start + int(round(index * sym * (1.0 + drift)))
+            hi = start + int(round((index + 1) * sym * (1.0 + drift)))
+        return lo, hi
+
+    protocol = modulator.codec.config.protocol
+    ann = wave.annotations
+    if ann.get("protocol") is not protocol:
+        raise ValueError("waveform protocol does not match codec protocol")
+    flags = overlay_tag_flip_flags(modulator.codec, tag_bits, ann["n_payload_symbols"])
+    out = wave.copy()
+    if protocol in (Protocol.WIFI_N, Protocol.ZIGBEE):
+        for idx in np.flatnonzero(flags):
+            lo, hi = span(int(idx))
+            out.iq[lo:hi] *= -1.0
+    elif protocol is Protocol.WIFI_B:
+        state = np.cumsum(flags.astype(int)) % 2
+        for idx in np.flatnonzero(state):
+            lo, hi = span(int(idx))
+            out.iq[lo:hi] *= -1.0
+    else:
+        idx = np.flatnonzero(flags)
+        run_start = None
+        prev = None
+        runs = []
+        for i in idx:
+            if run_start is None:
+                run_start = prev = int(i)
+            elif i == prev + 1:
+                prev = int(i)
+            else:
+                runs.append((run_start, prev))
+                run_start = prev = int(i)
+        if run_start is not None:
+            runs.append((run_start, prev))
+        for a, b in runs:
+            lo, _ = span(a)
+            _, hi = span(b)
+            seg = out.iq[lo:hi]
+            mirrored = np.conj(seg)
+            if mirrored.size:
+                mirrored *= np.exp(2j * np.angle(seg[0]))
+            out.iq[lo:hi] = mirrored
+    if modulator.frequency_shift_hz:
+        out = out.frequency_shifted(modulator.frequency_shift_hz)
+    return out.with_annotations(tag_flip_flags=flags)

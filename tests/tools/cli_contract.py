@@ -3,7 +3,7 @@
 Written once here and bound per tool by each tool's ``TestCli``:
 ``--list-rules`` prints the whole rule catalog; a clean fixture exits 0,
 a firing one exits 1 and names its rule, a file that does not parse
-exits 2; and for the analyzers with a JSON report, ``--format=json``
+or is not UTF-8 exits 2; and for the analyzers with a JSON report, ``--format=json``
 carries the finding, no suppression bookkeeping, and the tool's own
 structures (call graph, shape table, proofs).
 """
@@ -137,6 +137,16 @@ def check_parse_error_exits_two(tool: Tool, tmp_path: pathlib.Path) -> None:
     broken = run(tool, fixture(tmp_path, "def broken(:\n"))
     assert broken.returncode == 2
     assert "mod.py:1:1: parse error:" in broken.stderr
+
+
+def check_not_utf8_exits_two(tool: Tool, tmp_path: pathlib.Path) -> None:
+    pkg = pathlib.Path(fixture(tmp_path, tool.clean))
+    (pkg / "latin.py").write_bytes('"""Latin-1."""\nx = "caf\u00e9"\n'.encode("latin-1"))
+    proc = run(tool, str(pkg))
+    assert proc.returncode == 2, proc.stderr
+    assert "latin.py:2:1: parse error:" in proc.stderr
+    assert "not valid UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def check_json_report(tool: Tool, tmp_path: pathlib.Path) -> None:

@@ -697,6 +697,9 @@ class TestCli:
     def test_list_rules(self):
         cli_contract.check_list_rules(self.tool)
 
+    def test_not_utf8_exits_two(self, tmp_path):
+        cli_contract.check_not_utf8_exits_two(self.tool, tmp_path)
+
     def test_parse_error_exit_2(self, tmp_path):
         cli_contract.check_parse_error_exits_two(self.tool, tmp_path)
 

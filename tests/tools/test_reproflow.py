@@ -714,6 +714,9 @@ class TestCli:
     def test_findings_exit_one(self, tmp_path):
         cli_contract.check_findings_exit_one(self.tool, tmp_path)
 
+    def test_not_utf8_exits_two(self, tmp_path):
+        cli_contract.check_not_utf8_exits_two(self.tool, tmp_path)
+
     def test_parse_error_exits_two(self, tmp_path):
         cli_contract.check_parse_error_exits_two(self.tool, tmp_path)
 

@@ -14,6 +14,9 @@ here, once:
   ``disable=all`` for generated code, applied with ``--select`` by
   :func:`filter_findings` (:mod:`tools.analysis_common.pragmas`).  A
   justified pragma is the only way to silence a finding.
+* **One reader** — :func:`read_source` decodes a file as UTF-8 and
+  turns bytes that are not UTF-8 into a ``SyntaxError``, a parse error
+  like any other (:mod:`tools.analysis_common.source`).
 * **One CLI** — :func:`main`: ``paths``, ``--select``, ``--list-rules``,
   ``--format`` for the analyzers with a JSON report, and the exit-code
   contract 0 clean, 1 findings, 2 usage/parse errors
@@ -40,6 +43,7 @@ from tools.analysis_common.pragmas import (
     is_code_suppressed,
     parse_suppressions,
 )
+from tools.analysis_common.source import read_source
 
 __all__ = [
     "Finding",
@@ -48,6 +52,7 @@ __all__ = [
     "parse_suppressions",
     "is_code_suppressed",
     "FILE_PRAGMA_MAX_LINE",
+    "read_source",
     "main",
     "parse_select",
     "selected_by_prefix",

@@ -15,6 +15,7 @@ import ast
 import os
 from dataclasses import dataclass, field
 
+from tools.analysis_common import read_source
 from tools.reproflow.unitlattice import (
     ALIAS_UNITS,
     UnitTok,
@@ -233,9 +234,8 @@ class ProjectIndex:
         return index
 
     def _add_file(self, path: str) -> None:
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
         try:
+            source = read_source(path)
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
             self.errors.append((path, exc.lineno or 1, exc.msg or "syntax error"))

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import os
 
-from tools.analysis_common import AnalysisResult, Finding
-from tools.reprolint.rules import RULES, STRICT_RETURN_DIRS, lint_source
+from tools.analysis_common import AnalysisResult, Finding, read_source
+from tools.reprolint.rules import RULES, STRICT_RETURN_DIRS, lint_source, parse_error
 
 __all__ = [
     "RULES",
@@ -47,8 +47,12 @@ def lint_paths(
             files.append(p)
     out: list[Finding] = []
     for path in files:
-        with open(path, encoding="utf-8") as fh:
-            out.extend(lint_source(fh.read(), path, select=select))
+        try:
+            source = read_source(path)
+        except SyntaxError as exc:  # not UTF-8
+            out.append(parse_error(path, exc))
+            continue
+        out.extend(lint_source(source, path, select=select))
     return out
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "RULES",
     "STRICT_RETURN_DIRS",
     "lint_source",
+    "parse_error",
 ]
 
 #: code -> short description (the rule catalog shown by ``--list-rules``).
@@ -335,6 +336,17 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def parse_error(path: str, exc: SyntaxError) -> Finding:
+    """The ``E999`` finding for a file that does not parse."""
+    return Finding(
+        path=path,
+        line=exc.lineno or 1,
+        col=exc.offset or 0,
+        code="E999",
+        message=f"syntax error: {exc.msg}",
+    )
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -352,15 +364,7 @@ def lint_source(
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                code="E999",
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
+        return [parse_error(path, exc)]
     norm = path.replace("\\", "/")
     strict = any(fragment in norm for fragment in strict_return_dirs)
     linter = _Linter(path=path, strict_return=strict)
