@@ -64,13 +64,18 @@ def ber_gfsk_noncoherent(ebn0_lin: float) -> float:
     return float(np.clip(0.5 * np.exp(-0.5 * max(ebn0_lin, 0.0)), 0.0, 0.5))
 
 
+#: ``(k, (-1)^k C(16, k))`` for k = 2..16: the union bound's signed
+#: binomials, computed once rather than on every call.
+_SIGNED_COMB16 = tuple((k, (-1.0) ** k * special.comb(16, k)) for k in range(2, 17))
+
+
 def ber_802154(ebn0_lin: float) -> float:
     """IEEE 802.15.4 O-QPSK/DSSS BER (16-ary quasi-orthogonal union
     bound, the standard closed form used in 802.15.4 analyses)."""
     snr = max(ebn0_lin, 0.0)
     total = 0.0
-    for k in range(2, 17):
-        total += (-1.0) ** k * special.comb(16, k) * np.exp(20.0 * snr * (1.0 / k - 1.0))
+    for k, coef in _SIGNED_COMB16:
+        total += coef * np.exp(20.0 * snr * (1.0 / k - 1.0))
     ber = (8.0 / 15.0) * (1.0 / 16.0) * total
     return float(np.clip(ber, 0.0, 0.5))
 

@@ -97,21 +97,21 @@ def diversity_timeline(
     """
     n_bins = max(int(np.ceil(schedule.duration_s / bin_s)), 1)
     bins = np.zeros(n_bins)
-    models: dict[Protocol, OverlayThroughputModel] = {}
+    # A packet's expected tag bits depend only on its protocol and
+    # payload size: one model and one PER per pair.
+    expected_bits: dict[tuple[Protocol, int], float] = {}
     for pkt in schedule.packets:
         if pkt.protocol not in tag_protocols:
             continue
-        if pkt.protocol not in models:
-            models[pkt.protocol] = OverlayThroughputModel(pkt.protocol, mode=mode)
-        model = models[pkt.protocol]
         payload = pkt.source.resolved_payload()
-        model_bits = OverlayThroughputModel(
-            pkt.protocol, mode=mode, n_payload_bytes=payload
-        )
-        _, tag_bits = model_bits.bits_per_packet()
-        per = model.link.per(distance_m, payload * 8)
+        key = (pkt.protocol, payload)
+        if key not in expected_bits:
+            model = OverlayThroughputModel(pkt.protocol, mode=mode, n_payload_bytes=payload)
+            _, tag_bits = model.bits_per_packet()
+            per = model.link.per(distance_m, payload * 8)
+            expected_bits[key] = tag_bits * (1.0 - per)
         idx = min(int(pkt.start_s / bin_s), n_bins - 1)
-        bins[idx] += tag_bits * (1.0 - per)
+        bins[idx] += expected_bits[key]
     return {
         "time_s": np.arange(n_bins) * bin_s,
         "tag_kbps": bins / bin_s / 1e3,

@@ -281,14 +281,16 @@ DEFAULT_INCIDENT_DBM: dict[Protocol, float] = {
 }
 
 
-def evaluate_identifier(
+def score_traces(
     identifier: ProtocolIdentifier,
     traces: list[tuple[Protocol, Waveform]],
     *,
     rng: np.random.Generator | None = None,
     incident_power_dbm: DbmPower | dict[Protocol, float] | None = None,
-) -> AccuracyReport:
-    """Run the identifier over labeled traces and tabulate accuracy.
+) -> list[tuple[Protocol, dict[Protocol, float]]]:
+    """Each labeled trace's correlation scores, drawn in order from one
+    ``rng`` (the matcher plays no part, so one set of scores serves any
+    number of matchers, see :func:`tabulate_accuracy`).
 
     ``incident_power_dbm`` may be one value, a per-protocol dict, or
     None for the calibrated defaults (:data:`DEFAULT_INCIDENT_DBM`).
@@ -300,18 +302,44 @@ def evaluate_identifier(
         powers = incident_power_dbm
     else:
         powers = {p: float(incident_power_dbm) for p in Protocol}
+    return [
+        (truth, identifier.scores(wave, incident_power_dbm=powers.get(truth), rng=rng))
+        for truth, wave in traces
+    ]
+
+
+def tabulate_accuracy(
+    matcher: BlindMatcher | OrderedMatcher,
+    labeled_scores: list[tuple[Protocol, dict[Protocol, float]]],
+) -> AccuracyReport:
+    """Per-protocol accuracy and confusion counts of ``matcher``'s
+    decisions on scored traces, keyed in order of first appearance."""
     totals: dict[Protocol, int] = {}
     hits: dict[Protocol, int] = {}
     report = AccuracyReport()
-    for truth, wave in traces:
-        result = identifier.identify(
-            wave, incident_power_dbm=powers.get(truth), rng=rng
-        )
+    for truth, scores in labeled_scores:
+        decision = matcher.decide(scores)
         totals[truth] = totals.get(truth, 0) + 1
-        if result.decision is truth:
+        if decision is truth:
             hits[truth] = hits.get(truth, 0) + 1
-        key = (truth, result.decision)
+        key = (truth, decision)
         report.confusion[key] = report.confusion.get(key, 0) + 1
     for p, n in totals.items():
         report.per_protocol[p] = hits.get(p, 0) / n
     return report
+
+
+def evaluate_identifier(
+    identifier: ProtocolIdentifier,
+    traces: list[tuple[Protocol, Waveform]],
+    *,
+    rng: np.random.Generator | None = None,
+    incident_power_dbm: DbmPower | dict[Protocol, float] | None = None,
+) -> AccuracyReport:
+    """Run the identifier over labeled traces and tabulate accuracy:
+    :func:`score_traces`, then :func:`tabulate_accuracy` with the
+    identifier's own matcher."""
+    scored = score_traces(
+        identifier, traces, rng=rng, incident_power_dbm=incident_power_dbm
+    )
+    return tabulate_accuracy(identifier.matcher, scored)

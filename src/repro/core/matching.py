@@ -165,24 +165,56 @@ def search_thresholds(
     ``labeled_scores`` pairs each trace's true protocol with its score
     dict.  Returns the best :class:`OrderedMatcher` and its average
     per-protocol accuracy on the training data.
+
+    Every threshold combination decides every trace at once, as
+    :meth:`OrderedMatcher.decide` would: the first protocol in ``order``
+    whose score clears its threshold, else the trace's highest score.
     """
     if grid is None:
         grid = np.arange(0.2, 0.81, 0.15)
-    best: tuple[OrderedMatcher, float, float] | None = None
-    for combo in itertools.product(grid, repeat=len(order) - 1):
-        # The last protocol in the order is the fallback; its threshold
-        # is irrelevant, keep it at -1 so it always accepts.
-        matcher = OrderedMatcher(order=order, thresholds=tuple(combo) + (-1.0,))
-        correct: dict[Protocol, list[bool]] = {p: [] for p in order}
-        for truth, scores in labeled_scores:
-            correct[truth].append(matcher.decide(scores) is truth)
-        accuracies = [np.mean(v) for v in correct.values() if v]
-        avg = float(np.mean(accuracies)) if accuracies else 0.0
-        # Tie-break toward higher (more conservative) thresholds: early
-        # protocols only claim a packet on strong evidence, which
-        # generalizes better than the lowest tied combination.
-        margin = float(np.sum(combo))
-        if best is None or (avg, margin) > (best[1], best[2]):
-            best = (matcher, avg, margin)
-    assert best is not None
-    return best[0], best[1]
+    # The last protocol in the order is the fallback; its threshold is
+    # irrelevant, keep it at -1 so it always accepts.
+    combos = list(itertools.product(grid, repeat=len(order) - 1))
+    if not combos:
+        raise ValueError("search_thresholds needs a non-empty grid")
+    thresholds = np.empty((len(combos), len(order)))
+    thresholds[:, :-1] = combos
+    thresholds[:, -1] = -1.0
+
+    column = {p: k for k, p in enumerate(order)}
+    truth = np.array([column[t] for t, _ in labeled_scores], dtype=np.intp)
+    scores = np.array(
+        [[s.get(p, -1.0) for p in order] for _, s in labeled_scores], dtype=float
+    ).reshape(len(labeled_scores), len(order))
+    # Only a trace whose fallback protocol scores below -1 can reach the
+    # max-score fallback.
+    fallback_hit = np.zeros(len(labeled_scores), dtype=bool)
+    for j in np.flatnonzero(~(scores[:, -1] >= -1.0)):
+        t, s = labeled_scores[j]
+        fallback_hit[j] = max(s, key=s.__getitem__) is t
+
+    # Each (combination, trace) decision: walking the order backwards,
+    # a protocol whose score clears its threshold overrides the later
+    # ones, so the first such protocol wins; -1 where none clears.
+    decision = np.full((len(combos), len(labeled_scores)), -1, dtype=np.intp)
+    for k in reversed(range(len(order))):
+        decision[scores[:, k] >= thresholds[:, k, None]] = k
+    hit = np.where(decision >= 0, decision == truth, fallback_hit)
+    # Accuracy per protocol present in the training set, in ``order``.
+    # A boolean row mean is count / n, as ``np.mean`` of each list was,
+    # and row means and sums add left to right, as the 1-D calls did.
+    accuracies = [
+        hit[:, truth == k].mean(axis=1) for k in range(len(order)) if (truth == k).any()
+    ]
+    if accuracies:
+        avg = np.stack(accuracies, axis=1).mean(axis=1)
+    else:
+        avg = np.zeros(len(combos))
+    # Tie-break toward higher (more conservative) thresholds: early
+    # protocols only claim a packet on strong evidence, which
+    # generalizes better than the lowest tied combination.
+    margin = thresholds[:, :-1].sum(axis=1)
+    ranked = list(zip(avg.tolist(), margin.tolist()))
+    best = max(range(len(combos)), key=lambda c: ranked[c])  # the first best
+    matcher = OrderedMatcher(order=order, thresholds=tuple(combos[best]) + (-1.0,))
+    return matcher, ranked[best][0]

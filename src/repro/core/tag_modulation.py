@@ -28,6 +28,7 @@ channel to avoid self-interference with the excitation (§2.4, footnote
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,14 @@ class TagModulator:
     codec: OverlayCodec
     frequency_shift_hz: float = DEFAULT_SHIFT_HZ
     clock_ppm: float = 0.0
+
+    def __post_init__(self) -> None:
+        # At -1e6 ppm the tag's clock stops and below it runs backwards:
+        # its symbol boundaries would no longer increase.
+        if not (math.isfinite(self.clock_ppm) and self.clock_ppm > -1e6):
+            raise ValueError(
+                f"clock_ppm must be finite and above -1e6, got {self.clock_ppm}"
+            )
 
     def _symbol_edges(self, wave: Waveform, n_symbols: int) -> np.ndarray:
         """Sample offset of each payload symbol boundary (``n_symbols + 1``).

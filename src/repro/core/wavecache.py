@@ -117,11 +117,12 @@ def register_functools_cache(name: str, wrapper: Any) -> None:
 def _register_phy_caches() -> None:
     """Register the PHY-module and ADC lru_caches (idempotent, import-lazy)."""
     from repro.core import adc
-    from repro.phy import ble, bits, waveform, wifi_b, wifi_n
+    from repro.phy import ble, bits, pulse, waveform, wifi_b, wifi_n
 
     for name, fn in (
         ("core.adc.antialias_design", adc._antialias_design),
         ("phy.ble.rx_filter", ble._rx_filter),
+        ("phy.pulse.rrc_taps", pulse.rrc_taps),
         ("phy.waveform.resample_taps", waveform._resample_taps),
         ("phy.waveform.shift_phasor", waveform._shift_phasor),
         ("phy.bits.lfsr_cycle", bits._lfsr_cycle),

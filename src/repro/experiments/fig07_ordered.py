@@ -15,7 +15,8 @@ from repro.core.identification import (
     DEFAULT_INCIDENT_DBM,
     IdentificationConfig,
     ProtocolIdentifier,
-    evaluate_identifier,
+    score_traces,
+    tabulate_accuracy,
 )
 from repro.core.matching import search_thresholds
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER, labeled_traces
@@ -46,21 +47,19 @@ def run(
 
     # Train ordered thresholds on a disjoint trace set (paper §2.3.2).
     train = labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers)
-    rng = np.random.default_rng(seed)
-    labeled_scores = [
-        (truth, ident.scores(w, incident_power_dbm=powers[truth], rng=rng))
-        for truth, w in train
-    ]
-    matcher, train_acc = search_thresholds(labeled_scores)
+    trained = score_traces(
+        ident, train, rng=np.random.default_rng(seed), incident_power_dbm=powers
+    )
+    matcher, train_acc = search_thresholds(trained)
 
+    # Both matchers decide on the same scores: scoring never reads the
+    # matcher, so the test set is scored once.
     test = labeled_traces(n_traces, seed=seed, n_workers=n_workers)
-    blind_report = evaluate_identifier(
+    scored = score_traces(
         ident, test, rng=np.random.default_rng(seed + 1), incident_power_dbm=powers
     )
-    ident.matcher = matcher
-    ordered_report = evaluate_identifier(
-        ident, test, rng=np.random.default_rng(seed + 1), incident_power_dbm=powers
-    )
+    blind_report = tabulate_accuracy(ident.matcher, scored)
+    ordered_report = tabulate_accuracy(matcher, scored)
     return ExperimentResult(
         name="fig07_ordered",
         data={

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.identification import (
-    DEFAULT_INCIDENT_DBM,
     IdentificationConfig,
     ProtocolIdentifier,
     evaluate_identifier,
+    score_traces,
 )
 from repro.core.matching import search_thresholds
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER, labeled_traces
@@ -37,21 +37,19 @@ PANELS = (
 def run(
     *, seed: int, n_traces: int = 12, n_train: int = 8, n_workers: int | None = None
 ) -> ExperimentResult:
+    # Each set is a pure function of its seed and no panel writes to a
+    # trace, so all three panels share them.
+    train = labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers)
+    test = labeled_traces(n_traces, seed=seed, n_workers=n_workers)
     reports = {}
     for label, rate, window in PANELS:
         config = IdentificationConfig(
             sample_rate_hz=rate, quantized=True, window_us=window
         )
         ident = ProtocolIdentifier(config)
-        train = labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers)
-        rng = np.random.default_rng(seed)
-        labeled_scores = [
-            (t, ident.scores(w, incident_power_dbm=DEFAULT_INCIDENT_DBM[t], rng=rng))
-            for t, w in train
-        ]
-        matcher, _ = search_thresholds(labeled_scores)
-        ident.matcher = matcher
-        test = labeled_traces(n_traces, seed=seed, n_workers=n_workers)
+        ident.matcher, _ = search_thresholds(
+            score_traces(ident, train, rng=np.random.default_rng(seed))
+        )
         reports[label] = evaluate_identifier(
             ident, test, rng=np.random.default_rng(seed + 1)
         )

@@ -8,6 +8,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.types import ComplexIQ, FloatArray
@@ -45,8 +47,13 @@ def half_sine_pulse(sps: int) -> FloatArray:
     return np.sin(np.pi * (n + 0.5) / sps)
 
 
+@lru_cache(maxsize=16)
 def rrc_taps(beta: float, sps: int, span: int = 6) -> FloatArray:
-    """Root-raised-cosine taps (unit energy), rolloff ``beta``."""
+    """Root-raised-cosine taps (unit energy), rolloff ``beta``.
+
+    Memoized and read-only: every 802.11b modulation asks for the same
+    taps, and callers only convolve with them.
+    """
     if not 0 < beta <= 1:
         raise ValueError("beta must be in (0, 1]")
     n = np.arange(-span * sps, span * sps + 1, dtype=float)
@@ -66,7 +73,9 @@ def rrc_taps(beta: float, sps: int, span: int = 6) -> FloatArray:
             )
             den = np.pi * ti * (1.0 - (4.0 * beta * ti) ** 2)
             taps[i] = num / den
-    return taps / np.sqrt(np.sum(taps**2))
+    taps = taps / np.sqrt(np.sum(taps**2))
+    taps.flags.writeable = False
+    return taps
 
 
 def upsample_hold(symbols: np.ndarray, sps: int) -> ComplexIQ:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.types import ComplexIQ
 
 from repro.core.rectifier import incident_peak_voltage
-from repro.phy.waveform import Waveform
+from repro.phy.waveform import _ELIDE_SAMPLES, Waveform
 
 __all__ = ["superimpose"]
 
@@ -40,29 +40,31 @@ def superimpose(
     ``identify(..., prescaled=True)``.
     """
     v_iq = _at_scene_rate(victim, scene_rate_hz)
-    i_iq = _at_scene_rate(interferer, scene_rate_hz)
     n = v_iq.size if duration_s is None else int(duration_s * scene_rate_hz)
 
     # Scale to unboosted antenna volts.  Both rms values span the whole
-    # packet; of the victim only the samples the scene keeps are scaled.
-    # The interferer is scaled and shifted at full length: numpy elides
-    # the temporary in ``i_iq * np.exp(...)`` from 16,384 samples on and
-    # then multiplies in the other operand order, which the complex
-    # product's last bit depends on (docs/PERFORMANCE.md).
+    # resampled packet; of each packet only the samples the scene keeps
+    # are scaled (and, of the interferer, shifted).
     scene = np.zeros(n, dtype=complex)
-    scene[: min(v_iq.size, n)] = _to_volts(v_iq, victim_dbm, n)
-    i_iq = _to_volts(i_iq, interferer_dbm)
-
-    if freq_offset_hz:
-        t = np.arange(i_iq.size) / scene_rate_hz
-        i_iq = i_iq * np.exp(2j * np.pi * freq_offset_hz * t)
+    scene[: min(v_iq.size, n)] = _to_volts(v_iq, victim_dbm, 0, n)
 
     shift = int(round(time_offset_s * scene_rate_hz))
     src_lo = max(-shift, 0)
     dst_lo = max(shift, 0)
-    span = min(i_iq.size - src_lo, n - dst_lo)
-    if span > 0:
-        scene[dst_lo : dst_lo + span] += i_iq[src_lo : src_lo + span]
+    if dst_lo < n:  # an interferer starting after the scene is not resampled
+        i_iq = _at_scene_rate(interferer, scene_rate_hz)
+        span = min(i_iq.size - src_lo, n - dst_lo)
+        if span > 0:
+            part = _to_volts(i_iq, interferer_dbm, src_lo, src_lo + span)
+            if freq_offset_hz:
+                # The kept samples' own time stamps, and the operand order
+                # NumPy's temporary elision gives ``i_iq * np.exp(...)`` at
+                # the packet's full length: the complex product's last bit
+                # depends on it (docs/PERFORMANCE.md).
+                t = np.arange(src_lo, src_lo + span) / scene_rate_hz
+                e = np.exp(2j * np.pi * freq_offset_hz * t)
+                part = part * e if i_iq.size < _ELIDE_SAMPLES else e * part
+            scene[dst_lo : dst_lo + span] += part
 
     return Waveform(
         iq=scene,
@@ -81,11 +83,11 @@ def _at_scene_rate(wave: Waveform, scene_rate_hz: float) -> ComplexIQ:
     return resampled.iq[int(round(pad * scene_rate_hz / wave.sample_rate)) :]
 
 
-def _to_volts(iq: ComplexIQ, dbm: float, n: int | None = None) -> ComplexIQ:
-    """The first ``n`` samples of ``iq`` (all by default) scaled so that
-    ``iq``'s rms is the peak voltage of ``dbm`` at the antenna, matching
+def _to_volts(iq: ComplexIQ, dbm: float, lo: int, hi: int) -> ComplexIQ:
+    """Samples ``[lo, hi)`` of ``iq`` scaled so that the whole of ``iq``
+    has the rms of the peak voltage of ``dbm`` at the antenna, matching
     network unboosted."""
     rms = np.sqrt(float(np.mean(np.abs(iq) ** 2))) if iq.size else 0.0
     if rms <= 0:
-        return iq[:n]
-    return iq[:n] / rms * incident_peak_voltage(dbm, matching_boost=1.0)
+        return iq[lo:hi]
+    return iq[lo:hi] / rms * incident_peak_voltage(dbm, matching_boost=1.0)

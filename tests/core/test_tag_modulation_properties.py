@@ -66,3 +66,32 @@ class TestModulationInvariants:
         back = mod.received_at_shifted_channel(shifted)
         assert np.allclose(back.iq, carrier.iq, atol=1e-9)
         assert back.center_offset_hz == pytest.approx(0.0)
+
+
+class TestClockBounds:
+    """A clock error at or below -1e6 ppm stops or reverses the tag's
+    clock, so its symbol boundaries stop increasing; construction
+    rejects it, and a NaN or infinite one, by name."""
+
+    @pytest.mark.parametrize(
+        "clock_ppm", [-1e6, -2e6, -1e9, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejected_at_construction(self, clock_ppm):
+        codec, _, _ = _setup(Protocol.ZIGBEE, seed=3)
+        with pytest.raises(ValueError, match="clock_ppm"):
+            TagModulator(codec, clock_ppm=clock_ppm)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("clock_ppm", [-999_999.0, 0.0, 20_000.0])
+    def test_running_clocks_modulate_as_before(self, protocol, clock_ppm):
+        from tests import reference_impls as ref
+
+        codec, carrier, tag_bits = _setup(protocol, seed=4)
+        mod = TagModulator(codec, clock_ppm=clock_ppm)
+        got = mod.modulate(carrier, tag_bits)
+        want = ref.tag_modulate(mod, carrier, tag_bits)
+        assert got.iq.tobytes() == want.iq.tobytes()
+        assert (
+            got.annotations["tag_flip_flags"].tobytes()
+            == want.annotations["tag_flip_flags"].tobytes()
+        )

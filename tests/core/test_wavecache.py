@@ -65,6 +65,7 @@ class TestRegistry:
         assert "phy.wifi_n.l_stf" in stats
         assert "core.adc.antialias_design" in stats
         assert "phy.ble.rx_filter" in stats
+        assert "phy.pulse.rrc_taps" in stats
         assert "phy.waveform.resample_taps" in stats
         assert "phy.waveform.shift_phasor" in stats
         for s in stats.values():
@@ -96,6 +97,21 @@ class TestRegistry:
         assert wavecache.cache_stats()["phy.waveform.resample_taps"]["size"] == 2
         wavecache.clear_caches()
         assert wavecache.cache_stats()["phy.waveform.resample_taps"]["size"] == 0
+
+    def test_rrc_taps_are_made_once_and_read_only(self):
+        from repro.phy import pulse, wifi_b
+
+        wavecache.clear_caches()
+        waves = [wifi_b.modulate(b"\x5a" * 4) for _ in range(3)]
+        stats = wavecache.cache_stats()["phy.pulse.rrc_taps"]
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 2, 1)
+        assert all(w.iq.tobytes() == waves[0].iq.tobytes() for w in waves)
+        taps = pulse.rrc_taps(0.5, 2)
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0] = 0.0
+        wavecache.clear_caches()
+        assert wavecache.cache_stats()["phy.pulse.rrc_taps"]["size"] == 0
 
     def test_shift_phasor_is_made_once_per_key(self):
         from repro.phy.waveform import Waveform, _shift_phasor

@@ -10,6 +10,7 @@ listing, and centralized bounds validation.
 
 import ast
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,24 @@ class TestQuickRuns:
                 spec.run("quick")
         finally:
             registry._IMPLS["table2_resources"] = impl
+
+
+class TestPaperPresetDigests:
+    """Every paper-preset artifact at the default seed against the digest
+    ``perfbench/expected.json`` records for the campaign benchmark, so
+    the bytes the benchmark checks are checked on every test run too."""
+
+    EXPECTED = Path(__file__).resolve().parents[2] / "perfbench" / "expected.json"
+
+    def test_covers_every_experiment(self):
+        digests = json.loads(self.EXPECTED.read_text())["campaign_sha256"]
+        assert set(digests) == set(ALL_NAMES)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_artifact_digest(self, name):
+        want = json.loads(self.EXPECTED.read_text())["campaign_sha256"][name]
+        data = (registry.run_preset(name, "paper").to_json() + "\n").encode()
+        assert hashlib.sha256(data).hexdigest() == want
 
 
 class TestBounds:

@@ -921,3 +921,106 @@ def tag_modulate(modulator, wave, tag_bits):
     if modulator.frequency_shift_hz:
         out = out.frequency_shifted(modulator.frequency_shift_hz)
     return out.with_annotations(tag_flip_flags=flags)
+
+
+# ----------------------------------------------------------------------
+# Paper campaign: the threshold search one combination and trace at a
+# time, a throughput model per scheduled packet, and the 802.15.4 union
+# bound's binomials on every call
+# ----------------------------------------------------------------------
+def search_thresholds(labeled_scores, *, order=None, grid=None):
+    """Parent ``matching.search_thresholds``: one ``OrderedMatcher.decide``
+    per threshold combination and trace."""
+    import itertools
+
+    from repro.core.matching import DEFAULT_ORDER, OrderedMatcher
+
+    if order is None:
+        order = DEFAULT_ORDER
+    if grid is None:
+        grid = np.arange(0.2, 0.81, 0.15)
+    best = None
+    for combo in itertools.product(grid, repeat=len(order) - 1):
+        matcher = OrderedMatcher(order=order, thresholds=tuple(combo) + (-1.0,))
+        correct = {p: [] for p in order}
+        for truth, scores in labeled_scores:
+            correct[truth].append(matcher.decide(scores) is truth)
+        accuracies = [np.mean(v) for v in correct.values() if v]
+        avg = float(np.mean(accuracies)) if accuracies else 0.0
+        margin = float(np.sum(combo))
+        if best is None or (avg, margin) > (best[1], best[2]):
+            best = (matcher, avg, margin)
+    assert best is not None
+    return best[0], best[1]
+
+
+def evaluate_identifier(identifier, traces, *, rng=None, incident_power_dbm=None):
+    """Parent ``identification.evaluate_identifier``: ``identify`` per
+    trace, which scores it and decides with the identifier's matcher."""
+    from repro.core.identification import DEFAULT_INCIDENT_DBM, AccuracyReport
+    from repro.phy.protocols import Protocol
+
+    rng = rng or np.random.default_rng(0)
+    if incident_power_dbm is None:
+        powers = dict(DEFAULT_INCIDENT_DBM)
+    elif isinstance(incident_power_dbm, dict):
+        powers = incident_power_dbm
+    else:
+        powers = {p: float(incident_power_dbm) for p in Protocol}
+    totals = {}
+    hits = {}
+    report = AccuracyReport()
+    for truth, wave in traces:
+        result = identifier.identify(wave, incident_power_dbm=powers.get(truth), rng=rng)
+        totals[truth] = totals.get(truth, 0) + 1
+        if result.decision is truth:
+            hits[truth] = hits.get(truth, 0) + 1
+        key = (truth, result.decision)
+        report.confusion[key] = report.confusion.get(key, 0) + 1
+    for p, n in totals.items():
+        report.per_protocol[p] = hits.get(p, 0) / n
+    return report
+
+
+def diversity_timeline(schedule, *, bin_s=0.05, tag_protocols=None, mode=None, distance_m=2.0):
+    """Parent ``carrier_select.diversity_timeline``: two throughput models
+    and one ``link.per`` per scheduled packet."""
+    from repro.core.overlay import Mode
+    from repro.core.throughput import OverlayThroughputModel
+    from repro.phy.protocols import Protocol
+
+    if tag_protocols is None:
+        tag_protocols = tuple(Protocol)
+    if mode is None:
+        mode = Mode.MODE_1
+    n_bins = max(int(np.ceil(schedule.duration_s / bin_s)), 1)
+    bins = np.zeros(n_bins)
+    models = {}
+    for pkt in schedule.packets:
+        if pkt.protocol not in tag_protocols:
+            continue
+        if pkt.protocol not in models:
+            models[pkt.protocol] = OverlayThroughputModel(pkt.protocol, mode=mode)
+        model = models[pkt.protocol]
+        payload = pkt.source.resolved_payload()
+        model_bits = OverlayThroughputModel(pkt.protocol, mode=mode, n_payload_bytes=payload)
+        _, tag_bits = model_bits.bits_per_packet()
+        per = model.link.per(distance_m, payload * 8)
+        idx = min(int(pkt.start_s / bin_s), n_bins - 1)
+        bins[idx] += tag_bits * (1.0 - per)
+    return {
+        "time_s": np.arange(n_bins) * bin_s,
+        "tag_kbps": bins / bin_s / 1e3,
+    }
+
+
+def ber_802154(ebn0_lin):
+    """Parent ``link.ber_802154``: fifteen ``special.comb`` calls per call."""
+    from scipy import special
+
+    snr = max(ebn0_lin, 0.0)
+    total = 0.0
+    for k in range(2, 17):
+        total += (-1.0) ** k * special.comb(16, k) * np.exp(20.0 * snr * (1.0 / k - 1.0))
+    ber = (8.0 / 15.0) * (1.0 / 16.0) * total
+    return float(np.clip(ber, 0.0, 0.5))

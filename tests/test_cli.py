@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -182,3 +186,49 @@ class TestRunAll:
         for name in two_experiment_registry:
             loaded = ExperimentResult.load(tmp_path / f"{name}.json")
             assert loaded.to_json() == registry.run_preset(name, "quick").to_json()
+
+
+class TestBlasThreadPolicy:
+    """``python -m repro`` pins one BLAS/OpenMP thread where the caller
+    left the count unset, before numpy is first imported."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    # Runs the package's __main__ as ``-m`` does and records the three
+    # variables at the moment numpy is first looked up.
+    PROBE = textwrap.dedent(
+        """
+        import json, os, runpy, sys
+        VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        seen = {}
+
+        class Spy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.update({v: os.environ.get(v) for v in VARS})
+
+        sys.meta_path.insert(0, Spy())
+        sys.argv = ["repro", "run", "table2_resources"]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit:
+            pass
+        print(json.dumps(seen))
+        """
+    )
+
+    def _probe(self, **env_vars):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(env_vars)
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        return json.loads(out.strip().splitlines()[-1])
+
+    def test_unset_counts_become_one(self):
+        assert self._probe() == {v: "1" for v in self.VARS}
+
+    def test_caller_values_are_kept(self):
+        seen = self._probe(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
+        assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                        "MKL_NUM_THREADS": "3"}

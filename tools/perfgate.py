@@ -56,9 +56,9 @@ KERNEL_ROUNDS = 20
 #: not gated: the seed soft Viterbi already vectorizes over the 64
 #: states, four pairs spend most of their time in kernels both sides
 #: share (the shipped Viterbi in the OFDM receivers, the whole PHY in
-#: ``reference_run_airlink``, ``upfirdn`` and the interferer's
-#: full-length shift in ``superimpose``), and the ZigBee receiver keeps
-#: its decision-directed loop, one matmul and ``arctan2`` per symbol
+#: ``reference_run_airlink``, ``upfirdn`` over both packets at full
+#: length in ``superimpose``), and the ZigBee receiver keeps its
+#: decision-directed loop, one matmul and ``arctan2`` per symbol
 #: (2.6x).
 FLOORS: dict[str, float | None] = {
     "viterbi_decode": 4.0,
@@ -80,6 +80,7 @@ FLOORS: dict[str, float | None] = {
     "overlay_decode_symbols": 5.3,
     "viterbi_decode_radix16": 1.6,
     "zigbee_demodulate": None,
+    "search_thresholds": 21.4,
 }
 
 #: The pool gate's schedule: its seed (also the gateway's), tag and
@@ -127,16 +128,18 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
     shift, overlay vote, radix-16 Viterbi and ZigBee receiver run on what
     the gateway hands them (a tag's +10 MHz shift of its 802.11n carrier,
     with the phasor cached, one 802.11n reception's symbol decisions and
-    its 5,044-bit coded stream, and one ZigBee reception); the rest run
-    on one 64-byte frame.
+    its 5,044-bit coded stream, and one ZigBee reception); the threshold
+    search runs on fig07's paper-preset training scores; the rest run on
+    one 64-byte frame.
     """
     import numpy as np
 
     from repro.core.adc import Adc
-    from repro.core.matching import score_capture
+    from repro.core.matching import score_capture, search_thresholds
     from repro.core.rectifier import ClampRectifier
     from repro.core.tag import MultiscatterTag
     from repro.core.templates import TemplateBank
+    from repro.experiments import fig07_ordered, registry
     from repro.phy import bits, convcode, viterbi, wifi_a, wifi_b, wifi_n, zigbee
     from repro.phy.protocols import Protocol
     from repro.sim.airlink import run_airlink
@@ -192,6 +195,22 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
         -21.2,
     )
     scene_kwargs = {"freq_offset_hz": 2e6, "time_offset_s": -50e-6, "duration_s": 90e-6}
+
+    # fig07's paper-preset training scores (128 traces), as its threshold
+    # search receives them.
+    trained = []
+    search = fig07_ordered.search_thresholds
+
+    def record_search(labeled_scores: Any, **kwargs: Any) -> Any:
+        trained.append(labeled_scores)
+        return search(labeled_scores, **kwargs)
+
+    fig07_ordered.search_thresholds = record_search
+    try:
+        registry.run_preset("fig07_ordered", "paper")
+    finally:
+        fig07_ordered.search_thresholds = search
+    (train_scores,) = trained
 
     # Gateway receptions: the first seed at which the tag backscatters.
     def staged(protocol: Protocol) -> PendingReception:
@@ -321,6 +340,11 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
             "zigbee.demodulate",
             lambda: ref.zigbee_demodulate(reception_z),
             lambda: zigbee.demodulate(reception_z),
+        ),
+        "search_thresholds": (
+            "matching.search_thresholds",
+            lambda: ref.search_thresholds(train_scores),
+            lambda: search_thresholds(train_scores),
         ),
     }
 
