@@ -8,6 +8,7 @@ length, and matching rule are all configuration.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -128,43 +129,22 @@ class ProtocolIdentifier:
         *,
         incident_power_dbm: float | None = None,
         rng: np.random.Generator | None = None,
-        sampling_phase_s: float | None = None,
         prescaled: bool = False,
     ) -> dict[Protocol, float]:
         """Correlation scores for a packet waveform (head-aligned).
 
         ``prescaled=True`` treats the waveform as already being in
-        antenna volts (composite interference scenes, Fig 16).
+        antenna volts (composite interference scenes, Fig 16).  This is
+        :func:`score_traces` for one identifier and one trace.
         """
-        cfg = self.config
         power: float | None
         if prescaled:
             power = None
         elif incident_power_dbm is not None:
             power = incident_power_dbm
         else:
-            power = cfg.incident_power_dbm
-        rng = fallback_rng(rng)
-        if sampling_phase_s is None:
-            sampling_phase_s = float(rng.uniform(0.0, 1.0 / cfg.sample_rate_hz))
-        offsets = cfg.resolved_offsets()
-        need = cfg.l_p + cfg.l_m + max(offsets) + 2
-        duration_s = need / cfg.sample_rate_hz
-        # The correlator reads only the packet head (the FPGA gates the
-        # ADC off after it), so only that head is rectified.
-        window = self.adc.samples_read(
-            wave.sample_rate, duration_s, phase_s=sampling_phase_s
-        )
-        analog = self.rectifier.rectify(wave, power, rng=rng, n_samples=window)
-        capture = self.adc.capture(
-            analog, duration_s=duration_s, phase_s=sampling_phase_s
-        )
-        return score_capture(
-            capture.codes,
-            self.bank,
-            quantized=cfg.quantized,
-            offsets=offsets,
-        )
+            power = self.config.incident_power_dbm
+        return _score_head((self,), wave, power, fallback_rng(rng))[0]
 
     def power_profile(self) -> "CorrelatorDesign":
         """FPGA resource/power estimate of this configuration (the
@@ -281,31 +261,104 @@ DEFAULT_INCIDENT_DBM: dict[Protocol, float] = {
 }
 
 
+def _score_head(
+    identifiers: Sequence[ProtocolIdentifier],
+    wave: Waveform,
+    power: float | None,
+    rng: np.random.Generator,
+) -> list[dict[Protocol, float]]:
+    """Every identifier's scores for one packet, from one sampling-phase
+    draw, one rectification and one capture per distinct ADC.
+
+    Each identifier's list entry equals its own pipeline run alone from
+    ``rng``'s starting state, and ``rng`` ends where that run leaves it:
+
+    * the phase ``0.0 + (1 / rate) * d`` of one ``d = rng.random()`` is
+      exactly ``rng.uniform(0.0, 1 / rate)``, for every rate;
+    * the correlator reads only the packet head (the FPGA gates the ADC
+      off after it), so only the longest window any identifier reads is
+      rectified; a shorter window's output is this one's head, and the
+      noise draw spans the whole packet either way;
+    * an ADC shared by several identifiers captures once, at their
+      longest duration: its anti-aliasing filter is causal and the
+      sampling grid never reaches the clip bound, so a shorter capture's
+      codes are this one's prefix.
+    """
+    d = rng.random()
+    plans = []
+    window = 0
+    for ident in identifiers:
+        cfg = ident.config
+        phase_s = 0.0 + (1.0 / cfg.sample_rate_hz) * d
+        offsets = cfg.resolved_offsets()
+        duration_s = (cfg.l_p + cfg.l_m + max(offsets) + 2) / cfg.sample_rate_hz
+        window = max(window, ident.adc.samples_read(wave.sample_rate, duration_s, phase_s=phase_s))
+        plans.append(((ident.adc, phase_s), duration_s, offsets))
+    analog = identifiers[0].rectifier.rectify(wave, power, rng=rng, n_samples=window)
+    longest: dict[tuple[Adc, float], float] = {}
+    for grid, duration_s, _ in plans:
+        longest[grid] = max(duration_s, longest.get(grid, 0.0))
+    codes = {
+        (adc, phase_s): adc.capture(analog, duration_s=duration_s, phase_s=phase_s).codes
+        for (adc, phase_s), duration_s in longest.items()
+    }
+    return [
+        score_capture(
+            codes[grid][: grid[0]._n_out(duration_s)],
+            ident.bank,
+            quantized=ident.config.quantized,
+            offsets=offsets,
+        )
+        for ident, (grid, duration_s, offsets) in zip(identifiers, plans)
+    ]
+
+
 def score_traces(
-    identifier: ProtocolIdentifier,
-    traces: list[tuple[Protocol, Waveform]],
+    identifiers: Sequence[ProtocolIdentifier],
+    traces: Iterable[tuple[Protocol, Waveform]],
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     incident_power_dbm: DbmPower | dict[Protocol, float] | None = None,
-) -> list[tuple[Protocol, dict[Protocol, float]]]:
-    """Each labeled trace's correlation scores, drawn in order from one
-    ``rng`` (the matcher plays no part, so one set of scores serves any
+) -> list[list[tuple[Protocol, dict[Protocol, float]]]]:
+    """Each identifier's labeled correlation scores over one pass of the
+    traces (the matcher plays no part, so one set of scores serves any
     number of matchers, see :func:`tabulate_accuracy`).
 
+    List ``k`` equals what ``identifiers[k]`` scores alone, trace by
+    trace in order, from a generator in ``rng``'s starting state; each
+    trace is scored by all of them before the next one is taken, so a
+    streamed trace set (:func:`repro.experiments.common.labeled_traces`)
+    holds one trace at a time.  The identifiers must share one rectifier
+    model (same class, same attributes), because they share its noise.
+
     ``incident_power_dbm`` may be one value, a per-protocol dict, or
-    None for the calibrated defaults (:data:`DEFAULT_INCIDENT_DBM`).
+    None for the calibrated defaults (:data:`DEFAULT_INCIDENT_DBM`); a
+    protocol a dict leaves out is rectified at the identifiers' own
+    configured power, which they must then share.
     """
-    rng = rng or np.random.default_rng(0)
+    front = identifiers[0].rectifier
+    for ident in identifiers[1:]:
+        if type(ident.rectifier) is not type(front) or vars(ident.rectifier) != vars(front):
+            raise ValueError("identifiers scored together must share one rectifier model")
     if incident_power_dbm is None:
         powers: dict[Protocol, float] = dict(DEFAULT_INCIDENT_DBM)
     elif isinstance(incident_power_dbm, dict):
         powers = incident_power_dbm
     else:
         powers = {p: float(incident_power_dbm) for p in Protocol}
-    return [
-        (truth, identifier.scores(wave, incident_power_dbm=powers.get(truth), rng=rng))
-        for truth, wave in traces
-    ]
+    configured = {ident.config.incident_power_dbm for ident in identifiers}
+    scored: list[list[tuple[Protocol, dict[Protocol, float]]]] = [[] for _ in identifiers]
+    for truth, wave in traces:
+        power = powers.get(truth)
+        if power is None:
+            if len(configured) > 1:
+                raise ValueError(
+                    f"no power for {truth.value} and the identifiers' configured powers differ"
+                )
+            (power,) = configured
+        for out, scores in zip(scored, _score_head(identifiers, wave, power, rng)):
+            out.append((truth, scores))
+    return scored
 
 
 def tabulate_accuracy(
@@ -327,19 +380,3 @@ def tabulate_accuracy(
     for p, n in totals.items():
         report.per_protocol[p] = hits.get(p, 0) / n
     return report
-
-
-def evaluate_identifier(
-    identifier: ProtocolIdentifier,
-    traces: list[tuple[Protocol, Waveform]],
-    *,
-    rng: np.random.Generator | None = None,
-    incident_power_dbm: DbmPower | dict[Protocol, float] | None = None,
-) -> AccuracyReport:
-    """Run the identifier over labeled traces and tabulate accuracy:
-    :func:`score_traces`, then :func:`tabulate_accuracy` with the
-    identifier's own matcher."""
-    scored = score_traces(
-        identifier, traces, rng=rng, incident_power_dbm=incident_power_dbm
-    )
-    return tabulate_accuracy(identifier.matcher, scored)

@@ -96,7 +96,12 @@ def _diode_rc(v_in: np.ndarray, fs: float, tau_s: float) -> FloatArray:
     The diode charges the capacitor instantly (charge time constant
     << 1/fs) and the resistor discharges it with ``tau_s``:
     v[n] = max(v_in[n], v[n-1] * exp(-dt/tau)).  Computed exactly in
-    blocks via a weighted running maximum.
+    blocks via a weighted running maximum, all blocks at once: inside a
+    block the carried-in term ``carry * inv[k] * decay`` never decreases
+    in k (non-negative factors, monotone rounding), so the running
+    maximum of ``max(seg * inv, carry term)`` is the running maximum of
+    ``seg * inv`` against the carry term, and only the scalar carries
+    walk from block to block.
     """
     if v_in.size == 0:
         return v_in.copy()
@@ -105,21 +110,20 @@ def _diode_rc(v_in: np.ndarray, fs: float, tau_s: float) -> FloatArray:
         # Discharge completes within one sample: output tracks input.
         return v_in.copy()
     decay = np.exp(-rate)
-    out = np.empty_like(v_in)
     # Keep decay**-block within float range (exp(600) ~ 1e260).
     block = max(int(min(512.0, 600.0 / max(rate, 1e-12))), 1)
-    carry = 0.0
     inv_decay_pow = decay ** -np.arange(block, dtype=float)
     decay_pow = decay ** np.arange(block, dtype=float)
-    for start in range(0, v_in.size, block):
-        seg = v_in[start : start + block]
-        n = seg.size
-        cand = np.maximum(seg * inv_decay_pow[:n], carry * inv_decay_pow[:n] * decay)
-        running = np.maximum.accumulate(cand)
-        res = running * decay_pow[:n]
-        out[start : start + n] = res
-        carry = res[-1]
-    return out
+    n_blocks = -(-v_in.size // block)
+    segs = np.zeros(n_blocks * block)
+    segs[: v_in.size] = v_in
+    running = np.maximum.accumulate(segs.reshape(n_blocks, block) * inv_decay_pow, axis=1)
+    inv_last, pow_last = float(inv_decay_pow[-1]), float(decay_pow[-1])
+    carries = [0.0]
+    for last in running[:-1, -1].tolist():
+        carries.append(max(last, carries[-1] * inv_last * decay) * pow_last)
+    carried = np.array(carries)[:, None] * inv_decay_pow * decay
+    return (np.maximum(running, carried) * decay_pow).reshape(-1)[: v_in.size]
 
 
 class _EnvelopeRectifier:

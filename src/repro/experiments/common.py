@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -34,32 +35,34 @@ def labeled_traces(
     seed: int = 1234,
     n_payload_bytes: int = 40,
     n_workers: int | None = None,
-) -> list[tuple[Protocol, Waveform]]:
-    """Identification trace set: random payloads for all four protocols.
+) -> Iterator[tuple[Protocol, Waveform]]:
+    """Identification trace set: random payloads for all four protocols,
+    yielded one labeled trace at a time.
 
     Every trace draws from its own stream spawned off one root
-    ``SeedSequence``, so the set is reproducible from ``seed`` and can
-    be modulated in parallel (``n_workers`` follows the shared
-    ``REPRO_WORKERS`` knob, see :func:`repro.sim.runner.resolve_workers`)
-    with bit-identical output for any worker count.
+    ``SeedSequence``, so the set is reproducible from ``seed`` and a
+    trace is built only when it is requested: a caller that scores each
+    trace before taking the next holds one trace at a time, and one that
+    walks the set twice takes ``list(...)``.  Traces can be modulated in
+    parallel (``n_workers`` follows the shared ``REPRO_WORKERS`` knob,
+    see :func:`repro.sim.runner.resolve_workers`) with bit-identical
+    output, in the same order, for any worker count.
     """
     protocols = [p for p in Protocol for _ in range(n_per_protocol)]
     children = np.random.SeedSequence(seed).spawn(len(protocols))
     workers = min(resolve_workers(n_workers), max(len(protocols), 1))
     if workers <= 1:
-        waves = [
-            _build_trace(p, s, n_payload_bytes)
-            for p, s in zip(protocols, children)
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            waves = list(
-                pool.map(
-                    _build_trace,
-                    protocols,
-                    children,
-                    [n_payload_bytes] * len(protocols),
-                    chunksize=max(len(protocols) // workers, 1),
-                )
-            )
-    return list(zip(protocols, waves))
+        for p, s in zip(protocols, children):
+            yield p, _build_trace(p, s, n_payload_bytes)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from zip(
+            protocols,
+            pool.map(
+                _build_trace,
+                protocols,
+                children,
+                [n_payload_bytes] * len(protocols),
+                chunksize=max(len(protocols) // workers, 1),
+            ),
+        )

@@ -15,7 +15,8 @@ from repro.core.adc import Adc
 from repro.core.identification import (
     IdentificationConfig,
     ProtocolIdentifier,
-    evaluate_identifier,
+    score_traces,
+    tabulate_accuracy,
 )
 from repro.core.rectifier import ClampRectifier
 from repro.core.templates import reference_waveform
@@ -50,18 +51,30 @@ def run(
     grid: tuple[tuple[int, int], ...] = ((20, 60), (40, 120), (60, 100)),
     n_workers: int | None = None,
 ) -> ExperimentResult:
-    """``grid`` holds (L_p, L_t) pairs in 20 Msps samples."""
-    traces = labeled_traces(n_traces, seed=seed, n_workers=n_workers)
-    results = {}
-    for l_p, l_t in grid:
-        config = IdentificationConfig(
-            sample_rate_hz=SAMPLE_RATE,
-            preprocess_us=l_p / SAMPLE_RATE * 1e6,
-            window_us=l_t / SAMPLE_RATE * 1e6,
+    """``grid`` holds (L_p, L_t) pairs in 20 Msps samples.
+
+    Every grid point scores the same traces from ``default_rng(seed)``,
+    so one pass scores each trace for all of them while it is the only
+    trace alive."""
+    idents = [
+        ProtocolIdentifier(
+            IdentificationConfig(
+                sample_rate_hz=SAMPLE_RATE,
+                preprocess_us=l_p / SAMPLE_RATE * 1e6,
+                window_us=l_t / SAMPLE_RATE * 1e6,
+            )
         )
-        ident = ProtocolIdentifier(config)
-        report = evaluate_identifier(ident, traces, rng=np.random.default_rng(seed))
-        results[(l_p, l_t)] = report
+        for l_p, l_t in grid
+    ]
+    scored = score_traces(
+        idents,
+        labeled_traces(n_traces, seed=seed, n_workers=n_workers),
+        rng=np.random.default_rng(seed),
+    )
+    results = {
+        (l_p, l_t): tabulate_accuracy(ident.matcher, labeled)
+        for (l_p, l_t), ident, labeled in zip(grid, idents, scored)
+    }
     return ExperimentResult(
         name="fig05_envelope_id",
         data={

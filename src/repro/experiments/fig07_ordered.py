@@ -46,17 +46,21 @@ def run(
     powers = {p: v - power_drop_db for p, v in DEFAULT_INCIDENT_DBM.items()}
 
     # Train ordered thresholds on a disjoint trace set (paper §2.3.2).
-    train = labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers)
-    trained = score_traces(
-        ident, train, rng=np.random.default_rng(seed), incident_power_dbm=powers
+    (trained,) = score_traces(
+        [ident],
+        labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers),
+        rng=np.random.default_rng(seed),
+        incident_power_dbm=powers,
     )
     matcher, train_acc = search_thresholds(trained)
 
     # Both matchers decide on the same scores: scoring never reads the
     # matcher, so the test set is scored once.
-    test = labeled_traces(n_traces, seed=seed, n_workers=n_workers)
-    scored = score_traces(
-        ident, test, rng=np.random.default_rng(seed + 1), incident_power_dbm=powers
+    (scored,) = score_traces(
+        [ident],
+        labeled_traces(n_traces, seed=seed, n_workers=n_workers),
+        rng=np.random.default_rng(seed + 1),
+        incident_power_dbm=powers,
     )
     blind_report = tabulate_accuracy(ident.matcher, scored)
     ordered_report = tabulate_accuracy(matcher, scored)

@@ -15,8 +15,8 @@ import numpy as np
 from repro.core.identification import (
     IdentificationConfig,
     ProtocolIdentifier,
-    evaluate_identifier,
     score_traces,
+    tabulate_accuracy,
 )
 from repro.core.matching import search_thresholds
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER, labeled_traces
@@ -37,22 +37,31 @@ PANELS = (
 def run(
     *, seed: int, n_traces: int = 12, n_train: int = 8, n_workers: int | None = None
 ) -> ExperimentResult:
-    # Each set is a pure function of its seed and no panel writes to a
-    # trace, so all three panels share them.
-    train = labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers)
-    test = labeled_traces(n_traces, seed=seed, n_workers=n_workers)
-    reports = {}
-    for label, rate, window in PANELS:
-        config = IdentificationConfig(
-            sample_rate_hz=rate, quantized=True, window_us=window
+    # Each panel keeps its own identifier, thresholds and random streams;
+    # the panels share one rectifier model, so one pass per set scores
+    # each trace for all three while it is the only trace alive.
+    idents = [
+        ProtocolIdentifier(
+            IdentificationConfig(sample_rate_hz=rate, quantized=True, window_us=window)
         )
-        ident = ProtocolIdentifier(config)
-        ident.matcher, _ = search_thresholds(
-            score_traces(ident, train, rng=np.random.default_rng(seed))
-        )
-        reports[label] = evaluate_identifier(
-            ident, test, rng=np.random.default_rng(seed + 1)
-        )
+        for _, rate, window in PANELS
+    ]
+    trained = score_traces(
+        idents,
+        labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers),
+        rng=np.random.default_rng(seed),
+    )
+    for ident, labeled in zip(idents, trained):
+        ident.matcher, _ = search_thresholds(labeled)
+    tested = score_traces(
+        idents,
+        labeled_traces(n_traces, seed=seed, n_workers=n_workers),
+        rng=np.random.default_rng(seed + 1),
+    )
+    reports = {
+        label: tabulate_accuracy(ident.matcher, labeled)
+        for (label, _, _), ident, labeled in zip(PANELS, idents, tested)
+    }
     return ExperimentResult(
         name="fig08_sampling",
         data={"reports": reports},

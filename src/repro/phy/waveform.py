@@ -118,15 +118,19 @@ class Waveform:
         """Amplitude-scale by ``gain_db`` (power dB)."""
         return self.scaled(10.0 ** (gain_db / 20.0))
 
-    def frequency_shifted(self, shift_hz: Hertz) -> "Waveform":
+    def frequency_shifted(self, shift_hz: Hertz, *, memo: bool = True) -> "Waveform":
         """Mix by ``exp(j 2 pi shift t)`` and track the channel offset.
 
         The phasor is memoized per ``(shift, rate, length)``: a tag's
-        fixed channel shift repeats on every packet of a carrier.  The
-        product keeps the operand order of an inline ``np.exp``, whose
-        temporary NumPy elides from :data:`_ELIDE_SAMPLES` on.
+        fixed channel shift repeats on every packet of a carrier.  A
+        shift that never repeats (a receiver's per-packet CFO estimate)
+        passes ``memo=False`` and computes the same phasor without
+        touching the memo.  The product keeps the operand order of an
+        inline ``np.exp``, whose temporary NumPy elides from
+        :data:`_ELIDE_SAMPLES` on.
         """
-        phasor = _shift_phasor(shift_hz, self.sample_rate, self.iq.size)
+        phasor_of = _shift_phasor if memo else _shift_phasor.__wrapped__
+        phasor = phasor_of(shift_hz, self.sample_rate, self.iq.size)
         if self.iq.size < _ELIDE_SAMPLES:
             iq = self.iq * phasor
         else:

@@ -596,7 +596,7 @@ def demodulate(
     if correct_cfo:
         cfo = estimate_cfo(wave)
         if abs(cfo) > 1.0:
-            wave = wave.frequency_shifted(-cfo)
+            wave = wave.frequency_shifted(-cfo, memo=False)
     h = _estimate_channel(wave)
     # Guard against nulls.
     h = np.where(np.abs(h) < 1e-12, 1e-12, h)

@@ -288,7 +288,7 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
     if correct_cfo:
         cfo = estimate_cfo(wave)
         if abs(cfo) > 0.5:
-            wave = wave.frequency_shifted(-cfo)
+            wave = wave.frequency_shifted(-cfo, memo=False)
             wave.annotations = ann
     n_header = ann["n_header_symbols"]
     n_payload = ann["n_payload_symbols"]

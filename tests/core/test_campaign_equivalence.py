@@ -1,7 +1,10 @@
 """The paper campaign's shared work against the frozen parents in
 ``tests/reference_impls.py``: the ordered-matching threshold search,
-scoring traces once for several matchers, Fig 18's timeline and the
-802.15.4 BER curve, each byte for byte."""
+scoring each trace once for several identifiers and matchers while it
+is the only trace alive, Fig 18's timeline and the 802.15.4 BER curve,
+each byte for byte."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +12,19 @@ import pytest
 from repro.channel.link import ber_802154
 from repro.core.carrier_select import diversity_timeline
 from repro.core.identification import (
+    DEFAULT_INCIDENT_DBM,
     IdentificationConfig,
     ProtocolIdentifier,
-    evaluate_identifier,
     score_traces,
     tabulate_accuracy,
 )
 from repro.core.matching import DEFAULT_ORDER, OrderedMatcher, search_thresholds
 from repro.core.overlay import Mode
+from repro.core.rectifier import BasicRectifier, ClampRectifier
+from repro.experiments import common
 from repro.experiments.common import labeled_traces
 from repro.phy.protocols import Protocol
+from repro.phy.waveform import Waveform
 from repro.sim.traffic import ExcitationSchedule, ExcitationSource
 from tests import reference_impls as ref
 
@@ -142,48 +148,246 @@ class TestSearchThresholds:
         ident = ProtocolIdentifier(
             IdentificationConfig(sample_rate_hz=10e6, quantized=True, window_us=6.0)
         )
-        scored = score_traces(ident, labeled_traces(3, seed=1000),
-                              rng=np.random.default_rng(0))
+        (scored,) = score_traces([ident], labeled_traces(3, seed=1000),
+                                 rng=np.random.default_rng(0))
         assert_same_search(scored)
 
 
-class TestScoreOnceTabulateTwice:
-    @pytest.fixture(scope="class")
-    def traces(self):
-        # Shuffled, so protocols first appear out of enum order and the
-        # reports' key order is tested.
-        traces = labeled_traces(3, seed=5)
-        return [traces[i] for i in np.random.default_rng(8).permutation(len(traces))]
+def _grid_identifiers(points):
+    """Identifiers for (L_p, L_t) pairs in 20 Msps samples, as fig05 builds them."""
+    return [
+        ProtocolIdentifier(IdentificationConfig(
+            sample_rate_hz=20e6, preprocess_us=l_p / 20.0, window_us=l_t / 20.0))
+        for l_p, l_t in points
+    ]
 
+
+#: fig05's grid, fig08's three panels (two of them on one 2.5 Msps ADC),
+#: and a mix of quantized and full-precision, blind and ordered.
+IDENTIFIER_SETS = {
+    "fig05": lambda: _grid_identifiers(((20, 60), (40, 120), (60, 100))),
+    "fig08": lambda: [
+        ProtocolIdentifier(IdentificationConfig(sample_rate_hz=r, quantized=True, window_us=w))
+        for r, w in ((2.5e6, 6.0), (2.5e6, 38.0), (1e6, 38.0))
+    ],
+    "mixed": lambda: [
+        ProtocolIdentifier(IdentificationConfig(**kw))
+        for kw in (
+            {"sample_rate_hz": 10e6, "quantized": True, "window_us": 6.0},
+            {"sample_rate_hz": 10e6, "window_us": 6.0, "ordered": True},
+            {"sample_rate_hz": 10e6, "n_bits": 4, "window_us": 14.0},
+            {"sample_rate_hz": 2.5e6, "quantized": True, "window_us": 38.0, "ordered": True},
+        )
+    ],
+}
+
+#: Default, scalar, per-protocol and partial per-protocol powers (the
+#: last falls back to the identifiers' own configured power).
+POWERS = [None, -25.0, {p: -24.0 for p in Protocol},
+          {Protocol.WIFI_B: -24.0, Protocol.BLE: -33.0}]
+
+
+def _power_of(powers, truth):
+    if powers is None:
+        return DEFAULT_INCIDENT_DBM[truth]
+    if isinstance(powers, dict):
+        return powers.get(truth)
+    return powers
+
+
+def _separately(ident, traces, seed, powers):
+    """``ident``'s labeled scores from the parent ``scores``, and the
+    generator it leaves behind."""
+    rng = np.random.default_rng(seed)
+    labeled = [
+        (truth, ref.identifier_scores(ident, wave, incident_power_dbm=_power_of(powers, truth),
+                                      rng=rng))
+        for truth, wave in traces
+    ]
+    return labeled, rng
+
+
+def _cut_lengths(idents, wave):
+    """Lengths of ``wave`` shorter than every identifier's rectified
+    window, and one between each pair of windows that do not overlap
+    (so the last is shorter than only the longest window)."""
+    spans = []
+    for ident in idents:
+        cfg = ident.config
+        duration_s = (cfg.l_p + cfg.l_m + max(cfg.resolved_offsets()) + 2) / cfg.sample_rate_hz
+        lo = ident.adc.samples_read(wave.sample_rate, duration_s)
+        hi = ident.adc.samples_read(wave.sample_rate, duration_s,
+                                    phase_s=1.0 / cfg.sample_rate_hz)
+        spans.append((lo, hi))
+    spans.sort()
+    lengths = [spans[0][0] - 1]
+    for (_, hi), (lo, _) in zip(spans, spans[1:]):
+        if hi < lo:
+            lengths.append((hi + lo) // 2)
+    return lengths
+
+
+def _cut(traces, idents):
+    """``traces`` plus cut copies of its first trace of each protocol."""
+    out = list(traces)
+    for protocol in Protocol:
+        wave = next(w for p, w in traces if p is protocol)
+        for n in _cut_lengths(idents, wave):
+            out.append((protocol, Waveform(wave.iq[:n], wave.sample_rate)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def traces():
+    # Shuffled, so protocols first appear out of enum order and the
+    # reports' key order is tested.
+    traces = list(labeled_traces(3, seed=5))
+    return [traces[i] for i in np.random.default_rng(8).permutation(len(traces))]
+
+
+class TestScoreOnceTabulateTwice:
     @pytest.mark.parametrize("powers", [None, -25.0, {p: -24.0 for p in Protocol}])
     @pytest.mark.parametrize("ordered", [False, True])
     def test_evaluate_matches_the_parent(self, traces, powers, ordered):
         config = IdentificationConfig(sample_rate_hz=2.5e6, quantized=True,
                                       window_us=38.0, ordered=ordered)
         ident = ProtocolIdentifier(config)
-        got = evaluate_identifier(ident, traces, rng=np.random.default_rng(3),
-                                  incident_power_dbm=powers)
+        (scored,) = score_traces([ident], traces, rng=np.random.default_rng(3),
+                                 incident_power_dbm=powers)
         want = ref.evaluate_identifier(ident, traces, rng=np.random.default_rng(3),
                                        incident_power_dbm=powers)
-        assert_same_report(got, want)
+        assert_same_report(tabulate_accuracy(ident.matcher, scored), want)
 
     def test_one_scoring_serves_both_matchers(self, traces):
         # fig07: blind and ordered reports from one set of scores equal
         # two parent evaluations with the same random stream.
         ident = ProtocolIdentifier(IdentificationConfig(sample_rate_hz=10e6, quantized=True))
         ordered = OrderedMatcher(order=DEFAULT_ORDER, thresholds=(0.5, 0.35, 0.65, -1.0))
-        scored = score_traces(ident, traces, rng=np.random.default_rng(4))
+        (scored,) = score_traces([ident], traces, rng=np.random.default_rng(4))
         blind_want = ref.evaluate_identifier(ident, traces, rng=np.random.default_rng(4))
         assert_same_report(tabulate_accuracy(ident.matcher, scored), blind_want)
         ident.matcher = ordered
         ordered_want = ref.evaluate_identifier(ident, traces, rng=np.random.default_rng(4))
         assert_same_report(tabulate_accuracy(ordered, scored), ordered_want)
 
-    def test_evaluate_is_score_then_tabulate(self, traces):
-        ident = ProtocolIdentifier(IdentificationConfig(sample_rate_hz=10e6, quantized=True))
-        got = evaluate_identifier(ident, traces, rng=np.random.default_rng(6))
-        scored = score_traces(ident, traces, rng=np.random.default_rng(6))
-        assert_same_report(got, tabulate_accuracy(ident.matcher, scored))
+
+class TestScoreTraces:
+    """One pass of ``score_traces`` over many identifiers against each
+    identifier scoring alone with the parent ``scores``."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("powers", POWERS, ids=["default", "scalar", "dict", "partial"])
+    @pytest.mark.parametrize("name", sorted(IDENTIFIER_SETS))
+    def test_each_identifier_as_if_alone(self, traces, name, powers, reverse):
+        idents = IDENTIFIER_SETS[name]()
+        if reverse:
+            idents.reverse()
+        rng = np.random.default_rng(3)
+        scored = score_traces(idents, traces, rng=rng, incident_power_dbm=powers)
+        assert len(scored) == len(idents)
+        for ident, got in zip(idents, scored):
+            want, alone = _separately(ident, traces, 3, powers)
+            assert [(t, list(s.items())) for t, s in got] == [
+                (t, list(s.items())) for t, s in want
+            ]
+            assert rng.bit_generator.state == alone.bit_generator.state
+            own = np.random.default_rng(3)
+            assert got == [
+                (t, ident.scores(w, incident_power_dbm=_power_of(powers, t), rng=own))
+                for t, w in traces
+            ]
+            assert rng.bit_generator.state == own.bit_generator.state
+            report = ref.evaluate_identifier(ident, traces, rng=np.random.default_rng(3),
+                                             incident_power_dbm=powers)
+            assert_same_report(tabulate_accuracy(ident.matcher, got), report)
+
+    @pytest.mark.parametrize("name", sorted(IDENTIFIER_SETS))
+    def test_traces_shorter_than_windows(self, traces, name):
+        idents = IDENTIFIER_SETS[name]()
+        cut = _cut(traces, idents)
+        assert len(cut) > len(traces) + len(Protocol)
+        rng = np.random.default_rng(4)
+        for ident, got in zip(idents, score_traces(idents, cut, rng=rng)):
+            want, alone = _separately(ident, cut, 4, None)
+            assert got == want
+            assert rng.bit_generator.state == alone.bit_generator.state
+
+    def test_one_identifier_scores_as_the_parent(self, traces):
+        ident = IDENTIFIER_SETS["fig08"]()[1]
+        for prescaled in (False, True):
+            for power in (None, -27.0):
+                g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
+                for _, wave in traces:
+                    got = ident.scores(wave, incident_power_dbm=power, rng=g1,
+                                       prescaled=prescaled)
+                    want = ref.identifier_scores(ident, wave, incident_power_dbm=power,
+                                                 rng=g2, prescaled=prescaled)
+                    assert list(got.items()) == list(want.items())
+                assert g1.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize("other", [
+        ClampRectifier(noise_v_rms=2e-3), ClampRectifier(tau_s=1e-8), BasicRectifier()])
+    def test_rectifier_models_must_match(self, traces, other):
+        idents = [ProtocolIdentifier(), ProtocolIdentifier(rectifier=other)]
+        with pytest.raises(ValueError, match="rectifier"):
+            score_traces(idents, traces, rng=np.random.default_rng(0))
+
+    def test_missing_power_needs_one_configured_power(self, traces):
+        idents = [ProtocolIdentifier(),
+                  ProtocolIdentifier(IdentificationConfig(incident_power_dbm=-20.0))]
+        powers = {Protocol.WIFI_B: -24.0}
+        with pytest.raises(ValueError, match="configured powers"):
+            score_traces(idents, traces, rng=np.random.default_rng(0), incident_power_dbm=powers)
+        full = {p: -24.0 for p in Protocol}
+        score_traces(idents, traces, rng=np.random.default_rng(0), incident_power_dbm=full)
+
+    def test_phase_is_uniform_bit_for_bit(self):
+        # One shared draw d gives each identifier 0.0 + (1 / rate) * d,
+        # which is exactly what rng.uniform(0.0, 1 / rate) computes.
+        rates = (1e6, 2.5e6, 5e6, 8e6, 10e6, 11e6, 20e6, 22e6, 50e6)
+        for seed in range(200):
+            for rate in rates:
+                g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(8):
+                    want = float(g1.uniform(0.0, 1.0 / rate))
+                    got = 0.0 + (1.0 / rate) * g2.random()
+                    assert got.hex() == want.hex()
+
+
+class TestStreamedTraces:
+    def test_each_trace_is_built_when_taken(self, monkeypatch):
+        built = []
+        build = common._build_trace
+
+        def counted(*args):
+            built.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(common, "_build_trace", counted)
+        want = list(labeled_traces(2, seed=9))
+        built.clear()
+        stream = labeled_traces(2, seed=9)
+        assert built == []
+        for k, ((p, wave), (q, expected)) in enumerate(zip(stream, want), start=1):
+            assert len(built) == k
+            assert p is q and wave.iq.tobytes() == expected.iq.tobytes()
+        assert built == [p for p, _ in want]
+
+    def test_scoring_holds_one_trace_at_a_time(self):
+        idents = IDENTIFIER_SETS["fig08"]()
+        # Builds the set once, so the modulators' memoized designs exist.
+        total = sum(wave.iq.nbytes for _, wave in labeled_traces(8, seed=3))
+        score_traces(idents, labeled_traces(1, seed=3), rng=np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            score_traces(idents, labeled_traces(8, seed=3), rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A set held whole would peak above ``total``; one trace at a
+        # time, with its modulation and front-end temporaries, stays
+        # near a quarter of it.
+        assert peak < total / 2
 
 
 class TestDiversityTimeline:

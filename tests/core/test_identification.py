@@ -8,7 +8,8 @@ from repro.core.identification import (
     DEFAULT_INCIDENT_DBM,
     IdentificationConfig,
     ProtocolIdentifier,
-    evaluate_identifier,
+    score_traces,
+    tabulate_accuracy,
 )
 from repro.core.matching import (
     BlindMatcher,
@@ -20,6 +21,12 @@ from repro.core.matching import (
 from repro.core.templates import TemplateBank, reference_waveform
 from repro.phy.protocols import Protocol
 from repro.sim.traffic import random_packet
+
+
+def evaluate(idents, traces, seed):
+    """Each identifier's accuracy report, from one scoring pass."""
+    scored = score_traces(idents, traces, rng=np.random.default_rng(seed))
+    return [tabulate_accuracy(ident.matcher, labeled) for ident, labeled in zip(idents, scored)]
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +136,7 @@ class TestIdentification:
         ident = ProtocolIdentifier(
             IdentificationConfig(sample_rate_hz=20e6, window_us=6.0)
         )
-        report = evaluate_identifier(ident, traces, rng=np.random.default_rng(1))
+        (report,) = evaluate([ident], traces, 1)
         assert report.average > 0.95
 
     def test_extended_window_beats_base_at_2p5msps(self, traces):
@@ -139,22 +146,21 @@ class TestIdentification:
         ext = ProtocolIdentifier(
             IdentificationConfig(sample_rate_hz=2.5e6, quantized=True, window_us=38.0)
         )
-        r_base = evaluate_identifier(base, traces, rng=np.random.default_rng(2))
-        r_ext = evaluate_identifier(ext, traces, rng=np.random.default_rng(2))
+        r_base, r_ext = evaluate([base, ext], traces, 2)
         assert r_ext.average > r_base.average
 
     def test_1msps_collapses(self, traces):
         ident = ProtocolIdentifier(
             IdentificationConfig(sample_rate_hz=1e6, quantized=True, window_us=38.0)
         )
-        report = evaluate_identifier(ident, traces, rng=np.random.default_rng(3))
+        (report,) = evaluate([ident], traces, 3)
         assert report.average < 0.8
 
     def test_confusion_counts_sum_to_traces(self, traces):
         ident = ProtocolIdentifier(
             IdentificationConfig(sample_rate_hz=10e6, quantized=True, window_us=6.0)
         )
-        report = evaluate_identifier(ident, traces, rng=np.random.default_rng(4))
+        (report,) = evaluate([ident], traces, 4)
         assert sum(report.confusion.values()) == len(traces)
 
     def test_identify_returns_scores(self):

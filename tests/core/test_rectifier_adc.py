@@ -13,6 +13,7 @@ from repro.core.rectifier import (
     ClampRectifier,
     RectifierOutput,
     WispRectifier,
+    _diode_rc,
     incident_peak_voltage,
     recommended_tau,
 )
@@ -227,3 +228,46 @@ class TestWindowedFrontEnd:
             )
             assert got == want
             assert np.array_equal(g1.random(4), g2.random(4))
+
+
+class TestDiodeKernel:
+    """``_diode_rc`` in one pass over all blocks against the parent's
+    loop over blocks, byte for byte."""
+
+    @staticmethod
+    def assert_same(v, fs, tau_s):
+        got, want = _diode_rc(v, fs, tau_s), ref.diode_rc(v, fs, tau_s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got is not v
+
+    def test_random_traces(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            n = int(rng.integers(1, 3001))
+            v = rng.uniform(0.0, 0.5, n)
+            if rng.random() < 0.5:
+                v *= rng.uniform(0.0, 1.0, n)  # a ragged envelope
+            # Runs of zeros: the diode stays off and the cap discharges.
+            for start in rng.integers(0, n, int(rng.integers(0, 4))):
+                v[start : start + int(rng.integers(1, 200))] = 0.0
+            fs = float(rng.uniform(2.5e6, 50e6))
+            tau_s = float(rng.choice([recommended_tau(), 2e-8, 2e-6]))
+            self.assert_same(v, fs, tau_s)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 6, 17])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_aligned_and_unaligned(self, blocks, extra):
+        # The default constant at 20 Msps discharges in blocks of 54.
+        n = max(54 * blocks + extra, 1)
+        v = np.random.default_rng(n).uniform(0.0, 0.3, n)
+        self.assert_same(v, 20e6, recommended_tau())
+        self.assert_same(v, 50e6, recommended_tau())
+
+    def test_fast_discharge_tracks_the_input(self):
+        v = np.random.default_rng(2).uniform(0.0, 0.3, 300)
+        assert 1.0 / (2.5e6 * recommended_tau()) > 25.0
+        self.assert_same(v, 2.5e6, recommended_tau())
+        assert _diode_rc(v, 2.5e6, recommended_tau()).tobytes() == v.tobytes()
+
+    def test_empty_input(self):
+        self.assert_same(np.zeros(0), 20e6, recommended_tau())

@@ -132,6 +132,32 @@ class TestRegistry:
         wavecache.clear_caches()
         assert wavecache.cache_stats()["phy.waveform.shift_phasor"]["size"] == 0
 
+    def test_cfo_derotations_leave_the_shift_memo_alone(self):
+        from repro.phy.waveform import Waveform
+
+        wavecache.clear_caches()
+        wave = Waveform(np.ones(8480, dtype=complex), 20e6)
+        wave.frequency_shifted(10e6)  # a tag's retune key
+        before = wavecache.cache_stats()["phy.waveform.shift_phasor"]
+        for cfo in np.random.default_rng(0).uniform(-60e3, 60e3, 32):
+            wave.frequency_shifted(float(-cfo), memo=False)
+        assert wavecache.cache_stats()["phy.waveform.shift_phasor"] == before
+        wave.frequency_shifted(10e6)
+        after = wavecache.cache_stats()["phy.waveform.shift_phasor"]
+        assert (after["hits"], after["misses"], after["size"]) == (
+            before["hits"] + 1, before["misses"], before["size"])
+
+    def test_receivers_derotate_without_the_memo(self):
+        from repro.phy import wifi_n, zigbee
+
+        for phy, threshold_hz in ((wifi_n, 1.0), (zigbee, 0.5)):
+            wave = phy.modulate(b"\x5a" * 12)
+            drifted = wave.frequency_shifted(3.1e3)
+            assert abs(phy.estimate_cfo(drifted)) > threshold_hz
+            before = wavecache.cache_stats()["phy.waveform.shift_phasor"]
+            phy.demodulate(drifted)
+            assert wavecache.cache_stats()["phy.waveform.shift_phasor"] == before
+
     def test_clear_caches_empties_everything(self):
         reference_waveform(Protocol.ZIGBEE)
         assert len(_REFERENCE_CACHE) > 0

@@ -12,8 +12,8 @@ from repro.experiments.common import ExperimentResult, labeled_traces
 
 class TestCommon:
     def test_labeled_traces_deterministic(self):
-        a = labeled_traces(2, seed=9)
-        b = labeled_traces(2, seed=9)
+        a = list(labeled_traces(2, seed=9))
+        b = list(labeled_traces(2, seed=9))
         assert len(a) == len(b) == 8
         for (pa, wa), (pb, wb) in zip(a, b):
             assert pa is pb

@@ -14,7 +14,8 @@ import numpy as np
 from repro.core.identification import (
     IdentificationConfig,
     ProtocolIdentifier,
-    evaluate_identifier,
+    score_traces,
+    tabulate_accuracy,
 )
 from repro.core.rectifier import ClampRectifier
 from repro.experiments.common import ExperimentResult, labeled_traces
@@ -57,15 +58,20 @@ def test_ablation_tau():
 # matching-window length at 2.5 Msps
 # ----------------------------------------------------------------------
 def run_window_sweep(n_traces: int = 10, seed: int = 21) -> ExperimentResult:
-    traces = labeled_traces(n_traces, seed=seed)
     windows = (6.0, 14.0, 24.0, 38.0)
-    rows = {}
-    for window in windows:
-        ident = ProtocolIdentifier(
+    idents = [
+        ProtocolIdentifier(
             IdentificationConfig(sample_rate_hz=2.5e6, quantized=True, window_us=window)
         )
-        report = evaluate_identifier(ident, traces, rng=np.random.default_rng(seed))
-        rows[window] = report.average
+        for window in windows
+    ]
+    scored = score_traces(
+        idents, labeled_traces(n_traces, seed=seed), rng=np.random.default_rng(seed)
+    )
+    rows = {
+        window: tabulate_accuracy(ident.matcher, labeled).average
+        for window, ident, labeled in zip(windows, idents, scored)
+    }
     return ExperimentResult(
         name="ablation_window",
         data={"rows": rows},
@@ -83,17 +89,24 @@ def test_ablation_window():
 # ADC resolution
 # ----------------------------------------------------------------------
 def run_bits_sweep(n_traces: int = 10, seed: int = 22) -> ExperimentResult:
-    traces = labeled_traces(n_traces, seed=seed)
-    rows = {}
-    for quantized, n_bits in ((True, 9), (False, 4), (False, 9)):
-        label = "+-1 (1 bit)" if quantized else f"{n_bits} bits"
-        ident = ProtocolIdentifier(
+    settings = ((True, 9), (False, 4), (False, 9))
+    idents = [
+        ProtocolIdentifier(
             IdentificationConfig(
                 sample_rate_hz=10e6, quantized=quantized, n_bits=n_bits, window_us=6.0
             )
         )
-        report = evaluate_identifier(ident, traces, rng=np.random.default_rng(seed))
-        rows[label] = report.average
+        for quantized, n_bits in settings
+    ]
+    scored = score_traces(
+        idents, labeled_traces(n_traces, seed=seed), rng=np.random.default_rng(seed)
+    )
+    rows = {
+        "+-1 (1 bit)" if quantized else f"{n_bits} bits": tabulate_accuracy(
+            ident.matcher, labeled
+        ).average
+        for (quantized, n_bits), ident, labeled in zip(settings, idents, scored)
+    }
     return ExperimentResult(
         name="ablation_bits",
         data={"rows": rows},

@@ -423,7 +423,8 @@ class TestResample:
 
 class TestChannelShift:
     """``Waveform.frequency_shifted`` against the seed, which built its
-    phasor with a fresh ``np.exp`` per call and multiplied it inline."""
+    phasor with a fresh ``np.exp`` per call and multiplied it inline:
+    memoized (a miss, then a hit) and unmemoized (a CFO derotation)."""
 
     @pytest.mark.parametrize(
         "n", [0, 1, 1856, 8448, 8480, 13828, 16383, 16384, 16385, 41625]
@@ -451,6 +452,10 @@ class TestChannelShift:
             assert got.annotations == want.annotations
             assert got.annotations is not wave.annotations
             got.iq[:] = 0.0  # a caller's edit must not reach the next result
+        got = wave.frequency_shifted(shift_hz, memo=False)
+        assert got.iq.tobytes() == want.iq.tobytes()
+        assert got.center_offset_hz == want.center_offset_hz
+        assert got.annotations == want.annotations
 
 
 def _decision_stream(protocol, n, rng):

@@ -361,6 +361,34 @@ def adc_capture_codes(adc, analog, *, duration_s=None, phase_s=0.0):
 
 
 # ----------------------------------------------------------------------
+# Tag rectifier: the diode detector one block at a time
+# ----------------------------------------------------------------------
+def diode_rc(v_in, fs, tau_s):
+    """Parent ``rectifier._diode_rc``: a Python loop over blocks, five
+    NumPy calls per block."""
+    if v_in.size == 0:
+        return v_in.copy()
+    rate = 1.0 / (fs * tau_s)
+    if rate > 25.0:
+        return v_in.copy()
+    decay = np.exp(-rate)
+    out = np.empty_like(v_in)
+    block = max(int(min(512.0, 600.0 / max(rate, 1e-12))), 1)
+    carry = 0.0
+    inv_decay_pow = decay ** -np.arange(block, dtype=float)
+    decay_pow = decay ** np.arange(block, dtype=float)
+    for start in range(0, v_in.size, block):
+        seg = v_in[start : start + block]
+        n = seg.size
+        cand = np.maximum(seg * inv_decay_pow[:n], carry * inv_decay_pow[:n] * decay)
+        running = np.maximum.accumulate(cand)
+        res = running * decay_pow[:n]
+        out[start : start + n] = res
+        carry = res[-1]
+    return out
+
+
+# ----------------------------------------------------------------------
 # 802.11n / 802.11a OFDM: one 64-point transform per symbol
 # ----------------------------------------------------------------------
 def ofdm_symbol(data_points, carriers, pilot_polarity):
@@ -954,9 +982,34 @@ def search_thresholds(labeled_scores, *, order=None, grid=None):
     return best[0], best[1]
 
 
+def identifier_scores(identifier, wave, *, incident_power_dbm=None, rng=None, prescaled=False):
+    """Parent ``ProtocolIdentifier.scores``: its own phase draw,
+    rectification and capture per identifier and trace."""
+    from repro.core.identification import score_capture
+    from repro.rng import fallback_rng
+
+    cfg = identifier.config
+    if prescaled:
+        power = None
+    elif incident_power_dbm is not None:
+        power = incident_power_dbm
+    else:
+        power = cfg.incident_power_dbm
+    rng = fallback_rng(rng)
+    sampling_phase_s = float(rng.uniform(0.0, 1.0 / cfg.sample_rate_hz))
+    offsets = cfg.resolved_offsets()
+    need = cfg.l_p + cfg.l_m + max(offsets) + 2
+    duration_s = need / cfg.sample_rate_hz
+    window = identifier.adc.samples_read(wave.sample_rate, duration_s, phase_s=sampling_phase_s)
+    analog = identifier.rectifier.rectify(wave, power, rng=rng, n_samples=window)
+    capture = identifier.adc.capture(analog, duration_s=duration_s, phase_s=sampling_phase_s)
+    return score_capture(capture.codes, identifier.bank, quantized=cfg.quantized, offsets=offsets)
+
+
 def evaluate_identifier(identifier, traces, *, rng=None, incident_power_dbm=None):
-    """Parent ``identification.evaluate_identifier``: ``identify`` per
-    trace, which scores it and decides with the identifier's matcher."""
+    """Parent ``identification.evaluate_identifier``: per trace, the
+    parent ``scores`` (:func:`identifier_scores`) and the identifier's
+    matcher, as its ``identify`` did."""
     from repro.core.identification import DEFAULT_INCIDENT_DBM, AccuracyReport
     from repro.phy.protocols import Protocol
 
@@ -971,15 +1024,22 @@ def evaluate_identifier(identifier, traces, *, rng=None, incident_power_dbm=None
     hits = {}
     report = AccuracyReport()
     for truth, wave in traces:
-        result = identifier.identify(wave, incident_power_dbm=powers.get(truth), rng=rng)
+        scores = identifier_scores(identifier, wave, incident_power_dbm=powers.get(truth), rng=rng)
+        decision = identifier.matcher.decide(scores)
         totals[truth] = totals.get(truth, 0) + 1
-        if result.decision is truth:
+        if decision is truth:
             hits[truth] = hits.get(truth, 0) + 1
-        key = (truth, result.decision)
+        key = (truth, decision)
         report.confusion[key] = report.confusion.get(key, 0) + 1
     for p, n in totals.items():
         report.per_protocol[p] = hits.get(p, 0) / n
     return report
+
+
+def score_traces_grid(identifiers, traces, seed):
+    """Parent fig05 grid: one :func:`evaluate_identifier` pass over the
+    traces per identifier, each from ``default_rng(seed)``."""
+    return [evaluate_identifier(i, traces, rng=np.random.default_rng(seed)) for i in identifiers]
 
 
 def diversity_timeline(schedule, *, bin_s=0.05, tag_protocols=None, mode=None, distance_m=2.0):

@@ -51,8 +51,8 @@ class TestParallelDeterminism:
         assert np.array_equal(stats["mean"].values, np.array(want))
 
     def test_labeled_traces_bit_identical_parallel(self):
-        a = labeled_traces(2, seed=9, n_workers=1)
-        b = labeled_traces(2, seed=9, n_workers=4)
+        a = list(labeled_traces(2, seed=9, n_workers=1))
+        b = list(labeled_traces(2, seed=9, n_workers=4))
         assert len(a) == len(b) == 8
         for (pa, wa), (pb, wb) in zip(a, b):
             assert pa is pb

@@ -57,9 +57,10 @@ KERNEL_ROUNDS = 20
 #: states, four pairs spend most of their time in kernels both sides
 #: share (the shipped Viterbi in the OFDM receivers, the whole PHY in
 #: ``reference_run_airlink``, ``upfirdn`` over both packets at full
-#: length in ``superimpose``), and the ZigBee receiver keeps its
+#: length in ``superimpose``), the ZigBee receiver keeps its
 #: decision-directed loop, one matmul and ``arctan2`` per symbol
-#: (2.6x).
+#: (2.6x), and fig05's grid still draws each trace's whole-packet
+#: rectifier noise and runs three correlations per trace (2.0x).
 FLOORS: dict[str, float | None] = {
     "viterbi_decode": 4.0,
     "convcode_encode": 14.4,
@@ -81,6 +82,8 @@ FLOORS: dict[str, float | None] = {
     "viterbi_decode_radix16": 1.6,
     "zigbee_demodulate": None,
     "search_thresholds": 21.4,
+    "diode_rc": 1.5,
+    "score_traces_grid": None,
 }
 
 #: The pool gate's schedule: its seed (also the gateway's), tag and
@@ -129,17 +132,27 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
     the gateway hands them (a tag's +10 MHz shift of its 802.11n carrier,
     with the phasor cached, one 802.11n reception's symbol decisions and
     its 5,044-bit coded stream, and one ZigBee reception); the threshold
-    search runs on fig07's paper-preset training scores; the rest run on
-    one 64-byte frame.
+    search runs on fig07's paper-preset training scores; the diode
+    detector on the tag's identification window of an 802.11n packet;
+    fig05's three-point grid on a four-per-protocol trace set, as one
+    evaluation per grid point against one scoring pass for all three
+    and a tabulation each; the rest run on one 64-byte frame.
     """
     import numpy as np
 
     from repro.core.adc import Adc
+    from repro.core.identification import (
+        IdentificationConfig,
+        ProtocolIdentifier,
+        score_traces,
+        tabulate_accuracy,
+    )
     from repro.core.matching import score_capture, search_thresholds
-    from repro.core.rectifier import ClampRectifier
+    from repro.core.rectifier import ClampRectifier, _diode_rc, recommended_tau
     from repro.core.tag import MultiscatterTag
     from repro.core.templates import TemplateBank
     from repro.experiments import fig07_ordered, registry
+    from repro.experiments.common import labeled_traces
     from repro.phy import bits, convcode, viterbi, wifi_a, wifi_b, wifi_n, zigbee
     from repro.phy.protocols import Protocol
     from repro.sim.airlink import run_airlink
@@ -174,6 +187,26 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
     analog = ClampRectifier().rectify(
         wifi_n.modulate(payload), -20.0, rng=np.random.default_rng(4)
     )
+
+    # The diode detector's input over that window of a 20 Msps 802.11n
+    # packet: 835 samples, 16 blocks of 54.
+    n_in = adc.samples_read(20e6, window_s)
+    swing = np.abs(wifi_n.modulate(payload).iq[:n_in])
+
+    # fig05's grid on four traces per protocol.
+    grid = [
+        ProtocolIdentifier(
+            IdentificationConfig(
+                sample_rate_hz=20e6, preprocess_us=l_p / 20.0, window_us=l_t / 20.0
+            )
+        )
+        for l_p, l_t in ((20, 60), (40, 120), (60, 100))
+    ]
+    grid_traces = list(labeled_traces(4, seed=0))
+
+    def score_grid() -> Any:
+        scored = score_traces(grid, grid_traces, rng=np.random.default_rng(0))
+        return [tabulate_accuracy(i.matcher, s) for i, s in zip(grid, scored)]
 
     n_cfg, a_cfg = wifi_n.WifiNConfig(), wifi_a.WifiAConfig()
     n_wave, a_wave = wifi_n.modulate(payload, n_cfg), wifi_a.modulate(payload, a_cfg)
@@ -345,6 +378,16 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
             "matching.search_thresholds",
             lambda: ref.search_thresholds(train_scores),
             lambda: search_thresholds(train_scores),
+        ),
+        "diode_rc": (
+            "rectifier._diode_rc",
+            lambda: ref.diode_rc(swing, 20e6, recommended_tau()),
+            lambda: _diode_rc(swing, 20e6, recommended_tau()),
+        ),
+        "score_traces_grid": (
+            "identification.score_traces",
+            lambda: ref.score_traces_grid(grid, grid_traces, 0),
+            score_grid,
         ),
     }
 
