@@ -5,12 +5,12 @@ A signal-level Python reproduction of Gong, Yuan, Wang & Zhao,
 
 Package layout:
 
-* :mod:`repro.phy`         -- 802.11b/n, BLE, ZigBee modems + sync
+* :mod:`repro.phy`         -- 802.11b/n, BLE, ZigBee modems
 * :mod:`repro.channel`     -- path loss, noise, fading, link budgets
 * :mod:`repro.core`        -- the multiscatter tag (identification,
   overlay modulation, energy, resources)
 * :mod:`repro.baselines`   -- Hitchhike / FreeRider comparison models
-* :mod:`repro.sim`         -- traffic, scenes, geometry, system loop
+* :mod:`repro.sim`         -- traffic, scenes, system loop
 * :mod:`repro.experiments` -- one module per paper table/figure
 
 Run ``python -m repro list`` for the experiment catalogue.

@@ -1,4 +1,4 @@
-"""Codeword-translation primitives shared by Hitchhike and FreeRider.
+"""The two-receiver decoding model shared by Hitchhike and FreeRider.
 
 Codeword translation (Hitchhike's key idea) flips valid codewords into
 other valid codewords; the tag data is the flip pattern.  Recovering
@@ -20,35 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["xor_decode", "TwoReceiverDecoder"]
-
-
-def xor_decode(
-    original: np.ndarray, backscattered: np.ndarray, offset: int = 0
-) -> np.ndarray:
-    """XOR the two codeword streams with a symbol ``offset`` misalignment.
-
-    ``offset`` > 0 means the backscatter receiver's stream lags: its
-    codeword *i* is compared against original codeword *i - offset*.
-    Out-of-range comparisons decode as zeros (what a real implementation
-    emits when it runs off the end).
-    """
-    a = np.asarray(original, dtype=np.uint8)
-    b = np.asarray(backscattered, dtype=np.uint8)
-    n = min(a.size, b.size)
-    out = np.zeros(n, dtype=np.uint8)
-    for i in range(n):
-        j = i - offset
-        if 0 <= j < a.size:
-            out[i] = b[i] ^ a[j]
-    return out
+__all__ = ["TwoReceiverDecoder"]
 
 
 @dataclass
 class TwoReceiverDecoder:
-    """Bit-level Monte-Carlo model of two-receiver tag decoding.
+    """Bit-error model of two-receiver tag decoding.
 
     ``original_ber``/``backscatter_ber`` are the channels' raw bit
     error rates; ``original_loss_rate`` the probability the original
@@ -68,23 +45,4 @@ class TwoReceiverDecoder:
         per_bit = p1 * (1 - p2) + p2 * (1 - p1)
         return float(
             self.original_loss_rate * 0.5 + (1 - self.original_loss_rate) * per_bit
-        )
-
-    def simulate_packet(
-        self,
-        tag_bits: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        offset: int = 0,
-    ) -> np.ndarray | None:
-        """One packet's decode; ``None`` when the original was lost."""
-        bits = np.asarray(tag_bits, dtype=np.uint8)
-        if rng.uniform() < self.original_loss_rate:
-            return None
-        carrier = rng.integers(0, 2, bits.size).astype(np.uint8)
-        onair = carrier ^ bits
-        rx_orig = carrier ^ (rng.uniform(size=bits.size) < self.original_ber)
-        rx_back = onair ^ (rng.uniform(size=bits.size) < self.backscatter_ber)
-        return xor_decode(
-            rx_orig.astype(np.uint8), rx_back.astype(np.uint8), offset=offset
         )

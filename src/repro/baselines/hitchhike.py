@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.codeword import TwoReceiverDecoder
-from repro.channel import pathloss
 from repro.channel.link import PROTOCOL_LINK_DEFAULTS, BackscatterLink, ber_dbpsk
-from repro.channel.noise import noise_floor_dbm
 from repro.channel.occlusion import Material, OccludedChannel
 from repro.phy.protocols import Protocol
 from repro.rng import fallback_rng

@@ -15,7 +15,7 @@ from repro.channel.pathloss import (
 from repro.channel.link import BackscatterLink, LinkBudget, PROTOCOL_LINK_DEFAULTS
 from repro.channel.occlusion import Material, occlusion_loss_db, OccludedChannel
 from repro.channel.channel import Channel
-from repro.channel.fading import MultipathChannel, rayleigh_gain, rician_gain
+from repro.channel.fading import MultipathChannel
 
 __all__ = [
     "awgn",
@@ -31,6 +31,4 @@ __all__ = [
     "OccludedChannel",
     "Channel",
     "MultipathChannel",
-    "rayleigh_gain",
-    "rician_gain",
 ]

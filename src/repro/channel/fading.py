@@ -1,14 +1,9 @@
-"""Small-scale fading and multipath models.
+"""Multipath model.
 
-The paper's indoor deployment sees multipath (hallway reflections) and
-per-location fading -- the reason Fig 12 averages 100 tag locations.
-This module provides:
-
-* per-packet flat fading gains (Rayleigh / Rician block fading);
-* :class:`MultipathChannel`, an exponential power-delay-profile FIR
-  channel that frequency-selectively distorts wideband waveforms --
-  what the 802.11n receiver's HT-LTF channel estimation exists to
-  undo.
+The paper's indoor deployment sees multipath (hallway reflections).
+:class:`MultipathChannel` is an exponential power-delay-profile FIR
+channel that frequency-selectively distorts wideband waveforms -- what
+the 802.11n receiver's HT-LTF channel estimation exists to undo.
 """
 
 from __future__ import annotations
@@ -21,24 +16,7 @@ from repro.types import ComplexIQ
 
 from repro.phy.waveform import Waveform
 
-__all__ = [
-    "rayleigh_gain",
-    "rician_gain",
-    "MultipathChannel",
-]
-
-
-def rayleigh_gain(rng: np.random.Generator) -> complex:
-    """Unit-mean-power complex Rayleigh block-fading gain."""
-    return complex(rng.normal(scale=np.sqrt(0.5)) + 1j * rng.normal(scale=np.sqrt(0.5)))
-
-
-def rician_gain(k_factor_db: float, rng: np.random.Generator) -> complex:
-    """Unit-mean-power Rician gain with LoS-to-scatter ratio K (dB)."""
-    k = 10.0 ** (k_factor_db / 10.0)
-    los = np.sqrt(k / (k + 1.0))
-    scatter = np.sqrt(1.0 / (k + 1.0)) * rayleigh_gain(rng)
-    return complex(los + scatter)
+__all__ = ["MultipathChannel"]
 
 
 @dataclass
@@ -82,7 +60,3 @@ class MultipathChannel:
         out = wave.copy()
         out.iq = np.convolve(wave.iq, taps)[: wave.n_samples]
         return out
-
-    def frequency_response(self, sample_rate: float, n_fft: int = 64) -> ComplexIQ:
-        """Channel transfer function over ``n_fft`` bins (diagnostics)."""
-        return np.fft.fft(self.taps(sample_rate), n_fft)

@@ -16,7 +16,7 @@ family (DBPSK+DSSS, coded OFDM-BPSK, noncoherent GFSK, 802.15.4
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -249,23 +249,3 @@ class BackscatterLink:
             else:
                 break
         return last_good
-
-    def with_occlusion(self, wall_loss_db: Decibels) -> "BackscatterLink":
-        """A copy of this link with extra one-way loss (NLoS)."""
-        return BackscatterLink(
-            self.budget,
-            d_tx_tag_m=self.d_tx_tag_m,
-            exponent=self.exponent,
-            pl0_db=self.pl0_db,
-            extra_loss_db=self.extra_loss_db + wall_loss_db,
-        )
-
-    def with_budget(self, **changes: float) -> "BackscatterLink":
-        """A copy with budget fields overridden (e.g. tx_power_dbm)."""
-        return BackscatterLink(
-            replace(self.budget, **changes),
-            d_tx_tag_m=self.d_tx_tag_m,
-            exponent=self.exponent,
-            pl0_db=self.pl0_db,
-            extra_loss_db=self.extra_loss_db,
-        )

@@ -59,7 +59,3 @@ class OccludedChannel:
     def sample_loss_db(self, rng: np.random.Generator) -> float:
         mean, std = _MATERIAL_TABLE[self.material]
         return float(mean + rng.normal(scale=std))
-
-    @property
-    def mean_loss_db(self) -> float:
-        return _MATERIAL_TABLE[self.material][0]

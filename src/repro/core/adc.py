@@ -13,7 +13,8 @@ resolution.  Three paper-relevant behaviours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -72,12 +73,15 @@ class Adc:
     antialias: bool = True
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        # Each check is written so that NaN fails it.
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(
+                f"sample_rate must be positive and finite, got {self.sample_rate!r}"
+            )
         if not 1 <= self.n_bits <= 16:
-            raise ValueError("n_bits must be in 1..16")
-        if self.v_ref <= 0:
-            raise ValueError("v_ref must be positive")
+            raise ValueError(f"n_bits must be in 1..16, got {self.n_bits!r}")
+        if not 0 < self.v_ref < math.inf:
+            raise ValueError(f"v_ref must be positive and finite, got {self.v_ref!r}")
 
     def _bandlimit(self, analog: RectifierOutput, n: int | None = None) -> FloatArray:
         """Anti-aliasing low-pass of the ADC driver stage, over the
@@ -155,10 +159,3 @@ class Adc:
             v_ref=self.v_ref,
             n_bits=self.n_bits,
         )
-
-    def tuned_to(self, full_scale_v: Volts) -> "Adc":
-        """Reference-voltage tuning (§2.3 note 3): match v_ref to the
-        input's full-scale range so more output codes are used."""
-        if full_scale_v <= 0:
-            raise ValueError("full_scale_v must be positive")
-        return replace(self, v_ref=full_scale_v)

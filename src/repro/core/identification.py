@@ -8,14 +8,11 @@ length, and matching rule are all configuration.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # runtime import stays local to avoid a cycle
-    from repro.core.resources import CorrelatorDesign
 
 from repro.core.adc import Adc
 from repro.core.matching import (
@@ -51,6 +48,23 @@ class IdentificationConfig:
     ordered: bool = False
     search_offsets: tuple[int, ...] | None = None
     incident_power_dbm: DbmPower = -15.0
+
+    def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
+        for name in ("sample_rate_hz", "window_us"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0 <= self.preprocess_us < math.inf:
+            raise ValueError(
+                f"preprocess_us must be >= 0 and finite, got {self.preprocess_us!r}"
+            )
+        if not math.isfinite(self.incident_power_dbm):
+            raise ValueError(
+                f"incident_power_dbm must be finite, got {self.incident_power_dbm!r}"
+            )
+        if not 1 <= self.n_bits <= 16:
+            raise ValueError(f"n_bits must be in 1..16, got {self.n_bits!r}")
 
     def resolved_offsets(self) -> tuple[int, ...]:
         """Sliding-correlation search range.
@@ -145,72 +159,6 @@ class ProtocolIdentifier:
         else:
             power = self.config.incident_power_dbm
         return _score_head((self,), wave, power, fallback_rng(rng))[0]
-
-    def power_profile(self) -> "CorrelatorDesign":
-        """FPGA resource/power estimate of this configuration (the
-        Table 2/5 models applied to the live pipeline settings)."""
-        from repro.core.resources import CorrelatorDesign
-
-        return CorrelatorDesign(
-            sample_rate_hz=self.config.sample_rate_hz,
-            window_us=self.config.window_us + self.config.preprocess_us,
-            quantized=self.config.quantized,
-        )
-
-    def detect_and_identify(
-        self,
-        stream: Waveform,
-        *,
-        incident_power_dbm: float | None = None,
-        rng: np.random.Generator | None = None,
-        threshold_frac: float = 0.35,
-    ) -> tuple[int, IdentificationResult] | None:
-        """Find a packet in a stream by its envelope rise, then classify.
-
-        This is how the real tag triggers: the FPGA watches the ADC
-        output and starts correlating when the envelope jumps (§2.3
-        note 1's duty-cycled EN signal).  Returns (ADC sample index of
-        the detected edge, identification result), or ``None`` when no
-        edge is found.
-        """
-        cfg = self.config
-        rng = fallback_rng(rng)
-        power = (
-            incident_power_dbm
-            if incident_power_dbm is not None
-            else cfg.incident_power_dbm
-        )
-        analog = self.rectifier.rectify(stream, power, rng=rng)
-        capture = self.adc.capture(analog)
-        codes = capture.codes.astype(float)
-        if codes.size < cfg.l_p + cfg.l_m + 4:
-            return None
-        # Edge detector: smoothed level crossing a fraction of the
-        # stream's peak, with a small noise guard.
-        smooth = np.convolve(codes, np.ones(4) / 4.0, mode="same")
-        peak = smooth.max()
-        # Idle-air level from a low percentile (the packet may occupy
-        # most of the stream, so the median would sit inside it).
-        noise_floor = float(np.percentile(smooth, 10))
-        if peak <= noise_floor + 4.0:
-            return None
-        threshold = noise_floor + threshold_frac * (peak - noise_floor)
-        above = np.flatnonzero(smooth > threshold)
-        if above.size == 0:
-            return None
-        # Back off a few samples: slow-rising envelopes (ZigBee's
-        # half-sine ramp) cross the threshold into the packet.
-        start = max(int(above[0]) - 4, 0)
-        # Residual edge uncertainty is a few samples: widen the
-        # correlation search beyond the synchronized default.
-        offsets = tuple(range(10))
-        window = codes[start : start + cfg.l_p + cfg.l_m + max(offsets) + 2]
-        scores = score_capture(
-            window, self.bank, quantized=cfg.quantized, offsets=offsets
-        )
-        return start, IdentificationResult(
-            decision=self.matcher.decide(scores), scores=scores
-        )
 
     def identify(
         self,

@@ -118,10 +118,6 @@ class OverlayConfig:
     def tag_bits_per_sequence(self) -> int:
         return (self.kappa - 1) // self.gamma
 
-    @property
-    def productive_bits_per_sequence(self) -> int:
-        return 1
-
 
 class OverlayCodec:
     """Builds overlay carriers, places tag flips, and decodes both data
@@ -153,19 +149,6 @@ class OverlayCodec:
         """(productive bits, tag bits) that fit in a payload."""
         n_seq = self.n_sequences(n_payload_symbols)
         return n_seq, n_seq * self.config.tag_bits_per_sequence
-
-    def sequence_start(self, seq_index: int) -> int:
-        """Payload-symbol index of a sequence's reference symbol."""
-        return self.first_sequence_symbol + seq_index * self.config.kappa
-
-    def tag_symbol_groups(self, seq_index: int) -> list[list[int]]:
-        """Payload-symbol indices of each tag bit's gamma-group."""
-        base = self.sequence_start(seq_index) + 1
-        groups = []
-        for j in range(self.config.tag_bits_per_sequence):
-            groups.append(list(range(base + j * self.config.gamma,
-                                     base + (j + 1) * self.config.gamma)))
-        return groups
 
     # ------------------------------------------------------------------
     # productive-carrier construction

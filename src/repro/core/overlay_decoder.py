@@ -30,10 +30,6 @@ class OverlayDecodeOutput:
     tag_bits: np.ndarray
     symbol_values: list
 
-    @property
-    def n_tag(self) -> int:
-        return int(self.tag_bits.size)
-
 
 class OverlayDecoder:
     """Runs the protocol's commodity receive chain and the overlay

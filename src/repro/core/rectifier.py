@@ -30,6 +30,7 @@ identification results depend on them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +76,6 @@ class RectifierOutput:
 
     voltage: np.ndarray
     sample_rate: Hertz
-
-    @property
-    def mean_v(self) -> Volts:
-        return float(self.voltage.mean()) if self.voltage.size else 0.0
 
 
 def _instantaneous_freq(iq: np.ndarray, fs: float) -> FloatArray:
@@ -141,6 +138,15 @@ class _EnvelopeRectifier:
     fm_am_slope: float
     #: Output-referred noise, volts RMS.
     noise_v_rms: Volts
+
+    def _check_settings(self) -> None:
+        # Each check is written so that NaN fails it.
+        if not 0 < self.tau_s < math.inf:
+            raise ValueError(f"tau_s must be positive and finite, got {self.tau_s!r}")
+        if not 0 <= self.noise_v_rms < math.inf:
+            raise ValueError(
+                f"noise_v_rms must be >= 0 and finite, got {self.noise_v_rms!r}"
+            )
 
     def rectify(
         self,
@@ -210,6 +216,7 @@ class BasicRectifier(_EnvelopeRectifier):
         self.tau_s = tau_s if tau_s is not None else recommended_tau()
         self.fm_am_slope = 0.3
         self.noise_v_rms = noise_v_rms
+        self._check_settings()
 
 
 class ClampRectifier(_EnvelopeRectifier):
@@ -228,6 +235,7 @@ class ClampRectifier(_EnvelopeRectifier):
         self.tau_s = tau_s if tau_s is not None else recommended_tau()
         self.fm_am_slope = 0.3
         self.noise_v_rms = noise_v_rms
+        self._check_settings()
 
 
 class WispRectifier(_EnvelopeRectifier):
@@ -244,3 +252,4 @@ class WispRectifier(_EnvelopeRectifier):
         self.tau_s = tau_s
         self.fm_am_slope = 0.3
         self.noise_v_rms = noise_v_rms
+        self._check_settings()

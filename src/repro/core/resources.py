@@ -22,7 +22,6 @@ __all__ = [
     "DFF_PER_MULT_9X9",
     "DFF_PER_ADD_9X9",
     "AGLN250_DFF",
-    "AGLN250_STORAGE_BITS",
     "naive_correlator_dffs",
     "quantized_correlator_dffs",
     "CorrelatorDesign",
@@ -36,7 +35,6 @@ DFF_PER_ADD_9X9 = 19
 
 #: Igloo nano AGLN250 limits (§2.1, §2.3).
 AGLN250_DFF = 6144
-AGLN250_STORAGE_BITS = 36 * 1024
 
 #: Fitted quantized-correlator DFF cost per template tap (calibrated to
 #: the paper's 2,860 DFFs for 4 x 120 taps: popcount trees plus shared
@@ -109,8 +107,8 @@ class CorrelatorDesign:
     """A concrete identification design point.
 
     ``window_us`` and ``sample_rate_hz`` determine the per-template tap
-    count; resource properties answer "does this fit the AGLN250?" and
-    "what would it cost on the Artix-7?".
+    count; the resource properties answer "what would it cost on the
+    Artix-7?" (Table 5).
     """
 
     sample_rate_hz: Hertz
@@ -125,26 +123,6 @@ class CorrelatorDesign:
     @property
     def total_taps(self) -> int:
         return self.taps_per_template * self.n_protocols
-
-    @property
-    def dffs(self) -> int:
-        if self.quantized:
-            return quantized_correlator_dffs(self.taps_per_template, self.n_protocols)
-        return naive_correlator_dffs(self.taps_per_template, self.n_protocols)[
-            "dffs_total"
-        ]
-
-    @property
-    def template_storage_bits(self) -> int:
-        """1 bit per tap per template when quantized, 9 bits otherwise."""
-        bits = 1 if self.quantized else 9
-        return self.total_taps * bits
-
-    def fits_agln250(self) -> bool:
-        return (
-            self.dffs <= AGLN250_DFF
-            and self.template_storage_bits <= AGLN250_STORAGE_BITS
-        )
 
     @property
     def luts(self) -> int:

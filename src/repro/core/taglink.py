@@ -152,14 +152,6 @@ class FrameDecoder:
     def received_seqs(self) -> list[int]:
         return sorted(self.frames)
 
-    def missing_seqs(self) -> list[int]:
-        """Gaps in the modulo-16 sequence space seen so far."""
-        if not self.frames:
-            return []
-        present = set(self.frames)
-        hi = max(present)
-        return [s for s in range(hi + 1) if s not in present]
-
     def message_bits(self) -> BitArray:
         """Concatenate payloads of the frames received, in seq order."""
         if not self.frames:

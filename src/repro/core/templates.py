@@ -27,7 +27,7 @@ from repro.core.wavecache import LruCache
 from repro.phy import ble, wifi_b, wifi_n, zigbee
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
-from repro.types import Bits, Microseconds, Samples
+from repro.types import Microseconds, Samples
 
 __all__ = [
     "Template",
@@ -98,11 +98,6 @@ class Template:
     @property
     def l_m(self) -> Samples:
         return self.matching.size
-
-    @property
-    def storage_bits(self) -> Bits:
-        """On-tag storage for the quantized template (1 bit/sample)."""
-        return self.matching_q.size
 
 
 @dataclass
@@ -193,10 +188,6 @@ class TemplateBank:
     @property
     def l_m(self) -> int:
         return next(iter(self.templates.values())).l_m
-
-    def total_storage_bits(self) -> Bits:
-        """Template storage on the tag (§2.3 note 2)."""
-        return sum(t.storage_bits for t in self.templates.values())
 
 
 #: Memoizes built template banks for the default (noiseless clamp

@@ -152,45 +152,3 @@ class OverlayThroughputModel:
         return [
             self.evaluate(float(d), packet_rate=packet_rate) for d in distances_m
         ]
-
-    def evaluate_faded(
-        self,
-        distance_m: Meters,
-        rng: np.random.Generator,
-        *,
-        packet_rate: Hertz | None = None,
-        n_samples: int = 200,
-        k_factor_db: float = 6.0,
-    ) -> ThroughputPoint:
-        """Throughput averaged over Rician small-scale fading.
-
-        The paper's Fig 12 averages 100 tag locations; per-location
-        fading perturbs the backscatter SNR around the distance mean.
-        ``k_factor_db`` is the LoS-to-scatter ratio (6 dB ~ indoor LoS
-        hallway).
-        """
-        from repro.channel.fading import rician_gain
-        from repro.channel.link import _BER_MODEL
-
-        rate = packet_rate if packet_rate is not None else self.saturated_packet_rate()
-        productive_bits, tag_bits = self.bits_per_packet()
-        n_bits = self.n_payload_bytes * 8
-        ebn0_db = self.link.ebn0_db(distance_m)
-        model = _BER_MODEL[self.link.budget.protocol]
-        pers = []
-        for _ in range(n_samples):
-            gain = np.abs(rician_gain(k_factor_db, rng)) ** 2
-            ebn0 = 10.0 ** (ebn0_db / 10.0) * gain
-            ber = model(ebn0)
-            pers.append(1.0 - (1.0 - ber) ** n_bits)
-        per = float(np.mean(pers))
-        good = rate * (1.0 - per)
-        return ThroughputPoint(
-            protocol=self.protocol,
-            distance_m=distance_m,
-            packet_rate=rate,
-            productive_kbps=productive_bits * good / 1e3,
-            tag_kbps=tag_bits * good / 1e3,
-            per=per,
-            rssi_dbm=self.link.rssi_dbm(distance_m),
-        )

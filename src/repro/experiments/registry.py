@@ -93,9 +93,6 @@ class ExperimentSpec:
     module: str
 
     # -- parameters ----------------------------------------------------
-    def preset_names(self) -> tuple[str, ...]:
-        return tuple(self.presets)
-
     def has_param(self, field_name: str) -> bool:
         return any(f.name == field_name for f in dataclasses.fields(self.params_type))
 

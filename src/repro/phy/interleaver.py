@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.types import BitArray, IntArray
 
-__all__ = ["interleave", "deinterleave", "permutation"]
+__all__ = ["interleave", "permutation"]
 
 
 def permutation(n_cbps: int, n_bpsc: int) -> IntArray:
@@ -38,17 +38,4 @@ def interleave(bits: np.ndarray, n_cbps: int = 48, n_bpsc: int = 1) -> BitArray:
         seg = np.empty(n_cbps, dtype=np.uint8)
         seg[perm] = block
         out[start : start + n_cbps] = seg
-    return out
-
-
-def deinterleave(bits: np.ndarray, n_cbps: int = 48, n_bpsc: int = 1) -> BitArray:
-    """Inverse of :func:`interleave`."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size % n_cbps:
-        raise ValueError(f"stream length {arr.size} not a multiple of {n_cbps}")
-    perm = permutation(n_cbps, n_bpsc)
-    out = np.empty_like(arr)
-    for start in range(0, arr.size, n_cbps):
-        block = arr[start : start + n_cbps]
-        out[start : start + n_cbps] = block[perm]
     return out

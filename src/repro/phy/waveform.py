@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.types import ComplexIQ, Decibels, FloatArray, Hertz, Samples, Seconds
+from repro.types import ComplexIQ, FloatArray, Hertz, Samples, Seconds
 from scipy import signal as sp_signal
 
 __all__ = ["Waveform"]
@@ -114,10 +114,6 @@ class Waveform:
         """Amplitude-scale by ``gain`` (linear)."""
         return replace(self, iq=self.iq * gain, annotations=dict(self.annotations))
 
-    def scaled_db(self, gain_db: Decibels) -> "Waveform":
-        """Amplitude-scale by ``gain_db`` (power dB)."""
-        return self.scaled(10.0 ** (gain_db / 20.0))
-
     def frequency_shifted(self, shift_hz: Hertz, *, memo: bool = True) -> "Waveform":
         """Mix by ``exp(j 2 pi shift t)`` and track the channel offset.
 
@@ -184,12 +180,6 @@ class Waveform:
         if "payload_start" in ann:
             ann["payload_start"] = ann["payload_start"] + before
         return replace(self, iq=iq, annotations=ann)
-
-    def sliced(self, start: Samples, stop: Samples | None = None) -> "Waveform":
-        """Return samples [start, stop) as a new waveform."""
-        return replace(
-            self, iq=self.iq[start:stop].copy(), annotations=dict(self.annotations)
-        )
 
     def with_annotations(self, **extra: Any) -> "Waveform":
         """Copy with additional annotations."""

@@ -63,10 +63,6 @@ class AirlinkReport:
         good = sum(o.tag_bits_correct for o in self.outcomes)
         return good / max(self.duration_s, 1e-12) / 1e3
 
-    def productive_throughput_kbps(self) -> float:
-        good = sum(o.productive_bits_correct for o in self.outcomes)
-        return good / max(self.duration_s, 1e-12) / 1e3
-
 
 def run_airlink(
     schedule: ExcitationSchedule,

@@ -195,22 +195,3 @@ class ExcitationSchedule:
                     break
                 out.append((a, b))
         return out
-
-    def packets_of(self, protocol: Protocol) -> list[ScheduledPacket]:
-        return [p for p in self.packets if p.protocol is protocol]
-
-    def airtime_utilization(self) -> float:
-        """Fraction of the horizon covered by at least one packet."""
-        if not self.packets:
-            return 0.0
-        events = sorted((p.start_s, p.end_s) for p in self.packets)
-        covered = 0.0
-        cur_start, cur_end = events[0]
-        for s, e in events[1:]:
-            if s > cur_end:
-                covered += cur_end - cur_start
-                cur_start, cur_end = s, e
-            else:
-                cur_end = max(cur_end, e)
-        covered += cur_end - cur_start
-        return float(min(covered / self.duration_s, 1.0))

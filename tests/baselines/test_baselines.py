@@ -3,23 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FreeRider, Hitchhike, TwoReceiverDecoder, xor_decode
+from repro.baselines import FreeRider, Hitchhike, TwoReceiverDecoder
 from repro.channel.occlusion import Material
-
-
-class TestXorDecode:
-    def test_aligned_recovers_tag_bits(self):
-        rng = np.random.default_rng(0)
-        carrier = rng.integers(0, 2, 64).astype(np.uint8)
-        tag = rng.integers(0, 2, 64).astype(np.uint8)
-        assert np.array_equal(xor_decode(carrier, carrier ^ tag), tag)
-
-    def test_offset_corrupts(self):
-        rng = np.random.default_rng(1)
-        carrier = rng.integers(0, 2, 256).astype(np.uint8)
-        tag = rng.integers(0, 2, 256).astype(np.uint8)
-        decoded = xor_decode(carrier, carrier ^ tag, offset=3)
-        assert np.mean(decoded != tag) > 0.3
 
 
 class TestTwoReceiverDecoder:
@@ -36,21 +21,6 @@ class TestTwoReceiverDecoder:
     def test_lost_originals_are_coin_flips(self):
         d = TwoReceiverDecoder(0.0, 0.0, original_loss_rate=1.0)
         assert d.tag_bit_error_rate() == pytest.approx(0.5)
-
-    def test_simulate_packet_matches_closed_form(self):
-        rng = np.random.default_rng(2)
-        d = TwoReceiverDecoder(original_ber=0.05, backscatter_ber=0.02)
-        tag = rng.integers(0, 2, 400).astype(np.uint8)
-        errs = []
-        for _ in range(60):
-            decoded = d.simulate_packet(tag, rng)
-            errs.append(np.mean(decoded != tag))
-        assert np.mean(errs) == pytest.approx(d.tag_bit_error_rate(), abs=0.02)
-
-    def test_simulate_packet_loss(self):
-        rng = np.random.default_rng(3)
-        d = TwoReceiverDecoder(0.0, 0.0, original_loss_rate=1.0)
-        assert d.simulate_packet(np.ones(8, np.uint8), rng) is None
 
 
 class TestFig9:

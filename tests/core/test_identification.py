@@ -61,7 +61,8 @@ class TestTemplates:
         """§2.3 note 2: extended templates cost ~400 bits, ~1% of the
         36 kb on-tag storage."""
         bank = TemplateBank.build(Adc(sample_rate=2.5e6), window_us=38.0)
-        bits = bank.total_storage_bits()
+        # One bit per sample of each quantized template.
+        bits = sum(t.matching_q.size for t in bank.templates.values())
         assert bits <= 0.02 * 36 * 1024
         assert bits == 4 * 95
 
@@ -207,3 +208,28 @@ class TestBleChannelHopping:
         # accuracy must not depend on the whitening channel.
         assert all(a >= 0.5 for a in accuracy.values()), accuracy
         assert max(accuracy.values()) - min(accuracy.values()) <= 0.5
+
+
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+class TestConfigRejectsBadNumbers:
+    """NaN, +-inf and out-of-range settings fail at construction, naming
+    the field: ``window_us=-1`` used to identify a BLE packet as
+    802.11b, and ``incident_power_dbm=nan`` decided 802.11b with only
+    RuntimeWarnings."""
+
+    @pytest.mark.parametrize(
+        ("field", "bad"),
+        [("sample_rate_hz", v) for v in (*_NON_FINITE, 0.0)]
+        + [("window_us", v) for v in (*_NON_FINITE, -1.0)]
+        + [("preprocess_us", v) for v in (*_NON_FINITE, -1.0)]
+        + [("incident_power_dbm", v) for v in _NON_FINITE]
+        + [("n_bits", v) for v in (*_NON_FINITE, 0, 17)],
+    )
+    def test_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            IdentificationConfig(**{field: bad})
+
+    def test_zero_preprocess_stays_legal(self):
+        assert IdentificationConfig(preprocess_us=0.0).l_p == 1

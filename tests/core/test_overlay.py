@@ -54,10 +54,11 @@ class TestConfig:
 
     def test_mode1_is_one_to_one(self):
         # "the number of reference symbols is the same as that of
-        # modulatable symbols" -> equal productive and tag bits.
+        # modulatable symbols" -> equal productive and tag bits (each
+        # sequence carries one productive bit, on its reference symbol).
         for p in Protocol:
             cfg = OverlayConfig.for_mode(p, Mode.MODE_1)
-            assert cfg.tag_bits_per_sequence == cfg.productive_bits_per_sequence
+            assert cfg.tag_bits_per_sequence == 1
 
     def test_mode2_is_three_to_one(self):
         for p in Protocol:

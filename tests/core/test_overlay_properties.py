@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.overlay import Mode, OverlayCodec, OverlayConfig
 from repro.phy.protocols import Protocol
+from tests.reference_impls import sequence_start, tag_symbol_groups
 
 _protocols = st.sampled_from(list(Protocol))
 _gammas = st.integers(1, 6)
@@ -37,11 +38,11 @@ class TestLayoutInvariants:
         n_symbols = codec.first_sequence_symbol + n_seq * cfg.kappa
         seen: set[int] = set()
         for s in range(codec.n_sequences(n_symbols)):
-            ref = codec.sequence_start(s)
+            ref = sequence_start(codec, s)
             assert ref < n_symbols
             assert ref not in seen
             seen.add(ref)
-            for group in codec.tag_symbol_groups(s):
+            for group in tag_symbol_groups(codec, s):
                 for idx in group:
                     assert ref < idx < n_symbols
                     assert idx not in seen
@@ -70,13 +71,13 @@ class TestLayoutInvariants:
         flags = codec.tag_flip_flags(bits, n_symbols)
         allowed = set()
         for s in range(n_seq):
-            for group in codec.tag_symbol_groups(s):
+            for group in tag_symbol_groups(codec, s):
                 allowed.update(group)
         flagged = set(np.flatnonzero(flags).tolist())
         assert flagged <= allowed
         # Reference symbols are never flipped.
         for s in range(n_seq):
-            assert not flags[codec.sequence_start(s)]
+            assert not flags[sequence_start(codec, s)]
 
     @given(configs())
     @settings(max_examples=40)

@@ -77,8 +77,8 @@ class TestRectifiers:
 
     def test_output_scales_with_power(self):
         clamp = ClampRectifier(noise_v_rms=0.0)
-        lo = clamp.rectify(_tone(), -20.0).mean_v
-        hi = clamp.rectify(_tone(), -10.0).mean_v
+        lo = clamp.rectify(_tone(), -20.0).voltage.mean()
+        hi = clamp.rectify(_tone(), -10.0).voltage.mean()
         assert hi > lo > 0
 
     def test_noise_adds_variance(self):
@@ -93,7 +93,7 @@ class TestRectifiers:
         out = clamp.rectify(
             Waveform.silence(500, 22e6), -10.0, rng=np.random.default_rng(0)
         )
-        assert abs(out.mean_v) < 5e-4
+        assert abs(out.voltage.mean()) < 5e-4
 
     def test_fm_to_am_creates_ripple_on_constant_envelope(self):
         from repro.phy import ble
@@ -130,7 +130,8 @@ class TestAdc:
     def test_vref_tuning_uses_more_codes(self):
         analog = self._analog()
         wide = Adc(v_ref=1.0).capture(analog)
-        tuned = Adc(v_ref=1.0).tuned_to(0.16).capture(analog)
+        # §2.3 note 3: match v_ref to the input's full-scale range.
+        tuned = Adc(v_ref=0.16).capture(analog)
         assert len(np.unique(tuned.codes)) > len(np.unique(wide.codes))
 
     def test_phase_offsets_sampling_grid(self):
@@ -139,19 +140,13 @@ class TestAdc:
         b = Adc(sample_rate=2e6, antialias=False).capture(analog, phase_s=2.5e-7)
         assert not np.array_equal(a.codes, b.codes)
 
-    def test_tuning_keeps_the_other_settings(self):
-        adc = Adc(sample_rate=2e6, n_bits=7, antialias=False)
-        assert adc.tuned_to(0.2) == Adc(
-            sample_rate=2e6, n_bits=7, v_ref=0.2, antialias=False
-        )
-
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             Adc(sample_rate=0)
         with pytest.raises(ValueError):
             Adc(n_bits=0)
         with pytest.raises(ValueError):
-            Adc().tuned_to(-1.0)
+            Adc(v_ref=-1.0)
 
     @given(st.integers(2, 12))
     @settings(max_examples=8, deadline=None)
@@ -271,3 +266,31 @@ class TestDiodeKernel:
 
     def test_empty_input(self):
         self.assert_same(np.zeros(0), 20e6, recommended_tau())
+
+
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+class TestFrontEndRejectsBadNumbers:
+    """NaN, +-inf and out-of-range settings fail where they are built,
+    naming the field (a NaN slips through a plain ``x <= 0`` check)."""
+
+    @pytest.mark.parametrize("cls", [BasicRectifier, ClampRectifier, WispRectifier])
+    @pytest.mark.parametrize(
+        ("field", "bad"),
+        [("tau_s", v) for v in (*_NON_FINITE, 0.0, -1e-9)]
+        + [("noise_v_rms", v) for v in (*_NON_FINITE, -1.0)],
+    )
+    def test_rectifier(self, cls, field, bad):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: bad})
+
+    @pytest.mark.parametrize(
+        ("field", "bad"),
+        [("sample_rate", v) for v in (*_NON_FINITE, 0.0)]
+        + [("v_ref", v) for v in (*_NON_FINITE, -1.0)]
+        + [("n_bits", v) for v in (*_NON_FINITE, 0, 17)],
+    )
+    def test_adc(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            Adc(**{field: bad})

@@ -44,14 +44,16 @@ class TestTable2:
         design = CorrelatorDesign(
             sample_rate_hz=2.5e6, window_us=40.0, quantized=True
         )
-        assert design.fits_agln250()
-        assert design.template_storage_bits == 400  # §2.3 note 2
+        assert quantized_correlator_dffs(design.taps_per_template) <= AGLN250_DFF
+        # §2.3 note 2: 1 bit per quantized tap, 400 bits of templates.
+        assert design.total_taps == 400
 
     def test_naive_design_does_not_fit(self):
         design = CorrelatorDesign(
             sample_rate_hz=20e6, window_us=6.0, quantized=False
         )
-        assert not design.fits_agln250()
+        dffs = naive_correlator_dffs(design.taps_per_template)["dffs_total"]
+        assert dffs > AGLN250_DFF
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

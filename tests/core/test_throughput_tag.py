@@ -179,35 +179,6 @@ class TestFec:
         assert np.array_equal(repetition_decode(coded, 5), [1, 0])
 
 
-class TestFadedThroughput:
-    def test_fading_degrades_at_range(self):
-        import numpy as np
-
-        from repro.core.overlay import Mode
-        from repro.core.throughput import OverlayThroughputModel
-        from repro.phy.protocols import Protocol
-
-        rng = np.random.default_rng(0)
-        model = OverlayThroughputModel(Protocol.BLE, mode=Mode.MODE_1)
-        flat = model.evaluate(15.0)
-        faded = model.evaluate_faded(15.0, rng)
-        # Fading softens the PER cliff: worse at mid-range.
-        assert faded.aggregate_kbps < flat.aggregate_kbps
-
-    def test_fading_negligible_at_short_range(self):
-        import numpy as np
-
-        from repro.core.overlay import Mode
-        from repro.core.throughput import OverlayThroughputModel
-        from repro.phy.protocols import Protocol
-
-        rng = np.random.default_rng(1)
-        model = OverlayThroughputModel(Protocol.WIFI_B, mode=Mode.MODE_1)
-        flat = model.evaluate(2.0)
-        faded = model.evaluate_faded(2.0, rng)
-        assert faded.aggregate_kbps == pytest.approx(flat.aggregate_kbps, rel=0.05)
-
-
 class TestZigbeeFcs:
     def test_fcs_round_trip(self):
         from repro.phy import bits as bitlib

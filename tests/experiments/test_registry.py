@@ -109,7 +109,7 @@ class TestCatalog:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_spec_contract(self, name):
         spec = registry.get_spec(name)
-        assert spec.preset_names() == PRESET_NAMES
+        assert tuple(spec.presets) == PRESET_NAMES
         assert spec.paper_ref and spec.description
         assert spec.module == f"repro.experiments.{name}"
         for preset in PRESET_NAMES:

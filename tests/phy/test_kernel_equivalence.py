@@ -33,7 +33,7 @@ from repro.core.tag import MultiscatterTag
 from repro.core.tag_modulation import TagModulator
 from repro.core.templates import TemplateBank, reference_waveform
 from repro.phy import bits as bitlib
-from repro.phy import convcode, viterbi, wifi_a, wifi_b, wifi_n, zigbee
+from repro.phy import convcode, viterbi, wifi_b, wifi_n, zigbee
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.sim.pipeline import AirlinkPipeline, PendingReception
@@ -373,18 +373,6 @@ class TestOfdm:
                 data_bits, cpes = ref.wifi_n_demodulate(rx, soft=soft)
                 assert got.data_bits.tobytes() == data_bits.tobytes(), (trial, soft)
                 assert got.cpe_per_symbol.tobytes() == cpes.tobytes(), (trial, soft)
-
-    @pytest.mark.parametrize("rate", sorted(wifi_a.RATE_TABLE))
-    def test_wifi_a_byte_identical(self, rate):
-        rng = np.random.default_rng(int(rate))
-        for trial in range(3):
-            n_bytes = int(rng.integers(1, 200))
-            payload = rng.integers(0, 256, n_bytes).astype(np.uint8).tobytes()
-            cfg = wifi_a.WifiAConfig(rate_mbps=rate)
-            wave = wifi_a.modulate(payload, cfg)
-            assert wave.iq.tobytes() == ref.wifi_a_modulate_iq(payload, cfg).tobytes()
-            rx = _received(wave, rng, truncate=trial == 2)
-            assert wifi_a.demodulate(rx).tobytes() == ref.wifi_a_demodulate(rx).tobytes()
 
 
 class TestResample:

@@ -24,11 +24,6 @@ class TestWaveform:
         with pytest.raises(ValueError):
             Waveform(np.zeros(4), -1.0)
 
-    def test_scaled_db(self):
-        w = self._make()
-        louder = w.scaled_db(6.0)
-        assert louder.mean_power() / w.mean_power() == pytest.approx(10 ** 0.6, rel=1e-6)
-
     def test_frequency_shift_moves_spectrum(self):
         n = 4096
         w = Waveform(np.ones(n, complex), 1e6)

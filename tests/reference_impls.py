@@ -518,93 +518,6 @@ def wifi_n_demodulate(wave, *, soft=False):
     return data_bits, cpes
 
 
-def wifi_a_modulate_iq(payload, cfg):
-    """Seed ``wifi_a.modulate`` samples (per-symbol interleave and IFFT)."""
-    from repro.phy import bits as bitlib
-    from repro.phy import convcode
-    from repro.phy import wifi_n as w
-    from repro.phy.interleaver import interleave as legacy_interleave
-    from repro.phy.wifi_a import RATE_TABLE
-
-    psdu = bitlib.bits_from_bytes(payload)
-    stream = np.concatenate([np.zeros(16, np.uint8), psdu, np.zeros(6, np.uint8)])
-    n_sym = max(1, int(np.ceil(stream.size / cfg.n_dbps)))
-    pad = n_sym * cfg.n_dbps - stream.size
-    stream = np.concatenate([stream, np.zeros(pad, np.uint8)])
-
-    scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
-    coded = convcode.puncture(convcode.encode(scrambled), cfg.coding_rate)
-
-    data_samples = []
-    for s in range(n_sym):
-        block = coded[s * cfg.n_cbps : (s + 1) * cfg.n_cbps]
-        inter = legacy_interleave(block, n_cbps=cfg.n_cbps, n_bpsc=cfg.n_bpsc)
-        points = w._map_bits(inter, cfg.constellation)
-        polarity = w.PILOT_POLARITY[(s + 1) % w.PILOT_POLARITY.size]
-        data_samples.append(ofdm_symbol(points, w.LEGACY_DATA_CARRIERS, polarity))
-
-    preamble = np.concatenate(
-        [
-            w._l_stf(),
-            w._l_ltf(),
-            w._l_sig(RATE_TABLE[cfg.rate_mbps][3], max(1, psdu.size // 8)),
-        ]
-    )
-    return np.concatenate([preamble] + data_samples)
-
-
-def wifi_a_demodulate(wave):
-    """Seed ``wifi_a.demodulate`` (per-symbol receive loop); PSDU bits."""
-    from repro.phy import bits as bitlib
-    from repro.phy import convcode, viterbi
-    from repro.phy import wifi_n as w
-    from repro.phy.interleaver import deinterleave as legacy_deinterleave
-    from repro.phy.wifi_a import WifiAConfig
-
-    ann = wave.annotations
-    cfg = WifiAConfig(rate_mbps=ann["rate_mbps"], scrambler_seed=ann.get("scrambler_seed", 0x5D))
-    start_ltf = ann["l_ltf_start"] + 32
-    body = wave.iq[start_ltf : start_ltf + w.N_FFT]
-    spec = np.fft.fft(body) * np.sqrt(52.0) / w.N_FFT
-    h = np.ones(w.N_FFT, dtype=complex)
-    for k in range(-26, 27):
-        ref = w._L26[k + 26]
-        if ref != 0:
-            h[k % w.N_FFT] = spec[k % w.N_FFT] / ref
-    h = np.where(np.abs(h) < 1e-12, 1e-12, h)
-
-    start = ann["payload_start"]
-    n_sym = ann["n_payload_symbols"]
-    coded = []
-    prev_cpe = 0.0
-    for s in range(n_sym):
-        seg = wave.iq[start + s * w.SYMBOL_LEN : start + (s + 1) * w.SYMBOL_LEN]
-        if seg.size < w.SYMBOL_LEN:
-            seg = np.pad(seg, (0, w.SYMBOL_LEN - seg.size))
-        spec = np.fft.fft(seg[w.CP_LEN :]) * np.sqrt(52.0) / w.N_FFT
-        eq = spec / h
-        polarity = w.PILOT_POLARITY[(s + 1) % w.PILOT_POLARITY.size]
-        expected = w.PILOT_VALUES * polarity
-        received = np.array([eq[int(c) % w.N_FFT] for c in w.PILOT_CARRIERS])
-        cpe_raw = float(np.angle(np.sum(received * np.conj(expected))))
-        k = np.round((prev_cpe - cpe_raw) / np.pi)
-        cpe = cpe_raw + k * np.pi
-        prev_cpe = cpe
-        eq = eq * np.exp(-1j * cpe)
-        points = np.array([eq[int(c) % w.N_FFT] for c in w.LEGACY_DATA_CARRIERS])
-        hard = w._demap_symbols(points, cfg.constellation)
-        coded.append(legacy_deinterleave(hard, n_cbps=cfg.n_cbps, n_bpsc=cfg.n_bpsc))
-
-    coded_stream = np.concatenate(coded) if coded else np.zeros(0, np.uint8)
-    coded_stream = convcode.depuncture(coded_stream, cfg.coding_rate)
-    scrambled = viterbi.decode(coded_stream, n_info=ann["n_stream_bits"])
-    n_padded = n_sym * cfg.n_dbps
-    if scrambled.size < n_padded:
-        scrambled = np.pad(scrambled, (0, n_padded - scrambled.size))
-    data_bits = bitlib.scramble_80211_frame(scrambled, seed=cfg.scrambler_seed)[:n_padded]
-    return data_bits[16 : ann["n_stream_bits"] - 6]
-
-
 # ----------------------------------------------------------------------
 # Collision scenes: a filter designed per resample, complex filtering,
 # and both packets scaled at full length
@@ -652,6 +565,8 @@ def superimpose(
 ):
     """Seed ``scene.superimpose``, resampling through the seed
     :func:`waveform_resampled`."""
+    from dataclasses import replace
+
     from repro.core.rectifier import incident_peak_voltage
     from repro.phy.waveform import Waveform
 
@@ -660,10 +575,11 @@ def superimpose(
     pad_v = 64
     v = waveform_resampled(victim.padded(before=pad_v), scene_rate_hz)
     pad_scaled = int(round(pad_v * scene_rate_hz / victim.sample_rate))
-    v = v.sliced(pad_scaled)
+    v = replace(v, iq=v.iq[pad_scaled:].copy(), annotations=dict(v.annotations))
     v.annotations = dict(victim.annotations)
     i = waveform_resampled(interferer.padded(before=64), scene_rate_hz)
-    i = i.sliced(int(round(64 * scene_rate_hz / interferer.sample_rate)))
+    pad_i = int(round(64 * scene_rate_hz / interferer.sample_rate))
+    i = replace(i, iq=i.iq[pad_i:].copy(), annotations=dict(i.annotations))
 
     # Scale to unboosted antenna volts.
     def to_volts(w, dbm):
@@ -717,6 +633,23 @@ def waveform_frequency_shifted(wave, shift_hz):
     )
 
 
+def sequence_start(codec, seq_index):
+    """Seed ``OverlayCodec.sequence_start``: payload-symbol index of
+    sequence ``seq_index``'s reference symbol."""
+    return codec.first_sequence_symbol + seq_index * codec.config.kappa
+
+
+def tag_symbol_groups(codec, seq_index):
+    """Seed ``OverlayCodec.tag_symbol_groups``: payload-symbol indices of
+    each tag bit's gamma-group in sequence ``seq_index``."""
+    cfg = codec.config
+    base = sequence_start(codec, seq_index) + 1
+    return [
+        list(range(base + j * cfg.gamma, base + (j + 1) * cfg.gamma))
+        for j in range(cfg.tag_bits_per_sequence)
+    ]
+
+
 def overlay_decode_symbols(codec, symbol_values):
     """Seed ``OverlayCodec.decode_symbols``: one comparison per
     modulatable symbol, one vote per gamma-group, in Python loops."""
@@ -736,9 +669,9 @@ def overlay_decode_symbols(codec, symbol_values):
     productive = np.zeros(n_seq, dtype=np.uint8)
     tag = np.zeros(n_seq * cfg.tag_bits_per_sequence, dtype=np.uint8)
     for s in range(n_seq):
-        ref = symbol_values[codec.sequence_start(s)]
+        ref = symbol_values[sequence_start(codec, s)]
         productive[s] = codec.productive_bit_from_symbol(ref)
-        for j, group in enumerate(codec.tag_symbol_groups(s)):
+        for j, group in enumerate(tag_symbol_groups(codec, s)):
             votes = [values_differ(symbol_values[idx], ref) for idx in group]
             tag[s * cfg.tag_bits_per_sequence + j] = int(
                 np.count_nonzero(votes) * 2 > len(votes)
@@ -880,7 +813,7 @@ def overlay_tag_flip_flags(codec, tag_bits, n_payload_symbols):
     n_seq = codec.n_sequences(n_payload_symbols)
     k = 0
     for s in range(n_seq):
-        for group in codec.tag_symbol_groups(s):
+        for group in tag_symbol_groups(codec, s):
             if k >= bits.size:
                 return flags
             if bits[k]:

@@ -1,4 +1,4 @@
-"""The deterministic fault harness and the runner's metric-key check.
+"""The deterministic fault harness.
 
 ``repro.sim.faults`` parses ``REPRO_FAULTS`` specs and fires them at
 the instrumented sites; the recovery paths those sites exercise are
@@ -8,20 +8,6 @@ tested with their owners (``tests/gateway``, ``tests/experiments``).
 import pytest
 
 from repro.sim import faults
-from repro.sim.runner import MonteCarlo
-
-
-def _trial(rng):
-    x = rng.normal(size=64)
-    return {"mean": float(x.mean()), "max": float(x.max())}
-
-
-def _ragged_trial(rng):
-    """Returns a different metric key set depending on the stream."""
-    value = float(rng.normal())
-    if int(rng.integers(2)):
-        return {"mean": value}
-    return {"mean": value, "extra": value}
 
 
 @pytest.fixture(autouse=True)
@@ -82,18 +68,3 @@ class TestSpecParsing:
         faults.check("save", name="runs/x/fig13_los.json")
         with pytest.raises(faults.FaultInjected):
             faults.check("save", name="runs/x/fig15_occlusion.json")
-
-
-class TestMetricKeyAlignment:
-    def test_mismatched_keys_raise_with_diff(self):
-        # Seeded streams make the ragged key pattern deterministic; the
-        # old behavior silently built per-key stats with different n.
-        with pytest.raises(ValueError, match="metric key set") as excinfo:
-            MonteCarlo(n_trials=8, seed=0).run(_ragged_trial)
-        message = str(excinfo.value)
-        assert "trial" in message
-        assert "extra" in message
-
-    def test_aligned_keys_pass(self):
-        stats = MonteCarlo(n_trials=4, seed=0).run(_trial)
-        assert stats["mean"].n == 4

@@ -85,10 +85,14 @@ class TestSchedule:
         ]
         return ExcitationSchedule.generate(sources, duration, rng)
 
+    @staticmethod
+    def _count(sched, protocol):
+        return sum(p.protocol is protocol for p in sched.packets)
+
     def test_counts(self):
         sched = self._schedule()
-        assert len(sched.packets_of(Protocol.WIFI_N)) == pytest.approx(1000, abs=10)
-        assert len(sched.packets_of(Protocol.BLE)) == pytest.approx(17, abs=10)
+        assert self._count(sched, Protocol.WIFI_N) == pytest.approx(1000, abs=10)
+        assert self._count(sched, Protocol.BLE) == pytest.approx(17, abs=10)
 
     def test_sorted_by_time(self):
         starts = [p.start_s for p in self._schedule().packets]
@@ -101,12 +105,8 @@ class TestSchedule:
         collisions = sched.collisions()
         ble_hit = {id(b) for a, b in collisions if b.protocol is Protocol.BLE}
         ble_hit |= {id(a) for a, b in collisions if a.protocol is Protocol.BLE}
-        n_ble = len(sched.packets_of(Protocol.BLE))
+        n_ble = self._count(sched, Protocol.BLE)
         assert len(ble_hit) > 0.2 * max(n_ble, 1)
-
-    def test_utilization_bounded(self):
-        u = self._schedule().airtime_utilization()
-        assert 0.2 < u < 0.9
 
 
 class TestMetrics:

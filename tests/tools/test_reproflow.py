@@ -353,23 +353,6 @@ class TestF001:
         """
         assert _codes(tmp_path, src) == ["F001"]
 
-    def test_montecarlo_run_is_not_a_root(self, tmp_path):
-        # MonteCarlo runs trials serially in the caller's process, so a
-        # trial that appends to a module global is no fork hazard.
-        src = """\
-            from repro.sim.runner import MonteCarlo
-
-            _HITS = []
-
-            def trial(rng):
-                _HITS.append(1)
-
-            def experiment():
-                mc = MonteCarlo(n_trials=8, seed=1)
-                return mc.run(trial)
-        """
-        assert _codes(tmp_path, src) == []
-
     def test_global_statement_rebind_fires(self, tmp_path):
         src = """\
             _COUNT = 0

@@ -54,13 +54,16 @@ KERNEL_ROUNDS = 20
 #: reference host (2 vCPU, one BLAS thread), rounded down to 0.1.
 #: ``None`` marks a pair whose floor would fall below 1.5, printed but
 #: not gated: the seed soft Viterbi already vectorizes over the 64
-#: states, four pairs spend most of their time in kernels both sides
-#: share (the shipped Viterbi in the OFDM receivers, the whole PHY in
+#: states, three pairs spend most of their time in kernels both sides
+#: share (the shipped Viterbi in the 802.11n receiver, the whole PHY in
 #: ``reference_run_airlink``, ``upfirdn`` over both packets at full
 #: length in ``superimpose``), the ZigBee receiver keeps its
 #: decision-directed loop, one matmul and ``arctan2`` per symbol
 #: (2.6x), and fig05's grid still draws each trace's whole-packet
 #: rectifier noise and runs three correlations per trace (2.0x).
+#: The two legacy 802.11a/g OFDM pairs (modulate, floor 2.1, and
+#: demodulate, not gated) were removed with that PHY, which no
+#: command, experiment or example ran.
 FLOORS: dict[str, float | None] = {
     "viterbi_decode": 4.0,
     "convcode_encode": 14.4,
@@ -71,10 +74,8 @@ FLOORS: dict[str, float | None] = {
     "score_capture": 2.9,
     "adc_capture_codes": 4.8,
     "wifi_n_modulate_iq": 1.7,
-    "wifi_a_modulate_iq": 2.1,
     "viterbi_decode_soft": None,
     "wifi_n_demodulate": None,
-    "wifi_a_demodulate": None,
     "reference_run_airlink": None,
     "superimpose": None,
     "waveform_frequency_shifted": 12.6,
@@ -153,7 +154,7 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
     from repro.core.templates import TemplateBank
     from repro.experiments import fig07_ordered, registry
     from repro.experiments.common import labeled_traces
-    from repro.phy import bits, convcode, viterbi, wifi_a, wifi_b, wifi_n, zigbee
+    from repro.phy import bits, convcode, viterbi, wifi_b, wifi_n, zigbee
     from repro.phy.protocols import Protocol
     from repro.sim.airlink import run_airlink
     from repro.sim.pipeline import AirlinkPipeline, PendingReception
@@ -208,8 +209,8 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
         scored = score_traces(grid, grid_traces, rng=np.random.default_rng(0))
         return [tabulate_accuracy(i.matcher, s) for i, s in zip(grid, scored)]
 
-    n_cfg, a_cfg = wifi_n.WifiNConfig(), wifi_a.WifiAConfig()
-    n_wave, a_wave = wifi_n.modulate(payload, n_cfg), wifi_a.modulate(payload, a_cfg)
+    n_cfg = wifi_n.WifiNConfig()
+    n_wave = wifi_n.modulate(payload, n_cfg)
 
     schedule = ExcitationSchedule.generate(
         [ExcitationSource(protocol=p, rate_pkts=80.0, periodic=False) for p in Protocol],
@@ -322,11 +323,6 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
             lambda: ref.wifi_n_modulate_iq(payload, n_cfg),
             lambda: wifi_n.modulate(payload, n_cfg),
         ),
-        "wifi_a_modulate_iq": (
-            "wifi_a.modulate",
-            lambda: ref.wifi_a_modulate_iq(payload, a_cfg),
-            lambda: wifi_a.modulate(payload, a_cfg),
-        ),
         "viterbi_decode_soft": (
             "viterbi.decode_soft",
             lambda: ref.viterbi_decode_soft(llrs, n_info=info.size),
@@ -336,11 +332,6 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
             "wifi_n.demodulate",
             lambda: ref.wifi_n_demodulate(n_wave),
             lambda: wifi_n.demodulate(n_wave),
-        ),
-        "wifi_a_demodulate": (
-            "wifi_a.demodulate",
-            lambda: ref.wifi_a_demodulate(a_wave),
-            lambda: wifi_a.demodulate(a_wave),
         ),
         "reference_run_airlink": (
             "run_airlink",

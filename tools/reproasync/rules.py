@@ -40,7 +40,6 @@ from tools.reproflow.project import (
     ModuleInfo,
     ProjectIndex,
     local_instance_map,
-    monte_carlo_locals,
 )
 
 __all__ = ["STRICT_ASYNC_DIRS", "check_concurrency"]
@@ -168,7 +167,6 @@ class _BlockingScanner:
         self,
         mod: ModuleInfo,
         call: ast.Call,
-        mc_locals: set[str],
     ) -> str | None:
         """Describe the blocking primitive at ``call``, if it is one."""
         func = call.func
@@ -180,13 +178,8 @@ class _BlockingScanner:
         )
         if tail in _HEAVY_KERNELS:
             return f"heavy PHY kernel {tail}()"
-        if isinstance(func, ast.Attribute):
-            if func.attr in _FILE_IO_METHODS:
-                return f"file I/O {func.attr}()"
-            if func.attr == "run" and (
-                isinstance(func.value, ast.Name) and func.value.id in mc_locals
-            ):
-                return "MonteCarlo.run()"
+        if isinstance(func, ast.Attribute) and func.attr in _FILE_IO_METHODS:
+            return f"file I/O {func.attr}()"
         if isinstance(func, ast.Name) and func.id == "open":
             if self.index.resolve_symbol(mod, "open") is None:
                 return "file I/O open()"
@@ -207,11 +200,10 @@ class _BlockingScanner:
         if fn is not None and not isinstance(fn.node, ast.AsyncFunctionDef):
             mod = self.index.modules[fn.module]
             local_instances = local_instance_map(self.index, mod, fn)
-            mc_locals = monte_carlo_locals(self.index, mod, fn)
             exempt = self._exempt_ids(fn)
             calls = [c for c, _ in iter_region_calls(fn.node) if id(c) not in exempt]
             for call in calls:
-                desc = self.direct_desc(mod, call, mc_locals)
+                desc = self.direct_desc(mod, call)
                 if desc is not None:
                     result = [fq, desc]
                     break
@@ -225,9 +217,6 @@ class _BlockingScanner:
                         target.node, ast.AsyncFunctionDef
                     ):
                         continue
-                    if target.fq.endswith(".MonteCarlo.run"):
-                        result = [fq, "MonteCarlo.run()"]
-                        break
                     sub = self.blocking_path(target.fq, visiting)
                     if sub is not None:
                         result = [fq, *sub]
@@ -244,12 +233,11 @@ class _BlockingScanner:
                 if not isinstance(fn.node, ast.AsyncFunctionDef):
                     continue
                 local_instances = local_instance_map(self.index, mod, fn)
-                mc_locals = monte_carlo_locals(self.index, mod, fn)
                 exempt = self._exempt_ids(fn)
                 for call, _ in iter_region_calls(fn.node):
                     if id(call) in exempt:
                         continue
-                    desc = self.direct_desc(mod, call, mc_locals)
+                    desc = self.direct_desc(mod, call)
                     if desc is not None:
                         findings.append(
                             _finding(
@@ -269,16 +257,6 @@ class _BlockingScanner:
                         or target.fq == fn.fq
                         or isinstance(target.node, ast.AsyncFunctionDef)
                     ):
-                        continue
-                    if target.fq.endswith(".MonteCarlo.run"):
-                        findings.append(
-                            _finding(
-                                mod, fn, call, "C001",
-                                "blocking MonteCarlo.run() inside async "
-                                f"function '{fn.qualname}'; hand off via "
-                                "asyncio.to_thread or an executor",
-                            )
-                        )
                         continue
                     path = self.blocking_path(target.fq)
                     if path is not None:

@@ -547,20 +547,6 @@ def _strip_optional(node: ast.expr) -> ast.expr:
     return node
 
 
-def monte_carlo_locals(
-    index: ProjectIndex, mod: ModuleInfo, fn: FunctionInfo
-) -> set[str]:
-    """Locals holding a MonteCarlo instance (``mc = MonteCarlo(...)``)."""
-    out: set[str] = set()
-    for node in walk_function_body(fn.node):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if _dotted(node.value.func).split(".")[-1] == "MonteCarlo":
-                for t in node.targets:
-                    if isinstance(t, ast.Name):
-                        out.add(t.id)
-    return out
-
-
 def resolve_call(
     index: ProjectIndex,
     mod: ModuleInfo,
