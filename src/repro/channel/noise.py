@@ -7,6 +7,8 @@ power convention.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.types import ComplexIQ, DbmPower, Decibels, Hertz, Milliwatts, Samples
@@ -25,15 +27,20 @@ DEFAULT_NOISE_FIGURE_DB = 7.0
 
 def noise_floor_dbm(bandwidth_hz: Hertz, noise_figure_db: Decibels = DEFAULT_NOISE_FIGURE_DB) -> DbmPower:
     """Receiver noise floor: -174 + 10 log10(B) + NF."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
+    # Each check is written so that NaN fails it.
+    if not 0 < bandwidth_hz < math.inf:
+        raise ValueError(f"bandwidth_hz must be positive and finite, got {bandwidth_hz!r}")
+    if not 0 <= noise_figure_db < math.inf:
+        raise ValueError(
+            f"noise_figure_db must be >= 0 and finite, got {noise_figure_db!r}"
+        )
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
 
 
 def complex_noise(n: Samples, power_mw: Milliwatts, rng: np.random.Generator) -> ComplexIQ:
     """Circular complex Gaussian samples of mean power ``power_mw``."""
-    if power_mw < 0:
-        raise ValueError("noise power must be non-negative")
+    if not 0 <= power_mw < math.inf:  # written so that NaN fails it
+        raise ValueError(f"power_mw must be >= 0 and finite, got {power_mw!r}")
     sigma = np.sqrt(power_mw / 2.0)
     return sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
 
@@ -55,9 +62,13 @@ def awgn(
         raise ValueError("give exactly one of snr_db or noise_power_dbm")
     rng = fallback_rng(rng)
     if snr_db is not None:
+        if not math.isfinite(snr_db):
+            raise ValueError(f"snr_db must be finite, got {snr_db!r}")
         signal_power = wave.mean_power()
         noise_power = signal_power / (10.0 ** (snr_db / 10.0))
     else:
+        if not math.isfinite(noise_power_dbm):
+            raise ValueError(f"noise_power_dbm must be finite, got {noise_power_dbm!r}")
         noise_power = 10.0 ** (noise_power_dbm / 10.0)
     noisy = wave.copy()
     noisy.iq = noisy.iq + complex_noise(wave.n_samples, noise_power, rng)

@@ -37,16 +37,13 @@ from repro.core.overlay import OverlayCodec
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 
-__all__ = ["TagModulator", "DEFAULT_SHIFT_HZ", "BLE_DELTA_F_HZ"]
+__all__ = ["TagModulator", "DEFAULT_SHIFT_HZ"]
 
 #: Default backscatter frequency shift (one WiFi channel spacing would
 #: be 5 MHz; tags commonly shift by 10-20 MHz.  The simulation treats
 #: the shifted channel as clean, so the value only needs to be nonzero
 #: to model the retune).
 DEFAULT_SHIFT_HZ = 10e6
-
-#: BLE tag-data FSK offset: Delta f = 500 kHz turns f0 into f1 (§2.4).
-BLE_DELTA_F_HZ = 500e3
 
 
 @dataclass

@@ -35,14 +35,10 @@ __all__ = [
     "cached_bank",
     "reference_waveform",
     "BASE_WINDOW_US",
-    "EXTENDED_WINDOW_US",
 ]
 
 #: 8 us: the BLE preamble bounds the shared base window (§2.2.2).
 BASE_WINDOW_US = 8.0
-
-#: 40 us: the §2.3.2 extension (BLE adv access address, 11n HT fields).
-EXTENDED_WINDOW_US = 40.0
 
 
 #: Memoizes the deterministic reference waveforms (all-zero payload),

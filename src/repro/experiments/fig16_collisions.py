@@ -22,6 +22,9 @@ work.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+
 import numpy as np
 
 from repro.core.identification import IdentificationConfig, ProtocolIdentifier
@@ -30,6 +33,7 @@ from repro.experiments.registry import implements
 from repro.core.throughput import OverlayThroughputModel
 from repro.experiments.common import ExperimentResult
 from repro.phy.protocols import Protocol
+from repro.phy.waveform import Waveform
 from repro.sim.scene import superimpose
 from repro.sim.metrics import format_table
 from repro.sim.traffic import packet_airtime_s, random_packet
@@ -39,6 +43,11 @@ __all__ = ["run", "format_result", "survival_rate"]
 #: Incident powers at the tag (see identification.DEFAULT_INCIDENT_DBM).
 _WIFI_DBM = -21.2
 _WEAK_DBM = -31.2
+
+#: Scenes submitted to the workers and not yet identified, besides the
+#: one being identified: enough to keep both workers busy while the
+#: calling thread identifies.
+_SCENES_AHEAD = 2
 
 
 def survival_rate(
@@ -54,9 +63,16 @@ def survival_rate(
     rng: np.random.Generator,
     interferer_bytes: int = 300,
 ) -> float:
-    """Fraction of victim packets the tag still identifies correctly."""
-    hits = 0
-    for k in range(n_trials):
+    """Fraction of victim packets the tag still identifies correctly.
+
+    The calling thread draws each trial's packets from ``rng`` and
+    identifies each scene, both in trial order; two worker threads build
+    the scenes in between (``resample_poly`` releases the GIL).  Neither
+    step on the calling thread reads anything the workers write, so the
+    result and ``rng``'s final state do not depend on the scheduling.
+    """
+
+    def build_next(pool: ThreadPoolExecutor) -> Future[Waveform]:
         v = random_packet(victim, rng, n_payload_bytes=20)
         if interferer is None:
             i = random_packet(victim, rng, n_payload_bytes=20)
@@ -66,16 +82,24 @@ def survival_rate(
             i = random_packet(interferer, rng, n_payload_bytes=interferer_bytes)
             i_dbm = interferer_dbm
             off = time_offset_s
-        scene = superimpose(
-            v, victim_dbm, i, i_dbm,
+        return pool.submit(
+            superimpose, v, victim_dbm, i, i_dbm,
             freq_offset_hz=freq_offset_hz,
             time_offset_s=off,
             duration_s=90e-6,
         )
-        result = identifier.identify(
-            scene, rng=np.random.default_rng(7000 + k), prescaled=True
-        )
-        hits += result.decision is victim
+
+    hits = 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        ahead = deque(build_next(pool) for _ in range(min(n_trials, _SCENES_AHEAD)))
+        for k in range(n_trials):
+            scene = ahead.popleft().result()
+            if k + _SCENES_AHEAD < n_trials:
+                ahead.append(build_next(pool))
+            result = identifier.identify(
+                scene, rng=np.random.default_rng(7000 + k), prescaled=True
+            )
+            hits += result.decision is victim
     return hits / n_trials
 
 

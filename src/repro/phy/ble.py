@@ -41,9 +41,6 @@ __all__ = [
 #: Advertising channel access address (fixed by the spec).
 ADVERTISING_ACCESS_ADDRESS = 0x8E89BED6
 
-#: Peak frequency deviation for LE 1M at modulation index 0.5.
-FREQ_DEVIATION_HZ = 250e3
-
 SYMBOL_RATE = 1e6
 
 #: Supported PHYs: symbol rate and peak deviation (index 0.5 for both).

@@ -20,7 +20,6 @@ __all__ = [
     "ERASURE",
     "PUNCTURE_PATTERNS",
     "encode",
-    "expected_output_len",
     "puncture",
     "depuncture",
     "depuncture_soft",
@@ -50,11 +49,6 @@ def _taps(poly: int) -> np.ndarray:
 
 _TAPS0 = _taps(G0)
 _TAPS1 = _taps(G1)
-
-
-def expected_output_len(n_input: int) -> int:
-    """Coded bits produced for ``n_input`` information bits (rate 1/2)."""
-    return 2 * n_input
 
 
 def puncture(coded: np.ndarray | list[int], rate: str) -> BitArray:

@@ -8,6 +8,7 @@ type: DSP transforms return new instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any
@@ -82,8 +83,11 @@ class Waveform:
         self.iq = np.asarray(self.iq, dtype=np.complex128)
         if self.iq.ndim != 1:
             raise ValueError(f"iq must be 1-D, got shape {self.iq.shape}")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        # Written so that NaN fails it.
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(
+                f"sample_rate must be positive and finite, got {self.sample_rate!r}"
+            )
 
     # ------------------------------------------------------------------
     # basic properties
@@ -140,8 +144,10 @@ class Waveform:
 
     def resampled(self, new_rate_hz: Hertz) -> "Waveform":
         """Polyphase-resample to ``new_rate_hz``."""
-        if new_rate_hz <= 0:
-            raise ValueError("new_rate_hz must be positive")
+        if not 0 < new_rate_hz < math.inf:
+            raise ValueError(
+                f"new_rate_hz must be positive and finite, got {new_rate_hz!r}"
+            )
         if abs(new_rate_hz - self.sample_rate) < 1e-9:
             return replace(self, annotations=dict(self.annotations))
         from fractions import Fraction

@@ -39,7 +39,6 @@ __all__ = [
     "modulate",
     "demodulate",
     "demodulate_batch",
-    "build_psdu_symbols",
     "demap_psdu_symbols",
     "WifiBDecodeResult",
 ]
@@ -231,17 +230,6 @@ def _plcp_header_bits(rate_mbps: float, length_bytes: int) -> np.ndarray:
     head = np.concatenate([signal, service, length])
     crc = bitlib.crc16_80211b_plcp(head)
     return np.concatenate([head, crc])
-
-
-def build_psdu_symbols(payload_bits: np.ndarray, rate_mbps: float) -> int:
-    """Number of DSSS symbols the PSDU occupies at ``rate_mbps``."""
-    n = np.asarray(payload_bits).size
-    tenths = _rate_tenths(rate_mbps)
-    if tenths == 10:
-        return n
-    if tenths == 20:
-        return (n + 1) // 2
-    return (n + 3) // 4  # CCK 5.5
 
 
 # ----------------------------------------------------------------------

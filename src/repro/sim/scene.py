@@ -47,6 +47,9 @@ def superimpose(
     # are scaled (and, of the interferer, shifted).
     scene = np.zeros(n, dtype=complex)
     scene[: min(v_iq.size, n)] = _to_volts(v_iq, victim_dbm, 0, n)
+    # The victim's full-length resample is freed before the interferer's
+    # is made, so a scene holds one packet at the scene rate at a time.
+    del v_iq
 
     shift = int(round(time_offset_s * scene_rate_hz))
     src_lo = max(-shift, 0)

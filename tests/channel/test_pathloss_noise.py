@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel import Channel, awgn, noise_floor_dbm
+from repro.channel.noise import complex_noise
 from repro.channel import pathloss
 from repro.phy.waveform import Waveform
 
@@ -73,6 +74,40 @@ class TestNoise:
             awgn(wave)
         with pytest.raises(ValueError):
             awgn(wave, snr_db=3.0, noise_power_dbm=-10.0)
+
+
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+class TestNoiseRejectsBadNumbers:
+    """NaN, +-inf and out-of-range inputs raise, naming the input (a NaN
+    slips through a plain ``x <= 0`` check).  Every finite dB value is a
+    legal SNR or noise power."""
+
+    @pytest.mark.parametrize("bad", [*_NON_FINITE, 0.0, -1e6])
+    def test_noise_floor_bandwidth(self, bad):
+        with pytest.raises(ValueError, match="bandwidth_hz"):
+            noise_floor_dbm(bad)
+
+    @pytest.mark.parametrize("bad", [*_NON_FINITE, -1.0])
+    def test_noise_floor_noise_figure(self, bad):
+        with pytest.raises(ValueError, match="noise_figure_db"):
+            noise_floor_dbm(2e6, bad)
+
+    @pytest.mark.parametrize("bad", [*_NON_FINITE, -1e-3])
+    def test_complex_noise_power(self, bad):
+        with pytest.raises(ValueError, match="power_mw"):
+            complex_noise(3, bad, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("field", ["snr_db", "noise_power_dbm"])
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_awgn(self, field, bad):
+        wave = Waveform(np.ones(10, complex), 1e6)
+        with pytest.raises(ValueError, match=field):
+            awgn(wave, rng=np.random.default_rng(0), **{field: bad})
+
+    def test_zero_noise_power_is_legal(self):
+        assert not complex_noise(3, 0.0, np.random.default_rng(0)).any()
 
 
 class TestChannel:

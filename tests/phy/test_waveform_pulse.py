@@ -24,6 +24,14 @@ class TestWaveform:
         with pytest.raises(ValueError):
             Waveform(np.zeros(4), -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_rejects_bad_rates(self, bad):
+        # NaN slips through a plain ``rate <= 0`` check.
+        with pytest.raises(ValueError, match="sample_rate"):
+            Waveform(np.zeros(4), bad)
+        with pytest.raises(ValueError, match="new_rate_hz"):
+            self._make().resampled(bad)
+
     def test_frequency_shift_moves_spectrum(self):
         n = 4096
         w = Waveform(np.ones(n, complex), 1e6)

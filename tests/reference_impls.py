@@ -614,6 +614,49 @@ def superimpose(
     )
 
 
+def survival_rate(
+    identifier,
+    victim,
+    victim_dbm,
+    interferer,
+    interferer_dbm,
+    *,
+    freq_offset_hz,
+    time_offset_s,
+    n_trials,
+    rng,
+    interferer_bytes=300,
+):
+    """Parent ``fig16_collisions.survival_rate``: one trial at a time on
+    the calling thread, each scene built with the shipped
+    ``superimpose`` just before it is identified."""
+    from repro.sim.scene import superimpose
+    from repro.sim.traffic import random_packet
+
+    hits = 0
+    for k in range(n_trials):
+        v = random_packet(victim, rng, n_payload_bytes=20)
+        if interferer is None:
+            i = random_packet(victim, rng, n_payload_bytes=20)
+            i_dbm = -120.0  # vanishing interferer: clean baseline
+            off = 0.0
+        else:
+            i = random_packet(interferer, rng, n_payload_bytes=interferer_bytes)
+            i_dbm = interferer_dbm
+            off = time_offset_s
+        scene = superimpose(
+            v, victim_dbm, i, i_dbm,
+            freq_offset_hz=freq_offset_hz,
+            time_offset_s=off,
+            duration_s=90e-6,
+        )
+        result = identifier.identify(
+            scene, rng=np.random.default_rng(7000 + k), prescaled=True
+        )
+        hits += result.decision is victim
+    return hits / n_trials
+
+
 # ----------------------------------------------------------------------
 # Per-packet hot path: a fresh channel-shift phasor per call, and the
 # per-symbol overlay vote and ZigBee phase tracker
