@@ -16,6 +16,7 @@ family (DBPSK+DSSS, coded OFDM-BPSK, noncoherent GFSK, 802.15.4
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,21 @@ class LinkBudget:
     noise_figure_db: Decibels = 7.0
     calibration_offset_db: Decibels = 0.0
 
+    def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
+        for name in ("bandwidth_hz", "bit_rate_hz"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("backscatter_loss_db", "noise_figure_db"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+        for name in ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "calibration_offset_db"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
     @property
     def processing_gain_db(self) -> Decibels:
         """Bandwidth-to-bit-rate ratio (despreading gain)."""
@@ -177,6 +193,13 @@ class BackscatterLink:
         pl0_db: float = pathloss.DEFAULT_PL0_DB,
         extra_loss_db: float = 0.0,
     ) -> None:
+        # Each check is written so that NaN fails it.
+        for name, value in (("d_tx_tag_m", d_tx_tag_m), ("exponent", exponent)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name, value in (("pl0_db", pl0_db), ("extra_loss_db", extra_loss_db)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
         self.budget = budget
         self.d_tx_tag_m = d_tx_tag_m
         self.exponent = exponent

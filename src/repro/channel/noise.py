@@ -24,6 +24,11 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 #: Default receiver noise figure (commodity 2.4 GHz radios), dB.
 DEFAULT_NOISE_FIGURE_DB = 7.0
 
+#: Largest magnitude ``awgn`` accepts for an SNR or a noise power, dB:
+#: far past any radio link, and well inside the range where
+#: ``10 ** (x / 10)`` neither overflows nor underflows to zero.
+_DB_LIMIT = 300.0
+
 
 def noise_floor_dbm(bandwidth_hz: Hertz, noise_figure_db: Decibels = DEFAULT_NOISE_FIGURE_DB) -> DbmPower:
     """Receiver noise floor: -174 + 10 log10(B) + NF."""
@@ -56,19 +61,21 @@ def awgn(
 
     Exactly one of ``snr_db`` (relative to the waveform's mean power)
     or ``noise_power_dbm`` (absolute, 0 dBm == unit power) must be
-    given.
+    given, within +-300 dB.
     """
     if (snr_db is None) == (noise_power_dbm is None):
         raise ValueError("give exactly one of snr_db or noise_power_dbm")
     rng = fallback_rng(rng)
     if snr_db is not None:
-        if not math.isfinite(snr_db):
-            raise ValueError(f"snr_db must be finite, got {snr_db!r}")
+        if not -_DB_LIMIT <= snr_db <= _DB_LIMIT:  # written so that NaN fails it
+            raise ValueError(f"snr_db must be within +-{_DB_LIMIT:g} dB, got {snr_db!r}")
         signal_power = wave.mean_power()
         noise_power = signal_power / (10.0 ** (snr_db / 10.0))
     else:
-        if not math.isfinite(noise_power_dbm):
-            raise ValueError(f"noise_power_dbm must be finite, got {noise_power_dbm!r}")
+        if not -_DB_LIMIT <= noise_power_dbm <= _DB_LIMIT:
+            raise ValueError(
+                f"noise_power_dbm must be within +-{_DB_LIMIT:g} dB, got {noise_power_dbm!r}"
+            )
         noise_power = 10.0 ** (noise_power_dbm / 10.0)
     noisy = wave.copy()
     noisy.iq = noisy.iq + complex_noise(wave.n_samples, noise_power, rng)

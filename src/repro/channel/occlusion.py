@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Material", "occlusion_loss_db", "OccludedChannel"]
+__all__ = ["Material", "OccludedChannel"]
 
 
 class Material(enum.Enum):
@@ -37,11 +37,6 @@ _MATERIAL_TABLE: dict[Material, tuple[float, float]] = {
     Material.WOOD: (6.0, 4.0),
     Material.CONCRETE: (13.0, 6.0),
 }
-
-
-def occlusion_loss_db(material: Material) -> float:
-    """Mean penetration loss for ``material``."""
-    return _MATERIAL_TABLE[material][0]
 
 
 @dataclass

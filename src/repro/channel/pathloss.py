@@ -11,40 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.types import DbmPower, Decibels, Hertz, Meters, Milliwatts, Ratio
+from repro.types import Meters
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "wavelength",
-    "free_space_path_loss_db",
-    "log_distance_path_loss_db",
-    "db_to_gain",
-    "gain_to_db",
-    "dbm_to_mw",
-    "mw_to_dbm",
-]
-
-SPEED_OF_LIGHT = 299_792_458.0
+__all__ = ["log_distance_path_loss_db"]
 
 #: Calibrated indoor-hallway exponent (see DESIGN.md §5).
 DEFAULT_EXPONENT = 1.8
 
 #: Reference loss at 1 m for 2.4 GHz (free space ~= 40.05 dB).
 DEFAULT_PL0_DB = 40.05
-
-
-def wavelength(freq_hz: Hertz) -> Meters:
-    """Carrier wavelength in meters."""
-    if freq_hz <= 0:
-        raise ValueError("frequency must be positive")
-    return SPEED_OF_LIGHT / freq_hz
-
-
-def free_space_path_loss_db(distance_m: Meters, freq_hz: Hertz = 2.4e9) -> Decibels:
-    """Friis free-space loss; ``distance_m`` is clamped to >= 0.01 m."""
-    d = max(float(distance_m), 0.01)
-    lam = wavelength(freq_hz)
-    return float(20.0 * np.log10(4.0 * np.pi * d / lam))
 
 
 def log_distance_path_loss_db(
@@ -60,24 +35,3 @@ def log_distance_path_loss_db(
     d = max(float(distance_m), 0.01)
     return float(pl0_db + 10.0 * exponent * np.log10(d / d0_m))
 
-
-def db_to_gain(db: Decibels) -> Ratio:
-    """Power dB to amplitude scale factor."""
-    return float(10.0 ** (db / 20.0))
-
-
-def gain_to_db(gain: Ratio) -> Decibels:
-    """Amplitude scale factor to power dB."""
-    if gain <= 0:
-        raise ValueError("gain must be positive")
-    return float(20.0 * np.log10(gain))
-
-
-def dbm_to_mw(dbm: DbmPower) -> Milliwatts:
-    return float(10.0 ** (dbm / 10.0))
-
-
-def mw_to_dbm(mw: Milliwatts) -> DbmPower:
-    if mw <= 0:
-        raise ValueError("power must be positive")
-    return float(10.0 * np.log10(mw))

@@ -282,11 +282,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ("--tags", args.tags),
             ("--subscribers", args.subscribers),
             ("--rate", args.rate),
+            ("--goal-kbps", args.goal_kbps),
         ):
             if not value >= 0:
                 raise ValueError(f"{flag} must be >= 0")
-        if not math.isfinite(args.rate):
-            raise ValueError("--rate must be finite")
+        for flag, value in (("--rate", args.rate), ("--goal-kbps", args.goal_kbps)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite")
         config = GatewayConfig(
             seed=seed,
             keepalive_timeout_s=args.keepalive_timeout,

@@ -13,6 +13,7 @@ Two behaviours are modeled:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,9 @@ class CarrierSelector:
     ) -> tuple[Protocol | None, list[CarrierEstimate]]:
         """The best carrier and all estimates; ``None`` if no carrier
         meets ``goal_kbps``."""
+        # Written so that NaN fails it: a NaN goal compares as met.
+        if not 0 <= goal_kbps < math.inf:
+            raise ValueError(f"goal_kbps must be >= 0 and finite, got {goal_kbps!r}")
         estimates = [
             self.estimate(p, rate) for p, rate in observed_rates.items() if rate > 0
         ]

@@ -20,7 +20,7 @@ from repro.core.matching import (
     OrderedMatcher,
     score_capture,
 )
-from repro.core.rectifier import ClampRectifier, _EnvelopeRectifier
+from repro.core.rectifier import ClampRectifier
 from repro.core.templates import BASE_WINDOW_US, cached_bank
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
@@ -46,7 +46,6 @@ class IdentificationConfig:
     window_us: Microseconds = BASE_WINDOW_US
     preprocess_us: Microseconds = 2.0
     ordered: bool = False
-    search_offsets: tuple[int, ...] | None = None
     incident_power_dbm: DbmPower = -15.0
 
     def __post_init__(self) -> None:
@@ -72,8 +71,6 @@ class IdentificationConfig:
         The tag detects the packet edge from the envelope rise, so
         residual timing uncertainty is a few ADC samples.
         """
-        if self.search_offsets is not None:
-            return self.search_offsets
         return (0, 1, 2, 3)
 
     @property
@@ -99,28 +96,18 @@ class ProtocolIdentifier:
     Parameters
     ----------
     config:
-        Pipeline settings (see :class:`IdentificationConfig`).
-    rectifier:
-        Front end; defaults to the paper's clamp rectifier.
-    matcher:
-        Decision rule; defaults to blind or ordered per
-        ``config.ordered``.
+        Pipeline settings (see :class:`IdentificationConfig`).  The front
+        end is the paper's clamp rectifier, and the decision rule is
+        blind or ordered per ``config.ordered``.
     """
 
-    def __init__(
-        self,
-        config: IdentificationConfig | None = None,
-        *,
-        rectifier: _EnvelopeRectifier | None = None,
-        matcher: BlindMatcher | OrderedMatcher | None = None,
-    ) -> None:
+    def __init__(self, config: IdentificationConfig | None = None) -> None:
         self.config = config or IdentificationConfig()
-        self.rectifier = rectifier or ClampRectifier()
+        self.rectifier = ClampRectifier()
         self.adc = Adc(
             sample_rate=self.config.sample_rate_hz, n_bits=self.config.n_bits
         )
-        # Template derivation ignores the live rectifier (banks are
-        # always built through a noiseless clamp front end), so the
+        # Banks are built through a noiseless clamp front end, so the
         # bank depends only on the ADC + window configuration and is
         # shared through the wavecache instead of re-derived per
         # identifier -- see :func:`repro.core.templates.cached_bank`.
@@ -130,12 +117,9 @@ class ProtocolIdentifier:
             preprocess_us=self.config.preprocess_us,
             incident_power_dbm=self.config.incident_power_dbm,
         )
-        if matcher is not None:
-            self.matcher = matcher
-        elif self.config.ordered:
-            self.matcher = OrderedMatcher()
-        else:
-            self.matcher = BlindMatcher()
+        self.matcher: BlindMatcher | OrderedMatcher = (
+            OrderedMatcher() if self.config.ordered else BlindMatcher()
+        )
 
     def scores(
         self,
@@ -276,18 +260,14 @@ def score_traces(
     trace in order, from a generator in ``rng``'s starting state; each
     trace is scored by all of them before the next one is taken, so a
     streamed trace set (:func:`repro.experiments.common.labeled_traces`)
-    holds one trace at a time.  The identifiers must share one rectifier
-    model (same class, same attributes), because they share its noise.
+    holds one trace at a time.  Every identifier's front end is the same
+    clamp rectifier model, so they share its noise.
 
     ``incident_power_dbm`` may be one value, a per-protocol dict, or
     None for the calibrated defaults (:data:`DEFAULT_INCIDENT_DBM`); a
     protocol a dict leaves out is rectified at the identifiers' own
     configured power, which they must then share.
     """
-    front = identifiers[0].rectifier
-    for ident in identifiers[1:]:
-        if type(ident.rectifier) is not type(front) or vars(ident.rectifier) != vars(front):
-            raise ValueError("identifiers scored together must share one rectifier model")
     if incident_power_dbm is None:
         powers: dict[Protocol, float] = dict(DEFAULT_INCIDENT_DBM)
     elif isinstance(incident_power_dbm, dict):

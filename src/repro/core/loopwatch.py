@@ -9,9 +9,9 @@ still gets caught.  Enable with ``REPRO_LOOPWATCH=1``:
   wakes up -- that lag is exactly how long some callback monopolized
   the loop; every tick feeds the ``loopwatch.lag_s`` gauge in
   :mod:`repro.perf`;
-* a wake-up later than ``REPRO_LOOPWATCH_THRESHOLD_S`` (default 0.25 s)
-  counts as a **violation** (``loopwatch.violations``), which the
-  gateway surfaces in :class:`~repro.gateway.service.GatewayStats` and
+* a wake-up later than :data:`DEFAULT_THRESHOLD_S` (0.25 s) counts as
+  a **violation** (``loopwatch.violations``), which the gateway
+  surfaces in :class:`~repro.gateway.service.GatewayStats` and
   ``python -m repro serve --require-clean`` treats as a failure;
 * under ``PYTHONASYNCIODEBUG=1`` asyncio logs every callback slower
   than ``loop.slow_callback_duration``; the watcher aligns that knob
@@ -34,7 +34,6 @@ from repro import perf
 
 __all__ = [
     "ENV_FLAG",
-    "ENV_THRESHOLD",
     "LoopWatchStats",
     "LoopWatch",
     "enabled",
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 ENV_FLAG = "REPRO_LOOPWATCH"
-ENV_THRESHOLD = "REPRO_LOOPWATCH_THRESHOLD_S"
 
 #: A callback holding the loop longer than this is a violation.  Heavy
 #: PHY kernels run ~0.1-3 ms, so a quarter second means something is
@@ -57,15 +55,6 @@ DEFAULT_INTERVAL_S = 0.02
 def enabled() -> bool:
     """Is the sanitizer requested via ``REPRO_LOOPWATCH``?"""
     return os.environ.get(ENV_FLAG, "") not in ("", "0")
-
-
-def threshold_s() -> float:
-    raw = os.environ.get(ENV_THRESHOLD, "")
-    try:
-        value = float(raw) if raw else DEFAULT_THRESHOLD_S
-    except ValueError:
-        value = DEFAULT_THRESHOLD_S
-    return value if value > 0 else DEFAULT_THRESHOLD_S
 
 
 @dataclass
@@ -102,10 +91,10 @@ class LoopWatch:
         self,
         *,
         interval_s: float = DEFAULT_INTERVAL_S,
-        threshold: float | None = None,
+        threshold: float = DEFAULT_THRESHOLD_S,
     ) -> None:
         self.interval_s = interval_s
-        self.threshold_s = threshold if threshold is not None else threshold_s()
+        self.threshold_s = threshold
         self.stats = LoopWatchStats()
         self._task: asyncio.Task | None = None
         self._handler: _SlowCallbackCounter | None = None

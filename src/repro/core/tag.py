@@ -44,13 +44,11 @@ class MultiscatterTag:
     def __init__(
         self,
         *,
-        identification: IdentificationConfig | None = None,
         mode: Mode = Mode.MODE_1,
         frequency_shift_hz: float = 10e6,
     ) -> None:
         self.identifier = ProtocolIdentifier(
-            identification
-            or IdentificationConfig(
+            IdentificationConfig(
                 sample_rate_hz=2.5e6,
                 quantized=True,
                 window_us=38.0,

@@ -66,6 +66,10 @@ class TagModulator:
     clock_ppm: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.frequency_shift_hz):
+            raise ValueError(
+                f"frequency_shift_hz must be finite, got {self.frequency_shift_hz}"
+            )
         # At -1e6 ppm the tag's clock stops and below it runs backwards:
         # its symbol boundaries would no longer increase.
         if not (math.isfinite(self.clock_ppm) and self.clock_ppm > -1e6):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.adc import Adc
-from repro.core.rectifier import ClampRectifier, _EnvelopeRectifier
+from repro.core.rectifier import ClampRectifier
 from repro.core.wavecache import LruCache
 from repro.phy import ble, wifi_b, wifi_n, zigbee
 from repro.phy.protocols import Protocol
@@ -116,43 +116,34 @@ class TemplateBank:
         *,
         window_us: float = BASE_WINDOW_US,
         preprocess_us: float = 2.0,
-        rectifier: _EnvelopeRectifier | None = None,
         incident_power_dbm: float = -15.0,
-        protocols: tuple[Protocol, ...] = tuple(Protocol),
     ) -> "TemplateBank":
         """Build templates by running clean references through the same
         rectifier + ADC pipeline that live packets will see (noiseless).
         """
-        rect = rectifier or ClampRectifier(noise_v_rms=0.0)
-        noise_backup = rect.noise_v_rms
-        rect.noise_v_rms = 0.0
-        try:
-            bank = cls(adc=adc, window_us=window_us, preprocess_us=preprocess_us)
-            l_p = max(int(round(preprocess_us * 1e-6 * adc.sample_rate)), 1)
-            l_m = max(int(round(window_us * 1e-6 * adc.sample_rate)), 2)
-            for protocol in protocols:
-                wave = reference_waveform(protocol)
-                analog = rect.rectify(wave, incident_power_dbm)
-                capture = adc.capture(
-                    analog, duration_s=(l_p + l_m + 4) / adc.sample_rate
-                )
-                from repro.core.matching import dc_estimate
+        from repro.core.matching import dc_estimate
 
-                window = capture.codes[l_p : l_p + l_m].astype(float)
-                dc = dc_estimate(capture.codes[:l_p].astype(float))
-                centered = window - window.mean()
-                norm = np.linalg.norm(centered)
-                matching = centered / norm if norm > 1e-12 else centered
-                quantized = np.where(window - dc >= 0.0, 1.0, -1.0)
-                bank.templates[protocol] = Template(
-                    protocol=protocol,
-                    l_p=l_p,
-                    matching=matching,
-                    matching_q=quantized,
-                )
-            return bank
-        finally:
-            rect.noise_v_rms = noise_backup
+        rect = ClampRectifier(noise_v_rms=0.0)
+        bank = cls(adc=adc, window_us=window_us, preprocess_us=preprocess_us)
+        l_p = max(int(round(preprocess_us * 1e-6 * adc.sample_rate)), 1)
+        l_m = max(int(round(window_us * 1e-6 * adc.sample_rate)), 2)
+        for protocol in Protocol:
+            wave = reference_waveform(protocol)
+            analog = rect.rectify(wave, incident_power_dbm)
+            capture = adc.capture(analog, duration_s=(l_p + l_m + 4) / adc.sample_rate)
+            window = capture.codes[l_p : l_p + l_m].astype(float)
+            dc = dc_estimate(capture.codes[:l_p].astype(float))
+            centered = window - window.mean()
+            norm = np.linalg.norm(centered)
+            matching = centered / norm if norm > 1e-12 else centered
+            quantized = np.where(window - dc >= 0.0, 1.0, -1.0)
+            bank.templates[protocol] = Template(
+                protocol=protocol,
+                l_p=l_p,
+                matching=matching,
+                matching_q=quantized,
+            )
+        return bank
 
     def stacked(self, *, quantized: bool) -> tuple[tuple[Protocol, ...], np.ndarray]:
         """Templates stacked into one ``(n_protocols, l_m)`` matrix.
@@ -186,8 +177,7 @@ class TemplateBank:
         return next(iter(self.templates.values())).l_m
 
 
-#: Memoizes built template banks for the default (noiseless clamp
-#: rectifier) derivation path, keyed by every input that shapes the
+#: Memoizes built template banks, keyed by every input that shapes the
 #: templates.  Banks are deterministic and treated as read-only by
 #: their consumers (the matcher only reads them), so one instance can
 #: back any number of identifiers.
@@ -200,10 +190,8 @@ def cached_bank(
     window_us: float = BASE_WINDOW_US,
     preprocess_us: float = 2.0,
     incident_power_dbm: float = -15.0,
-    protocols: tuple[Protocol, ...] = tuple(Protocol),
 ) -> TemplateBank:
-    """A shared, memoized :meth:`TemplateBank.build` for the default
-    derivation path.
+    """A shared, memoized :meth:`TemplateBank.build`.
 
     Every :class:`~repro.core.identification.ProtocolIdentifier` (and
     therefore every ``MultiscatterTag``) needs a template bank, and
@@ -213,8 +201,7 @@ def cached_bank(
     :class:`~repro.core.wavecache.LruCache`: the key covers the ADC
     configuration and every derivation parameter, and the build itself
     is fully deterministic (noiseless rectifier), so a hit can never
-    alias two distinct banks.  Callers that need a bespoke rectifier
-    must call :meth:`TemplateBank.build` directly.
+    alias two distinct banks.
     """
     key = (
         float(adc.sample_rate),
@@ -224,7 +211,6 @@ def cached_bank(
         float(window_us),
         float(preprocess_us),
         float(incident_power_dbm),
-        protocols,
     )
     bank = _BANK_CACHE.get_or_create(
         key,
@@ -233,7 +219,6 @@ def cached_bank(
             window_us=window_us,
             preprocess_us=preprocess_us,
             incident_power_dbm=incident_power_dbm,
-            protocols=protocols,
         ),
     )
     assert isinstance(bank, TemplateBank)

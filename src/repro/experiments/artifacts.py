@@ -14,10 +14,10 @@ Serialization is deterministic: the same run (same seed) produces
 byte-identical JSON, which the registry contract tests pin.
 
 Encoding uses explicit tags (``{"__kind__": ...}``) instead of pickle:
-artifacts stay human-readable, diffable, and safe to load.  New enum
-or dataclass types appearing in experiment data must be registered via
-:func:`register_enum` / :func:`register_dataclass`; unknown types fail
-encoding loudly rather than degrade silently.
+artifacts stay human-readable, diffable, and safe to load.  An enum
+or dataclass type appearing in experiment data must be listed in
+``_ENUM_TYPES`` / ``_DATACLASS_TYPES``; unknown types fail encoding
+loudly rather than degrade silently.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "ExperimentResult",
     "decode",
     "encode",
-    "register_dataclass",
-    "register_enum",
 ]
 
 #: Identifies the artifact format; bumped together with SCHEMA_VERSION.
@@ -72,25 +70,12 @@ class ArtifactError(ValueError):
     """Raised for malformed or unsupported artifact content."""
 
 
-def register_enum(cls: type, *, name: str | None = None) -> None:
-    """Allow ``cls`` (an ``enum.Enum`` subclass) in artifact data."""
-    _ENUM_TYPES[name or cls.__name__] = (cls.__module__, cls.__qualname__)
-
-
-def register_dataclass(cls: type, *, name: str | None = None) -> None:
-    """Allow ``cls`` (a dataclass) in artifact data."""
-    if not dataclasses.is_dataclass(cls):
-        raise ArtifactError(f"{cls!r} is not a dataclass")
-    _DATACLASS_TYPES[name or cls.__name__] = (cls.__module__, cls.__qualname__)
-
-
 def _load_type(table: dict[str, tuple[str, str]], type_name: str) -> type:
     try:
         module_name, attr = table[type_name]
     except KeyError:
         raise ArtifactError(
-            f"unregistered artifact type {type_name!r}; register it with "
-            f"repro.experiments.artifacts.register_enum/register_dataclass"
+            f"unregistered artifact type {type_name!r}"
         ) from None
     obj: Any = importlib.import_module(module_name)
     for part in attr.split("."):
@@ -188,8 +173,8 @@ def encode(value: Any) -> Any:
         enum_name = _registered_name_for(value, _ENUM_TYPES)
         if enum_name is None:
             raise ArtifactError(
-                f"unregistered enum type {type(value).__name__!r}; register "
-                f"it with repro.experiments.artifacts.register_enum"
+                f"unregistered enum type {type(value).__name__!r}; list "
+                f"it in repro.experiments.artifacts._ENUM_TYPES"
             )
         return {_KIND: "enum", "type": enum_name, "name": value.name}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -197,7 +182,7 @@ def encode(value: Any) -> Any:
         if dc_name is None:
             raise ArtifactError(
                 f"unregistered dataclass type {type(value).__name__!r}; "
-                f"register it with repro.experiments.artifacts.register_dataclass"
+                f"list it in repro.experiments.artifacts._DATACLASS_TYPES"
             )
         return {
             _KIND: "dataclass",

@@ -22,7 +22,7 @@ same seed (tests/gateway/test_equivalence.py pins this).
 from repro.gateway.control import ControlPlane, TagSession
 from repro.gateway.events import ControlEvent, GatewayEvent, PacketEvent
 from repro.gateway.mac import MacArbiter, MacDecision
-from repro.gateway.service import Gateway, GatewayConfig, GatewayStats, run_gateway
+from repro.gateway.service import Gateway, GatewayConfig, GatewayStats
 from repro.gateway.sources import AsyncExcitationSource
 from repro.gateway.subscriptions import (
     Backpressure,
@@ -43,7 +43,6 @@ __all__ = [
     "MacArbiter",
     "MacDecision",
     "PacketEvent",
-    "run_gateway",
     "Subscriber",
     "SubscriptionClosed",
     "SubscriptionHub",

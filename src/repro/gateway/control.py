@@ -72,16 +72,11 @@ class TagSession:
 class ControlPlane:
     """Registry + liveness + carrier assignment (no data-plane state)."""
 
-    def __init__(
-        self,
-        *,
-        keepalive_timeout_s: float = 5.0,
-        selector: CarrierSelector | None = None,
-    ) -> None:
+    def __init__(self, *, keepalive_timeout_s: float = 5.0) -> None:
         if not keepalive_timeout_s > 0:
             raise ValueError("keepalive_timeout_s must be positive")
         self.keepalive_timeout_s = keepalive_timeout_s
-        self.selector = selector or CarrierSelector()
+        self.selector = CarrierSelector()
         self._sessions: dict[str, TagSession] = {}
 
     # -- membership -----------------------------------------------------

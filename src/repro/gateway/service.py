@@ -83,7 +83,11 @@ from repro.sim.pipeline import (
     pending_to_payload,
 )
 
-__all__ = ["GatewayConfig", "GatewayStats", "Gateway", "run_gateway"]
+__all__ = ["GatewayConfig", "GatewayStats", "Gateway"]
+
+#: Dispatched-but-unpublished batches the air loop may run ahead of
+#: the publisher (bounds memory and decode-pool backlog).
+_MAX_INFLIGHT_BATCHES = 8
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,8 @@ class GatewayConfig:
     """Service knobs, all deterministic or wall-clock-only."""
 
     #: Base seed: spawns per-tag channel streams for tags registered
-    #: without an explicit generator, and (with ``mac_seed`` unset)
-    #: the arbiter stream.
+    #: without an explicit generator, and the arbiter stream.
     seed: int = 0
-    #: Separate arbiter seed; defaults to a stream spawned from ``seed``.
-    mac_seed: int | None = None
     #: Receiver capture probability under MAC contention.
     capture_prob: float = 1.0
     #: Seconds without a keepalive before a tag is evicted.
@@ -122,9 +123,6 @@ class GatewayConfig:
     #: Resubmissions allowed per decode batch after a worker crash or
     #: hang before the gateway gives up and fails the stream.
     decode_retries: int = 2
-    #: Dispatched-but-unpublished batches the air loop may run ahead
-    #: of the publisher (bounds memory and decode-pool backlog).
-    max_inflight_batches: int = 8
     #: Grace period for subscribers to empty their queues at shutdown.
     drain_timeout_s: float = 5.0
 
@@ -142,8 +140,6 @@ class GatewayConfig:
             raise ValueError("decode_timeout_s must be positive")
         if self.decode_retries < 0:
             raise ValueError("decode_retries must be >= 0")
-        if self.max_inflight_batches < 1:
-            raise ValueError("max_inflight_batches must be >= 1")
         if not self.drain_timeout_s >= 0:
             raise ValueError("drain_timeout_s must be >= 0")
 
@@ -252,11 +248,9 @@ class Gateway:
         self.config = config or GatewayConfig()
         cfg = self.config
         self._seedseq = np.random.SeedSequence(cfg.seed)
-        mac_seed = cfg.mac_seed
-        if mac_seed is None:
-            # A spawned child keeps the arbiter stream disjoint from
-            # every per-tag stream derived from the same base seed.
-            mac_seed = int(self._seedseq.spawn(1)[0].generate_state(1)[0])
+        # A spawned child keeps the arbiter stream disjoint from every
+        # per-tag stream derived from the same base seed.
+        mac_seed = int(self._seedseq.spawn(1)[0].generate_state(1)[0])
         self.control = ControlPlane(keepalive_timeout_s=cfg.keepalive_timeout_s)
         self.hub = SubscriptionHub(
             default_maxlen=cfg.queue_maxlen, stall_timeout_s=cfg.stall_timeout_s
@@ -716,7 +710,7 @@ class Gateway:
         cfg = self.config
         if cfg.decode_workers > 0:
             self._decode_pool = self._new_pool()
-        self._publish_queue = asyncio.Queue(maxsize=cfg.max_inflight_batches)
+        self._publish_queue = asyncio.Queue(maxsize=_MAX_INFLIGHT_BATCHES)
         self._publisher_task = asyncio.ensure_future(self._publish_batches())
         pending: list[
             tuple[TagSession, float, float, PacketOutcome | PendingReception]
@@ -819,34 +813,3 @@ class Gateway:
         perf.gauge("gateway.tags_live", float(len(self.control)))
         return self.stats
 
-
-async def run_gateway(
-    source: AsyncExcitationSource,
-    *,
-    config: GatewayConfig | None = None,
-    n_tags: int = 1,
-    subscribers: int = 1,
-) -> GatewayStats:
-    """Convenience one-shot: N default tags, M draining subscribers."""
-    gw = Gateway(config)
-    for i in range(n_tags):
-        await gw.register_tag(f"tag-{i:03d}")
-
-    async def consume(sub: Subscriber) -> None:
-        # End of stream surfaces as StopAsyncIteration inside the async
-        # for; anything else is a real bug and must propagate.
-        async for _ in sub:
-            pass
-
-    consumers = [
-        asyncio.ensure_future(consume(gw.subscribe(f"sub-{j}")))
-        for j in range(subscribers)
-    ]
-    stats = await gw.serve(source)
-    results = await asyncio.gather(*consumers, return_exceptions=True)
-    for result in results:
-        if isinstance(result, BaseException) and not isinstance(
-            result, asyncio.CancelledError
-        ):
-            raise result
-    return stats

@@ -14,7 +14,7 @@ whitening), :mod:`repro.phy.pulse` (pulse shaping), and
 container all modulators emit).
 """
 
-from repro.phy.protocols import Protocol, PROTOCOL_INFO, ProtocolInfo
+from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 
-__all__ = ["Protocol", "PROTOCOL_INFO", "ProtocolInfo", "Waveform"]
+__all__ = ["Protocol", "Waveform"]

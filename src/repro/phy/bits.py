@@ -8,8 +8,8 @@ Contents:
 
 * bit/byte packing (:func:`bits_from_bytes`, :func:`bytes_from_bits`)
 * generic Galois LFSR (:class:`Lfsr`)
-* the CRCs the four protocols use (802.11 FCS CRC-32, 802.15.4 CRC-16,
-  BLE CRC-24, 802.11b PLCP header CRC-16)
+* the CRCs the receivers check (802.15.4 CRC-16, BLE CRC-24, 802.11b
+  PLCP header CRC-16)
 * the 802.11b self-synchronizing scrambler and the 802.11a/n
   frame-synchronous scrambler
 * BLE data whitening
@@ -29,7 +29,6 @@ __all__ = [
     "bits_from_int",
     "int_from_bits",
     "Lfsr",
-    "crc32_80211",
     "crc16_ccitt",
     "crc16_80211b_plcp",
     "crc24_ble",
@@ -109,10 +108,6 @@ class Lfsr:
         self.state = ((self.state << 1) | out) & ((1 << self.width) - 1)
         return out
 
-    def sequence(self, n: int) -> BitArray:
-        """Generate ``n`` output bits."""
-        return np.array([self.next_bit() for _ in range(n)], dtype=np.uint8)
-
 
 @lru_cache(maxsize=64)
 def _lfsr_cycle(taps: tuple[int, ...], seed: int, width: int) -> BitArray:
@@ -143,7 +138,6 @@ def _reflected_crc_table(poly: int) -> list[int]:
     return [int(x) for x in reg]
 
 
-_CRC32_TABLE = _reflected_crc_table(0xEDB88320)
 _CRC16_TABLE = _reflected_crc_table(0x8408)
 
 
@@ -193,19 +187,6 @@ def _crc_generic(bits: np.ndarray, poly: int, width: int, init: int) -> int:
         if fb:
             reg ^= poly & mask
     return reg
-
-
-def crc32_80211(data_bits: np.ndarray | list[int]) -> BitArray:
-    """802.11 FCS CRC-32 over a bit array, returned as 32 bits (LSB first).
-
-    Standard CRC-32 (poly 0x04C11DB7, init all-ones, final complement,
-    reflected I/O).  Operates on bits so partially-filled frames can be
-    checked too.
-    """
-    arr = _as_bits(data_bits)
-    reg = _reflected_crc(arr, _CRC32_TABLE, 0xEDB88320, 0xFFFFFFFF)
-    reg ^= 0xFFFFFFFF
-    return bits_from_int(reg, 32)
 
 
 def crc16_ccitt(data_bits: np.ndarray | list[int], *, init: int = 0x0000) -> BitArray:

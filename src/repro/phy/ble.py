@@ -41,8 +41,6 @@ __all__ = [
 #: Advertising channel access address (fixed by the spec).
 ADVERTISING_ACCESS_ADDRESS = 0x8E89BED6
 
-SYMBOL_RATE = 1e6
-
 #: Supported PHYs: symbol rate and peak deviation (index 0.5 for both).
 _PHY_PARAMS = {"1M": (1e6, 250e3), "2M": (2e6, 500e3)}
 

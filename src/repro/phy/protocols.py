@@ -1,15 +1,13 @@
-"""Protocol identities and per-protocol timing constants.
+"""Protocol identities and the paper's excitation packet rates.
 
 The four excitation protocols multiscatter identifies (paper §2.2) differ
-in preamble structure, symbol timing, and modulation family.  This module
-centralizes those constants so the tag (templates, overlay modulation)
-and the experiment harness agree on one source of truth.
+in preamble structure, symbol timing, and modulation family; each PHY
+module keeps its own timing constants.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class Protocol(enum.Enum):
@@ -23,88 +21,6 @@ class Protocol(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
-
-@dataclass(frozen=True)
-class ProtocolInfo:
-    """Static facts about one protocol's PHY.
-
-    Attributes
-    ----------
-    protocol:
-        Which protocol this record describes.
-    symbol_rate_hz:
-        Rate of the smallest unit overlay modulation operates on
-        (802.11b: 1 Msym/s DSSS symbols, 802.11n: 250 ksym/s OFDM
-        symbols, BLE: 1 Msym/s bits, ZigBee: 62.5 ksym/s PN symbols).
-    chip_rate_hz:
-        Chip rate of the spread or shaped waveform (equals the symbol
-        rate when the protocol does not spread).
-    preamble_us:
-        Duration of the standard packet-detection field used as the
-        identification template (paper §2.2: 802.11b long preamble
-        144 us, BLE preamble 8 us, ...).
-    extended_window_us:
-        Longest identification window the protocol supports (paper
-        §2.3.2: BLE extends over the advertising access address to
-        40 us; 802.11n over HT-STF/HT-LTF).
-    bandwidth_hz:
-        Occupied bandwidth of one channel.
-    bits_per_symbol:
-        Nominal productive bits carried by one overlay symbol unit at
-        the base rate used in the paper (1 Mbps 11b, MCS0 11n, LE 1M,
-        250 kbps ZigBee).
-    """
-
-    protocol: Protocol
-    symbol_rate_hz: float
-    chip_rate_hz: float
-    preamble_us: float
-    extended_window_us: float
-    bandwidth_hz: float
-    bits_per_symbol: int
-
-
-PROTOCOL_INFO: dict[Protocol, ProtocolInfo] = {
-    Protocol.WIFI_B: ProtocolInfo(
-        protocol=Protocol.WIFI_B,
-        symbol_rate_hz=1e6,
-        chip_rate_hz=11e6,
-        preamble_us=144.0,
-        extended_window_us=144.0,
-        bandwidth_hz=22e6,
-        bits_per_symbol=1,
-    ),
-    Protocol.WIFI_N: ProtocolInfo(
-        protocol=Protocol.WIFI_N,
-        symbol_rate_hz=250e3,
-        chip_rate_hz=20e6,
-        preamble_us=16.0,  # L-STF + L-LTF
-        extended_window_us=40.0,  # + L-SIG, HT-SIG, HT-STF, HT-LTF
-        bandwidth_hz=20e6,
-        bits_per_symbol=26,  # MCS0 data bits per OFDM symbol
-    ),
-    Protocol.BLE: ProtocolInfo(
-        protocol=Protocol.BLE,
-        symbol_rate_hz=1e6,
-        chip_rate_hz=1e6,
-        preamble_us=8.0,
-        extended_window_us=40.0,  # preamble + advertising access address
-        bandwidth_hz=2e6,
-        bits_per_symbol=1,
-    ),
-    Protocol.ZIGBEE: ProtocolInfo(
-        protocol=Protocol.ZIGBEE,
-        symbol_rate_hz=62.5e3,
-        chip_rate_hz=2e6,
-        preamble_us=128.0,  # 8 zero symbols of 16 us
-        extended_window_us=128.0,
-        bandwidth_hz=2e6,
-        bits_per_symbol=4,
-    ),
-}
-
-#: 2.4 GHz ISM-band carrier frequency used throughout the paper.
-CARRIER_FREQ_HZ = 2.4e9
 
 #: Excitation packet rates measured/used in the paper's evaluation
 #: (§3 experimental setup and §4.1.4).

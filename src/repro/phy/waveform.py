@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.types import ComplexIQ, FloatArray, Hertz, Samples, Seconds
+from repro.types import ComplexIQ, Hertz, Samples, Seconds
 from scipy import signal as sp_signal
 
 __all__ = ["Waveform"]
@@ -107,10 +107,6 @@ class Waveform:
             return 0.0
         return float(np.mean(np.abs(self.iq) ** 2))
 
-    def envelope(self) -> FloatArray:
-        """Instantaneous envelope |iq| -- what an ideal detector sees."""
-        return np.abs(self.iq)
-
     # ------------------------------------------------------------------
     # transforms (all return new Waveforms)
     # ------------------------------------------------------------------
@@ -195,11 +191,6 @@ class Waveform:
 
     def copy(self) -> "Waveform":
         return replace(self, iq=self.iq.copy(), annotations=dict(self.annotations))
-
-    @staticmethod
-    def silence(n_samples: Samples, sample_rate: Hertz) -> "Waveform":
-        """All-zero waveform (idle air)."""
-        return Waveform(np.zeros(n_samples, complex), sample_rate)
 
     @staticmethod
     def concatenate(waveforms: list["Waveform"]) -> "Waveform":

@@ -39,7 +39,6 @@ __all__ = [
     "modulate",
     "demodulate",
     "demodulate_batch",
-    "demap_psdu_symbols",
     "WifiBDecodeResult",
 ]
 
@@ -56,10 +55,8 @@ _SFD_SHORT = bitlib.bits_from_int(0x05CF, 16)
 _SIGNAL_BY_RATE = {1.0: 0x0A, 2.0: 0x14, 5.5: 0x37, 11.0: 0x6E}
 _RATE_BY_SIGNAL = {v: k for k, v in _SIGNAL_BY_RATE.items()}
 
-#: DQPSK phase increments for dibits (d0, d1) per 802.11 Table 16-2.
-_DQPSK_PHASE = {(0, 0): 0.0, (0, 1): np.pi / 2, (1, 1): np.pi, (1, 0): 3 * np.pi / 2}
-
-#: The same table as an array indexed by ``2*d0 + d1``.
+#: DQPSK phase increments for dibits (d0, d1) per 802.11 Table 16-2,
+#: indexed by ``2*d0 + d1``.
 _DQPSK_PHASE_LUT = np.array([0.0, np.pi / 2, 3 * np.pi / 2, np.pi])
 
 #: Quadrant index (0/90/180/270 degrees) back to the (d0, d1) dibit.
@@ -573,12 +570,3 @@ def demodulate_batch(
     require_nonempty(waves, "wifi_b.demodulate_batch")
     return [demodulate(w, n_payload_bits=n_payload_bits) for w in waves]
 
-
-def demap_psdu_symbols(result: WifiBDecodeResult) -> np.ndarray:
-    """On-air (scrambled-domain) PSDU bits, one per DSSS symbol at 1 Mbps.
-
-    The overlay decoder works in this domain (paper §2.4: tag flips act
-    on on-air symbols; re-scrambling the received PSDU in host software
-    recovers them exactly, since scramble(descramble(x)) == x).
-    """
-    return result.onair_bits

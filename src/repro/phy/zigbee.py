@@ -45,7 +45,6 @@ __all__ = [
 
 CHIPS_PER_SYMBOL = 32
 CHIP_RATE = 2e6
-SYMBOL_RATE = 62.5e3
 
 #: PN sequence for data symbol 0 (802.15.4-2015 Table 12-1, c0..c31).
 _PN0 = np.array(

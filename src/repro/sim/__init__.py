@@ -1,7 +1,7 @@
 """Simulation framework: excitation traffic, collision scenes, metrics."""
 
 from repro.sim.traffic import random_packet, ExcitationSource, ExcitationSchedule
-from repro.sim.metrics import ber, confusion_table, throughput_kbps
+from repro.sim.metrics import ber, confusion_table
 
 __all__ = [
     "random_packet",
@@ -9,5 +9,4 @@ __all__ = [
     "ExcitationSchedule",
     "ber",
     "confusion_table",
-    "throughput_kbps",
 ]

@@ -63,7 +63,6 @@ __all__ = [
     "ENV_VAR",
     "SITES",
     "KINDS",
-    "active_faults",
     "check",
     "check_async",
     "clear",
@@ -172,14 +171,6 @@ def parse_spec(text: str) -> tuple[FaultSpec, ...]:
         for entry in text.split(";")
         if entry.strip()
     )
-
-
-def active_faults() -> tuple[FaultSpec, ...]:
-    """Faults currently installed via the environment (may be empty)."""
-    text = os.environ.get(ENV_VAR, "")
-    if not text:
-        return ()
-    return parse_spec(text)
 
 
 def install(spec: str) -> tuple[FaultSpec, ...]:

@@ -1,4 +1,4 @@
-"""Shared metric helpers: BER, throughput, confusion tables."""
+"""Shared metric helpers: BER and confusion tables."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.phy.protocols import Protocol
 
-__all__ = ["ber", "throughput_kbps", "confusion_table", "format_table"]
+__all__ = ["ber", "confusion_table", "format_table"]
 
 
 def ber(reference: np.ndarray, received: np.ndarray) -> float:
@@ -20,13 +20,6 @@ def ber(reference: np.ndarray, received: np.ndarray) -> float:
     # Bits missing from the received stream count as errors.
     errors += abs(a.size - b.size) if b.size < a.size else 0
     return errors / max(a.size, 1)
-
-
-def throughput_kbps(n_bits: float, duration_s: float) -> float:
-    """Delivered bits over wall time, in kbps."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    return n_bits / duration_s / 1e3
 
 
 def confusion_table(

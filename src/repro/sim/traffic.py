@@ -3,12 +3,12 @@
 Produces the packet mixes the paper's experiments use: random payloads
 per protocol (identification trace sets, §2.2-§2.3), Poisson/periodic
 packet schedules at the measured rates (2000 pkt/s WiFi, 70 pkt/s BLE
-advertising, 20 pkt/s ZigBee, §3), duty-cycled carriers (Fig 18a), and
-time/frequency-colliding excitation pairs (Fig 16).
+advertising, 20 pkt/s ZigBee, §3) and duty-cycled carriers (Fig 18a).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +94,7 @@ class ExcitationSource:
     fixed grid (the paper's controlled experiments), otherwise arrival
     times are Poisson.  ``duty_cycle``/``period_s`` gate the source on
     and off (Fig 18a's intermittent carriers); ``phase_s`` offsets the
-    gate.  ``center_offset_hz`` places the channel relative to the band
-    reference (Fig 16's frequency collisions).
+    gate.  A rate of 0 is a silent source.
     """
 
     protocol: Protocol
@@ -105,7 +104,21 @@ class ExcitationSource:
     duty_cycle: float = 1.0
     period_s: float = 1.0
     phase_s: float = 0.0
-    center_offset_hz: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
+        if self.rate_pkts is not None and not 0 <= self.rate_pkts < math.inf:
+            raise ValueError(f"rate_pkts must be >= 0 and finite, got {self.rate_pkts!r}")
+        if self.n_payload_bytes is not None and not 0 <= self.n_payload_bytes < math.inf:
+            raise ValueError(
+                f"n_payload_bytes must be >= 0 and finite, got {self.n_payload_bytes!r}"
+            )
+        if not 0 <= self.duty_cycle <= 1:
+            raise ValueError(f"duty_cycle must be in [0, 1], got {self.duty_cycle!r}")
+        if not 0 < self.period_s < math.inf:
+            raise ValueError(f"period_s must be positive and finite, got {self.period_s!r}")
+        if not math.isfinite(self.phase_s):
+            raise ValueError(f"phase_s must be finite, got {self.phase_s!r}")
 
     def resolved_rate(self) -> float:
         if self.rate_pkts is not None:
@@ -148,18 +161,10 @@ class ScheduledPacket:
     airtime_s: float
     source: ExcitationSource
 
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.airtime_s
-
 
 @dataclass
 class ExcitationSchedule:
-    """Packet arrivals from several sources over a time horizon.
-
-    ``collisions`` finds time-overlapping packet pairs -- what the tag
-    experiences in Fig 16a since it has no channel filters.
-    """
+    """Packet arrivals from several sources over a time horizon."""
 
     duration_s: float
     packets: list[ScheduledPacket] = field(default_factory=list)
@@ -185,13 +190,3 @@ class ExcitationSchedule:
                 )
         sched.packets.sort(key=lambda p: p.start_s)
         return sched
-
-    def collisions(self) -> list[tuple[ScheduledPacket, ScheduledPacket]]:
-        """Pairs of packets overlapping in time (any channel)."""
-        out = []
-        for i, a in enumerate(self.packets):
-            for b in self.packets[i + 1 :]:
-                if b.start_s >= a.end_s:
-                    break
-                out.append((a, b))
-        return out

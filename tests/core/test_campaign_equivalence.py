@@ -20,7 +20,6 @@ from repro.core.identification import (
 )
 from repro.core.matching import DEFAULT_ORDER, OrderedMatcher, search_thresholds
 from repro.core.overlay import Mode
-from repro.core.rectifier import BasicRectifier, ClampRectifier
 from repro.experiments import common
 from repro.experiments.common import labeled_traces
 from repro.phy.protocols import Protocol
@@ -324,13 +323,6 @@ class TestScoreTraces:
                                                  rng=g2, prescaled=prescaled)
                     assert list(got.items()) == list(want.items())
                 assert g1.bit_generator.state == g2.bit_generator.state
-
-    @pytest.mark.parametrize("other", [
-        ClampRectifier(noise_v_rms=2e-3), ClampRectifier(tau_s=1e-8), BasicRectifier()])
-    def test_rectifier_models_must_match(self, traces, other):
-        idents = [ProtocolIdentifier(), ProtocolIdentifier(rectifier=other)]
-        with pytest.raises(ValueError, match="rectifier"):
-            score_traces(idents, traces, rng=np.random.default_rng(0))
 
     def test_missing_power_needs_one_configured_power(self, traces):
         idents = [ProtocolIdentifier(),

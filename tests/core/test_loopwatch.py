@@ -23,13 +23,8 @@ class TestEnablement:
         monkeypatch.setenv(loopwatch.ENV_FLAG, "1")
         assert loopwatch.enabled()
 
-    def test_threshold_parsing(self, monkeypatch):
-        monkeypatch.setenv(loopwatch.ENV_THRESHOLD, "0.5")
-        assert loopwatch.threshold_s() == 0.5
-        monkeypatch.setenv(loopwatch.ENV_THRESHOLD, "garbage")
-        assert loopwatch.threshold_s() == loopwatch.DEFAULT_THRESHOLD_S
-        monkeypatch.setenv(loopwatch.ENV_THRESHOLD, "-1")
-        assert loopwatch.threshold_s() == loopwatch.DEFAULT_THRESHOLD_S
+    def test_default_threshold(self):
+        assert LoopWatch().threshold_s == loopwatch.DEFAULT_THRESHOLD_S
 
     def test_maybe_start_returns_running_watch(self, monkeypatch):
         monkeypatch.setenv(loopwatch.ENV_FLAG, "1")

@@ -91,7 +91,7 @@ class TestRectifiers:
     def test_silence_gives_noise_only(self):
         clamp = ClampRectifier(noise_v_rms=1e-3)
         out = clamp.rectify(
-            Waveform.silence(500, 22e6), -10.0, rng=np.random.default_rng(0)
+            Waveform(np.zeros(500, complex), 22e6), -10.0, rng=np.random.default_rng(0)
         )
         assert abs(out.voltage.mean()) < 5e-4
 

@@ -95,3 +95,19 @@ class TestClockBounds:
             got.annotations["tag_flip_flags"].tobytes()
             == want.annotations["tag_flip_flags"].tobytes()
         )
+
+
+class TestShiftBounds:
+    """A NaN or infinite channel shift fails at construction, naming
+    the field; every finite shift (either sign, or none) is legal."""
+
+    @pytest.mark.parametrize("shift", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected_at_construction(self, shift):
+        codec, _, _ = _setup(Protocol.BLE, seed=3)
+        with pytest.raises(ValueError, match="frequency_shift_hz"):
+            TagModulator(codec, frequency_shift_hz=shift)
+
+    @pytest.mark.parametrize("shift", [-10e6, 0.0, 10e6])
+    def test_finite_shifts_construct(self, shift):
+        codec, _, _ = _setup(Protocol.BLE, seed=3)
+        assert TagModulator(codec, frequency_shift_hz=shift).frequency_shift_hz == shift

@@ -128,6 +128,12 @@ class TestCarrierSelection:
         best, _ = selector.pick({Protocol.ZIGBEE: 1.0}, goal_kbps=50.0)
         assert best is None
 
+    @pytest.mark.parametrize("goal", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_bad_goal_rejected(self, goal):
+        # A NaN goal compared as met, so the best carrier was picked.
+        with pytest.raises(ValueError, match="goal_kbps"):
+            CarrierSelector().pick({Protocol.WIFI_N: 2000.0}, goal_kbps=goal)
+
     def test_diversity_timeline_multiscatter_covers_more(self):
         rng = np.random.default_rng(4)
         sources = [

@@ -206,9 +206,6 @@ class TestCachedBank:
         assert cached_bank(
             Adc(sample_rate=2.5e6), incident_power_dbm=-20.0
         ) is not base
-        assert cached_bank(
-            Adc(sample_rate=2.5e6), protocols=(Protocol.BLE,)
-        ) is not base
 
     def test_matches_uncached_build(self):
         cached = cached_bank(Adc(sample_rate=2.5e6))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel import Channel
+from repro.channel import awgn
 from repro.phy import ble, bits as bitlib, wifi_b, wifi_n, zigbee
 
 
@@ -11,7 +11,7 @@ class TestWifiNCfo:
     @pytest.mark.parametrize("cfo", [0.0, 4e3, 37e3, 121e3, 310e3])
     def test_estimator_accuracy(self, cfo):
         wave = wifi_n.modulate(bytes(range(20)))
-        impaired = Channel(cfo_hz=cfo, phase_rad=1.1).apply(wave)
+        impaired = wave.scaled(np.exp(1.1j)).frequency_shifted(cfo)
         est = wifi_n.estimate_cfo(impaired)
         assert est == pytest.approx(cfo, abs=200.0)
 
@@ -19,7 +19,7 @@ class TestWifiNCfo:
     def test_decode_under_cfo(self, cfo):
         payload = bytes(range(26))
         wave = wifi_n.modulate(payload)
-        impaired = Channel(cfo_hz=cfo).apply(wave)
+        impaired = wave.frequency_shifted(cfo)
         result = wifi_n.demodulate(impaired, n_psdu_bits=len(payload) * 8)
         assert bitlib.bytes_from_bits(result.psdu_bits) == payload
 
@@ -28,7 +28,7 @@ class TestWifiNCfo:
         # without the estimator -- proves the correction is live.
         payload = bytes(range(26))
         wave = wifi_n.modulate(payload)
-        impaired = Channel(cfo_hz=100e3).apply(wave)
+        impaired = wave.frequency_shifted(100e3)
         result = wifi_n.demodulate(
             impaired, n_psdu_bits=len(payload) * 8, correct_cfo=False
         )
@@ -37,7 +37,7 @@ class TestWifiNCfo:
     def test_estimator_with_noise(self):
         rng = np.random.default_rng(0)
         wave = wifi_n.modulate(bytes(range(20)))
-        impaired = Channel(cfo_hz=55e3, noise_power_dbm=-20.0).apply(wave, rng)
+        impaired = awgn(wave.frequency_shifted(55e3), noise_power_dbm=-20.0, rng=rng)
         assert wifi_n.estimate_cfo(impaired) == pytest.approx(55e3, abs=2e3)
 
 
@@ -48,7 +48,7 @@ class TestBleCfo:
         # absorbs it.
         payload = bytes(range(14))
         wave = ble.modulate(payload)
-        impaired = Channel(cfo_hz=cfo).apply(wave)
+        impaired = wave.frequency_shifted(cfo)
         result = ble.demodulate(impaired)
         assert result.crc_ok
 
@@ -59,7 +59,7 @@ class TestBleCfo:
         # AFC contributes.
         payload = b"\x0f" * 10
         wave = ble.modulate(payload)
-        impaired = Channel(cfo_hz=200e3).apply(wave)
+        impaired = wave.frequency_shifted(200e3)
         result = ble.demodulate(impaired)
         assert result.crc_ok
 
@@ -70,13 +70,13 @@ class TestDifferentialTolerance:
         # symbols by ~0.33 deg at 1 kHz -- decoding unaffected.
         payload = bytes(range(12))
         wave = wifi_b.modulate(payload)
-        impaired = Channel(cfo_hz=5e3).apply(wave)
+        impaired = wave.frequency_shifted(5e3)
         result = wifi_b.demodulate(impaired, n_payload_bits=len(payload) * 8)
         assert bitlib.bytes_from_bits(result.payload_bits) == payload
 
     def test_zigbee_tolerates_small_cfo(self):
         payload = bytes(range(8))
         wave = zigbee.modulate(payload)
-        impaired = Channel(cfo_hz=2e3).apply(wave)
+        impaired = wave.frequency_shifted(2e3)
         result = zigbee.demodulate(impaired)
         assert bitlib.bytes_from_bits(result.payload_bits) == payload

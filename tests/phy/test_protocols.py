@@ -1,38 +1,13 @@
-"""Tests for the protocol constants registry."""
+"""Tests for the protocol identities and the paper's packet rates."""
 
-import pytest
-
-from repro.phy.protocols import (
-    CARRIER_FREQ_HZ,
-    DEFAULT_PACKET_RATES,
-    PROTOCOL_INFO,
-    Protocol,
-)
+from repro.phy.protocols import DEFAULT_PACKET_RATES, Protocol
 
 
-class TestProtocolInfo:
+class TestPacketRates:
     def test_all_protocols_registered(self):
-        assert set(PROTOCOL_INFO) == set(Protocol)
         assert set(DEFAULT_PACKET_RATES) == set(Protocol)
-
-    def test_ble_preamble_is_shortest(self):
-        # §2.2.2: the 8 us BLE preamble bounds the base template window.
-        preambles = {p: i.preamble_us for p, i in PROTOCOL_INFO.items()}
-        assert min(preambles, key=preambles.get) is Protocol.BLE
-        assert preambles[Protocol.BLE] == 8.0
-
-    def test_extended_windows_at_least_40us_or_full_preamble(self):
-        for info in PROTOCOL_INFO.values():
-            assert info.extended_window_us >= min(info.preamble_us, 40.0)
-
-    def test_chip_rates(self):
-        assert PROTOCOL_INFO[Protocol.WIFI_B].chip_rate_hz == 11e6
-        assert PROTOCOL_INFO[Protocol.ZIGBEE].chip_rate_hz == 2e6
 
     def test_paper_packet_rates(self):
         assert DEFAULT_PACKET_RATES[Protocol.WIFI_N] == 2000.0
         assert DEFAULT_PACKET_RATES[Protocol.BLE] == 70.0
         assert DEFAULT_PACKET_RATES[Protocol.ZIGBEE] == 20.0
-
-    def test_ism_band(self):
-        assert CARRIER_FREQ_HZ == pytest.approx(2.4e9)

@@ -7,7 +7,6 @@ against the analytic waterfalls (tests/paper/test_validation_ber.py).
 import numpy as np
 import pytest
 
-from repro.channel import Channel
 from repro.phy import bits as bitlib
 from repro.phy import ble, wifi_n, zigbee
 
@@ -23,7 +22,7 @@ class TestOfdmCpeTracking:
         wave = wifi_n.modulate(payload)
         # Inject the residual directly (bypass the estimator) by
         # disabling CFO correction and applying a small offset.
-        impaired = Channel(cfo_hz=7e3).apply(wave)
+        impaired = wave.frequency_shifted(7e3)
         result = wifi_n.demodulate(
             impaired, n_psdu_bits=ref.size, correct_cfo=False
         )
@@ -31,7 +30,7 @@ class TestOfdmCpeTracking:
 
     def test_cpe_trace_is_continuous(self):
         wave = wifi_n.modulate(bytes(range(40)))
-        impaired = Channel(cfo_hz=7e3).apply(wave)
+        impaired = wave.frequency_shifted(7e3)
         result = wifi_n.demodulate(impaired, correct_cfo=False)
         steps = np.abs(np.diff(result.cpe_per_symbol))
         assert steps.max() < 1.0  # no pi-sized correction jumps
@@ -39,13 +38,13 @@ class TestOfdmCpeTracking:
     def test_tag_flip_still_survives_tracking(self):
         payload = np.zeros(26 * 8, np.uint8)
         wave = wifi_n.modulate(payload)
-        impaired = Channel(cfo_hz=5e3).apply(wave)
+        impaired = wave.frequency_shifted(5e3)
         start = impaired.annotations["payload_start"]
         for sym in (3, 4):
             lo = start + sym * wifi_n.SYMBOL_LEN
             impaired.iq[lo : lo + wifi_n.SYMBOL_LEN] *= -1.0
         clean = wifi_n.demodulate(
-            Channel(cfo_hz=5e3).apply(wave), correct_cfo=False
+            wave.frequency_shifted(5e3), correct_cfo=False
         )
         tagged = wifi_n.demodulate(impaired, correct_cfo=False)
         diff = clean.data_bits != tagged.data_bits
@@ -72,7 +71,7 @@ class TestZigbeePhaseTracking:
     def test_tolerates_10khz_cfo(self):
         payload = bytes(range(20))
         ref = bitlib.bits_from_bytes(payload)
-        wave = Channel(cfo_hz=10e3).apply(zigbee.modulate(payload))
+        wave = zigbee.modulate(payload).frequency_shifted(10e3)
         got = zigbee.demodulate(wave).payload_bits
         assert np.count_nonzero(got[: ref.size] != ref) == 0
 

@@ -37,7 +37,7 @@ class TestStructure:
         # OFDM has high PAPR, unlike the constant-envelope protocols --
         # the property the tag's identification exploits (Fig 5a).
         wave = wifi_n.modulate(bytes(range(40)))
-        env = wave.envelope()[wave.annotations["payload_start"]:]
+        env = np.abs(wave.iq)[wave.annotations["payload_start"]:]
         assert env.std() / env.mean() > 0.3
 
 

@@ -5,6 +5,8 @@ the instrumented sites; the recovery paths those sites exercise are
 tested with their owners (``tests/gateway``, ``tests/experiments``).
 """
 
+import os
+
 import pytest
 
 from repro.sim import faults
@@ -25,12 +27,13 @@ class TestSpecParsing:
         )
 
     def test_install_validates_and_sets_env(self, monkeypatch):
-        faults.install("kill:site=save,name=fig15")
+        spec = "kill:site=save,name=fig15"
         try:
-            assert faults.active_faults()[0].kind == "kill"
+            assert faults.install(spec)[0].kind == "kill"
+            assert os.environ[faults.ENV_VAR] == spec
         finally:
             faults.clear()
-        assert faults.active_faults() == ()
+        assert faults.ENV_VAR not in os.environ
 
     @pytest.mark.parametrize(
         "bad",

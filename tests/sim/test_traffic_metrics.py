@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.protocols import Protocol
-from repro.sim.metrics import ber, confusion_table, format_table, throughput_kbps
+from repro.sim.metrics import ber, confusion_table, format_table
 from repro.sim.traffic import (
     ExcitationSchedule,
     ExcitationSource,
@@ -75,13 +75,39 @@ class TestSources:
         assert ExcitationSource(Protocol.ZIGBEE).resolved_rate() == 20.0
 
 
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+class TestSourceRejectsBadNumbers:
+    """NaN, +-inf and out-of-range settings fail at construction, naming
+    the field: a NaN duty cycle or a zero or NaN period used to yield no
+    packets, a negative payload size yielded packets, and an infinite
+    rate raised a bare ZeroDivisionError."""
+
+    @pytest.mark.parametrize(
+        ("field", "bad"),
+        [("rate_pkts", v) for v in (*_NON_FINITE, -1.0)]
+        + [("n_payload_bytes", v) for v in (*_NON_FINITE, -4)]
+        + [("duty_cycle", v) for v in (*_NON_FINITE, 1.5)]
+        + [("period_s", v) for v in (*_NON_FINITE, 0.0)]
+        + [("phase_s", v) for v in _NON_FINITE],
+    )
+    def test_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ExcitationSource(Protocol.WIFI_B, **{field: bad})
+
+    def test_zero_rate_is_a_silent_source(self):
+        src = ExcitationSource(Protocol.WIFI_B, rate_pkts=0.0)
+        assert src.arrival_times(1.0, np.random.default_rng(0)).size == 0
+
+
 class TestSchedule:
     def _schedule(self, duration=0.5):
         rng = np.random.default_rng(5)
         sources = [
             ExcitationSource(Protocol.WIFI_N, rate_pkts=2000, n_payload_bytes=300),
             ExcitationSource(Protocol.BLE, rate_pkts=34, n_payload_bytes=37,
-                             periodic=False, center_offset_hz=15e6),
+                             periodic=False),
         ]
         return ExcitationSchedule.generate(sources, duration, rng)
 
@@ -97,16 +123,6 @@ class TestSchedule:
     def test_sorted_by_time(self):
         starts = [p.start_s for p in self._schedule().packets]
         assert starts == sorted(starts)
-
-    def test_collisions_found_at_high_load(self):
-        # 2000 pkt/s x ~225 us airtime -> ~45% utilization: the 34/s
-        # BLE packets mostly land on WiFi airtime (Fig 16a).
-        sched = self._schedule()
-        collisions = sched.collisions()
-        ble_hit = {id(b) for a, b in collisions if b.protocol is Protocol.BLE}
-        ble_hit |= {id(a) for a, b in collisions if a.protocol is Protocol.BLE}
-        n_ble = self._count(sched, Protocol.BLE)
-        assert len(ble_hit) > 0.2 * max(n_ble, 1)
 
 
 class TestMetrics:
@@ -124,11 +140,6 @@ class TestMetrics:
     def test_ber_complement_is_one(self, bits):
         arr = np.array(bits, np.uint8)
         assert ber(arr, 1 - arr) == 1.0
-
-    def test_throughput_kbps(self):
-        assert throughput_kbps(1000, 1.0) == 1.0
-        with pytest.raises(ValueError):
-            throughput_kbps(1, 0)
 
     def test_confusion_table_renders(self):
         table = confusion_table({(Protocol.BLE, Protocol.BLE): 5})

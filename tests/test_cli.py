@@ -133,6 +133,10 @@ class TestServe:
             ("--duration", "inf", "duration_s"),
             ("--rate", "nan", "--rate"),
             ("--rate", "inf", "--rate"),
+            # A NaN goal compared as met and picked the best carrier.
+            ("--goal-kbps", "nan", "--goal-kbps"),
+            ("--goal-kbps", "inf", "--goal-kbps"),
+            ("--goal-kbps", "-1", "--goal-kbps"),
         ],
     )
     def test_bad_gateway_setting_is_a_usage_error(self, capsys, flag, value, field):

@@ -9,6 +9,7 @@ The CLI contract shared by all four analyzers is written once in
 ``cli_contract.py``; ``TestCli`` binds it to reproasync.
 """
 
+import ast
 import pathlib
 import textwrap
 
@@ -77,9 +78,22 @@ class TestC001:
     def test_heavy_kernel_on_unresolved_receiver_fires(self, tmp_path):
         src = """\
             async def f(session):
-                return session.pipeline.decode_many([1, 2])
+                return session.pipeline.decode_pending_many([1, 2])
         """
         assert _codes(tmp_path, src) == ["C001"]
+
+    def test_heavy_kernels_exist_in_src(self):
+        # A kernel name nothing defines detects nothing.
+        from tools.reproasync.rules import _HEAVY_KERNELS
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+        defined = {
+            node.name
+            for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert sorted(_HEAVY_KERNELS - defined) == []
 
     def test_to_thread_handoff_ok(self, tmp_path):
         src = """\

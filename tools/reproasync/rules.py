@@ -75,7 +75,6 @@ _FILE_IO_METHODS = frozenset(
 _HEAVY_KERNELS = frozenset(
     {
         "excite_and_react",
-        "decode_many",
         "decode_pending_many",
         "run_airlink",
         "modulate",
