@@ -12,7 +12,6 @@ Run:  python examples/sensor_network.py
 
 import numpy as np
 
-from repro.core.tag import MultiscatterTag
 from repro.core.taglink import FrameDecoder, TagLinkConfig, encode_message
 from repro.phy.protocols import Protocol
 from repro.sim.airlink import run_airlink
@@ -42,11 +41,9 @@ def main() -> None:
     schedule = ExcitationSchedule.generate(sources, duration_s=0.4, rng=rng)
     print(f"air: {len(schedule.packets)} excitation packets over 0.4 s")
 
-    # Run the full loop; the tag streams the framed bits.
-    tag = MultiscatterTag()
+    # Run the full loop; a multiscatter tag streams the framed bits.
     report = run_airlink(
         schedule,
-        tag,
         d_tag_rx_m=2.0,
         tag_payload=frame_bits,
         rng=rng,

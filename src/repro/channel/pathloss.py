@@ -30,8 +30,8 @@ def log_distance_path_loss_db(
     d0_m: float = 1.0,
 ) -> float:
     """Log-distance model: PL = PL0 + 10 n log10(d / d0)."""
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
+    if not exponent > 0:
+        raise ValueError(f"exponent must be positive, got {exponent!r}")
     d = max(float(distance_m), 0.01)
     return float(pl0_db + 10.0 * exponent * np.log10(d / d0_m))
 

@@ -356,8 +356,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"policy {policy.value}"
     )
     print(
-        f"  packets {stats.n_packets}  backscattered {stats.n_backscattered}  "
-        f"collisions {stats.n_collisions}"
+        f"  packets {stats.n_packets}  backscattered {stats.n_backscattered}"
     )
     print(
         f"  decode latency p50 {p50_ms:.2f} ms  p99 {p99_ms:.2f} ms  "

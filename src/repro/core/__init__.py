@@ -19,7 +19,7 @@ from repro.core.rectifier import BasicRectifier, ClampRectifier, WispRectifier
 from repro.core.adc import Adc
 from repro.core.overlay import OverlayConfig, OverlayCodec, Mode
 from repro.core.identification import ProtocolIdentifier, IdentificationConfig
-from repro.core.tag import MultiscatterTag, SingleProtocolTag
+from repro.core.tag import MultiscatterTag
 
 __all__ = [
     "BasicRectifier",
@@ -32,5 +32,4 @@ __all__ = [
     "ProtocolIdentifier",
     "IdentificationConfig",
     "MultiscatterTag",
-    "SingleProtocolTag",
 ]

@@ -47,8 +47,8 @@ class PowerBreakdown:
     def at_adc_rate(self, sample_rate_hz: float) -> "PowerBreakdown":
         """ADC power scales roughly linearly with sampling rate (the
         AD9235's 260 mW figure is at 20 Msps)."""
-        if sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not sample_rate_hz > 0:
+            raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz!r}")
         scale = sample_rate_hz / 20e6
         return PowerBreakdown(
             pkt_det_fpga_mw=self.pkt_det_fpga_mw,
@@ -88,8 +88,8 @@ class StorageCapacitor:
 
     def runtime_s(self, power_mw: float) -> float:
         """How long one discharge sustains ``power_mw``."""
-        if power_mw <= 0:
-            raise ValueError("power must be positive")
+        if not power_mw > 0:
+            raise ValueError(f"power_mw must be positive, got {power_mw!r}")
         return self.usable_energy_j / (power_mw / 1e3)
 
 
@@ -107,8 +107,8 @@ class SolarHarvester:
     outdoor_point: tuple[float, float] = (1.04e5, 50.25 / 0.78 * 1e0)
 
     def power_mw(self, lux: float) -> float:
-        if lux <= 0:
-            raise ValueError("lux must be positive")
+        if not lux > 0:
+            raise ValueError(f"lux must be positive, got {lux!r}")
         import numpy as np
 
         (l1, p1), (l2, p2) = self.indoor_point, self.outdoor_point
@@ -116,8 +116,8 @@ class SolarHarvester:
         return float(p1 * (lux / l1) ** alpha)
 
     def harvest_time_s(self, energy_j: float, lux: float) -> float:
-        if energy_j <= 0:
-            raise ValueError("energy must be positive")
+        if not energy_j > 0:
+            raise ValueError(f"energy_j must be positive, got {energy_j!r}")
         return energy_j / (self.power_mw(lux) / 1e3)
 
 
@@ -135,8 +135,8 @@ class EnergyBudget:
 
     def packets_per_charge(self, packet_rate_hz: float) -> float:
         """Backscattered packets per discharge (360 for 2000 pkt/s)."""
-        if packet_rate_hz <= 0:
-            raise ValueError("packet_rate_hz must be positive")
+        if not packet_rate_hz > 0:
+            raise ValueError(f"packet_rate_hz must be positive, got {packet_rate_hz!r}")
         return packet_rate_hz * self.runtime_per_charge_s
 
     def harvest_time_s(self, lux: float) -> float:

@@ -21,7 +21,7 @@ from repro.core.matching import (
     score_capture,
 )
 from repro.core.rectifier import ClampRectifier
-from repro.core.templates import BASE_WINDOW_US, cached_bank
+from repro.core.templates import BASE_WINDOW_US, TEMPLATE_INCIDENT_DBM, cached_bank
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.rng import fallback_rng
@@ -46,7 +46,6 @@ class IdentificationConfig:
     window_us: Microseconds = BASE_WINDOW_US
     preprocess_us: Microseconds = 2.0
     ordered: bool = False
-    incident_power_dbm: DbmPower = -15.0
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it.
@@ -57,10 +56,6 @@ class IdentificationConfig:
         if not 0 <= self.preprocess_us < math.inf:
             raise ValueError(
                 f"preprocess_us must be >= 0 and finite, got {self.preprocess_us!r}"
-            )
-        if not math.isfinite(self.incident_power_dbm):
-            raise ValueError(
-                f"incident_power_dbm must be finite, got {self.incident_power_dbm!r}"
             )
         if not 1 <= self.n_bits <= 16:
             raise ValueError(f"n_bits must be in 1..16, got {self.n_bits!r}")
@@ -115,7 +110,6 @@ class ProtocolIdentifier:
             self.adc,
             window_us=self.config.window_us,
             preprocess_us=self.config.preprocess_us,
-            incident_power_dbm=self.config.incident_power_dbm,
         )
         self.matcher: BlindMatcher | OrderedMatcher = (
             OrderedMatcher() if self.config.ordered else BlindMatcher()
@@ -132,8 +126,10 @@ class ProtocolIdentifier:
         """Correlation scores for a packet waveform (head-aligned).
 
         ``prescaled=True`` treats the waveform as already being in
-        antenna volts (composite interference scenes, Fig 16).  This is
-        :func:`score_traces` for one identifier and one trace.
+        antenna volts (composite interference scenes, Fig 16); without
+        an ``incident_power_dbm`` the packet arrives at the templates'
+        power.  This is :func:`score_traces` for one identifier and one
+        trace.
         """
         power: float | None
         if prescaled:
@@ -141,7 +137,7 @@ class ProtocolIdentifier:
         elif incident_power_dbm is not None:
             power = incident_power_dbm
         else:
-            power = self.config.incident_power_dbm
+            power = TEMPLATE_INCIDENT_DBM
         return _score_head((self,), wave, power, fallback_rng(rng))[0]
 
     def identify(
@@ -265,8 +261,8 @@ def score_traces(
 
     ``incident_power_dbm`` may be one value, a per-protocol dict, or
     None for the calibrated defaults (:data:`DEFAULT_INCIDENT_DBM`); a
-    protocol a dict leaves out is rectified at the identifiers' own
-    configured power, which they must then share.
+    protocol a dict leaves out is rectified at the templates' power
+    (:data:`~repro.core.templates.TEMPLATE_INCIDENT_DBM`).
     """
     if incident_power_dbm is None:
         powers: dict[Protocol, float] = dict(DEFAULT_INCIDENT_DBM)
@@ -274,16 +270,9 @@ def score_traces(
         powers = incident_power_dbm
     else:
         powers = {p: float(incident_power_dbm) for p in Protocol}
-    configured = {ident.config.incident_power_dbm for ident in identifiers}
     scored: list[list[tuple[Protocol, dict[Protocol, float]]]] = [[] for _ in identifiers]
     for truth, wave in traces:
-        power = powers.get(truth)
-        if power is None:
-            if len(configured) > 1:
-                raise ValueError(
-                    f"no power for {truth.value} and the identifiers' configured powers differ"
-                )
-            (power,) = configured
+        power = powers.get(truth, TEMPLATE_INCIDENT_DBM)
         for out, scores in zip(scored, _score_head(identifiers, wave, power, rng)):
             out.append((truth, scores))
     return scored

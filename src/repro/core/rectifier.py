@@ -65,8 +65,10 @@ def incident_peak_voltage(power_dbm: DbmPower, *, matching_boost: float = 4.0) -
 
 def recommended_tau(f_carrier_hz: Hertz = 2.4e9, f_baseband_hz: Hertz = 20e6) -> Seconds:
     """Geometric-mean RC constant satisfying 1/f_c << tau << 1/f_b."""
-    if f_carrier_hz <= f_baseband_hz:
-        raise ValueError("carrier must exceed baseband frequency")
+    if not f_carrier_hz > f_baseband_hz:
+        raise ValueError(
+            f"f_carrier_hz must exceed f_baseband_hz, got {f_carrier_hz!r} and {f_baseband_hz!r}"
+        )
     return float(1.0 / np.sqrt(f_carrier_hz * f_baseband_hz))
 
 

@@ -95,8 +95,8 @@ def identification_power_mw(
     total_taps: int, sample_rate_hz: Hertz, *, quantized: bool
 ) -> Milliwatts:
     """Artix-7 dynamic+static power estimate (Table 5 fit)."""
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
+    if not sample_rate_hz > 0:
+        raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz!r}")
     luts = identification_luts(total_taps, quantized=quantized)
     c = _POWER_PER_LUT_MHZ_QUANT if quantized else _POWER_PER_LUT_MHZ_FULL
     return _POWER_STATIC_MW + c * luts * (sample_rate_hz / 1e6)

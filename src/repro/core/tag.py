@@ -1,15 +1,13 @@
-"""Tag state machines: multiscatter vs single-protocol (paper Fig 2/18).
+"""The multiscatter tag's state machine (paper Fig 2).
 
 :class:`MultiscatterTag` chains identification -> per-protocol overlay
 modulation: whatever excitation arrives, it recognizes the protocol and
-backscatters tag data onto it.  :class:`SingleProtocolTag` models the
-prior-art comparison point: it only reacts to its one protocol and sits
-idle otherwise (Fig 18a).
+backscatters tag data onto it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +17,7 @@ from repro.core.tag_modulation import TagModulator
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 
-__all__ = ["TagReaction", "MultiscatterTag", "SingleProtocolTag"]
+__all__ = ["TagReaction", "MultiscatterTag"]
 
 
 @dataclass
@@ -38,15 +36,11 @@ class TagReaction:
 
 class MultiscatterTag:
     """The paper's tag: identify any of the four protocols, then overlay
-    tag data onto the carrier with the protocol-appropriate modulation.
+    tag data onto the carrier with the protocol-appropriate modulation
+    (Mode 1, at the default frequency shift).
     """
 
-    def __init__(
-        self,
-        *,
-        mode: Mode = Mode.MODE_1,
-        frequency_shift_hz: float = 10e6,
-    ) -> None:
+    def __init__(self) -> None:
         self.identifier = ProtocolIdentifier(
             IdentificationConfig(
                 sample_rate_hz=2.5e6,
@@ -55,26 +49,13 @@ class MultiscatterTag:
                 ordered=True,
             )
         )
-        self.mode = mode
-        self.frequency_shift_hz = frequency_shift_hz
         self._modulators: dict[Protocol, TagModulator] = {}
 
-    def modulator_for(self, protocol: Protocol, n_payload_symbols: int | None = None) -> TagModulator:
-        """The per-protocol overlay modulator (cached for modes 1/2)."""
-        if self.mode is Mode.MODE_3:
-            if n_payload_symbols is None:
-                raise ValueError("mode 3 needs the payload size")
-            codec = OverlayCodec(
-                OverlayConfig.for_mode(
-                    protocol, self.mode, payload_symbols=n_payload_symbols
-                )
-            )
-            return TagModulator(codec, frequency_shift_hz=self.frequency_shift_hz)
+    def modulator_for(self, protocol: Protocol) -> TagModulator:
+        """The per-protocol overlay modulator (built once per protocol)."""
         if protocol not in self._modulators:
-            codec = OverlayCodec(OverlayConfig.for_mode(protocol, self.mode))
-            self._modulators[protocol] = TagModulator(
-                codec, frequency_shift_hz=self.frequency_shift_hz
-            )
+            codec = OverlayCodec(OverlayConfig.for_mode(protocol, Mode.MODE_1))
+            self._modulators[protocol] = TagModulator(codec)
         return self._modulators[protocol]
 
     def react(
@@ -104,7 +85,7 @@ class MultiscatterTag:
                 backscattered=None,
                 tag_bits_sent=np.zeros(0, np.uint8),
             )
-        modulator = self.modulator_for(truth, wave.annotations.get("n_payload_symbols"))
+        modulator = self.modulator_for(truth)
         _, tag_capacity = modulator.codec.capacity(
             wave.annotations["n_payload_symbols"]
         )
@@ -113,44 +94,5 @@ class MultiscatterTag:
             identified=result.decision,
             correct=True,
             backscattered=modulator.modulate(wave, used),
-            tag_bits_sent=used,
-        )
-
-
-@dataclass
-class SingleProtocolTag:
-    """Prior-art comparison tag: bound to one protocol, idle otherwise."""
-
-    protocol: Protocol
-    mode: Mode = Mode.MODE_1
-    frequency_shift_hz: float = 10e6
-    _modulator: TagModulator | None = field(default=None, repr=False)
-
-    def react(
-        self,
-        wave: Waveform,
-        tag_bits: np.ndarray | list[int],
-        **_: object,
-    ) -> TagReaction:
-        truth = wave.annotations.get("protocol")
-        if truth is not self.protocol:
-            return TagReaction(
-                identified=None,
-                correct=False,
-                backscattered=None,
-                tag_bits_sent=np.zeros(0, np.uint8),
-            )
-        if self._modulator is None:
-            codec = OverlayCodec(OverlayConfig.for_mode(self.protocol, self.mode))
-            self._modulator = TagModulator(
-                codec, frequency_shift_hz=self.frequency_shift_hz
-            )
-        bits = np.asarray(tag_bits, dtype=np.uint8)
-        _, cap = self._modulator.codec.capacity(wave.annotations["n_payload_symbols"])
-        used = bits[:cap]
-        return TagReaction(
-            identified=self.protocol,
-            correct=True,
-            backscattered=self._modulator.modulate(wave, used),
             tag_bits_sent=used,
         )

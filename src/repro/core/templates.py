@@ -27,7 +27,7 @@ from repro.core.wavecache import LruCache
 from repro.phy import ble, wifi_b, wifi_n, zigbee
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
-from repro.types import Microseconds, Samples
+from repro.types import DbmPower, Microseconds, Samples
 
 __all__ = [
     "Template",
@@ -35,10 +35,15 @@ __all__ = [
     "cached_bank",
     "reference_waveform",
     "BASE_WINDOW_US",
+    "TEMPLATE_INCIDENT_DBM",
 ]
 
 #: 8 us: the BLE preamble bounds the shared base window (§2.2.2).
 BASE_WINDOW_US = 8.0
+
+#: Incident power the reference packets are rendered at; a packet
+#: identified without a power of its own is rectified at it too.
+TEMPLATE_INCIDENT_DBM: DbmPower = -15.0
 
 
 #: Memoizes the deterministic reference waveforms (all-zero payload),
@@ -116,7 +121,6 @@ class TemplateBank:
         *,
         window_us: float = BASE_WINDOW_US,
         preprocess_us: float = 2.0,
-        incident_power_dbm: float = -15.0,
     ) -> "TemplateBank":
         """Build templates by running clean references through the same
         rectifier + ADC pipeline that live packets will see (noiseless).
@@ -129,7 +133,7 @@ class TemplateBank:
         l_m = max(int(round(window_us * 1e-6 * adc.sample_rate)), 2)
         for protocol in Protocol:
             wave = reference_waveform(protocol)
-            analog = rect.rectify(wave, incident_power_dbm)
+            analog = rect.rectify(wave, TEMPLATE_INCIDENT_DBM)
             capture = adc.capture(analog, duration_s=(l_p + l_m + 4) / adc.sample_rate)
             window = capture.codes[l_p : l_p + l_m].astype(float)
             dc = dc_estimate(capture.codes[:l_p].astype(float))
@@ -189,7 +193,6 @@ def cached_bank(
     *,
     window_us: float = BASE_WINDOW_US,
     preprocess_us: float = 2.0,
-    incident_power_dbm: float = -15.0,
 ) -> TemplateBank:
     """A shared, memoized :meth:`TemplateBank.build`.
 
@@ -210,16 +213,10 @@ def cached_bank(
         bool(adc.antialias),
         float(window_us),
         float(preprocess_us),
-        float(incident_power_dbm),
     )
     bank = _BANK_CACHE.get_or_create(
         key,
-        lambda: TemplateBank.build(
-            adc,
-            window_us=window_us,
-            preprocess_us=preprocess_us,
-            incident_power_dbm=incident_power_dbm,
-        ),
+        lambda: TemplateBank.build(adc, window_us=window_us, preprocess_us=preprocess_us),
     )
     assert isinstance(bank, TemplateBank)
     return bank

@@ -21,7 +21,7 @@ same seed (tests/gateway/test_equivalence.py pins this).
 
 from repro.gateway.control import ControlPlane, TagSession
 from repro.gateway.events import ControlEvent, GatewayEvent, PacketEvent
-from repro.gateway.mac import MacArbiter, MacDecision
+from repro.gateway.mac import MacArbiter
 from repro.gateway.service import Gateway, GatewayConfig, GatewayStats
 from repro.gateway.sources import AsyncExcitationSource
 from repro.gateway.subscriptions import (
@@ -41,7 +41,6 @@ __all__ = [
     "GatewayEvent",
     "GatewayStats",
     "MacArbiter",
-    "MacDecision",
     "PacketEvent",
     "Subscriber",
     "SubscriptionClosed",

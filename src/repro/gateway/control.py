@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.carrier_select import CarrierEstimate, CarrierSelector
-from repro.core.tag import MultiscatterTag, SingleProtocolTag
 from repro.phy.protocols import Protocol
 from repro.sim.pipeline import AirlinkPipeline
 
@@ -44,7 +43,6 @@ class TagSession:
     """One registered tag's live state."""
 
     tag_id: str
-    tag: MultiscatterTag | SingleProtocolTag
     pipeline: AirlinkPipeline
     rng: np.random.Generator
     payload: np.ndarray
@@ -83,14 +81,13 @@ class ControlPlane:
     def register(
         self,
         tag_id: str,
-        tag: MultiscatterTag | SingleProtocolTag,
         *,
         rng: np.random.Generator,
         payload: np.ndarray | None = None,
         d_tag_rx_m: float = 2.0,
         now_s: float = 0.0,
     ) -> TagSession:
-        """Admit a tag to the network.
+        """Admit a multiscatter tag to the network.
 
         ``payload=None`` draws the batch driver's default 4096-bit
         payload from ``rng`` -- the first draw the batch loop makes,
@@ -105,8 +102,7 @@ class ControlPlane:
         )
         session = TagSession(
             tag_id=tag_id,
-            tag=tag,
-            pipeline=AirlinkPipeline(tag, d_tag_rx_m=d_tag_rx_m),
+            pipeline=AirlinkPipeline(d_tag_rx_m=d_tag_rx_m),
             rng=rng,
             payload=resolved,
             registered_s=now_s,

@@ -14,45 +14,26 @@ stream, separate from every tag's channel RNG, so:
   streaming/batch equivalence tests assert;
 * the same seed and the same contender sequence replay the same
   winners, bit for bit.
-
-``capture_prob`` models receiver capture: with probability
-``1 - capture_prob`` a contended slot is lost outright (no winner),
-the simple collision model the load test uses to stress eviction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["MacDecision", "MacArbiter"]
-
-
-@dataclass(frozen=True)
-class MacDecision:
-    """One arbitration: who contended, who (if anyone) won."""
-
-    contenders: tuple[str, ...]
-    winner: str | None
-    collided: bool
+__all__ = ["MacArbiter"]
 
 
 class MacArbiter:
     """Seeded, replayable winner selection among contending tags."""
 
-    def __init__(self, *, seed: int = 0, capture_prob: float = 1.0) -> None:
-        if not 0.0 <= capture_prob <= 1.0:
-            raise ValueError(f"capture_prob must be in [0, 1], got {capture_prob}")
-        self.seed = seed
-        self.capture_prob = capture_prob
+    def __init__(self, *, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
         self.n_arbitrations = 0
-        self.n_collisions = 0
 
-    def arbitrate(self, contenders: Sequence[str]) -> MacDecision:
-        """Pick the tag that backscatters this excitation.
+    def arbitrate(self, contenders: Sequence[str]) -> str | None:
+        """The tag that backscatters this excitation (``None``: no tag).
 
         Zero or one contender is the fast path and consumes no
         randomness; only a genuinely contended slot draws from the
@@ -60,19 +41,8 @@ class MacArbiter:
         """
         ids = tuple(contenders)
         if len(ids) == 0:
-            return MacDecision(contenders=ids, winner=None, collided=False)
+            return None
         if len(ids) == 1:
-            return MacDecision(contenders=ids, winner=ids[0], collided=False)
+            return ids[0]
         self.n_arbitrations += 1
-        if self.capture_prob < 1.0:
-            if float(self._rng.random()) >= self.capture_prob:
-                self.n_collisions += 1
-                return MacDecision(contenders=ids, winner=None, collided=True)
-        winner = ids[int(self._rng.integers(0, len(ids)))]
-        return MacDecision(contenders=ids, winner=winner, collided=False)
-
-    def reset(self) -> None:
-        """Rewind the arbiter to its seed for a bit-identical replay."""
-        self._rng = np.random.default_rng(self.seed)
-        self.n_arbitrations = 0
-        self.n_collisions = 0
+        return ids[int(self._rng.integers(0, len(ids)))]

@@ -66,7 +66,6 @@ import numpy as np
 
 from repro import perf
 from repro.core import loopwatch
-from repro.core.tag import MultiscatterTag, SingleProtocolTag
 from repro.gateway.control import ControlPlane, TagSession
 from repro.gateway.events import ControlEvent, PacketEvent
 from repro.gateway.mac import MacArbiter
@@ -97,8 +96,6 @@ class GatewayConfig:
     #: Base seed: spawns per-tag channel streams for tags registered
     #: without an explicit generator, and the arbiter stream.
     seed: int = 0
-    #: Receiver capture probability under MAC contention.
-    capture_prob: float = 1.0
     #: Seconds without a keepalive before a tag is evicted.
     keepalive_timeout_s: float = 5.0
     #: How often the sweep task refreshes keepalives / evicts stale tags.
@@ -151,7 +148,6 @@ class GatewayStats:
     n_packets: int = 0
     n_published: int = 0
     n_backscattered: int = 0
-    n_collisions: int = 0
     n_tag_evictions: int = 0
     n_tag_crashes: int = 0
     n_subscriber_evictions: int = 0
@@ -255,7 +251,7 @@ class Gateway:
         self.hub = SubscriptionHub(
             default_maxlen=cfg.queue_maxlen, stall_timeout_s=cfg.stall_timeout_s
         )
-        self.mac = MacArbiter(seed=mac_seed, capture_prob=cfg.capture_prob)
+        self.mac = MacArbiter(seed=mac_seed)
         self.stats = GatewayStats()
         self._sweep_task: asyncio.Task | None = None
         self._sweep_error: BaseException | None = None
@@ -287,20 +283,18 @@ class Gateway:
     async def register_tag(
         self,
         tag_id: str,
-        tag: MultiscatterTag | SingleProtocolTag | None = None,
         *,
         rng: np.random.Generator | None = None,
         payload: np.ndarray | None = None,
         d_tag_rx_m: float = 2.0,
     ) -> TagSession:
-        """Admit a tag; the control-plane sweep keeps it alive."""
+        """Admit a multiscatter tag; the control-plane sweep keeps it alive."""
         now_s = self._now()
-        session = self.control.register(
+        # Building the tag builds (cached, per-protocol) reference
+        # template banks -- a deliberate one-time control-plane cost,
+        # accepted on the registration path.
+        session = self.control.register(  # reproasync: disable=C001
             tag_id,
-            # Default-tag construction builds (cached, per-protocol)
-            # reference template banks -- a deliberate one-time
-            # control-plane cost, accepted on the registration path.
-            tag if tag is not None else MultiscatterTag(),  # reproasync: disable=C001
             rng=rng if rng is not None else self.spawn_rng(),
             payload=payload,
             d_tag_rx_m=d_tag_rx_m,
@@ -725,18 +719,14 @@ class Gateway:
                         raise RuntimeError(
                             "control-plane sweep task failed"
                         ) from self._sweep_error
-                    decision = self.mac.arbitrate(
+                    winner = self.mac.arbitrate(
                         [s.tag_id for s in self.control.sessions]
                     )
                     self.stats.n_packets += 1
                     perf.count("gateway.packets")
-                    if decision.collided:
-                        self.stats.n_collisions += 1
-                        perf.count("gateway.collisions")
+                    if winner is None:
                         continue
-                    if decision.winner is None:
-                        continue
-                    session = self.control.session(decision.winner)
+                    session = self.control.session(winner)
                     if session is None:  # pragma: no cover - evicted this tick
                         continue
                     session.refill_payload_if_spent()

@@ -8,8 +8,8 @@ Contents:
 
 * bit/byte packing (:func:`bits_from_bytes`, :func:`bytes_from_bits`)
 * generic Galois LFSR (:class:`Lfsr`)
-* the CRCs the receivers check (802.15.4 CRC-16, BLE CRC-24, 802.11b
-  PLCP header CRC-16)
+* the CRCs the receivers check (BLE CRC-24, 802.11b PLCP header
+  CRC-16)
 * the 802.11b self-synchronizing scrambler and the 802.11a/n
   frame-synchronous scrambler
 * BLE data whitening
@@ -29,7 +29,6 @@ __all__ = [
     "bits_from_int",
     "int_from_bits",
     "Lfsr",
-    "crc16_ccitt",
     "crc16_80211b_plcp",
     "crc24_ble",
     "scramble_80211b",
@@ -130,17 +129,6 @@ def _lfsr_cycle(taps: tuple[int, ...], seed: int, width: int) -> BitArray:
     return np.array(out, dtype=np.uint8)
 
 
-def _reflected_crc_table(poly: int) -> list[int]:
-    """256-entry byte-update table for a reflected (LSB-first) CRC."""
-    reg = np.arange(256, dtype=np.uint64)
-    for _ in range(8):
-        reg = np.where(reg & 1, (reg >> np.uint64(1)) ^ np.uint64(poly), reg >> np.uint64(1))
-    return [int(x) for x in reg]
-
-
-_CRC16_TABLE = _reflected_crc_table(0x8408)
-
-
 def _msb_crc_table(poly: int, width: int) -> list[int]:
     """256-entry byte-update table for a left-shifting (MSB-in) CRC."""
     top = 1 << (width - 1)
@@ -157,25 +145,6 @@ def _msb_crc_table(poly: int, width: int) -> list[int]:
 _CRC24_TABLE = _msb_crc_table(0x00065B, 24)
 
 
-def _reflected_crc(bits: np.ndarray, table: list[int], poly: int, reg: int) -> int:
-    """Run a reflected CRC over an LSB-first bit stream.
-
-    Whole bytes go through the table (one Python iteration per 8 bits);
-    any trailing partial byte falls back to bit-at-a-time, so arbitrary
-    bit counts still work.
-    """
-    n_bytes = bits.size // 8
-    if n_bytes:
-        for byte in np.packbits(bits[: n_bytes * 8], bitorder="little").tolist():
-            reg = (reg >> 8) ^ table[(reg ^ byte) & 0xFF]
-    for b in bits[n_bytes * 8 :]:
-        fb = (reg ^ int(b)) & 1
-        reg >>= 1
-        if fb:
-            reg ^= poly
-    return reg
-
-
 def _crc_generic(bits: np.ndarray, poly: int, width: int, init: int) -> int:
     """Bitwise CRC with MSB-first shifting over an LSB-first bit stream."""
     reg = init
@@ -187,15 +156,6 @@ def _crc_generic(bits: np.ndarray, poly: int, width: int, init: int) -> int:
         if fb:
             reg ^= poly & mask
     return reg
-
-
-def crc16_ccitt(data_bits: np.ndarray | list[int], *, init: int = 0x0000) -> BitArray:
-    """CRC-16-CCITT (poly 0x1021) as used by IEEE 802.15.4, LSB-first bits."""
-    arr = _as_bits(data_bits)
-    # 802.15.4 processes LSB-first with a reflected implementation
-    # (poly 0x8408, the reflection of 0x1021).
-    reg = _reflected_crc(arr, _CRC16_TABLE, 0x8408, init)
-    return bits_from_int(reg, 16)
 
 
 def crc16_80211b_plcp(header_bits: np.ndarray | list[int]) -> BitArray:

@@ -27,140 +27,99 @@ from repro.phy import pulse
 from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
-from repro.types import Hertz
 
 __all__ = [
     "ADVERTISING_ACCESS_ADDRESS",
-    "BleConfig",
     "modulate",
     "demodulate",
     "demodulate_batch",
     "BleDecodeResult",
 ]
 
-#: Advertising channel access address (fixed by the spec).
+#: Advertising channel access address (fixed by the spec).  The
+#: identification templates rely on it (§2.3.2: the fixed broadcast
+#: address is what lets the matching window extend to 40 us).
 ADVERTISING_ACCESS_ADDRESS = 0x8E89BED6
 
-#: Supported PHYs: symbol rate and peak deviation (index 0.5 for both).
-_PHY_PARAMS = {"1M": (1e6, 250e3), "2M": (2e6, 500e3)}
+#: LE 1M: symbol rate and peak deviation (modulation index 0.5).
+_SYMBOL_RATE = 1e6
+_FREQ_DEVIATION_HZ = 250e3
+#: Oversampling of the 1 Msym/s stream.
+_SAMPLES_PER_SYMBOL = 8
+_SAMPLE_RATE = _SYMBOL_RATE * _SAMPLES_PER_SYMBOL
+#: Gaussian filter bandwidth-time product.
+_BT = 0.5
+#: The primary advertising channel; it selects the whitening seed.
+_CHANNEL = 37
+
+_AA_BITS = bitlib.bits_from_int(ADVERTISING_ACCESS_ADDRESS, 32)
+#: One preamble octet, alternating so its last bit differs from the
+#: AA's first bit, per spec (AA LSB=0 -> 0xAA).
+_PREAMBLE = np.tile([0, 1], 4).astype(np.uint8) ^ _AA_BITS[0]
+_N_PREAMBLE_BITS = _PREAMBLE.size
 
 
-@dataclass(frozen=True)
-class BleConfig:
-    """Modulator configuration.
-
-    ``samples_per_symbol`` sets oversampling of the 1 Msym/s stream;
-    ``channel`` selects the whitening seed (37 is the primary
-    advertising channel); ``access_address`` defaults to the
-    advertising AA the identification templates rely on (§2.3.2: the
-    fixed broadcast address is what lets the matching window extend to
-    40 us).
-    """
-
-    samples_per_symbol: int = 8
-    channel: int = 37
-    access_address: int = ADVERTISING_ACCESS_ADDRESS
-    bt: float = 0.5
-    phy: str = "1M"
-
-    @property
-    def symbol_rate(self) -> Hertz:
-        return _PHY_PARAMS[self.phy][0]
-
-    @property
-    def freq_deviation_hz(self) -> Hertz:
-        return _PHY_PARAMS[self.phy][1]
-
-    @property
-    def sample_rate(self) -> Hertz:
-        return self.symbol_rate * self.samples_per_symbol
-
-    def __post_init__(self) -> None:
-        if self.samples_per_symbol < 2:
-            raise ValueError("samples_per_symbol must be >= 2")
-        if not 0 <= self.channel <= 39:
-            raise ValueError("channel must be 0..39")
-        if self.phy not in _PHY_PARAMS:
-            raise ValueError(f"unsupported BLE PHY {self.phy!r}")
-
-
-def _frame_bits(payload: bytes, cfg: BleConfig) -> tuple[np.ndarray, int]:
+def _frame_bits(payload: bytes) -> tuple[np.ndarray, int]:
     """Assemble on-air bits; returns (bits, index of first payload bit).
 
     PDU = 2-byte header (type/flags + length) + payload; header+payload
-    +CRC are whitened.  The preamble alternates starting so its last
-    bit differs from the AA's first bit, per spec (AA LSB=0 -> 0xAA).
+    +CRC are whitened.
     """
-    aa_bits = bitlib.bits_from_int(cfg.access_address, 32)
-    n_pre = 16 if cfg.phy == "2M" else 8  # LE 2M: 2-octet preamble
-    preamble = np.tile([0, 1], n_pre // 2).astype(np.uint8)
-    if aa_bits[0] == 1:
-        preamble = 1 - preamble
     header = bytes([0x02, len(payload) & 0xFF])  # ADV_NONCONN_IND
     pdu_bits = bitlib.bits_from_bytes(header + payload)
     crc_bits = bitlib.crc24_ble(pdu_bits)
-    whitened = bitlib.whiten_ble(np.concatenate([pdu_bits, crc_bits]), cfg.channel)
-    bits = np.concatenate([preamble, aa_bits, whitened])
-    payload_bit_index = preamble.size + aa_bits.size + 16  # skip header
+    whitened = bitlib.whiten_ble(np.concatenate([pdu_bits, crc_bits]), _CHANNEL)
+    bits = np.concatenate([_PREAMBLE, _AA_BITS, whitened])
+    payload_bit_index = _PREAMBLE.size + _AA_BITS.size + 16  # skip header
     return bits, payload_bit_index
 
 
 @contracts.dtypes(np.uint8)
-def modulate(payload: bytes | np.ndarray, config: BleConfig | None = None) -> Waveform:
+def modulate(payload: bytes | np.ndarray) -> Waveform:
     """Modulate an advertising PDU payload into a GFSK waveform.
 
     ``payload`` may also be a raw on-air bit array (no framing or
     whitening applied) for carrier-crafting use.
     """
     perf.count("ble.modulate")
-    cfg = config or BleConfig()
-    bits, payload_bit, n_payload_bits, whitened = _onair_bits(payload, cfg)
+    bits, payload_bit, n_payload_bits, whitened = _onair_bits(payload)
 
-    sps = cfg.samples_per_symbol
+    sps = _SAMPLES_PER_SYMBOL
     nrz = 2.0 * bits.astype(float) - 1.0
-    taps = pulse.gaussian_taps(cfg.bt, sps)
+    taps = pulse.gaussian_taps(_BT, sps)
     shaped = np.convolve(np.repeat(nrz, sps), taps)
     delay = (len(taps) - 1) // 2
     shaped = shaped[delay : delay + bits.size * sps]
 
     # Frequency modulation: integrate the shaped NRZ stream.
-    phase = 2.0 * np.pi * cfg.freq_deviation_hz * np.cumsum(shaped) / cfg.sample_rate
+    phase = 2.0 * np.pi * _FREQ_DEVIATION_HZ * np.cumsum(shaped) / _SAMPLE_RATE
     iq = np.exp(1j * phase)
     return Waveform(
         iq=iq,
-        sample_rate=cfg.sample_rate,
+        sample_rate=_SAMPLE_RATE,
         annotations={
             "protocol": Protocol.BLE,
             "payload_start": payload_bit * sps,
             "samples_per_symbol": sps,
             "n_payload_symbols": bits.size - payload_bit,
             "n_payload_bits": n_payload_bits,
-            "channel": cfg.channel,
             "n_frame_bits": bits.size,
-            "n_preamble_bits": 16 if cfg.phy == "2M" else 8,
             "whitened": whitened,
         },
     )
 
 
-def _onair_bits(
-    payload: bytes | np.ndarray, cfg: BleConfig
-) -> tuple[np.ndarray, int, int, bool]:
+def _onair_bits(payload: bytes | np.ndarray) -> tuple[np.ndarray, int, int, bool]:
     """On-air bit assembly for :func:`modulate`.
 
     Returns ``(bits, first_payload_bit, n_payload_bits, whitened)``.
     """
     if isinstance(payload, (bytes, bytearray)):
-        bits, payload_bit = _frame_bits(bytes(payload), cfg)
+        bits, payload_bit = _frame_bits(bytes(payload))
         return bits, payload_bit, len(payload) * 8, True
     raw = np.asarray(payload, dtype=np.uint8)
-    aa_bits = bitlib.bits_from_int(cfg.access_address, 32)
-    n_pre = 16 if cfg.phy == "2M" else 8
-    preamble = np.tile([0, 1], n_pre // 2).astype(np.uint8)
-    if aa_bits[0] == 1:
-        preamble = 1 - preamble
-    bits = np.concatenate([preamble, aa_bits, raw])
-    return bits, preamble.size + aa_bits.size, raw.size, False
+    bits = np.concatenate([_PREAMBLE, _AA_BITS, raw])
+    return bits, _PREAMBLE.size + _AA_BITS.size, raw.size, False
 
 
 @dataclass
@@ -196,7 +155,7 @@ def _rx_filter(sps: int) -> np.ndarray:
     return sos
 
 
-def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
+def demodulate(wave: Waveform) -> BleDecodeResult:
     """Discriminator demodulation of a BLE waveform."""
     perf.count("ble.demodulate")
     ann = wave.annotations
@@ -224,8 +183,7 @@ def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
     # CFO appears as a DC offset of the discriminator; the alternating
     # preamble has zero mean deviation, so its mean dphi estimates the
     # offset (standard GFSK preamble AFC).
-    n_pre_bits = ann.get("n_preamble_bits", 8)
-    pre = dphi[: n_pre_bits * sps]
+    pre = dphi[: _N_PREAMBLE_BITS * sps]
     dc = float(pre.mean()) if pre.size else 0.0
     dphi = dphi - dc
 
@@ -238,13 +196,12 @@ def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
     core = dphi[:need].reshape(n_bits, sps)[:, sps // 4 : sps - sps // 4]
     decisions = (core.sum(axis=1) > 0).astype(np.uint8)
 
-    aa_start = ann.get("n_preamble_bits", 8)
-    aa = bitlib.int_from_bits(decisions[aa_start : aa_start + 32])
-    pdu_onair = decisions[aa_start + 32 :]
+    aa = bitlib.int_from_bits(decisions[_N_PREAMBLE_BITS : _N_PREAMBLE_BITS + 32])
+    pdu_onair = decisions[_N_PREAMBLE_BITS + 32 :]
 
     framed = ann.get("whitened", True)
-    if framed and dewhiten and "channel" in ann:
-        pdu = bitlib.whiten_ble(pdu_onair, ann["channel"])
+    if framed:
+        pdu = bitlib.whiten_ble(pdu_onair, _CHANNEL)
     else:
         pdu = pdu_onair.copy()
 
@@ -267,12 +224,10 @@ def demodulate(wave: Waveform, *, dewhiten: bool = True) -> BleDecodeResult:
     )
 
 
-def demodulate_batch(
-    waves: Sequence[Waveform], *, dewhiten: bool = True
-) -> list[BleDecodeResult]:
+def demodulate_batch(waves: Sequence[Waveform]) -> list[BleDecodeResult]:
     """:func:`demodulate` applied to each waveform, in input order.
 
     An empty batch raises ``ValueError``.
     """
     require_nonempty(waves, "ble.demodulate_batch")
-    return [demodulate(w, dewhiten=dewhiten) for w in waves]
+    return [demodulate(w) for w in waves]

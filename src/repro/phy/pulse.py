@@ -3,7 +3,6 @@
 * Gaussian taps for GFSK (BLE, BT = 0.5)
 * half-sine shaping for 802.15.4 OQPSK (MSK-like)
 * root-raised-cosine for DSSS chip shaping
-* rectangular (sample-and-hold) upsampling
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "gaussian_taps",
     "half_sine_pulse",
     "rrc_taps",
-    "upsample_hold",
     "shape_chips",
 ]
 
@@ -78,23 +76,14 @@ def rrc_taps(beta: float, sps: int, span: int = 6) -> FloatArray:
     return taps
 
 
-def upsample_hold(symbols: np.ndarray, sps: int) -> ComplexIQ:
-    """Sample-and-hold upsampling (each value repeated ``sps`` times)."""
-    if sps < 1:
-        raise ValueError("sps must be >= 1")
-    return np.repeat(np.asarray(symbols), sps)
+def shape_chips(chips: np.ndarray, sps: int, taps: np.ndarray) -> ComplexIQ:
+    """Upsample ``chips`` by ``sps`` and filter them with ``taps``.
 
-
-def shape_chips(chips: np.ndarray, sps: int, taps: np.ndarray | None = None) -> ComplexIQ:
-    """Upsample ``chips`` by ``sps`` and optionally filter with ``taps``.
-
-    With ``taps`` given, uses impulse upsampling + FIR filtering and
-    compensates the filter group delay so output sample ``k*sps`` sits
-    at the center of chip ``k``.
+    Uses impulse upsampling + FIR filtering and compensates the filter
+    group delay so output sample ``k*sps`` sits at the center of chip
+    ``k``.
     """
     chips = np.asarray(chips, dtype=complex)
-    if taps is None:
-        return upsample_hold(chips, sps)
     up = np.zeros(chips.size * sps, dtype=complex)
     up[::sps] = chips
     shaped = np.convolve(up, np.asarray(taps, dtype=float))

@@ -31,7 +31,6 @@ from repro.phy import pulse
 from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
-from repro.types import Hertz
 
 __all__ = [
     "BARKER11",
@@ -48,11 +47,8 @@ BARKER11 = np.array([1, -1, 1, 1, -1, 1, 1, 1, -1, -1, -1], dtype=float)
 #: SFD for the long preamble, transmitted LSB first (0xF3A0 -> 16 bits).
 _SFD_LONG = bitlib.bits_from_int(0xF3A0, 16)
 
-#: SFD for the short preamble: the long SFD time-reversed (0x05CF).
-_SFD_SHORT = bitlib.bits_from_int(0x05CF, 16)
-
 #: SIGNAL field values (rate in 100 kbps units).
-_SIGNAL_BY_RATE = {1.0: 0x0A, 2.0: 0x14, 5.5: 0x37, 11.0: 0x6E}
+_SIGNAL_BY_RATE = {1.0: 0x0A, 2.0: 0x14, 5.5: 0x37}
 _RATE_BY_SIGNAL = {v: k for k, v in _SIGNAL_BY_RATE.items()}
 
 #: DQPSK phase increments for dibits (d0, d1) per 802.11 Table 16-2,
@@ -64,12 +60,6 @@ _DQPSK_INV_LUT = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 
 #: CCK 5.5 Mbps phi2 choices indexed by bit d2 (phi2 = pi/2 + d2*pi).
 _CCK55_PHI2 = (np.pi / 2, 3 * np.pi / 2)
-
-#: CCK 11 Mbps QPSK mapping for the (phi2, phi3, phi4) dibit pairs.
-_CCK11_QPSK = {(0, 0): 0.0, (0, 1): np.pi / 2, (1, 0): np.pi, (1, 1): 3 * np.pi / 2}
-
-#: The same mapping as an array indexed by ``2*a + b``.
-_CCK11_QPSK_LUT = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 #: Per-chip (phi2, phi3, phi4) participation and sign in the CCK
 #: codeword (802.11-2016 equation 16-1); phi1 is on every chip.
@@ -88,6 +78,15 @@ _CCK_PHI_COEF = np.array(
 )
 _CCK_CHIP_SIGN = np.array([1, 1, 1, -1, 1, 1, -1, 1], dtype=float)
 
+#: Oversampling of the 11 Mchip/s stream; chips are RRC-shaped (needed
+#: for realistic envelopes at the tag's rectifier).
+_SAMPLES_PER_CHIP = 2
+_SAMPLE_RATE = 11e6 * _SAMPLES_PER_CHIP
+
+#: Scrambler initial register for long-preamble frames (802.11-2016
+#: §16.2.4).
+_SCRAMBLER_SEED = 0x6C
+
 
 def _rate_tenths(rate_mbps: float) -> int:
     """802.11b rate as integer tenths of Mbps for exact discrimination."""
@@ -99,46 +98,23 @@ class WifiBConfig:
     """Modulator configuration.
 
     ``rate_mbps`` selects the PSDU rate (1, 2 or 5.5); the preamble and
-    header always run at 1 Mbps.  ``samples_per_chip`` sets the
-    oversampling of the 11 Mchip/s stream, so the sample rate is
-    ``11e6 * samples_per_chip``.  ``shaped`` applies RRC chip shaping
-    (needed for realistic envelopes at the tag's rectifier).
+    header always run at 1 Mbps.
     """
 
     rate_mbps: float = 1.0
-    samples_per_chip: int = 2
-    shaped: bool = True
-    scrambler_seed: int | None = None
-    short_preamble: bool = False
-
-    @property
-    def sample_rate(self) -> Hertz:
-        return 11e6 * self.samples_per_chip
 
     @property
     def rate_tenths(self) -> int:
-        """PSDU rate in integer tenths of Mbps (10/20/55/110).
+        """PSDU rate in integer tenths of Mbps (10/20/55).
 
         Rate discrimination compares these integers: exact float
         equality on ``rate_mbps`` is banned by reprolint R002.
         """
         return _rate_tenths(self.rate_mbps)
 
-    @property
-    def seed(self) -> int:
-        """Scrambler seed: 0x6C for long-, 0x1B for short-preamble
-        frames unless overridden (802.11-2016 §16.2.4/§16.2.5)."""
-        if self.scrambler_seed is not None:
-            return self.scrambler_seed
-        return 0x1B if self.short_preamble else 0x6C
-
     def __post_init__(self) -> None:
-        if self.rate_mbps not in (1.0, 2.0, 5.5, 11.0):
+        if self.rate_mbps not in _SIGNAL_BY_RATE:
             raise ValueError(f"unsupported 802.11b rate {self.rate_mbps}")
-        if self.samples_per_chip < 1:
-            raise ValueError("samples_per_chip must be >= 1")
-        if self.short_preamble and self.rate_tenths == 10:
-            raise ValueError("the short preamble excludes the 1 Mbps PSDU rate")
 
 
 # ----------------------------------------------------------------------
@@ -188,20 +164,6 @@ def _cck55_chips(bits: np.ndarray, phase0: float) -> tuple[np.ndarray, float]:
     return chips, float(phi1[-1]) if phi1.size else phase0
 
 
-def _cck11_chips(bits: np.ndarray, phase0: float) -> tuple[np.ndarray, float]:
-    """CCK 11 Mbps: 8 bits/symbol onto 8 complex chips."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size % 8:
-        raise ValueError("CCK 11 needs a multiple of 8 bits")
-    d = arr.reshape(-1, 8)
-    phi1 = phase0 + np.cumsum(_DQPSK_PHASE_LUT[2 * d[:, 0] + d[:, 1]])
-    phi2 = _CCK11_QPSK_LUT[2 * d[:, 2] + d[:, 3]] + np.pi / 2
-    phi3 = _CCK11_QPSK_LUT[2 * d[:, 4] + d[:, 5]]
-    phi4 = _CCK11_QPSK_LUT[2 * d[:, 6] + d[:, 7]]
-    chips = _cck_codewords(phi1, phi2, phi3, phi4).ravel()
-    return chips, float(phi1[-1]) if phi1.size else phase0
-
-
 @contracts.shapes("n ; n ; n ; n -> n,8")
 def _cck_codewords(
     phi1: np.ndarray, phi2: np.ndarray, phi3: np.ndarray, phi4: np.ndarray
@@ -233,36 +195,21 @@ def _plcp_header_bits(rate_mbps: float, length_bytes: int) -> np.ndarray:
 # modulator
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=256)
-def _cached_head(
-    rate_mbps: float, n_psdu_bytes: int, seed: int, short_preamble: bool
-) -> tuple[np.ndarray, float, int, int]:
+def _cached_head(rate_mbps: float, n_psdu_bytes: int) -> tuple[np.ndarray, float, int, int]:
     """Spread chips for the scrambled SYNC+SFD+PLCP header.
 
     Everything before the PSDU is fully determined by (rate, PSDU byte
-    count, scrambler seed, preamble format), so traffic generators that
-    vary only the payload reuse the ~144 us detection field instead of
-    re-spreading it per packet.  Returns ``(head_chips, last_phase,
-    scrambler_state_after_head, n_head_bits)``; the chips array is
-    shared -- callers must not mutate it.
+    count), so traffic generators that vary only the payload reuse the
+    ~144 us detection field instead of re-spreading it per packet.
+    Returns ``(head_chips, last_phase, scrambler_state_after_head,
+    n_head_bits)``; the chips array is shared -- callers must not
+    mutate it.
     """
-    if short_preamble:
-        sync = np.zeros(56, dtype=np.uint8)
-        sfd = _SFD_SHORT
-    else:
-        sync = np.ones(128, dtype=np.uint8)
-        sfd = _SFD_LONG
+    sync = np.ones(128, dtype=np.uint8)
     header = _plcp_header_bits(rate_mbps, n_psdu_bytes)
-    pre_scramble = np.concatenate([sync, sfd, header])
-    head_bits = bitlib.scramble_80211b(pre_scramble, seed=seed)
-
-    if short_preamble:
-        # Short format: SYNC+SFD at 1 Mbps DBPSK, header at 2 Mbps DQPSK.
-        n_sync = sync.size + sfd.size
-        sync_phases = _dbpsk_phases(head_bits[:n_sync])
-        hdr_phases = _dqpsk_phases(head_bits[n_sync:], phase0=sync_phases[-1])
-        head_phases = np.concatenate([sync_phases, hdr_phases])
-    else:
-        head_phases = _dbpsk_phases(head_bits)
+    pre_scramble = np.concatenate([sync, _SFD_LONG, header])
+    head_bits = bitlib.scramble_80211b(pre_scramble, seed=_SCRAMBLER_SEED)
+    head_phases = _dbpsk_phases(head_bits)
     head_chips = _barker_chips(head_phases)
     last_phase = float(head_phases[-1]) if head_phases.size else 0.0
 
@@ -299,7 +246,7 @@ def modulate(
         payload_bits = np.asarray(payload, dtype=np.uint8)
 
     head_chips, last_phase, scr_state, n_head = _cached_head(
-        cfg.rate_mbps, (payload_bits.size + 7) // 8, cfg.seed, cfg.short_preamble
+        cfg.rate_mbps, (payload_bits.size + 7) // 8
     )
 
     if scrambled_domain:
@@ -322,36 +269,27 @@ def modulate(
         psdu_phases = _dqpsk_phases(psdu_bits, phase0=last_phase)
         psdu_chips = _barker_chips(psdu_phases)
         chips_per_symbol = 11
-    elif cfg.rate_tenths == 55:
+    else:  # CCK 5.5
         pad = (-psdu_bits.size) % 4
         if pad:
             psdu_bits = np.concatenate([psdu_bits, np.zeros(pad, np.uint8)])
         psdu_chips, _ = _cck55_chips(psdu_bits, phase0=last_phase)
         chips_per_symbol = 8
-    else:  # CCK 11
-        pad = (-psdu_bits.size) % 8
-        if pad:
-            psdu_bits = np.concatenate([psdu_bits, np.zeros(pad, np.uint8)])
-        psdu_chips, _ = _cck11_chips(psdu_bits, phase0=last_phase)
-        chips_per_symbol = 8
 
     chips = np.concatenate([head_chips, psdu_chips])
-    taps = pulse.rrc_taps(0.5, cfg.samples_per_chip) if cfg.shaped else None
-    iq = pulse.shape_chips(chips, cfg.samples_per_chip, taps)
+    iq = pulse.shape_chips(chips, _SAMPLES_PER_CHIP, pulse.rrc_taps(0.5, _SAMPLES_PER_CHIP))
 
-    payload_start = head_chips.size * cfg.samples_per_chip
+    payload_start = head_chips.size * _SAMPLES_PER_CHIP
     return Waveform(
         iq=iq,
-        sample_rate=cfg.sample_rate,
+        sample_rate=_SAMPLE_RATE,
         annotations={
             "protocol": Protocol.WIFI_B,
             "rate_mbps": cfg.rate_mbps,
             "payload_start": payload_start,
-            "samples_per_symbol": chips_per_symbol * cfg.samples_per_chip,
+            "samples_per_symbol": chips_per_symbol * _SAMPLES_PER_CHIP,
             "n_payload_symbols": psdu_chips.size // chips_per_symbol,
             "payload_bits": psdu_bits.copy(),
-            "scrambler_seed": cfg.seed,
-            "short_preamble": cfg.short_preamble,
             "n_head_bits": n_head,
             "scrambled_domain": scrambled_domain,
         },
@@ -405,12 +343,12 @@ def _diff_dibits(symbols: np.ndarray, prev: complex) -> np.ndarray:
     return _DQPSK_INV_LUT[quadrant].ravel()
 
 
-def _build_cck_banks() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate codeword banks (phi1 = 0) for the CCK searches.
+def _build_cck55_bank() -> tuple[np.ndarray, np.ndarray]:
+    """Candidate codeword bank (phi1 = 0) for the CCK 5.5 search.
 
     Bank rows are in the same nesting order the scalar search used, so
     first-``argmax`` reproduces its strictly-greater tie rule.  The
-    paired bit tables give the data bits each row encodes.
+    paired bit table gives the data bits each row encodes.
     """
     cw55 = np.empty((4, 8), dtype=complex)
     bits55 = np.empty((4, 2), dtype=np.uint8)
@@ -419,33 +357,14 @@ def _build_cck_banks() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             i = 2 * d2 + d3
             cw55[i] = _cck_codeword(0.0, _CCK55_PHI2[d2], 0.0, d3 * np.pi)
             bits55[i] = (d2, d3)
-
-    dibits = list(_CCK11_QPSK.items())
-    cw11 = np.empty((64, 8), dtype=complex)
-    bits11 = np.empty((64, 6), dtype=np.uint8)
-    i = 0
-    for (d23, p2) in dibits:
-        for (d45, p3) in dibits:
-            for (d67, p4) in dibits:
-                cw11[i] = _cck_codeword(0.0, p2 + np.pi / 2, p3, p4)
-                bits11[i] = (*d23, *d45, *d67)
-                i += 1
-    return cw55, bits55, cw11, bits11
+    return cw55, bits55
 
 
-_CCK55_BANK, _CCK55_BITS, _CCK11_BANK, _CCK11_BITS = _build_cck_banks()
+_CCK55_BANK, _CCK55_BITS = _build_cck55_bank()
 
 
-def _cck_decode(
-    iq: np.ndarray,
-    sps: int,
-    n_symbols: int,
-    start: int,
-    prev: complex,
-    bank: np.ndarray,
-    bank_bits: np.ndarray,
-) -> np.ndarray:
-    """Differential-coherent CCK demodulation against a codeword bank.
+def _cck55_decode(iq: np.ndarray, sps: int, n_symbols: int, start: int, prev: complex) -> np.ndarray:
+    """Differential-coherent CCK 5.5 demodulation against the codeword bank.
 
     Correlates every symbol with every candidate codeword in one
     matmul, picks the best per symbol, then recovers the (d0, d1)
@@ -454,7 +373,7 @@ def _cck_decode(
     if n_symbols == 0:
         return np.zeros(0, dtype=np.uint8)
     chips = _symbol_matrix(iq, 8 * sps, n_symbols, start).reshape(n_symbols, 8, sps).mean(axis=2)
-    corr = chips @ bank.conj().T  # (n_symbols, n_codewords)
+    corr = chips @ _CCK55_BANK.conj().T  # (n_symbols, n_codewords)
     best = np.argmax(np.abs(corr), axis=1)
     corr_best = corr[np.arange(n_symbols), best]
 
@@ -465,17 +384,7 @@ def _cck_decode(
     rot = corr_best * np.where(np.abs(ref) == 0, 1.0 + 0j, np.conj(ref))
     phase = np.mod(np.angle(rot) + np.pi / 4, 2 * np.pi)
     quadrant = (phase // (np.pi / 2)).astype(int)
-    return np.hstack([_DQPSK_INV_LUT[quadrant], bank_bits[best]]).ravel()
-
-
-def _cck11_decode(iq: np.ndarray, sps: int, n_symbols: int, start: int, prev: complex) -> np.ndarray:
-    """Differential-coherent CCK 11 Mbps demodulation (64-way search)."""
-    return _cck_decode(iq, sps, n_symbols, start, prev, _CCK11_BANK, _CCK11_BITS)
-
-
-def _cck55_decode(iq: np.ndarray, sps: int, n_symbols: int, start: int, prev: complex) -> np.ndarray:
-    """Differential-coherent CCK 5.5 demodulation."""
-    return _cck_decode(iq, sps, n_symbols, start, prev, _CCK55_BANK, _CCK55_BITS)
+    return np.hstack([_DQPSK_INV_LUT[quadrant], _CCK55_BITS[best]]).ravel()
 
 
 def demodulate(
@@ -499,23 +408,13 @@ def demodulate(
     sps = ann["samples_per_symbol"] // (11 if ann["rate_mbps"] in (1.0, 2.0) else 8)
     rate = ann["rate_mbps"]
     payload_start = ann["payload_start"]
-    short = ann.get("short_preamble", False)
     n_head_symbols = payload_start // (11 * sps)
 
     head_syms = _despread_barker(wave.iq, sps, n_head_symbols, 0)
-    if short:
-        # SYNC(56) + SFD(16) at DBPSK, then 24 DQPSK header symbols.
-        n_sync = 72
-        sync_bits = _diff_bits(head_syms[1:n_sync], head_syms[0])
-        first_bit = np.uint8(np.real(head_syms[0]) < 0)
-        hdr_bits = _diff_dibits(head_syms[n_sync:], head_syms[n_sync - 1])
-        head_onair = np.concatenate([[first_bit], sync_bits, hdr_bits])
-        sync_len = n_sync
-    else:
-        head_onair = _diff_bits(head_syms[1:], head_syms[0])
-        first_bit = np.uint8(np.real(head_syms[0]) < 0)
-        head_onair = np.concatenate([[first_bit], head_onair])
-        sync_len = 144
+    head_onair = _diff_bits(head_syms[1:], head_syms[0])
+    first_bit = np.uint8(np.real(head_syms[0]) < 0)
+    head_onair = np.concatenate([[first_bit], head_onair])
+    sync_len = 144
 
     n_sym = ann["n_payload_symbols"]
     prev = head_syms[-1] if head_syms.size else 1.0 + 0j
@@ -526,15 +425,11 @@ def demodulate(
     elif tenths == 20:
         syms = _despread_barker(wave.iq, sps, n_sym, payload_start)
         psdu_onair = _diff_dibits(syms, prev)
-    elif tenths == 55:
+    else:  # CCK 5.5
         psdu_onair = _cck55_decode(wave.iq, sps, n_sym, payload_start, prev)
-    else:
-        psdu_onair = _cck11_decode(wave.iq, sps, n_sym, payload_start, prev)
 
     onair = np.concatenate([head_onair, psdu_onair])
-    descrambled = bitlib.descramble_80211b(
-        onair, seed=ann.get("scrambler_seed", 0x6C)
-    )
+    descrambled = bitlib.descramble_80211b(onair, seed=_SCRAMBLER_SEED)
 
     n_head_bits = head_onair.size
     header_bits = descrambled[sync_len:n_head_bits]

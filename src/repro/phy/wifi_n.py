@@ -113,6 +113,9 @@ _MCS_TABLE = {
     7: ("64QAM", 6, "5/6"),
 }
 
+#: Frame-synchronous scrambler initial state.
+_SCRAMBLER_SEED = 0x5D
+
 #: Numerator/denominator per coding-rate string.
 _RATE_FRACTION = {"1/2": (1, 2), "2/3": (2, 3), "3/4": (3, 4), "5/6": (5, 6)}
 
@@ -122,12 +125,9 @@ class WifiNConfig:
     """Modulator configuration for the HT data portion.
 
     ``mcs`` selects the single-stream 20 MHz MCS (0-7).
-    ``scrambler_seed`` is the frame-synchronous scrambler initial
-    state.
     """
 
     mcs: int = 0
-    scrambler_seed: int = 0x5D
 
     def __post_init__(self) -> None:
         if self.mcs not in _MCS_TABLE:
@@ -479,7 +479,7 @@ def modulate(
     pad = n_sym * cfg.n_dbps - stream.size
     stream = np.concatenate([stream, np.zeros(pad, np.uint8)])
 
-    scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
+    scrambled = bitlib.scramble_80211_frame(stream, seed=_SCRAMBLER_SEED)
     coded = convcode.puncture(convcode.encode(scrambled), cfg.coding_rate)
 
     points = _map_bits(ht_interleave(coded, cfg.n_bpsc), cfg.constellation)
@@ -509,7 +509,6 @@ def modulate(
             "samples_per_symbol": SYMBOL_LEN,
             "n_payload_symbols": n_sym,
             "n_stream_bits": stream.size,
-            "scrambler_seed": cfg.scrambler_seed,
             "ht_ltf_start": payload_start - SYMBOL_LEN,
         },
     )
@@ -592,7 +591,7 @@ def demodulate(
     ann = wave.annotations
     if ann.get("protocol") is not Protocol.WIFI_N:
         raise ValueError("waveform is not annotated as 802.11n")
-    cfg = WifiNConfig(mcs=ann["mcs"], scrambler_seed=ann.get("scrambler_seed", 0x5D))
+    cfg = WifiNConfig(mcs=ann["mcs"])
     if correct_cfo:
         cfo = estimate_cfo(wave)
         if abs(cfo) > 1.0:
@@ -629,7 +628,7 @@ def demodulate(
     n_padded = n_sym * cfg.n_dbps
     if scrambled.size < n_padded:
         scrambled = np.pad(scrambled, (0, n_padded - scrambled.size))
-    data_bits = bitlib.scramble_80211_frame(scrambled, seed=cfg.scrambler_seed)[:n_padded]
+    data_bits = bitlib.scramble_80211_frame(scrambled, seed=_SCRAMBLER_SEED)[:n_padded]
 
     psdu = data_bits[16:n_stream - 6] if n_stream >= 22 else data_bits[16:]
     if n_psdu_bits is not None:

@@ -34,7 +34,6 @@ from repro.phy.waveform import Waveform
 
 __all__ = [
     "PN_TABLE",
-    "ZigbeeConfig",
     "modulate",
     "demodulate",
     "demodulate_batch",
@@ -45,6 +44,9 @@ __all__ = [
 
 CHIPS_PER_SYMBOL = 32
 CHIP_RATE = 2e6
+#: Oversampling of the 2 Mchip/s stream.  Each I/Q chip lasts two chip
+#: periods (1 us) with the Q branch offset by half of that.
+_SAMPLES_PER_CHIP = 4
 
 #: PN sequence for data symbol 0 (802.15.4-2015 Table 12-1, c0..c31).
 _PN0 = np.array(
@@ -86,26 +88,6 @@ _SFD_SYMBOLS = (0x7, 0xA)
 _N_PREAMBLE_SYMBOLS = 8
 
 
-@dataclass(frozen=True)
-class ZigbeeConfig:
-    """Modulator configuration.
-
-    ``samples_per_chip`` oversamples the 2 Mchip/s stream (the sample
-    rate is ``2e6 * samples_per_chip``).  Each I/Q chip lasts two chip
-    periods (1 us) with the Q branch offset by half of that.
-    """
-
-    samples_per_chip: int = 4
-
-    @property
-    def sample_rate(self) -> Hertz:
-        return CHIP_RATE * self.samples_per_chip
-
-    def __post_init__(self) -> None:
-        if self.samples_per_chip < 2 or self.samples_per_chip % 2:
-            raise ValueError("samples_per_chip must be an even integer >= 2")
-
-
 @contracts.shapes("n_bits -> n_bits//4")
 def symbols_from_bits(bits: np.ndarray) -> BitArray:
     """Pack bits into 4-bit symbols, low nibble first (LSB-first bits)."""
@@ -125,7 +107,7 @@ def bits_from_symbols(symbols: np.ndarray) -> BitArray:
 
 @contracts.shapes("n")
 @contracts.dtypes(np.uint8)
-def _oqpsk_waveform(chips: np.ndarray, cfg: ZigbeeConfig) -> ComplexIQ:
+def _oqpsk_waveform(chips: np.ndarray) -> ComplexIQ:
     """Half-sine OQPSK: even chips -> I, odd chips -> Q (offset Tc/2)."""
     bipolar = 2.0 * chips.astype(float) - 1.0
     i_chips = bipolar[0::2]
@@ -133,10 +115,10 @@ def _oqpsk_waveform(chips: np.ndarray, cfg: ZigbeeConfig) -> ComplexIQ:
     # Each I (and Q) chip occupies 1 us = 2 chip periods; consecutive
     # same-branch pulses abut without overlap, so the waveform is just
     # the scaled pulses laid out back to back.
-    sps_ichip = 2 * cfg.samples_per_chip
+    sps_ichip = 2 * _SAMPLES_PER_CHIP
     p = pulse.half_sine_pulse(sps_ichip)
     half = sps_ichip // 2
-    n_total = chips.size * cfg.samples_per_chip + half
+    n_total = chips.size * _SAMPLES_PER_CHIP + half
     i_wave = np.zeros(n_total)
     q_wave = np.zeros(n_total)
     i_wave[: i_chips.size * sps_ichip] = (i_chips[:, None] * p).ravel()
@@ -144,40 +126,26 @@ def _oqpsk_waveform(chips: np.ndarray, cfg: ZigbeeConfig) -> ComplexIQ:
     return (i_wave + 1j * q_wave) / np.sqrt(2.0)
 
 
-def _payload_bits(
-    payload: bytes | np.ndarray, *, include_fcs: bool
-) -> BitArray:
+def _payload_bits(payload: bytes | np.ndarray) -> BitArray:
     """Normalize a PSDU (bytes or bit array) to its on-air bit stream."""
     if isinstance(payload, (bytes, bytearray)):
-        payload_bits = bitlib.bits_from_bytes(payload)
-    else:
-        payload_bits = np.asarray(payload, dtype=np.uint8)
-        if payload_bits.size % 4:
-            raise ValueError("payload bit count must be a multiple of 4")
-    if include_fcs:
-        payload_bits = np.concatenate(
-            [payload_bits, bitlib.crc16_ccitt(payload_bits)]
-        )
+        return bitlib.bits_from_bytes(payload)
+    payload_bits = np.asarray(payload, dtype=np.uint8)
+    if payload_bits.size % 4:
+        raise ValueError("payload bit count must be a multiple of 4")
     return payload_bits
 
 
 @contracts.dtypes(np.uint8)
-def modulate(
-    payload: bytes | np.ndarray,
-    config: ZigbeeConfig | None = None,
-    *,
-    include_fcs: bool = False,
-) -> Waveform:
+def modulate(payload: bytes | np.ndarray) -> Waveform:
     """Modulate a PSDU (bytes or bit array) into an 802.15.4 waveform.
 
     The frame is SHR (8 zero symbols + SFD 0xA7) + PHR (length byte) +
-    PSDU symbols.  With ``include_fcs`` the 802.15.4 CRC-16 (ITU-T,
-    appended little-endian) is added to the PSDU -- the paper turns CRC
-    checking *off* at the NICs, hence the default.
+    PSDU symbols, with no FCS: the paper turns CRC checking *off* at
+    the NICs.
     """
     perf.count("zigbee.modulate")
-    cfg = config or ZigbeeConfig()
-    payload_bits = _payload_bits(payload, include_fcs=include_fcs)
+    payload_bits = _payload_bits(payload)
 
     phr = bitlib.bits_from_int((payload_bits.size // 8) & 0x7F, 8)
     header_symbols = np.concatenate(
@@ -190,19 +158,18 @@ def modulate(
     payload_symbols = symbols_from_bits(payload_bits)
     symbols = np.concatenate([header_symbols, payload_symbols])
     chips = PN_TABLE[symbols].ravel()
-    iq = _oqpsk_waveform(chips, cfg)
+    iq = _oqpsk_waveform(chips)
 
-    samples_per_symbol = CHIPS_PER_SYMBOL * cfg.samples_per_chip
+    samples_per_symbol = CHIPS_PER_SYMBOL * _SAMPLES_PER_CHIP
     return Waveform(
         iq=iq,
-        sample_rate=cfg.sample_rate,
+        sample_rate=CHIP_RATE * _SAMPLES_PER_CHIP,
         annotations={
             "protocol": Protocol.ZIGBEE,
             "payload_start": header_symbols.size * samples_per_symbol,
             "samples_per_symbol": samples_per_symbol,
             "n_payload_symbols": payload_symbols.size,
             "n_header_symbols": header_symbols.size,
-            "has_fcs": include_fcs,
         },
     )
 
@@ -221,7 +188,6 @@ class ZigbeeDecodeResult:
     symbols: np.ndarray
     correlations: np.ndarray
     sfd_ok: bool
-    fcs_ok: bool | None = None
 
 
 def _chip_matched_outputs(wave: Waveform, n_chips: int) -> ComplexIQ:
@@ -327,18 +293,11 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
         == _SFD_SYMBOLS
     )
     payload_symbols = symbols[n_header:]
-    payload_bits = bits_from_symbols(payload_symbols)
-    fcs_ok: bool | None = None
-    if ann.get("has_fcs") and payload_bits.size >= 16:
-        body, fcs_rx = payload_bits[:-16], payload_bits[-16:]
-        fcs_ok = bool(np.array_equal(bitlib.crc16_ccitt(body), fcs_rx))
-        payload_bits = body
     return ZigbeeDecodeResult(
-        payload_bits=payload_bits,
+        payload_bits=bits_from_symbols(payload_symbols),
         symbols=payload_symbols,
         correlations=corrs[n_header:],
         sfd_ok=sfd_ok,
-        fcs_ok=fcs_ok,
     )
 
 

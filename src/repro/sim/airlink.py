@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.tag import MultiscatterTag, SingleProtocolTag
 from repro.rng import fallback_rng
 from repro.sim.pipeline import AirlinkPipeline, PacketOutcome
 from repro.sim.traffic import ExcitationSchedule
@@ -66,7 +65,6 @@ class AirlinkReport:
 
 def run_airlink(
     schedule: ExcitationSchedule,
-    tag: MultiscatterTag | SingleProtocolTag,
     *,
     d_tag_rx_m: float = 2.0,
     tag_payload: np.ndarray | None = None,
@@ -75,10 +73,11 @@ def run_airlink(
 ) -> AirlinkReport:
     """Run a schedule through excitation -> tag -> channel -> receiver.
 
-    Each scheduled packet becomes a crafted overlay carrier; the tag
-    identifies it (signal-level pipeline) and backscatters the next
-    chunk of ``tag_payload``; the receiver decodes at the RSSI/noise
-    implied by the calibrated link budget for ``d_tag_rx_m``.
+    Each scheduled packet becomes a crafted overlay carrier; a fresh
+    :class:`~repro.core.tag.MultiscatterTag` identifies it (signal-level
+    pipeline) and backscatters the next chunk of ``tag_payload``; the
+    receiver decodes at the RSSI/noise implied by the calibrated link
+    budget for ``d_tag_rx_m``.
     """
     rng = fallback_rng(rng)
     payload = (
@@ -87,7 +86,7 @@ def run_airlink(
         else rng.integers(0, 2, 4096).astype(np.uint8)
     )
     report = AirlinkReport(duration_s=schedule.duration_s)
-    pipeline = AirlinkPipeline(tag, d_tag_rx_m=d_tag_rx_m)
+    pipeline = AirlinkPipeline(d_tag_rx_m=d_tag_rx_m)
     cursor = 0
 
     packets = schedule.packets[:max_packets] if max_packets else schedule.packets

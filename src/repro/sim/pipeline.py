@@ -37,13 +37,13 @@ from repro.channel.noise import awgn
 from repro.core.identification import DEFAULT_INCIDENT_DBM
 from repro.core.overlay import OverlayCodec, OverlayConfig
 from repro.core.overlay_decoder import OverlayDecoder
-from repro.core.tag import MultiscatterTag, SingleProtocolTag, TagReaction
+from repro.core.tag import MultiscatterTag, TagReaction
 from repro.core.tag_modulation import TagModulator
 from repro.core.wavecache import LruCache
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.sim import faults
-from repro.sim.traffic import ScheduledPacket, random_packet
+from repro.sim.traffic import ScheduledPacket
 
 __all__ = [
     "PacketOutcome",
@@ -81,7 +81,7 @@ class PacketOutcome:
 
 @dataclass(frozen=True)
 class ReceiverSet:
-    """One protocol/mode's hoisted receive-side construction.
+    """One overlay layout's hoisted receive-side construction.
 
     Everything here is deterministic, stateless across packets, and
     shared: the overlay codec (layout arithmetic), a reference tag
@@ -96,31 +96,32 @@ class ReceiverSet:
     link: BackscatterLink
 
 
-#: (OverlayConfig, frequency_shift_hz) -> ReceiverSet.  Hit rates are
-#: visible in the REPRO_PERF=1 report; see repro.core.wavecache.
+#: OverlayConfig -> ReceiverSet.  Hit rates are visible in the
+#: REPRO_PERF=1 report; see repro.core.wavecache.
 _RECEIVER_CACHE = LruCache(maxsize=32, name="sim.pipeline.receiver_set")
 
 
-def receiver_set(config: OverlayConfig, frequency_shift_hz: float) -> ReceiverSet:
+def receiver_set(config: OverlayConfig) -> ReceiverSet:
     """The memoized per-overlay-layout receiver/template set.
 
     The batch driver used to rebuild codec, modulator, decoder and
     link objects per packet; the construction is deterministic from
     the frozen :class:`OverlayConfig` (no RNG draws), so hoisting it
     behind the wavecache changes no decoded bit while the gateway hot
-    loop stops re-deriving receivers.
+    loop stops re-deriving receivers.  The modulator shifts by the
+    tag's :data:`~repro.core.tag_modulation.DEFAULT_SHIFT_HZ`.
     """
 
     def build() -> ReceiverSet:
         codec = OverlayCodec(config)
         return ReceiverSet(
             codec=codec,
-            modulator=TagModulator(codec, frequency_shift_hz=frequency_shift_hz),
+            modulator=TagModulator(codec),
             decoder=OverlayDecoder(codec),
             link=BackscatterLink(PROTOCOL_LINK_DEFAULTS[config.protocol]),
         )
 
-    out = _RECEIVER_CACHE.get_or_create((config, float(frequency_shift_hz)), build)
+    out = _RECEIVER_CACHE.get_or_create(config, build)
     assert isinstance(out, ReceiverSet)
     return out
 
@@ -149,7 +150,7 @@ class DecodePayload:
     """A pickle-safe :class:`PendingReception` for the decode pool.
 
     Carries the reception's data plus the *key* of its receiver set
-    (overlay config and frequency shift) instead of the constructed
+    (the overlay config) instead of the constructed
     :class:`ReceiverSet`: the worker rebuilds the receivers through
     :func:`receiver_set`, so the first batch a worker process sees
     warms its own wavecache and every later batch hits it.  All fields
@@ -165,7 +166,6 @@ class DecodePayload:
     tag_bits_sent: np.ndarray
     productive: np.ndarray
     config: OverlayConfig
-    frequency_shift_hz: float
 
 
 def pending_to_payload(pending: PendingReception) -> DecodePayload:
@@ -178,7 +178,6 @@ def pending_to_payload(pending: PendingReception) -> DecodePayload:
         tag_bits_sent=pending.tag_bits_sent,
         productive=pending.productive,
         config=pending.receivers.codec.config,
-        frequency_shift_hz=pending.receivers.modulator.frequency_shift_hz,
     )
 
 
@@ -186,8 +185,8 @@ def payload_to_pending(payload: DecodePayload) -> PendingReception:
     """Rebuild a decodable reception in the receiving process.
 
     ``receiver_set`` is memoized per process, so this is the worker's
-    cache-warmup path: construction cost is paid once per (config,
-    shift) per worker, never per packet.
+    cache-warmup path: construction cost is paid once per config per
+    worker, never per packet.
     """
     return PendingReception(
         protocol=payload.protocol,
@@ -196,67 +195,23 @@ def payload_to_pending(payload: DecodePayload) -> PendingReception:
         received=payload.received,
         tag_bits_sent=payload.tag_bits_sent,
         productive=payload.productive,
-        receivers=receiver_set(payload.config, payload.frequency_shift_hz),
+        receivers=receiver_set(payload.config),
     )
 
 
 class AirlinkPipeline:
     """The per-packet excite -> identify -> backscatter -> channel ->
-    decode pipeline for one tag.
+    decode pipeline for one :class:`~repro.core.tag.MultiscatterTag`.
 
     Parameters
     ----------
-    tag:
-        The reacting tag (multiscatter or single-protocol).
     d_tag_rx_m:
         Tag-to-receiver distance; sets the calibrated decode SNR.
     """
 
-    def __init__(
-        self,
-        tag: MultiscatterTag | SingleProtocolTag,
-        *,
-        d_tag_rx_m: float = 2.0,
-    ) -> None:
-        self.tag = tag
+    def __init__(self, *, d_tag_rx_m: float = 2.0) -> None:
+        self.tag = MultiscatterTag()
         self.d_tag_rx_m = d_tag_rx_m
-
-    # -- stage 1: excitation ------------------------------------------
-    def _modulator_for(self, protocol: Protocol) -> TagModulator | None:
-        """The overlay modulator used to craft this packet's carrier.
-
-        ``None`` means the tag ignores this protocol entirely (a
-        single-protocol tag seeing foreign excitation).
-        """
-        tag = self.tag
-        if isinstance(tag, MultiscatterTag):
-            return tag.modulator_for(protocol)
-        if protocol is not tag.protocol:
-            return None
-        config = OverlayConfig.for_mode(protocol, tag.mode)
-        return receiver_set(config, tag.frequency_shift_hz).modulator
-
-    def _foreign_packet_outcome(
-        self, scheduled: ScheduledPacket, rng: np.random.Generator
-    ) -> PacketOutcome:
-        """A single-protocol tag's non-reaction to foreign excitation.
-
-        The excitation is a plain random packet (the tag has no codec
-        for it, and ignores it anyway); the RNG draw order matches the
-        historical batch loop exactly.
-        """
-        excitation = random_packet(scheduled.protocol, rng, n_payload_bytes=20)
-        reaction = self.tag.react(excitation, [])
-        return PacketOutcome(
-            protocol=scheduled.protocol,
-            start_s=scheduled.start_s,
-            identified=reaction.identified,
-            backscattered=False,
-            tag_bits_sent=0,
-            tag_bits_correct=0,
-            productive_bits_correct=0,
-            productive_bits_total=0,
-        )
 
     # -- stages 1-4: excite, identify, backscatter, channel ------------
     def excite_and_react(
@@ -273,12 +228,9 @@ class AirlinkPipeline:
         decode stage, plus the advanced payload cursor.
         """
         protocol = scheduled.protocol
-        modulator = self._modulator_for(protocol)
-        if modulator is None:
-            return self._foreign_packet_outcome(scheduled, rng), cursor
-
+        modulator = self.tag.modulator_for(protocol)
         codec = modulator.codec
-        receivers = receiver_set(codec.config, modulator.frequency_shift_hz)
+        receivers = receiver_set(codec.config)
         productive = rng.integers(0, 2, N_PRODUCTIVE_BITS).astype(np.uint8)
         excitation = codec.build_carrier(productive)
         _, capacity = codec.capacity(excitation.annotations["n_payload_symbols"])

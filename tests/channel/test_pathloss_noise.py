@@ -35,6 +35,10 @@ class TestPathloss:
         with pytest.raises(ValueError):
             pathloss.log_distance_path_loss_db(1.0, exponent=-1)
 
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(ValueError, match="exponent"):
+            pathloss.log_distance_path_loss_db(1.0, exponent=float("nan"))
+
 
 class TestNoise:
     def test_noise_floor_formula(self):

@@ -20,6 +20,7 @@ from repro.core.identification import (
 )
 from repro.core.matching import DEFAULT_ORDER, OrderedMatcher, search_thresholds
 from repro.core.overlay import Mode
+from repro.core.templates import TEMPLATE_INCIDENT_DBM
 from repro.experiments import common
 from repro.experiments.common import labeled_traces
 from repro.phy.protocols import Protocol
@@ -324,14 +325,13 @@ class TestScoreTraces:
                     assert list(got.items()) == list(want.items())
                 assert g1.bit_generator.state == g2.bit_generator.state
 
-    def test_missing_power_needs_one_configured_power(self, traces):
-        idents = [ProtocolIdentifier(),
-                  ProtocolIdentifier(IdentificationConfig(incident_power_dbm=-20.0))]
-        powers = {Protocol.WIFI_B: -24.0}
-        with pytest.raises(ValueError, match="configured powers"):
-            score_traces(idents, traces, rng=np.random.default_rng(0), incident_power_dbm=powers)
-        full = {p: -24.0 for p in Protocol}
-        score_traces(idents, traces, rng=np.random.default_rng(0), incident_power_dbm=full)
+    def test_missing_power_is_the_templates_power(self, traces):
+        idents = IDENTIFIER_SETS["fig08"]()
+        partial = {Protocol.WIFI_B: -24.0}
+        full = {p: TEMPLATE_INCIDENT_DBM for p in Protocol} | partial
+        got = score_traces(idents, traces, rng=np.random.default_rng(0), incident_power_dbm=partial)
+        want = score_traces(idents, traces, rng=np.random.default_rng(0), incident_power_dbm=full)
+        assert got == want
 
     def test_phase_is_uniform_bit_for_bit(self):
         # One shared draw d gives each identifier 0.0 + (1 / rate) * d,

@@ -17,7 +17,7 @@ from repro.core.rectifier import (
     incident_peak_voltage,
     recommended_tau,
 )
-from repro.core.templates import reference_waveform
+from repro.core.templates import TEMPLATE_INCIDENT_DBM, reference_waveform
 from repro.phy import wifi_b
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
@@ -43,6 +43,11 @@ class TestVoltageScale:
     def test_recommended_tau_rejects_bad_order(self):
         with pytest.raises(ValueError):
             recommended_tau(1e6, 2e6)
+
+    @pytest.mark.parametrize("name", ["f_carrier_hz", "f_baseband_hz"])
+    def test_recommended_tau_rejects_nan(self, name):
+        with pytest.raises(ValueError, match=name):
+            recommended_tau(**{name: float("nan")})
 
 
 class TestRectifiers:
@@ -214,7 +219,7 @@ class TestWindowedFrontEnd:
             g1, g2 = np.random.default_rng(8), np.random.default_rng(8)
             got = ident.scores(wave, rng=g1)
             phase_s = float(g2.uniform(0.0, 1.0 / cfg.sample_rate_hz))
-            analog = ident.rectifier.rectify(wave, cfg.incident_power_dbm, rng=g2)
+            analog = ident.rectifier.rectify(wave, TEMPLATE_INCIDENT_DBM, rng=g2)
             codes = ident.adc.capture(
                 analog, duration_s=need / cfg.sample_rate_hz, phase_s=phase_s
             ).codes

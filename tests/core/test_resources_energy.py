@@ -141,3 +141,24 @@ class TestTable4:
             SolarHarvester().power_mw(0)
         with pytest.raises(ValueError):
             EnergyBudget().packets_per_charge(0)
+
+
+class TestRejectsNaN:
+    """NaN fails every comparison, so each guard raises on the negated
+    comparison (reprolint R006), naming the input."""
+
+    @pytest.mark.parametrize(
+        ("name", "call"),
+        [
+            ("sample_rate_hz", lambda v: PROTOTYPE_POWER.at_adc_rate(v)),
+            ("power_mw", lambda v: StorageCapacitor().runtime_s(v)),
+            ("lux", lambda v: SolarHarvester().power_mw(v)),
+            ("energy_j", lambda v: SolarHarvester().harvest_time_s(v, 500.0)),
+            ("lux", lambda v: SolarHarvester().harvest_time_s(1.0, v)),
+            ("packet_rate_hz", lambda v: EnergyBudget().packets_per_charge(v)),
+            ("sample_rate_hz", lambda v: identification_power_mw(100, v, quantized=True)),
+        ],
+    )
+    def test_nan_raises_naming_the_input(self, name, call):
+        with pytest.raises(ValueError, match=name):
+            call(float("nan"))

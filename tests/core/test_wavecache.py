@@ -203,9 +203,7 @@ class TestCachedBank:
     def test_derivation_params_are_part_of_the_key(self):
         base = cached_bank(Adc(sample_rate=2.5e6))
         assert cached_bank(Adc(sample_rate=5.0e6)) is not base
-        assert cached_bank(
-            Adc(sample_rate=2.5e6), incident_power_dbm=-20.0
-        ) is not base
+        assert cached_bank(Adc(sample_rate=2.5e6), window_us=38.0) is not base
 
     def test_matches_uncached_build(self):
         cached = cached_bank(Adc(sample_rate=2.5e6))

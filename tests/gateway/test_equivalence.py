@@ -18,18 +18,22 @@ import asyncio
 import hashlib
 
 import numpy as np
-import pytest
 
-from repro.core.tag import MultiscatterTag, SingleProtocolTag
+from repro.core.tag import MultiscatterTag
 from repro.gateway import AsyncExcitationSource, Gateway, GatewayConfig, PacketEvent
 from repro.phy.protocols import Protocol
 from repro.sim.airlink import run_airlink
+from repro.sim.pipeline import PendingReception
 from repro.sim.traffic import ExcitationSchedule, ExcitationSource
 
 from tests.reference_impls import reference_run_airlink
 
 SEED = 2024
 N_PACKETS = 12
+#: A longer run of the same schedule whose 16th packet (an 802.11n one)
+#: the tag identifies as ZigBee: the miss short-circuits past the decode
+#: stage, so a batch can hold ready outcomes and receptions together.
+N_MISS_PACKETS = 20
 
 
 def mixed_sources() -> list[ExcitationSource]:
@@ -102,7 +106,7 @@ def stream_digest(events) -> str:
     return h.hexdigest()
 
 
-def stream_events(make_tag, *, decode_batch: int = 1):
+def stream_events(*, decode_batch: int = 1, n_packets: int = N_PACKETS):
     """Run the gateway over the same schedule and collect its events."""
 
     async def run():
@@ -110,12 +114,12 @@ def stream_events(make_tag, *, decode_batch: int = 1):
             mixed_sources(),
             duration_s=0.4,
             rng=np.random.default_rng(5),
-            max_packets=N_PACKETS,
+            max_packets=n_packets,
         )
         gw = Gateway(
             GatewayConfig(seed=0, keepalive_timeout_s=30.0, decode_batch=decode_batch)
         )
-        await gw.register_tag("t", make_tag(), rng=np.random.default_rng(SEED))
+        await gw.register_tag("t", rng=np.random.default_rng(SEED))
         sub = gw.subscribe("s", maxlen=256)
         events = []
 
@@ -134,13 +138,36 @@ def stream_events(make_tag, *, decode_batch: int = 1):
     return asyncio.run(run())
 
 
-def stream_outcomes(make_tag, *, decode_batch: int = 1):
+def stream_outcomes(*, decode_batch: int = 1, n_packets: int = N_PACKETS):
     """The outcomes of :func:`stream_events`, in publication order."""
     return [
         ev.outcome
-        for ev in stream_events(make_tag, decode_batch=decode_batch)
+        for ev in stream_events(decode_batch=decode_batch, n_packets=n_packets)
         if isinstance(ev, PacketEvent)
     ]
+
+
+def record_batches(monkeypatch) -> list[tuple[bool, ...]]:
+    """Record every batch the gateway hands to its publisher as one
+    flag per packet: ``True`` for a reception awaiting decode, ``False``
+    for an outcome that skipped it (an identification miss)."""
+    batches: list[tuple[bool, ...]] = []
+    dispatch = Gateway._dispatch_batch
+
+    async def recording(self, pending):
+        if pending:
+            batches.append(
+                tuple(isinstance(staged, PendingReception) for *_, staged in pending)
+            )
+        await dispatch(self, pending)
+
+    monkeypatch.setattr(Gateway, "_dispatch_batch", recording)
+    return batches
+
+
+def has_mixed_batch(batches) -> bool:
+    """Did a batch hold a miss beside a reception?"""
+    return any(any(b) and not all(b) for b in batches)
 
 
 def assert_matches_reference(outcomes, reference):
@@ -161,27 +188,25 @@ class TestBatchDriverAgainstFrozenMonolith:
         )
         report = run_airlink(
             sched,
-            MultiscatterTag(),
             rng=np.random.default_rng(SEED),
             max_packets=N_PACKETS,
         )
         assert_matches_reference(report.outcomes, ref)
 
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_single_protocol_tags(self, protocol):
+    def test_identification_misses(self):
         sched = batch_schedule()
         ref = reference_run_airlink(
             sched,
-            SingleProtocolTag(protocol=protocol),
+            MultiscatterTag(),
             rng=np.random.default_rng(SEED),
-            max_packets=N_PACKETS,
+            max_packets=N_MISS_PACKETS,
         )
         report = run_airlink(
             sched,
-            SingleProtocolTag(protocol=protocol),
             rng=np.random.default_rng(SEED),
-            max_packets=N_PACKETS,
+            max_packets=N_MISS_PACKETS,
         )
+        assert any(not o.backscattered for o in report.outcomes)
         assert_matches_reference(report.outcomes, ref)
 
 
@@ -193,18 +218,20 @@ class TestStreamingAgainstBatch:
             rng=np.random.default_rng(SEED),
             max_packets=N_PACKETS,
         )
-        assert_matches_reference(stream_outcomes(MultiscatterTag), ref)
+        assert_matches_reference(stream_outcomes(), ref)
 
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_single_protocol_streaming_matches_batch(self, protocol):
+    def test_batched_misses_stream_as_batch(self, monkeypatch):
+        # With decode_batch > 1 a miss waits in its batch behind the
+        # receptions staged before it, and still publishes in order.
         report = run_airlink(
             batch_schedule(),
-            SingleProtocolTag(protocol=protocol),
             rng=np.random.default_rng(SEED),
-            max_packets=N_PACKETS,
+            max_packets=N_MISS_PACKETS,
         )
-        streamed = stream_outcomes(lambda: SingleProtocolTag(protocol=protocol))
-        assert len(streamed) == len(report.outcomes) == N_PACKETS
+        batches = record_batches(monkeypatch)
+        streamed = stream_outcomes(decode_batch=4, n_packets=N_MISS_PACKETS)
+        assert has_mixed_batch(batches)
+        assert len(streamed) == len(report.outcomes) == N_MISS_PACKETS
         for got, want in zip(streamed, report.outcomes):
             assert outcome_tuple(got) == outcome_tuple(want)
             assert np.array_equal(got.tag_bits_decoded, want.tag_bits_decoded)
@@ -212,8 +239,8 @@ class TestStreamingAgainstBatch:
     def test_batched_decode_stage_is_bit_identical(self):
         # decode_batch > 1 defers RNG-free decodes into groups; draw
         # order and decoded bits must not move.
-        unbatched = stream_outcomes(MultiscatterTag, decode_batch=1)
-        batched = stream_outcomes(MultiscatterTag, decode_batch=6)
+        unbatched = stream_outcomes(decode_batch=1)
+        batched = stream_outcomes(decode_batch=6)
         assert len(batched) == len(unbatched) == N_PACKETS
         for a, b in zip(batched, unbatched):
             assert outcome_tuple(a) == outcome_tuple(b)
@@ -222,6 +249,6 @@ class TestStreamingAgainstBatch:
 
 class TestGoldenStream:
     def test_mixed_schedule_stream_digest(self):
-        events = stream_events(MultiscatterTag)
+        events = stream_events()
         assert sum(isinstance(ev, PacketEvent) for ev in events) == N_PACKETS
         assert stream_digest(events) == MIXED_STREAM_SHA256

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.tag import MultiscatterTag
 from repro.gateway import (
     AsyncExcitationSource,
     Backpressure,
@@ -137,7 +136,7 @@ class TestControlPlane:
                     seed=2, keepalive_timeout_s=0.02, keepalive_interval_s=0.005
                 )
             )
-            session = await gw.register_tag("quiet", MultiscatterTag())
+            session = await gw.register_tag("quiet")
             # The tag goes quiet: no crash is observed, its keepalive
             # just stops refreshing -- only the timeout can evict it.
             gw.suspend_heartbeat("quiet")

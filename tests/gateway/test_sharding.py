@@ -20,19 +20,23 @@ import pytest
 from repro.gateway import AsyncExcitationSource, Gateway, GatewayConfig, PacketEvent
 from repro.phy.protocols import Protocol
 from repro.sim import faults
+from repro.sim.airlink import run_airlink
 from repro.sim.traffic import ExcitationSource
 
 from tests.gateway.test_equivalence import (
     MIXED_STREAM_SHA256,
+    N_MISS_PACKETS,
     N_PACKETS,
     SEED,
+    batch_schedule,
+    has_mixed_batch,
     mixed_sources,
     outcome_tuple,
+    record_batches,
     stream_digest,
     stream_events,
     stream_outcomes,
 )
-from repro.core.tag import MultiscatterTag, SingleProtocolTag
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -42,18 +46,18 @@ def _no_inherited_faults(monkeypatch):
     monkeypatch.delenv(faults.ENV_VAR, raising=False)
 
 
-def serve_sharded(make_tag, *, decode_workers, decode_batch=4, **cfg_kwargs):
+def serve_sharded(*, decode_workers, decode_batch=4, n_packets=N_PACKETS, **cfg_kwargs):
     """Gateway run over the equivalence schedule; returns (events, stats)."""
     gw, events = serve_gateway(
-        make_tag,
         decode_workers=decode_workers,
         decode_batch=decode_batch,
+        n_packets=n_packets,
         **cfg_kwargs,
     )
     return events, gw.stats
 
 
-def serve_gateway(make_tag, *, decode_workers, decode_batch, **cfg_kwargs):
+def serve_gateway(*, decode_workers, decode_batch, n_packets=N_PACKETS, **cfg_kwargs):
     """:func:`serve_sharded`, returning the served gateway and its events."""
 
     async def run():
@@ -61,7 +65,7 @@ def serve_gateway(make_tag, *, decode_workers, decode_batch, **cfg_kwargs):
             mixed_sources(),
             duration_s=0.4,
             rng=np.random.default_rng(5),
-            max_packets=N_PACKETS,
+            max_packets=n_packets,
         )
         gw = Gateway(
             GatewayConfig(
@@ -72,7 +76,7 @@ def serve_gateway(make_tag, *, decode_workers, decode_batch, **cfg_kwargs):
                 **cfg_kwargs,
             )
         )
-        await gw.register_tag("t", make_tag(), rng=np.random.default_rng(SEED))
+        await gw.register_tag("t", rng=np.random.default_rng(SEED))
         sub = gw.subscribe("s", maxlen=256)
         events = []
 
@@ -95,8 +99,8 @@ def packet_events(events):
     return [ev for ev in events if isinstance(ev, PacketEvent)]
 
 
-def assert_same_outcomes(got, want):
-    assert len(got) == len(want) == N_PACKETS
+def assert_same_outcomes(got, want, n_packets=N_PACKETS):
+    assert len(got) == len(want) == n_packets
     for a, b in zip(got, want):
         assert outcome_tuple(a) == outcome_tuple(b)
         assert np.array_equal(a.tag_bits_decoded, b.tag_bits_decoded)
@@ -110,8 +114,8 @@ class TestShardedByteIdentity:
         # The mixed schedule drives all four protocols through one tag,
         # so every receiver config crosses the executor hop, several
         # protocols to a hop.
-        inline = stream_events(MultiscatterTag, decode_batch=4)
-        events, stats = serve_sharded(MultiscatterTag, decode_workers=workers)
+        inline = stream_events(decode_batch=4)
+        events, stats = serve_sharded(decode_workers=workers)
         assert_same_outcomes(
             [ev.outcome for ev in packet_events(events)],
             [ev.outcome for ev in packet_events(inline)],
@@ -123,23 +127,25 @@ class TestShardedByteIdentity:
         assert stats.drained_clean and stats.n_dropped_events == 0
         assert stats.n_decode_retries == 0
 
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_single_protocol_tags(self, protocol):
-        inline = stream_outcomes(
-            lambda: SingleProtocolTag(protocol=protocol), decode_batch=4
-        )
-        events, _ = serve_sharded(
-            lambda: SingleProtocolTag(protocol=protocol), decode_workers=2
+    def test_misses_batched_with_receptions(self, monkeypatch):
+        # An identification miss skips the decode stage; in a batch it
+        # rides behind the receptions staged before it, which cross to a
+        # worker while the miss waits in the reordering buffer.
+        batches = record_batches(monkeypatch)
+        events, _ = serve_sharded(decode_workers=2, n_packets=N_MISS_PACKETS)
+        assert has_mixed_batch(batches)
+        batch = run_airlink(
+            batch_schedule(), rng=np.random.default_rng(SEED), max_packets=N_MISS_PACKETS
         )
         assert_same_outcomes(
-            [ev.outcome for ev in packet_events(events)], inline
+            [ev.outcome for ev in packet_events(events)], batch.outcomes, N_MISS_PACKETS
         )
 
     @pytest.mark.parametrize("workers", (0, 2))
     def test_stream_seq_counts_the_schedule_in_order(self, workers):
         # The reordering buffer republishes in schedule order, stamped
         # with a strictly increasing gateway-global sequence number.
-        events, _ = serve_sharded(MultiscatterTag, decode_workers=workers)
+        events, _ = serve_sharded(decode_workers=workers)
         seqs = [ev.stream_seq for ev in packet_events(events)]
         assert seqs == list(range(1, N_PACKETS + 1))
 
@@ -147,12 +153,8 @@ class TestShardedByteIdentity:
         # decode_batch=1 dispatches one-packet hops; the batch size only
         # sets how many packets share an executor hop, never order or
         # values.
-        singletons, _ = serve_sharded(
-            MultiscatterTag, decode_workers=2, decode_batch=1
-        )
-        grouped, _ = serve_sharded(
-            MultiscatterTag, decode_workers=2, decode_batch=6
-        )
+        singletons, _ = serve_sharded(decode_workers=2, decode_batch=1)
+        grouped, _ = serve_sharded(decode_workers=2, decode_batch=6)
         assert_same_outcomes(
             [ev.outcome for ev in packet_events(singletons)],
             [ev.outcome for ev in packet_events(grouped)],
@@ -165,9 +167,7 @@ class TestOneHopPerBatch:
     @pytest.mark.parametrize("decode_batch", (4, 6))
     def test_each_batch_crosses_to_the_pool_in_one_hop(self, decode_batch):
         # The dispatch counter counts batches, not receiver configs.
-        gw, _ = serve_gateway(
-            MultiscatterTag, decode_workers=1, decode_batch=decode_batch
-        )
+        gw, _ = serve_gateway(decode_workers=1, decode_batch=decode_batch)
         assert gw._dispatch_counter == math.ceil(
             gw.stats.n_backscattered / decode_batch
         )
@@ -186,12 +186,10 @@ class TestDecodeFaultRecovery:
         [("kill:site=decode,index=0", 2), ("kill:site=decode,name=ZIGBEE", 3)],
     )
     def test_killed_worker_is_replaced_and_stream_is_identical(self, spec, retries):
-        inline = stream_outcomes(MultiscatterTag, decode_batch=4)
+        inline = stream_outcomes(decode_batch=4)
         faults.install(spec)
         try:
-            events, stats = serve_sharded(
-                MultiscatterTag, decode_workers=2, decode_retries=retries
-            )
+            events, stats = serve_sharded(decode_workers=2, decode_retries=retries)
         finally:
             faults.clear()
         assert stats.n_decode_worker_crashes >= 1
@@ -203,12 +201,10 @@ class TestDecodeFaultRecovery:
         assert stream_digest(events) == MIXED_STREAM_SHA256
 
     def test_hung_worker_times_out_and_stream_is_identical(self):
-        inline = stream_outcomes(MultiscatterTag, decode_batch=4)
+        inline = stream_outcomes(decode_batch=4)
         faults.install("hang:site=decode,index=0,hang_s=30")
         try:
-            events, stats = serve_sharded(
-                MultiscatterTag, decode_workers=2, decode_timeout_s=2.0
-            )
+            events, stats = serve_sharded(decode_workers=2, decode_timeout_s=2.0)
         finally:
             faults.clear()
         assert stats.n_decode_timeouts >= 1
@@ -223,9 +219,7 @@ class TestDecodeFaultRecovery:
         faults.install("kill:site=decode,index=0,attempts=99")
         try:
             with pytest.raises(RuntimeError, match="decode"):
-                serve_sharded(
-                    MultiscatterTag, decode_workers=2, decode_retries=1
-                )
+                serve_sharded(decode_workers=2, decode_retries=1)
         finally:
             faults.clear()
 

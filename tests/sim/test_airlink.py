@@ -5,7 +5,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.tag import MultiscatterTag, SingleProtocolTag
 from repro.phy.protocols import Protocol
 from repro.sim.airlink import run_airlink
 from repro.sim.pipeline import AirlinkPipeline, PendingReception, pending_to_payload
@@ -26,10 +25,8 @@ def mixed_schedule():
 
 @pytest.fixture(scope="module")
 def multiscatter_report(mixed_schedule):
-    tag = MultiscatterTag()
     return run_airlink(
         mixed_schedule,
-        tag,
         d_tag_rx_m=2.0,
         rng=np.random.default_rng(1),
         max_packets=16,
@@ -57,39 +54,19 @@ class TestMultiscatterLoop:
         assert all(o.tag_bits_sent > 0 for o in sent)
 
 
-class TestSingleProtocolLoop:
-    def test_single_tag_ignores_foreign_packets(self, mixed_schedule):
-        tag = SingleProtocolTag(Protocol.WIFI_B)
-        report = run_airlink(
-            mixed_schedule,
-            tag,
-            rng=np.random.default_rng(2),
-            max_packets=16,
+class TestIdentificationMisses:
+    def test_missed_packets_skip_backscatter_and_decode(self, multiscatter_report):
+        # A misidentified carrier is not backscattered: the outcome is
+        # final at staging, with no tag bits spent or decoded.
+        missed = [o for o in multiscatter_report.outcomes if o.identified is not o.protocol]
+        assert missed
+        for o in missed:
+            assert not o.backscattered
+            assert (o.tag_bits_sent, o.tag_bits_correct, o.productive_bits_correct) == (0, 0, 0)
+            assert o.tag_bits_decoded.size == 0
+        assert all(
+            o.backscattered for o in multiscatter_report.outcomes if o.identified is o.protocol
         )
-        foreign = [
-            o for o in report.outcomes if o.protocol is not Protocol.WIFI_B
-        ]
-        assert foreign
-        assert all(not o.backscattered for o in foreign)
-        own = [o for o in report.outcomes if o.protocol is Protocol.WIFI_B]
-        assert any(o.backscattered for o in own)
-
-    def test_multiscatter_outtransmits_single(self, mixed_schedule):
-        multi = run_airlink(
-            mixed_schedule,
-            MultiscatterTag(),
-            rng=np.random.default_rng(3),
-            max_packets=16,
-        )
-        single = run_airlink(
-            mixed_schedule,
-            SingleProtocolTag(Protocol.WIFI_B),
-            rng=np.random.default_rng(3),
-            max_packets=16,
-        )
-        multi_sent = sum(o.tag_bits_sent for o in multi.outcomes)
-        single_sent = sum(o.tag_bits_sent for o in single.outcomes)
-        assert multi_sent > single_sent
 
 
 class TestDecodePayload:
@@ -101,7 +78,7 @@ class TestDecodePayload:
         source = ExcitationSource(Protocol.WIFI_N)
         scheduled = ScheduledPacket(Protocol.WIFI_N, 0.0, 1e-3, source)
         tag_bits = np.random.default_rng(0).integers(0, 2, 4096).astype(np.uint8)
-        pipeline = AirlinkPipeline(MultiscatterTag())
+        pipeline = AirlinkPipeline()
         for seed in range(8):
             staged, cursor = pipeline.excite_and_react(
                 scheduled, tag_bits, 0, np.random.default_rng(seed)

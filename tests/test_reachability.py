@@ -120,12 +120,41 @@ def _registers(stmt: ast.stmt) -> bool:
     )
 
 
+def _walk_code(node: ast.AST):
+    """:func:`ast.walk` without annotation subtrees (argument, return and
+    variable annotations, string annotations included): a name the
+    program only names as a type never runs."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        yield node
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            if isinstance(value, ast.AST):
+                todo.append(value)
+            elif isinstance(value, list):
+                todo.extend(v for v in value if isinstance(v, ast.AST))
+
+
+def _type_only(stmt: ast.stmt) -> bool:
+    """Is ``stmt`` a definition that exists for annotations alone: a
+    ``TypeVar`` or a module-level ``A | B`` alias?"""
+    if not isinstance(stmt, ast.Assign):
+        return False
+    value = stmt.value
+    if isinstance(value, ast.Call):
+        func = value.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")) == "TypeVar"
+    return isinstance(value, ast.BinOp) and isinstance(value.op, ast.BitOr)
+
+
 def _uses(stmts: list[ast.stmt], in_init: bool) -> tuple[set[str], set[str]]:
     """``(names, anywhere)`` that ``stmts`` use: bare-name loads, which a
     module's own definition of that name shadows, and attribute names,
     dotted-identifier strings and the original names of aliased imports,
-    which count for every definition so named.  ``__all__`` entries and a
-    package ``__init__``'s imports are not uses."""
+    which count for every definition so named.  ``__all__`` entries, a
+    package ``__init__``'s imports and annotations are not uses."""
     names: set[str] = set()
     anywhere: set[str] = set()
     for stmt in stmts:
@@ -133,7 +162,7 @@ def _uses(stmts: list[ast.stmt], in_init: bool) -> tuple[set[str], set[str]]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
         ):
             continue
-        for node in ast.walk(stmt):
+        for node in _walk_code(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -188,11 +217,18 @@ def _unused_public_names() -> tuple[str, ...]:
         stmts = [s for s in trees[module].body if name in _defined(s)]
         in_init = files[module].name == "__init__.py"
         todo |= targets(module, own[module], _uses(stmts, in_init)) - live
+    type_only = {
+        (m, n)
+        for m, tree in trees.items()
+        for stmt in tree.body
+        if _type_only(stmt)
+        for n in _defined(stmt)
+    }
     return tuple(sorted(
         f"{m}.{n}"
         for m, names in own.items()
         for n in names
-        if not n.startswith("_") and (m, n) not in live
+        if not n.startswith("_") and (m, n) not in live | type_only
     ))
 
 
@@ -201,9 +237,11 @@ def test_every_public_name_has_a_user():
     ``src/repro`` that no entry point reaches is dead code.
 
     A name is reached when an entry point's code, or the body of a name
-    already reached, loads it; a module's own definition of a name
-    shadows every other module's.  Methods are not guarded: their names
-    collide across classes (every PHY has a ``modulate``), so an
+    already reached, loads it outside an annotation; a module's own
+    definition of a name shadows every other module's.  Type-only
+    definitions (a ``TypeVar``, an ``A | B`` alias) are exempt as a kind,
+    since annotations are their only use.  Methods are not guarded: their
+    names collide across classes (every PHY has a ``modulate``), so an
     attribute use cannot tell which class it reaches.
     """
     unused = [n for n in _unused_public_names() if n not in _UNUSED_ON_PURPOSE]

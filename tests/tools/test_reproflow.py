@@ -194,6 +194,19 @@ class TestU003:
         """
         assert _codes(tmp_path, src) == []
 
+    def test_private_constant_takes_its_exact_name_unit(self, tmp_path):
+        # ``_SAMPLES_PER_CHIP`` is a samples-per-chip ratio, not chips.
+        src = """\
+            _SAMPLES_PER_CHIP = 2
+
+            def helper(sps: int) -> int:
+                return sps
+
+            def caller() -> int:
+                return helper(_SAMPLES_PER_CHIP)
+        """
+        assert _codes(tmp_path, src) == []
+
     def test_literal_and_unknown_args_ok(self, tmp_path):
         src = """\
             def helper(window_us: float) -> float:

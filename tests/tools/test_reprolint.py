@@ -143,6 +143,58 @@ class TestR005:
 
 
 # ----------------------------------------------------------------------
+# R006: NaN-unsafe range guards on floats
+# ----------------------------------------------------------------------
+class TestR006:
+    @staticmethod
+    def _r006(src: str) -> list[str]:
+        return [
+            v.message
+            for v in lint_source(textwrap.dedent(src), "src/repro/experiments/m.py")
+            if v.code == "R006"
+        ]
+
+    def test_each_comparison_flagged_with_its_nan_safe_form(self):
+        for op, safe in (("<=", ">"), ("<", ">="), (">=", "<"), (">", "<=")):
+            src = f"""\
+                def f(x_hz: float) -> None:
+                    if x_hz {op} 0:
+                        raise ValueError("x_hz")
+            """
+            (message,) = self._r006(src)
+            assert f"`not x_hz {safe} 0`" in message
+
+    def test_unit_alias_string_annotation_and_local_flagged(self):
+        src = """\
+            def f(rate: Hertz, level: "DbmPower") -> None:
+                gain: float = rate * 2
+                if rate <= 0:
+                    raise ValueError("rate")
+                if level > 30:
+                    raise ValueError("level")
+                if gain < rate:
+                    raise ValueError("gain")
+        """
+        assert len(self._r006(src)) == 3
+
+    def test_nan_safe_and_integer_guards_ok(self):
+        src = """\
+            def f(x: float, n: int, k: Samples, y) -> None:
+                if not x > 0:
+                    raise ValueError("x")
+                if not 0 < x < 1:
+                    raise ValueError("x")
+                if n < 1 or k < 1:
+                    raise ValueError("n")
+                if y <= 0:
+                    raise ValueError("y")
+                if x <= 0:
+                    x = 1.0
+        """
+        assert self._r006(src) == []
+
+
+# ----------------------------------------------------------------------
 # escape hatches + select + syntax errors
 # ----------------------------------------------------------------------
 class TestSuppression:
@@ -187,7 +239,7 @@ class TestSelectAndErrors:
         assert v.render() == f"src/x.py:1:0: R001 {v.message}"
 
     def test_rule_catalog_complete(self):
-        assert set(RULES) == {"R001", "R002", "R003", "R004", "R005"}
+        assert set(RULES) == {"R001", "R002", "R003", "R004", "R005", "R006"}
 
 
 # ----------------------------------------------------------------------

@@ -268,7 +268,7 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
         packet = ScheduledPacket(protocol, 0.0, 1e-3, ExcitationSource(protocol))
         tag_bits = np.random.default_rng(7).integers(0, 2, 4096).astype(np.uint8)
         for seed in range(8):
-            out, _ = AirlinkPipeline(tag).excite_and_react(
+            out, _ = AirlinkPipeline().excite_and_react(
                 packet, tag_bits, 0, np.random.default_rng(seed)
             )
             if isinstance(out, PendingReception):
@@ -355,7 +355,7 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
             lambda: ref.reference_run_airlink(
                 schedule, tag, rng=np.random.default_rng(5), max_packets=24
             ),
-            lambda: run_airlink(schedule, tag, rng=np.random.default_rng(5), max_packets=24),
+            lambda: run_airlink(schedule, rng=np.random.default_rng(5), max_packets=24),
         ),
         "superimpose": (
             "scene.superimpose",

@@ -188,9 +188,13 @@ _SUFFIXES_BY_LENGTH = sorted(SUFFIX_UNITS, key=len, reverse=True)
 
 
 def seed_from_name(name: str) -> UnitTok | None:
-    """Infer a unit from an identifier via exact names, then suffixes."""
+    """Infer a unit from an identifier via exact names, then suffixes.
+
+    A private name (``_SAMPLES_PER_CHIP``) is looked up without its
+    leading underscores.
+    """
     low = name.lower()
-    exact = EXACT_NAMES.get(low)
+    exact = EXACT_NAMES.get(low.lstrip("_"))
     if exact is not None:
         return exact
     for suffix in _SUFFIXES_BY_LENGTH:

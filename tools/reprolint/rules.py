@@ -16,6 +16,9 @@ R004  mutable default arguments — cross-call state, the classic
       hidden-nondeterminism footgun.
 R005  missing return annotation (only in configured strict
       directories) — the typing pass's enforcement half.
+R006  NaN-unsafe range guard: ``if x <= c: raise`` (or ``<``, ``>=``,
+      ``>``) on a float-annotated name — NaN fails every comparison,
+      so it slips past the guard; write ``if not x > c: raise``.
 
 Suppression: append ``# reprolint: disable=R001`` (comma-separate for
 several codes, or ``disable=all``) to the offending line, or put a
@@ -44,6 +47,7 @@ RULES: dict[str, str] = {
     "R003": "implicit dtype at complex64/complex128 boundary; make the dtype explicit",
     "R004": "mutable default argument; use None and create inside the function",
     "R005": "missing return annotation in strict-typed directory",
+    "R006": "range guard on a float lets NaN through; raise on the negated opposite comparison",
 }
 
 #: path fragments where R005 (missing return annotation) is enforced.
@@ -92,6 +96,27 @@ _STDLIB_RANDOM_GLOBAL = frozenset(
         "randbytes",
     }
 )
+
+#: Annotation names that mean a float: ``float`` and the float unit
+#: aliases of ``repro.types.units`` (its int aliases are exempt).
+_FLOAT_ANNOTATIONS = frozenset(
+    {
+        "float",
+        "Hertz",
+        "Seconds",
+        "Microseconds",
+        "Decibels",
+        "DbmPower",
+        "Milliwatts",
+        "Watts",
+        "Volts",
+        "Meters",
+        "Ratio",
+    }
+)
+
+#: A raising guard's comparison -> the NaN-safe comparison to negate.
+_NAN_SAFE_NEGATION = {ast.Lt: ">=", ast.LtE: ">", ast.Gt: "<=", ast.GtE: "<"}
 
 _NARROW_DTYPES = frozenset({"complex64", "float32", "float16", "half", "single", "csingle"})
 _WIDE_DTYPES = frozenset({"complex128", "float64", "double", "cdouble"})
@@ -198,11 +223,47 @@ def _is_arraylike(node: ast.expr) -> bool:
     return False
 
 
+def _is_float_annotation(node: ast.expr | None) -> bool:
+    """Does an annotation (string annotations included) name a float?"""
+    if node is None:
+        return False
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return False
+    for sub in ast.walk(node):
+        name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+        if name in _FLOAT_ANNOTATIONS:
+            return True
+    return False
+
+
+def _float_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """A function's float-annotated parameters and annotated locals."""
+    args = node.args
+    names = {
+        a.arg
+        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+        if _is_float_annotation(a.annotation)
+    }
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.AnnAssign)
+            and isinstance(sub.target, ast.Name)
+            and _is_float_annotation(sub.annotation)
+        ):
+            names.add(sub.target.id)
+    return names
+
+
 class _Linter(ast.NodeVisitor):
     def __init__(self, path: str, strict_return: bool) -> None:
         self.path = path
         self.strict_return = strict_return
         self.findings: list[Finding] = []
+        #: Float-annotated names of the enclosing function, innermost last.
+        self._float_scopes: list[set[str]] = []
 
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
         self.findings.append(
@@ -329,10 +390,38 @@ class _Linter(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_function(node)
+        self._float_scopes.append(_float_names(node))
         self.generic_visit(node)
+        self._float_scopes.pop()
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_function(node)
+        self._float_scopes.append(_float_names(node))
+        self.generic_visit(node)
+        self._float_scopes.pop()
+
+    # ---------------------------------------------------------- R006
+    def visit_If(self, node: ast.If) -> None:
+        test = node.test
+        floats = self._float_scopes[-1] if self._float_scopes else set()
+        if (
+            isinstance(test, ast.Compare)
+            and len(test.ops) == 1
+            and type(test.ops[0]) in _NAN_SAFE_NEGATION
+            and any(
+                isinstance(o, ast.Name) and o.id in floats
+                for o in (test.left, *test.comparators)
+            )
+            and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+        ):
+            safe = _NAN_SAFE_NEGATION[type(test.ops[0])]
+            left, right = ast.unparse(test.left), ast.unparse(test.comparators[0])
+            self._emit(
+                test,
+                "R006",
+                f"NaN passes the guard `{ast.unparse(test)}`; raise on "
+                f"`not {left} {safe} {right}` instead",
+            )
         self.generic_visit(node)
 
 
