@@ -57,8 +57,12 @@ def incident_peak_voltage(power_dbm: DbmPower, *, matching_boost: float = 4.0) -
     """Peak RF voltage at the rectifier input for a given incident power.
 
     ``matching_boost`` models the passive voltage gain of the antenna
-    matching network (moderate-Q LC step-up).
+    matching network (moderate-Q LC step-up).  A non-finite power
+    raises: NaN, +inf and -inf dBm used to rectify to a silent or
+    clipped trace that identification still decided on.
     """
+    if not math.isfinite(power_dbm):
+        raise ValueError(f"incident power must be finite, got {power_dbm!r} dBm")
     power_w = 10.0 ** ((power_dbm - 30.0) / 10.0)
     return float(np.sqrt(2.0 * power_w * _R_ANTENNA_OHM) * matching_boost)
 

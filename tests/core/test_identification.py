@@ -18,7 +18,7 @@ from repro.core.matching import (
     score_capture,
     search_thresholds,
 )
-from repro.core.templates import TemplateBank, reference_waveform
+from repro.core.templates import TEMPLATE_INCIDENT_DBM, TemplateBank, reference_waveform
 from repro.phy.protocols import Protocol
 from repro.sim.traffic import random_packet
 
@@ -199,3 +199,38 @@ class TestConfigRejectsBadNumbers:
 
     def test_zero_preprocess_stays_legal(self):
         assert IdentificationConfig(preprocess_us=0.0).l_p == 1
+
+
+class TestIncidentPower:
+    """The power a packet is scored at: the caller's, or the templates'
+    (-15 dBm) when the caller gives none."""
+
+    @pytest.fixture(scope="class")
+    def wave(self):
+        return random_packet(Protocol.BLE, np.random.default_rng(2), n_payload_bytes=8)
+
+    def test_scores_default_to_the_templates_power(self, wave):
+        ident = ProtocolIdentifier(IdentificationConfig())
+        default = ident.scores(wave, rng=np.random.default_rng(3))
+        at = {
+            p: ident.scores(wave, incident_power_dbm=p, rng=np.random.default_rng(3))
+            for p in (TEMPLATE_INCIDENT_DBM, DEFAULT_INCIDENT_DBM[Protocol.BLE])
+        }
+        assert TEMPLATE_INCIDENT_DBM == -15.0
+        assert default == at[TEMPLATE_INCIDENT_DBM]
+        assert default != at[DEFAULT_INCIDENT_DBM[Protocol.BLE]]
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("route", ["scores", "identify", "score_traces"])
+    def test_non_finite_power_rejected(self, wave, route, bad):
+        # NaN and -inf dBm used to identify this BLE packet as 802.11n
+        # and +inf as 802.11b, with at most a RuntimeWarning.
+        ident = ProtocolIdentifier(IdentificationConfig())
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="finite"):
+            if route == "scores":
+                ident.scores(wave, incident_power_dbm=bad, rng=rng)
+            elif route == "identify":
+                ident.identify(wave, incident_power_dbm=bad, rng=rng)
+            else:
+                score_traces([ident], [(Protocol.BLE, wave)], rng=rng, incident_power_dbm=bad)

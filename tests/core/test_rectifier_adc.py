@@ -36,6 +36,11 @@ class TestVoltageScale:
         # -10 dBm = 0.1 mW -> sqrt(2 * 1e-4 * 50) = 0.1 V before boost.
         assert incident_peak_voltage(-10, matching_boost=1.0) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_incident_voltage_rejects_non_finite_power(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            incident_peak_voltage(bad)
+
     def test_recommended_tau_between_bounds(self):
         tau = recommended_tau(2.4e9, 20e6)
         assert 1 / 2.4e9 < tau < 1 / 20e6

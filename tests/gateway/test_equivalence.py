@@ -10,14 +10,16 @@ sequences on the same seed:
 * the streaming gateway feeding the pipeline one packet at a time.
 
 All three run the same PHY kernels, so a fault inside a kernel would
-pass every relative check; :data:`MIXED_STREAM_SHA256` pins the
-gateway's published stream in absolute bytes.
+pass every relative check; :data:`MIXED_STREAM_SHA256` and
+:data:`MISS_STREAM_SHA256` pin the gateway's published stream in
+absolute bytes.
 """
 
 import asyncio
 import hashlib
 
 import numpy as np
+import pytest
 
 from repro.core.tag import MultiscatterTag
 from repro.gateway import AsyncExcitationSource, Gateway, GatewayConfig, PacketEvent
@@ -70,6 +72,12 @@ def outcome_tuple(o):
 #: (``ci/constraints.txt``, which both CI legs, Python 3.11 and 3.12,
 #: install).
 MIXED_STREAM_SHA256 = "8131132e862f5a98e9c1b49c5e11f44583d3906cec77b7c5359ed5268961d5ff"
+
+#: :data:`MIXED_STREAM_SHA256` over the first :data:`N_MISS_PACKETS`
+#: packets, which hold the schedule's first identification miss: pins
+#: the short-circuit path, which the relative checks share with the
+#: frozen monolith.  Same toolchain and invariance as above.
+MISS_STREAM_SHA256 = "ef1be75ccc4aa6ad511846404b07a9f332e4c5471439d4442e0701f151658388"
 
 
 def event_record(ev: PacketEvent) -> bytes:
@@ -170,6 +178,20 @@ def has_mixed_batch(batches) -> bool:
     return any(any(b) and not all(b) for b in batches)
 
 
+def assert_same_as_batch_driver(streamed):
+    """``streamed`` equals the batch driver's outcomes over the first
+    :data:`N_MISS_PACKETS` packets."""
+    report = run_airlink(
+        batch_schedule(),
+        rng=np.random.default_rng(SEED),
+        max_packets=N_MISS_PACKETS,
+    )
+    assert len(streamed) == len(report.outcomes) == N_MISS_PACKETS
+    for got, want in zip(streamed, report.outcomes):
+        assert outcome_tuple(got) == outcome_tuple(want)
+        assert np.array_equal(got.tag_bits_decoded, want.tag_bits_decoded)
+
+
 def assert_matches_reference(outcomes, reference):
     assert len(outcomes) == len(reference)
     for got, ref in zip(outcomes, reference):
@@ -220,21 +242,24 @@ class TestStreamingAgainstBatch:
         )
         assert_matches_reference(stream_outcomes(), ref)
 
-    def test_batched_misses_stream_as_batch(self, monkeypatch):
+    @pytest.mark.parametrize("decode_batch", (2, 4, 8))
+    def test_batched_misses_stream_as_batch(self, monkeypatch, decode_batch):
         # With decode_batch > 1 a miss waits in its batch behind the
         # receptions staged before it, and still publishes in order.
-        report = run_airlink(
-            batch_schedule(),
-            rng=np.random.default_rng(SEED),
-            max_packets=N_MISS_PACKETS,
-        )
+        # The miss is a batch's 2nd, 4th and 8th packet at these sizes.
         batches = record_batches(monkeypatch)
-        streamed = stream_outcomes(decode_batch=4, n_packets=N_MISS_PACKETS)
+        streamed = stream_outcomes(decode_batch=decode_batch, n_packets=N_MISS_PACKETS)
         assert has_mixed_batch(batches)
-        assert len(streamed) == len(report.outcomes) == N_MISS_PACKETS
-        for got, want in zip(streamed, report.outcomes):
-            assert outcome_tuple(got) == outcome_tuple(want)
-            assert np.array_equal(got.tag_bits_decoded, want.tag_bits_decoded)
+        assert_same_as_batch_driver(streamed)
+
+    def test_lone_miss_batch_streams_as_batch(self, monkeypatch):
+        # A miss staged while no reception waits is a batch of its own:
+        # the decode stage gets nothing to decode, and the miss still
+        # publishes between its neighbours.
+        batches = record_batches(monkeypatch)
+        streamed = stream_outcomes(decode_batch=3, n_packets=N_MISS_PACKETS)
+        assert (False,) in batches
+        assert_same_as_batch_driver(streamed)
 
     def test_batched_decode_stage_is_bit_identical(self):
         # decode_batch > 1 defers RNG-free decodes into groups; draw
@@ -252,3 +277,10 @@ class TestGoldenStream:
         events = stream_events()
         assert sum(isinstance(ev, PacketEvent) for ev in events) == N_PACKETS
         assert stream_digest(events) == MIXED_STREAM_SHA256
+
+    def test_miss_schedule_stream_digest(self):
+        events = stream_events(n_packets=N_MISS_PACKETS)
+        outcomes = [ev.outcome for ev in events if isinstance(ev, PacketEvent)]
+        assert len(outcomes) == N_MISS_PACKETS
+        assert any(not o.backscattered for o in outcomes)
+        assert stream_digest(events) == MISS_STREAM_SHA256

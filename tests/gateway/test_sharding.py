@@ -24,6 +24,7 @@ from repro.sim.airlink import run_airlink
 from repro.sim.traffic import ExcitationSource
 
 from tests.gateway.test_equivalence import (
+    MISS_STREAM_SHA256,
     MIXED_STREAM_SHA256,
     N_MISS_PACKETS,
     N_PACKETS,
@@ -127,12 +128,13 @@ class TestShardedByteIdentity:
         assert stats.drained_clean and stats.n_dropped_events == 0
         assert stats.n_decode_retries == 0
 
-    def test_misses_batched_with_receptions(self, monkeypatch):
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_misses_batched_with_receptions(self, monkeypatch, workers):
         # An identification miss skips the decode stage; in a batch it
         # rides behind the receptions staged before it, which cross to a
         # worker while the miss waits in the reordering buffer.
         batches = record_batches(monkeypatch)
-        events, _ = serve_sharded(decode_workers=2, n_packets=N_MISS_PACKETS)
+        events, _ = serve_sharded(decode_workers=workers, n_packets=N_MISS_PACKETS)
         assert has_mixed_batch(batches)
         batch = run_airlink(
             batch_schedule(), rng=np.random.default_rng(SEED), max_packets=N_MISS_PACKETS
@@ -140,6 +142,7 @@ class TestShardedByteIdentity:
         assert_same_outcomes(
             [ev.outcome for ev in packet_events(events)], batch.outcomes, N_MISS_PACKETS
         )
+        assert stream_digest(events) == MISS_STREAM_SHA256
 
     @pytest.mark.parametrize("workers", (0, 2))
     def test_stream_seq_counts_the_schedule_in_order(self, workers):
@@ -171,6 +174,18 @@ class TestOneHopPerBatch:
         assert gw._dispatch_counter == math.ceil(
             gw.stats.n_backscattered / decode_batch
         )
+
+    def test_lone_miss_batch_makes_no_hop(self, monkeypatch):
+        # At decode_batch=3 the schedule's first miss is staged while no
+        # reception waits: its batch has nothing to decode, so it never
+        # crosses to the pool, and it still publishes in order.
+        batches = record_batches(monkeypatch)
+        gw, events = serve_gateway(
+            decode_workers=1, decode_batch=3, n_packets=N_MISS_PACKETS
+        )
+        assert (False,) in batches
+        assert gw._dispatch_counter == sum(any(b) for b in batches) == len(batches) - 1
+        assert stream_digest(events) == MISS_STREAM_SHA256
 
 
 class TestDecodeFaultRecovery:

@@ -28,6 +28,36 @@ class TestStructure:
         env = np.abs(wave.iq)
         assert env.max() - env.min() < 1e-9
 
+    def test_le_1m_one_bit_per_microsecond(self):
+        # LE 1M: preamble (8) + access address (32) + header (16) +
+        # payload + CRC (24) bits, each 1 us on air.
+        payload = bytes(5)
+        wave = ble.modulate(payload)
+        n_bits = 8 + 32 + 16 + 8 * len(payload) + 24
+        assert wave.annotations["n_frame_bits"] == n_bits
+        assert wave.n_samples / wave.sample_rate == pytest.approx(n_bits * 1e-6)
+
+    def test_preamble_and_access_address_on_air(self):
+        # The extended identification window matches the preamble and
+        # the fixed advertising access address (paper §2.3.2).  The
+        # preamble alternates from the address's LSB: 0x8E89BED6 -> 0.
+        wave = ble.modulate(b"\x00\x01")
+        sps = wave.annotations["samples_per_symbol"]
+        dphi = np.concatenate([[0.0], np.angle(wave.iq[1:] * np.conj(wave.iq[:-1]))])
+        head = dphi[: 40 * sps].reshape(40, sps)[:, sps // 4 : sps - sps // 4]
+        bits = (head.sum(axis=1) > 0).astype(np.uint8)
+        assert np.array_equal(bits[:8], [0, 1] * 4)
+        assert np.array_equal(bits[8:], bitlib.bits_from_int(ble.ADVERTISING_ACCESS_ADDRESS, 32))
+
+    def test_pdu_whitened_for_advertising_channel_37(self):
+        payload = b"\x11\x22\x33"
+        onair = ble.demodulate(ble.modulate(payload)).onair_bits
+        pdu = bytes([0x02, len(payload)]) + payload
+        n = 8 * len(pdu)
+        assert bitlib.bytes_from_bits(bitlib.whiten_ble(onair, 37)[:n]) == pdu
+        for channel in (38, 39):
+            assert bitlib.bytes_from_bits(bitlib.whiten_ble(onair, channel)[:n]) != pdu
+
 
 class TestLoopback:
     def test_clean_loopback_with_crc(self):

@@ -59,6 +59,36 @@ class TestLoopback:
         sym_len = wave.annotations["samples_per_symbol"]
         assert 8 * sym_len / wave.sample_rate == pytest.approx(128e-6)
 
+    def test_header_is_shr_then_phr_without_fcs(self):
+        # SHR: 8 zero symbols and the SFD 0xA7, low nibble first; PHR:
+        # the PSDU length, which counts no FCS (paper §3: the NICs'
+        # CRC is off).  Decoding from the first sample exposes them.
+        payload = bytes(range(5))
+        wave = zigbee.modulate(payload)
+        ann = wave.annotations
+        whole = wave.copy()
+        whole.annotations = {
+            **ann,
+            "n_header_symbols": 0,
+            "n_payload_symbols": ann["n_header_symbols"] + ann["n_payload_symbols"],
+        }
+        symbols = zigbee.demodulate(whole, correct_cfo=False).symbols
+        assert symbols.tolist() == (
+            [0] * 8 + [0x7, 0xA] + [len(payload), 0] + zigbee.symbols_from_bits(
+                bitlib.bits_from_bytes(payload)
+            ).tolist()
+        )
+
+    def test_250_kbps_airtime(self):
+        # 4-bit symbols of 32 chips at 2 Mchip/s: 16 us per symbol, so
+        # SHR + PHR + PSDU take 32 us per byte, plus the one-chip
+        # (0.5 us) offset of the Q branch.
+        payload = bytes(7)
+        wave = zigbee.modulate(payload)
+        n_bytes = 4 + 1 + 1 + len(payload)
+        assert wave.annotations["samples_per_symbol"] / wave.sample_rate == pytest.approx(16e-6)
+        assert wave.n_samples / wave.sample_rate == pytest.approx(n_bytes * 32e-6 + 0.5e-6)
+
     def test_clean_loopback(self):
         payload = bytes(range(16))
         result = zigbee.demodulate(zigbee.modulate(payload))
