@@ -47,16 +47,20 @@ smoke:
 	REPRO_WORKERS=2 $(PYTHON) -m repro run-all --preset quick --out runs/smoke
 	$(PYTHON) tools/check_artifacts.py runs/smoke --expect-all
 
-# Streaming gateway smoke: 8 tags, 2 subscribers, block policy,
-# 2 decode workers (the sharded data plane crosses the executor hop,
-# 8 receptions of mixed protocols to a hop);
+# Streaming gateway smoke: 8 tags, 2 subscribers, block policy, run
+# twice: with 2 decode workers (the sharded data plane crosses the
+# executor hop, 8 receptions of mixed protocols to a hop), then with
+# serve's default inline decode;
 # fails on any drop, eviction, consumer error, event-loop lag
-# violation, or unclean drain (the CI gateway smoke step).  Runs under
+# violation, or unclean drain (the CI gateway smoke steps).  Runs under
 # asyncio debug mode with the loopwatch sanitizer armed.
 serve-smoke:
 	PYTHONASYNCIODEBUG=1 REPRO_LOOPWATCH=1 \
 		$(PYTHON) -m repro serve --tags 8 --subscribers 2 --max-packets 32 \
 		--decode-workers 2 --decode-batch 8 --policy block --require-clean
+	PYTHONASYNCIODEBUG=1 REPRO_LOOPWATCH=1 \
+		$(PYTHON) -m repro serve --tags 8 --subscribers 2 --max-packets 32 \
+		--policy block --require-clean
 
 # Crash a run mid-save with the fault-injection harness, resume it,
 # and require byte-identity with an undisturbed run

@@ -40,14 +40,14 @@ def main() -> None:
     for truth in Protocol:
         for i in range(8):
             packet = random_packet(truth, rng, n_payload_bytes=40)
-            result = identifier.identify(
+            decision = identifier.identify(
                 packet,
                 incident_power_dbm=DEFAULT_INCIDENT_DBM[truth],
                 rng=np.random.default_rng(100 + total),
             )
-            key = (truth, result.decision)
+            key = (truth, decision)
             confusion[key] = confusion.get(key, 0) + 1
-            hits += result.decision is truth
+            hits += decision is truth
             total += 1
 
     print(f"\nidentified {hits}/{total} packets correctly "

@@ -11,7 +11,7 @@ between the unsynchronized receivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.baselines.codeword import TwoReceiverDecoder
 from repro.channel.link import PROTOCOL_LINK_DEFAULTS, BackscatterLink, ber_dbpsk
 from repro.channel.occlusion import Material, OccludedChannel
 from repro.phy.protocols import Protocol
-from repro.rng import fallback_rng
 from repro.sim.traffic import packet_airtime_s
 
 __all__ = ["Hitchhike"]
@@ -47,9 +46,6 @@ class Hitchhike:
     #: Spread of the inter-receiver modulation offset, symbols per
     #: meter of range (Fig 9b: offsets grow to ~8 symbols).
     offset_spread_per_m: float = 0.42
-    _rng: np.random.Generator = field(
-        default_factory=lambda: fallback_rng(None), repr=False
-    )
 
     # ------------------------------------------------------------------
     # original channel quality

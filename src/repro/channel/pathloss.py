@@ -9,6 +9,8 @@ below free space.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.types import Meters
@@ -29,9 +31,16 @@ def log_distance_path_loss_db(
     pl0_db: float = DEFAULT_PL0_DB,
     d0_m: float = 1.0,
 ) -> float:
-    """Log-distance model: PL = PL0 + 10 n log10(d / d0)."""
+    """Log-distance model: PL = PL0 + 10 n log10(d / d0).
+
+    Distances below 1 cm are clamped to it; a negative or non-finite
+    one raises ``ValueError``.
+    """
     if not exponent > 0:
         raise ValueError(f"exponent must be positive, got {exponent!r}")
+    # Written so that NaN fails it.
+    if not 0 <= distance_m < math.inf:
+        raise ValueError(f"distance_m must be >= 0 and finite, got {distance_m!r}")
     d = max(float(distance_m), 0.01)
     return float(pl0_db + 10.0 * exponent * np.log10(d / d0_m))
 

@@ -27,7 +27,7 @@ from repro.phy.waveform import Waveform
 from repro.rng import fallback_rng
 from repro.types import DbmPower, Hertz, Microseconds, Samples
 
-__all__ = ["IdentificationConfig", "ProtocolIdentifier", "IdentificationResult"]
+__all__ = ["IdentificationConfig", "ProtocolIdentifier"]
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,6 @@ class IdentificationConfig:
     @property
     def l_m(self) -> Samples:
         return max(int(round(self.window_us * 1e-6 * self.sample_rate_hz)), 2)
-
-
-@dataclass
-class IdentificationResult:
-    """One identification decision with its evidence."""
-
-    decision: Protocol
-    scores: dict[Protocol, float]
 
 
 class ProtocolIdentifier:
@@ -147,15 +139,15 @@ class ProtocolIdentifier:
         incident_power_dbm: float | None = None,
         rng: np.random.Generator | None = None,
         prescaled: bool = False,
-    ) -> IdentificationResult:
-        """Classify one packet waveform."""
+    ) -> Protocol:
+        """Classify one packet waveform: the decided protocol."""
         scores = self.scores(
             wave,
             incident_power_dbm=incident_power_dbm,
             rng=rng,
             prescaled=prescaled,
         )
-        return IdentificationResult(decision=self.matcher.decide(scores), scores=scores)
+        return self.matcher.decide(scores)
 
 
 @dataclass

@@ -61,7 +61,6 @@ def enabled() -> bool:
 class LoopWatchStats:
     """What one monitored stretch of event loop observed."""
 
-    ticks: int = 0
     max_lag_s: float = 0.0
     #: monitor wake-ups later than the threshold
     violations: int = 0
@@ -117,7 +116,6 @@ class LoopWatch:
             now = loop.time()
             lag = max(0.0, (now - last) - self.interval_s)
             last = now
-            self.stats.ticks += 1
             if lag > self.stats.max_lag_s:
                 self.stats.max_lag_s = lag
             perf.gauge("loopwatch.lag_s", lag)

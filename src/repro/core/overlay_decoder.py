@@ -28,7 +28,6 @@ class OverlayDecodeOutput:
 
     productive_bits: np.ndarray
     tag_bits: np.ndarray
-    symbol_values: list
 
 
 class OverlayDecoder:
@@ -66,8 +65,5 @@ class OverlayDecoder:
         :meth:`repro.core.tag_modulation.TagModulator.received_at_shifted_channel`
         first if the tag shifted it).
         """
-        values = self.symbol_values(wave)
-        productive, tag = self.codec.decode_symbols(values)
-        return OverlayDecodeOutput(
-            productive_bits=productive, tag_bits=tag, symbol_values=values
-        )
+        productive, tag = self.codec.decode_symbols(self.symbol_values(wave))
+        return OverlayDecodeOutput(productive_bits=productive, tag_bits=tag)

@@ -25,7 +25,6 @@ class TagReaction:
     """What the tag did with one excitation packet."""
 
     identified: Protocol | None
-    correct: bool
     backscattered: Waveform | None
     tag_bits_sent: np.ndarray
 
@@ -70,18 +69,16 @@ class MultiscatterTag:
 
         A misidentification means the tag modulates with the wrong
         symbol timing; the backscattered packet is then useless, which
-        the reaction reports as ``correct=False`` /
-        ``backscattered=None``.
+        the reaction reports as ``backscattered=None``.
         """
         truth = wave.annotations.get("protocol")
-        result = self.identifier.identify(
+        identified = self.identifier.identify(
             wave, incident_power_dbm=incident_power_dbm, rng=rng
         )
         bits = np.asarray(tag_bits, dtype=np.uint8)
-        if result.decision is not truth:
+        if identified is not truth:
             return TagReaction(
-                identified=result.decision,
-                correct=False,
+                identified=identified,
                 backscattered=None,
                 tag_bits_sent=np.zeros(0, np.uint8),
             )
@@ -91,8 +88,7 @@ class MultiscatterTag:
         )
         used = bits[:tag_capacity]
         return TagReaction(
-            identified=result.decision,
-            correct=True,
+            identified=identified,
             backscattered=modulator.modulate(wave, used),
             tag_bits_sent=used,
         )

@@ -94,10 +94,9 @@ class TagModulator:
     ) -> Waveform:
         """Backscatter ``tag_bits`` onto ``wave``.
 
-        Returns the tag's reflected waveform (channel effects are
-        applied separately).  The frequency shift is tracked via the
-        waveform's ``center_offset_hz`` so the receiver model knows
-        where to listen.
+        Returns the tag's reflected waveform, shifted by
+        ``frequency_shift_hz`` (channel effects are applied separately;
+        :meth:`received_at_shifted_channel` undoes the shift).
         """
         protocol = self.codec.config.protocol
         ann = wave.annotations
@@ -152,7 +151,7 @@ class TagModulator:
 
         if self.frequency_shift_hz:
             out = out.frequency_shifted(self.frequency_shift_hz)
-        return out.with_annotations(tag_flip_flags=flags)
+        return out
 
     def received_at_shifted_channel(self, wave: Waveform) -> Waveform:
         """The receiver retunes to the shifted channel: undo the shift

@@ -124,7 +124,6 @@ class FrameDecoder:
     config: TagLinkConfig = field(default_factory=TagLinkConfig)
     frames: dict[int, np.ndarray] = field(default_factory=dict)
     n_rejected: int = 0
-    _order: list[int] = field(default_factory=list)
 
     def push(self, bits: np.ndarray) -> bool:
         """Consume one frame's bits; True when accepted."""
@@ -143,8 +142,6 @@ class FrameDecoder:
         seq = int_from_bits(header[:4])
         n_nibbles = int_from_bits(header[4:8])
         payload = body[: min(n_nibbles * 4, body.size)]
-        if seq not in self.frames:
-            self._order.append(seq)
         self.frames[seq] = payload
         return True
 

@@ -69,12 +69,8 @@ def payload_symbols(protocol: Protocol, n_payload_bytes: int) -> int:
 class ThroughputPoint:
     """Predicted throughputs at one operating point."""
 
-    protocol: Protocol
-    distance_m: Meters
-    packet_rate: Hertz
     productive_kbps: float
     tag_kbps: float
-    per: float
     rssi_dbm: float
 
     @property
@@ -95,7 +91,6 @@ class OverlayThroughputModel:
         gamma: int | None = None,
     ) -> None:
         self.protocol = protocol
-        self.mode = mode
         self.link = link or BackscatterLink(PROTOCOL_LINK_DEFAULTS[protocol])
         self.n_payload_bytes = (
             n_payload_bytes
@@ -133,12 +128,8 @@ class OverlayThroughputModel:
         per = self.link.per(distance_m, self.n_payload_bytes * 8)
         good = rate * (1.0 - per)
         return ThroughputPoint(
-            protocol=self.protocol,
-            distance_m=distance_m,
-            packet_rate=rate,
             productive_kbps=productive_bits * good / 1e3,
             tag_kbps=tag_bits * good / 1e3,
-            per=per,
             rssi_dbm=self.link.rssi_dbm(distance_m),
         )
 

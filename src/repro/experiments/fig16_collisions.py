@@ -96,10 +96,10 @@ def survival_rate(
             scene = ahead.popleft().result()
             if k + _SCENES_AHEAD < n_trials:
                 ahead.append(build_next(pool))
-            result = identifier.identify(
+            decision = identifier.identify(
                 scene, rng=np.random.default_rng(7000 + k), prescaled=True
             )
-            hits += result.decision is victim
+            hits += decision is victim
     return hits / n_trials
 
 

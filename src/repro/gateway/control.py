@@ -1,4 +1,4 @@
-"""Gateway control plane: tag registry, keepalives, carrier assignment.
+"""Gateway control plane: tag registry, keepalives, carrier selector.
 
 Strictly separated from the data plane: nothing here touches event
 queues or waveforms.  The control plane answers three questions --
@@ -8,9 +8,8 @@ queues or waveforms.  The control plane answers three questions --
   task died silently);
 * **what state does each tag carry** (:class:`TagSession`: its
   pipeline, payload cursor, per-tag RNG stream, sequence counter);
-* **which carrier should serve a goodput goal**
-  (:meth:`assign_carrier`, delegating to the paper's §4.2.2 selector
-  in :mod:`repro.core.carrier_select`).
+* **which carrier should serve a goodput goal** (its ``selector``,
+  the paper's §4.2.2 selector in :mod:`repro.core.carrier_select`).
 
 Determinism contract: a session's channel randomness comes only from
 its own ``rng`` stream, consumed only by the air loop in packet order.
@@ -22,12 +21,11 @@ driver -- the property the streaming/batch equivalence tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.carrier_select import CarrierEstimate, CarrierSelector
-from repro.phy.protocols import Protocol
+from repro.core.carrier_select import CarrierSelector
 from repro.sim.pipeline import AirlinkPipeline
 
 __all__ = ["TagSession", "ControlPlane"]
@@ -46,12 +44,9 @@ class TagSession:
     pipeline: AirlinkPipeline
     rng: np.random.Generator
     payload: np.ndarray
-    registered_s: float
     last_keepalive_s: float
     cursor: int = 0
     seq: int = 0
-    n_backscattered: int = 0
-    assigned_protocol: Protocol | None = field(default=None)
 
     def refill_payload_if_spent(self) -> None:
         """Top up the payload ring from the session's own stream.
@@ -68,7 +63,7 @@ class TagSession:
 
 
 class ControlPlane:
-    """Registry + liveness + carrier assignment (no data-plane state)."""
+    """Registry + liveness + carrier selector (no data-plane state)."""
 
     def __init__(self, *, keepalive_timeout_s: float = 5.0) -> None:
         if not keepalive_timeout_s > 0:
@@ -95,6 +90,7 @@ class ControlPlane:
         """
         if tag_id in self._sessions:
             raise ValueError(f"tag {tag_id!r} already registered")
+        pipeline = AirlinkPipeline(d_tag_rx_m=d_tag_rx_m)
         resolved = (
             np.asarray(payload, dtype=np.uint8)
             if payload is not None
@@ -102,10 +98,9 @@ class ControlPlane:
         )
         session = TagSession(
             tag_id=tag_id,
-            pipeline=AirlinkPipeline(d_tag_rx_m=d_tag_rx_m),
+            pipeline=pipeline,
             rng=rng,
             payload=resolved,
-            registered_s=now_s,
             last_keepalive_s=now_s,
         )
         self._sessions[tag_id] = session
@@ -144,22 +139,3 @@ class ControlPlane:
         for session in stale:
             self._sessions.pop(session.tag_id, None)
         return stale
-
-    # -- carrier assignment ------------------------------------------------
-    def assign_carrier(
-        self,
-        observed_rates: dict[Protocol, float],
-        *,
-        goal_kbps: float = 0.0,
-    ) -> tuple[Protocol | None, list[CarrierEstimate]]:
-        """Pick the excitation protocol that meets ``goal_kbps`` (§4.2.2).
-
-        Returns the winning protocol (or None when no carrier
-        suffices) plus the goodput estimates behind the decision; the
-        gateway records the pick on every session and publishes it as
-        a control event.
-        """
-        choice, estimates = self.selector.pick(observed_rates, goal_kbps=goal_kbps)
-        for session in self._sessions.values():
-            session.assigned_protocol = choice
-        return choice, estimates

@@ -30,7 +30,6 @@ class MacArbiter:
 
     def __init__(self, *, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        self.n_arbitrations = 0
 
     def arbitrate(self, contenders: Sequence[str]) -> str | None:
         """The tag that backscatters this excitation (``None``: no tag).
@@ -44,5 +43,4 @@ class MacArbiter:
             return None
         if len(ids) == 1:
             return ids[0]
-        self.n_arbitrations += 1
         return ids[int(self._rng.integers(0, len(ids)))]

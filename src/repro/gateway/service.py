@@ -332,8 +332,9 @@ class Gateway:
     async def assign_carrier(
         self, observed_rates: dict[Protocol, float], *, goal_kbps: float = 0.0
     ) -> Protocol | None:
-        """§4.2.2 carrier pick, recorded on sessions and announced."""
-        choice, estimates = self.control.assign_carrier(
+        """§4.2.2 carrier pick (None when no carrier suffices), announced
+        with the goodput estimates behind it."""
+        choice, estimates = self.control.selector.pick(
             observed_rates, goal_kbps=goal_kbps
         )
         evidence = "; ".join(
@@ -445,7 +446,6 @@ class Gateway:
         session.seq += 1
         self._stream_seq += 1
         if outcome.backscattered:
-            session.n_backscattered += 1
             self.stats.n_backscattered += 1
         self.stats.decode_latencies_s.append(latency_s)
         perf.gauge("gateway.decode_latency_s", latency_s)

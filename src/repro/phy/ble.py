@@ -135,8 +135,6 @@ class BleDecodeResult:
 
     payload_bits: np.ndarray
     onair_bits: np.ndarray
-    crc_ok: bool
-    access_address: int
 
 
 @lru_cache(maxsize=8)
@@ -156,7 +154,11 @@ def _rx_filter(sps: int) -> np.ndarray:
 
 
 def demodulate(wave: Waveform) -> BleDecodeResult:
-    """Discriminator demodulation of a BLE waveform."""
+    """Discriminator demodulation of a BLE waveform.
+
+    No CRC-24 check: the paper turns the NICs' CRC checking off (§3),
+    so the raw decisions are delivered.
+    """
     perf.count("ble.demodulate")
     ann = wave.annotations
     if ann.get("protocol") is not Protocol.BLE:
@@ -196,7 +198,6 @@ def demodulate(wave: Waveform) -> BleDecodeResult:
     core = dphi[:need].reshape(n_bits, sps)[:, sps // 4 : sps - sps // 4]
     decisions = (core.sum(axis=1) > 0).astype(np.uint8)
 
-    aa = bitlib.int_from_bits(decisions[_N_PREAMBLE_BITS : _N_PREAMBLE_BITS + 32])
     pdu_onair = decisions[_N_PREAMBLE_BITS + 32 :]
 
     framed = ann.get("whitened", True)
@@ -206,22 +207,11 @@ def demodulate(wave: Waveform) -> BleDecodeResult:
         pdu = pdu_onair.copy()
 
     n_payload_bits = ann.get("n_payload_bits", max(pdu.size - 16 - 24, 0))
-    crc_ok = False
     if framed and pdu.size >= 16 + 24:
-        body = pdu[: 16 + n_payload_bits]
-        crc_rx = pdu[16 + n_payload_bits : 16 + n_payload_bits + 24]
-        crc_ok = bool(
-            crc_rx.size == 24 and np.array_equal(bitlib.crc24_ble(body), crc_rx)
-        )
         payload_bits = pdu[16 : 16 + n_payload_bits]
     else:
         payload_bits = pdu[:n_payload_bits]
-    return BleDecodeResult(
-        payload_bits=payload_bits,
-        onair_bits=pdu_onair,
-        crc_ok=crc_ok,
-        access_address=aa,
-    )
+    return BleDecodeResult(payload_bits=payload_bits, onair_bits=pdu_onair)
 
 
 def demodulate_batch(waves: Sequence[Waveform]) -> list[BleDecodeResult]:

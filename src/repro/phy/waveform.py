@@ -64,10 +64,6 @@ class Waveform:
         Complex baseband samples (1-D ``complex128``).
     sample_rate:
         Samples per second.
-    center_offset_hz:
-        Offset of this waveform's channel center from the simulation's
-        band reference (used when mixing excitations of different
-        channels, Fig 16).
     annotations:
         Free-form metadata.  Modulators set at least ``protocol``,
         ``payload_start`` (sample index of the first payload symbol)
@@ -76,7 +72,6 @@ class Waveform:
 
     iq: ComplexIQ
     sample_rate: Hertz
-    center_offset_hz: Hertz = 0.0
     annotations: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -110,12 +105,8 @@ class Waveform:
     # ------------------------------------------------------------------
     # transforms (all return new Waveforms)
     # ------------------------------------------------------------------
-    def scaled(self, gain: float) -> "Waveform":
-        """Amplitude-scale by ``gain`` (linear)."""
-        return replace(self, iq=self.iq * gain, annotations=dict(self.annotations))
-
     def frequency_shifted(self, shift_hz: Hertz, *, memo: bool = True) -> "Waveform":
-        """Mix by ``exp(j 2 pi shift t)`` and track the channel offset.
+        """Mix by ``exp(j 2 pi shift t)``.
 
         The phasor is memoized per ``(shift, rate, length)``: a tag's
         fixed channel shift repeats on every packet of a carrier.  A
@@ -131,12 +122,7 @@ class Waveform:
             iq = self.iq * phasor
         else:
             iq = phasor * self.iq
-        return replace(
-            self,
-            iq=iq,
-            center_offset_hz=self.center_offset_hz + shift_hz,
-            annotations=dict(self.annotations),
-        )
+        return replace(self, iq=iq, annotations=dict(self.annotations))
 
     def resampled(self, new_rate_hz: Hertz) -> "Waveform":
         """Polyphase-resample to ``new_rate_hz``."""
@@ -166,12 +152,7 @@ class Waveform:
         for key in ("payload_start", "samples_per_symbol"):
             if key in ann:
                 ann[key] = int(round(ann[key] * ratio))
-        return Waveform(
-            iq=iq,
-            sample_rate=new_rate_hz,
-            center_offset_hz=self.center_offset_hz,
-            annotations=ann,
-        )
+        return Waveform(iq=iq, sample_rate=new_rate_hz, annotations=ann)
 
     def padded(self, before: Samples = 0, after: Samples = 0) -> "Waveform":
         """Zero-pad with silence; shifts ``payload_start`` accordingly."""
@@ -182,12 +163,6 @@ class Waveform:
         if "payload_start" in ann:
             ann["payload_start"] = ann["payload_start"] + before
         return replace(self, iq=iq, annotations=ann)
-
-    def with_annotations(self, **extra: Any) -> "Waveform":
-        """Copy with additional annotations."""
-        ann = dict(self.annotations)
-        ann.update(extra)
-        return replace(self, annotations=ann)
 
     def copy(self) -> "Waveform":
         return replace(self, iq=self.iq.copy(), annotations=dict(self.annotations))

@@ -49,7 +49,6 @@ _SFD_LONG = bitlib.bits_from_int(0xF3A0, 16)
 
 #: SIGNAL field values (rate in 100 kbps units).
 _SIGNAL_BY_RATE = {1.0: 0x0A, 2.0: 0x14, 5.5: 0x37}
-_RATE_BY_SIGNAL = {v: k for k, v in _SIGNAL_BY_RATE.items()}
 
 #: DQPSK phase increments for dibits (d0, d1) per 802.11 Table 16-2,
 #: indexed by ``2*d0 + d1``.
@@ -195,15 +194,14 @@ def _plcp_header_bits(rate_mbps: float, length_bytes: int) -> np.ndarray:
 # modulator
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=256)
-def _cached_head(rate_mbps: float, n_psdu_bytes: int) -> tuple[np.ndarray, float, int, int]:
+def _cached_head(rate_mbps: float, n_psdu_bytes: int) -> tuple[np.ndarray, float, int]:
     """Spread chips for the scrambled SYNC+SFD+PLCP header.
 
     Everything before the PSDU is fully determined by (rate, PSDU byte
     count), so traffic generators that vary only the payload reuse the
     ~144 us detection field instead of re-spreading it per packet.
-    Returns ``(head_chips, last_phase, scrambler_state_after_head,
-    n_head_bits)``; the chips array is shared -- callers must not
-    mutate it.
+    Returns ``(head_chips, last_phase, scrambler_state_after_head)``;
+    the chips array is shared -- callers must not mutate it.
     """
     sync = np.ones(128, dtype=np.uint8)
     header = _plcp_header_bits(rate_mbps, n_psdu_bytes)
@@ -218,7 +216,7 @@ def _cached_head(rate_mbps: float, n_psdu_bytes: int) -> tuple[np.ndarray, float
     state_after = 0
     for k in range(7):
         state_after |= int(head_bits[-1 - k]) << k
-    return head_chips, last_phase, state_after, pre_scramble.size
+    return head_chips, last_phase, state_after
 
 
 @contracts.dtypes(np.uint8)
@@ -245,7 +243,7 @@ def modulate(
     else:
         payload_bits = np.asarray(payload, dtype=np.uint8)
 
-    head_chips, last_phase, scr_state, n_head = _cached_head(
+    head_chips, last_phase, scr_state = _cached_head(
         cfg.rate_mbps, (payload_bits.size + 7) // 8
     )
 
@@ -289,9 +287,6 @@ def modulate(
             "payload_start": payload_start,
             "samples_per_symbol": chips_per_symbol * _SAMPLES_PER_CHIP,
             "n_payload_symbols": psdu_chips.size // chips_per_symbol,
-            "payload_bits": psdu_bits.copy(),
-            "n_head_bits": n_head,
-            "scrambled_domain": scrambled_domain,
         },
     )
 
@@ -305,8 +300,6 @@ class WifiBDecodeResult:
 
     payload_bits: np.ndarray
     onair_bits: np.ndarray
-    header_ok: bool
-    rate_mbps: float
 
 
 @contracts.shapes("_ -> _,_")
@@ -414,7 +407,6 @@ def demodulate(
     head_onair = _diff_bits(head_syms[1:], head_syms[0])
     first_bit = np.uint8(np.real(head_syms[0]) < 0)
     head_onair = np.concatenate([[first_bit], head_onair])
-    sync_len = 144
 
     n_sym = ann["n_payload_symbols"]
     prev = head_syms[-1] if head_syms.size else 1.0 + 0j
@@ -431,26 +423,10 @@ def demodulate(
     onair = np.concatenate([head_onair, psdu_onair])
     descrambled = bitlib.descramble_80211b(onair, seed=_SCRAMBLER_SEED)
 
-    n_head_bits = head_onair.size
-    header_bits = descrambled[sync_len:n_head_bits]
-    header_ok = bool(
-        header_bits.size == 48
-        and np.array_equal(
-            bitlib.crc16_80211b_plcp(header_bits[:32]), header_bits[32:48]
-        )
-    )
-    signal = bitlib.int_from_bits(header_bits[:8]) if header_bits.size == 48 else 0
-    decoded_rate = _RATE_BY_SIGNAL.get(signal, rate)
-
-    payload_bits = descrambled[n_head_bits:]
+    payload_bits = descrambled[head_onair.size :]
     if n_payload_bits is not None:
         payload_bits = payload_bits[:n_payload_bits]
-    return WifiBDecodeResult(
-        payload_bits=payload_bits,
-        onair_bits=psdu_onair,
-        header_ok=header_ok,
-        rate_mbps=decoded_rate,
-    )
+    return WifiBDecodeResult(payload_bits=payload_bits, onair_bits=psdu_onair)
 
 
 def demodulate_batch(

@@ -521,16 +521,15 @@ def modulate(
 class WifiNDecodeResult:
     """Receiver output.
 
-    ``data_bits`` is the full descrambled data stream (SERVICE + PSDU +
-    tail + pad); ``psdu_bits`` strips the 16-bit SERVICE field;
-    ``symbol_bits`` groups ``data_bits`` by originating OFDM symbol --
-    the overlay decoder's comparison unit (§2.4, 802.11n case).
+    ``psdu_bits`` is the descrambled PSDU (the data stream without its
+    16-bit SERVICE field, tail and pad); ``symbol_bits`` groups the whole
+    descrambled data stream (SERVICE + PSDU + tail + pad) by originating
+    OFDM symbol -- the overlay decoder's comparison unit (§2.4, 802.11n
+    case).
     """
 
-    data_bits: np.ndarray
     psdu_bits: np.ndarray
     symbol_bits: list[np.ndarray]
-    cpe_per_symbol: np.ndarray
 
 
 def estimate_cfo(wave: Waveform) -> Hertz:
@@ -601,7 +600,7 @@ def demodulate(
     h = np.where(np.abs(h) < 1e-12, 1e-12, h)
 
     n_sym = ann["n_payload_symbols"]
-    points, cpes = _receive_symbols(
+    points, _ = _receive_symbols(
         wave.iq,
         ann["payload_start"],
         n_sym,
@@ -635,12 +634,7 @@ def demodulate(
         psdu = psdu[:n_psdu_bits]
     n_dbps = cfg.n_dbps
     symbol_bits = [data_bits[s * n_dbps : (s + 1) * n_dbps] for s in range(n_sym)]
-    return WifiNDecodeResult(
-        data_bits=data_bits,
-        psdu_bits=psdu,
-        symbol_bits=symbol_bits,
-        cpe_per_symbol=cpes,
-    )
+    return WifiNDecodeResult(psdu_bits=psdu, symbol_bits=symbol_bits)
 
 
 def demodulate_batch(

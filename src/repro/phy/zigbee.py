@@ -16,7 +16,6 @@ symbol it cuts through.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,7 +78,6 @@ _PN_BIPOLAR = 2.0 * PN_TABLE.astype(float) - 1.0
 _Q_AXIS = np.resize(np.array([1.0, 1j], dtype=np.complex128), CHIPS_PER_SYMBOL)
 _PICK = 2 * np.arange(CHIPS_PER_SYMBOL) + np.arange(CHIPS_PER_SYMBOL) % 2
 _IDEAL_CONJ = np.conj(_PN_BIPOLAR * _Q_AXIS)
-_SQRT_CHIPS = math.sqrt(CHIPS_PER_SYMBOL)
 
 #: SFD value 0xA7 -> symbols [7, 0xA] (low nibble first).
 _SFD_SYMBOLS = (0x7, 0xA)
@@ -179,15 +177,11 @@ class ZigbeeDecodeResult:
     """Receiver output.
 
     ``symbols`` are the best-match PN decisions for the PSDU;
-    ``payload_bits`` the corresponding bit stream; ``correlations`` the
-    winning normalized correlation per symbol (a confidence measure the
-    overlay decoder uses to skip flip-boundary-damaged symbols).
+    ``payload_bits`` the corresponding bit stream.
     """
 
     payload_bits: np.ndarray
     symbols: np.ndarray
-    correlations: np.ndarray
-    sfd_ok: bool
 
 
 def _chip_matched_outputs(wave: Waveform, n_chips: int) -> ComplexIQ:
@@ -264,11 +258,10 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
     # re-estimated from each decided symbol (a one-shot derotation is
     # not enough over a multi-millisecond coherent packet).
     # The loop is serial, so it calls the scalar and array methods
-    # directly: ``cmath.exp``, ``math.sqrt``, ``.argmax()`` and ``.sum()``
-    # give the same values as their NumPy wrappers, and ``np.arctan2`` is
-    # what ``np.angle`` computes (``math.atan2`` can differ in the last bit).
+    # directly: ``cmath.exp``, ``.argmax()`` and ``.sum()`` give the same
+    # values as their NumPy wrappers, and ``np.arctan2`` is what
+    # ``np.angle`` computes (``math.atan2`` can differ in the last bit).
     symbols = np.empty(n_symbols, dtype=np.uint8)
-    corrs = np.empty(n_symbols)
     phase = 0.0
     for k, zk in enumerate(z.reshape(n_symbols, CHIPS_PER_SYMBOL)):
         rotated = zk * cmath.exp(-1j * phase)
@@ -276,9 +269,6 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
         scores = _PN_BIPOLAR @ seg
         best = int(scores.argmax())
         symbols[k] = best
-        # What np.linalg.norm computes for a real vector.
-        norm = math.sqrt(seg.dot(seg)) * _SQRT_CHIPS
-        corrs[k] = scores[best] / norm if norm > 1e-12 else 0.0
         # Residual phase of this symbol relative to its decision: the
         # ideal rotated outputs are (+-1) on I chips and (+-j) on Q
         # chips, so projecting onto the decided chips re-centers them
@@ -287,17 +277,9 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
         if abs(residual) > 1e-12:
             phase += 0.5 * float(np.arctan2(residual.imag, residual.real))
 
-    sfd_ok = bool(
-        n_header >= _N_PREAMBLE_SYMBOLS + 2
-        and tuple(symbols[_N_PREAMBLE_SYMBOLS : _N_PREAMBLE_SYMBOLS + 2])
-        == _SFD_SYMBOLS
-    )
     payload_symbols = symbols[n_header:]
     return ZigbeeDecodeResult(
-        payload_bits=bits_from_symbols(payload_symbols),
-        symbols=payload_symbols,
-        correlations=corrs[n_header:],
-        sfd_ok=sfd_ok,
+        payload_bits=bits_from_symbols(payload_symbols), symbols=payload_symbols
     )
 
 

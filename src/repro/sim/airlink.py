@@ -77,8 +77,13 @@ def run_airlink(
     :class:`~repro.core.tag.MultiscatterTag` identifies it (signal-level
     pipeline) and backscatters the next chunk of ``tag_payload``; the
     receiver decodes at the RSSI/noise implied by the calibrated link
-    budget for ``d_tag_rx_m``.
+    budget for ``d_tag_rx_m``.  ``max_packets`` replays only the first
+    that many packets (``None``: all of them; a negative value raises
+    ``ValueError``).
     """
+    if max_packets is not None and max_packets < 0:
+        raise ValueError(f"max_packets must be >= 0 or None, got {max_packets!r}")
+    pipeline = AirlinkPipeline(d_tag_rx_m=d_tag_rx_m)
     rng = fallback_rng(rng)
     payload = (
         np.asarray(tag_payload, dtype=np.uint8)
@@ -86,11 +91,9 @@ def run_airlink(
         else rng.integers(0, 2, 4096).astype(np.uint8)
     )
     report = AirlinkReport(duration_s=schedule.duration_s)
-    pipeline = AirlinkPipeline(d_tag_rx_m=d_tag_rx_m)
     cursor = 0
 
-    packets = schedule.packets[:max_packets] if max_packets else schedule.packets
-    for scheduled in packets:
+    for scheduled in schedule.packets[:max_packets]:
         outcome, cursor = pipeline.process(scheduled, payload, cursor, rng)
         report.outcomes.append(outcome)
     return report

@@ -28,6 +28,7 @@ never changes a decoded bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,6 @@ from repro.core.identification import DEFAULT_INCIDENT_DBM
 from repro.core.overlay import OverlayCodec, OverlayConfig
 from repro.core.overlay_decoder import OverlayDecoder
 from repro.core.tag import MultiscatterTag, TagReaction
-from repro.core.tag_modulation import TagModulator
 from repro.core.wavecache import LruCache
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
@@ -84,14 +84,11 @@ class ReceiverSet:
     """One overlay layout's hoisted receive-side construction.
 
     Everything here is deterministic, stateless across packets, and
-    shared: the overlay codec (layout arithmetic), a reference tag
-    modulator (used for carrier construction and for retuning the
-    receiver to the shifted channel), the single-receiver overlay
-    decoder, and the calibrated link budget.
+    shared: the overlay codec (layout arithmetic), the single-receiver
+    overlay decoder, and the calibrated link budget.
     """
 
     codec: OverlayCodec
-    modulator: TagModulator
     decoder: OverlayDecoder
     link: BackscatterLink
 
@@ -104,19 +101,17 @@ _RECEIVER_CACHE = LruCache(maxsize=32, name="sim.pipeline.receiver_set")
 def receiver_set(config: OverlayConfig) -> ReceiverSet:
     """The memoized per-overlay-layout receiver/template set.
 
-    The batch driver used to rebuild codec, modulator, decoder and
-    link objects per packet; the construction is deterministic from
-    the frozen :class:`OverlayConfig` (no RNG draws), so hoisting it
-    behind the wavecache changes no decoded bit while the gateway hot
-    loop stops re-deriving receivers.  The modulator shifts by the
-    tag's :data:`~repro.core.tag_modulation.DEFAULT_SHIFT_HZ`.
+    The batch driver used to rebuild codec, decoder and link objects
+    per packet; the construction is deterministic from the frozen
+    :class:`OverlayConfig` (no RNG draws), so hoisting it behind the
+    wavecache changes no decoded bit while the gateway hot loop stops
+    re-deriving receivers.
     """
 
     def build() -> ReceiverSet:
         codec = OverlayCodec(config)
         return ReceiverSet(
             codec=codec,
-            modulator=TagModulator(codec),
             decoder=OverlayDecoder(codec),
             link=BackscatterLink(PROTOCOL_LINK_DEFAULTS[config.protocol]),
         )
@@ -207,9 +202,15 @@ class AirlinkPipeline:
     ----------
     d_tag_rx_m:
         Tag-to-receiver distance; sets the calibrated decode SNR.
+        Must be positive and finite.
     """
 
     def __init__(self, *, d_tag_rx_m: float = 2.0) -> None:
+        # Written so that NaN fails it.
+        if not 0 < d_tag_rx_m < math.inf:
+            raise ValueError(
+                f"d_tag_rx_m must be positive and finite, got {d_tag_rx_m!r}"
+            )
         self.tag = MultiscatterTag()
         self.d_tag_rx_m = d_tag_rx_m
 

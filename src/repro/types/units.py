@@ -73,33 +73,32 @@ class Unit:
     """A unit marker carried in ``Annotated`` metadata.
 
     ``symbol`` is the canonical short name (also what reproflow prints
-    in findings); ``dimension`` groups scale variants of one physical
-    dimension (``s`` and ``us`` are both ``time``) and log-domain
-    families (``db``/``dbm`` are both ``log-power``).
+    in findings).  Which units share a dimension (``s`` and ``us`` are
+    both time) is reproflow's business: its lattice,
+    ``tools/reproflow/unitlattice.py``, groups them.
     """
 
     symbol: str
-    dimension: str
 
     def __repr__(self) -> str:
         return f"Unit({self.symbol!r})"
 
 
-HZ = Unit("Hz", "rate")
-S = Unit("s", "time")
-US = Unit("us", "time")
-SAMPLES = Unit("samples", "count")
-CHIPS = Unit("chips", "count")
-SYMBOLS = Unit("symbols", "count")
-BITS = Unit("bits", "count")
-BYTES = Unit("bytes", "count")
-DB = Unit("dB", "log-power")
-DBM = Unit("dBm", "log-power")
-MILLIWATTS = Unit("mW", "linear-power")
-WATTS = Unit("W", "linear-power")
-VOLTS = Unit("V", "voltage")
-METERS = Unit("m", "length")
-RATIO = Unit("ratio", "dimensionless")
+HZ = Unit("Hz")
+S = Unit("s")
+US = Unit("us")
+SAMPLES = Unit("samples")
+CHIPS = Unit("chips")
+SYMBOLS = Unit("symbols")
+BITS = Unit("bits")
+BYTES = Unit("bytes")
+DB = Unit("dB")
+DBM = Unit("dBm")
+MILLIWATTS = Unit("mW")
+WATTS = Unit("W")
+VOLTS = Unit("V")
+METERS = Unit("m")
+RATIO = Unit("ratio")
 
 #: Frequencies and rates: sample rates, chip rates, CFO, bandwidths.
 Hertz: TypeAlias = Annotated[float, HZ]

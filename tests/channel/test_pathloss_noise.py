@@ -35,6 +35,16 @@ class TestPathloss:
         with pytest.raises(ValueError):
             pathloss.log_distance_path_loss_db(1.0, exponent=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-9])
+    def test_rejects_bad_distance(self, bad):
+        with pytest.raises(ValueError, match="distance_m"):
+            pathloss.log_distance_path_loss_db(bad)
+
+    def test_clamps_below_one_centimetre(self):
+        at_cm = pathloss.log_distance_path_loss_db(0.01)
+        assert pathloss.log_distance_path_loss_db(0.0) == at_cm
+        assert pathloss.log_distance_path_loss_db(0.004) == at_cm
+
     def test_rejects_nan_exponent(self):
         with pytest.raises(ValueError, match="exponent"):
             pathloss.log_distance_path_loss_db(1.0, exponent=float("nan"))

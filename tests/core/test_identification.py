@@ -164,18 +164,18 @@ class TestIdentification:
         (report,) = evaluate([ident], traces, 4)
         assert sum(report.confusion.values()) == len(traces)
 
-    def test_identify_returns_scores(self):
+    def test_identify_returns_the_decided_protocol(self):
         ident = ProtocolIdentifier(
             IdentificationConfig(sample_rate_hz=10e6, window_us=6.0)
         )
         wave = random_packet(Protocol.ZIGBEE, np.random.default_rng(0))
-        result = ident.identify(
-            wave,
-            incident_power_dbm=DEFAULT_INCIDENT_DBM[Protocol.ZIGBEE],
-            rng=np.random.default_rng(5),
+        power = DEFAULT_INCIDENT_DBM[Protocol.ZIGBEE]
+        decision = ident.identify(
+            wave, incident_power_dbm=power, rng=np.random.default_rng(5)
         )
-        assert set(result.scores) == set(Protocol)
-        assert result.decision is Protocol.ZIGBEE
+        scores = ident.scores(wave, incident_power_dbm=power, rng=np.random.default_rng(5))
+        assert set(scores) == set(Protocol)
+        assert decision is ident.matcher.decide(scores) is Protocol.ZIGBEE
 
 
 _NON_FINITE = (float("nan"), float("inf"), float("-inf"))

@@ -5,8 +5,15 @@ import time
 
 import numpy as np
 
+from repro import perf
 from repro.core import loopwatch
 from repro.core.loopwatch import LoopWatch
+
+
+def _lag_samples() -> int:
+    """Monitor wake-ups so far: each one records a ``loopwatch.lag_s``
+    gauge sample."""
+    return int(perf.gauges().get("loopwatch.lag_s", {}).get("n", 0))
 
 
 class TestEnablement:
@@ -35,8 +42,9 @@ class TestEnablement:
             await asyncio.sleep(0.03)
             return await watch.stop()
 
-        stats = asyncio.run(run())
-        assert stats.ticks >= 1
+        before = _lag_samples()
+        asyncio.run(run())
+        assert _lag_samples() - before >= 1
 
 
 class TestLagDetection:
@@ -60,9 +68,10 @@ class TestLagDetection:
             await asyncio.sleep(0.05)
             return await watch.stop()
 
+        before = _lag_samples()
         stats = asyncio.run(run())
         assert stats.violations == 0
-        assert stats.ticks >= 2
+        assert _lag_samples() - before >= 2
 
     def test_debug_mode_slow_callbacks_counted(self):
         # PYTHONASYNCIODEBUG's in-process equivalent: with loop debug

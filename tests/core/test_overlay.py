@@ -140,14 +140,17 @@ class TestCleanRoundTrip:
 
 
 class TestFrequencyShift:
-    def test_shift_tracked_in_annotations(self):
+    def test_shift_moves_the_packet_and_retune_undoes_it(self):
         codec = OverlayCodec(OverlayConfig.for_mode(Protocol.BLE, Mode.MODE_1))
         wave = codec.build_carrier(np.array([1, 0], np.uint8))
+        bits = np.array([1], np.uint8)
         mod = TagModulator(codec, frequency_shift_hz=10e6)
-        bs = mod.modulate(wave, np.array([1], np.uint8))
-        assert bs.center_offset_hz == pytest.approx(10e6)
+        unshifted = TagModulator(codec, frequency_shift_hz=0.0).modulate(wave, bits)
+        bs = mod.modulate(wave, bits)
+        t = np.arange(bs.n_samples) / bs.sample_rate
+        assert np.allclose(bs.iq, unshifted.iq * np.exp(2j * np.pi * 10e6 * t))
         back = mod.received_at_shifted_channel(bs)
-        assert back.center_offset_hz == pytest.approx(0.0)
+        assert np.allclose(back.iq, unshifted.iq, atol=1e-9)
 
     def test_protocol_mismatch_rejected(self):
         codec = OverlayCodec(OverlayConfig.for_mode(Protocol.BLE, Mode.MODE_1))

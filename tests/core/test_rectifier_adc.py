@@ -178,7 +178,7 @@ class TestWindowedFrontEnd:
     def test_rectify_head_matches_full_trace(self, protocol, power):
         wave = reference_waveform(protocol, n_payload_bytes=16)
         if power is None:  # prescaled: the waveform is in antenna volts
-            wave = wave.scaled(0.05)
+            wave.iq = wave.iq * 0.05
         rect = ClampRectifier()
         window = Adc(sample_rate=2.5e6).samples_read(wave.sample_rate, 42e-6)
         for k in (1, 2, window, wave.n_samples - 1, wave.n_samples + 5):

@@ -65,7 +65,6 @@ class TestModulationInvariants:
         shifted = mod.modulate(carrier, np.zeros_like(tag_bits))
         back = mod.received_at_shifted_channel(shifted)
         assert np.allclose(back.iq, carrier.iq, atol=1e-9)
-        assert back.center_offset_hz == pytest.approx(0.0)
 
 
 class TestClockBounds:
@@ -91,10 +90,7 @@ class TestClockBounds:
         got = mod.modulate(carrier, tag_bits)
         want = ref.tag_modulate(mod, carrier, tag_bits)
         assert got.iq.tobytes() == want.iq.tobytes()
-        assert (
-            got.annotations["tag_flip_flags"].tobytes()
-            == want.annotations["tag_flip_flags"].tobytes()
-        )
+        assert got.annotations == want.annotations
 
 
 class TestShiftBounds:

@@ -47,7 +47,7 @@ class RecordingIdentifier:
 
     def identify(self, scene, *, rng, prescaled):
         state = rng.bit_generator.state
-        result = self.inner.identify(scene, rng=rng, prescaled=prescaled)
+        decision = self.inner.identify(scene, rng=rng, prescaled=prescaled)
         self.seen.append(
             (
                 scene.iq.tobytes(),
@@ -55,11 +55,11 @@ class RecordingIdentifier:
                 scene.annotations,
                 state,
                 prescaled,
-                result.decision,
+                decision,
                 threading.current_thread(),
             )
         )
-        return result
+        return decision
 
 
 def _run(survival_rate, case, n_trials, seed):

@@ -41,7 +41,6 @@ class TestContention:
         for _ in range(20):
             assert arb.arbitrate(["a", "b"]) == ("a", "b")[int(want.integers(0, 2))]
         assert arb._rng.bit_generator.state == want.bit_generator.state
-        assert arb.n_arbitrations == 20
 
 
 class TestReplay:

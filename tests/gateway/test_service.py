@@ -52,13 +52,21 @@ class TestConcurrentTags:
             gw = Gateway(GatewayConfig(seed=7, keepalive_timeout_s=30.0))
             for i in range(64):
                 await gw.register_tag(f"tag-{i:03d}")
+            arbitrate = gw.mac.arbitrate
+
+            def counting(ids):
+                contenders.append(len(ids))
+                return arbitrate(ids)
+
+            gw.mac.arbitrate = counting
             subs = [gw.subscribe(f"sub-{j}", maxlen=512) for j in range(2)]
             tasks = [asyncio.ensure_future(collect(s)) for s in subs]
             stats = await gw.serve(make_source(max_packets=32))
             streams = await asyncio.gather(*tasks)
-            return gw, stats, streams
+            return stats, streams
 
-        gw, stats, streams = asyncio.run(run())
+        contenders = []
+        stats, streams = asyncio.run(run())
         assert stats.n_packets == 32
         assert stats.drained_clean
         assert stats.n_dropped_events == 0
@@ -68,8 +76,8 @@ class TestConcurrentTags:
             assert type(a) is type(b)
             if isinstance(a, PacketEvent):
                 assert (a.tag_id, a.seq, a.time_s) == (b.tag_id, b.seq, b.time_s)
-        # Every slot was contended (64 live tags), so the arbiter drew.
-        assert gw.mac.n_arbitrations == 32
+        # Every slot was contended by all 64 live tags.
+        assert contenders == [64] * 32
 
     def test_packet_work_spreads_across_tags(self):
         async def run():
@@ -157,21 +165,20 @@ class TestControlPlane:
         )
         assert "keepalive" in detail
 
-    def test_carrier_assignment_published_and_recorded(self):
+    def test_carrier_assignment_published(self):
         async def run():
             gw = Gateway(GatewayConfig(seed=2, keepalive_timeout_s=30.0))
-            session = await gw.register_tag("t")
+            await gw.register_tag("t")
             sub = gw.subscribe("s", maxlen=512)
             source = make_source(max_packets=4)
             choice = await gw.assign_carrier(source.observed_rates())
             task = asyncio.ensure_future(collect(sub))
             await gw.serve(source)
             events = await task
-            return choice, session, events
+            return choice, events
 
-        choice, session, events = asyncio.run(run())
+        choice, events = asyncio.run(run())
         assert choice is not None
-        assert session.assigned_protocol is choice
         assigned = [
             e for e in events
             if isinstance(e, ControlEvent) and e.kind == "carrier_assigned"
@@ -214,6 +221,23 @@ class TestRangeChecks:
     def test_nan_is_rejected(self, cls, field):
         with pytest.raises(ValueError, match=field):
             cls(**{field: math.nan})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_tag_distance_must_be_positive_and_finite(self, bad):
+        control = ControlPlane()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="d_tag_rx_m"):
+            control.register("t", rng=rng, d_tag_rx_m=bad)
+        assert rng.bit_generator.state == state and len(control) == 0
+
+        async def run():
+            gw = Gateway(GatewayConfig(seed=0))
+            with pytest.raises(ValueError, match="d_tag_rx_m"):
+                await gw.register_tag("t", d_tag_rx_m=bad)
+            return len(gw.control)
+
+        assert asyncio.run(run()) == 0
 
     def test_infinite_timeouts_are_accepted(self):
         GatewayConfig(

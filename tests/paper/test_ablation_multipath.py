@@ -43,12 +43,12 @@ def run_multipath_ablation(n_per_protocol: int = 5, seed: int = 3) -> Experiment
                     faded = chan.apply(wave)
                     faded.annotations = dict(wave.annotations)
                     wave = faded
-                result = ident.identify(
+                decision = ident.identify(
                     wave,
                     incident_power_dbm=DEFAULT_INCIDENT_DBM[p],
                     rng=np.random.default_rng(total),
                 )
-                hits += result.decision is p
+                hits += decision is p
                 total += 1
         rows[spread_ns] = hits / total
     return ExperimentResult(

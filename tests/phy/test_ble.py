@@ -10,6 +10,13 @@ from repro.phy import bits as bitlib
 from repro.phy.protocols import Protocol
 
 
+def sent_pdu(payload: bytes) -> np.ndarray:
+    """The whitened header + payload + CRC-24 that ``modulate`` puts on
+    air after the access address (advertising channel 37)."""
+    pdu = bitlib.bits_from_bytes(bytes([0x02, len(payload)]) + payload)
+    return bitlib.whiten_ble(np.concatenate([pdu, bitlib.crc24_ble(pdu)]), 37)
+
+
 class TestStructure:
     def test_metadata(self):
         wave = ble.modulate(b"\x11\x22\x33")
@@ -58,14 +65,24 @@ class TestStructure:
         for channel in (38, 39):
             assert bitlib.bytes_from_bits(bitlib.whiten_ble(onair, channel)[:n]) != pdu
 
+    def test_pdu_ends_in_its_crc24(self):
+        # The receiver delivers raw decisions (the paper turns CRC
+        # checking off), but the frame on air still carries a valid
+        # CRC-24 over header + payload.
+        payload = b"\x11\x22\x33\x44"
+        pdu = bitlib.whiten_ble(ble.demodulate(ble.modulate(payload)).onair_bits, 37)
+        n = 8 * (2 + len(payload))
+        assert pdu.size == n + 24
+        assert bitlib.bytes_from_bits(pdu[:n]) == bytes([0x02, len(payload)]) + payload
+        assert np.array_equal(bitlib.crc24_ble(pdu[:n]), pdu[n:])
+
 
 class TestLoopback:
     def test_clean_loopback_with_crc(self):
         payload = bytes(range(20))
         wave = ble.modulate(payload)
         result = ble.demodulate(wave)
-        assert result.crc_ok
-        assert result.access_address == ble.ADVERTISING_ACCESS_ADDRESS
+        assert np.array_equal(result.onair_bits, sent_pdu(payload))
         assert bitlib.bytes_from_bits(result.payload_bits) == payload
 
     @given(st.binary(min_size=1, max_size=30))

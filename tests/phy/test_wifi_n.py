@@ -6,6 +6,7 @@ import pytest
 from repro.phy import bits as bitlib
 from repro.phy import wifi_n
 from repro.phy.protocols import Protocol
+from tests.phy.test_receiver_tracking import applied_cpes, per_symbol_flips
 
 
 class TestStructure:
@@ -47,7 +48,7 @@ class TestLoopback:
         payload = bytes(range(39))
         wave = wifi_n.modulate(payload, wifi_n.WifiNConfig(mcs=mcs))
         result = wifi_n.demodulate(wave, n_psdu_bits=len(payload) * 8)
-        assert bitlib.bytes_from_bits(result.payload_bits if hasattr(result, "payload_bits") else result.psdu_bits) == payload
+        assert bitlib.bytes_from_bits(result.psdu_bits) == payload
 
     def test_loopback_with_noise(self):
         rng = np.random.default_rng(11)
@@ -71,8 +72,12 @@ class TestLoopback:
         wave = wifi_n.modulate(payload)
         result = wifi_n.demodulate(wave)
         joined = np.concatenate(result.symbol_bits)
-        assert np.array_equal(joined, result.data_bits)
         assert all(b.size == 26 for b in result.symbol_bits)
+        # SERVICE (16 zero bits), the PSDU, then tail and pad (zeros).
+        n = len(payload) * 8
+        assert not joined[:16].any() and not joined[16 + n :].any()
+        assert np.array_equal(joined[16 : 16 + n], result.psdu_bits)
+        assert bitlib.bytes_from_bits(result.psdu_bits) == payload
 
     def test_custom_data_bits_path(self):
         # Craft the full data-bit stream (as the overlay layer does).
@@ -80,7 +85,7 @@ class TestLoopback:
         stream[16:42] = 1  # second OFDM symbol all ones
         wave = wifi_n.modulate(b"", data_bits=stream)
         result = wifi_n.demodulate(wave)
-        assert np.array_equal(result.data_bits[: stream.size], stream)
+        assert np.array_equal(np.concatenate(result.symbol_bits)[: stream.size], stream)
 
 
 class TestTagFlipSurvival:
@@ -102,13 +107,6 @@ class TestTagFlipSurvival:
             flipped.iq[lo : lo + wifi_n.SYMBOL_LEN] *= -1.0
         return flipped
 
-    def _per_symbol_diff(self, clean, tagged):
-        diff = clean.data_bits != tagged.data_bits
-        return [
-            diff[s * 26 : (s + 1) * 26].mean()
-            for s in range(len(clean.symbol_bits))
-        ]
-
     def test_gamma2_flip_complements_middle_bits(self):
         payload = np.zeros(26 * 8, np.uint8)
         wave = wifi_n.modulate(payload)
@@ -116,7 +114,7 @@ class TestTagFlipSurvival:
 
         clean = wifi_n.demodulate(wave)
         tagged = wifi_n.demodulate(flipped)
-        per_symbol = self._per_symbol_diff(clean, tagged)
+        per_symbol = per_symbol_flips(clean, tagged)
         # The flipped pair's bits complement strongly (middle half
         # completely), and distant symbols are untouched.
         assert (per_symbol[3] + per_symbol[4]) / 2 > 0.6
@@ -130,13 +128,12 @@ class TestTagFlipSurvival:
         flipped = self._flip_symbols(wave, [3])
         clean = wifi_n.demodulate(wave)
         tagged = wifi_n.demodulate(flipped)
-        per_symbol = self._per_symbol_diff(clean, tagged)
+        per_symbol = per_symbol_flips(clean, tagged)
         assert per_symbol[3] < 0.5
 
     def test_pilot_tracking_does_not_erase_flip(self):
         payload = np.zeros(26 * 8, np.uint8)
         wave = wifi_n.modulate(payload)
         flipped = self._flip_symbols(wave, [3, 4])
-        tagged = wifi_n.demodulate(flipped)
         # CPE estimates stay small: the pi jump is not "corrected".
-        assert np.all(np.abs(tagged.cpe_per_symbol) < 0.3)
+        assert np.all(np.abs(applied_cpes(flipped)) < 0.3)

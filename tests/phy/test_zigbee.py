@@ -92,7 +92,8 @@ class TestLoopback:
     def test_clean_loopback(self):
         payload = bytes(range(16))
         result = zigbee.demodulate(zigbee.modulate(payload))
-        assert result.sfd_ok
+        sent = zigbee.symbols_from_bits(bitlib.bits_from_bytes(payload))
+        assert np.array_equal(result.symbols, sent)
         assert bitlib.bytes_from_bits(result.payload_bits) == payload
 
     @given(st.binary(min_size=1, max_size=24))

@@ -1,5 +1,6 @@
 """Integration tests: the full waveform-level system loop."""
 
+import math
 import pickle
 
 import numpy as np
@@ -67,6 +68,40 @@ class TestIdentificationMisses:
         assert all(
             o.backscattered for o in multiscatter_report.outcomes if o.identified is o.protocol
         )
+
+
+_BAD_DISTANCES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+class TestArguments:
+    @pytest.fixture(scope="class")
+    def three_packets(self):
+        source = ExcitationSource(Protocol.BLE, n_payload_bytes=10)
+        packets = [ScheduledPacket(Protocol.BLE, 0.01 * k, 1e-4, source) for k in range(3)]
+        return ExcitationSchedule(duration_s=0.03, packets=packets)
+
+    @pytest.mark.parametrize(("max_packets", "n"), [(None, 3), (0, 0), (1, 1), (3, 3), (5, 3)])
+    def test_max_packets_counts_like_the_gateway(self, three_packets, max_packets, n):
+        # None replays every packet and 0 none, as AsyncExcitationSource.
+        report = run_airlink(
+            three_packets, rng=np.random.default_rng(2), max_packets=max_packets
+        )
+        assert report.n_packets == n
+
+    @pytest.mark.parametrize("max_packets", [-1, -3])
+    def test_negative_max_packets_rejected(self, three_packets, max_packets):
+        with pytest.raises(ValueError, match="max_packets"):
+            run_airlink(three_packets, max_packets=max_packets)
+
+    @pytest.mark.parametrize("bad", _BAD_DISTANCES)
+    def test_tag_distance_must_be_positive_and_finite(self, three_packets, bad):
+        with pytest.raises(ValueError, match="d_tag_rx_m"):
+            AirlinkPipeline(d_tag_rx_m=bad)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="d_tag_rx_m"):
+            run_airlink(three_packets, d_tag_rx_m=bad, rng=rng)
+        assert rng.bit_generator.state == state
 
 
 class TestDecodePayload:
