@@ -8,15 +8,16 @@ power convention.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from repro.types import ComplexIQ, DbmPower, Decibels, Hertz, Milliwatts, Samples
+from repro.types import DbmPower, Decibels, Hertz
 
 from repro.phy.waveform import Waveform
 from repro.rng import fallback_rng
 
-__all__ = ["noise_floor_dbm", "awgn", "complex_noise"]
+__all__ = ["noise_floor_dbm", "awgn"]
 
 #: Thermal noise density at 290 K, dBm/Hz.
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -40,14 +41,6 @@ def noise_floor_dbm(bandwidth_hz: Hertz, noise_figure_db: Decibels = DEFAULT_NOI
             f"noise_figure_db must be >= 0 and finite, got {noise_figure_db!r}"
         )
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
-
-
-def complex_noise(n: Samples, power_mw: Milliwatts, rng: np.random.Generator) -> ComplexIQ:
-    """Circular complex Gaussian samples of mean power ``power_mw``."""
-    if not 0 <= power_mw < math.inf:  # written so that NaN fails it
-        raise ValueError(f"power_mw must be >= 0 and finite, got {power_mw!r}")
-    sigma = np.sqrt(power_mw / 2.0)
-    return sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
 def awgn(
@@ -77,6 +70,20 @@ def awgn(
                 f"noise_power_dbm must be within +-{_DB_LIMIT:g} dB, got {noise_power_dbm!r}"
             )
         noise_power = 10.0 ** (noise_power_dbm / 10.0)
-    noisy = wave.copy()
-    noisy.iq = noisy.iq + complex_noise(wave.n_samples, noise_power, rng)
-    return noisy
+    if not 0 <= noise_power < math.inf:  # written so that NaN fails it
+        raise ValueError(f"noise power must be >= 0 and finite, got {noise_power!r}")
+    # Circular complex Gaussian noise of mean power ``noise_power``: two
+    # real draws, I then Q, each scaled and added to its part of the
+    # signal.  The complex form ``wave.iq + sigma * (re + 1j * im)``
+    # gives the same noise parts but for the sign of an exact zero, and
+    # adding a noise part to a signal part that is not -0.0 removes it.
+    sigma = np.sqrt(noise_power / 2.0)
+    n = wave.n_samples
+    re = rng.normal(size=n)
+    im = rng.normal(size=n)
+    re *= sigma
+    im *= sigma
+    iq = np.empty(n, dtype=np.complex128)
+    np.add(wave.iq.real, re, out=iq.real)
+    np.add(wave.iq.imag, im, out=iq.imag)
+    return replace(wave, iq=iq, annotations=dict(wave.annotations))

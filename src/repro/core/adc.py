@@ -23,6 +23,7 @@ from repro.types import FloatArray, Hertz, Seconds, Volts
 from scipy import signal as sp_signal
 
 from repro.core.rectifier import RectifierOutput
+from repro.phy.waveform import sosfilt
 
 __all__ = ["Adc", "AdcCapture"]
 
@@ -47,8 +48,7 @@ def _antialias_design(wn: float) -> tuple[np.ndarray, np.ndarray]:
     """4th-order Butterworth low-pass at normalized cutoff ``wn``: the
     ``sos`` sections and their unit-step steady state ``zi``.
 
-    Both arrays are read-only: scipy's ``sosfilt`` needs writable
-    sections, so callers hand it a copy.
+    Both arrays are read-only.
     """
     sos = sp_signal.butter(4, wn, output="sos")
     zi = sp_signal.sosfilt_zi(sos)
@@ -102,8 +102,7 @@ class Adc:
         sos, zi = _antialias_design(cutoff / nyq)
         # Start the filter in steady state at the first sample's level
         # so the capture window is not polluted by a startup ramp.
-        filtered, _ = sp_signal.sosfilt(sos.copy(), v, zi=zi * v[0])
-        return filtered
+        return sosfilt(sos, v, zi * v[0])
 
     def samples_read(
         self, input_rate: Hertz, duration_s: Seconds, *, phase_s: Seconds = 0.0

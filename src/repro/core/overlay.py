@@ -125,6 +125,10 @@ class OverlayCodec:
 
     def __init__(self, config: OverlayConfig) -> None:
         self.config = config
+        #: Reference symbol content per productive bit.
+        self._reference_symbols = np.array(
+            [self.reference_symbol_value(b) for b in (0, 1)], dtype=np.uint8
+        )
         if config.protocol is Protocol.ZIGBEE:
             #: Productive bit per PN symbol index, chip-distance
             #: fallback included.
@@ -185,33 +189,33 @@ class OverlayCodec:
         bits = np.asarray(productive_bits, dtype=np.uint8)
         cfg = self.config
         protocol = cfg.protocol
-        symbol_values = []
-        for b in bits:
-            symbol_values.extend([self.reference_symbol_value(int(b))] * cfg.kappa)
-        symbol_values.extend([0] * trailing_symbols)
+        symbols = np.concatenate(
+            [
+                np.repeat(self._reference_symbols[bits], cfg.kappa),
+                np.zeros(trailing_symbols, np.uint8),
+            ]
+        )
 
         if protocol is Protocol.WIFI_B:
-            onair = np.array(symbol_values, dtype=np.uint8)
-            return wifi_b.modulate(onair, scrambled_domain=True)
+            return wifi_b.modulate(symbols, scrambled_domain=True)
         if protocol is Protocol.BLE:
-            return ble.modulate(np.array(symbol_values, dtype=np.uint8))
+            return ble.modulate(symbols)
         if protocol is Protocol.ZIGBEE:
-            sym = np.array(symbol_values, dtype=np.uint8)
-            if sym.size % 2:
-                sym = np.concatenate([sym, np.zeros(1, np.uint8)])
-            return zigbee.modulate(zigbee.bits_from_symbols(sym))
+            if symbols.size % 2:
+                symbols = np.concatenate([symbols, np.zeros(1, np.uint8)])
+            return zigbee.modulate(zigbee.bits_from_symbols(symbols))
         # 802.11n: craft the data-bit stream; payload symbol 0 carries
         # the SERVICE field + filler, sequences start at symbol 1.
         n_dbps = 26  # MCS0
-        stream = [np.zeros(n_dbps, np.uint8)]  # symbol 0 (service+fill)
-        for v in symbol_values:
-            stream.append(np.full(n_dbps, v, dtype=np.uint8))
-        return wifi_n.modulate(b"", data_bits=np.concatenate(stream))
+        data_bits = np.repeat(np.concatenate([np.zeros(1, np.uint8), symbols]), n_dbps)
+        return wifi_n.modulate(b"", data_bits=data_bits)
 
     # ------------------------------------------------------------------
     # decoding (single commodity receiver)
     # ------------------------------------------------------------------
-    def decode_symbols(self, symbol_values: list) -> tuple[np.ndarray, np.ndarray]:
+    def decode_symbols(
+        self, symbol_values: np.ndarray | list
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Recover (productive_bits, tag_bits) from the receiver's
         per-symbol decisions.
 

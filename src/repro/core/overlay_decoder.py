@@ -37,8 +37,9 @@ class OverlayDecoder:
     def __init__(self, codec: OverlayCodec) -> None:
         self.codec = codec
 
-    def symbol_values(self, wave: Waveform) -> list:
-        """Per-payload-symbol decisions in the comparison domain.
+    def symbol_values(self, wave: Waveform) -> np.ndarray:
+        """Per-payload-symbol decisions in the comparison domain: the
+        receiver's own array (one row of bits per symbol for 802.11n).
 
         Calls the protocol's ``demodulate_batch`` on the one waveform:
         it has ``demodulate``'s defaults, and it is the decode stage's
@@ -47,16 +48,12 @@ class OverlayDecoder:
         """
         protocol = self.codec.config.protocol
         if protocol is Protocol.WIFI_B:
-            result = wifi_b.demodulate_batch([wave])[0]
-            return [int(b) for b in result.onair_bits]
+            return wifi_b.demodulate_batch([wave])[0].onair_bits
         if protocol is Protocol.BLE:
-            result = ble.demodulate_batch([wave])[0]
-            return [int(b) for b in result.onair_bits]
+            return ble.demodulate_batch([wave])[0].onair_bits
         if protocol is Protocol.ZIGBEE:
-            result = zigbee.demodulate_batch([wave])[0]
-            return [int(s) for s in result.symbols]
-        result = wifi_n.demodulate_batch([wave])[0]
-        return list(result.symbol_bits)
+            return zigbee.demodulate_batch([wave])[0].symbols
+        return wifi_n.demodulate_batch([wave])[0].symbol_bits
 
     def decode(self, wave: Waveform) -> OverlayDecodeOutput:
         """Decode productive and tag data from a received waveform.

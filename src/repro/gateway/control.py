@@ -22,6 +22,7 @@ driver -- the property the streaming/batch equivalence tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,13 +78,15 @@ class ControlPlane:
         self,
         tag_id: str,
         *,
-        rng: np.random.Generator,
+        rng: np.random.Generator | Callable[[], np.random.Generator],
         payload: np.ndarray | None = None,
         d_tag_rx_m: float = 2.0,
         now_s: float = 0.0,
     ) -> TagSession:
         """Admit a multiscatter tag to the network.
 
+        ``rng`` is the session's stream, or a factory called only once
+        the registration is accepted (a rejected one creates none).
         ``payload=None`` draws the batch driver's default 4096-bit
         payload from ``rng`` -- the first draw the batch loop makes,
         preserving stream alignment for equivalence replays.
@@ -91,6 +94,8 @@ class ControlPlane:
         if tag_id in self._sessions:
             raise ValueError(f"tag {tag_id!r} already registered")
         pipeline = AirlinkPipeline(d_tag_rx_m=d_tag_rx_m)
+        if callable(rng):
+            rng = rng()
         resolved = (
             np.asarray(payload, dtype=np.uint8)
             if payload is not None

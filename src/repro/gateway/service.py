@@ -292,10 +292,13 @@ class Gateway:
         now_s = self._now()
         # Building the tag builds (cached, per-protocol) reference
         # template banks -- a deliberate one-time control-plane cost,
-        # accepted on the registration path.
+        # accepted on the registration path.  The default stream is
+        # spawned only once the control plane accepts the tag: a
+        # rejected registration must not advance the gateway seed, or
+        # every tag registered after it would get another stream.
         session = self.control.register(  # reproasync: disable=C001
             tag_id,
-            rng=rng if rng is not None else self.spawn_rng(),
+            rng=rng if rng is not None else self.spawn_rng,
             payload=payload,
             d_tag_rx_m=d_tag_rx_m,
             now_s=now_s,
@@ -624,13 +627,18 @@ class Gateway:
     async def _enqueue_batch(self, batch: _PendingBatch | None) -> None:
         """Queue a batch for the publisher, surfacing its death.
 
-        A plain ``queue.put`` would deadlock if the publisher failed
+        With room in the queue and the publisher alive, the batch goes
+        in without yielding, as ``queue.put`` would put it.  Otherwise
+        a plain ``queue.put`` would deadlock if the publisher failed
         with the queue full, so the put races the publisher task; a
         dead publisher re-raises its error on the air loop.
         """
         task = self._publisher_task
         queue = self._publish_queue
         assert task is not None and queue is not None
+        if not task.done() and not queue.full():
+            queue.put_nowait(batch)
+            return
         if not task.done():
             put = asyncio.ensure_future(queue.put(batch))
             try:

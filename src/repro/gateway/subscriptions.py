@@ -4,9 +4,11 @@ Every subscriber owns a bounded :class:`asyncio.Queue`; what happens
 when it fills is the subscriber's declared policy, not an accident:
 
 ``BLOCK``
-    The publisher waits for space -- but only up to the hub's stall
-    timeout, after which the subscriber is evicted.  Lossless for
-    consumers that keep up; a stuck consumer cannot wedge the gateway.
+    Delivery into a queue with room completes without yielding to the
+    event loop.  On a full queue the publisher waits for space -- but
+    only up to the hub's stall timeout, after which the subscriber is
+    evicted.  Lossless for consumers that keep up; a stuck consumer
+    cannot wedge the gateway.
 ``DROP_OLDEST``
     The oldest queued event is discarded to admit the new one (a
     live-telemetry subscriber that prefers fresh data over complete
@@ -231,10 +233,16 @@ class SubscriptionHub:
             if sub.closed:
                 continue
             if sub.policy is Backpressure.BLOCK:
+                # With room in the queue, ``queue.put`` completes without
+                # suspending; Python 3.11's ``wait_for`` would still wrap
+                # it in a task, so only a full queue pays for the wait.
                 try:
-                    await asyncio.wait_for(
-                        sub.queue.put(event), timeout=self.stall_timeout_s
-                    )
+                    if sub.queue.full():
+                        await asyncio.wait_for(
+                            sub.queue.put(event), timeout=self.stall_timeout_s
+                        )
+                    else:
+                        sub.queue.put_nowait(event)
                     sub.delivered += 1
                 except asyncio.TimeoutError:
                     self._evict(sub, "stalled past the block timeout")

@@ -26,7 +26,7 @@ from repro.phy import bits as bitlib
 from repro.phy import pulse
 from repro.phy.batch import require_nonempty
 from repro.phy.protocols import Protocol
-from repro.phy.waveform import Waveform
+from repro.phy.waveform import Waveform, sosfilt
 
 __all__ = [
     "ADVERTISING_ACCESS_ADDRESS",
@@ -138,19 +138,39 @@ class BleDecodeResult:
 
 
 @lru_cache(maxsize=8)
-def _rx_filter(sps: int) -> np.ndarray:
-    """Receive channel filter for ``sps`` samples per symbol: 4th-order
-    Butterworth ``sos`` at ~0.7x the symbol rate.
+def _rx_filter(sps: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Receive channel filter for ``sps`` samples per symbol: the 4th-order
+    Butterworth ``sos`` at ~0.7x the symbol rate, its unit-step steady
+    state ``zi`` and the odd-extension length ``sosfiltfilt`` gives it by
+    default, ``3 * (2 * n_sections + 1 - min(#(b2 == 0), #(a2 == 0)))``.
 
-    Read-only: scipy's filters need writable sections, so callers hand
-    them a copy.
+    Both arrays are read-only.
     """
     from scipy import signal as sp_signal
 
     cutoff = 0.7 / sps  # ~0.7 x symbol rate, normalized to Nyquist
     sos = sp_signal.butter(4, 2.0 * cutoff, output="sos")
+    zi = sp_signal.sosfilt_zi(sos)
+    n_taps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
     sos.flags.writeable = False
-    return sos
+    zi.flags.writeable = False
+    return sos, zi, 3 * int(n_taps)
+
+
+def _filtfilt(iq: np.ndarray, sps: int) -> np.ndarray:
+    """``scipy.signal.sosfiltfilt(sos, iq)`` with the memoized design:
+    the same odd extension at both ends, a forward pass started in steady
+    state at the first sample, a backward pass started at the last
+    output, and the extension cut off again.  ``iq`` must be longer than
+    the extension.
+    """
+    sos, zi, edge = _rx_filter(sps)
+    ext = np.concatenate(
+        (2 * iq[:1] - iq[edge:0:-1], iq, 2 * iq[-1:] - iq[-2 : -(edge + 2) : -1])
+    )
+    y = sosfilt(sos, ext, zi * ext[:1])
+    y = sosfilt(sos, y[::-1], zi * y[-1:])
+    return y[::-1][edge:-edge]
 
 
 def demodulate(wave: Waveform) -> BleDecodeResult:
@@ -171,12 +191,10 @@ def demodulate(wave: Waveform) -> BleDecodeResult:
     # to ~the symbol rate first.
     iq = wave.iq
     if sps >= 4 and iq.size > 24:
-        from scipy import signal as sp_signal
-
         # Zero-phase filtering keeps the symbol grid aligned (a real
         # receiver compensates the filter's group delay in its timing
         # recovery).
-        iq = sp_signal.sosfiltfilt(_rx_filter(sps).copy(), iq)
+        iq = _filtfilt(iq, sps)
 
     # Instantaneous frequency from phase differences.
     dphi = np.angle(iq[1:] * np.conj(iq[:-1]))

@@ -17,8 +17,37 @@ import numpy as np
 
 from repro.types import ComplexIQ, Hertz, Samples, Seconds
 from scipy import signal as sp_signal
+from scipy.signal._sosfilt import _sosfilt
 
-__all__ = ["Waveform"]
+__all__ = ["Waveform", "sosfilt"]
+
+
+def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
+    """``scipy.signal.sosfilt`` of a 1-D ``x``: the filtered signal only.
+
+    Prepares the arrays as ``sosfilt`` does -- the operands' result
+    dtype, a C-contiguous ``(1, n)`` copy of ``x`` and the
+    ``(n_sections, 2)`` initial state ``zi`` (zeros when ``None``) as
+    ``(1, n_sections, 2)`` -- and calls scipy's compiled kernel, which
+    filters in place.  For an 860-sample window the public wrapper's
+    array-API dispatch, validation and axis moves cost about four times
+    the kernel.  The kernel is private: ``ci/constraints.txt`` pins the
+    scipy that computed every digest, and tier-1 holds this function to
+    ``sp_signal.sosfilt``.
+    """
+    # The kernel indexes its buffers by these shapes unchecked.
+    if np.ndim(x) != 1 or np.ndim(sos) != 2 or np.shape(sos)[1] != 6:
+        raise ValueError("sosfilt takes a 1-D x and (n_sections, 6) sections")
+    dtype = np.result_type(sos, x) if zi is None else np.result_type(sos, x, zi)
+    y = np.array(x, dtype=dtype, order="C", ndmin=2)
+    n_sections = sos.shape[0]
+    if zi is None:
+        state = np.zeros((1, n_sections, 2), dtype=dtype)
+    else:
+        state = np.array(zi, dtype=dtype, order="C").reshape(1, n_sections, 2)
+    # The kernel needs writable sections; memoized designs are read-only.
+    _sosfilt(np.array(sos, dtype=dtype), y, state)
+    return y[0]
 
 
 @lru_cache(maxsize=16)
@@ -100,7 +129,10 @@ class Waveform:
         """Mean |iq|^2 (linear power, carrier-normalized units)."""
         if not self.iq.size:
             return 0.0
-        return float(np.mean(np.abs(self.iq) ** 2))
+        # ``** 2`` on a float array is ``np.square``: square in place.
+        power = np.abs(self.iq)
+        np.square(power, out=power)
+        return float(np.mean(power))
 
     # ------------------------------------------------------------------
     # transforms (all return new Waveforms)
@@ -166,14 +198,3 @@ class Waveform:
 
     def copy(self) -> "Waveform":
         return replace(self, iq=self.iq.copy(), annotations=dict(self.annotations))
-
-    @staticmethod
-    def concatenate(waveforms: list["Waveform"]) -> "Waveform":
-        """Join waveforms back-to-back (must share a sample rate)."""
-        if not waveforms:
-            raise ValueError("need at least one waveform")
-        rate = waveforms[0].sample_rate
-        if any(abs(w.sample_rate - rate) > 1e-6 for w in waveforms):
-            raise ValueError("waveforms must share a sample rate")
-        iq = np.concatenate([w.iq for w in waveforms])
-        return Waveform(iq, rate)

@@ -524,12 +524,12 @@ class WifiNDecodeResult:
     ``psdu_bits`` is the descrambled PSDU (the data stream without its
     16-bit SERVICE field, tail and pad); ``symbol_bits`` groups the whole
     descrambled data stream (SERVICE + PSDU + tail + pad) by originating
-    OFDM symbol -- the overlay decoder's comparison unit (§2.4, 802.11n
-    case).
+    OFDM symbol, one row per symbol -- the overlay decoder's comparison
+    unit (§2.4, 802.11n case).
     """
 
     psdu_bits: np.ndarray
-    symbol_bits: list[np.ndarray]
+    symbol_bits: np.ndarray
 
 
 def estimate_cfo(wave: Waveform) -> Hertz:
@@ -632,8 +632,7 @@ def demodulate(
     psdu = data_bits[16:n_stream - 6] if n_stream >= 22 else data_bits[16:]
     if n_psdu_bits is not None:
         psdu = psdu[:n_psdu_bits]
-    n_dbps = cfg.n_dbps
-    symbol_bits = [data_bits[s * n_dbps : (s + 1) * n_dbps] for s in range(n_sym)]
+    symbol_bits = data_bits.reshape(n_sym, cfg.n_dbps)
     return WifiNDecodeResult(psdu_bits=psdu, symbol_bits=symbol_bits)
 
 

@@ -281,7 +281,7 @@ class AirlinkPipeline:
     # -- stage 5: decode ------------------------------------------------
     @staticmethod
     def _outcome_from_decode(
-        pending: PendingReception, symbol_values: list
+        pending: PendingReception, symbol_values: np.ndarray
     ) -> PacketOutcome:
         codec = pending.receivers.codec
         productive_bits, tag_bits = codec.decode_symbols(symbol_values)

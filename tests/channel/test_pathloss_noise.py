@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel import awgn, noise_floor_dbm
-from repro.channel.noise import complex_noise
 from repro.channel import pathloss
 from repro.phy.waveform import Waveform
 
@@ -97,10 +96,13 @@ class TestNoiseRejectsBadNumbers:
         with pytest.raises(ValueError, match="noise_figure_db"):
             noise_floor_dbm(2e6, bad)
 
-    @pytest.mark.parametrize("bad", [*_NON_FINITE, -1e-3])
-    def test_complex_noise_power(self, bad):
-        with pytest.raises(ValueError, match="power_mw"):
-            complex_noise(3, bad, np.random.default_rng(0))
+    @pytest.mark.parametrize("sample", [float("nan"), float("inf"), 1e200])
+    def test_awgn_non_finite_mean_power(self, sample):
+        """A waveform whose mean power is NaN or overflows to inf gets
+        no noise power to draw with."""
+        wave = Waveform(np.array([1.0, sample, 1.0], complex), 1e6)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="noise power"):
+            awgn(wave, snr_db=10.0, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("field", ["snr_db", "noise_power_dbm"])
     @pytest.mark.parametrize("bad", [*_NON_FINITE, -4000.0, 4000.0, 300.5])
@@ -117,5 +119,7 @@ class TestNoiseRejectsBadNumbers:
         assert np.isfinite(noisy.iq).all()
 
     def test_zero_noise_power_is_legal(self):
-        assert not complex_noise(3, 0.0, np.random.default_rng(0)).any()
+        wave = Waveform(np.zeros(3, complex), 1e6)
+        noisy = awgn(wave, snr_db=10.0, rng=np.random.default_rng(0))
+        assert not noisy.iq.any()
 

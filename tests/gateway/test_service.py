@@ -207,6 +207,115 @@ class TestControlPlane:
         asyncio.run(run())
 
 
+class TestRejectedRegistration:
+    """A rejected registration spawns no stream from the gateway seed, so
+    every tag registered after it gets the stream it would have had."""
+
+    @staticmethod
+    def draws_of_b(reject) -> tuple[list[int], dict]:
+        async def run():
+            gw = Gateway(GatewayConfig(seed=0))
+            await reject(gw)
+            session = await gw.register_tag("b")
+            return session.rng.integers(0, 2**30, 3).tolist(), session.rng.bit_generator.state
+
+        return asyncio.run(run())
+
+    @staticmethod
+    async def nothing(gw):
+        pass
+
+    @staticmethod
+    async def nan_distance(gw):
+        with pytest.raises(ValueError, match="d_tag_rx_m"):
+            await gw.register_tag("a", d_tag_rx_m=math.nan)
+
+    @staticmethod
+    async def duplicate_id(gw):
+        await gw.register_tag("a")
+        with pytest.raises(ValueError, match="already registered"):
+            await gw.register_tag("a")
+        await gw.deregister_tag("a")
+
+    def test_nan_distance(self):
+        assert self.draws_of_b(self.nan_distance) == self.draws_of_b(self.nothing)
+
+    def test_duplicate_id(self):
+        async def registered_once(gw):
+            await gw.register_tag("a")
+            await gw.deregister_tag("a")
+
+        want = self.draws_of_b(registered_once)
+        assert self.draws_of_b(self.duplicate_id) == want
+        assert want != self.draws_of_b(self.nothing)
+
+
+class TestPublisherDeath:
+    """A publisher that dies mid-stream fails ``serve`` with its error,
+    whether the air loop's next hand-off finds room in the queue (and
+    skips the wait) or finds it full."""
+
+    @staticmethod
+    def serve_with_failing_publish(decode_batch, *, hold_until_full):
+        async def run():
+            gw = Gateway(
+                GatewayConfig(seed=2, keepalive_timeout_s=30.0, decode_batch=decode_batch)
+            )
+            await gw.register_tag("t")
+            publish = gw._publish_outcome
+            calls = []
+            seen_full = []
+
+            async def failing(session, outcome, latency_s):
+                calls.append(outcome)
+                if len(calls) == 3:
+                    while hold_until_full and not gw._publish_queue.full():
+                        await asyncio.sleep(0)
+                    seen_full.append(gw._publish_queue.full())
+                    raise RuntimeError("publisher failed on packet 3")
+                await publish(session, outcome, latency_s)
+
+            gw._publish_outcome = failing
+            with pytest.raises(RuntimeError, match="publisher failed on packet 3"):
+                await asyncio.wait_for(gw.serve(make_source(max_packets=400)), 60.0)
+            return gw, len(calls), seen_full
+
+        return asyncio.run(run())
+
+    def test_inline_with_room_in_the_queue(self):
+        gw, n_calls, seen_full = self.serve_with_failing_publish(1, hold_until_full=False)
+        assert n_calls == 3 and seen_full == [False]
+        # It surfaced at the next hand-off, not at the end of the stream.
+        assert gw.stats.n_packets < 10
+        assert not gw._running and gw._publisher_task is None
+
+    def test_batched_with_a_full_queue(self):
+        gw, n_calls, seen_full = self.serve_with_failing_publish(4, hold_until_full=True)
+        assert n_calls == 3 and seen_full == [True]
+        assert gw.stats.n_packets < 400
+        assert not gw._running and gw._publisher_task is None
+
+
+class TestStalledBlockSubscriber:
+    def test_full_queue_waits_then_evicts_at_the_stall_timeout(self):
+        stall_s = 0.3
+
+        async def run():
+            gw = Gateway(GatewayConfig(seed=5, keepalive_timeout_s=30.0, stall_timeout_s=stall_s))
+            await gw.register_tag("t")
+            stuck = gw.subscribe("stuck", maxlen=2)
+            live = gw.subscribe("live", maxlen=512)
+            task = asyncio.ensure_future(collect(live))
+            stats = await gw.serve(make_source(max_packets=12))
+            return stats, stuck, await task
+
+        stats, stuck, events = asyncio.run(run())
+        assert stuck.closed and "stalled" in stuck.close_reason
+        assert stats.n_subscriber_evictions == 1
+        assert stats.elapsed_s >= stall_s
+        assert sum(isinstance(e, PacketEvent) for e in events) == stats.n_published == 12
+
+
 class TestRangeChecks:
     """NaN fails every range check; infinite timeouts stay legal."""
 

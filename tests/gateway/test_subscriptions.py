@@ -69,6 +69,59 @@ class TestBlockPolicy:
         assert sub.closed and "stalled" in sub.close_reason
 
 
+    def test_room_in_queue_delivers_without_yielding(self):
+        async def run():
+            hub = SubscriptionHub(default_maxlen=2)
+            sub = hub.subscribe("s", policy=Backpressure.BLOCK)
+            ran = []
+            asyncio.get_running_loop().call_soon(ran.append, "loop ran")
+            evicted = await hub.publish(event(0))
+            evicted += await hub.publish(event(1))
+            return list(ran), evicted, sub
+
+        ran, evicted, sub = asyncio.run(run())
+        assert ran == [] and evicted == []
+        assert sub.qsize() == 2 and sub.delivered == 2
+
+    def test_full_queue_waits_for_space_within_the_timeout(self):
+        async def run():
+            hub = SubscriptionHub(default_maxlen=1, stall_timeout_s=5.0)
+            sub = hub.subscribe("slow", policy=Backpressure.BLOCK)
+            await hub.publish(event(0))
+
+            async def consume_later():
+                await asyncio.sleep(0.05)
+                return await sub.get()
+
+            consumer = asyncio.ensure_future(consume_later())
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            evicted = await hub.publish(event(1))
+            return loop.time() - t0, evicted, await consumer, sub
+
+        waited_s, evicted, first, sub = asyncio.run(run())
+        assert evicted == [] and not sub.closed
+        assert waited_s >= 0.04 and first.detail == "0"
+        assert sub.delivered == 2
+
+    def test_full_queue_evicts_at_the_stall_timeout(self):
+        stall_s = 0.2
+
+        async def run():
+            hub = SubscriptionHub(default_maxlen=1, stall_timeout_s=stall_s)
+            sub = hub.subscribe("stuck", policy=Backpressure.BLOCK)
+            await hub.publish(event(0))
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            evicted = await hub.publish(event(1))
+            return loop.time() - t0, evicted, sub
+
+        waited_s, evicted, sub = asyncio.run(run())
+        assert [s.name for s in evicted] == ["stuck"]
+        assert stall_s * 0.9 <= waited_s < stall_s + 2.0
+        assert sub.delivered == 1
+
+
 class TestDropOldestPolicy:
     def test_drops_oldest_keeps_newest(self):
         async def run():

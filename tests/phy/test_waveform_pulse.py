@@ -57,16 +57,6 @@ class TestWaveform:
         assert down.n_samples == 500
         assert down.annotations["payload_start"] == 5
 
-    def test_concatenate_requires_same_rate(self):
-        a = self._make(rate=1e6)
-        b = self._make(rate=2e6)
-        with pytest.raises(ValueError):
-            Waveform.concatenate([a, b])
-
-    def test_concatenate_lengths(self):
-        a, b = self._make(50), self._make(70)
-        assert Waveform.concatenate([a, b]).n_samples == 120
-
 
 class TestPulse:
     def test_gaussian_taps_normalized(self):

@@ -1023,3 +1023,111 @@ def ber_802154(ebn0_lin):
         total += (-1.0) ** k * special.comb(16, k) * np.exp(20.0 * snr * (1.0 / k - 1.0))
     ber = (8.0 / 15.0) * (1.0 / 16.0) * total
     return float(np.clip(ber, 0.0, 0.5))
+
+
+# ----------------------------------------------------------------------
+# Per-packet path before its inline trims: complex-valued noise, the
+# public scipy filters, Python-list carriers and symbol decisions
+# ----------------------------------------------------------------------
+def awgn(wave, *, snr_db=None, noise_power_dbm=None, rng):
+    """Parent ``channel.noise.awgn`` (valid inputs): a copy of the
+    waveform plus ``complex_noise``'s ``sigma * (re + 1j * im)``."""
+    if snr_db is not None:
+        noise_power = wave.mean_power() / (10.0 ** (snr_db / 10.0))
+    else:
+        noise_power = 10.0 ** (noise_power_dbm / 10.0)
+    sigma = np.sqrt(noise_power / 2.0)
+    noise = sigma * (rng.normal(size=wave.n_samples) + 1j * rng.normal(size=wave.n_samples))
+    noisy = wave.copy()
+    noisy.iq = noisy.iq + noise
+    return noisy
+
+
+def ble_demodulate(wave):
+    """Parent ``ble.demodulate``: ``sosfiltfilt`` re-solves the filter's
+    initial state on every call.  Returns ``(payload_bits, onair_bits)``."""
+    from scipy import signal as sp_signal
+
+    from repro.phy import bits as bitlib
+
+    n_preamble_bits, channel = 8, 37
+    ann = wave.annotations
+    sps = ann["samples_per_symbol"]
+    n_bits = ann["n_frame_bits"]
+    iq = wave.iq
+    if sps >= 4 and iq.size > 24:
+        sos = sp_signal.butter(4, 2.0 * (0.7 / sps), output="sos")
+        iq = sp_signal.sosfiltfilt(sos, iq)
+    dphi = np.angle(iq[1:] * np.conj(iq[:-1]))
+    dphi = np.concatenate([[0.0], dphi])
+    pre = dphi[: n_preamble_bits * sps]
+    dc = float(pre.mean()) if pre.size else 0.0
+    dphi = dphi - dc
+    need = n_bits * sps
+    if dphi.size < need:
+        dphi = np.pad(dphi, (0, need - dphi.size))
+    core = dphi[:need].reshape(n_bits, sps)[:, sps // 4 : sps - sps // 4]
+    decisions = (core.sum(axis=1) > 0).astype(np.uint8)
+    pdu_onair = decisions[n_preamble_bits + 32 :]
+    framed = ann.get("whitened", True)
+    pdu = bitlib.whiten_ble(pdu_onair, channel) if framed else pdu_onair.copy()
+    n_payload_bits = ann.get("n_payload_bits", max(pdu.size - 16 - 24, 0))
+    if framed and pdu.size >= 16 + 24:
+        payload_bits = pdu[16 : 16 + n_payload_bits]
+    else:
+        payload_bits = pdu[:n_payload_bits]
+    return payload_bits, pdu_onair
+
+
+def carrier_phy_input(codec, productive_bits, *, trailing_symbols=0):
+    """Parent ``OverlayCodec.build_carrier`` up to its PHY call: a Python
+    list extended per productive bit (and, for 802.11n, one ``np.full``
+    per symbol).  Returns ``(phy module name, the array it was given)``;
+    802.11b is called with ``scrambled_domain=True`` and 802.11n with
+    an empty PSDU and these ``data_bits``."""
+    from repro.core.overlay import ZIGBEE_SYMBOL_FOR_BIT
+    from repro.phy import zigbee
+    from repro.phy.protocols import Protocol
+
+    protocol = codec.config.protocol
+    symbol_values = []
+    for b in np.asarray(productive_bits, dtype=np.uint8):
+        value = ZIGBEE_SYMBOL_FOR_BIT[int(b)] if protocol is Protocol.ZIGBEE else int(b)
+        symbol_values.extend([value] * codec.config.kappa)
+    symbol_values.extend([0] * trailing_symbols)
+    if protocol is Protocol.WIFI_B:
+        return "wifi_b", np.array(symbol_values, dtype=np.uint8)
+    if protocol is Protocol.BLE:
+        return "ble", np.array(symbol_values, dtype=np.uint8)
+    if protocol is Protocol.ZIGBEE:
+        sym = np.array(symbol_values, dtype=np.uint8)
+        if sym.size % 2:
+            sym = np.concatenate([sym, np.zeros(1, np.uint8)])
+        return "zigbee", zigbee.bits_from_symbols(sym)
+    stream = [np.zeros(26, np.uint8)]
+    for v in symbol_values:
+        stream.append(np.full(26, v, dtype=np.uint8))
+    return "wifi_n", np.concatenate(stream)
+
+
+def overlay_symbol_values(codec, wave):
+    """Parent ``OverlayDecoder.symbol_values``: Python ``int`` lists (a
+    list of per-symbol bit groups for 802.11n)."""
+    from repro.phy import ble, wifi_b, wifi_n, zigbee
+    from repro.phy.protocols import Protocol
+
+    protocol = codec.config.protocol
+    if protocol is Protocol.WIFI_B:
+        return [int(b) for b in wifi_b.demodulate(wave).onair_bits]
+    if protocol is Protocol.BLE:
+        return [int(b) for b in ble.demodulate(wave).onair_bits]
+    if protocol is Protocol.ZIGBEE:
+        return [int(s) for s in zigbee.demodulate(wave).symbols]
+    return list(wifi_n.demodulate(wave).symbol_bits)
+
+
+def waveform_mean_power(wave):
+    """Parent ``Waveform.mean_power``."""
+    if not wave.iq.size:
+        return 0.0
+    return float(np.mean(np.abs(wave.iq) ** 2))
