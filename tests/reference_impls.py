@@ -1033,7 +1033,7 @@ def awgn(wave, *, snr_db=None, noise_power_dbm=None, rng):
     """Parent ``channel.noise.awgn`` (valid inputs): a copy of the
     waveform plus ``complex_noise``'s ``sigma * (re + 1j * im)``."""
     if snr_db is not None:
-        noise_power = wave.mean_power() / (10.0 ** (snr_db / 10.0))
+        noise_power = waveform_mean_power(wave) / (10.0 ** (snr_db / 10.0))
     else:
         noise_power = 10.0 ** (noise_power_dbm / 10.0)
     sigma = np.sqrt(noise_power / 2.0)
