@@ -32,7 +32,8 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None) -> np.
     filters in place.  For an 860-sample window the public wrapper's
     array-API dispatch, validation and axis moves cost about four times
     the kernel.  The kernel is private: ``ci/constraints.txt`` pins the
-    scipy that computed every digest, and tier-1 holds this function to
+    scipy that computed every digest, and
+    ``tests/sim/test_packet_path_equivalence.py`` holds this function to
     ``sp_signal.sosfilt``.
     """
     # The kernel indexes its buffers by these shapes unchecked.
