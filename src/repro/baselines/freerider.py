@@ -10,14 +10,11 @@ fundamental original-channel dependence remains (paper Fig 9a / 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.hitchhike import Hitchhike
 
 __all__ = ["FreeRider"]
 
 
-@dataclass
 class FreeRider(Hitchhike):
     """Two-receiver multi-protocol baseline.
 
@@ -26,5 +23,5 @@ class FreeRider(Hitchhike):
     tighter inter-receiver offset distribution.
     """
 
-    bits_per_symbol: float = 1.0 / 8.0
-    offset_spread_per_m: float = 0.15
+    bits_per_symbol = 1.0 / 8.0
+    offset_spread_per_m = 0.15

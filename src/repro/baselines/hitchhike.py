@@ -11,8 +11,6 @@ between the unsynchronized receivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.baselines.codeword import TwoReceiverDecoder
@@ -24,11 +22,10 @@ from repro.sim.traffic import packet_airtime_s
 __all__ = ["Hitchhike"]
 
 
-@dataclass
 class Hitchhike:
     """Two-receiver 802.11b backscatter baseline.
 
-    Geometry defaults follow the paper's occlusion experiments: the
+    The geometry follows the paper's occlusion experiments: the
     original-channel receiver sits ``d_original_m`` from the
     transmitter behind the (optional) obstruction; the backscatter
     receiver is ``d_backscatter_m`` from the tag with a clear path.
@@ -36,16 +33,16 @@ class Hitchhike:
     link above its decoding threshold -- occlusion eats into it.
     """
 
-    protocol: Protocol = Protocol.WIFI_B
-    d_original_m: float = 8.0
-    d_backscatter_m: float = 2.0
-    original_margin_db: float = 4.0
-    n_payload_bytes: int = 300
+    protocol = Protocol.WIFI_B
+    d_original_m = 8.0
+    d_backscatter_m = 2.0
+    original_margin_db = 4.0
+    n_payload_bytes = 300
     #: Tag bits per PHY symbol (codeword translation: 1 per codeword).
-    bits_per_symbol: float = 1.0
+    bits_per_symbol = 1.0
     #: Spread of the inter-receiver modulation offset, symbols per
     #: meter of range (Fig 9b: offsets grow to ~8 symbols).
-    offset_spread_per_m: float = 0.42
+    offset_spread_per_m = 0.42
 
     # ------------------------------------------------------------------
     # original channel quality
@@ -105,10 +102,10 @@ class Hitchhike:
         offset = int(round(abs(rng.normal(scale=spread))))
         return min(offset, 8)
 
-    def offset_aligned_probability(
-        self, distance_m: float, rng: np.random.Generator, n_samples: int = 2000
-    ) -> float:
-        """Fraction of packets whose offset happens to be zero."""
+    def offset_aligned_probability(self, distance_m: float, rng: np.random.Generator) -> float:
+        """Fraction of 2,000 sampled packets whose offset happens to be
+        zero."""
+        n_samples = 2000
         hits = sum(
             1 for _ in range(n_samples) if self.sample_offset(distance_m, rng) == 0
         )

@@ -18,20 +18,22 @@ from repro.phy.waveform import Waveform
 
 __all__ = ["MultipathChannel"]
 
+#: FIR taps per channel.
+_N_TAPS = 8
+
 
 @dataclass
 class MultipathChannel:
     """Exponential power-delay-profile FIR channel.
 
     ``rms_delay_spread_s`` controls frequency selectivity (indoor
-    offices: 30-100 ns); ``n_taps`` taps are spaced at the waveform's
+    offices: 30-100 ns); eight taps are spaced at the waveform's
     sample period when applied.  Taps are drawn per instance (one
     physical location), normalized to unit mean power, with a
     deterministic ``seed``.
     """
 
     rms_delay_spread_s: float = 50e-9
-    n_taps: int = 8
     seed: int = 0
     _cache: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -41,11 +43,11 @@ class MultipathChannel:
             return self._cache[sample_rate]
         rng = np.random.default_rng(self.seed)
         dt = 1.0 / sample_rate
-        delays = np.arange(self.n_taps) * dt
+        delays = np.arange(_N_TAPS) * dt
         power = np.exp(-delays / max(self.rms_delay_spread_s, 1e-12))
         power = power / power.sum()
         taps = np.sqrt(power / 2.0) * (
-            rng.normal(size=self.n_taps) + 1j * rng.normal(size=self.n_taps)
+            rng.normal(size=_N_TAPS) + 1j * rng.normal(size=_N_TAPS)
         )
         # First tap keeps a strong deterministic component so timing
         # reference (first arrival) is preserved.

@@ -50,13 +50,13 @@ def ber_dbpsk(ebn0_lin: float) -> float:
     return float(np.clip(0.5 * np.exp(-max(ebn0_lin, 0.0)), 0.0, 0.5))
 
 
-def ber_coded_ofdm_bpsk(ebn0_lin: float, coding_gain_db: float = 3.8) -> float:
+def ber_coded_ofdm_bpsk(ebn0_lin: float) -> float:
     """BPSK with rate-1/2 K=7 BCC, hard decisions (802.11n MCS0).
 
     Modeled as uncoded BPSK shifted by an effective hard-decision
-    coding gain.
+    coding gain of 3.8 dB.
     """
-    eff = ebn0_lin * 10.0 ** (coding_gain_db / 10.0)
+    eff = ebn0_lin * 10.0 ** (3.8 / 10.0)
     return float(np.clip(_q(np.sqrt(2.0 * eff)), 0.0, 0.5))
 
 
@@ -92,6 +92,17 @@ _BER_MODEL = {
 # ----------------------------------------------------------------------
 # link budget
 # ----------------------------------------------------------------------
+#: Antenna gain of the excitation radio and of the receiver, dBi.
+TX_GAIN_DBI = 3.0
+RX_GAIN_DBI = 3.0
+
+#: The tag's backscatter (reflection/modulation) loss, dB.
+BACKSCATTER_LOSS_DB = 12.0
+
+#: Excitation-to-tag distance of the paper's Figs 13-14, m.
+D_TX_TAG_M = 0.8
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Static RF parameters of one excitation protocol's link.
@@ -106,10 +117,6 @@ class LinkBudget:
     tx_power_dbm: DbmPower
     bandwidth_hz: Hertz
     bit_rate_hz: Hertz
-    tx_gain_dbi: Decibels = 3.0
-    rx_gain_dbi: Decibels = 3.0
-    backscatter_loss_db: Decibels = 12.0
-    noise_figure_db: Decibels = 7.0
     calibration_offset_db: Decibels = 0.0
 
     def __post_init__(self) -> None:
@@ -118,11 +125,7 @@ class LinkBudget:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("backscatter_loss_db", "noise_figure_db"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
-        for name in ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "calibration_offset_db"):
+        for name in ("tx_power_dbm", "calibration_offset_db"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -175,56 +178,37 @@ class BackscatterLink:
     ----------
     budget:
         Protocol RF parameters (see :data:`PROTOCOL_LINK_DEFAULTS`).
-    d_tx_tag_m:
-        Excitation-to-tag distance (paper: 0.8 m).
-    exponent / pl0_db:
-        Log-distance path-loss parameters (shared calibration).
     extra_loss_db:
         Additional one-way loss on the tag->receiver path (NLoS wall,
         Fig 14).
+
+    The excitation radio is :data:`D_TX_TAG_M` from the tag, and both
+    hops follow the calibrated log-distance path loss.
     """
 
-    def __init__(
-        self,
-        budget: LinkBudget,
-        *,
-        d_tx_tag_m: float = 0.8,
-        exponent: float = pathloss.DEFAULT_EXPONENT,
-        pl0_db: float = pathloss.DEFAULT_PL0_DB,
-        extra_loss_db: float = 0.0,
-    ) -> None:
-        # Each check is written so that NaN fails it.
-        for name, value in (("d_tx_tag_m", d_tx_tag_m), ("exponent", exponent)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name, value in (("pl0_db", pl0_db), ("extra_loss_db", extra_loss_db)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+    def __init__(self, budget: LinkBudget, *, extra_loss_db: float = 0.0) -> None:
+        # Written so that NaN fails it.
+        if not 0 <= extra_loss_db < math.inf:
+            raise ValueError(f"extra_loss_db must be >= 0 and finite, got {extra_loss_db!r}")
         self.budget = budget
-        self.d_tx_tag_m = d_tx_tag_m
-        self.exponent = exponent
-        self.pl0_db = pl0_db
         self.extra_loss_db = extra_loss_db
 
     # -- power -----------------------------------------------------------
-    def _pl(self, d: Meters) -> Decibels:
-        return pathloss.log_distance_path_loss_db(
-            d, exponent=self.exponent, pl0_db=self.pl0_db
-        )
-
     def incident_power_dbm(self) -> DbmPower:
         """Excitation power arriving at the tag antenna (downlink)."""
-        b = self.budget
-        return b.tx_power_dbm + b.tx_gain_dbi - self._pl(self.d_tx_tag_m)
+        return (
+            self.budget.tx_power_dbm
+            + TX_GAIN_DBI
+            - pathloss.log_distance_path_loss_db(D_TX_TAG_M)
+        )
 
     def rssi_dbm(self, d_tag_rx_m: Meters) -> DbmPower:
         """Backscatter RSSI at the receiver, ``d_tag_rx_m`` from the tag."""
-        b = self.budget
         return (
             self.incident_power_dbm()
-            - b.backscatter_loss_db
-            - self._pl(d_tag_rx_m)
-            + b.rx_gain_dbi
+            - BACKSCATTER_LOSS_DB
+            - pathloss.log_distance_path_loss_db(d_tag_rx_m)
+            + RX_GAIN_DBI
             - self.extra_loss_db
         )
 
@@ -237,7 +221,7 @@ class BackscatterLink:
         return (
             self.rssi_dbm(d_tag_rx_m)
             + b.calibration_offset_db
-            - noise_floor_dbm(b.bandwidth_hz, b.noise_figure_db)
+            - noise_floor_dbm(b.bandwidth_hz)
         )
 
     def ebn0_db(self, d_tag_rx_m: Meters) -> Decibels:
@@ -255,19 +239,13 @@ class BackscatterLink:
         ber = self.ber(d_tag_rx_m)
         return float(1.0 - (1.0 - ber) ** n_bits)
 
-    def max_range_m(
-        self,
-        *,
-        per_threshold: float = 0.5,
-        n_bits: int = 1000,
-        d_max: float = 60.0,
-        resolution: float = 0.1,
-    ) -> float:
-        """Largest distance at which PER stays below ``per_threshold``."""
-        distances = np.arange(resolution, d_max, resolution)
+    def max_range_m(self, *, d_max: float = 60.0) -> float:
+        """Largest distance, on a 0.1 m grid below ``d_max``, at which a
+        1,000-bit packet's PER stays below one half."""
+        distances = np.arange(0.1, d_max, 0.1)
         last_good = 0.0
         for d in distances:
-            if self.per(float(d), n_bits) < per_threshold:
+            if self.per(float(d), 1000) < 0.5:
                 last_good = float(d)
             else:
                 break

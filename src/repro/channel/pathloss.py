@@ -18,29 +18,22 @@ from repro.types import Meters
 __all__ = ["log_distance_path_loss_db"]
 
 #: Calibrated indoor-hallway exponent (see DESIGN.md §5).
-DEFAULT_EXPONENT = 1.8
+EXPONENT = 1.8
 
 #: Reference loss at 1 m for 2.4 GHz (free space ~= 40.05 dB).
-DEFAULT_PL0_DB = 40.05
+PL0_DB = 40.05
 
 
-def log_distance_path_loss_db(
-    distance_m: Meters,
-    *,
-    exponent: float = DEFAULT_EXPONENT,
-    pl0_db: float = DEFAULT_PL0_DB,
-    d0_m: float = 1.0,
-) -> float:
-    """Log-distance model: PL = PL0 + 10 n log10(d / d0).
+def log_distance_path_loss_db(distance_m: Meters) -> float:
+    """Log-distance model: PL = PL0 + 10 n log10(d / 1 m), with the
+    calibrated :data:`EXPONENT` and :data:`PL0_DB`.
 
     Distances below 1 cm are clamped to it; a negative or non-finite
     one raises ``ValueError``.
     """
-    if not exponent > 0:
-        raise ValueError(f"exponent must be positive, got {exponent!r}")
     # Written so that NaN fails it.
     if not 0 <= distance_m < math.inf:
         raise ValueError(f"distance_m must be >= 0 and finite, got {distance_m!r}")
     d = max(float(distance_m), 0.01)
-    return float(pl0_db + 10.0 * exponent * np.log10(d / d0_m))
+    return float(PL0_DB + 10.0 * EXPONENT * np.log10(d))
 

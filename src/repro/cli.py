@@ -403,7 +403,12 @@ def _cmd_show(path: str) -> int:
     except ArtifactError as exc:
         print(f"cannot load {path}: {exc}", file=sys.stderr)
         return 2
-    print(_render_result(result))
+    try:
+        text = _render_result(result)
+    except KeyError as exc:  # an unknown experiment, or a data key its table reads
+        print(f"cannot show {path}: {exc.args[0]}", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 

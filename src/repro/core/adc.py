@@ -4,9 +4,9 @@ Samples a rectifier's baseband voltage at a configurable rate and
 resolution.  Three paper-relevant behaviours:
 
 * **rate**: 20 Msps down to 1 Msps (the Fig 7/8 sweeps);
-* **reference voltage tuning** (§2.3 note 3): codes are spread over
-  [0, v_ref], so matching v_ref to the input's full-scale range uses
-  more of the output codes;
+* **reference voltage** (§2.3 note 3): codes are spread over
+  [0, v_ref], with v_ref matched to the clamp rectifier's full-scale
+  range so the input uses most of the output codes;
 * **EN duty-cycling** (§2.3 note 1): the FPGA gates the ADC between
   packets; modeled as an enable window.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,8 +70,8 @@ class Adc:
 
     sample_rate: Hertz = 20e6
     n_bits: int = 9
-    v_ref: Volts = 0.25
-    antialias: bool = True
+    #: Reference voltage: the top of the code range.
+    v_ref: ClassVar[Volts] = 0.25
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it.
@@ -80,8 +81,6 @@ class Adc:
             )
         if not 1 <= self.n_bits <= 16:
             raise ValueError(f"n_bits must be in 1..16, got {self.n_bits!r}")
-        if not 0 < self.v_ref < math.inf:
-            raise ValueError(f"v_ref must be positive and finite, got {self.v_ref!r}")
 
     def _bandlimit(self, analog: RectifierOutput, n: int | None = None) -> FloatArray:
         """Anti-aliasing low-pass of the ADC driver stage, over the
@@ -97,7 +96,7 @@ class Adc:
         v = analog.voltage[:n]
         cutoff = 0.4 * self.sample_rate
         nyq = analog.sample_rate / 2.0
-        if not self.antialias or cutoff >= nyq or not v.size:
+        if cutoff >= nyq or not v.size:
             return v
         sos, zi = _antialias_design(cutoff / nyq)
         # Start the filter in steady state at the first sample's level
@@ -125,19 +124,19 @@ class Adc:
         self,
         analog: RectifierOutput,
         *,
-        start_s: Seconds = 0.0,
         duration_s: Seconds | None = None,
         phase_s: Seconds = 0.0,
     ) -> AdcCapture:
-        """Digitize ``analog`` from ``start_s`` for ``duration_s``.
+        """Digitize ``analog`` from its start for ``duration_s`` (all of
+        it by default).
 
         ``phase_s`` offsets the sampling grid (sub-sample timing is not
         synchronized to the packet in a real tag).
         """
         total_s = analog.voltage.size / analog.sample_rate
         if duration_s is None:
-            duration_s = total_s - start_s
-        t0 = start_s + phase_s
+            duration_s = total_s
+        t0 = phase_s
         n_out = self._n_out(duration_s)
         times = t0 + np.arange(n_out) / self.sample_rate
         times = np.clip(times, 0.0, total_s - 1.0 / analog.sample_rate)

@@ -13,9 +13,9 @@ never a prefix.
 
 Durability vs. speed: by default the data is atomic but not fsynced
 (a kernel crash within the writeback window can still lose the -- whole,
-never partial -- file).  Set ``REPRO_FSYNC=1`` (or pass
-``fsync=True``) to fsync the temporary file and its directory before
-and after the rename, the full crash-consistency dance.
+never partial -- file).  Set ``REPRO_FSYNC=1`` to fsync the temporary
+file and its directory before and after the rename, the full
+crash-consistency dance.
 
 The module instruments the gap between "temp file complete" and
 "rename published" as the ``save`` fault site of
@@ -35,10 +35,8 @@ __all__ = ["atomic_write_text", "fsync_enabled", "TMP_SUFFIX"]
 TMP_SUFFIX = ".tmp"
 
 
-def fsync_enabled(fsync: bool | None = None) -> bool:
-    """Resolve the fsync opt-in: explicit argument, else ``REPRO_FSYNC``."""
-    if fsync is not None:
-        return fsync
+def fsync_enabled() -> bool:
+    """The fsync opt-in: ``REPRO_FSYNC`` set to anything but ``0``."""
     return os.environ.get("REPRO_FSYNC", "") not in ("", "0")
 
 
@@ -50,9 +48,7 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_text(
-    path: str | Path, text: str, *, fsync: bool | None = None
-) -> Path:
+def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` atomically (parents created).
 
     On any failure the destination is untouched and the temporary file
@@ -68,7 +64,7 @@ def atomic_write_text(
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if fsync_enabled(fsync):
+            if fsync_enabled():
                 fh.flush()
                 os.fsync(fh.fileno())
         if os.environ.get("REPRO_FAULTS", ""):
@@ -78,7 +74,7 @@ def atomic_write_text(
 
             check("save", name=str(out))
         os.replace(tmp, out)
-        if fsync_enabled(fsync):
+        if fsync_enabled():
             _fsync_dir(out.parent)
     except BaseException:
         try:

@@ -36,29 +36,20 @@ class CarrierEstimate:
     tag_goodput_kbps: float
 
 
-class CarrierSelector:
-    """Pick the excitation that maximizes tag goodput (§4.2.2)."""
+#: The tag the estimates are for: Mode 1, 2 m from the receiver.
+_MODE = Mode.MODE_1
+_DISTANCE_M = 2.0
 
-    def __init__(
-        self,
-        *,
-        mode: Mode = Mode.MODE_1,
-        distance_m: float = 2.0,
-        payload_bytes: dict[Protocol, int] | None = None,
-    ) -> None:
-        self.mode = mode
-        self.distance_m = distance_m
-        self.payload_bytes = payload_bytes or {}
+
+class CarrierSelector:
+    """Pick the excitation that maximizes tag goodput (§4.2.2), for a
+    Mode 1 tag 2 m from the receiver, on saturation-size packets."""
 
     def estimate(
         self, protocol: Protocol, observed_rate_pkts: float
     ) -> CarrierEstimate:
-        model = OverlayThroughputModel(
-            protocol,
-            mode=self.mode,
-            n_payload_bytes=self.payload_bytes.get(protocol),
-        )
-        point = model.evaluate(self.distance_m, packet_rate=observed_rate_pkts)
+        model = OverlayThroughputModel(protocol, mode=_MODE)
+        point = model.evaluate(_DISTANCE_M, packet_rate=observed_rate_pkts)
         return CarrierEstimate(
             protocol=protocol,
             observed_rate_pkts=observed_rate_pkts,
@@ -88,17 +79,16 @@ class CarrierSelector:
 def diversity_timeline(
     schedule: ExcitationSchedule,
     *,
-    bin_s: float = 0.05,
     tag_protocols: tuple[Protocol, ...] = tuple(Protocol),
-    mode: Mode = Mode.MODE_1,
-    distance_m: float = 2.0,
 ) -> dict[str, np.ndarray]:
     """Tag throughput over time under a packet schedule (Fig 18a).
 
-    Returns per-bin tag throughput (kbps) for a tag that can use
-    ``tag_protocols``.  A multiscatter tag passes all four protocols; a
-    single-protocol tag passes one.
+    Returns the tag throughput (kbps) in 50 ms bins for a Mode 1 tag,
+    2 m from the receiver, that can use ``tag_protocols``.  A
+    multiscatter tag passes all four protocols; a single-protocol tag
+    passes one.
     """
+    bin_s = 0.05
     n_bins = max(int(np.ceil(schedule.duration_s / bin_s)), 1)
     bins = np.zeros(n_bins)
     # A packet's expected tag bits depend only on its protocol and
@@ -110,9 +100,9 @@ def diversity_timeline(
         payload = pkt.source.resolved_payload()
         key = (pkt.protocol, payload)
         if key not in expected_bits:
-            model = OverlayThroughputModel(pkt.protocol, mode=mode, n_payload_bytes=payload)
+            model = OverlayThroughputModel(pkt.protocol, mode=_MODE, n_payload_bytes=payload)
             _, tag_bits = model.bits_per_packet()
-            per = model.link.per(distance_m, payload * 8)
+            per = model.link.per(_DISTANCE_M, payload * 8)
             expected_bits[key] = tag_bits * (1.0 - per)
         idx = min(int(pkt.start_s / bin_s), n_bins - 1)
         bins[idx] += expected_bits[key]

@@ -11,6 +11,7 @@ recharge takes E / P_harvest(lux).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.phy.protocols import DEFAULT_PACKET_RATES, Protocol
 
@@ -73,13 +74,12 @@ class PowerBreakdown:
 PROTOTYPE_POWER = PowerBreakdown()
 
 
-@dataclass(frozen=True)
 class StorageCapacitor:
     """BQ25570-managed storage capacitor (§3 'Power consumption')."""
 
-    capacitance_f: float = 0.01
-    v_start: float = 4.1
-    v_cutoff: float = 2.6
+    capacitance_f = 0.01
+    v_start = 4.1
+    v_cutoff = 2.6
 
     @property
     def usable_energy_j(self) -> float:
@@ -93,7 +93,6 @@ class StorageCapacitor:
         return self.usable_energy_j / (power_mw / 1e3)
 
 
-@dataclass(frozen=True)
 class SolarHarvester:
     """MP3-37 panel + BQ25570 harvest model.
 
@@ -103,8 +102,8 @@ class SolarHarvester:
     """
 
     #: (lux, harvested power in mW) calibration anchors.
-    indoor_point: tuple[float, float] = (500.0, 50.25 / 216.2 * 1e0)
-    outdoor_point: tuple[float, float] = (1.04e5, 50.25 / 0.78 * 1e0)
+    indoor_point = (500.0, 50.25 / 216.2 * 1e0)
+    outdoor_point = (1.04e5, 50.25 / 0.78 * 1e0)
 
     def power_mw(self, lux: float) -> float:
         if not lux > 0:
@@ -126,8 +125,9 @@ class EnergyBudget:
     """Ties the pieces together for Table 4's exchange-time arithmetic."""
 
     power: PowerBreakdown = field(default_factory=lambda: PROTOTYPE_POWER)
-    capacitor: StorageCapacitor = field(default_factory=StorageCapacitor)
-    harvester: SolarHarvester = field(default_factory=SolarHarvester)
+    #: The prototype's storage capacitor and solar harvester.
+    capacitor: ClassVar[StorageCapacitor] = StorageCapacitor()
+    harvester: ClassVar[SolarHarvester] = SolarHarvester()
 
     @property
     def runtime_per_charge_s(self) -> float:
@@ -153,17 +153,13 @@ INDOOR_LUX = 500.0
 OUTDOOR_LUX = 1.04e5
 
 
-def exchange_times(
-    budget: EnergyBudget | None = None,
-    *,
-    packet_rates: dict[Protocol, float] | None = None,
-) -> dict[Protocol, dict[str, float]]:
+def exchange_times(budget: EnergyBudget | None = None) -> dict[Protocol, dict[str, float]]:
     """Reproduce Table 4: per-protocol packets/charge and average
-    exchange times indoor and outdoor."""
+    exchange times indoor and outdoor, at each protocol's default
+    packet rate."""
     b = budget or EnergyBudget()
-    rates = packet_rates or DEFAULT_PACKET_RATES
     out: dict[Protocol, dict[str, float]] = {}
-    for protocol, rate in rates.items():
+    for protocol, rate in DEFAULT_PACKET_RATES.items():
         out[protocol] = {
             "exchange_packets": b.packets_per_charge(rate),
             "indoor_s": b.exchange_time_s(rate, INDOOR_LUX),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -134,11 +135,11 @@ class BlindMatcher:
 
 @dataclass(frozen=True)
 class OrderedMatcher:
-    """Sequential threshold decisions (Fig 6): the first protocol whose
-    score clears its threshold wins; if none does, fall back to the
-    highest score."""
+    """Sequential threshold decisions (Fig 6): the first protocol in
+    :data:`DEFAULT_ORDER` whose score clears its threshold wins; if none
+    does, fall back to the highest score."""
 
-    order: tuple[Protocol, ...] = DEFAULT_ORDER
+    order: ClassVar[tuple[Protocol, ...]] = DEFAULT_ORDER
     thresholds: tuple[float, ...] = tuple(
         DEFAULT_THRESHOLDS[p] for p in DEFAULT_ORDER
     )
@@ -154,11 +155,12 @@ class OrderedMatcher:
         return max(scores, key=lambda p: scores[p])
 
 
+#: The thresholds the search tries for each protocol but the last.
+_THRESHOLD_GRID = np.arange(0.2, 0.81, 0.15)
+
+
 def search_thresholds(
     labeled_scores: list[tuple[Protocol, dict[Protocol, float]]],
-    *,
-    order: tuple[Protocol, ...] = DEFAULT_ORDER,
-    grid: np.ndarray | None = None,
 ) -> tuple[OrderedMatcher, float]:
     """Brute-force threshold search (the paper's §2.3.2 optimization).
 
@@ -167,16 +169,14 @@ def search_thresholds(
     per-protocol accuracy on the training data.
 
     Every threshold combination decides every trace at once, as
-    :meth:`OrderedMatcher.decide` would: the first protocol in ``order``
-    whose score clears its threshold, else the trace's highest score.
+    :meth:`OrderedMatcher.decide` would: the first protocol in
+    :data:`DEFAULT_ORDER` whose score clears its threshold, else the
+    trace's highest score.
     """
-    if grid is None:
-        grid = np.arange(0.2, 0.81, 0.15)
+    order = DEFAULT_ORDER
     # The last protocol in the order is the fallback; its threshold is
     # irrelevant, keep it at -1 so it always accepts.
-    combos = list(itertools.product(grid, repeat=len(order) - 1))
-    if not combos:
-        raise ValueError("search_thresholds needs a non-empty grid")
+    combos = list(itertools.product(_THRESHOLD_GRID, repeat=len(order) - 1))
     thresholds = np.empty((len(combos), len(order)))
     thresholds[:, :-1] = combos
     thresholds[:, -1] = -1.0
@@ -216,5 +216,5 @@ def search_thresholds(
     margin = thresholds[:, :-1].sum(axis=1)
     ranked = list(zip(avg.tolist(), margin.tolist()))
     best = max(range(len(combos)), key=lambda c: ranked[c])  # the first best
-    matcher = OrderedMatcher(order=order, thresholds=tuple(combos[best]) + (-1.0,))
+    matcher = OrderedMatcher(thresholds=tuple(combos[best]) + (-1.0,))
     return matcher, ranked[best][0]

@@ -97,10 +97,10 @@ class OverlayConfig:
         mode: Mode,
         *,
         payload_symbols: int | None = None,
-        gamma: int | None = None,
     ) -> "OverlayConfig":
-        """Table 6 construction: kappa = 2 gamma / 4 gamma / gamma*n."""
-        g = gamma if gamma is not None else DEFAULT_GAMMA[protocol]
+        """Table 6 construction: kappa = 2 gamma / 4 gamma / gamma*n,
+        with the protocol's :data:`DEFAULT_GAMMA`."""
+        g = DEFAULT_GAMMA[protocol]
         if mode is Mode.MODE_1:
             kappa = 2 * g
         elif mode is Mode.MODE_2:
@@ -178,23 +178,13 @@ class OverlayCodec:
             return 0 if d0 <= d1 else 1
         return int(value)
 
-    def build_carrier(
-        self,
-        productive_bits: np.ndarray | list[int],
-        *,
-        trailing_symbols: int = 0,
-    ) -> Waveform:
+    def build_carrier(self, productive_bits: np.ndarray | list[int]) -> Waveform:
         """Modulate a crafted carrier whose payload spreads each
         productive bit over one kappa-symbol sequence."""
         bits = np.asarray(productive_bits, dtype=np.uint8)
         cfg = self.config
         protocol = cfg.protocol
-        symbols = np.concatenate(
-            [
-                np.repeat(self._reference_symbols[bits], cfg.kappa),
-                np.zeros(trailing_symbols, np.uint8),
-            ]
-        )
+        symbols = np.repeat(self._reference_symbols[bits], cfg.kappa)
 
         if protocol is Protocol.WIFI_B:
             return wifi_b.modulate(symbols, scrambled_domain=True)

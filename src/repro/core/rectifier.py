@@ -52,8 +52,11 @@ __all__ = [
 #: Antenna reference impedance.
 _R_ANTENNA_OHM = 50.0
 
+#: Passive voltage gain of the tag's antenna matching network.
+_MATCHING_BOOST = 4.0
 
-def incident_peak_voltage(power_dbm: DbmPower, *, matching_boost: float = 4.0) -> Volts:
+
+def incident_peak_voltage(power_dbm: DbmPower, *, matching_boost: float = _MATCHING_BOOST) -> Volts:
     """Peak RF voltage at the rectifier input for a given incident power.
 
     ``matching_boost`` models the passive voltage gain of the antenna
@@ -67,13 +70,10 @@ def incident_peak_voltage(power_dbm: DbmPower, *, matching_boost: float = 4.0) -
     return float(np.sqrt(2.0 * power_w * _R_ANTENNA_OHM) * matching_boost)
 
 
-def recommended_tau(f_carrier_hz: Hertz = 2.4e9, f_baseband_hz: Hertz = 20e6) -> Seconds:
-    """Geometric-mean RC constant satisfying 1/f_c << tau << 1/f_b."""
-    if not f_carrier_hz > f_baseband_hz:
-        raise ValueError(
-            f"f_carrier_hz must exceed f_baseband_hz, got {f_carrier_hz!r} and {f_baseband_hz!r}"
-        )
-    return float(1.0 / np.sqrt(f_carrier_hz * f_baseband_hz))
+def recommended_tau() -> Seconds:
+    """Geometric-mean RC constant satisfying 1/f_c << tau << 1/f_b for
+    the 2.4 GHz carrier and 20 MHz baseband."""
+    return float(1.0 / np.sqrt(2.4e9 * 20e6))
 
 
 @dataclass
@@ -160,7 +160,6 @@ class _EnvelopeRectifier:
         incident_power_dbm: float | None,
         *,
         rng: np.random.Generator | None = None,
-        matching_boost: float = 4.0,
         n_samples: int | None = None,
     ) -> RectifierOutput:
         """Produce the baseband voltage for a waveform.
@@ -185,11 +184,9 @@ class _EnvelopeRectifier:
             f_inst = np.zeros(n)
         else:
             if incident_power_dbm is None:
-                env = np.abs(iq) * matching_boost
+                env = np.abs(iq) * _MATCHING_BOOST
             else:
-                scale = incident_peak_voltage(
-                    incident_power_dbm, matching_boost=matching_boost
-                )
+                scale = incident_peak_voltage(incident_power_dbm)
                 env = np.abs(iq) / rms * scale
             # One sample past the head keeps f_inst[0] a phase difference.
             f_inst = _instantaneous_freq(wave.iq[: n + 1], wave.sample_rate)[:n]
@@ -206,20 +203,20 @@ class _EnvelopeRectifier:
             out = out + noise[:n]
         return RectifierOutput(voltage=out, sample_rate=wave.sample_rate)
 
-    def output_for_constant_input(self, incident_power_dbm: DbmPower, *, matching_boost: float = 4.0) -> Volts:
+    def output_for_constant_input(self, incident_power_dbm: DbmPower) -> Volts:
         """Steady-state output for an unmodulated carrier (no noise)."""
-        v = incident_peak_voltage(incident_power_dbm, matching_boost=matching_boost)
+        v = incident_peak_voltage(incident_power_dbm)
         return max(self.swing_gain * v - self.turn_on_v, 0.0) * self.output_divider
 
 
 class BasicRectifier(_EnvelopeRectifier):
     """Single-diode detector (Fig 3a): loses the diode turn-on voltage."""
 
-    def __init__(self, *, tau_s: float | None = None, noise_v_rms: float = 2.3e-3) -> None:
+    def __init__(self, *, noise_v_rms: float = 2.3e-3) -> None:
         self.turn_on_v = 0.25
         self.swing_gain = 1.0
         self.output_divider = 1.0
-        self.tau_s = tau_s if tau_s is not None else recommended_tau()
+        self.tau_s = recommended_tau()
         self.fm_am_slope = 0.3
         self.noise_v_rms = noise_v_rms
         self._check_settings()
@@ -251,11 +248,11 @@ class WispRectifier(_EnvelopeRectifier):
     11 Mchip 802.11b envelope is heavily smeared (Fig 4b).
     """
 
-    def __init__(self, *, tau_s: float = 2e-6, noise_v_rms: float = 1e-3) -> None:
+    def __init__(self, *, noise_v_rms: float = 1e-3) -> None:
         self.turn_on_v = 0.25
         self.swing_gain = 1.0
         self.output_divider = 1.0
-        self.tau_s = tau_s
+        self.tau_s = 2e-6
         self.fm_am_slope = 0.3
         self.noise_v_rms = noise_v_rms
         self._check_settings()

@@ -107,14 +107,14 @@ class CorrelatorDesign:
     """A concrete identification design point.
 
     ``window_us`` and ``sample_rate_hz`` determine the per-template tap
-    count; the resource properties answer "what would it cost on the
-    Artix-7?" (Table 5).
+    count, with one template for each of the four protocols; the
+    resource properties answer "what would it cost on the Artix-7?"
+    (Table 5).
     """
 
     sample_rate_hz: Hertz
     window_us: Microseconds
     quantized: bool
-    n_protocols: int = 4
 
     @property
     def taps_per_template(self) -> int:
@@ -122,7 +122,7 @@ class CorrelatorDesign:
 
     @property
     def total_taps(self) -> int:
-        return self.taps_per_template * self.n_protocols
+        return self.taps_per_template * 4
 
     @property
     def luts(self) -> int:

@@ -93,17 +93,15 @@ class TagFrame:
         return np.concatenate([header, body, crc])
 
 
-def encode_message(
-    message: bytes, config: TagLinkConfig | None = None, *, start_seq: int = 0
-) -> list[np.ndarray]:
+def encode_message(message: bytes, config: TagLinkConfig | None = None) -> list[np.ndarray]:
     """Split a message into framed bit arrays ready for the overlay
-    modulator."""
+    modulator, numbered from sequence 0."""
     cfg = config or TagLinkConfig()
     from repro.phy.bits import bits_from_bytes
 
     bits = bits_from_bytes(message)
     frames = []
-    seq = start_seq
+    seq = 0
     for lo in range(0, bits.size, cfg.frame_payload_bits):
         chunk = bits[lo : lo + cfg.frame_payload_bits]
         frames.append(TagFrame(seq=seq & 0xF, payload_bits=chunk).to_bits(cfg))

@@ -46,13 +46,13 @@ BASE_WINDOW_US = 8.0
 TEMPLATE_INCIDENT_DBM: DbmPower = -15.0
 
 
-#: Memoizes the deterministic reference waveforms (all-zero payload),
-#: keyed (protocol, n_payload_bytes).  Callers get defensive copies.
+#: Memoizes the deterministic reference waveforms (16-byte all-zero
+#: payload), keyed by protocol.  Callers get defensive copies.
 _REFERENCE_CACHE = LruCache(maxsize=16, name="core.templates.reference_waveform")
 
 
-def _build_reference(protocol: Protocol, n_payload_bytes: int) -> Waveform:
-    payload = bytes(n_payload_bytes)
+def _build_reference(protocol: Protocol) -> Waveform:
+    payload = bytes(16)
     if protocol is Protocol.WIFI_B:
         return wifi_b.modulate(payload)
     if protocol is Protocol.WIFI_N:
@@ -64,8 +64,9 @@ def _build_reference(protocol: Protocol, n_payload_bytes: int) -> Waveform:
     raise ValueError(f"unknown protocol {protocol}")
 
 
-def reference_waveform(protocol: Protocol, *, n_payload_bytes: int = 16) -> Waveform:
-    """A clean, deterministic waveform whose head serves as template.
+def reference_waveform(protocol: Protocol) -> Waveform:
+    """A clean, deterministic waveform, with a 16-byte all-zero
+    payload, whose head serves as template.
 
     The template region is payload-independent for every protocol: the
     802.11b SYNC scrambler seed is fixed, the BLE advertising access
@@ -75,10 +76,7 @@ def reference_waveform(protocol: Protocol, *, n_payload_bytes: int = 16) -> Wave
     The waveform is fully deterministic, so it is cached; the returned
     copy is the caller's to mutate.
     """
-    wave = _REFERENCE_CACHE.get_or_create(
-        (protocol, n_payload_bytes),
-        lambda: _build_reference(protocol, n_payload_bytes),
-    )
+    wave = _REFERENCE_CACHE.get_or_create(protocol, lambda: _build_reference(protocol))
     return wave.copy()
 
 
@@ -209,8 +207,6 @@ def cached_bank(
     key = (
         float(adc.sample_rate),
         int(adc.n_bits),
-        float(adc.v_ref),
-        bool(adc.antialias),
         float(window_us),
         float(preprocess_us),
     )

@@ -88,7 +88,6 @@ class OverlayThroughputModel:
         mode: Mode = Mode.MODE_1,
         link: BackscatterLink | None = None,
         n_payload_bytes: int | None = None,
-        gamma: int | None = None,
     ) -> None:
         self.protocol = protocol
         self.link = link or BackscatterLink(PROTOCOL_LINK_DEFAULTS[protocol])
@@ -99,9 +98,7 @@ class OverlayThroughputModel:
         )
         self.n_symbols = payload_symbols(protocol, self.n_payload_bytes)
         self.codec = OverlayCodec(
-            OverlayConfig.for_mode(
-                protocol, mode, payload_symbols=self.n_symbols, gamma=gamma
-            )
+            OverlayConfig.for_mode(protocol, mode, payload_symbols=self.n_symbols)
         )
 
     @property
@@ -133,13 +130,7 @@ class OverlayThroughputModel:
             rssi_dbm=self.link.rssi_dbm(distance_m),
         )
 
-    def sweep(
-        self,
-        distances_m: np.ndarray,
-        *,
-        packet_rate: Hertz | None = None,
-    ) -> list[ThroughputPoint]:
-        """Evaluate across a distance sweep (Fig 13/14 curves)."""
-        return [
-            self.evaluate(float(d), packet_rate=packet_rate) for d in distances_m
-        ]
+    def sweep(self, distances_m: np.ndarray) -> list[ThroughputPoint]:
+        """Evaluate across a distance sweep at the saturated rate (Fig
+        13/14 curves)."""
+        return [self.evaluate(float(d)) for d in distances_m]

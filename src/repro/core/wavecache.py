@@ -31,7 +31,6 @@ __all__ = [
     "LruCache",
     "cache_stats",
     "clear_caches",
-    "register_functools_cache",
 ]
 
 #: All named LruCache instances, in creation order.
@@ -107,11 +106,6 @@ class LruCache:
             "size": len(self._data),
             "maxsize": self.maxsize,
         }
-
-
-def register_functools_cache(name: str, wrapper: Any) -> None:
-    """Track a ``functools.lru_cache``-wrapped function by name."""
-    _FUNCTOOLS_CACHES[name] = wrapper
 
 
 def _register_phy_caches() -> None:

@@ -261,7 +261,7 @@ class ExperimentResult:
         return get_spec(self.name).format(self)
 
     # -- serialization -------------------------------------------------
-    def to_json(self, *, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Deterministic JSON: same run, same bytes."""
         doc = {
             "artifact": ARTIFACT_TAG,
@@ -274,7 +274,7 @@ class ExperimentResult:
         }
         # No sort_keys: insertion order is deterministic for a seeded
         # run and render() depends on it (tables print in data order).
-        return json.dumps(doc, indent=indent, allow_nan=False)
+        return json.dumps(doc, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentResult":
@@ -292,13 +292,22 @@ class ExperimentResult:
                 f"artifact schema_version {version!r} is not supported by "
                 f"this build (expected {SCHEMA_VERSION})"
             )
-        return cls(
-            name=doc["name"],
-            data=decode(doc["data"]),
-            notes=list(doc.get("notes", [])),
-            preset=doc.get("preset"),
-            params=decode(doc.get("params")),
-        )
+        try:
+            return cls(
+                name=doc["name"],
+                data=decode(doc["data"]),
+                notes=list(doc.get("notes", [])),
+                preset=doc.get("preset"),
+                params=decode(doc.get("params")),
+            )
+        except ArtifactError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            # A missing key, an array that does not fit its shape, an
+            # unknown dtype, enum member or dataclass field.
+            raise ArtifactError(
+                f"invalid content ({type(exc).__name__}: {exc})"
+            ) from exc
 
     def save(self, path: str | Path) -> Path:
         """Write the artifact to ``path`` atomically (parents created).

@@ -19,25 +19,20 @@ __all__ = ["ExperimentResult", "labeled_traces", "PROTOCOL_ORDER"]
 PROTOCOL_ORDER = (Protocol.WIFI_N, Protocol.WIFI_B, Protocol.BLE, Protocol.ZIGBEE)
 
 
-def _build_trace(
-    protocol: Protocol,
-    seed_seq: np.random.SeedSequence,
-    n_payload_bytes: int,
-) -> Waveform:
+def _build_trace(protocol: Protocol, seed_seq: np.random.SeedSequence) -> Waveform:
     """One trace from its own stream (also the worker entry point)."""
     rng = np.random.default_rng(seed_seq)
-    return random_packet(protocol, rng, n_payload_bytes=n_payload_bytes)
+    return random_packet(protocol, rng, n_payload_bytes=40)
 
 
 def labeled_traces(
     n_per_protocol: int,
     *,
     seed: int = 1234,
-    n_payload_bytes: int = 40,
     n_workers: int | None = None,
 ) -> Iterator[tuple[Protocol, Waveform]]:
-    """Identification trace set: random payloads for all four protocols,
-    yielded one labeled trace at a time.
+    """Identification trace set: random 40-byte payloads for all four
+    protocols, yielded one labeled trace at a time.
 
     Every trace draws from its own stream spawned off one root
     ``SeedSequence``, so the set is reproducible from ``seed`` and a
@@ -53,7 +48,7 @@ def labeled_traces(
     workers = min(resolve_workers(n_workers), max(len(protocols), 1))
     if workers <= 1:
         for p, s in zip(protocols, children):
-            yield p, _build_trace(p, s, n_payload_bytes)
+            yield p, _build_trace(p, s)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from zip(
@@ -62,7 +57,6 @@ def labeled_traces(
                 _build_trace,
                 protocols,
                 children,
-                [n_payload_bytes] * len(protocols),
                 chunksize=max(len(protocols) // workers, 1),
             ),
         )

@@ -36,20 +36,15 @@ def _envelope_fidelity(rectifier, wave, power_dbm: float) -> float:
     return float(np.dot(a, b) / denom) if denom > 1e-12 else 0.0
 
 
-def downlink_range_m(
-    *,
-    tx_power_dbm: float = 30.0,
-    tx_gain_dbi: float = 3.0,
-    threshold_v: float = 0.15,
-    d_max: float = 5.0,
-) -> float:
-    """Maximum distance at which the clamp rectifier's output clears
-    the 0.15 V threshold (§2.2.1 reports 0.9 m)."""
+def downlink_range_m() -> float:
+    """Maximum distance, on a 5 cm grid below 5 m, at which the clamp
+    rectifier's output clears the 0.15 V threshold, excited by a 30 dBm
+    radio with a 3 dBi antenna (§2.2.1 reports 0.9 m)."""
     rect = ClampRectifier(noise_v_rms=0.0)
     best = 0.0
-    for d in np.arange(0.05, d_max, 0.05):
-        incident = tx_power_dbm + tx_gain_dbi - log_distance_path_loss_db(float(d))
-        if rect.output_for_constant_input(incident) >= threshold_v:
+    for d in np.arange(0.05, 5.0, 0.05):
+        incident = 30.0 + 3.0 - log_distance_path_loss_db(float(d))
+        if rect.output_for_constant_input(incident) >= 0.15:
             best = float(d)
         else:
             break

@@ -30,15 +30,15 @@ __all__ = ["run", "format_result"]
 SAMPLE_RATE = 20e6
 
 
-def envelope_traces(duration_us: float = 40.0) -> dict[Protocol, np.ndarray]:
-    """Fig 5a: clean rectified envelopes per protocol."""
+def envelope_traces() -> dict[Protocol, np.ndarray]:
+    """Fig 5a: clean rectified envelopes per protocol, 40 us each."""
     rect = ClampRectifier(noise_v_rms=0.0)
     adc = Adc(sample_rate=SAMPLE_RATE)
     out = {}
     for protocol in Protocol:
         wave = reference_waveform(protocol)
         analog = rect.rectify(wave, -15.0)
-        cap = adc.capture(analog, duration_s=duration_us * 1e-6)
+        cap = adc.capture(analog, duration_s=40.0 * 1e-6)
         out[protocol] = cap.volts()
     return out
 

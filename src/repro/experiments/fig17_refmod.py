@@ -41,10 +41,11 @@ def wifi_b_tag_ber(
     *,
     snr_db: float,
     n_packets: int,
-    n_sequences: int = 24,
     rng: np.random.Generator,
 ) -> float:
-    """Tag BER over an 802.11b carrier at one reference modulation."""
+    """Tag BER over an 802.11b carrier at one reference modulation,
+    24 reference sequences per packet."""
+    n_sequences = 24
     bps = _bits_per_symbol_11b(rate_mbps)
     errors = 0
     total = 0
@@ -104,10 +105,11 @@ def wifi_n_tag_ber(
     *,
     snr_db: float,
     n_packets: int,
-    n_sequences: int = 12,
     rng: np.random.Generator,
 ) -> float:
-    """Tag BER over an 802.11n carrier at one constellation."""
+    """Tag BER over an 802.11n carrier at one constellation, 12
+    reference sequences per packet."""
+    n_sequences = 12
     cfg = wifi_n.WifiNConfig(mcs=mcs)
     n_dbps = cfg.n_dbps
     errors = 0

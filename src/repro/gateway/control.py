@@ -79,33 +79,26 @@ class ControlPlane:
         tag_id: str,
         *,
         rng: np.random.Generator | Callable[[], np.random.Generator],
-        payload: np.ndarray | None = None,
-        d_tag_rx_m: float = 2.0,
         now_s: float = 0.0,
     ) -> TagSession:
-        """Admit a multiscatter tag to the network.
+        """Admit a multiscatter tag, 2 m from the receiver, to the
+        network.
 
         ``rng`` is the session's stream, or a factory called only once
         the registration is accepted (a rejected one creates none).
-        ``payload=None`` draws the batch driver's default 4096-bit
-        payload from ``rng`` -- the first draw the batch loop makes,
-        preserving stream alignment for equivalence replays.
+        The session's payload is the batch driver's default 4096-bit
+        payload, drawn from ``rng`` -- the first draw the batch loop
+        makes, preserving stream alignment for equivalence replays.
         """
         if tag_id in self._sessions:
             raise ValueError(f"tag {tag_id!r} already registered")
-        pipeline = AirlinkPipeline(d_tag_rx_m=d_tag_rx_m)
         if callable(rng):
             rng = rng()
-        resolved = (
-            np.asarray(payload, dtype=np.uint8)
-            if payload is not None
-            else rng.integers(0, 2, DEFAULT_PAYLOAD_BITS).astype(np.uint8)
-        )
         session = TagSession(
             tag_id=tag_id,
-            pipeline=pipeline,
+            pipeline=AirlinkPipeline(),
             rng=rng,
-            payload=resolved,
+            payload=rng.integers(0, 2, DEFAULT_PAYLOAD_BITS).astype(np.uint8),
             last_keepalive_s=now_s,
         )
         self._sessions[tag_id] = session

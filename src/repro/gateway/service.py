@@ -285,8 +285,6 @@ class Gateway:
         tag_id: str,
         *,
         rng: np.random.Generator | None = None,
-        payload: np.ndarray | None = None,
-        d_tag_rx_m: float = 2.0,
     ) -> TagSession:
         """Admit a multiscatter tag; the control-plane sweep keeps it alive."""
         now_s = self._now()
@@ -299,8 +297,6 @@ class Gateway:
         session = self.control.register(  # reproasync: disable=C001
             tag_id,
             rng=rng if rng is not None else self.spawn_rng,
-            payload=payload,
-            d_tag_rx_m=d_tag_rx_m,
             now_s=now_s,
         )
         self._ensure_sweep()
@@ -324,13 +320,9 @@ class Gateway:
             )
 
     def subscribe(
-        self,
-        name: str,
-        *,
-        maxlen: int | None = None,
-        policy: Backpressure = Backpressure.BLOCK,
+        self, name: str, *, policy: Backpressure = Backpressure.BLOCK
     ) -> Subscriber:
-        return self.hub.subscribe(name, maxlen=maxlen, policy=policy)
+        return self.hub.subscribe(name, policy=policy)
 
     async def assign_carrier(
         self, observed_rates: dict[Protocol, float], *, goal_kbps: float = 0.0

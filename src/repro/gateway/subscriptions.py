@@ -92,8 +92,6 @@ class Subscriber:
     """
 
     def __init__(self, name: str, *, maxlen: int, policy: Backpressure) -> None:
-        if maxlen < 1:
-            raise ValueError(f"subscriber queue maxlen must be >= 1, got {maxlen}")
         self.name = name
         self.policy = policy
         self.queue: _NotifyingQueue = _NotifyingQueue(maxsize=maxlen)
@@ -189,19 +187,11 @@ class SubscriptionHub:
         return tuple(self._subscribers.values())
 
     def subscribe(
-        self,
-        name: str,
-        *,
-        maxlen: int | None = None,
-        policy: Backpressure = Backpressure.BLOCK,
+        self, name: str, *, policy: Backpressure = Backpressure.BLOCK
     ) -> Subscriber:
         if name in self._subscribers:
             raise ValueError(f"subscriber {name!r} already exists")
-        sub = Subscriber(
-            name,
-            maxlen=maxlen if maxlen is not None else self.default_maxlen,
-            policy=policy,
-        )
+        sub = Subscriber(name, maxlen=self.default_maxlen, policy=policy)
         sub.queue.on_consume = self._notify
         self._subscribers[name] = sub
         perf.count("gateway.subscriber.subscribed")

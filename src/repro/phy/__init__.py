@@ -3,7 +3,7 @@
 Each protocol module provides a full complex-baseband modulator and a
 software "commodity receiver" demodulator:
 
-* :mod:`repro.phy.wifi_b`  -- 802.11b DSSS/CCK (1, 2, 5.5, 11 Mbps)
+* :mod:`repro.phy.wifi_b`  -- 802.11b DSSS/CCK (1, 2, 5.5 Mbps)
 * :mod:`repro.phy.wifi_n`  -- 802.11n 20 MHz OFDM (mixed-mode preamble)
 * :mod:`repro.phy.ble`     -- Bluetooth Low Energy LE 1M GFSK
 * :mod:`repro.phy.zigbee`  -- IEEE 802.15.4 2.4 GHz OQPSK/DSSS

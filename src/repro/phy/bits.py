@@ -2,7 +2,7 @@
 
 Everything here operates on NumPy ``uint8`` arrays of 0/1 values.  The
 2.4 GHz standards transmit bytes least-significant-bit first, so the
-packing helpers default to LSB-first.
+packing helpers are LSB-first.
 
 Contents:
 
@@ -48,20 +48,19 @@ def _as_bits(bits: np.ndarray | list[int]) -> BitArray:
     return arr
 
 
-def bits_from_bytes(data: bytes | bytearray | np.ndarray, *, lsb_first: bool = True) -> BitArray:
-    """Expand bytes into a bit array (LSB-first by default, as on air)."""
+def bits_from_bytes(data: bytes | bytearray | np.ndarray) -> BitArray:
+    """Expand bytes into a bit array, LSB-first as on air."""
     byte_arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    bit_order = "little" if lsb_first else "big"
-    return np.unpackbits(byte_arr, bitorder=bit_order)
+    return np.unpackbits(byte_arr, bitorder="little")
 
 
-def bytes_from_bits(bits: np.ndarray | list[int], *, lsb_first: bool = True) -> bytes:
-    """Pack a bit array back into bytes; length must be a multiple of 8."""
+def bytes_from_bits(bits: np.ndarray | list[int]) -> bytes:
+    """Pack an LSB-first bit array back into bytes; length must be a
+    multiple of 8."""
     arr = _as_bits(bits)
     if arr.size % 8:
         raise ValueError(f"bit count {arr.size} is not a multiple of 8")
-    bit_order = "little" if lsb_first else "big"
-    return np.packbits(arr, bitorder=bit_order).tobytes()
+    return np.packbits(arr, bitorder="little").tobytes()
 
 
 def bits_from_int(value: int, width: int, *, lsb_first: bool = True) -> BitArray:
@@ -72,11 +71,9 @@ def bits_from_int(value: int, width: int, *, lsb_first: bool = True) -> BitArray
     return bits if lsb_first else bits[::-1]
 
 
-def int_from_bits(bits: np.ndarray | list[int], *, lsb_first: bool = True) -> int:
-    """Pack a bit array into an integer."""
+def int_from_bits(bits: np.ndarray | list[int]) -> int:
+    """Pack an LSB-first bit array into an integer."""
     arr = _as_bits(bits)
-    if not lsb_first:
-        arr = arr[::-1]
     return int(sum(int(b) << i for i, b in enumerate(arr)))
 
 
@@ -167,16 +164,16 @@ def crc16_80211b_plcp(header_bits: np.ndarray | list[int]) -> BitArray:
     return bits_from_int(reg, 16, lsb_first=False)
 
 
-def crc24_ble(data_bits: np.ndarray | list[int], *, init: int = 0x555555) -> BitArray:
+def crc24_ble(data_bits: np.ndarray | list[int]) -> BitArray:
     """BLE CRC-24 (poly x^24+x^10+x^9+x^6+x^4+x^3+x+1), LSB-first output.
 
-    ``init`` is 0x555555 for advertising channel PDUs (Core Spec v5,
-    Vol 6 Part B §3.1.1).
+    The register starts at 0x555555, the advertising channel PDUs'
+    initial value (Core Spec v5, Vol 6 Part B §3.1.1).
     """
     arr = _as_bits(data_bits)
     # BLE shifts LSB-first through the register; poly bits per spec.
     poly = 0x00065B  # x^10+x^9+x^6+x^4+x^3+x+1 (x^24 implied)
-    reg = init
+    reg = 0x555555
     # Each stream bit XORs into the register top, so 8 bits at a time
     # collapse into one table step (first bit in the byte's MSB).
     n_bytes = arr.size // 8

@@ -21,16 +21,16 @@ __all__ = [
 ]
 
 
-def gaussian_taps(bt: float, sps: int, span: int = 3) -> FloatArray:
+def gaussian_taps(bt: float, sps: int) -> FloatArray:
     """Gaussian filter taps for GFSK with bandwidth-time product ``bt``.
 
-    ``sps`` samples per symbol, ``span`` symbols each side.  Taps are
+    ``sps`` samples per symbol, three symbols each side.  Taps are
     normalized to unit sum so the peak frequency deviation of the
     shaped FSK signal is preserved.
     """
-    if bt <= 0 or sps < 1 or span < 1:
-        raise ValueError("bt, sps and span must be positive")
-    t = np.arange(-span * sps, span * sps + 1) / sps
+    if bt <= 0 or sps < 1:
+        raise ValueError("bt and sps must be positive")
+    t = np.arange(-3 * sps, 3 * sps + 1) / sps
     # Standard GMSK Gaussian response: sigma = sqrt(ln 2) / (2 pi BT).
     sigma = np.sqrt(np.log(2.0)) / (2.0 * np.pi * bt)
     taps = np.exp(-(t**2) / (2.0 * sigma**2))
@@ -46,15 +46,16 @@ def half_sine_pulse(sps: int) -> FloatArray:
 
 
 @lru_cache(maxsize=16)
-def rrc_taps(beta: float, sps: int, span: int = 6) -> FloatArray:
-    """Root-raised-cosine taps (unit energy), rolloff ``beta``.
+def rrc_taps(beta: float, sps: int) -> FloatArray:
+    """Root-raised-cosine taps (unit energy), rolloff ``beta``, six
+    symbols each side.
 
     Memoized and read-only: every 802.11b modulation asks for the same
     taps, and callers only convolve with them.
     """
     if not 0 < beta <= 1:
         raise ValueError("beta must be in (0, 1]")
-    n = np.arange(-span * sps, span * sps + 1, dtype=float)
+    n = np.arange(-6 * sps, 6 * sps + 1, dtype=float)
     t = n / sps
     taps = np.empty_like(t)
     for i, ti in enumerate(t):

@@ -504,12 +504,10 @@ def decode_soft(llrs: np.ndarray, *, n_info: int | None = None) -> BitArray:
 
 def decode_batch(
     coded_batch: Sequence[np.ndarray | list[int]] | np.ndarray,
-    *,
-    n_info: int | None = None,
 ) -> list[BitArray]:
     """:func:`decode` applied to each coded stream, in input order.
 
     Streams may differ in length.  An empty batch raises ``ValueError``.
     """
     require_nonempty(coded_batch, "viterbi.decode_batch")
-    return [decode(coded, n_info=n_info) for coded in coded_batch]
+    return [decode(coded) for coded in coded_batch]

@@ -187,11 +187,10 @@ class Waveform:
                 ann[key] = int(round(ann[key] * ratio))
         return Waveform(iq=iq, sample_rate=new_rate_hz, annotations=ann)
 
-    def padded(self, before: Samples = 0, after: Samples = 0) -> "Waveform":
-        """Zero-pad with silence; shifts ``payload_start`` accordingly."""
-        iq = np.concatenate(
-            [np.zeros(before, complex), self.iq, np.zeros(after, complex)]
-        )
+    def padded(self, before: Samples) -> "Waveform":
+        """Lead with ``before`` samples of silence; shifts
+        ``payload_start`` accordingly."""
+        iq = np.concatenate([np.zeros(before, complex), self.iq])
         ann = dict(self.annotations)
         if "payload_start" in ann:
             ann["payload_start"] = ann["payload_start"] + before

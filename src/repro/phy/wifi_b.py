@@ -429,15 +429,11 @@ def demodulate(
     return WifiBDecodeResult(payload_bits=payload_bits, onair_bits=psdu_onair)
 
 
-def demodulate_batch(
-    waves: Sequence[Waveform],
-    *,
-    n_payload_bits: int | None = None,
-) -> list[WifiBDecodeResult]:
+def demodulate_batch(waves: Sequence[Waveform]) -> list[WifiBDecodeResult]:
     """:func:`demodulate` applied to each waveform, in input order.
 
     An empty batch raises ``ValueError``.
     """
     require_nonempty(waves, "wifi_b.demodulate_batch")
-    return [demodulate(w, n_payload_bits=n_payload_bits) for w in waves]
+    return [demodulate(w) for w in waves]
 

@@ -576,14 +576,13 @@ def demodulate(
     wave: Waveform,
     *,
     n_psdu_bits: int | None = None,
-    correct_cfo: bool = True,
     soft: bool = False,
 ) -> WifiNDecodeResult:
     """Coherent 802.11n receive chain (timing from frame annotations).
 
-    ``correct_cfo`` runs the standard two-stage (L-STF coarse + L-LTF
-    fine) frequency-offset estimator and derotates the waveform before
-    channel estimation.  ``soft`` switches to max-log LLR demapping and
+    The standard two-stage (L-STF coarse + L-LTF fine) frequency-offset
+    estimator derotates the waveform before channel estimation.
+    ``soft`` switches to max-log LLR demapping and
     soft-decision Viterbi (~2 dB gain over hard decisions).
     """
     perf.count("wifi_n.demodulate")
@@ -591,10 +590,9 @@ def demodulate(
     if ann.get("protocol") is not Protocol.WIFI_N:
         raise ValueError("waveform is not annotated as 802.11n")
     cfg = WifiNConfig(mcs=ann["mcs"])
-    if correct_cfo:
-        cfo = estimate_cfo(wave)
-        if abs(cfo) > 1.0:
-            wave = wave.frequency_shifted(-cfo, memo=False)
+    cfo = estimate_cfo(wave)
+    if abs(cfo) > 1.0:
+        wave = wave.frequency_shifted(-cfo, memo=False)
     h = _estimate_channel(wave)
     # Guard against nulls.
     h = np.where(np.abs(h) < 1e-12, 1e-12, h)
@@ -636,19 +634,10 @@ def demodulate(
     return WifiNDecodeResult(psdu_bits=psdu, symbol_bits=symbol_bits)
 
 
-def demodulate_batch(
-    waves: Sequence[Waveform],
-    *,
-    n_psdu_bits: int | None = None,
-    correct_cfo: bool = True,
-    soft: bool = False,
-) -> list[WifiNDecodeResult]:
+def demodulate_batch(waves: Sequence[Waveform]) -> list[WifiNDecodeResult]:
     """:func:`demodulate` applied to each waveform, in input order.
 
     An empty batch raises ``ValueError``.
     """
     require_nonempty(waves, "wifi_n.demodulate_batch")
-    return [
-        demodulate(w, n_psdu_bits=n_psdu_bits, correct_cfo=correct_cfo, soft=soft)
-        for w in waves
-    ]
+    return [demodulate(w) for w in waves]

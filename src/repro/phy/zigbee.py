@@ -234,21 +234,20 @@ def estimate_cfo(wave: Waveform) -> Hertz:
     return float(np.angle(corr) / (2.0 * np.pi * period_s))
 
 
-def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResult:
+def demodulate(wave: Waveform) -> ZigbeeDecodeResult:
     """Best-match PN sequence detection, as commodity radios do.
 
-    ``correct_cfo`` derotates the waveform by the preamble-estimated
-    frequency offset before the coherent chip sampling.
+    The waveform is derotated by the preamble-estimated frequency
+    offset before the coherent chip sampling.
     """
     perf.count("zigbee.demodulate")
     ann = wave.annotations
     if ann.get("protocol") is not Protocol.ZIGBEE:
         raise ValueError("waveform is not annotated as ZigBee")
-    if correct_cfo:
-        cfo = estimate_cfo(wave)
-        if abs(cfo) > 0.5:
-            wave = wave.frequency_shifted(-cfo, memo=False)
-            wave.annotations = ann
+    cfo = estimate_cfo(wave)
+    if abs(cfo) > 0.5:
+        wave = wave.frequency_shifted(-cfo, memo=False)
+        wave.annotations = ann
     n_header = ann["n_header_symbols"]
     n_payload = ann["n_payload_symbols"]
     n_symbols = n_header + n_payload
@@ -283,12 +282,10 @@ def demodulate(wave: Waveform, *, correct_cfo: bool = True) -> ZigbeeDecodeResul
     )
 
 
-def demodulate_batch(
-    waves: Sequence[Waveform], *, correct_cfo: bool = True
-) -> list[ZigbeeDecodeResult]:
+def demodulate_batch(waves: Sequence[Waveform]) -> list[ZigbeeDecodeResult]:
     """:func:`demodulate` applied to each waveform, in input order.
 
     An empty batch raises ``ValueError``.
     """
     require_nonempty(waves, "zigbee.demodulate_batch")
-    return [demodulate(w, correct_cfo=correct_cfo) for w in waves]
+    return [demodulate(w) for w in waves]

@@ -22,10 +22,9 @@ __all__ = ["DEFAULT_SEED", "fallback_rng"]
 DEFAULT_SEED: int = 0
 
 
-def fallback_rng(
-    rng: np.random.Generator | None, seed: int = DEFAULT_SEED
-) -> np.random.Generator:
-    """Return ``rng`` if given, else a fresh deterministically-seeded one."""
+def fallback_rng(rng: np.random.Generator | None) -> np.random.Generator:
+    """Return ``rng`` if given, else a fresh one seeded with
+    :data:`DEFAULT_SEED`."""
     if rng is not None:
         return rng
-    return np.random.default_rng(seed)
+    return np.random.default_rng(DEFAULT_SEED)

@@ -217,14 +217,9 @@ def check(
             os._exit(13)
 
 
-async def check_async(
-    site: str,
-    *,
-    index: int | None = None,
-    name: str | None = None,
-    attempt: int = 1,
-) -> None:
-    """:func:`check` for coroutine sites (the gateway's event loop).
+async def check_async(site: str, *, name: str | None = None) -> None:
+    """:func:`check` for coroutine sites (the gateway's event loop),
+    which have a name, no index, and one attempt.
 
     ``hang`` faults must not block the loop -- a synchronous
     ``time.sleep`` would freeze every tag task and subscriber at once,
@@ -238,13 +233,10 @@ async def check_async(
     if not text:
         return
     for fault in parse_spec(text):
-        if not fault.matches(site, index=index, name=name, attempt=attempt):
+        if not fault.matches(site, index=None, name=name, attempt=1):
             continue
-        where = f"{site}[{index if index is not None else name or '*'}]"
         if fault.kind == "raise":
-            raise FaultInjected(
-                f"injected fault at {where} (attempt {attempt})"
-            )
+            raise FaultInjected(f"injected fault at {site}[{name or '*'}] (attempt 1)")
         if fault.kind == "hang":
             await asyncio.sleep(fault.hang_s)
         elif fault.kind == "kill":

@@ -40,7 +40,7 @@ class TestMultipath:
         training)."""
         payload = bytes(range(30))
         wave = wifi_n.modulate(payload)
-        chan = MultipathChannel(rms_delay_spread_s=50e-9, n_taps=6, seed=8)
+        chan = MultipathChannel(rms_delay_spread_s=50e-9, seed=8)
         faded = chan.apply(wave)
         rng = np.random.default_rng(9)
         faded.iq = faded.iq + 0.01 * (

@@ -18,8 +18,8 @@ from repro.core.identification import (
     score_traces,
     tabulate_accuracy,
 )
-from repro.core.matching import DEFAULT_ORDER, OrderedMatcher, search_thresholds
-from repro.core.overlay import Mode
+from repro.core import matching
+from repro.core.matching import OrderedMatcher, search_thresholds
 from repro.core.templates import TEMPLATE_INCIDENT_DBM
 from repro.experiments import common
 from repro.experiments.common import labeled_traces
@@ -53,9 +53,14 @@ def random_labeled_scores(rng, n, *, truths=PROTOCOLS, below=0.05, missing=0.1):
     return labeled
 
 
-def assert_same_search(labeled, **kwargs):
-    got_matcher, got_acc = search_thresholds(labeled, **kwargs)
-    want_matcher, want_acc = ref.search_thresholds(labeled, **kwargs)
+def assert_same_search(labeled, grid=None):
+    """The search against the parent's, on its threshold grid or, with
+    ``grid`` given, on that one."""
+    with pytest.MonkeyPatch.context() as mp:
+        if grid is not None:
+            mp.setattr(matching, "_THRESHOLD_GRID", grid)
+        got_matcher, got_acc = search_thresholds(labeled)
+    want_matcher, want_acc = ref.search_thresholds(labeled, grid=grid)
     assert got_matcher == want_matcher
     # The winning thresholds are the grid's own elements, as the parent
     # returned them (fig07 writes them into its artifact).
@@ -83,15 +88,12 @@ class TestSearchThresholds:
             truths = [p for p in PROTOCOLS if p is not absent]
             assert_same_search(random_labeled_scores(rng, 40, truths=truths))
 
-    def test_custom_order_and_grid(self):
+    def test_custom_grid(self):
         rng = np.random.default_rng(25)
         for trial in range(12):
-            order = tuple(PROTOCOLS[i] for i in rng.permutation(len(PROTOCOLS)))
             grid = np.sort(rng.choice(GRID, int(rng.integers(1, 5)), replace=False))
             labeled = random_labeled_scores(rng, 48)
-            assert_same_search(labeled, order=order, grid=grid)
-        assert_same_search(random_labeled_scores(rng, 20, truths=[Protocol.BLE]),
-                           order=(Protocol.BLE,))
+            assert_same_search(labeled, grid=grid)
 
     def test_first_best_in_product_order(self):
         # Exactly one of the two traces can be right, and the two ways
@@ -102,7 +104,9 @@ class TestSearchThresholds:
             (Protocol.BLE, {Protocol.ZIGBEE: 0.3, Protocol.BLE: 0.3}),
         ]
         grid = np.array([0.25, 0.5])
-        matcher, acc = search_thresholds(labeled, grid=grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_THRESHOLD_GRID", grid)
+            matcher, acc = search_thresholds(labeled)
         assert (matcher.thresholds, acc) == ((0.25, 0.5, 0.5, -1.0), 0.5)
         assert_same_search(labeled, grid=grid)
 
@@ -120,17 +124,11 @@ class TestSearchThresholds:
             (n, {z: 0.25, b: 0.3, w: 0.25}),
         ]
         grid = np.array([0.1, 0.2, 0.3])
-        matcher, _ = search_thresholds(labeled, grid=grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_THRESHOLD_GRID", grid)
+            matcher, _ = search_thresholds(labeled)
         assert matcher.thresholds == (0.1, 0.3, 0.2, -1.0)
         assert_same_search(labeled, grid=grid)
-
-    def test_truth_outside_the_order_raises_like_the_parent(self):
-        labeled = [(Protocol.BLE, {Protocol.BLE: 0.5})]
-        order = (Protocol.ZIGBEE, Protocol.WIFI_N)
-        with pytest.raises(KeyError):
-            ref.search_thresholds(labeled, order=order)
-        with pytest.raises(KeyError):
-            search_thresholds(labeled, order=order)
 
     def test_no_score_clears(self):
         # Every score is below -1, so even the fallback protocol's -1
@@ -262,7 +260,7 @@ class TestScoreOnceTabulateTwice:
         # fig07: blind and ordered reports from one set of scores equal
         # two parent evaluations with the same random stream.
         ident = ProtocolIdentifier(IdentificationConfig(sample_rate_hz=10e6, quantized=True))
-        ordered = OrderedMatcher(order=DEFAULT_ORDER, thresholds=(0.5, 0.35, 0.65, -1.0))
+        ordered = OrderedMatcher(thresholds=(0.5, 0.35, 0.65, -1.0))
         (scored,) = score_traces([ident], traces, rng=np.random.default_rng(4))
         blind_want = ref.evaluate_identifier(ident, traces, rng=np.random.default_rng(4))
         assert_same_report(tabulate_accuracy(ident.matcher, scored), blind_want)
@@ -414,8 +412,7 @@ class TestDiversityTimeline:
                              duty_cycle=0.3, period_s=0.5, periodic=False),
         ]
         schedule = ExcitationSchedule.generate(sources, 2.0, np.random.default_rng(3))
-        for mode in Mode:
-            self.assert_same(schedule, mode=mode, distance_m=6.0, bin_s=0.02)
+        self.assert_same(schedule)
         self.assert_same(schedule, tag_protocols=(Protocol.BLE, Protocol.ZIGBEE))
 
 

@@ -98,16 +98,14 @@ class TestMatching:
         assert matcher.decide(scores) is Protocol.ZIGBEE
 
     def test_ordered_matcher_falls_back_to_argmax(self):
-        matcher = OrderedMatcher(
-            order=tuple(Protocol), thresholds=(0.99, 0.99, 0.99, 0.99)
-        )
+        matcher = OrderedMatcher(thresholds=(0.99, 0.99, 0.99, 0.99))
         scores = {p: 0.1 for p in Protocol}
         scores[Protocol.WIFI_N] = 0.3
         assert matcher.decide(scores) is Protocol.WIFI_N
 
     def test_ordered_matcher_validates_lengths(self):
         with pytest.raises(ValueError):
-            OrderedMatcher(order=tuple(Protocol), thresholds=(0.5,))
+            OrderedMatcher(thresholds=(0.5,))
 
     def test_score_capture_perfect_match_is_one(self):
         bank = TemplateBank.build(Adc(sample_rate=20e6), window_us=6.0)

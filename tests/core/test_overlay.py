@@ -13,9 +13,9 @@ from repro.phy.protocols import Protocol
 
 
 def _roundtrip(protocol, mode, prod_bits, tag_bits_fn, shift=10e6, rng=None,
-               noise=0.0, gamma=None):
+               noise=0.0):
     """Carrier -> tag modulation -> shifted-channel RX -> decode."""
-    cfg = OverlayConfig.for_mode(protocol, mode, payload_symbols=200, gamma=gamma)
+    cfg = OverlayConfig.for_mode(protocol, mode, payload_symbols=200)
     codec = OverlayCodec(cfg)
     wave = codec.build_carrier(prod_bits)
     n_sym = wave.annotations["n_payload_symbols"]

@@ -42,17 +42,8 @@ class TestVoltageScale:
             incident_peak_voltage(bad)
 
     def test_recommended_tau_between_bounds(self):
-        tau = recommended_tau(2.4e9, 20e6)
+        tau = recommended_tau()
         assert 1 / 2.4e9 < tau < 1 / 20e6
-
-    def test_recommended_tau_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            recommended_tau(1e6, 2e6)
-
-    @pytest.mark.parametrize("name", ["f_carrier_hz", "f_baseband_hz"])
-    def test_recommended_tau_rejects_nan(self, name):
-        with pytest.raises(ValueError, match=name):
-            recommended_tau(**{name: float("nan")})
 
 
 class TestRectifiers:
@@ -126,7 +117,7 @@ class TestAdc:
         assert cap.codes.max() <= 511
 
     def test_volts_round_trip(self):
-        adc = Adc(n_bits=12, v_ref=0.5)
+        adc = Adc(n_bits=12)
         cap = adc.capture(self._analog())
         # 12-bit quantization error is tiny at this scale.
         expected = adc._bandlimit(self._analog())
@@ -137,17 +128,10 @@ class TestAdc:
         cap = Adc(sample_rate=2.5e6).capture(analog)
         assert cap.codes.size == pytest.approx(20000 / 8, abs=2)
 
-    def test_vref_tuning_uses_more_codes(self):
-        analog = self._analog()
-        wide = Adc(v_ref=1.0).capture(analog)
-        # §2.3 note 3: match v_ref to the input's full-scale range.
-        tuned = Adc(v_ref=0.16).capture(analog)
-        assert len(np.unique(tuned.codes)) > len(np.unique(wide.codes))
-
     def test_phase_offsets_sampling_grid(self):
         analog = self._analog()
-        a = Adc(sample_rate=2e6, antialias=False).capture(analog, phase_s=0.0)
-        b = Adc(sample_rate=2e6, antialias=False).capture(analog, phase_s=2.5e-7)
+        a = Adc(sample_rate=2e6).capture(analog, phase_s=0.0)
+        b = Adc(sample_rate=2e6).capture(analog, phase_s=2.5e-7)
         assert not np.array_equal(a.codes, b.codes)
 
     def test_rejects_bad_config(self):
@@ -155,18 +139,20 @@ class TestAdc:
             Adc(sample_rate=0)
         with pytest.raises(ValueError):
             Adc(n_bits=0)
-        with pytest.raises(ValueError):
-            Adc(v_ref=-1.0)
 
     @given(st.integers(2, 12))
     @settings(max_examples=8, deadline=None)
     def test_more_bits_reduce_quantization_error(self, bits):
         analog = self._analog()
-        adc_lo = Adc(n_bits=2, antialias=False)
-        adc_hi = Adc(n_bits=bits, antialias=False)
-        err_lo = np.abs(adc_lo.capture(analog).volts() - analog.voltage).mean()
-        err_hi = np.abs(adc_hi.capture(analog).volts() - analog.voltage).mean()
-        assert err_hi <= err_lo + 1e-9
+        # At the input's own rate the grid lands on the band-limited
+        # samples, so the error left is quantization alone.
+        band_limited = Adc()._bandlimit(analog)
+
+        def error(adc):
+            volts = adc.capture(analog).volts()
+            return np.abs(volts - band_limited[: volts.size]).mean()
+
+        assert error(Adc(n_bits=bits)) <= error(Adc(n_bits=2)) + 1e-9
 
 
 class TestWindowedFrontEnd:
@@ -176,7 +162,7 @@ class TestWindowedFrontEnd:
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("power", [-20.0, None])
     def test_rectify_head_matches_full_trace(self, protocol, power):
-        wave = reference_waveform(protocol, n_payload_bytes=16)
+        wave = reference_waveform(protocol)
         if power is None:  # prescaled: the waveform is in antenna volts
             wave.iq = wave.iq * 0.05
         rect = ClampRectifier()
@@ -191,7 +177,7 @@ class TestWindowedFrontEnd:
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("phase_s", [0.0, 1.7e-7])
     def test_capture_reads_only_its_window(self, protocol, phase_s):
-        wave = reference_waveform(protocol, n_payload_bytes=16)
+        wave = reference_waveform(protocol)
         analog = ClampRectifier().rectify(wave, -20.0, rng=np.random.default_rng(4))
         for adc in (Adc(sample_rate=2.5e6), Adc(sample_rate=10e6, n_bits=4)):
             duration_s = 105 / adc.sample_rate
@@ -203,7 +189,7 @@ class TestWindowedFrontEnd:
             seed = ref.adc_capture_codes(adc, analog, duration_s=duration_s, phase_s=phase_s)
             assert full.tobytes() == part.tobytes() == seed.tobytes()
 
-    @pytest.mark.parametrize("adc", [Adc(), Adc(sample_rate=2.5e6), Adc(antialias=False)])
+    @pytest.mark.parametrize("adc", [Adc(), Adc(sample_rate=2.5e6), Adc(sample_rate=40e6)])
     def test_full_capture_matches_seed(self, adc):
         analog = ClampRectifier().rectify(
             reference_waveform(Protocol.WIFI_B), -20.0, rng=np.random.default_rng(5)
@@ -219,7 +205,7 @@ class TestWindowedFrontEnd:
         cfg = ident.config
         need = cfg.l_p + cfg.l_m + max(cfg.resolved_offsets()) + 2
         for protocol in Protocol:
-            wave = reference_waveform(protocol, n_payload_bytes=16)
+            wave = reference_waveform(protocol)
             wave = Waveform(wave.iq[:n_samples], wave.sample_rate)
             g1, g2 = np.random.default_rng(8), np.random.default_rng(8)
             got = ident.scores(wave, rng=g1)
@@ -285,11 +271,18 @@ class TestFrontEndRejectsBadNumbers:
     """NaN, +-inf and out-of-range settings fail where they are built,
     naming the field (a NaN slips through a plain ``x <= 0`` check)."""
 
-    @pytest.mark.parametrize("cls", [BasicRectifier, ClampRectifier, WispRectifier])
     @pytest.mark.parametrize(
-        ("field", "bad"),
-        [("tau_s", v) for v in (*_NON_FINITE, 0.0, -1e-9)]
-        + [("noise_v_rms", v) for v in (*_NON_FINITE, -1.0)],
+        ("cls", "field", "bad"),
+        [
+            pytest.param(cls, field, v, id=f"{field}-{v}-{cls.__name__}")
+            for field, values, classes in (
+                ("tau_s", (*_NON_FINITE, 0.0, -1e-9), (ClampRectifier,)),
+                ("noise_v_rms", (*_NON_FINITE, -1.0),
+                 (BasicRectifier, ClampRectifier, WispRectifier)),
+            )
+            for v in values
+            for cls in classes
+        ],
     )
     def test_rectifier(self, cls, field, bad):
         with pytest.raises(ValueError, match=field):
@@ -298,7 +291,6 @@ class TestFrontEndRejectsBadNumbers:
     @pytest.mark.parametrize(
         ("field", "bad"),
         [("sample_rate", v) for v in (*_NON_FINITE, 0.0)]
-        + [("v_ref", v) for v in (*_NON_FINITE, -1.0)]
         + [("n_bits", v) for v in (*_NON_FINITE, 0, 17)],
     )
     def test_adc(self, field, bad):

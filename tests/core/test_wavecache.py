@@ -178,11 +178,6 @@ class TestReferenceWaveformCache:
         assert np.any(c.iq != 0.0)
         assert "poisoned" not in c.annotations
 
-    def test_distinct_payload_sizes_are_distinct_keys(self):
-        a = reference_waveform(Protocol.ZIGBEE, n_payload_bytes=8)
-        b = reference_waveform(Protocol.ZIGBEE, n_payload_bytes=16)
-        assert a.n_samples != b.n_samples
-
     def test_cache_hits_recorded(self):
         wavecache.clear_caches()
         h0 = _REFERENCE_CACHE.hits

@@ -170,3 +170,92 @@ class TestExperimentResult:
         path = r.save_in(tmp_path / "run")
         assert path == tmp_path / "run" / "exp.json"
         assert ExperimentResult.load(path).data == {"v": 1.5}
+
+
+def _ndarray(dtype, shape, data):
+    return {"__kind__": "ndarray", "dtype": dtype, "shape": shape, "data": data}
+
+
+#: Well-formed JSON whose content the codec cannot rebuild, by what the
+#: loader used to raise: a missing key (KeyError), an array that does
+#: not fit its shape (ValueError), an unknown dtype or dataclass field
+#: (TypeError), a tuple without items and an unknown enum member
+#: (KeyError).
+_BAD_CONTENT = {
+    "missing-name": lambda doc: doc.pop("name"),
+    "missing-data": lambda doc: doc.pop("data"),
+    "ndarray-misfit": lambda doc: doc["data"].update(a=_ndarray("float64", [3], [1.0, 2.0])),
+    "unknown-dtype": lambda doc: doc["data"].update(a=_ndarray("float99", [1], [1.0])),
+    "unknown-field": lambda doc: doc["data"].update(
+        a={"__kind__": "dataclass", "type": "CarrierEstimate", "fields": {"bogus": 1}}
+    ),
+    "tuple-without-items": lambda doc: doc["data"].update(a={"__kind__": "tuple"}),
+    "unknown-enum-member": lambda doc: doc["data"].update(
+        a={"__kind__": "enum", "type": "Protocol", "name": "WIFI_Z"}
+    ),
+}
+
+
+class TestMalformedContent:
+    """Each bad content raises ``ArtifactError`` naming the path from
+    ``load``: ``show`` prints "cannot load" and exits 2, and
+    ``check_artifacts`` lists the file as unloadable."""
+
+    @pytest.fixture(params=sorted(_BAD_CONTENT))
+    def bad_path(self, request, tmp_path):
+        import json
+
+        doc = json.loads(ExperimentResult(name="table2_resources", preset="quick").to_json())
+        _BAD_CONTENT[request.param](doc)
+        path = tmp_path / "table2_resources.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_load(self, bad_path):
+        with pytest.raises(ArtifactError, match="invalid content") as exc:
+            ExperimentResult.load(bad_path)
+        assert str(bad_path) in str(exc.value)
+
+    def test_show(self, bad_path, capsys):
+        from repro.cli import main
+
+        assert main(["show", str(bad_path)]) == 2
+        assert f"cannot load {bad_path}" in capsys.readouterr().err
+
+    def test_check_artifacts(self, bad_path):
+        from tools import check_artifacts
+
+        (problem,) = check_artifacts.check_artifact(bad_path)
+        assert problem.startswith("unloadable:") and "invalid content" in problem
+
+
+class TestUnrenderable:
+    """A well-formed artifact that names an experiment the registry does
+    not declare, or lacks a data key its table reads."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return ExperimentResult(name="fig99_missing", preset="quick", params={}).save_in(tmp_path)
+
+    def test_show_exits_2(self, path, capsys):
+        from repro.cli import main
+
+        assert main(["show", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot show {path}" in err and "unknown experiment 'fig99_missing'" in err
+
+    def test_check_artifacts_lists_it(self, path):
+        from tools import check_artifacts
+
+        problems = check_artifacts.check_artifact(path)
+        assert any("render failed" in p and "fig99_missing" in p for p in problems)
+
+    def test_show_exits_2_on_a_missing_data_key(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = ExperimentResult(name="table2_resources", preset="quick", params={}).save_in(
+            tmp_path
+        )
+        assert main(["show", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot show {path}" in err and "has no data key" in err

@@ -65,8 +65,9 @@ class TestAtomicWrite:
         assert not target.exists()
         assert list(tmp_path.glob(f"*{TMP_SUFFIX}")) == []
 
-    def test_fsync_opt_in(self, tmp_path):
-        out = atomic_write_text(tmp_path / "y.txt", "data", fsync=True)
+    def test_fsync_opt_in(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FSYNC", "1")
+        out = atomic_write_text(tmp_path / "y.txt", "data")
         assert out.read_text() == "data"
 
 

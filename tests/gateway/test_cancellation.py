@@ -64,7 +64,7 @@ class TestSigintDrainWithBlockedSubscriber:
             )
             for i in range(3):
                 await gw.register_tag(f"tag-{i}")
-            sub = gw.subscribe("s", policy=Backpressure.BLOCK, maxlen=4)
+            sub = gw.subscribe("s", policy=Backpressure.BLOCK)
             release = asyncio.Event()
             events = []
 
@@ -115,10 +115,10 @@ class TestSigintDrainWithBlockedSubscriber:
 class TestMidAwaitDeregistration:
     def run_once(self):
         async def run():
-            gw = Gateway(GatewayConfig(seed=5, keepalive_timeout_s=30.0))
+            gw = Gateway(GatewayConfig(seed=5, keepalive_timeout_s=30.0, queue_maxlen=512))
             for i in range(3):
                 await gw.register_tag(f"tag-{i}")
-            sub = gw.subscribe("s", maxlen=512)
+            sub = gw.subscribe("s")
             events = []
 
             async def consume():
@@ -171,9 +171,9 @@ class TestMidAwaitDeregistration:
 class TestHardCancel:
     def test_cancelling_serve_closes_streams_not_hangs(self):
         async def run():
-            gw = Gateway(GatewayConfig(seed=2, keepalive_timeout_s=30.0))
+            gw = Gateway(GatewayConfig(seed=2, keepalive_timeout_s=30.0, queue_maxlen=8))
             await gw.register_tag("t")
-            sub = gw.subscribe("s", maxlen=8)
+            sub = gw.subscribe("s")
             received = []
 
             async def consume():
@@ -238,9 +238,9 @@ class TestAsyncioDebugMode:
         monkeypatch.setenv("REPRO_LOOPWATCH", "1")
 
         async def run():
-            gw = Gateway(GatewayConfig(seed=7, keepalive_timeout_s=30.0))
+            gw = Gateway(GatewayConfig(seed=7, keepalive_timeout_s=30.0, queue_maxlen=256))
             await gw.register_tag("t")
-            sub = gw.subscribe("s", maxlen=256)
+            sub = gw.subscribe("s")
             events = []
 
             async def consume():

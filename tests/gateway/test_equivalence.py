@@ -125,10 +125,12 @@ def stream_events(*, decode_batch: int = 1, n_packets: int = N_PACKETS):
             max_packets=n_packets,
         )
         gw = Gateway(
-            GatewayConfig(seed=0, keepalive_timeout_s=30.0, decode_batch=decode_batch)
+            GatewayConfig(
+                seed=0, keepalive_timeout_s=30.0, decode_batch=decode_batch, queue_maxlen=256
+            )
         )
         await gw.register_tag("t", rng=np.random.default_rng(SEED))
-        sub = gw.subscribe("s", maxlen=256)
+        sub = gw.subscribe("s")
         events = []
 
         async def consume():

@@ -105,7 +105,7 @@ class TestSubscriberStall:
                 )
                 await gw.register_tag("t0")
                 slow = gw.subscribe("slow", policy=Backpressure.BLOCK)
-                fast = gw.subscribe("fast", maxlen=256)
+                fast = gw.subscribe("fast")
                 fast_events = []
 
                 async def consume_fast():
@@ -151,10 +151,10 @@ class TestTagTaskCrash:
         faults.install("raise:site=gateway,name=tag:tag-001")
         try:
             async def run():
-                gw = Gateway(GatewayConfig(seed=7, keepalive_timeout_s=30.0))
+                gw = Gateway(GatewayConfig(seed=7, keepalive_timeout_s=30.0, queue_maxlen=512))
                 for i in range(4):
                     await gw.register_tag(f"tag-{i:03d}")
-                sub = gw.subscribe("s", maxlen=512)
+                sub = gw.subscribe("s")
                 events = []
 
                 async def consume():

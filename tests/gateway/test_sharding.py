@@ -74,11 +74,12 @@ def serve_gateway(*, decode_workers, decode_batch, n_packets=N_PACKETS, **cfg_kw
                 keepalive_timeout_s=30.0,
                 decode_workers=decode_workers,
                 decode_batch=decode_batch,
+                queue_maxlen=256,
                 **cfg_kwargs,
             )
         )
         await gw.register_tag("t", rng=np.random.default_rng(SEED))
-        sub = gw.subscribe("s", maxlen=256)
+        sub = gw.subscribe("s")
         events = []
 
         async def consume():
@@ -257,10 +258,11 @@ class TestHardCancelNoOrphans:
                     keepalive_timeout_s=30.0,
                     decode_workers=2,
                     decode_batch=2,
+                    queue_maxlen=8,
                 )
             )
             await gw.register_tag("t")
-            sub = gw.subscribe("s", maxlen=8)
+            sub = gw.subscribe("s")
 
             async def consume():
                 async for _ in sub:

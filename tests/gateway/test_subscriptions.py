@@ -23,11 +23,6 @@ class TestSubscribe:
         with pytest.raises(ValueError, match="already exists"):
             hub.subscribe("a")
 
-    def test_bad_maxlen_rejected(self):
-        hub = SubscriptionHub()
-        with pytest.raises(ValueError, match="maxlen"):
-            hub.subscribe("a", maxlen=0)
-
     def test_bad_hub_bounds_rejected(self):
         with pytest.raises(ValueError):
             SubscriptionHub(default_maxlen=0)

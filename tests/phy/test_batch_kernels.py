@@ -122,15 +122,15 @@ class TestViterbiBatch:
         rng = np.random.default_rng(5)
         for n in (1, 3, 17, 130):
             streams = [self._noisy_stream(rng, n)[0] for _ in range(5)]
-            got = viterbi.decode_batch(streams, n_info=n)
-            want = [viterbi.decode(s, n_info=n) for s in streams]
+            got = viterbi.decode_batch(streams)
+            want = [viterbi.decode(s) for s in streams]
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_single_stream_batch(self):
         rng = np.random.default_rng(8)
-        noisy, n = self._noisy_stream(rng, 40)
-        (got,) = viterbi.decode_batch([noisy], n_info=n)
-        assert np.array_equal(got, viterbi.decode(noisy, n_info=n))
+        noisy, _ = self._noisy_stream(rng, 40)
+        (got,) = viterbi.decode_batch([noisy])
+        assert np.array_equal(got, viterbi.decode(noisy))
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError, match="empty batch"):

@@ -13,9 +13,6 @@ class TestPacking:
         assert list(bitlib.bits_from_bytes(b"\x01")) == [1, 0, 0, 0, 0, 0, 0, 0]
         assert list(bitlib.bits_from_bytes(b"\x80")) == [0, 0, 0, 0, 0, 0, 0, 1]
 
-    def test_bits_from_bytes_msb_first(self):
-        assert list(bitlib.bits_from_bytes(b"\x80", lsb_first=False)) == [1] + [0] * 7
-
     def test_bytes_from_bits_rejects_partial_byte(self):
         with pytest.raises(ValueError):
             bitlib.bytes_from_bits([1, 0, 1])
@@ -34,9 +31,9 @@ class TestPacking:
 
     @given(st.integers(min_value=0, max_value=2**24 - 1))
     def test_int_round_trip_property(self, value):
-        for lsb in (True, False):
-            bits = bitlib.bits_from_int(value, 24, lsb_first=lsb)
-            assert bitlib.int_from_bits(bits, lsb_first=lsb) == value
+        assert bitlib.int_from_bits(bitlib.bits_from_int(value, 24)) == value
+        msb_first = bitlib.bits_from_int(value, 24, lsb_first=False)
+        assert bitlib.int_from_bits(msb_first[::-1]) == value
 
 
 class TestLfsr:

@@ -31,15 +31,15 @@ class TestWifiNCfo:
         payload = bytes(range(26))
         wave = wifi_n.modulate(payload)
         impaired = wave.frequency_shifted(100e3)
-        result = wifi_n.demodulate(
-            impaired, n_psdu_bits=len(payload) * 8, correct_cfo=False
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wifi_n, "estimate_cfo", lambda wave: 0.0)
+            result = wifi_n.demodulate(impaired, n_psdu_bits=len(payload) * 8)
         assert bitlib.bytes_from_bits(result.psdu_bits) != payload
 
     def test_estimator_with_noise(self):
         rng = np.random.default_rng(0)
         wave = wifi_n.modulate(bytes(range(20)))
-        impaired = awgn(wave.frequency_shifted(55e3), noise_power_dbm=-20.0, rng=rng)
+        impaired = awgn(wave.frequency_shifted(55e3), snr_db=20.0, rng=rng)
         assert wifi_n.estimate_cfo(impaired) == pytest.approx(55e3, abs=2e3)
 
 

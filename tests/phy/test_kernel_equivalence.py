@@ -300,8 +300,8 @@ class TestMatching:
         rect = ClampRectifier(noise_v_rms=2e-3)
         adc = bank.adc
         out = []
-        for i, protocol in enumerate(Protocol):
-            wave = reference_waveform(protocol, n_payload_bytes=12 + i)
+        for protocol in Protocol:
+            wave = reference_waveform(protocol)
             analog = rect.rectify(wave, -15.0)
             cap = adc.capture(
                 analog, duration_s=(bank.l_p + bank.l_m + 60) / adc.sample_rate
@@ -501,13 +501,19 @@ class TestZigbeeDemodulate:
         assert got.symbols.tobytes() == want.symbols.tobytes(), label
         assert got.payload_bits.tobytes() == want.payload_bits.tobytes(), label
 
+    def _assert_both_identical(self, wave, label):
+        """With the CFO derotation, and with the estimate forced to zero
+        (the reference's ``correct_cfo=False``)."""
+        self._assert_identical(zigbee.demodulate(wave), ref.zigbee_demodulate(wave), label)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zigbee, "estimate_cfo", lambda wave: 0.0)
+            got = zigbee.demodulate(wave)
+        want = ref.zigbee_demodulate(wave, correct_cfo=False)
+        self._assert_identical(got, want, (label, "uncorrected"))
+
     def test_staged_gateway_receptions_identical(self):
         for i, reception in enumerate(_staged_receptions(Protocol.ZIGBEE, 4)):
-            wave = reception.received
-            for correct_cfo in (True, False):
-                got = zigbee.demodulate(wave, correct_cfo=correct_cfo)
-                want = ref.zigbee_demodulate(wave, correct_cfo=correct_cfo)
-                self._assert_identical(got, want, (i, correct_cfo))
+            self._assert_both_identical(reception.received, i)
 
     def test_scalar_calls_match_numpy(self):
         # The tracker calls cmath.exp and np.arctan2 on scalars where the
@@ -529,10 +535,7 @@ class TestZigbeeDemodulate:
             drifted = clean.frequency_shifted(float(rng.uniform(-20e3, 20e3)))
             drifted.annotations = clean.annotations
             noisy = awgn(drifted, snr_db=float(rng.uniform(-2.0, 15.0)), rng=rng)
-            for correct_cfo in (True, False):
-                got = zigbee.demodulate(noisy, correct_cfo=correct_cfo)
-                want = ref.zigbee_demodulate(noisy, correct_cfo=correct_cfo)
-                self._assert_identical(got, want, trial)
+            self._assert_both_identical(noisy, trial)
 
 
 class TestTagFlips:
@@ -560,7 +563,7 @@ class TestTagFlips:
     def test_modulate_identical(self, protocol, mode, clock_ppm):
         rng = np.random.default_rng(int(abs(clock_ppm)) + mode.value)
         codec = OverlayCodec(OverlayConfig.for_mode(protocol, mode, payload_symbols=48))
-        carrier = codec.build_carrier(rng.integers(0, 2, 6), trailing_symbols=3)
+        carrier = codec.build_carrier(rng.integers(0, 2, 6))
         _, capacity = codec.capacity(carrier.annotations["n_payload_symbols"])
         for shift_hz in (0.0, 10e6):
             modulator = TagModulator(codec, frequency_shift_hz=shift_hz, clock_ppm=clock_ppm)

@@ -11,8 +11,16 @@ from repro.phy import bits as bitlib
 from repro.phy import ble, wifi_n, zigbee
 
 
-def applied_cpes(wave, **kwargs):
-    """The common phase error ``wifi_n.demodulate`` applies to each data
+def demodulate_uncorrected(wave, **kwargs):
+    """``wifi_n.demodulate`` with its CFO estimate forced to zero, so an
+    injected offset reaches the pilot tracking whole."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wifi_n, "estimate_cfo", lambda wave: 0.0)
+        return wifi_n.demodulate(wave, **kwargs)
+
+
+def applied_cpes(wave, demodulate=wifi_n.demodulate, **kwargs):
+    """The common phase error ``demodulate`` applies to each data
     symbol, as its ``_receive_symbols`` call returns it."""
     seen = []
     receive = wifi_n._receive_symbols
@@ -24,7 +32,7 @@ def applied_cpes(wave, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wifi_n, "_receive_symbols", spy)
-        wifi_n.demodulate(wave, **kwargs)
+        demodulate(wave, **kwargs)
     (cpes,) = seen
     return cpes
 
@@ -44,17 +52,15 @@ class TestOfdmCpeTracking:
         ref = bitlib.bits_from_bytes(payload)
         wave = wifi_n.modulate(payload)
         # Inject the residual directly (bypass the estimator) by
-        # disabling CFO correction and applying a small offset.
+        # zeroing the CFO estimate and applying a small offset.
         impaired = wave.frequency_shifted(7e3)
-        result = wifi_n.demodulate(
-            impaired, n_psdu_bits=ref.size, correct_cfo=False
-        )
+        result = demodulate_uncorrected(impaired, n_psdu_bits=ref.size)
         assert np.count_nonzero(result.psdu_bits[: ref.size] != ref) == 0
 
     def test_cpe_trace_is_continuous(self):
         wave = wifi_n.modulate(bytes(range(40)))
         impaired = wave.frequency_shifted(7e3)
-        steps = np.abs(np.diff(applied_cpes(impaired, correct_cfo=False)))
+        steps = np.abs(np.diff(applied_cpes(impaired, demodulate_uncorrected)))
         assert steps.max() < 1.0  # no pi-sized correction jumps
 
     def test_tag_flip_still_survives_tracking(self):
@@ -65,10 +71,8 @@ class TestOfdmCpeTracking:
         for sym in (3, 4):
             lo = start + sym * wifi_n.SYMBOL_LEN
             impaired.iq[lo : lo + wifi_n.SYMBOL_LEN] *= -1.0
-        clean = wifi_n.demodulate(
-            wave.frequency_shifted(5e3), correct_cfo=False
-        )
-        tagged = wifi_n.demodulate(impaired, correct_cfo=False)
+        clean = demodulate_uncorrected(wave.frequency_shifted(5e3))
+        tagged = demodulate_uncorrected(impaired)
         per_symbol = per_symbol_flips(clean, tagged)[:8]
         assert (per_symbol[3] + per_symbol[4]) / 2 > 0.6
         assert per_symbol[0] < 0.2

@@ -77,7 +77,7 @@ class TestSoftOfdm:
         rng = np.random.default_rng(2)
         payload = bytes(range(40))
         ref = bitlib.bits_from_bytes(payload)
-        chan = MultipathChannel(rms_delay_spread_s=120e-9, n_taps=10, seed=3)
+        chan = MultipathChannel(rms_delay_spread_s=120e-9, seed=3)
         hard_err = soft_err = 0
         for _ in range(4):
             wave = wifi_n.modulate(payload, wifi_n.WifiNConfig(mcs=3))

@@ -46,8 +46,8 @@ class TestWaveform:
 
     def test_padding_shifts_payload_start(self):
         w = self._make()
-        padded = w.padded(before=25, after=5)
-        assert padded.n_samples == w.n_samples + 30
+        padded = w.padded(before=25)
+        assert padded.n_samples == w.n_samples + 25
         assert padded.annotations["payload_start"] == 35
         assert np.all(padded.iq[:25] == 0)
 
@@ -83,7 +83,7 @@ class TestPulse:
     def test_rrc_nyquist_zero_isi(self):
         # Full raised cosine (rrc * rrc) crosses zero at symbol spacing.
         sps = 8
-        taps = pulse.rrc_taps(0.35, sps, span=8)
+        taps = pulse.rrc_taps(0.35, sps)
         rc = np.convolve(taps, taps)
         center = rc.size // 2
         for k in range(1, 5):

@@ -72,7 +72,7 @@ class TestLoopback:
             "n_header_symbols": 0,
             "n_payload_symbols": ann["n_header_symbols"] + ann["n_payload_symbols"],
         }
-        symbols = zigbee.demodulate(whole, correct_cfo=False).symbols
+        symbols = zigbee.demodulate(whole).symbols
         assert symbols.tolist() == (
             [0] * 8 + [0x7, 0xA] + [len(payload), 0] + zigbee.symbols_from_bits(
                 bitlib.bits_from_bytes(payload)

@@ -320,7 +320,7 @@ def adc_capture_codes(adc, analog, *, duration_s=None, phase_s=0.0):
     def bandlimit():
         cutoff = 0.4 * adc.sample_rate
         nyq = analog.sample_rate / 2.0
-        if not adc.antialias or cutoff >= nyq:
+        if cutoff >= nyq:
             return analog.voltage
         sos = sp_signal.butter(4, cutoff / nyq, output="sos")
         zi = sp_signal.sosfilt_zi(sos) * analog.voltage[0] if analog.voltage.size else None
@@ -908,7 +908,7 @@ def search_thresholds(labeled_scores, *, order=None, grid=None):
         grid = np.arange(0.2, 0.81, 0.15)
     best = None
     for combo in itertools.product(grid, repeat=len(order) - 1):
-        matcher = OrderedMatcher(order=order, thresholds=tuple(combo) + (-1.0,))
+        matcher = OrderedMatcher(thresholds=tuple(combo) + (-1.0,))
         correct = {p: [] for p in order}
         for truth, scores in labeled_scores:
             correct[truth].append(matcher.decide(scores) is truth)

@@ -177,21 +177,19 @@ class TestAwgn:
         wave = Waveform(
             rng.normal(size=n) + 1j * rng.normal(size=n), 20e6, {"protocol": Protocol.BLE}
         )
-        kwargs = (
-            {"snr_db": float(rng.uniform(-20.0, 40.0))}
-            if seed % 2
-            else {"noise_power_dbm": float(rng.uniform(-60.0, 10.0))}
-        )
+        snr_db = float(rng.uniform(-20.0, 40.0))
         g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = awgn(wave, rng=g1, **kwargs)
-        assert same_waveform(got, ref.awgn(wave, rng=g2, **kwargs))
+        got = awgn(wave, snr_db=snr_db, rng=g1)
+        assert same_waveform(got, ref.awgn(wave, snr_db=snr_db, rng=g2))
         assert g1.bit_generator.state == g2.bit_generator.state
 
-    def test_zero_signal_with_absolute_noise(self):
+    def test_zero_signal(self):
+        """No noise power: every sample stays an exact zero, signs
+        included."""
         wave = Waveform(np.zeros(64, complex), 1e6)
         g1, g2 = np.random.default_rng(1), np.random.default_rng(1)
-        got = awgn(wave, noise_power_dbm=-10.0, rng=g1)
-        assert same_waveform(got, ref.awgn(wave, noise_power_dbm=-10.0, rng=g2))
+        got = awgn(wave, snr_db=10.0, rng=g1)
+        assert same_waveform(got, ref.awgn(wave, snr_db=10.0, rng=g2))
 
     def test_input_untouched_and_annotations_copied(self):
         wave = gateway_carrier(Protocol.ZIGBEE)
@@ -221,12 +219,12 @@ class TestBuildCarrier:
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("mode", [Mode.MODE_1, Mode.MODE_2])
-    @pytest.mark.parametrize("trailing", [0, 1, 3])
-    def test_phy_input_and_carrier(self, protocol, mode, trailing, monkeypatch):
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_phy_input_and_carrier(self, protocol, mode, seed, monkeypatch):
         codec = OverlayCodec(OverlayConfig.for_mode(protocol, mode))
-        bits = np.random.default_rng(trailing).integers(0, 2, 9).astype(np.uint8)
-        name, want_input = ref.carrier_phy_input(codec, bits, trailing_symbols=trailing)
-        carrier = codec.build_carrier(bits, trailing_symbols=trailing)
+        bits = np.random.default_rng(seed).integers(0, 2, 9).astype(np.uint8)
+        name, want_input = ref.carrier_phy_input(codec, bits)
+        carrier = codec.build_carrier(bits)
 
         phy = _PHY[name]
         seen = []
@@ -237,13 +235,19 @@ class TestBuildCarrier:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(phy, "modulate", record)
-        codec.build_carrier(bits, trailing_symbols=trailing)
+        codec.build_carrier(bits)
         monkeypatch.undo()
         [(args, kwargs)] = seen
         got_input = kwargs["data_bits"] if name == "wifi_n" else args[0]
         assert got_input.dtype == want_input.dtype == np.uint8
         assert got_input.tobytes() == want_input.tobytes()
         assert same_waveform(carrier, modulate(name, want_input))
+
+    def test_zigbee_odd_symbol_count_is_padded(self):
+        codec = OverlayCodec(OverlayConfig(Protocol.ZIGBEE, kappa=3, gamma=1))
+        bits = np.random.default_rng(5).integers(0, 2, 9).astype(np.uint8)
+        name, want_input = ref.carrier_phy_input(codec, bits)
+        assert same_waveform(codec.build_carrier(bits), modulate(name, want_input))
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_gateway_codec_empty_and_full(self, protocol):

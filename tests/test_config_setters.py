@@ -1,40 +1,91 @@
-"""Every field of a ``*Config`` dataclass under ``src/repro`` has a setter.
+"""Every defaulted parameter and dataclass field under ``src/repro`` has a setter.
 
-A field that neither the program nor any of its entry points (the
+A default that neither the program nor any of its entry points (the
 examples, the benchmark harness, the tools and the paper-claim tests;
-see :mod:`tests.test_reachability`) ever passes is a setting that
+see :mod:`tests.test_reachability`) ever overrides is a setting that
 selects nothing: the value it holds is a constant, and every branch on
-another value is code the program never runs.  Fold such a field into
-a module constant rather than keep it alive through unit tests alone.
+another value is code the program never runs.  Fold such a setting
+into its value rather than keep it alive through unit tests alone.
 
-A field counts as set when a call passes it by keyword or by position
-to the class (``cls(...)`` in its own classmethods included), or by
-keyword to ``dataclasses.replace``.
+The rule:
+
+- *In scope*: every defaulted parameter of a function or method defined
+  under ``src/repro`` (a class's ``__init__`` is called by the class
+  name), and every defaulted init field of a dataclass there.
+- *Set*: a call in ``src/repro`` or an entry point passes the value, by
+  keyword or by position, to a callee of that name (an import alias
+  spells its original name).  ``cls(...)`` inside the class and the
+  keywords of ``dataclasses.replace`` count for fields.  A call with
+  ``*args`` or ``**kwargs`` sets every parameter of its callee.
+- *Forwarding*: an argument that forwards the caller's own parameter
+  of the same name sets the callee's parameter only if the caller's is
+  itself set (a required parameter always is), so a shim cannot keep a
+  setting alive.
+- *Exempt as a kind*: the experiment params dataclasses and the
+  ``@implements`` runners (the registry passes every field, and each
+  artifact records it), the dataclasses the artifact codec serializes
+  field by field (``artifacts._DATACLASS_TYPES``), and fields the
+  program changes after construction (state, not settings): stored,
+  item-assigned or mutated in place outside ``__init__`` and
+  ``__post_init__``.
+
+Blind spot: callees are matched by name, and names collide across
+classes, so any ``demodulate(soft=...)`` call keeps the ``soft``
+parameter of every ``demodulate``.  State is matched by attribute name
+the same way.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
+from repro.experiments import artifacts, registry
 from tests.test_reachability import _ENTRY_GLOBS, _ROOT, _SRC
 
-#: Fields no entry point sets that stay on purpose, with why.
+#: Test seams: settings no entry point sets that stay on purpose, with why.
 _UNSET_ON_PURPOSE = {
-    "GatewayConfig.keepalive_interval_s": (
+    "cli.main.argv": (
+        "the CLI tests pass an argument list; every entry point runs "
+        "main() on sys.argv"
+    ),
+    "core.contracts.checked.shape": (
+        "the contract tests' always-on wrapper (see test_reachability); "
+        "its keywords are the checks they ask for"
+    ),
+    "core.contracts.checked.arg_dtypes": "as checked.shape",
+    "core.contracts.checked.out": "as checked.shape",
+    "core.contracts.dtypes.out": (
+        "the contract tests check a declared return dtype; the program's "
+        "kernels declare argument dtypes only"
+    ),
+    "core.loopwatch.LoopWatch.interval_s": (
+        "the sanitizer tests shorten the monitor's period to catch a "
+        "blocked loop within a test"
+    ),
+    "core.loopwatch.LoopWatch.threshold": (
+        "the sanitizer tests lower the lag that counts as a violation"
+    ),
+    "gateway.service.Gateway.register_tag.rng": (
+        "the run_airlink replay proofs give a tag the stream the batch "
+        "driver uses, to compare the two byte for byte"
+    ),
+    "gateway.service.GatewayConfig.keepalive_interval_s": (
         "fault detection: the sweep's period; the gateway tests shorten it "
         "so a silenced tag is evicted within a test"
     ),
-    "GatewayConfig.stall_timeout_s": (
+    "gateway.service.GatewayConfig.stall_timeout_s": (
         "fault detection: how long a blocked subscriber may stall the "
         "publisher before it is evicted"
     ),
-    "GatewayConfig.decode_timeout_s": (
+    "gateway.service.GatewayConfig.decode_timeout_s": (
         "recovery: the budget after which a hung decode worker is replaced; "
         "the fault tests set it to catch an injected hang"
     ),
-    "GatewayConfig.decode_retries": (
+    "gateway.service.GatewayConfig.decode_retries": (
         "recovery: resubmissions a decode batch gets after a worker crash "
         "or hang; the fault tests exhaust it"
     ),
@@ -57,21 +108,6 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _configs() -> dict[str, list[str]]:
-    """Every ``*Config`` dataclass under ``src/repro``: name -> fields."""
-    out = {}
-    for path in sorted((_SRC / "repro").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
-                if _is_dataclass(node):
-                    out[node.name] = [
-                        stmt.target.id
-                        for stmt in node.body
-                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                    ]
-    return out
-
-
 def _callee(func: ast.expr) -> str:
     if isinstance(func, ast.Name):
         return func.id
@@ -80,51 +116,403 @@ def _callee(func: ast.expr) -> str:
     return ""
 
 
-@functools.lru_cache(maxsize=1)
-def _unset_fields() -> tuple[str, ...]:
-    configs = _configs()
-    set_fields: set[tuple[str, str]] = set()
-
-    def record(cls_name: str, call: ast.Call) -> None:
-        fields = configs[cls_name]
-        for i, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                break
-            if i < len(fields):
-                set_fields.add((cls_name, fields[i]))
-        set_fields.update((cls_name, kw.arg) for kw in call.keywords if kw.arg)
-
-    for path in _program_files():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        own_class = {}
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and cls.name in configs:
-                for node in ast.walk(cls):
-                    own_class[id(node)] = cls.name
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _callee(node.func)
-            if name in configs:
-                record(name, node)
-            elif name == "cls" and id(node) in own_class:
-                record(own_class[id(node)], node)
-            elif name == "replace":
-                for kw in node.keywords:
-                    set_fields.update((c, kw.arg) for c, f in configs.items() if kw.arg in f)
-    return tuple(
-        f"{c}.{f}" for c, fields in sorted(configs.items()) for f in fields
-        if (c, f) not in set_fields
+def _decorated(node: ast.AST, name: str) -> bool:
+    return any(
+        _callee(d.func if isinstance(d, ast.Call) else d) == name
+        for d in getattr(node, "decorator_list", ())
     )
 
 
-def test_every_config_field_has_a_setter():
-    unset = [f for f in _unset_fields() if f not in _UNSET_ON_PURPOSE]
+@dataclass(frozen=True)
+class _Def:
+    """A function, method or dataclass that calls spell as ``key``."""
+
+    key: str  # the function's name, or the class's for __init__ and fields
+    where: str  # "<module under repro>.<qualname>", for messages
+    positional: tuple[str, ...]  # what positional arguments fill, in order
+    defaulted: tuple[str, ...]  # its settings
+    exempt: bool
+    is_dataclass: bool
+
+
+def _field_default(stmt: ast.AnnAssign) -> bool | None:
+    """Has an init field a default?  ``None``: not an init field."""
+    if "ClassVar" in ast.unparse(stmt.annotation):
+        return None
+    value = stmt.value
+    if isinstance(value, ast.Call) and _callee(value.func) == "field":
+        kws = {kw.arg: kw.value for kw in value.keywords}
+        init = kws.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            return None
+        return "default" in kws or "default_factory" in kws
+    return value is not None
+
+
+def _function_def(node, cls: ast.ClassDef | None, where: str) -> _Def:
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    if cls is not None and not _decorated(node, "staticmethod"):
+        positional = positional[1:]
+    init = cls is not None and node.name == "__init__"
+    return _Def(
+        cls.name if init else node.name,
+        where,
+        tuple(positional),
+        tuple(defaulted),
+        _decorated(node, "implements"),
+        False,
+    )
+
+
+def _definitions(
+    src: dict[str, ast.Module], exempt: set[str]
+) -> tuple[list[_Def], dict[int, _Def]]:
+    """Every function, method and dataclass in ``src`` (module name ->
+    tree), and the functions and methods by the ``id`` of their node;
+    ``exempt`` names the dataclasses exempt as a kind."""
+    by_node: dict[int, _Def] = {}
+    classes: dict[str, tuple[list[str], dict[str, bool], str]] = {}
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    own = {}
+                    for stmt in child.body:
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                            default = _field_default(stmt)
+                            if default is not None:
+                                own[stmt.target.id] = default
+                    bases = [_callee(b) for b in child.bases]
+                    classes[child.name] = (bases, own, prefix + child.name)
+                visit(child, child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                init = cls is not None and child.name == "__init__"
+                where = prefix[:-1] if init else prefix + child.name
+                by_node[id(child)] = _function_def(child, cls, where)
+                visit(child, None, f"{prefix}{child.name}.")
+            else:
+                visit(child, cls, prefix)
+
+    for module, tree in src.items():
+        visit(tree, None, f"{module}.")
+
+    def fields(name: str) -> dict[str, bool]:
+        bases, own, _ = classes[name]
+        out: dict[str, bool] = {}
+        for base in bases:
+            if base in classes:
+                out.update(fields(base))
+        return out | own
+
+    defs = list(by_node.values())
+    for name, (_, _, where) in classes.items():
+        all_fields = fields(name)
+        defs.append(_Def(
+            name,
+            where,
+            tuple(all_fields),
+            tuple(f for f, default in all_fields.items() if default),
+            name in exempt,
+            True,
+        ))
+    return defs, by_node
+
+
+#: Methods that change a container in place.
+_MUTATORS = frozenset({
+    "append", "appendleft", "add", "clear", "discard", "extend", "insert",
+    "pop", "popleft", "remove", "setdefault", "update",
+})
+
+
+def _state_names(src: dict[str, ast.Module]) -> set[str]:
+    """Attribute names ``src`` changes after construction: stored,
+    item-assigned or mutated in place outside ``__init__`` and
+    ``__post_init__``."""
+    names = set()
+    for tree in src.values():
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in (
+                "__init__",
+                "__post_init__",
+            ):
+                skip |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Attribute)
+            ):
+                names.add(node.value.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
+                and isinstance(node.func.value, ast.Attribute)
+            ):
+                names.add(node.func.value.attr)
+    return names
+
+
+def _set_settings(
+    defs: list[_Def], by_node: dict[int, _Def], program: list[ast.Module]
+) -> set[tuple[str, str]]:
+    """``(key, name)`` of every setting a call in ``program`` sets."""
+    by_key: dict[str, list[_Def]] = {}
+    for d in defs:
+        by_key.setdefault(d.key, []).append(d)
+    is_set: set[tuple[str, str]] = set()
+    forwards: list[tuple[tuple[str, str], tuple[str, str]]] = []
+
+    def record(key: str, name: str, value: ast.expr, scopes: list[ast.AST]) -> None:
+        """A call passes ``value`` as ``key``'s ``name``."""
+        if isinstance(value, ast.Name) and value.id == name:
+            for scope in reversed(scopes):
+                args = scope.args
+                if name in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                    caller = by_node.get(id(scope))
+                    if caller and not caller.exempt and name in caller.defaulted:
+                        forwards.append(((key, name), (caller.key, name)))
+                        return
+                    break
+        is_set.add((key, name))
+
+    def call(
+        node: ast.Call, scopes: list[ast.AST], cls: ast.ClassDef | None, aliases: dict[str, str]
+    ) -> None:
+        key = _callee(node.func)
+        key = aliases.get(key, key)
+        if key == "cls" and cls is not None:
+            key = cls.name
+        if key == "replace":
+            for kw in node.keywords:
+                for d in defs:
+                    if d.is_dataclass and kw.arg in d.positional:
+                        record(d.key, kw.arg, kw.value, scopes)
+            return
+        targets = by_key.get(key, ())
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        ):
+            is_set.update((key, n) for d in targets for n in d.defaulted)
+            return
+        for i, arg in enumerate(node.args):
+            for d in targets:
+                if i < len(d.positional):
+                    record(key, d.positional[i], arg, scopes)
+        for kw in node.keywords:
+            record(key, kw.arg, kw.value, scopes)
+
+    def walk(
+        node: ast.AST, scopes: list[ast.AST], cls: ast.ClassDef | None, aliases: dict[str, str]
+    ) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, scopes, child, aliases)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                walk(child, scopes + [child], cls, aliases)
+            else:
+                if isinstance(child, ast.Call):
+                    call(child, scopes, cls, aliases)
+                walk(child, scopes, cls, aliases)
+
+    for tree in program:
+        aliases = {
+            alias.asname: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.asname
+        }
+        walk(tree, [], None, aliases)
+    changed = True
+    while changed:
+        changed = False
+        for target, source in forwards:
+            if source in is_set and target not in is_set:
+                is_set.add(target)
+                changed = True
+    return is_set
+
+
+def _scan(
+    src: dict[str, ast.Module], entries: list[ast.Module], exempt: set[str]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(settings in scope, settings no call sets)`` of ``src`` (module
+    name -> tree), each as ``"<module>.<qualname>.<name>"``; the calls
+    of ``src`` and ``entries`` are the setters, and ``exempt`` names
+    the dataclasses exempt as a kind."""
+    defs, by_node = _definitions(src, exempt)
+    state = _state_names(src)
+    in_scope = [
+        (f"{d.where}.{name}", d.key, name)
+        for d in defs
+        if not d.exempt
+        for name in d.defaulted
+        if not (d.is_dataclass and name in state)
+    ]
+    is_set = _set_settings(defs, by_node, list(src.values()) + entries)
+    return (
+        tuple(where for where, _, _ in in_scope),
+        tuple(where for where, key, name in in_scope if (key, name) not in is_set),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _repo_scan() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """:func:`_scan` of ``src/repro`` (module names under ``repro``)."""
+    root = _SRC / "repro"
+    src = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        src[".".join(p for p in parts if p != "__init__")] = ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+    entries = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for pattern in _ENTRY_GLOBS
+        for path in sorted(_ROOT.glob(pattern))
+    ]
+    exempt = {spec.params_type.__name__ for spec in registry.specs()}
+    return _scan(src, entries, exempt | set(artifacts._DATACLASS_TYPES))
+
+
+def test_every_defaulted_parameter_has_a_setter():
+    unset = [s for s in _repo_scan()[1] if s not in _UNSET_ON_PURPOSE]
     assert not unset, (
-        "config fields nothing but tests set (make each a module constant, or "
+        "defaults nothing but tests override (fold each into its value, or "
         f"set it from a real consumer): {', '.join(unset)}"
     )
 
 
-def test_fields_unset_on_purpose_are_still_unset():
-    assert set(_UNSET_ON_PURPOSE) <= set(_unset_fields())
+def test_settings_unset_on_purpose_are_few_and_still_unset():
+    assert len(_UNSET_ON_PURPOSE) <= 12
+    assert set(_UNSET_ON_PURPOSE) <= set(_repo_scan()[1])
+
+
+def _unset_in(source: str, entry: str = "", exempt: frozenset[str] = frozenset()) -> tuple[str, ...]:
+    """The guard's verdict on one synthetic module ``m``, with ``entry``
+    as an entry point's code."""
+    src = {"m": ast.parse(textwrap.dedent(source))}
+    return _scan(src, [ast.parse(textwrap.dedent(entry))], set(exempt))[1]
+
+
+class TestRule:
+    """The rule, on synthetic sources."""
+
+    def test_a_keyword_nothing_passes_is_flagged(self):
+        source = """
+            def f(x, *, scale=1.0, offset=0.0):
+                return x * scale + offset
+
+            def g():
+                return f(1.0, offset=2.0)
+        """
+        assert _unset_in(source) == ("m.f.scale",)
+
+    def test_an_entry_point_passing_it_by_position_sets_it(self):
+        source = """
+            def f(x, scale=1.0):
+                return x * scale
+        """
+        assert _unset_in(source) == ("m.f.scale",)
+        assert _unset_in(source, entry="f(1.0, 2.0)") == ()
+
+    def test_a_shim_forwarding_its_own_unset_parameter_is_flagged(self):
+        source = """
+            def f(x, *, scale=1.0):
+                return x * scale
+
+            def f_batch(xs, *, scale=1.0):
+                return [f(x, scale=scale) for x in xs]
+
+            def g(xs):
+                return f_batch(xs)
+        """
+        assert _unset_in(source) == ("m.f.scale", "m.f_batch.scale")
+        # Once something sets the shim's parameter, both are set.
+        assert _unset_in(source, entry="f_batch([1.0], scale=2.0)") == ()
+
+    def test_forwarding_a_required_parameter_sets_it(self):
+        source = """
+            def f(x, *, scale=1.0):
+                return x * scale
+
+            def g(x, scale):
+                return f(x, scale=scale)
+        """
+        assert _unset_in(source) == ()
+
+    def test_kwargs_set_every_parameter(self):
+        source = """
+            def f(x, *, scale=1.0, offset=0.0):
+                return x * scale + offset
+
+            def g(x, **kwargs):
+                return f(x, **kwargs)
+        """
+        assert _unset_in(source) == ()
+
+    def test_a_state_field_is_exempt(self):
+        source = """
+            from dataclasses import dataclass
+
+            @dataclass
+            class Session:
+                name: str
+                cursor: int = 0
+                limit: int = 10
+
+                def advance(self):
+                    self.cursor += 1
+
+            def open_session():
+                return Session("s")
+        """
+        assert _unset_in(source) == ("m.Session.limit",)
+
+    def test_an_implements_entry_point_is_exempt(self):
+        source = """
+            @implements("exp")
+            def run(*, seed=0, n_trials=10):
+                return seed + n_trials
+        """
+        assert _unset_in(source) == ()
+
+    def test_an_exempt_dataclass_is_exempt(self):
+        source = """
+            from dataclasses import dataclass
+
+            @dataclass
+            class ExpParams:
+                seed: int = 0
+        """
+        assert _unset_in(source) == ("m.ExpParams.seed",)
+        assert _unset_in(source, exempt=frozenset({"ExpParams"})) == ()
+
+    def test_cls_and_replace_set_fields(self):
+        source = """
+            from dataclasses import dataclass, replace
+
+            @dataclass
+            class Config:
+                rate: float = 1.0
+                depth: int = 2
+
+                @classmethod
+                def fast(cls):
+                    return cls(rate=4.0)
+
+            def deeper(cfg):
+                return replace(cfg, depth=3)
+        """
+        assert _unset_in(source) == ()

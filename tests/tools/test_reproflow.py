@@ -439,7 +439,7 @@ class TestF002:
             from repro.core import wavecache
 
             def worker(trial: int) -> int:
-                wavecache.register_functools_cache("f", None)
+                wavecache.clear_caches()
                 return trial
 
             def launch(pool):

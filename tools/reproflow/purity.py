@@ -10,7 +10,7 @@ module-level state:
 F001  worker-reachable function mutates a module-level global
 F002  worker-reachable function writes wavecache state outside its
       locked API (``get_or_create`` is sanctioned; ``put``/``clear``/
-      ``clear_caches``/``register_functools_cache`` are not)
+      ``clear_caches`` are not)
 
 Roots are detected statically: the callable handed to ``pool.submit``
 / ``pool.map`` / ``loop.run_in_executor``, and any function decorated
@@ -36,9 +36,7 @@ __all__ = ["worker_roots", "reachable_functions", "check_purity"]
 WAVECACHE_MODULE = "repro.core.wavecache"
 
 #: wavecache entry points that rewrite shared cache state.
-_WAVECACHE_WRITERS = frozenset(
-    {"clear_caches", "register_functools_cache", "_register_phy_caches"}
-)
+_WAVECACHE_WRITERS = frozenset({"clear_caches", "_register_phy_caches"})
 
 #: LruCache methods that mutate cache contents (``get``/``stats``/
 #: ``get_or_create`` are the sanctioned read/compute path).
