@@ -1,8 +1,11 @@
 """Tests for the calibrated backscatter link budget (Figs 13-14 ranges)."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy.special import erfc
 
 from repro.channel.link import (
     PROTOCOL_LINK_DEFAULTS,
@@ -100,6 +103,61 @@ class TestLinkBehaviour:
         # Paper §4.1.2 NLoS: ZigBee < -80 dBm beyond ~4 m.
         link = _link(Protocol.ZIGBEE, extra_loss_db=1.8)
         assert link.rssi_dbm(6.0) < -80.0
+
+
+class TestFixedRfValues:
+    """The link's fixed RF values, written out: 3 dBi antennas at both
+    ends, a 12 dB backscatter loss, a 7 dB receiver noise figure, the
+    excitation radio 0.8 m from the tag, the calibrated log-distance
+    loss 40.05 + 18 log10(d) (DESIGN.md §5), a 3.8 dB coding gain for
+    802.11n and a 1,000-bit packet for the range."""
+
+    DISTANCES = (0.5, 2.0, 16.0)
+
+    @staticmethod
+    def path_loss_db(d):
+        return 40.05 + 18.0 * math.log10(d)
+
+    def incident_dbm(self, protocol):
+        return PROTOCOL_LINK_DEFAULTS[protocol].tx_power_dbm + 3.0 - self.path_loss_db(0.8)
+
+    def rssi_dbm(self, protocol, d):
+        return self.incident_dbm(protocol) - 12.0 - self.path_loss_db(d) + 3.0
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_incident_power(self, protocol):
+        got = _link(protocol).incident_power_dbm()
+        assert got == pytest.approx(self.incident_dbm(protocol), abs=1e-9)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_rssi(self, protocol):
+        link = _link(protocol)
+        for d in self.DISTANCES:
+            assert link.rssi_dbm(d) == pytest.approx(self.rssi_dbm(protocol, d), abs=1e-9)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_snr(self, protocol):
+        budget = PROTOCOL_LINK_DEFAULTS[protocol]
+        noise_floor = -174.0 + 10.0 * math.log10(budget.bandwidth_hz) + 7.0
+        link = _link(protocol)
+        for d in self.DISTANCES:
+            want = self.rssi_dbm(protocol, d) + budget.calibration_offset_db - noise_floor
+            assert link.snr_db(d) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_max_range_is_the_last_grid_point_below_half_per(self, protocol):
+        link = _link(protocol)
+        r = link.max_range_m()
+        assert r == pytest.approx(round(r, 1), abs=1e-9)
+        assert link.per(r, 1000) < 0.5 <= link.per(r + 0.1, 1000)
+
+    def test_coded_ofdm_coding_gain(self):
+        for ebn0_db in (-3.0, 0.0, 3.0, 6.0):
+            eff = 10.0 ** ((ebn0_db + 3.8) / 10.0)
+            want = 0.5 * erfc(np.sqrt(eff))  # Q(sqrt(2 Eb/N0))
+            assert ber_coded_ofdm_bpsk(10.0 ** (ebn0_db / 10.0)) == pytest.approx(
+                want, rel=1e-9
+            )
 
 
 class TestOcclusion:

@@ -47,6 +47,15 @@ class TestVoltageScale:
 
 
 class TestRectifiers:
+    @pytest.mark.parametrize(
+        ("cls", "tau_s"),
+        [(BasicRectifier, 1 / np.sqrt(2.4e9 * 20e6)), (WispRectifier, 2e-6)],
+    )
+    def test_fixed_time_constant(self, cls, tau_s):
+        # The single diode's RC sits at the geometric mean of 1/f_c and
+        # 1/f_b; WISP's 2 us smears the 802.11b envelope (Fig 4b).
+        assert cls().tau_s == pytest.approx(tau_s, rel=1e-12)
+
     def test_clamp_beats_basic_at_low_power(self):
         """Fig 4a: the clamp circuit produces usable output where the
         basic rectifier's diode never turns on."""
@@ -122,6 +131,15 @@ class TestAdc:
         # 12-bit quantization error is tiny at this scale.
         expected = adc._bandlimit(self._analog())
         assert np.abs(cap.volts()[100:500] - expected[100:500]).max() < 2e-3
+
+    def test_codes_span_the_reference_voltage(self):
+        # v_ref = 0.25 V is the top code: a ramp over it uses every one
+        # of the 9-bit codes, and its midpoint lands mid-scale.
+        ramp = RectifierOutput(voltage=np.linspace(0.0, 0.3, 20000), sample_rate=20e6)
+        codes = Adc().capture(ramp).codes
+        assert codes.min() == 0 and codes.max() == 511
+        assert np.array_equal(np.unique(codes), np.arange(512))
+        assert abs(int(codes[np.searchsorted(ramp.voltage, 0.125)]) - 256) <= 2
 
     def test_downsampling_rate(self):
         analog = self._analog(n=20000)

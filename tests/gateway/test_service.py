@@ -199,6 +199,17 @@ class TestControlPlane:
 
         assert asyncio.run(run()) is None
 
+    def test_subscriber_queue_bound_is_the_configs(self):
+        gw = Gateway(GatewayConfig(seed=0, queue_maxlen=5))
+        assert gw.subscribe("s").queue.maxsize == 5
+
+    def test_registered_tag_sits_2m_away_with_its_streams_first_payload(self):
+        control = ControlPlane()
+        session = control.register("t", rng=np.random.default_rng(12))
+        assert session.pipeline.d_tag_rx_m == 2.0
+        want = np.random.default_rng(12).integers(0, 2, 4096).astype(np.uint8)
+        assert session.payload.tobytes() == want.tobytes()
+
     def test_duplicate_registration_rejected(self):
         async def run():
             gw = Gateway(GatewayConfig(seed=0))

@@ -23,6 +23,10 @@ class TestSubscribe:
         with pytest.raises(ValueError, match="already exists"):
             hub.subscribe("a")
 
+    def test_queue_bound_is_the_hubs(self):
+        hub = SubscriptionHub(default_maxlen=3)
+        assert hub.subscribe("a").queue.maxsize == 3
+
     def test_bad_hub_bounds_rejected(self):
         with pytest.raises(ValueError):
             SubscriptionHub(default_maxlen=0)

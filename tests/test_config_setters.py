@@ -516,3 +516,221 @@ class TestRule:
                 return replace(cfg, depth=3)
         """
         assert _unset_in(source) == ()
+
+    def test_an_import_alias_spells_its_original_name(self):
+        source = """
+            def f(x, *, scale=1.0):
+                return x * scale
+        """
+        entry = """
+            from m import f as g
+
+            g(1.0, scale=2.0)
+        """
+        assert _unset_in(source, entry=entry) == ()
+
+    def test_starred_args_set_every_parameter(self):
+        source = """
+            def f(x=0.0, scale=1.0):
+                return x * scale
+
+            def g(*args):
+                return f(*args)
+        """
+        assert _unset_in(source) == ()
+
+    def test_a_class_call_sets_its_init(self):
+        source = """
+            class Link:
+                def __init__(self, budget, *, loss_db=0.0):
+                    self.budget = budget
+                    self.loss_db = loss_db
+
+            def build(budget):
+                return Link(budget)
+        """
+        assert _unset_in(source) == ("m.Link.loss_db",)
+        assert _unset_in(source, entry="Link(None, loss_db=1.8)") == ()
+
+    def test_a_method_call_skips_self(self):
+        source = """
+            class Radio:
+                def tune(self, channel=11, power=0.0):
+                    return channel, power
+        """
+        assert _unset_in(source, entry="radio.tune(15)") == ("m.Radio.tune.power",)
+        assert _unset_in(source, entry="radio.tune(15, 4.0)") == ()
+
+    def test_a_staticmethod_keeps_its_first_parameter(self):
+        source = """
+            class Radio:
+                @staticmethod
+                def tune(channel=11, power=0.0):
+                    return channel, power
+        """
+        assert _unset_in(source, entry="Radio.tune(15)") == ("m.Radio.tune.power",)
+
+    def test_factory_fields_are_in_scope_init_false_and_classvar_are_not(self):
+        source = """
+            from dataclasses import dataclass, field
+            from typing import ClassVar
+
+            @dataclass
+            class Table:
+                name: str
+                rows: list = field(default_factory=list)
+                index: dict = field(init=False, default_factory=dict)
+                LIMIT: ClassVar[int] = 3
+
+            def make():
+                return Table("t")
+        """
+        assert _unset_in(source) == ("m.Table.rows",)
+
+    def test_a_subclass_takes_its_bases_fields_first(self):
+        source = """
+            from dataclasses import dataclass
+
+            @dataclass
+            class Base:
+                rate: float = 1.0
+
+            @dataclass
+            class Child(Base):
+                depth: int = 2
+
+            def make():
+                return Base(2.0), Child(2.0)
+        """
+        assert _unset_in(source) == ("m.Child.depth",)
+        assert _unset_in(source, entry="Child(2.0, 3)") == ()
+
+    def test_forwarding_is_followed_through_a_chain(self):
+        source = """
+            def f(x, *, scale=1.0):
+                return x * scale
+
+            def f_batch(xs, *, scale=1.0):
+                return [f(x, scale=scale) for x in xs]
+
+            def f_all(groups, *, scale=1.0):
+                return [f_batch(xs, scale=scale) for xs in groups]
+
+            def g(groups):
+                return f_all(groups)
+        """
+        assert _unset_in(source) == ("m.f.scale", "m.f_batch.scale", "m.f_all.scale")
+        assert _unset_in(source, entry="f_all([[1.0]], scale=2.0)") == ()
+
+    def test_a_closure_forwards_its_enclosing_functions_parameter(self):
+        source = """
+            def f(x, *, scale=1.0):
+                return x * scale
+
+            def outer(xs, *, scale=1.0):
+                def inner(x):
+                    return f(x, scale=scale)
+                return [inner(x) for x in xs]
+
+            def g(xs):
+                return outer(xs)
+        """
+        assert _unset_in(source) == ("m.f.scale", "m.outer.scale")
+        assert _unset_in(source, entry="outer([1.0], scale=2.0)") == ()
+
+    def test_a_parameter_passed_under_another_name_sets_the_callee(self):
+        # Only a same-name argument is followed as a forward.
+        source = """
+            def f(x, *, scale=1.0):
+                return x * scale
+
+            def g(x, *, factor=1.0):
+                return f(x, scale=factor)
+
+            def h(x):
+                return g(x)
+        """
+        assert _unset_in(source) == ("m.g.factor",)
+
+    def test_an_exempt_runner_forwarding_its_parameter_sets_the_callee(self):
+        source = """
+            def f(x, *, scale=1.0):
+                return x * scale
+
+            @implements("exp")
+            def run(*, scale=1.0):
+                return f(1.0, scale=scale)
+        """
+        assert _unset_in(source) == ()
+
+    def test_a_colliding_callee_name_sets_every_namesake(self):
+        # The documented blind spot: calls are matched by name only.
+        source = """
+            class Ofdm:
+                def demodulate(self, wave, *, soft=False):
+                    return wave, soft
+
+            class Dsss:
+                def demodulate(self, wave, *, soft=False):
+                    return wave, soft
+
+            def decode(rx, wave):
+                return rx.demodulate(wave, soft=True)
+        """
+        assert _unset_in(source) == ()
+
+    def test_item_assignment_and_in_place_mutation_are_state(self):
+        source = """
+            from dataclasses import dataclass, field
+
+            @dataclass
+            class Stats:
+                counts: dict = field(default_factory=dict)
+                seen: list = field(default_factory=list)
+                label: str = "stats"
+
+                def record(self, key):
+                    self.counts[key] = self.counts.get(key, 0) + 1
+                    self.seen.append(key)
+
+            def make():
+                return Stats()
+        """
+        assert _unset_in(source) == ("m.Stats.label",)
+
+    def test_a_store_in_post_init_is_not_state(self):
+        source = """
+            from dataclasses import dataclass
+
+            @dataclass
+            class Config:
+                rate: float = 1.0
+
+                def __post_init__(self):
+                    self.rate = float(self.rate)
+
+            def make():
+                return Config()
+        """
+        assert _unset_in(source) == ("m.Config.rate",)
+
+    def test_required_parameters_are_out_of_scope(self):
+        source = """
+            def f(x, y=0.0, *, scale, offset=0.0):
+                return (x + y) * scale + offset
+        """
+        src = {"m": ast.parse(textwrap.dedent(source))}
+        assert _scan(src, [], set())[0] == ("m.f.y", "m.f.offset")
+
+
+def test_the_scan_sees_the_program_and_its_setters():
+    """The guard reads the real tree: settings a consumer does set are
+    in scope and set (a scan that found nothing would pass vacuously)."""
+    in_scope, unset = _repo_scan()
+    for setting in (
+        "channel.link.BackscatterLink.extra_loss_db",  # fig14's NLoS wall
+        "gateway.service.GatewayConfig.queue_maxlen",  # the serve command
+        "core.adc.Adc.sample_rate",  # the Fig 7/8 sweeps
+    ):
+        assert setting in in_scope
+        assert setting not in unset
