@@ -38,8 +38,15 @@ typecheck:
 		&& $(PYTHON) -m mypy \
 		|| echo "typecheck: mypy not installed, skipping (pip install mypy)"
 
-# The pre-commit gate: what CI runs on every push/PR.
+# The pre-commit gate: CI's analyzer, mypy and pytest steps, the last
+# two of them the suites CI reruns with the shipped shape/dtype
+# contracts armed and, for the gateway, in development mode (asyncio
+# debug, never-awaited and unclosed-resource warnings).  CI's other
+# steps have targets of their own: smoke, crash-test, serve-smoke and
+# bench.
 check: lint typecheck test
+	REPRO_CONTRACTS=1 $(PYTHON) -m pytest -q tests/phy tests/core tests/sim tests/gateway
+	$(PYTHON) -X dev -m pytest -q tests/gateway
 
 # Every experiment at quick scale, in parallel, with artifact gating
 # (what the CI smoke job runs).

@@ -12,7 +12,7 @@ Run:  python examples/sensor_network.py
 
 import numpy as np
 
-from repro.core.taglink import FrameDecoder, TagLinkConfig, encode_message
+from repro.core.taglink import FRAME_BITS, FrameDecoder, encode_message
 from repro.phy.protocols import Protocol
 from repro.sim.airlink import run_airlink
 from repro.sim.traffic import ExcitationSchedule, ExcitationSource
@@ -23,8 +23,7 @@ def main() -> None:
 
     # A sensor report to deliver, framed for lossy per-packet delivery.
     message = b"temp=21.4C rh=48% batt=ok"
-    link_cfg = TagLinkConfig(frame_payload_bits=16)
-    frames = encode_message(message, link_cfg)
+    frames = encode_message(message)
     # ACK-less delivery: repeat the whole frame train once, so frames
     # lost to noise in the first pass are filled in by the second
     # (FrameDecoder dedups by sequence number).
@@ -44,7 +43,6 @@ def main() -> None:
     # Run the full loop; a multiscatter tag streams the framed bits.
     report = run_airlink(
         schedule,
-        d_tag_rx_m=2.0,
         tag_payload=frame_bits,
         rng=rng,
         max_packets=36,
@@ -60,10 +58,9 @@ def main() -> None:
     delivered_bits = (
         np.concatenate(decoded_chunks) if decoded_chunks else np.zeros(0, np.uint8)
     )
-    decoder = FrameDecoder(config=link_cfg)
-    n = link_cfg.frame_bits
-    for lo in range(0, delivered_bits.size - n + 1, n):
-        decoder.push(delivered_bits[lo : lo + n])
+    decoder = FrameDecoder()
+    for lo in range(0, delivered_bits.size - FRAME_BITS + 1, FRAME_BITS):
+        decoder.push(delivered_bits[lo : lo + FRAME_BITS])
 
     out = decoder.message_bytes()[: len(message)]
     print(f"receiver: reassembled {len(decoder.received_seqs)} frames, "

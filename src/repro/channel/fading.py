@@ -8,7 +8,7 @@ the 802.11n receiver's HT-LTF channel estimation exists to undo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,9 @@ class MultipathChannel:
 
     rms_delay_spread_s: float = 50e-9
     seed: int = 0
-    _cache: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
 
     def taps(self, sample_rate: float) -> ComplexIQ:
-        """FIR taps at ``sample_rate`` (cached per rate)."""
-        if sample_rate in self._cache:
-            return self._cache[sample_rate]
+        """FIR taps at ``sample_rate``, drawn afresh from ``seed``."""
         rng = np.random.default_rng(self.seed)
         dt = 1.0 / sample_rate
         delays = np.arange(_N_TAPS) * dt
@@ -52,9 +49,7 @@ class MultipathChannel:
         # First tap keeps a strong deterministic component so timing
         # reference (first arrival) is preserved.
         taps[0] = np.sqrt(power[0]) * (0.9 + 0.1j)
-        taps = taps / np.linalg.norm(taps)
-        self._cache[sample_rate] = taps
-        return taps
+        return taps / np.linalg.norm(taps)
 
     def apply(self, wave: Waveform) -> Waveform:
         """Convolve the waveform with this location's channel."""

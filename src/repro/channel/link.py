@@ -239,10 +239,10 @@ class BackscatterLink:
         ber = self.ber(d_tag_rx_m)
         return float(1.0 - (1.0 - ber) ** n_bits)
 
-    def max_range_m(self, *, d_max: float = 60.0) -> float:
-        """Largest distance, on a 0.1 m grid below ``d_max``, at which a
+    def max_range_m(self) -> float:
+        """Largest distance, on a 0.1 m grid below 60 m, at which a
         1,000-bit packet's PER stays below one half."""
-        distances = np.arange(0.1, d_max, 0.1)
+        distances = np.arange(0.1, 60.0, 0.1)
         last_good = 0.0
         for d in distances:
             if self.per(float(d), 1000) < 0.5:

@@ -99,8 +99,7 @@ def score_capture(
         pre = sel[:, :l_p]
         dc = pre[:, l_p // 2 :].mean(axis=1, keepdims=True)
         q = np.where(window - dc >= 0.0, 1.0, -1.0)
-        protocols, mat = bank.stacked(quantized=True)
-        best = (q @ mat.T).max(axis=0) / l_m
+        best = (q @ bank.stacked_q.T).max(axis=0) / l_m
     else:
         # Normalized correlation without materializing the centered /
         # unit-norm window copies: correlate the raw windows in one
@@ -109,7 +108,7 @@ def score_capture(
         #   (x - mean(x)) . m / ||x - mean(x)||
         #     = (x . m - mean(x) * s) / sqrt(sum(x^2) - l_m * mean^2)
         # and the per-offset sums come from prefix sums of the capture.
-        protocols, mat = bank.stacked(quantized=False)
+        mat = bank.stacked
         raw = window @ mat.T  # (n_offsets, n_protocols)
         c1 = np.concatenate([[0.0], np.cumsum(arr)])
         c2 = np.concatenate([[0.0], np.cumsum(arr * arr)])
@@ -120,7 +119,7 @@ def score_capture(
         norm = np.where(norm <= 1e-12, 1.0, norm)
         tsum = mat.sum(axis=1)
         best = ((raw - mean[:, None] * tsum[None, :]) / norm[:, None]).max(axis=0)
-    for p, v in zip(protocols, best):
+    for p, v in zip(bank.templates, best):
         scores[p] = float(v)
     return scores
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.phy.protocols import Protocol
 from repro.types import Hertz, Microseconds, Milliwatts, Samples
 
 __all__ = [
@@ -53,33 +54,31 @@ _POWER_PER_LUT_MHZ_QUANT = 3.472e-4
 _POWER_PER_LUT_MHZ_FULL = 8.09e-4
 
 
-def naive_correlator_dffs(
-    template_size_samples: Samples, n_protocols: int = 4
-) -> dict[str, int]:
-    """Table 2's naive implementation: full-precision correlation.
+def naive_correlator_dffs(template_size_samples: Samples) -> dict[str, int]:
+    """Table 2's naive implementation: full-precision correlation, one
+    template per protocol.
 
     Returns the per-protocol and total resource counts.
     """
-    if template_size_samples < 1 or n_protocols < 1:
-        raise ValueError("template_size_samples and n_protocols must be positive")
+    if template_size_samples < 1:
+        raise ValueError("template_size_samples must be positive")
     mults = template_size_samples
     adds = template_size_samples - 1
     per_protocol = mults * DFF_PER_MULT_9X9 + adds * DFF_PER_ADD_9X9
     return {
-        "multipliers": mults * n_protocols,
-        "adders": adds * n_protocols,
+        "multipliers": mults * len(Protocol),
+        "adders": adds * len(Protocol),
         "dffs_per_protocol": per_protocol,
-        "dffs_total": per_protocol * n_protocols,
+        "dffs_total": per_protocol * len(Protocol),
     }
 
 
-def quantized_correlator_dffs(
-    template_size_samples: Samples, n_protocols: int = 4
-) -> int:
-    """The nano implementation: +-1 samples, adders only (Table 2)."""
-    if template_size_samples < 1 or n_protocols < 1:
-        raise ValueError("template_size_samples and n_protocols must be positive")
-    return round(_DFF_PER_QUANT_TAP * template_size_samples * n_protocols)
+def quantized_correlator_dffs(template_size_samples: Samples) -> int:
+    """The nano implementation: +-1 samples, adders only, one template
+    per protocol (Table 2)."""
+    if template_size_samples < 1:
+        raise ValueError("template_size_samples must be positive")
+    return round(_DFF_PER_QUANT_TAP * template_size_samples * len(Protocol))
 
 
 def identification_luts(total_taps: int, *, quantized: bool) -> int:

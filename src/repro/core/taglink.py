@@ -5,7 +5,7 @@ bits (the codec's capacity).  Real sensors send *messages* that span
 many excitation packets and arrive over a lossy channel, so this
 module adds the thin framing a deployment needs:
 
-* messages are split into frames of at most ``frame_payload_bits``;
+* messages are split into frames of at most 16 payload bits;
 * each frame carries a 4-bit sequence number, a 4-bit length field,
   and a CRC-8 over header+payload;
 * the decoder validates CRCs, tolerates lost/corrupted frames, and
@@ -26,9 +26,22 @@ from repro.types import BitArray
 
 from repro.phy.bits import bits_from_int, int_from_bits
 
-__all__ = ["TagLinkConfig", "TagFrame", "encode_message", "FrameDecoder"]
+__all__ = ["FRAME_BITS", "TagFrame", "encode_message", "FrameDecoder"]
 
 _CRC8_POLY = 0x07  # CRC-8/ATM
+
+#: Frame header: a 4-bit sequence number and a 4-bit payload length
+#: (in nibbles).
+_HEADER_BITS = 8
+
+#: Payload bits per frame, chosen to fit the overlay capacity of the
+#: smallest carrier a deployment expects: a BLE advertising packet in
+#: mode 1 offers ~37 tag bits, 16 header+CRC bits leave 21, and 16
+#: keeps frames byte-aligned.
+_PAYLOAD_BITS = 16
+
+#: Bits per frame on the air: header, payload and CRC-8.
+FRAME_BITS = _HEADER_BITS + _PAYLOAD_BITS + 8
 
 
 def crc8(bits: np.ndarray) -> int:
@@ -42,35 +55,6 @@ def crc8(bits: np.ndarray) -> int:
     return reg
 
 
-@dataclass(frozen=True)
-class TagLinkConfig:
-    """Framing parameters.
-
-    ``frame_payload_bits`` is chosen to fit the overlay capacity of
-    the smallest carrier the deployment expects (a BLE advertising
-    packet in mode 1 offers ~37 tag bits; 16 header+CRC bits leave 21
-    -- the default 16 keeps frames byte-aligned).
-    """
-
-    frame_payload_bits: int = 16
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.frame_payload_bits <= 15 * 8:
-            raise ValueError("frame_payload_bits must be in 1..120")
-
-    @property
-    def header_bits(self) -> int:
-        return 8  # 4-bit seq + 4-bit payload length (in nibbles)
-
-    @property
-    def crc_bits(self) -> int:
-        return 8
-
-    @property
-    def frame_bits(self) -> int:
-        return self.header_bits + self.frame_payload_bits + self.crc_bits
-
-
 @dataclass
 class TagFrame:
     """One on-air frame of tag data."""
@@ -78,10 +62,10 @@ class TagFrame:
     seq: int
     payload_bits: np.ndarray
 
-    def to_bits(self, config: TagLinkConfig) -> BitArray:
-        if self.payload_bits.size > config.frame_payload_bits:
+    def to_bits(self) -> BitArray:
+        if self.payload_bits.size > _PAYLOAD_BITS:
             raise ValueError("payload exceeds the frame budget")
-        pad = config.frame_payload_bits - self.payload_bits.size
+        pad = _PAYLOAD_BITS - self.payload_bits.size
         body = np.concatenate(
             [self.payload_bits, np.zeros(pad, np.uint8)]
         )
@@ -93,18 +77,17 @@ class TagFrame:
         return np.concatenate([header, body, crc])
 
 
-def encode_message(message: bytes, config: TagLinkConfig | None = None) -> list[np.ndarray]:
+def encode_message(message: bytes) -> list[np.ndarray]:
     """Split a message into framed bit arrays ready for the overlay
     modulator, numbered from sequence 0."""
-    cfg = config or TagLinkConfig()
     from repro.phy.bits import bits_from_bytes
 
     bits = bits_from_bytes(message)
     frames = []
     seq = 0
-    for lo in range(0, bits.size, cfg.frame_payload_bits):
-        chunk = bits[lo : lo + cfg.frame_payload_bits]
-        frames.append(TagFrame(seq=seq & 0xF, payload_bits=chunk).to_bits(cfg))
+    for lo in range(0, bits.size, _PAYLOAD_BITS):
+        chunk = bits[lo : lo + _PAYLOAD_BITS]
+        frames.append(TagFrame(seq=seq & 0xF, payload_bits=chunk).to_bits())
         seq += 1
     return frames
 
@@ -119,21 +102,19 @@ class FrameDecoder:
     gaps are visible in ``received_seqs``.
     """
 
-    config: TagLinkConfig = field(default_factory=TagLinkConfig)
     frames: dict[int, np.ndarray] = field(default_factory=dict)
     n_rejected: int = 0
 
     def push(self, bits: np.ndarray) -> bool:
         """Consume one frame's bits; True when accepted."""
-        cfg = self.config
         arr = np.asarray(bits, dtype=np.uint8)
-        if arr.size < cfg.frame_bits:
+        if arr.size < FRAME_BITS:
             self.n_rejected += 1
             return False
-        arr = arr[: cfg.frame_bits]
-        header = arr[: cfg.header_bits]
-        body = arr[cfg.header_bits : cfg.header_bits + cfg.frame_payload_bits]
-        crc_rx = int_from_bits(arr[cfg.header_bits + cfg.frame_payload_bits :])
+        arr = arr[:FRAME_BITS]
+        header = arr[:_HEADER_BITS]
+        body = arr[_HEADER_BITS : _HEADER_BITS + _PAYLOAD_BITS]
+        crc_rx = int_from_bits(arr[_HEADER_BITS + _PAYLOAD_BITS :])
         if crc8(np.concatenate([header, body])) != crc_rx:
             self.n_rejected += 1
             return False

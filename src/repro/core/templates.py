@@ -17,13 +17,15 @@ Two window lengths matter in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from repro.core.adc import Adc
 from repro.core.rectifier import ClampRectifier
-from repro.core.wavecache import LruCache
 from repro.phy import ble, wifi_b, wifi_n, zigbee
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
@@ -46,12 +48,10 @@ BASE_WINDOW_US = 8.0
 TEMPLATE_INCIDENT_DBM: DbmPower = -15.0
 
 
-#: Memoizes the deterministic reference waveforms (16-byte all-zero
-#: payload), keyed by protocol.  Callers get defensive copies.
-_REFERENCE_CACHE = LruCache(maxsize=16, name="core.templates.reference_waveform")
-
-
+@lru_cache(maxsize=16)
 def _build_reference(protocol: Protocol) -> Waveform:
+    """The reference packet of ``protocol``, made once per protocol;
+    :func:`reference_waveform` hands out copies."""
     payload = bytes(16)
     if protocol is Protocol.WIFI_B:
         return wifi_b.modulate(payload)
@@ -76,11 +76,10 @@ def reference_waveform(protocol: Protocol) -> Waveform:
     The waveform is fully deterministic, so it is cached; the returned
     copy is the caller's to mutate.
     """
-    wave = _REFERENCE_CACHE.get_or_create(protocol, lambda: _build_reference(protocol))
-    return wave.copy()
+    return _build_reference(protocol).copy()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Template:
     """One protocol's expected envelope in the ADC domain.
 
@@ -99,18 +98,23 @@ class Template:
         return self.matching.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class TemplateBank:
-    """Templates for all four protocols at one ADC configuration."""
+    """Templates for all four protocols at one ADC configuration.
+
+    A bank is read-only once built: ``templates`` is a read-only
+    mapping, and ``stacked`` and ``stacked_q`` hold its full-precision
+    and quantized templates as one ``(n_protocols, l_m)`` matrix each,
+    rows in ``templates`` order, so the matcher scores every protocol
+    with a single GEMM instead of one GEMV per template.
+    """
 
     adc: Adc
     window_us: Microseconds
     preprocess_us: Microseconds
-    templates: dict[Protocol, Template] = field(default_factory=dict)
-    #: Stacked-matrix cache for score_capture's one-GEMM correlator;
-    #: keyed by the quantization flag plus the identity of every
-    #: template so any replacement invalidates it.
-    _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    templates: Mapping[Protocol, Template]
+    stacked: np.ndarray
+    stacked_q: np.ndarray
 
     @classmethod
     def build(
@@ -126,9 +130,9 @@ class TemplateBank:
         from repro.core.matching import dc_estimate
 
         rect = ClampRectifier(noise_v_rms=0.0)
-        bank = cls(adc=adc, window_us=window_us, preprocess_us=preprocess_us)
         l_p = max(int(round(preprocess_us * 1e-6 * adc.sample_rate)), 1)
         l_m = max(int(round(window_us * 1e-6 * adc.sample_rate)), 2)
+        templates = {}
         for protocol in Protocol:
             wave = reference_waveform(protocol)
             analog = rect.rectify(wave, TEMPLATE_INCIDENT_DBM)
@@ -139,36 +143,20 @@ class TemplateBank:
             norm = np.linalg.norm(centered)
             matching = centered / norm if norm > 1e-12 else centered
             quantized = np.where(window - dc >= 0.0, 1.0, -1.0)
-            bank.templates[protocol] = Template(
+            templates[protocol] = Template(
                 protocol=protocol,
                 l_p=l_p,
                 matching=matching,
                 matching_q=quantized,
             )
-        return bank
-
-    def stacked(self, *, quantized: bool) -> tuple[tuple[Protocol, ...], np.ndarray]:
-        """Templates stacked into one ``(n_protocols, l_m)`` matrix.
-
-        Lets the matcher score every protocol with a single GEMM
-        instead of one GEMV per template.  Rebuilt whenever a template
-        object is swapped out.
-        """
-        ident = tuple((p, id(t)) for p, t in self.templates.items())
-        if self._stacked.get("ident") != ident:
-            self._stacked.clear()
-            self._stacked["ident"] = ident
-        hit = self._stacked.get(quantized)
-        if hit is not None:
-            return hit
-        protocols = tuple(self.templates)
-        rows = [
-            t.matching_q if quantized else t.matching
-            for t in self.templates.values()
-        ]
-        value = (protocols, np.vstack(rows))
-        self._stacked[quantized] = value
-        return value
+        return cls(
+            adc=adc,
+            window_us=window_us,
+            preprocess_us=preprocess_us,
+            templates=MappingProxyType(templates),
+            stacked=np.vstack([t.matching for t in templates.values()]),
+            stacked_q=np.vstack([t.matching_q for t in templates.values()]),
+        )
 
     @property
     def l_p(self) -> Samples:
@@ -179,11 +167,14 @@ class TemplateBank:
         return next(iter(self.templates.values())).l_m
 
 
-#: Memoizes built template banks, keyed by every input that shapes the
-#: templates.  Banks are deterministic and treated as read-only by
-#: their consumers (the matcher only reads them), so one instance can
-#: back any number of identifiers.
-_BANK_CACHE = LruCache(maxsize=16, name="core.templates.bank")
+@lru_cache(maxsize=16)
+def _build_bank(
+    sample_rate: float, n_bits: int, window_us: float, preprocess_us: float
+) -> TemplateBank:
+    """:meth:`TemplateBank.build`, made once per derivation; called
+    positionally by :func:`cached_bank`, so one key spells each bank."""
+    adc = Adc(sample_rate=sample_rate, n_bits=n_bits)
+    return TemplateBank.build(adc, window_us=window_us, preprocess_us=preprocess_us)
 
 
 def cached_bank(
@@ -198,21 +189,12 @@ def cached_bank(
     therefore every ``MultiscatterTag``) needs a template bank, and
     building one renders four reference packets through the rectifier
     and ADC.  Batch sweeps and the gateway hot loop construct tags by
-    the hundred, so the bank is hoisted behind a
-    :class:`~repro.core.wavecache.LruCache`: the key covers the ADC
+    the hundred, so the bank is memoized: the key covers the ADC
     configuration and every derivation parameter, and the build itself
     is fully deterministic (noiseless rectifier), so a hit can never
-    alias two distinct banks.
+    alias two distinct banks, and the bank is read-only, so one
+    instance can back any number of identifiers.
     """
-    key = (
-        float(adc.sample_rate),
-        int(adc.n_bits),
-        float(window_us),
-        float(preprocess_us),
+    return _build_bank(
+        float(adc.sample_rate), int(adc.n_bits), float(window_us), float(preprocess_us)
     )
-    bank = _BANK_CACHE.get_or_create(
-        key,
-        lambda: TemplateBank.build(adc, window_us=window_us, preprocess_us=preprocess_us),
-    )
-    assert isinstance(bank, TemplateBank)
-    return bank

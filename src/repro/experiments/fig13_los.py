@@ -37,7 +37,7 @@ def sweep(
             "rssi_dbm": np.array([p.rssi_dbm for p in points]),
             "ber": np.array([link.ber(float(x)) for x in d]),
             "aggregate_kbps": np.array([p.aggregate_kbps for p in points]),
-            "max_range_m": link.max_range_m(d_max=60.0),
+            "max_range_m": link.max_range_m(),
         }
     return data
 

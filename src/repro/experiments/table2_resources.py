@@ -23,8 +23,8 @@ __all__ = ["run", "format_result"]
 
 @implements("table2_resources")
 def run(*, template_size_samples: Samples = 120) -> ExperimentResult:
-    naive = naive_correlator_dffs(template_size_samples, n_protocols=4)
-    quantized = quantized_correlator_dffs(template_size_samples, n_protocols=4)
+    naive = naive_correlator_dffs(template_size_samples)
+    quantized = quantized_correlator_dffs(template_size_samples)
     return ExperimentResult(
         name="table2_resources",
         data={

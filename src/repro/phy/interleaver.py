@@ -26,12 +26,14 @@ def permutation(n_cbps: int, n_bpsc: int) -> IntArray:
     return j
 
 
-def interleave(bits: np.ndarray, n_cbps: int = 48, n_bpsc: int = 1) -> BitArray:
-    """Interleave a stream symbol-by-symbol (length multiple of n_cbps)."""
+def interleave(bits: np.ndarray) -> BitArray:
+    """Interleave a BPSK stream symbol by symbol at MCS0 (48 coded bits
+    per symbol, one per subcarrier; length a multiple of 48)."""
+    n_cbps = 48
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.size % n_cbps:
         raise ValueError(f"stream length {arr.size} not a multiple of {n_cbps}")
-    perm = permutation(n_cbps, n_bpsc)
+    perm = permutation(n_cbps, 1)
     out = np.empty_like(arr)
     for start in range(0, arr.size, n_cbps):
         block = arr[start : start + n_cbps]

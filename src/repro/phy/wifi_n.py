@@ -407,7 +407,7 @@ def _legacy_bpsk_symbol(bits24: np.ndarray, *, qbpsk: bool = False) -> np.ndarra
     coded = convcode.encode(bits24)
     from repro.phy.interleaver import interleave as legacy_interleave
 
-    inter = legacy_interleave(coded, n_cbps=48, n_bpsc=1)
+    inter = legacy_interleave(coded)
     points = _map_bits(inter, "BPSK")
     if qbpsk:
         points = points * 1j  # HT-SIG uses 90-degree rotated BPSK

@@ -66,7 +66,6 @@ class AirlinkReport:
 def run_airlink(
     schedule: ExcitationSchedule,
     *,
-    d_tag_rx_m: float = 2.0,
     tag_payload: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     max_packets: int | None = None,
@@ -77,13 +76,13 @@ def run_airlink(
     :class:`~repro.core.tag.MultiscatterTag` identifies it (signal-level
     pipeline) and backscatters the next chunk of ``tag_payload``; the
     receiver decodes at the RSSI/noise implied by the calibrated link
-    budget for ``d_tag_rx_m``.  ``max_packets`` replays only the first
+    budget 2 m from the tag.  ``max_packets`` replays only the first
     that many packets (``None``: all of them; a negative value raises
     ``ValueError``).
     """
     if max_packets is not None and max_packets < 0:
         raise ValueError(f"max_packets must be >= 0 or None, got {max_packets!r}")
-    pipeline = AirlinkPipeline(d_tag_rx_m=d_tag_rx_m)
+    pipeline = AirlinkPipeline()
     rng = fallback_rng(rng)
     payload = (
         np.asarray(tag_payload, dtype=np.uint8)

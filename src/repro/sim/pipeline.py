@@ -17,19 +17,19 @@ hidden randomness -- every stochastic stage threads the caller's
 ``rng``, so a packet-at-a-time replay of a schedule produces the same
 :class:`PacketOutcome` sequence as the batch driver on the same seed.
 
-Receiver-side construction (overlay codec, tag modulator, commodity
-decoder, calibrated link) is hoisted behind
-:mod:`repro.core.wavecache`: the monolith rebuilt this per-protocol
-receiver/template set on every call, which the gateway hot loop cannot
-afford.  The decode stage runs the scalar receive chain on each
+Receiver-side construction (overlay codec, commodity decoder,
+calibrated link) is memoized by :func:`receiver_set`, one of the
+:mod:`repro.core.wavecache` caches: the monolith rebuilt this
+per-protocol receiver set on every call, which the gateway hot loop
+cannot afford.  The decode stage runs the scalar receive chain on each
 pending reception in input order, so deferring receptions into a batch
 never changes a decoded bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.core.identification import DEFAULT_INCIDENT_DBM
 from repro.core.overlay import OverlayCodec, OverlayConfig
 from repro.core.overlay_decoder import OverlayDecoder
 from repro.core.tag import MultiscatterTag, TagReaction
-from repro.core.wavecache import LruCache
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.sim import faults
@@ -62,6 +61,10 @@ __all__ = [
 #: monolithic loop's historical constant; changing it changes every
 #: seeded experiment).
 N_PRODUCTIVE_BITS = 24
+
+#: Tag-to-receiver distance of every replay and gateway session, m; it
+#: sets the calibrated decode SNR.
+_D_TAG_RX_M = 2.0
 
 
 @dataclass
@@ -93,32 +96,23 @@ class ReceiverSet:
     link: BackscatterLink
 
 
-#: OverlayConfig -> ReceiverSet.  Hit rates are visible in the
-#: REPRO_PERF=1 report; see repro.core.wavecache.
-_RECEIVER_CACHE = LruCache(maxsize=32, name="sim.pipeline.receiver_set")
-
-
+@lru_cache(maxsize=32)
 def receiver_set(config: OverlayConfig) -> ReceiverSet:
-    """The memoized per-overlay-layout receiver/template set.
+    """The memoized per-overlay-layout receiver set.
 
     The batch driver used to rebuild codec, decoder and link objects
     per packet; the construction is deterministic from the frozen
-    :class:`OverlayConfig` (no RNG draws), so hoisting it behind the
-    wavecache changes no decoded bit while the gateway hot loop stops
-    re-deriving receivers.
+    :class:`OverlayConfig` (no RNG draws), so memoizing it changes no
+    decoded bit while the gateway hot loop stops re-deriving receivers.
+    Hit rates are visible in the REPRO_PERF=1 report; see
+    :mod:`repro.core.wavecache`.
     """
-
-    def build() -> ReceiverSet:
-        codec = OverlayCodec(config)
-        return ReceiverSet(
-            codec=codec,
-            decoder=OverlayDecoder(codec),
-            link=BackscatterLink(PROTOCOL_LINK_DEFAULTS[config.protocol]),
-        )
-
-    out = _RECEIVER_CACHE.get_or_create(config, build)
-    assert isinstance(out, ReceiverSet)
-    return out
+    codec = OverlayCodec(config)
+    return ReceiverSet(
+        codec=codec,
+        decoder=OverlayDecoder(codec),
+        link=BackscatterLink(PROTOCOL_LINK_DEFAULTS[config.protocol]),
+    )
 
 
 @dataclass
@@ -196,23 +190,12 @@ def payload_to_pending(payload: DecodePayload) -> PendingReception:
 
 class AirlinkPipeline:
     """The per-packet excite -> identify -> backscatter -> channel ->
-    decode pipeline for one :class:`~repro.core.tag.MultiscatterTag`.
-
-    Parameters
-    ----------
-    d_tag_rx_m:
-        Tag-to-receiver distance; sets the calibrated decode SNR.
-        Must be positive and finite.
+    decode pipeline for one :class:`~repro.core.tag.MultiscatterTag`,
+    2 m from the receiver.
     """
 
-    def __init__(self, *, d_tag_rx_m: float = 2.0) -> None:
-        # Written so that NaN fails it.
-        if not 0 < d_tag_rx_m < math.inf:
-            raise ValueError(
-                f"d_tag_rx_m must be positive and finite, got {d_tag_rx_m!r}"
-            )
+    def __init__(self) -> None:
         self.tag = MultiscatterTag()
-        self.d_tag_rx_m = d_tag_rx_m
 
     # -- stages 1-4: excite, identify, backscatter, channel ------------
     def excite_and_react(
@@ -260,7 +243,7 @@ class AirlinkPipeline:
         cursor += reaction.tag_bits_sent.size
 
         # Channel: calibrated backscatter SNR at the receiver.
-        snr_db = receivers.link.snr_db(self.d_tag_rx_m)
+        snr_db = receivers.link.snr_db(_D_TAG_RX_M)
         assert reaction.backscattered is not None
         received = modulator.received_at_shifted_channel(reaction.backscattered)
         received = awgn(received, snr_db=snr_db, rng=rng)

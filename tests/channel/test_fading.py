@@ -22,6 +22,12 @@ class TestMultipath:
         c = MultipathChannel(seed=5).taps(20e6)
         assert not np.array_equal(a, c)
 
+    def test_one_location_draws_the_same_taps_every_call(self):
+        chan = MultipathChannel(seed=4)
+        first = chan.taps(20e6)
+        chan.taps(10e6)
+        assert np.array_equal(chan.taps(20e6), first)
+
     def test_preserves_length(self):
         wave = Waveform(np.ones(500, complex), 20e6)
         out = MultipathChannel(seed=6).apply(wave)

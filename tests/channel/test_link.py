@@ -151,6 +151,13 @@ class TestFixedRfValues:
         assert r == pytest.approx(round(r, 1), abs=1e-9)
         assert link.per(r, 1000) < 0.5 <= link.per(r + 0.1, 1000)
 
+    def test_the_range_search_stops_below_60_m(self):
+        # Every distance the grid tries reaches this link.
+        budget = replace(PROTOCOL_LINK_DEFAULTS[Protocol.BLE], calibration_offset_db=80.0)
+        link = BackscatterLink(budget)
+        assert link.per(60.0, 1000) < 0.5
+        assert link.max_range_m() == pytest.approx(59.9, abs=1e-9)
+
     def test_coded_ofdm_coding_gain(self):
         for ebn0_db in (-3.0, 0.0, 3.0, 6.0):
             eff = 10.0 ** ((ebn0_db + 3.8) / 10.0)

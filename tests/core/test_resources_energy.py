@@ -27,7 +27,7 @@ from repro.phy.protocols import Protocol
 class TestTable2:
     def test_naive_per_protocol_dffs(self):
         # §2.3.1: 120 multipliers + 119 adders = 33,341 DFFs.
-        res = naive_correlator_dffs(120, n_protocols=4)
+        res = naive_correlator_dffs(120)
         assert res["dffs_per_protocol"] == 33341
         assert res["dffs_total"] == 133364
         assert res["multipliers"] == 480
@@ -59,7 +59,7 @@ class TestTable2:
         with pytest.raises(ValueError):
             naive_correlator_dffs(0)
         with pytest.raises(ValueError):
-            quantized_correlator_dffs(10, n_protocols=0)
+            quantized_correlator_dffs(0)
 
 
 class TestTable5:

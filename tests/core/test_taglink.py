@@ -6,35 +6,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.taglink import (
+    FRAME_BITS,
     FrameDecoder,
     TagFrame,
-    TagLinkConfig,
     crc8,
     encode_message,
 )
+from repro.phy.bits import int_from_bits
 
 
 class TestFraming:
     def test_frame_bit_budget(self):
-        cfg = TagLinkConfig(frame_payload_bits=16)
-        assert cfg.frame_bits == 8 + 16 + 8
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            TagLinkConfig(frame_payload_bits=0)
-        with pytest.raises(ValueError):
-            TagLinkConfig(frame_payload_bits=999)
+        assert FRAME_BITS == 8 + 16 + 8
 
     def test_oversized_payload_rejected(self):
-        cfg = TagLinkConfig(frame_payload_bits=8)
-        frame = TagFrame(seq=0, payload_bits=np.ones(12, np.uint8))
+        assert TagFrame(seq=0, payload_bits=np.ones(16, np.uint8)).to_bits().size == FRAME_BITS
+        frame = TagFrame(seq=0, payload_bits=np.ones(17, np.uint8))
         with pytest.raises(ValueError):
-            frame.to_bits(cfg)
+            frame.to_bits()
 
     def test_message_splits_into_frames(self):
         frames = encode_message(b"\x01\x02\x03\x04")  # 32 bits / 16
         assert len(frames) == 2
-        assert all(f.size == TagLinkConfig().frame_bits for f in frames)
+        assert all(f.size == FRAME_BITS for f in frames)
+
+    def test_last_frame_carries_the_remainder(self):
+        # 24 bits: one full 16-bit frame, then 8 bits (two nibbles).
+        frames = encode_message(b"\x01\x02\x03")
+        assert len(frames) == 2
+        assert int_from_bits(frames[1][4:8]) == 2
+        decoder = FrameDecoder()
+        # Trailing bits past a frame are ignored.
+        assert decoder.push(np.concatenate([frames[1], np.ones(5, np.uint8)]))
+        assert decoder.message_bits().size == 8
 
     def test_crc8_sensitivity(self):
         bits = np.ones(24, np.uint8)

@@ -1,4 +1,9 @@
-"""Waveform/template cache behavior: LRU policy, stats, invalidation."""
+"""Waveform/template cache behavior: stats, keys, read-only values."""
+
+import ast
+import dataclasses
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +12,6 @@ from repro.core import wavecache
 from repro.core.adc import Adc
 from repro.core.identification import ProtocolIdentifier
 from repro.core.templates import (
-    _BANK_CACHE,
-    _REFERENCE_CACHE,
     Template,
     TemplateBank,
     cached_bank,
@@ -17,43 +20,99 @@ from repro.core.templates import (
 from repro.phy.protocols import Protocol
 
 
-class TestLruCache:
-    def test_hit_miss_counters(self):
-        c = wavecache.LruCache(maxsize=4)
-        assert c.get("a") is None
-        c.put("a", 1)
-        assert c.get("a") == 1
-        assert c.stats() == {
-            "hits": 1, "misses": 1, "evictions": 0, "size": 1, "maxsize": 4,
+def _stats(name):
+    return wavecache.cache_stats()[name]
+
+
+_PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def _is_memo(node: ast.expr) -> bool:
+    """Is ``node`` ``lru_cache``/``cache``, called or not, bare or as a
+    ``functools`` attribute?"""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("lru_cache", "cache")
+    return isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+
+
+def _memoized_functions() -> tuple[set[str], list[str]]:
+    """``(module.qualname of every function under src/repro that an
+    lru_cache or cache decorator wraps, other lru_cache/cache calls)``."""
+    decorated: set[str] = set()
+    elsewhere: list[str] = []
+    for path in sorted(_PACKAGE.rglob("*.py")):
+        parts = path.relative_to(_PACKAGE.parent).with_suffix("").parts
+        module = ".".join(p for p in parts if p != "__init__")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+
+        def visit(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    memo = [d for d in child.decorator_list if _is_memo(d)]
+                    if memo:
+                        decorated.add(f"{module}.{prefix}{child.name}")
+                    decorators.update(id(d) for d in memo)
+                    visit(child, f"{prefix}{child.name}.<locals>.")
+                else:
+                    visit(child, prefix)
+
+        visit(tree, "")
+        elsewhere += [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+            and _is_memo(node.func)
+            and id(node) not in decorators
+        ]
+    return decorated, elsewhere
+
+
+class TestTable:
+    """``wavecache``'s table names every cache in the program."""
+
+    def test_every_memo_decorator_is_in_the_table_and_nothing_else(self):
+        decorated, elsewhere = _memoized_functions()
+        assert not elsewhere, f"memoize with a decorator, not a call: {elsewhere}"
+        table = {
+            f"{fn.__module__}.{fn.__qualname__}" for fn in wavecache._table().values()
         }
+        assert decorated == table
+        assert len(table) == 17
 
-    def test_lru_eviction_order(self):
-        c = wavecache.LruCache(maxsize=2)
-        c.put("a", 1)
-        c.put("b", 2)
-        c.get("a")  # refresh a; b becomes LRU
-        c.put("c", 3)
-        assert "b" not in c and "a" in c and "c" in c
-        assert c.evictions == 1
+    def test_every_table_entry_is_a_cached_function(self):
+        for name, fn in wavecache._table().items():
+            assert callable(fn) and callable(fn.cache_clear), name
+            assert fn.cache_info().maxsize is not None, f"{name} is unbounded"
 
-    def test_get_or_create_builds_once(self):
-        c = wavecache.LruCache(maxsize=4)
-        calls = []
-        for _ in range(3):
-            c.get_or_create("k", lambda: calls.append(1) or "v")
-        assert len(calls) == 1
-        assert c.hits == 2 and c.misses == 1
+    def test_the_scan_sees_a_decorator_in_any_spelling(self):
+        source = """
+            import functools
+            from functools import cache, lru_cache
 
-    def test_clear_keeps_counters(self):
-        c = wavecache.LruCache(maxsize=2)
-        c.put("a", 1)
-        c.get("a")
-        c.clear()
-        assert len(c) == 0 and c.hits == 1
+            @lru_cache(maxsize=4)
+            def a(x): return x
 
-    def test_rejects_bad_maxsize(self):
-        with pytest.raises(ValueError):
-            wavecache.LruCache(maxsize=0)
+            @functools.lru_cache
+            def b(x): return x
+
+            @cache
+            def c(x): return x
+
+            def d(x): return x
+
+            e = functools.lru_cache(maxsize=2)(d)
+        """
+        tree = ast.parse(textwrap.dedent(source))
+        funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert {k for k, f in funcs.items() if any(map(_is_memo, f.decorator_list))} == {"a", "b", "c"}
+        call = next(n for n in ast.walk(tree) if isinstance(n, ast.Assign)).value
+        assert _is_memo(call.func)
 
 
 class TestRegistry:
@@ -160,10 +219,20 @@ class TestRegistry:
 
     def test_clear_caches_empties_everything(self):
         reference_waveform(Protocol.ZIGBEE)
-        assert len(_REFERENCE_CACHE) > 0
+        assert _stats("core.templates.reference_waveform")["size"] > 0
         wavecache.clear_caches()
-        assert len(_REFERENCE_CACHE) == 0
-        assert all(s["size"] == 0 for s in wavecache.cache_stats().values())
+        assert all(
+            s["size"] == s["hits"] == s["misses"] == s["evictions"] == 0
+            for s in wavecache.cache_stats().values()
+        )
+
+    def test_a_fill_that_raised_counts_as_one_eviction(self):
+        wavecache.clear_caches()
+        with pytest.raises(ValueError, match="unknown protocol"):
+            reference_waveform("not-a-protocol")
+        reference_waveform(Protocol.BLE)
+        stats = _stats("core.templates.reference_waveform")
+        assert (stats["misses"], stats["size"], stats["evictions"]) == (2, 1, 1)
 
 
 class TestReferenceWaveformCache:
@@ -180,20 +249,28 @@ class TestReferenceWaveformCache:
 
     def test_cache_hits_recorded(self):
         wavecache.clear_caches()
-        h0 = _REFERENCE_CACHE.hits
         reference_waveform(Protocol.WIFI_B)
         reference_waveform(Protocol.WIFI_B)
-        assert _REFERENCE_CACHE.hits == h0 + 1
+        stats = _stats("core.templates.reference_waveform")
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
 
 
 class TestCachedBank:
     def test_same_derivation_shares_one_bank(self):
-        wavecache.clear_caches()  # empties entries; counters keep running
-        m0, h0 = _BANK_CACHE.misses, _BANK_CACHE.hits
+        wavecache.clear_caches()
         a = cached_bank(Adc(sample_rate=2.5e6))
         b = cached_bank(Adc(sample_rate=2.5e6))
         assert a is b
-        assert (_BANK_CACHE.misses - m0, _BANK_CACHE.hits - h0) == (1, 1)
+        stats = _stats("core.templates.bank")
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+
+    def test_the_key_is_the_derivation_not_its_spelling(self):
+        wavecache.clear_caches()
+        a = cached_bank(Adc(sample_rate=2.5e6))
+        assert cached_bank(Adc(sample_rate=2500000), window_us=8, preprocess_us=2) is a
+        assert cached_bank(Adc(sample_rate=2.5e6, n_bits=9), preprocess_us=2.0) is a
+        stats = _stats("core.templates.bank")
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 2, 1)
 
     def test_derivation_params_are_part_of_the_key(self):
         base = cached_bank(Adc(sample_rate=2.5e6))
@@ -211,11 +288,10 @@ class TestCachedBank:
 
     def test_identifiers_share_the_cached_bank(self):
         wavecache.clear_caches()
-        m0 = _BANK_CACHE.misses
         first = ProtocolIdentifier()
         second = ProtocolIdentifier()
         assert first.bank is second.bank
-        assert _BANK_CACHE.misses - m0 == 1
+        assert _stats("core.templates.bank")["misses"] == 1
 
     def test_registered_in_cache_stats(self):
         cached_bank(Adc(sample_rate=2.5e6))
@@ -223,29 +299,25 @@ class TestCachedBank:
 
 
 class TestStackedTemplates:
-    def test_cached_and_invalidated_on_replacement(self):
+    def test_stacked_once_in_template_order(self):
         bank = TemplateBank.build(Adc(sample_rate=2.5e6))
-        p1, m1 = bank.stacked(quantized=True)
-        p2, m2 = bank.stacked(quantized=True)
-        assert m1 is m2  # cache hit
-        assert p1 == tuple(bank.templates)
-        assert m1.shape == (len(bank.templates), bank.l_m)
-        # Replacing a template must invalidate the stacked matrix.
+        assert bank.stacked.shape == bank.stacked_q.shape == (len(bank.templates), bank.l_m)
+        for row, t in enumerate(bank.templates.values()):
+            assert np.array_equal(bank.stacked[row], t.matching)
+            assert np.array_equal(bank.stacked_q[row], t.matching_q)
+
+    def test_templates_cannot_be_replaced_after_the_build(self):
+        bank = TemplateBank.build(Adc(sample_rate=2.5e6))
         old = bank.templates[Protocol.BLE]
-        bank.templates[Protocol.BLE] = Template(
+        flipped = Template(
             protocol=Protocol.BLE,
             l_p=old.l_p,
             matching=old.matching * -1.0,
             matching_q=old.matching_q * -1.0,
         )
-        _, m3 = bank.stacked(quantized=True)
-        assert m3 is not m1
-        assert not np.array_equal(m3, m1)
-
-    def test_quantized_and_full_coexist(self):
-        bank = TemplateBank.build(Adc(sample_rate=2.5e6))
-        _, mq = bank.stacked(quantized=True)
-        _, mf = bank.stacked(quantized=False)
-        _, mq2 = bank.stacked(quantized=True)
-        assert mq is mq2  # alternating flags must not thrash
-        assert mq.shape == mf.shape
+        with pytest.raises(TypeError):
+            bank.templates[Protocol.BLE] = flipped
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bank.templates = {Protocol.BLE: flipped}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            old.matching = flipped.matching

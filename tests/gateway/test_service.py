@@ -203,10 +203,9 @@ class TestControlPlane:
         gw = Gateway(GatewayConfig(seed=0, queue_maxlen=5))
         assert gw.subscribe("s").queue.maxsize == 5
 
-    def test_registered_tag_sits_2m_away_with_its_streams_first_payload(self):
+    def test_registered_tag_gets_its_streams_first_payload(self):
         control = ControlPlane()
         session = control.register("t", rng=np.random.default_rng(12))
-        assert session.pipeline.d_tag_rx_m == 2.0
         want = np.random.default_rng(12).integers(0, 2, 4096).astype(np.uint8)
         assert session.payload.tobytes() == want.tobytes()
 

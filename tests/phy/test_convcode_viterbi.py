@@ -79,6 +79,12 @@ class TestInterleavers:
         out = interleave(bits).reshape(2, 48)[:, permutation(48, 1)]
         assert np.array_equal(out.ravel(), bits)
 
+    def test_legacy_interleaves_whole_48_bit_symbols_only(self):
+        bits = np.arange(96, dtype=np.uint8) % 2
+        assert interleave(bits).size == 96
+        with pytest.raises(ValueError, match="multiple of 48"):
+            interleave(bits[:-24])
+
     def test_legacy_permutation_is_bijection(self):
         perm = permutation(48, 1)
         assert sorted(perm.tolist()) == list(range(48))

@@ -71,9 +71,11 @@ class TestSoftOfdm:
             )
             assert bitlib.bytes_from_bits(result.psdu_bits) == payload, mcs
 
-    def test_csi_weighting_helps_under_multipath(self):
+    def test_csi_weighted_soft_makes_fewer_errors_than_hard_under_multipath(self):
         # Frequency-selective fading leaves some subcarriers weak;
-        # CSI-weighted soft decoding discounts them.
+        # CSI-weighted soft decoding discounts them.  At this noise hard
+        # decisions err (190 bit errors over the four packets, and 9 at
+        # 0.15) while soft decoding makes none; at 0.1 neither errs.
         rng = np.random.default_rng(2)
         payload = bytes(range(40))
         ref = bitlib.bits_from_bytes(payload)
@@ -82,7 +84,7 @@ class TestSoftOfdm:
         for _ in range(4):
             wave = wifi_n.modulate(payload, wifi_n.WifiNConfig(mcs=3))
             faded = chan.apply(wave)
-            faded.iq = faded.iq + 0.1 * (
+            faded.iq = faded.iq + 0.2 * (
                 rng.normal(size=faded.n_samples)
                 + 1j * rng.normal(size=faded.n_samples)
             )
@@ -90,4 +92,4 @@ class TestSoftOfdm:
             soft = wifi_n.demodulate(faded, n_psdu_bits=ref.size, soft=True)
             hard_err += int(np.count_nonzero(hard.psdu_bits[: ref.size] != ref))
             soft_err += int(np.count_nonzero(soft.psdu_bits[: ref.size] != ref))
-        assert soft_err <= hard_err
+        assert soft_err < hard_err

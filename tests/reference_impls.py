@@ -391,7 +391,7 @@ def legacy_bpsk_symbol(bits24, *, qbpsk=False):
     from repro.phy.wifi_n import LEGACY_DATA_CARRIERS, _map_bits
 
     coded = convcode.encode(bits24)
-    inter = legacy_interleave(coded, n_cbps=48, n_bpsc=1)
+    inter = legacy_interleave(coded)
     points = _map_bits(inter, "BPSK")
     if qbpsk:
         points = points * 1j  # HT-SIG uses 90-degree rotated BPSK

@@ -1,6 +1,5 @@
 """Integration tests: the full waveform-level system loop."""
 
-import math
 import pickle
 
 import numpy as np
@@ -28,7 +27,6 @@ def mixed_schedule():
 def multiscatter_report(mixed_schedule):
     return run_airlink(
         mixed_schedule,
-        d_tag_rx_m=2.0,
         rng=np.random.default_rng(1),
         max_packets=16,
     )
@@ -70,9 +68,6 @@ class TestIdentificationMisses:
         )
 
 
-_BAD_DISTANCES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
-
-
 class TestArguments:
     @pytest.fixture(scope="class")
     def three_packets(self):
@@ -92,16 +87,6 @@ class TestArguments:
     def test_negative_max_packets_rejected(self, three_packets, max_packets):
         with pytest.raises(ValueError, match="max_packets"):
             run_airlink(three_packets, max_packets=max_packets)
-
-    @pytest.mark.parametrize("bad", _BAD_DISTANCES)
-    def test_tag_distance_must_be_positive_and_finite(self, three_packets, bad):
-        with pytest.raises(ValueError, match="d_tag_rx_m"):
-            AirlinkPipeline(d_tag_rx_m=bad)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="d_tag_rx_m"):
-            run_airlink(three_packets, d_tag_rx_m=bad, rng=rng)
-        assert rng.bit_generator.state == state
 
 
 class TestDecodePayload:

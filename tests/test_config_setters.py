@@ -16,7 +16,9 @@ The rule:
   keyword or by position, to a callee of that name (an import alias
   spells its original name).  ``cls(...)`` inside the class and the
   keywords of ``dataclasses.replace`` count for fields.  A call with
-  ``*args`` or ``**kwargs`` sets every parameter of its callee.
+  ``*args`` or ``**kwargs`` sets every parameter of its callee.  A
+  literal argument equal to the parameter's default literal does not
+  count: it passes the value the parameter already holds.
 - *Forwarding*: an argument that forwards the caller's own parameter
   of the same name sets the callee's parameter only if the caller's is
   itself set (a required parameter always is), so a shim cannot keep a
@@ -29,10 +31,11 @@ The rule:
   item-assigned or mutated in place outside ``__init__`` and
   ``__post_init__``.
 
-Blind spot: callees are matched by name, and names collide across
+Blind spots: callees are matched by name, and names collide across
 classes, so any ``demodulate(soft=...)`` call keeps the ``soft``
 parameter of every ``demodulate``.  State is matched by attribute name
-the same way.
+the same way.  Only a literal is compared with the default, so a named
+constant equal to it still counts as a setter.
 """
 
 from __future__ import annotations
@@ -133,6 +136,25 @@ class _Def:
     defaulted: tuple[str, ...]  # its settings
     exempt: bool
     is_dataclass: bool
+    literals: dict[str, object]  # the settings whose default is a literal, to it
+
+
+#: What :func:`_literal` returns for an expression that is no literal.
+_NOT_LITERAL = object()
+
+
+def _literal(node: ast.expr | None) -> object:
+    """The value of a literal expression (``2.0``, ``-1``, ``(48, 1)``,
+    ``None``); :data:`_NOT_LITERAL` for anything else."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
+def _literals(names, defaults) -> dict[str, object]:
+    pairs = ((name, _literal(default)) for name, default in zip(names, defaults))
+    return {name: value for name, value in pairs if value is not _NOT_LITERAL}
 
 
 def _field_default(stmt: ast.AnnAssign) -> bool | None:
@@ -149,11 +171,21 @@ def _field_default(stmt: ast.AnnAssign) -> bool | None:
     return value is not None
 
 
+def _field_default_expr(stmt: ast.AnnAssign) -> ast.expr | None:
+    """An init field's default value expression, if it has one."""
+    value = stmt.value
+    if isinstance(value, ast.Call) and _callee(value.func) == "field":
+        return next((kw.value for kw in value.keywords if kw.arg == "default"), None)
+    return value
+
+
 def _function_def(node, cls: ast.ClassDef | None, where: str) -> _Def:
     args = node.args
     positional = [a.arg for a in args.posonlyargs + args.args]
     defaulted = positional[len(positional) - len(args.defaults):]
+    literals = _literals(defaulted, args.defaults)
     defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    literals |= _literals([a.arg for a in args.kwonlyargs], args.kw_defaults)
     if cls is not None and not _decorated(node, "staticmethod"):
         positional = positional[1:]
     init = cls is not None and node.name == "__init__"
@@ -164,6 +196,7 @@ def _function_def(node, cls: ast.ClassDef | None, where: str) -> _Def:
         tuple(defaulted),
         _decorated(node, "implements"),
         False,
+        literals,
     )
 
 
@@ -175,17 +208,22 @@ def _definitions(
     ``exempt`` names the dataclasses exempt as a kind."""
     by_node: dict[int, _Def] = {}
     classes: dict[str, tuple[list[str], dict[str, bool], str]] = {}
+    field_literals: dict[str, dict[str, object]] = {}
 
     def visit(node: ast.AST, cls: ast.ClassDef | None, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 if _is_dataclass(child):
                     own = {}
+                    literals = field_literals.setdefault(child.name, {})
                     for stmt in child.body:
                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                             default = _field_default(stmt)
                             if default is not None:
                                 own[stmt.target.id] = default
+                                literals |= _literals(
+                                    [stmt.target.id], [_field_default_expr(stmt)]
+                                )
                     bases = [_callee(b) for b in child.bases]
                     classes[child.name] = (bases, own, prefix + child.name)
                 visit(child, child, f"{prefix}{child.name}.")
@@ -200,17 +238,20 @@ def _definitions(
     for module, tree in src.items():
         visit(tree, None, f"{module}.")
 
-    def fields(name: str) -> dict[str, bool]:
+    def fields(name: str) -> tuple[dict[str, bool], dict[str, object]]:
         bases, own, _ = classes[name]
         out: dict[str, bool] = {}
+        literals: dict[str, object] = {}
         for base in bases:
             if base in classes:
-                out.update(fields(base))
-        return out | own
+                base_fields, base_literals = fields(base)
+                out.update(base_fields)
+                literals.update(base_literals)
+        return out | own, literals | field_literals[name]
 
     defs = list(by_node.values())
     for name, (_, _, where) in classes.items():
-        all_fields = fields(name)
+        all_fields, literals = fields(name)
         defs.append(_Def(
             name,
             where,
@@ -218,6 +259,7 @@ def _definitions(
             tuple(f for f, default in all_fields.items() if default),
             name in exempt,
             True,
+            literals,
         ))
     return defs, by_node
 
@@ -273,8 +315,11 @@ def _set_settings(
     is_set: set[tuple[str, str]] = set()
     forwards: list[tuple[tuple[str, str], tuple[str, str]]] = []
 
-    def record(key: str, name: str, value: ast.expr, scopes: list[ast.AST]) -> None:
-        """A call passes ``value`` as ``key``'s ``name``."""
+    def record(d: _Def, name: str, value: ast.expr, scopes: list[ast.AST]) -> None:
+        """A call passes ``value`` as ``d``'s ``name``."""
+        key = d.key
+        if name in d.literals and _literal(value) == d.literals[name]:
+            return
         if isinstance(value, ast.Name) and value.id == name:
             for scope in reversed(scopes):
                 args = scope.args
@@ -297,7 +342,7 @@ def _set_settings(
             for kw in node.keywords:
                 for d in defs:
                     if d.is_dataclass and kw.arg in d.positional:
-                        record(d.key, kw.arg, kw.value, scopes)
+                        record(d, kw.arg, kw.value, scopes)
             return
         targets = by_key.get(key, ())
         if any(isinstance(a, ast.Starred) for a in node.args) or any(
@@ -305,12 +350,11 @@ def _set_settings(
         ):
             is_set.update((key, n) for d in targets for n in d.defaulted)
             return
-        for i, arg in enumerate(node.args):
-            for d in targets:
-                if i < len(d.positional):
-                    record(key, d.positional[i], arg, scopes)
-        for kw in node.keywords:
-            record(key, kw.arg, kw.value, scopes)
+        for d in targets:
+            for i, arg in enumerate(node.args[: len(d.positional)]):
+                record(d, d.positional[i], arg, scopes)
+            for kw in node.keywords:
+                record(d, kw.arg, kw.value, scopes)
 
     def walk(
         node: ast.AST, scopes: list[ast.AST], cls: ast.ClassDef | None, aliases: dict[str, str]
@@ -451,6 +495,28 @@ class TestRule:
                 return f(x, scale=scale)
         """
         assert _unset_in(source) == ()
+
+    def test_passing_the_default_literal_does_not_set_it(self):
+        source = """
+            from dataclasses import dataclass
+
+            def f(x, scale=1.0, *, shape=(48, 1), mode=None):
+                return x * scale
+
+            @dataclass
+            class Frame:
+                bits: int = 16
+
+            def g():
+                return f(1.0, 1.0, shape=(48, 1), mode=None), Frame(bits=16)
+        """
+        assert _unset_in(source) == ("m.f.scale", "m.f.shape", "m.f.mode", "m.Frame.bits")
+        # Another literal, or any expression that is not a literal, sets it.
+        entry = """
+            f(1.0, 2.0, shape=SHAPE, mode="fast")
+            Frame(-16)
+        """
+        assert _unset_in(source, entry=entry) == ()
 
     def test_kwargs_set_every_parameter(self):
         source = """

@@ -43,3 +43,25 @@ class TestGauges:
 
     def test_report_omits_empty_gauge_section(self):
         assert "gauges (name" not in perf.report()
+
+
+class TestCacheReport:
+    def test_one_row_per_cache_with_its_evictions(self):
+        from repro.core import wavecache
+        from repro.phy.waveform import _shift_phasor
+
+        wavecache.clear_caches()
+        try:
+            for k in range(17):  # one more key than the memo holds
+                _shift_phasor(float(k), 20e6, 64)
+            stats = wavecache.cache_stats()
+            assert stats["phy.waveform.shift_phasor"] == {
+                "hits": 0, "misses": 17, "evictions": 1, "size": 16, "maxsize": 16,
+            }
+            lines = perf.report().splitlines()
+            rows = lines[lines.index("caches (name, hits, misses, evictions, size/max):") + 1:]
+            assert [row.split()[0] for row in rows] == sorted(stats)
+            row = next(r for r in rows if r.split()[0] == "phy.waveform.shift_phasor")
+            assert row.split()[1:] == ["0", "17", "1", "16/16"]
+        finally:
+            wavecache.clear_caches()

@@ -418,7 +418,7 @@ class TestF001:
 
 
 # ----------------------------------------------------------------------
-# F002: wavecache writes outside the locked API
+# F002: caches cleared from worker-reachable code
 # ----------------------------------------------------------------------
 class TestF002:
     def test_clear_caches_from_worker_fires(self, tmp_path):
@@ -447,50 +447,46 @@ class TestF002:
         """
         assert _codes(tmp_path, src) == ["F002"]
 
-    def test_lru_put_on_module_instance_fires(self, tmp_path):
-        pkg = tmp_path / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (tmp_path / "repro" / "__init__.py").write_text("")
-        (pkg / "__init__.py").write_text("")
-        (pkg / "wavecache.py").write_text(
-            textwrap.dedent(
-                """\
-                class LruCache:
-                    def get_or_create(self, key, factory):
-                        ...
-
-                    def put(self, key, value):
-                        ...
-                """
-            )
-        )
-        (pkg / "user.py").write_text(
-            textwrap.dedent(
-                """\
-                from repro.core.wavecache import LruCache
-
-                _CACHE = LruCache()
-
-                def worker(trial: int) -> int:
-                    _CACHE.put(trial, trial)
-                    return trial
-
-                def launch(pool):
-                    pool.submit(worker, 1)
-                """
-            )
-        )
-        result = analyze_paths([str(tmp_path)], check_bytecode=False)
-        assert [f.code for f in result.findings] == ["F002"]
-
-    def test_get_or_create_ok(self, tmp_path):
+    def test_store_into_wavecache_fires(self, tmp_path):
         src = """\
-            from repro.core.wavecache import LruCache
-
-            _CACHE = LruCache(maxsize=4)
+            from repro.core import wavecache
 
             def worker(trial: int) -> int:
-                return _CACHE.get_or_create(trial, lambda: trial)
+                wavecache.clear_caches = None
+                return trial
+
+            def launch(pool):
+                pool.submit(worker, 1)
+        """
+        assert _codes(tmp_path, src) == ["F002"]
+
+    def test_cache_clear_fires(self, tmp_path):
+        src = """\
+            from functools import lru_cache
+
+            @lru_cache(maxsize=4)
+            def _taps(n: int) -> int:
+                return n
+
+            def worker(trial: int) -> int:
+                _taps.cache_clear()
+                return trial
+
+            def launch(pool):
+                pool.submit(worker, 1)
+        """
+        assert _codes(tmp_path, src) == ["F002"]
+
+    def test_calling_a_cached_function_ok(self, tmp_path):
+        src = """\
+            from functools import lru_cache
+
+            @lru_cache(maxsize=4)
+            def _taps(n: int) -> int:
+                return n
+
+            def worker(trial: int) -> int:
+                return _taps(trial) + _taps.cache_info().hits
 
             def launch(pool):
                 pool.submit(worker, 1)

@@ -12,7 +12,7 @@ RULES: dict[str, str] = {
     "U003": "call argument unit does not match the callee parameter's unit",
     "U004": "unit-ambiguous public parameter; add a unit suffix or units annotation",
     "F001": "worker-reachable function mutates a module-level global",
-    "F002": "worker-reachable function writes wavecache state outside its locked API",
+    "F002": "worker-reachable function clears a cache or writes wavecache state",
     "B001": "compiled bytecode tracked by git; remove and gitignore it",
     "B002": "packaging metadata (egg-info) tracked by git; remove and gitignore it",
 }

@@ -8,9 +8,10 @@ every function reachable from those roots to avoid mutating
 module-level state:
 
 F001  worker-reachable function mutates a module-level global
-F002  worker-reachable function writes wavecache state outside its
-      locked API (``get_or_create`` is sanctioned; ``put``/``clear``/
-      ``clear_caches`` are not)
+F002  worker-reachable function clears a cache: calls
+      ``wavecache.clear_caches()`` or an ``lru_cache`` function's
+      ``cache_clear()`` (calling the cached function is the only
+      sanctioned way to touch a cache)
 
 Roots are detected statically: the callable handed to ``pool.submit``
 / ``pool.map`` / ``loop.run_in_executor``, and any function decorated
@@ -36,11 +37,7 @@ __all__ = ["worker_roots", "reachable_functions", "check_purity"]
 WAVECACHE_MODULE = "repro.core.wavecache"
 
 #: wavecache entry points that rewrite shared cache state.
-_WAVECACHE_WRITERS = frozenset({"clear_caches", "_register_phy_caches"})
-
-#: LruCache methods that mutate cache contents (``get``/``stats``/
-#: ``get_or_create`` are the sanctioned read/compute path).
-_LRU_MUTATORS = frozenset({"put", "clear"})
+_WAVECACHE_WRITERS = frozenset({"clear_caches"})
 
 #: method names that mutate their receiver in place.
 _MUTATING_METHODS = frozenset(
@@ -181,19 +178,13 @@ class _PurityChecker:
         return target is not None and target in self.index.modules
 
     def _wavecache_target(self, name: str | None) -> bool:
-        """Does ``name`` refer to the wavecache module or an LruCache?"""
-        if name is None:
-            return False
-        target = self.mod.imports.get(name)
-        if target == WAVECACHE_MODULE:
-            return True
-        cls_fq = self.mod.module_instances.get(name)
-        return cls_fq == f"{WAVECACHE_MODULE}.LruCache"
+        """Does ``name`` refer to the wavecache module?"""
+        return name is not None and self.mod.imports.get(name) == WAVECACHE_MODULE
 
     # ------------------------------------------------------------- check
     def check(self) -> None:
         if self.mod.name == WAVECACHE_MODULE:
-            return  # the locked API itself
+            return  # the cache table itself
         for node in walk_function_body(self.fn.node):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (
@@ -228,15 +219,12 @@ class _PurityChecker:
             root = _root_name(target.value)
             if root in {"self", "cls"}:
                 return
-            if self._wavecache_target(root) or (
-                root is not None
-                and self.mod.imports.get(root) == WAVECACHE_MODULE
-            ):
+            if self._wavecache_target(root):
                 self._report(
                     stmt,
                     "F002",
                     "worker-reachable function writes wavecache state "
-                    "directly; use the locked get_or_create API",
+                    "directly",
                 )
             elif self._is_module_global(root):
                 self._report(
@@ -268,31 +256,28 @@ class _PurityChecker:
             return
         if not isinstance(func, ast.Attribute):
             return
+        if func.attr == "cache_clear":
+            self._report(
+                node,
+                "F002",
+                "worker-reachable function calls cache_clear(), which "
+                "rewrites shared cache state",
+            )
+            return
         base = func.value
         root = _root_name(base) if isinstance(base, (ast.Attribute, ast.Subscript)) else (
             base.id if isinstance(base, ast.Name) else None
         )
         if root is None or root in self.locals or root in {"self", "cls"}:
             return
-        # wavecache module functions / LruCache instances
-        if self._wavecache_target(root) or self.mod.imports.get(root) == WAVECACHE_MODULE:
-            if func.attr in _WAVECACHE_WRITERS or func.attr in _LRU_MUTATORS:
+        if self._wavecache_target(root):
+            if func.attr in _WAVECACHE_WRITERS:
                 self._report(
                     node,
                     "F002",
-                    f"worker-reachable function calls {func.attr}() on "
-                    "wavecache state outside its locked API",
+                    f"worker-reachable function calls wavecache."
+                    f"{func.attr}(), which rewrites shared cache state",
                 )
-            return
-        # LruCache instances defined at module scope anywhere else
-        cls_fq = self.mod.module_instances.get(root)
-        if cls_fq == f"{WAVECACHE_MODULE}.LruCache" and func.attr in _LRU_MUTATORS:
-            self._report(
-                node,
-                "F002",
-                f"worker-reachable function calls {func.attr}() on a "
-                "module-level LruCache outside the locked API",
-            )
             return
         if func.attr in _MUTATING_METHODS and self._is_module_global(root):
             self._report(
