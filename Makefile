@@ -69,15 +69,22 @@ serve-smoke:
 		$(PYTHON) -m repro serve --tags 8 --subscribers 2 --max-packets 32 \
 		--policy block --require-clean
 
-# Crash a run mid-save with the fault-injection harness, resume it,
-# and require byte-identity with an undisturbed run
-# (docs/ROBUSTNESS.md; this is the CI crash/resume guard).
+# Crash a run mid-save with the fault-injection harness, require that
+# no partial artifact survived, resume it twice (the second resume is a
+# no-op), and require byte-identity with an undisturbed run and a clean
+# artifact check (docs/ROBUSTNESS.md; the CI crash/resume guard).  Both
+# run directories start empty, so an artifact left by an earlier run
+# cannot hide a partial write.
 crash-test:
+	rm -rf runs/fresh runs/crashy
 	$(PYTHON) -m repro run-all --preset quick --out runs/fresh
 	REPRO_FAULTS="kill:site=save,name=fig15_occlusion" \
 		$(PYTHON) -m repro run-all --preset quick --out runs/crashy || true
+	test ! -e runs/crashy/fig15_occlusion.json
+	$(PYTHON) -m repro run-all --resume runs/crashy
 	$(PYTHON) -m repro run-all --resume runs/crashy
 	diff -r runs/fresh runs/crashy
+	$(PYTHON) tools/check_artifacts.py runs/crashy --expect-all
 
 # The anchored performance gates (docs/PERFORMANCE.md): seed-to-shipped
 # kernel speed ratios against fixed floors, and the decode pool against

@@ -34,7 +34,6 @@ class AdcCapture:
     """Digitized baseband: integer codes plus acquisition metadata."""
 
     codes: np.ndarray
-    sample_rate: Hertz
     v_ref: Volts
     n_bits: int
 
@@ -151,9 +150,4 @@ class Adc:
         codes = np.clip(
             np.round(volts / self.v_ref * full_scale), 0, full_scale
         ).astype(np.int32)
-        return AdcCapture(
-            codes=codes,
-            sample_rate=self.sample_rate,
-            v_ref=self.v_ref,
-            n_bits=self.n_bits,
-        )
+        return AdcCapture(codes=codes, v_ref=self.v_ref, n_bits=self.n_bits)

@@ -17,7 +17,13 @@ from repro.core.tag_modulation import TagModulator
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 
-__all__ = ["TagReaction", "MultiscatterTag"]
+__all__ = ["TagReaction", "MultiscatterTag", "TAG_IDENTIFICATION"]
+
+#: The tag's identification setup: 2.5 Msps, +-1 quantization, the
+#: extended matching window (§2.3.2) and ordered matching.
+TAG_IDENTIFICATION = IdentificationConfig(
+    sample_rate_hz=2.5e6, quantized=True, window_us=38.0, ordered=True
+)
 
 
 @dataclass
@@ -40,14 +46,7 @@ class MultiscatterTag:
     """
 
     def __init__(self) -> None:
-        self.identifier = ProtocolIdentifier(
-            IdentificationConfig(
-                sample_rate_hz=2.5e6,
-                quantized=True,
-                window_us=38.0,
-                ordered=True,
-            )
-        )
+        self.identifier = ProtocolIdentifier(TAG_IDENTIFICATION)
         self._modulators: dict[Protocol, TagModulator] = {}
 
     def modulator_for(self, protocol: Protocol) -> TagModulator:

@@ -26,10 +26,10 @@ import numpy as np
 
 from repro.core.adc import Adc
 from repro.core.rectifier import ClampRectifier
-from repro.phy import ble, wifi_b, wifi_n, zigbee
+from repro.phy import modems
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
-from repro.types import DbmPower, Microseconds, Samples
+from repro.types import DbmPower, Samples
 
 __all__ = [
     "Template",
@@ -52,16 +52,7 @@ TEMPLATE_INCIDENT_DBM: DbmPower = -15.0
 def _build_reference(protocol: Protocol) -> Waveform:
     """The reference packet of ``protocol``, made once per protocol;
     :func:`reference_waveform` hands out copies."""
-    payload = bytes(16)
-    if protocol is Protocol.WIFI_B:
-        return wifi_b.modulate(payload)
-    if protocol is Protocol.WIFI_N:
-        return wifi_n.modulate(payload)
-    if protocol is Protocol.BLE:
-        return ble.modulate(payload)
-    if protocol is Protocol.ZIGBEE:
-        return zigbee.modulate(payload)
-    raise ValueError(f"unknown protocol {protocol}")
+    return modems.modulate(protocol, bytes(16))
 
 
 def reference_waveform(protocol: Protocol) -> Waveform:
@@ -109,9 +100,6 @@ class TemplateBank:
     with a single GEMM instead of one GEMV per template.
     """
 
-    adc: Adc
-    window_us: Microseconds
-    preprocess_us: Microseconds
     templates: Mapping[Protocol, Template]
     stacked: np.ndarray
     stacked_q: np.ndarray
@@ -150,9 +138,6 @@ class TemplateBank:
                 matching_q=quantized,
             )
         return cls(
-            adc=adc,
-            window_us=window_us,
-            preprocess_us=preprocess_us,
             templates=MappingProxyType(templates),
             stacked=np.vstack([t.matching for t in templates.values()]),
             stacked_q=np.vstack([t.matching_q for t in templates.values()]),

@@ -1,11 +1,11 @@
 """Experiment harness: one module per paper table and figure.
 
-Each module exposes ``run(...)`` returning a structured result and
+Each module exposes ``run(params)`` returning a structured result and
 ``format_result(result)`` rendering the same rows/series the paper
 reports.  ``tests/paper/`` checks each result against the paper's
-numbers, and perfbench's ``campaign-paper`` workload times them; the
-modules are also directly runnable (``python -m
-repro.experiments.fig05_envelope_id``).
+numbers, and perfbench's ``campaign-paper`` workload times them.
+``python -m repro run NAME`` runs one (``python -m repro run
+fig05_envelope_id``).
 
 | Module                  | Paper artifact |
 |-------------------------|----------------|

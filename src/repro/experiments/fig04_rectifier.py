@@ -18,6 +18,7 @@ import numpy as np
 from repro.channel.pathloss import log_distance_path_loss_db
 from repro.core.rectifier import BasicRectifier, ClampRectifier, WispRectifier
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Fig04Params
 from repro.experiments.registry import implements
 from repro.phy import wifi_b
 from repro.sim.metrics import format_table
@@ -52,13 +53,8 @@ def downlink_range_m() -> float:
 
 
 @implements("fig04_rectifier")
-def run(
-    *,
-    p_start_dbm: float = -35.0,
-    p_stop_dbm: float = 1.0,
-    p_step_db: float = 2.5,
-) -> ExperimentResult:
-    powers = np.arange(p_start_dbm, p_stop_dbm, p_step_db)
+def run(params: Fig04Params) -> ExperimentResult:
+    powers = np.arange(params.p_start_dbm, params.p_stop_dbm, params.p_step_db)
     basic = BasicRectifier(noise_v_rms=0.0)
     clamp = ClampRectifier(noise_v_rms=0.0)
     wisp = WispRectifier(noise_v_rms=0.0)
@@ -103,9 +99,3 @@ def format_result(result: ExperimentResult) -> str:
         f"{result['downlink_range_m']:.2f} m (paper: 0.9 m)"
     )
     return table + tail
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig04_rectifier", "full").render())

@@ -19,8 +19,9 @@ from repro.core.identification import (
     tabulate_accuracy,
 )
 from repro.core.rectifier import ClampRectifier
-from repro.core.templates import reference_waveform
+from repro.core.templates import TEMPLATE_INCIDENT_DBM, reference_waveform
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER, labeled_traces
+from repro.experiments.params import Fig05Params
 from repro.experiments.registry import implements
 from repro.phy.protocols import Protocol
 from repro.sim.metrics import format_table
@@ -37,21 +38,15 @@ def envelope_traces() -> dict[Protocol, np.ndarray]:
     out = {}
     for protocol in Protocol:
         wave = reference_waveform(protocol)
-        analog = rect.rectify(wave, -15.0)
+        analog = rect.rectify(wave, TEMPLATE_INCIDENT_DBM)
         cap = adc.capture(analog, duration_s=40.0 * 1e-6)
         out[protocol] = cap.volts()
     return out
 
 
 @implements("fig05_envelope_id")
-def run(
-    *,
-    seed: int,
-    n_traces: int = 12,
-    grid: tuple[tuple[int, int], ...] = ((20, 60), (40, 120), (60, 100)),
-    n_workers: int | None = None,
-) -> ExperimentResult:
-    """``grid`` holds (L_p, L_t) pairs in 20 Msps samples.
+def run(params: Fig05Params) -> ExperimentResult:
+    """``params.grid`` holds (L_p, L_t) pairs in 20 Msps samples.
 
     Every grid point scores the same traces from ``default_rng(seed)``,
     so one pass scores each trace for all of them while it is the only
@@ -64,16 +59,16 @@ def run(
                 window_us=l_t / SAMPLE_RATE * 1e6,
             )
         )
-        for l_p, l_t in grid
+        for l_p, l_t in params.grid
     ]
     scored = score_traces(
         idents,
-        labeled_traces(n_traces, seed=seed, n_workers=n_workers),
-        rng=np.random.default_rng(seed),
+        labeled_traces(params.n_traces, seed=params.seed, n_workers=params.n_workers),
+        rng=np.random.default_rng(params.seed),
     )
     results = {
         (l_p, l_t): tabulate_accuracy(ident.matcher, labeled)
-        for (l_p, l_t), ident, labeled in zip(grid, idents, scored)
+        for (l_p, l_t), ident, labeled in zip(params.grid, idents, scored)
     }
     return ExperimentResult(
         name="fig05_envelope_id",
@@ -97,9 +92,3 @@ def format_result(result: ExperimentResult) -> str:
         rows.append(row)
     headers = ["L_p", "L_t"] + [p.value for p in PROTOCOL_ORDER] + ["avg", "min"]
     return format_table(headers, rows)
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig05_envelope_id", "full").render())

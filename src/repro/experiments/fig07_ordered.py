@@ -20,6 +20,7 @@ from repro.core.identification import (
 )
 from repro.core.matching import search_thresholds
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER, labeled_traces
+from repro.experiments.params import Fig07Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
@@ -27,29 +28,21 @@ __all__ = ["run", "format_result"]
 
 
 @implements("fig07_ordered")
-def run(
-    *,
-    seed: int,
-    n_traces: int = 12,
-    n_train: int = 16,
-    sample_rate_hz: float = 10e6,
-    power_drop_db: float = 4.0,
-    n_workers: int | None = None,
-) -> ExperimentResult:
-    """``power_drop_db`` places the tag slightly farther from the
+def run(params: Fig07Params) -> ExperimentResult:
+    """``params.power_drop_db`` places the tag slightly farther from the
     radios than the 0.8 m default (~1.3 m at 4 dB) -- the operating
     point where the blind/ordered distinction emerges."""
     config = IdentificationConfig(
-        sample_rate_hz=sample_rate_hz, quantized=True, window_us=6.0
+        sample_rate_hz=params.sample_rate_hz, quantized=True, window_us=6.0
     )
     ident = ProtocolIdentifier(config)
-    powers = {p: v - power_drop_db for p, v in DEFAULT_INCIDENT_DBM.items()}
+    powers = {p: v - params.power_drop_db for p, v in DEFAULT_INCIDENT_DBM.items()}
 
     # Train ordered thresholds on a disjoint trace set (paper §2.3.2).
     (trained,) = score_traces(
         [ident],
-        labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers),
-        rng=np.random.default_rng(seed),
+        labeled_traces(params.n_train, seed=params.seed + 1000, n_workers=params.n_workers),
+        rng=np.random.default_rng(params.seed),
         incident_power_dbm=powers,
     )
     matcher, train_acc = search_thresholds(trained)
@@ -58,8 +51,8 @@ def run(
     # matcher, so the test set is scored once.
     (scored,) = score_traces(
         [ident],
-        labeled_traces(n_traces, seed=seed, n_workers=n_workers),
-        rng=np.random.default_rng(seed + 1),
+        labeled_traces(params.n_traces, seed=params.seed, n_workers=params.n_workers),
+        rng=np.random.default_rng(params.seed + 1),
         incident_power_dbm=powers,
     )
     blind_report = tabulate_accuracy(ident.matcher, scored)
@@ -86,9 +79,3 @@ def format_result(result: ExperimentResult) -> str:
         rows.append(row)
     headers = ["matching"] + [p.value for p in PROTOCOL_ORDER] + ["avg"]
     return format_table(headers, rows)
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig07_ordered", "full").render())

@@ -20,6 +20,7 @@ from repro.core.identification import (
 )
 from repro.core.matching import search_thresholds
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER, labeled_traces
+from repro.experiments.params import Fig08Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
@@ -34,9 +35,7 @@ PANELS = (
 
 
 @implements("fig08_sampling")
-def run(
-    *, seed: int, n_traces: int = 12, n_train: int = 8, n_workers: int | None = None
-) -> ExperimentResult:
+def run(params: Fig08Params) -> ExperimentResult:
     # Each panel keeps its own identifier, thresholds and random streams;
     # the panels share one rectifier model, so one pass per set scores
     # each trace for all three while it is the only trace alive.
@@ -48,15 +47,15 @@ def run(
     ]
     trained = score_traces(
         idents,
-        labeled_traces(n_train, seed=seed + 1000, n_workers=n_workers),
-        rng=np.random.default_rng(seed),
+        labeled_traces(params.n_train, seed=params.seed + 1000, n_workers=params.n_workers),
+        rng=np.random.default_rng(params.seed),
     )
     for ident, labeled in zip(idents, trained):
         ident.matcher, _ = search_thresholds(labeled)
     tested = score_traces(
         idents,
-        labeled_traces(n_traces, seed=seed, n_workers=n_workers),
-        rng=np.random.default_rng(seed + 1),
+        labeled_traces(params.n_traces, seed=params.seed, n_workers=params.n_workers),
+        rng=np.random.default_rng(params.seed + 1),
     )
     reports = {
         label: tabulate_accuracy(ident.matcher, labeled)
@@ -81,9 +80,3 @@ def format_result(result: ExperimentResult) -> str:
         rows.append(row)
     headers = ["panel"] + [p.value for p in PROTOCOL_ORDER] + ["avg"]
     return format_table(headers, rows)
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig08_sampling", "full").render())

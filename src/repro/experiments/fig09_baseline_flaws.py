@@ -13,6 +13,7 @@ import numpy as np
 from repro.baselines import FreeRider, Hitchhike
 from repro.channel.occlusion import Material
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Fig09Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
@@ -22,13 +23,13 @@ MATERIALS = (Material.NONE, Material.WOOD, Material.CONCRETE)
 
 
 @implements("fig09_baseline_flaws")
-def run(*, seed: int, n_packets: int = 400) -> ExperimentResult:
-    rng = np.random.default_rng(seed)
+def run(params: Fig09Params) -> ExperimentResult:
+    rng = np.random.default_rng(params.seed)
     hh = Hitchhike()
     fr = FreeRider()
     bers = {
-        "hitchhike": {m: hh.tag_ber(m, rng, n_packets=n_packets) for m in MATERIALS},
-        "freerider": {m: fr.tag_ber(m, rng, n_packets=n_packets) for m in MATERIALS},
+        "hitchhike": {m: hh.tag_ber(m, rng, n_packets=params.n_packets) for m in MATERIALS},
+        "freerider": {m: fr.tag_ber(m, rng, n_packets=params.n_packets) for m in MATERIALS},
     }
     distances = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
     offsets = {
@@ -60,9 +61,3 @@ def format_result(result: ExperimentResult) -> str:
         rows_b.append([f"{d:.0f}", f"{arr.mean():.2f}", f"{arr.max()}"])
     part_b = format_table(["range (m)", "mean offset", "max offset"], rows_b)
     return part_a + "\n\n" + part_b
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig09_baseline_flaws", "full").render())

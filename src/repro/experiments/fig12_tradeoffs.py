@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.overlay import Mode
 from repro.core.throughput import OverlayThroughputModel
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER
+from repro.experiments.params import Fig12Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
@@ -22,9 +23,9 @@ __all__ = ["run", "format_result"]
 
 
 @implements("fig12_tradeoffs")
-def run(*, seed: int, n_locations: int = 100, max_distance_m: float = 8.0) -> ExperimentResult:
-    rng = np.random.default_rng(seed)
-    distances = rng.uniform(1.0, max_distance_m, size=n_locations)
+def run(params: Fig12Params) -> ExperimentResult:
+    rng = np.random.default_rng(params.seed)
+    distances = rng.uniform(1.0, params.max_distance_m, size=params.n_locations)
     table: dict[tuple, dict[str, float]] = {}
     for protocol in PROTOCOL_ORDER:
         for mode in Mode:
@@ -69,9 +70,3 @@ def format_result(result: ExperimentResult) -> str:
         ["protocol", "mode", "kappa", "gamma", "productive kbps", "tag kbps", "aggregate"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig12_tradeoffs", "full").render())

@@ -13,19 +13,16 @@ from repro.channel.link import PROTOCOL_LINK_DEFAULTS, BackscatterLink
 from repro.core.overlay import Mode
 from repro.core.throughput import OverlayThroughputModel
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER
+from repro.experiments.params import Fig13Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
 __all__ = ["run", "format_result", "sweep"]
 
 
-def sweep(
-    *,
-    extra_loss_db: float = 0.0,
-    distances: np.ndarray | None = None,
-) -> dict:
+def sweep(params: Fig13Params, *, extra_loss_db: float) -> dict:
     """Shared Fig 13 / Fig 14 machinery (NLoS adds wall loss)."""
-    d = distances if distances is not None else np.arange(1.0, 32.0, 1.0)
+    d = np.arange(params.d_start_m, params.d_stop_m, params.d_step_m)
     data: dict = {"distances_m": d, "per_protocol": {}}
     for protocol in PROTOCOL_ORDER:
         link = BackscatterLink(
@@ -43,13 +40,10 @@ def sweep(
 
 
 @implements("fig13_los")
-def run(
-    *, d_start_m: float = 1.0, d_stop_m: float = 32.0, d_step_m: float = 1.0
-) -> ExperimentResult:
-    distances = np.arange(d_start_m, d_stop_m, d_step_m)
+def run(params: Fig13Params) -> ExperimentResult:
     return ExperimentResult(
         name="fig13_los",
-        data=sweep(extra_loss_db=0.0, distances=distances),
+        data=sweep(params, extra_loss_db=0.0),
         notes=[
             "paper: LoS max ranges 28 m WiFi / 22 m ZigBee / 20 m BLE",
             "paper: low BER out to 16 m for all protocols",
@@ -78,9 +72,3 @@ def format_result(result: ExperimentResult) -> str:
         ["protocol", "max range (m)", "RSSI@10m (dBm)", "BER@16m", "peak agg (kbps)"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig13_los", "full").render())

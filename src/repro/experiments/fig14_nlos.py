@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER
 from repro.experiments.fig13_los import sweep
+from repro.experiments.params import Fig13Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
@@ -23,13 +24,10 @@ OFFICE_WALL_LOSS_DB = 1.8
 
 
 @implements("fig14_nlos")
-def run(
-    *, d_start_m: float = 1.0, d_stop_m: float = 32.0, d_step_m: float = 1.0
-) -> ExperimentResult:
-    distances = np.arange(d_start_m, d_stop_m, d_step_m)
+def run(params: Fig13Params) -> ExperimentResult:
     return ExperimentResult(
         name="fig14_nlos",
-        data=sweep(extra_loss_db=OFFICE_WALL_LOSS_DB, distances=distances),
+        data=sweep(params, extra_loss_db=OFFICE_WALL_LOSS_DB),
         notes=[
             "paper: NLoS max ranges 22 m WiFi / 18 m ZigBee / 16 m BLE",
             "paper: ZigBee RSSI < -80 dBm beyond ~4 m NLoS",
@@ -55,9 +53,3 @@ def format_result(result: ExperimentResult) -> str:
     return format_table(
         ["protocol", "max range (m)", "RSSI@6m (dBm)", "peak agg (kbps)"], rows
     )
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig14_nlos", "full").render())

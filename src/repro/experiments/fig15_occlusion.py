@@ -16,6 +16,7 @@ from repro.channel.occlusion import Material
 from repro.core.overlay import Mode
 from repro.core.throughput import OverlayThroughputModel
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Fig15Params
 from repro.experiments.registry import implements
 from repro.phy.protocols import Protocol
 from repro.sim.metrics import format_table
@@ -24,23 +25,17 @@ __all__ = ["run", "format_result"]
 
 
 @implements("fig15_occlusion")
-def run(
-    *,
-    seed: int,
-    material: str = "drywall",
-    distance_m: float = 2.0,
-    n_packets: int = 500,
-) -> ExperimentResult:
-    obstruction = Material(material)
-    rng = np.random.default_rng(seed)
+def run(params: Fig15Params) -> ExperimentResult:
+    obstruction = Material(params.material)
+    rng = np.random.default_rng(params.seed)
     multi_ble = OverlayThroughputModel(Protocol.BLE, mode=Mode.MODE_1).evaluate(
-        distance_m
+        params.distance_m
     )
     multi_11b = OverlayThroughputModel(Protocol.WIFI_B, mode=Mode.MODE_1).evaluate(
-        distance_m
+        params.distance_m
     )
-    hh = Hitchhike().tag_throughput_kbps(obstruction, rng, n_packets=n_packets)
-    fr = FreeRider().tag_throughput_kbps(obstruction, rng, n_packets=n_packets)
+    hh = Hitchhike().tag_throughput_kbps(obstruction, rng, n_packets=params.n_packets)
+    fr = FreeRider().tag_throughput_kbps(obstruction, rng, n_packets=params.n_packets)
     return ExperimentResult(
         name="fig15_occlusion",
         data={
@@ -68,9 +63,3 @@ def format_result(result: ExperimentResult) -> str:
         f"original channel occluded by: {result['material'].value}\n"
         + format_table(["system", "tag throughput (kbps)"], rows)
     )
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig15_occlusion", "full").render())

@@ -27,11 +27,13 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.identification import IdentificationConfig, ProtocolIdentifier
+from repro.core.identification import DEFAULT_INCIDENT_DBM, ProtocolIdentifier
 from repro.core.overlay import Mode
-from repro.experiments.registry import implements
+from repro.core.tag import TAG_IDENTIFICATION
 from repro.core.throughput import OverlayThroughputModel
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Fig16Params
+from repro.experiments.registry import implements
 from repro.phy.protocols import Protocol
 from repro.phy.waveform import Waveform
 from repro.sim.scene import superimpose
@@ -39,10 +41,6 @@ from repro.sim.metrics import format_table
 from repro.sim.traffic import packet_airtime_s, random_packet
 
 __all__ = ["run", "format_result", "survival_rate"]
-
-#: Incident powers at the tag (see identification.DEFAULT_INCIDENT_DBM).
-_WIFI_DBM = -21.2
-_WEAK_DBM = -31.2
 
 #: Scenes submitted to the workers and not yet identified, besides the
 #: one being identified: enough to keep both workers busy while the
@@ -104,34 +102,28 @@ def survival_rate(
 
 
 @implements("fig16_collisions")
-def run(*, seed: int, n_trials: int = 16) -> ExperimentResult:
-    rng = np.random.default_rng(seed)
-    ident = ProtocolIdentifier(
-        IdentificationConfig(
-            sample_rate_hz=2.5e6, quantized=True, window_us=38.0, ordered=True
-        )
-    )
+def run(params: Fig16Params) -> ExperimentResult:
+    rng = np.random.default_rng(params.seed)
+    ident = ProtocolIdentifier(TAG_IDENTIFICATION)
+    # Each packet arrives at its radio's calibrated incident power.
+    dbm = DEFAULT_INCIDENT_DBM
 
-    def rel_survival(victim, victim_dbm, interferer, interferer_dbm, freq_off, ibytes=300):
+    def rel_survival(victim, interferer, freq_off, ibytes=300):
         clean = survival_rate(
-            ident, victim, victim_dbm, None, 0.0,
+            ident, victim, dbm[victim], None, 0.0,
             freq_offset_hz=freq_off, time_offset_s=0.0,
-            n_trials=n_trials, rng=rng,
+            n_trials=params.n_trials, rng=rng,
         )
         hit = survival_rate(
-            ident, victim, victim_dbm, interferer, interferer_dbm,
+            ident, victim, dbm[victim], interferer, dbm[interferer],
             freq_offset_hz=freq_off, time_offset_s=-50e-6,
-            n_trials=n_trials, rng=rng, interferer_bytes=ibytes,
+            n_trials=params.n_trials, rng=rng, interferer_bytes=ibytes,
         )
-        return (hit / clean if clean > 0 else 0.0), clean, hit
+        return hit / clean if clean > 0 else 0.0
 
-    surv_ble, _, _ = rel_survival(Protocol.BLE, _WEAK_DBM, Protocol.WIFI_N, _WIFI_DBM, -15e6)
-    surv_11n, _, _ = rel_survival(
-        Protocol.WIFI_N, _WIFI_DBM, Protocol.BLE, _WEAK_DBM, 15e6, ibytes=37
-    )
-    surv_zigbee_overlap, _, _ = rel_survival(
-        Protocol.ZIGBEE, _WEAK_DBM, Protocol.WIFI_N, _WIFI_DBM, 2e6
-    )
+    surv_ble = rel_survival(Protocol.BLE, Protocol.WIFI_N, -15e6)
+    surv_11n = rel_survival(Protocol.WIFI_N, Protocol.BLE, 15e6, ibytes=37)
+    surv_zigbee_overlap = rel_survival(Protocol.ZIGBEE, Protocol.WIFI_N, 2e6)
 
     # --- Fig 16a/b: time collision -----------------------------------
     wifi_rate = 2000.0
@@ -149,13 +141,13 @@ def run(*, seed: int, n_trials: int = 16) -> ExperimentResult:
     # --- Fig 16c/d: frequency collision, no time overlap --------------
     max_z = OverlayThroughputModel(Protocol.ZIGBEE, mode=Mode.MODE_1).evaluate(2.0)
     surv_z_tdma = survival_rate(
-        ident, Protocol.ZIGBEE, _WEAK_DBM, Protocol.WIFI_N, _WIFI_DBM,
+        ident, Protocol.ZIGBEE, dbm[Protocol.ZIGBEE], Protocol.WIFI_N, dbm[Protocol.WIFI_N],
         freq_offset_hz=2e6, time_offset_s=400e-6,  # lands after the window
-        n_trials=n_trials, rng=rng,
+        n_trials=params.n_trials, rng=rng,
     )
     clean_z = survival_rate(
-        ident, Protocol.ZIGBEE, _WEAK_DBM, None, 0.0,
-        freq_offset_hz=2e6, time_offset_s=0.0, n_trials=n_trials, rng=rng,
+        ident, Protocol.ZIGBEE, dbm[Protocol.ZIGBEE], None, 0.0,
+        freq_offset_hz=2e6, time_offset_s=0.0, n_trials=params.n_trials, rng=rng,
     )
     z_rel_tdma = surv_z_tdma / clean_z if clean_z > 0 else 0.0
 
@@ -198,9 +190,3 @@ def format_result(result: ExperimentResult) -> str:
     return format_table(
         ["collision", "protocol", "clean (kbps)", "collided (kbps)"], rows
     )
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig16_collisions", "full").render())

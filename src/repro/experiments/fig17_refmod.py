@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Fig17Params
 from repro.experiments.registry import implements
 from repro.phy import wifi_b, wifi_n
 from repro.sim.metrics import format_table
@@ -158,28 +159,22 @@ def wifi_n_tag_ber(
 
 
 @implements("fig17_refmod")
-def run(
-    *,
-    seed: int,
-    snr_11b_db: float = 3.0,
-    snr_11n_db: float = 12.0,
-    n_packets: int = 6,
-) -> ExperimentResult:
-    rng = np.random.default_rng(seed)
+def run(params: Fig17Params) -> ExperimentResult:
+    rng = np.random.default_rng(params.seed)
     bers_11b = {
-        "DSSS-BPSK (1M)": wifi_b_tag_ber(1.0, snr_db=snr_11b_db, n_packets=n_packets, rng=rng),
-        "DSSS-DQPSK (2M)": wifi_b_tag_ber(2.0, snr_db=snr_11b_db, n_packets=n_packets, rng=rng),
-        "CCK (5.5M)": wifi_b_tag_ber(5.5, snr_db=snr_11b_db, n_packets=n_packets, rng=rng),
+        label: wifi_b_tag_ber(rate, snr_db=params.snr_11b_db, n_packets=params.n_packets, rng=rng)
+        for label, rate in (("DSSS-BPSK (1M)", 1.0), ("DSSS-DQPSK (2M)", 2.0), ("CCK (5.5M)", 5.5))
     }
     bers_11n = {
-        "OFDM-BPSK (MCS0)": wifi_n_tag_ber(0, snr_db=snr_11n_db, n_packets=n_packets, rng=rng),
-        "OFDM-QPSK (MCS1)": wifi_n_tag_ber(1, snr_db=snr_11n_db, n_packets=n_packets, rng=rng),
-        "OFDM-16QAM (MCS3)": wifi_n_tag_ber(3, snr_db=snr_11n_db, n_packets=n_packets, rng=rng),
+        label: wifi_n_tag_ber(mcs, snr_db=params.snr_11n_db, n_packets=params.n_packets, rng=rng)
+        for label, mcs in (
+            ("OFDM-BPSK (MCS0)", 0), ("OFDM-QPSK (MCS1)", 1), ("OFDM-16QAM (MCS3)", 3)
+        )
     }
     return ExperimentResult(
         name="fig17_refmod",
         data={"wifi_b": bers_11b, "wifi_n": bers_11n,
-              "snr_11b_db": snr_11b_db, "snr_11n_db": snr_11n_db},
+              "snr_11b_db": params.snr_11b_db, "snr_11n_db": params.snr_11n_db},
         notes=[
             "paper: 11b tag BER < 0.6% across DSSS-BPSK/DQPSK/CCK",
             "paper: stable BER band across OFDM-BPSK/QPSK/16QAM",
@@ -192,9 +187,3 @@ def format_result(result: ExperimentResult) -> str:
     for name, ber in {**result["wifi_b"], **result["wifi_n"]}.items():
         rows.append([name, f"{ber * 100:.2f}%"])
     return format_table(["reference modulation", "tag BER"], rows)
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig17_refmod", "full").render())

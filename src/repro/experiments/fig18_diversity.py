@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.carrier_select import CarrierSelector, diversity_timeline
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Fig18Params
 from repro.experiments.registry import implements
 from repro.phy.protocols import Protocol
 from repro.sim.metrics import format_table
@@ -26,26 +27,21 @@ GOODPUT_GOAL_KBPS = 6.3
 
 
 @implements("fig18_diversity")
-def run(
-    *,
-    seed: int,
-    duration_s: float = 4.0,
-    duty_period_s: float = 1.0,
-) -> ExperimentResult:
-    rng = np.random.default_rng(seed)
+def run(params: Fig18Params) -> ExperimentResult:
+    rng = np.random.default_rng(params.seed)
 
     # ---- (a) duty-cycled carriers ------------------------------------
     sources = [
         ExcitationSource(
             Protocol.WIFI_B, rate_pkts=300, duty_cycle=0.5,
-            period_s=duty_period_s, phase_s=0.0,
+            period_s=params.duty_period_s, phase_s=0.0,
         ),
         ExcitationSource(
             Protocol.WIFI_N, rate_pkts=300, duty_cycle=0.5,
-            period_s=duty_period_s, phase_s=duty_period_s / 2,
+            period_s=params.duty_period_s, phase_s=params.duty_period_s / 2,
         ),
     ]
-    schedule = ExcitationSchedule.generate(sources, duration_s, rng)
+    schedule = ExcitationSchedule.generate(sources, params.duration_s, rng)
     multi = diversity_timeline(schedule, tag_protocols=tuple(Protocol))
     single = diversity_timeline(schedule, tag_protocols=(Protocol.WIFI_B,))
 
@@ -97,9 +93,3 @@ def format_result(result: ExperimentResult) -> str:
         f"802.11b-only goodput: {result['single_protocol_goodput_kbps']:.1f} kbps"
     )
     return part_a + part_b
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("fig18_diversity", "full").render())

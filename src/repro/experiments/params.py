@@ -1,9 +1,10 @@
 """Typed parameter dataclasses for every registered experiment.
 
-One frozen dataclass per experiment, holding everything a run depends
-on -- trial counts, seeds, sweep grids, worker counts.  Field names
-match the keyword arguments of the implementing module's ``run``
-exactly: the registry dispatches ``run(**fields)``.
+One frozen dataclass per experiment (Figs 13 and 14 share one),
+holding everything a run depends on -- trial counts, seeds, sweep
+grids, worker counts.  Each field is declared once, here: the
+registry dispatches ``run(params)`` to the implementing module, which
+reads ``params.<field>``.
 
 This module is deliberately **stdlib-only** (no NumPy, no repro
 subpackages): the registry imports it to describe experiments, and
@@ -29,7 +30,6 @@ __all__ = [
     "Fig09Params",
     "Fig12Params",
     "Fig13Params",
-    "Fig14Params",
     "Fig15Params",
     "Fig16Params",
     "Fig17Params",
@@ -102,16 +102,7 @@ class Fig12Params:
 
 @dataclass(frozen=True)
 class Fig13Params:
-    """LoS range sweep bounds (metres)."""
-
-    d_start_m: float = 1.0
-    d_stop_m: float = 32.0
-    d_step_m: float = 1.0
-
-
-@dataclass(frozen=True)
-class Fig14Params:
-    """NLoS range sweep bounds (metres)."""
+    """Range sweep bounds (metres): LoS in Fig 13, NLoS in Fig 14."""
 
     d_start_m: float = 1.0
     d_stop_m: float = 32.0

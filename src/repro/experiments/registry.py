@@ -10,7 +10,7 @@ under :mod:`repro.experiments` and self-registers with the
     from repro.experiments.registry import implements
 
     @implements("fig13_los")
-    def run(*, d_start_m: float = 1.0, ...) -> ExperimentResult: ...
+    def run(params: Fig13Params) -> ExperimentResult: ...
 
 The split keeps introspection cheap: this module (and
 :mod:`repro.experiments.params`) import only the standard library, so
@@ -19,8 +19,9 @@ NumPy-heavy implementation code.  Implementations load lazily, on the
 first ``spec.run(...)`` / ``spec.format(...)`` call.
 
 Adding an experiment is declaring it: add a params dataclass, one
-:func:`register` call (or call :func:`register` from your own package
-for out-of-tree workloads), and decorate the entry point.
+``_declare`` call in the catalog below, and decorate the entry point,
+which takes its params instance.  ``python -m repro run NAME`` runs
+one experiment.
 
 Typical use::
 
@@ -30,8 +31,6 @@ Typical use::
     result = spec.run("quick")            # preset name
     result = spec.run("full", d_step_m=0.5)  # preset + overrides
     print(spec.format(result))            # paper-style table
-
-    registry.run_preset("fig09_baseline_flaws", "quick", seed=7)
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ __all__ = [
     "get_spec",
     "implements",
     "names",
-    "register",
-    "run_preset",
     "specs",
 ]
 
@@ -110,45 +107,35 @@ class ExperimentSpec:
     # -- execution -----------------------------------------------------
     def run(self, preset: str = "full", **overrides: Any) -> "ExperimentResult":
         """Run one preset (plus overrides) and stamp provenance."""
-        return self.run_params(self.params(preset, **overrides), preset=preset)
-
-    def run_params(self, params: Any, *, preset: str | None = None) -> "ExperimentResult":
-        """Run from an explicit params instance."""
-        if not isinstance(params, self.params_type):
-            raise RegistryError(
-                f"experiment {self.name!r} expects {self.params_type.__name__}, "
-                f"got {type(params).__name__}"
-            )
-        kwargs = {
-            f.name: getattr(params, f.name) for f in dataclasses.fields(params)
-        }
-        self._validate(kwargs)
-        result = self._resolve()(**kwargs)
+        params = self.params(preset, **overrides)
+        fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+        self._validate(fields)
+        result = self._resolve()(params)
         if result.name != self.name:
             raise RegistryError(
                 f"implementation of {self.name!r} returned a result named "
                 f"{result.name!r}"
             )
         result.preset = preset
-        result.params = kwargs
+        result.params = fields
         return result
 
-    def _validate(self, kwargs: dict[str, Any]) -> None:
+    def _validate(self, fields: dict[str, Any]) -> None:
         """Bounds-check counts in one shared place (sim.runner)."""
         from repro.sim.runner import validate_bounds
 
         for field_name in _COUNT_FIELDS:
-            if field_name in kwargs:
+            if field_name in fields:
                 validate_bounds(
-                    n_trials=kwargs[field_name],
+                    n_trials=fields[field_name],
                     where=f"{self.name}.{field_name}",
                 )
-        if kwargs.get("n_workers") is not None:
+        if fields.get("n_workers") is not None:
             validate_bounds(
-                n_workers=kwargs["n_workers"], where=f"{self.name}.n_workers"
+                n_workers=fields["n_workers"], where=f"{self.name}.n_workers"
             )
 
-    def _resolve(self) -> Callable[..., "ExperimentResult"]:
+    def _resolve(self) -> Callable[[Any], "ExperimentResult"]:
         importlib.import_module(self.module)
         try:
             return _IMPLS[self.name]
@@ -171,41 +158,18 @@ class ExperimentSpec:
 
 
 _SPECS: dict[str, ExperimentSpec] = {}
-_IMPLS: dict[str, Callable[..., "ExperimentResult"]] = {}
+_IMPLS: dict[str, Callable[[Any], "ExperimentResult"]] = {}
 
 
-def register(spec: ExperimentSpec) -> ExperimentSpec:
-    """Declare an experiment.  Validates the spec contract eagerly."""
-    if spec.name in _SPECS:
-        raise RegistryError(f"experiment {spec.name!r} already registered")
-    if not spec.description or not spec.paper_ref:
-        raise RegistryError(f"experiment {spec.name!r} needs a description and paper_ref")
-    if not dataclasses.is_dataclass(spec.params_type):
-        raise RegistryError(f"experiment {spec.name!r}: params_type must be a dataclass")
-    missing = [p for p in PRESET_NAMES if p not in spec.presets]
-    if missing:
-        raise RegistryError(
-            f"experiment {spec.name!r} is missing presets: {', '.join(missing)}"
-        )
-    for preset, value in spec.presets.items():
-        if not isinstance(value, spec.params_type):
-            raise RegistryError(
-                f"experiment {spec.name!r} preset {preset!r} is not a "
-                f"{spec.params_type.__name__}"
-            )
-    _SPECS[spec.name] = spec
-    return spec
-
-
-def implements(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Decorator: bind ``run(**params fields)`` to a declared spec."""
+def implements(name: str) -> Callable[[Callable[[Any], Any]], Callable[[Any], Any]]:
+    """Decorator: bind ``run(params)`` to a declared spec."""
     if name not in _SPECS:
         raise RegistryError(
             f"cannot implement undeclared experiment {name!r}; declare it "
-            f"with registry.register() first"
+            f"in the registry's catalog first"
         )
 
-    def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
+    def decorator(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
         _IMPLS[name] = fn
         return fn
 
@@ -230,11 +194,6 @@ def get_spec(name: str) -> ExperimentSpec:
         ) from None
 
 
-def run_preset(name: str, preset: str = "full", **overrides: Any) -> "ExperimentResult":
-    """Convenience: ``get_spec(name).run(preset, **overrides)``."""
-    return get_spec(name).run(preset, **overrides)
-
-
 def _declare(
     name: str,
     paper_ref: str,
@@ -244,25 +203,43 @@ def _declare(
     quick: Any = None,
     paper: Any = None,
 ) -> None:
-    """Catalog helper: ``full`` is the dataclass defaults; ``quick``/
-    ``paper`` default to ``full`` when an experiment has no scale knob."""
+    """Declare an experiment, validating the spec contract eagerly.
+
+    ``full`` is the dataclass defaults; ``quick``/``paper`` default to
+    ``full`` when an experiment has no scale knob."""
     full = params_type()
-    register(
-        ExperimentSpec(
-            name=name,
-            paper_ref=paper_ref,
-            description=description,
-            params_type=params_type,
-            presets=MappingProxyType(
-                {
-                    "quick": quick if quick is not None else full,
-                    "full": full,
-                    "paper": paper if paper is not None else full,
-                }
-            ),
-            module=f"repro.experiments.{name}",
-        )
+    spec = ExperimentSpec(
+        name=name,
+        paper_ref=paper_ref,
+        description=description,
+        params_type=params_type,
+        presets=MappingProxyType(
+            {
+                "quick": quick if quick is not None else full,
+                "full": full,
+                "paper": paper if paper is not None else full,
+            }
+        ),
+        module=f"repro.experiments.{name}",
     )
+    if spec.name in _SPECS:
+        raise RegistryError(f"experiment {spec.name!r} already registered")
+    if not spec.description or not spec.paper_ref:
+        raise RegistryError(f"experiment {spec.name!r} needs a description and paper_ref")
+    if not dataclasses.is_dataclass(spec.params_type):
+        raise RegistryError(f"experiment {spec.name!r}: params_type must be a dataclass")
+    missing = [p for p in PRESET_NAMES if p not in spec.presets]
+    if missing:
+        raise RegistryError(
+            f"experiment {spec.name!r} is missing presets: {', '.join(missing)}"
+        )
+    for preset, value in spec.presets.items():
+        if not isinstance(value, spec.params_type):
+            raise RegistryError(
+                f"experiment {spec.name!r} preset {preset!r} is not a "
+                f"{spec.params_type.__name__}"
+            )
+    _SPECS[spec.name] = spec
 
 
 # ----------------------------------------------------------------------
@@ -329,9 +306,9 @@ _declare(
     "fig14_nlos",
     "Fig. 14",
     "NLoS RSSI / BER / throughput across distances",
-    _p.Fig14Params,
-    quick=_p.Fig14Params(d_step_m=5.0),
-    paper=_p.Fig14Params(d_step_m=0.5),
+    _p.Fig13Params,
+    quick=_p.Fig13Params(d_step_m=5.0),
+    paper=_p.Fig13Params(d_step_m=0.5),
 )
 _declare(
     "fig15_occlusion",

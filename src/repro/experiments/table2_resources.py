@@ -13,24 +13,25 @@ from repro.core.resources import (
     quantized_correlator_dffs,
 )
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Table2Params
 from repro.experiments.registry import implements
 from repro.phy.protocols import Protocol
 from repro.sim.metrics import format_table
-from repro.types import Samples
 
 __all__ = ["run", "format_result"]
 
 
 @implements("table2_resources")
-def run(*, template_size_samples: Samples = 120) -> ExperimentResult:
-    naive = naive_correlator_dffs(template_size_samples)
-    quantized = quantized_correlator_dffs(template_size_samples)
+def run(params: Table2Params) -> ExperimentResult:
+    size = params.template_size_samples
+    naive = naive_correlator_dffs(size)
+    quantized = quantized_correlator_dffs(size)
     return ExperimentResult(
         name="table2_resources",
         data={
-            "template_size_samples": template_size_samples,
-            "per_protocol_multipliers": template_size_samples,
-            "per_protocol_adders": template_size_samples - 1,
+            "template_size_samples": size,
+            "per_protocol_multipliers": size,
+            "per_protocol_adders": size - 1,
             "per_protocol_dffs": naive["dffs_per_protocol"],
             "naive_total_dffs": naive["dffs_total"],
             "nano_impl_dffs": quantized,
@@ -62,9 +63,3 @@ def format_result(result: ExperimentResult) -> str:
     rows.append(["Nano FPGA Impl.", "-", "-", result["nano_impl_dffs"]])
     table = format_table(["protocol", "multipliers", "adders", "D-flip-flops"], rows)
     return table + f"\nAGLN250 budget: {result['agln250_dffs']} DFFs"
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("table2_resources", "full").render())

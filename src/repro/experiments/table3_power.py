@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.core.energy import PROTOTYPE_POWER
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Table3Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
@@ -17,9 +18,9 @@ __all__ = ["run", "format_result"]
 
 
 @implements("table3_power")
-def run(*, adc_rate_hz: float = 20e6) -> ExperimentResult:
+def run(params: Table3Params) -> ExperimentResult:
     peak = PROTOTYPE_POWER
-    scaled = peak.at_adc_rate(adc_rate_hz)
+    scaled = peak.at_adc_rate(params.adc_rate_hz)
     low_rate = peak.at_adc_rate(2.5e6)
     return ExperimentResult(
         name="table3_power",
@@ -39,9 +40,3 @@ def format_result(result: ExperimentResult) -> str:
     return table + (
         f"\nat 2.5 Msps ADC rate: {result['total_at_2p5msps_mw']:.1f} mW"
     )
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("table3_power", "full").render())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.core.energy import EnergyBudget, exchange_times, INDOOR_LUX, OUTDOOR_LUX
 from repro.experiments.common import ExperimentResult, PROTOCOL_ORDER
+from repro.experiments.params import Table4Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
@@ -21,7 +22,7 @@ __all__ = ["run", "format_result"]
 
 
 @implements("table4_energy")
-def run() -> ExperimentResult:
+def run(params: Table4Params) -> ExperimentResult:
     budget = EnergyBudget()
     table = exchange_times(budget)
     return ExperimentResult(
@@ -59,9 +60,3 @@ def format_result(result: ExperimentResult) -> str:
         f"outdoor {result['harvest_outdoor_s']:.2f} s; "
         f"runtime/charge {result['runtime_s']:.2f} s"
     )
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("table4_energy", "full").render())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.core.resources import CorrelatorDesign
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import Table5Params
 from repro.experiments.registry import implements
 from repro.sim.metrics import format_table
 
@@ -24,7 +25,7 @@ VARIANTS = (
 
 
 @implements("table5_idpower")
-def run() -> ExperimentResult:
+def run(params: Table5Params) -> ExperimentResult:
     rows = {}
     for label, rate, window, quantized in VARIANTS:
         design = CorrelatorDesign(
@@ -52,9 +53,3 @@ def format_result(result: ExperimentResult) -> str:
         rows.append([label, f"{vals['power_mw']:.0f} ({pct:.2f}%)", vals["luts"]])
     table = format_table(["setup", "power (mW)", "LUTs"], rows)
     return table + f"\npower reduction: {result['reduction_factor']:.0f}x"
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("table5_idpower", "full").render())

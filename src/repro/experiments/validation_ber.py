@@ -21,8 +21,9 @@ from repro.channel.link import (
     ber_gfsk_noncoherent,
 )
 from repro.experiments.common import ExperimentResult
+from repro.experiments.params import ValidationBerParams
 from repro.experiments.registry import implements
-from repro.phy import ble, bits as bitlib, wifi_b, wifi_n, zigbee
+from repro.phy import ble, bits as bitlib, modems, wifi_b, wifi_n, zigbee
 from repro.phy.protocols import Protocol
 from repro.sim.metrics import format_table
 
@@ -35,16 +36,6 @@ _MODELS = {
     Protocol.BLE: (ber_gfsk_noncoherent, 2e6 / 1e6),
     Protocol.ZIGBEE: (ber_802154, 2e6 / 250e3),
 }
-
-
-def _modulate(protocol: Protocol, payload: bytes):
-    if protocol is Protocol.WIFI_B:
-        return wifi_b.modulate(payload)
-    if protocol is Protocol.WIFI_N:
-        return wifi_n.modulate(payload)
-    if protocol is Protocol.BLE:
-        return ble.modulate(payload)
-    return zigbee.modulate(payload)
 
 
 def _demodulate(protocol: Protocol, wave, n_bits: int) -> np.ndarray:
@@ -96,7 +87,7 @@ def measure_ber(
     for _ in range(n_packets):
         payload = rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
         ref = bitlib.bits_from_bytes(payload)
-        wave = _modulate(protocol, payload)
+        wave = modems.modulate(protocol, payload)
         # Scale noise to the waveform's actual power (OQPSK's half-sine
         # shaping averages 0.5, not 1.0).
         sigma = (
@@ -113,20 +104,14 @@ def measure_ber(
 
 
 @implements("validation_ber")
-def run(
-    *,
-    seed: int,
-    ebn0_grid_db: tuple[float, ...] = (4.0, 8.0, 12.0),
-    n_packets: int = 4,
-    payload_bytes: int = 30,
-) -> ExperimentResult:
-    rng = np.random.default_rng(seed)
+def run(params: ValidationBerParams) -> ExperimentResult:
+    rng = np.random.default_rng(params.seed)
     rows = {}
     for protocol, (model, _) in _MODELS.items():
-        for ebn0 in ebn0_grid_db:
+        for ebn0 in params.ebn0_grid_db:
             measured = measure_ber(
-                protocol, ebn0, n_packets=n_packets,
-                payload_bytes=payload_bytes, rng=rng,
+                protocol, ebn0, n_packets=params.n_packets,
+                payload_bytes=params.payload_bytes, rng=rng,
             )
             analytic = model(10.0 ** (ebn0 / 10.0))
             rows[(protocol, ebn0)] = {"measured": measured, "analytic": analytic}
@@ -148,9 +133,3 @@ def format_result(result: ExperimentResult) -> str:
     return format_table(
         ["protocol", "Eb/N0 (dB)", "simulated BER", "analytic BER"], rows
     )
-
-
-if __name__ == "__main__":
-    from repro.experiments.registry import run_preset
-
-    print(run_preset("validation_ber", "full").render())

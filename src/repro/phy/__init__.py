@@ -11,7 +11,8 @@ software "commodity receiver" demodulator:
 Shared helpers live in :mod:`repro.phy.bits` (CRCs, scramblers,
 whitening), :mod:`repro.phy.pulse` (pulse shaping), and
 :mod:`repro.phy.waveform` (the :class:`~repro.phy.waveform.Waveform`
-container all modulators emit).
+container all modulators emit); :func:`repro.phy.modems.modulate`
+picks a protocol's modulator for a byte payload.
 """
 
 from repro.phy.protocols import Protocol

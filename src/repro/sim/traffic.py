@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.types import FloatArray
 
-from repro.phy import ble, wifi_b, wifi_n, zigbee
+from repro.phy import modems
 from repro.phy.protocols import DEFAULT_PACKET_RATES, Protocol
 from repro.phy.waveform import Waveform
 
@@ -34,6 +34,10 @@ DEFAULT_PAYLOAD_BYTES = {
     Protocol.BLE: 37,
     Protocol.ZIGBEE: 100,
 }
+
+#: The longest payload a frame carries: a BLE PDU 255 bytes, an
+#: 802.15.4 PSDU 127.
+_MAX_PAYLOAD_BYTES = {Protocol.BLE: 255, Protocol.ZIGBEE: 127}
 
 
 def random_packet(
@@ -55,15 +59,7 @@ def random_packet(
     if n is None:
         n = DEFAULT_PAYLOAD_BYTES[protocol]
     payload = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
-    if protocol is Protocol.WIFI_B:
-        return wifi_b.modulate(payload)
-    if protocol is Protocol.WIFI_N:
-        return wifi_n.modulate(payload)
-    if protocol is Protocol.BLE:
-        return ble.modulate(payload[: min(n, 255)])
-    if protocol is Protocol.ZIGBEE:
-        return zigbee.modulate(payload[: min(n, 127)])
-    raise ValueError(f"unknown protocol {protocol}")
+    return modems.modulate(protocol, payload[: _MAX_PAYLOAD_BYTES.get(protocol, n)])
 
 
 def packet_airtime_s(protocol: Protocol, n_payload_bytes: int) -> float:

@@ -108,13 +108,14 @@ class TestMatching:
             OrderedMatcher(thresholds=(0.5,))
 
     def test_score_capture_perfect_match_is_one(self):
-        bank = TemplateBank.build(Adc(sample_rate=20e6), window_us=6.0)
+        adc = Adc(sample_rate=20e6)
+        bank = TemplateBank.build(adc, window_us=6.0)
         wave = reference_waveform(Protocol.WIFI_N)
         from repro.core.rectifier import ClampRectifier
 
         rect = ClampRectifier(noise_v_rms=0.0)
         analog = rect.rectify(wave, -15.0)
-        cap = bank.adc.capture(analog, duration_s=200 / 20e6)
+        cap = adc.capture(analog, duration_s=200 / 20e6)
         scores = score_capture(cap.codes, bank, quantized=False, offsets=(0,))
         assert scores[Protocol.WIFI_N] > 0.98
 

@@ -12,8 +12,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.identification import IdentificationConfig, ProtocolIdentifier
+from repro.core.identification import ProtocolIdentifier
+from repro.core.tag import TAG_IDENTIFICATION
 from repro.experiments import fig16_collisions
+from repro.experiments.params import Fig16Params
 from repro.phy.protocols import Protocol
 from tests import reference_impls as ref
 
@@ -38,11 +40,7 @@ class RecordingIdentifier:
     it ran on."""
 
     def __init__(self) -> None:
-        self.inner = ProtocolIdentifier(
-            IdentificationConfig(
-                sample_rate_hz=2.5e6, quantized=True, window_us=38.0, ordered=True
-            )
-        )
+        self.inner = ProtocolIdentifier(TAG_IDENTIFICATION)
         self.seen = []
 
     def identify(self, scene, *, rng, prescaled):
@@ -110,7 +108,7 @@ class TestScenePool:
     def test_no_scene_thread_outlives_run(self, monkeypatch):
         threads = self._recording_builder(monkeypatch)
         before = set(threading.enumerate())
-        fig16_collisions.run(seed=0, n_trials=2)
+        fig16_collisions.run(Fig16Params(n_trials=2, seed=0))
         assert threads and threading.current_thread() not in threads
         assert not any(t.is_alive() for t in threads)
         assert set(threading.enumerate()) <= before

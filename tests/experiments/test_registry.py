@@ -10,9 +10,11 @@ listing, and centralized bounds validation.
 
 import ast
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -99,7 +101,7 @@ QUICK_SHA256 = {
 @pytest.fixture(scope="module")
 def quick_results():
     """Each experiment run once at quick scale, shared across tests."""
-    return {name: registry.run_preset(name, "quick") for name in ALL_NAMES}
+    return {name: registry.get_spec(name).run("quick") for name in ALL_NAMES}
 
 
 class TestCatalog:
@@ -114,6 +116,17 @@ class TestCatalog:
         assert spec.module == f"repro.experiments.{name}"
         for preset in PRESET_NAMES:
             assert isinstance(spec.params(preset), spec.params_type)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_implementation_takes_its_params(self, name):
+        # A parameter's name, type and default live only in its params
+        # dataclass: the implementation takes the instance, nothing else.
+        spec = registry.get_spec(name)
+        impl = spec._resolve()
+        (param,) = inspect.signature(impl).parameters.values()
+        assert param.kind is param.POSITIONAL_OR_KEYWORD
+        assert param.default is param.empty
+        assert typing.get_type_hints(impl)[param.name] is spec.params_type
 
     def test_every_experiment_has_a_claim_test(self):
         # The paper-vs-measured assertions run in tier-1: each
@@ -167,19 +180,19 @@ class TestQuickRuns:
     )
     def test_rerun_byte_identical(self, quick_results, name):
         # Determinism end to end: a fresh run serializes to the same bytes.
-        again = registry.run_preset(name, "quick")
+        again = registry.get_spec(name).run("quick")
         assert again.to_json() == quick_results[name].to_json()
 
     def test_seed_override(self):
-        base = registry.run_preset("fig15_occlusion", "quick")
-        other = registry.run_preset("fig15_occlusion", "quick", seed=99)
+        base = registry.get_spec("fig15_occlusion").run("quick")
+        other = registry.get_spec("fig15_occlusion").run("quick", seed=99)
         assert other.params["seed"] == 99
         assert base.to_json() != other.to_json()
 
     def test_result_name_must_match_spec(self):
         spec = registry.get_spec("table2_resources")
         impl = spec._resolve()
-        registry._IMPLS["table2_resources"] = lambda **kw: ExperimentResult(name="oops")
+        registry._IMPLS["table2_resources"] = lambda params: ExperimentResult(name="oops")
         try:
             with pytest.raises(RegistryError, match="named 'oops'"):
                 spec.run("quick")
@@ -201,7 +214,7 @@ class TestPaperPresetDigests:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_artifact_digest(self, name):
         want = json.loads(self.EXPECTED.read_text())["campaign_sha256"][name]
-        data = (registry.run_preset(name, "paper").to_json() + "\n").encode()
+        data = (registry.get_spec(name).run("paper").to_json() + "\n").encode()
         assert hashlib.sha256(data).hexdigest() == want
 
 
@@ -211,11 +224,11 @@ class TestBounds:
     )
     def test_zero_count_rejected(self, name, field):
         with pytest.raises(ValueError, match=field):
-            registry.run_preset(name, "quick", **{field: 0})
+            registry.get_spec(name).run("quick", **{field: 0})
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
-            registry.run_preset("fig05_envelope_id", "quick", n_workers=0)
+            registry.get_spec("fig05_envelope_id").run("quick", n_workers=0)
 
 
 class TestLazyListing:

@@ -10,11 +10,8 @@ and accuracy should degrade gracefully, not collapse.
 import numpy as np
 
 from repro.channel.fading import MultipathChannel
-from repro.core.identification import (
-    DEFAULT_INCIDENT_DBM,
-    IdentificationConfig,
-    ProtocolIdentifier,
-)
+from repro.core.identification import DEFAULT_INCIDENT_DBM, ProtocolIdentifier
+from repro.core.tag import TAG_IDENTIFICATION
 from repro.experiments.common import ExperimentResult
 from repro.phy.protocols import Protocol
 from repro.sim.traffic import random_packet
@@ -23,11 +20,7 @@ SPREADS_NS = (0.0, 30.0, 80.0, 150.0)
 
 
 def run_multipath_ablation(n_per_protocol: int = 5, seed: int = 3) -> ExperimentResult:
-    ident = ProtocolIdentifier(
-        IdentificationConfig(
-            sample_rate_hz=2.5e6, quantized=True, window_us=38.0, ordered=True
-        )
-    )
+    ident = ProtocolIdentifier(TAG_IDENTIFICATION)
     rows = {}
     for spread_ns in SPREADS_NS:
         rng = np.random.default_rng(seed)

@@ -291,14 +291,16 @@ class TestScramblers:
 
 
 class TestMatching:
+    ADC = Adc(sample_rate=10e6, n_bits=4)
+
     @pytest.fixture(scope="class")
     def bank(self):
-        return TemplateBank.build(Adc(sample_rate=10e6, n_bits=4))
+        return TemplateBank.build(self.ADC)
 
     @pytest.fixture(scope="class")
     def captures(self, bank):
         rect = ClampRectifier(noise_v_rms=2e-3)
-        adc = bank.adc
+        adc = self.ADC
         out = []
         for protocol in Protocol:
             wave = reference_waveform(protocol)

@@ -164,7 +164,7 @@ class TestRunAll:
             assert (tmp_path / f"{name}.json").is_file()
 
     def test_run_all_reports_failure(self, capsys, monkeypatch, two_experiment_registry):
-        def boom(**kwargs):
+        def boom(params):
             raise RuntimeError("deliberate test failure")
 
         registry.get_spec("table5_idpower")._resolve()  # populate _IMPLS
@@ -189,7 +189,7 @@ class TestRunAll:
         assert out.count("PASS") == 2
         for name in two_experiment_registry:
             loaded = ExperimentResult.load(tmp_path / f"{name}.json")
-            assert loaded.to_json() == registry.run_preset(name, "quick").to_json()
+            assert loaded.to_json() == registry.get_spec(name).run("quick").to_json()
 
 
 class TestBlasThreadPolicy:

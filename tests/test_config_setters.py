@@ -23,13 +23,12 @@ The rule:
   of the same name sets the callee's parameter only if the caller's is
   itself set (a required parameter always is), so a shim cannot keep a
   setting alive.
-- *Exempt as a kind*: the experiment params dataclasses and the
-  ``@implements`` runners (the registry passes every field, and each
-  artifact records it), the dataclasses the artifact codec serializes
-  field by field (``artifacts._DATACLASS_TYPES``), and fields the
-  program changes after construction (state, not settings): stored,
-  item-assigned or mutated in place outside ``__init__`` and
-  ``__post_init__``.
+- *Exempt as a kind*: the experiment params dataclasses (presets and
+  overrides set their fields, and each artifact records them), the
+  dataclasses the artifact codec serializes field by field
+  (``artifacts._DATACLASS_TYPES``), and fields the program changes
+  after construction (state, not settings): stored, item-assigned or
+  mutated in place outside ``__init__`` and ``__post_init__``.
 
 Blind spots: callees are matched by name, and names collide across
 classes, so any ``demodulate(soft=...)`` call keeps the ``soft``
@@ -134,7 +133,7 @@ class _Def:
     where: str  # "<module under repro>.<qualname>", for messages
     positional: tuple[str, ...]  # what positional arguments fill, in order
     defaulted: tuple[str, ...]  # its settings
-    exempt: bool
+    exempt: bool  # a dataclass exempt as a kind
     is_dataclass: bool
     literals: dict[str, object]  # the settings whose default is a literal, to it
 
@@ -194,7 +193,7 @@ def _function_def(node, cls: ast.ClassDef | None, where: str) -> _Def:
         where,
         tuple(positional),
         tuple(defaulted),
-        _decorated(node, "implements"),
+        False,
         False,
         literals,
     )
@@ -325,7 +324,7 @@ def _set_settings(
                 args = scope.args
                 if name in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
                     caller = by_node.get(id(scope))
-                    if caller and not caller.exempt and name in caller.defaulted:
+                    if caller and name in caller.defaulted:
                         forwards.append(((key, name), (caller.key, name)))
                         return
                     break
@@ -546,14 +545,6 @@ class TestRule:
         """
         assert _unset_in(source) == ("m.Session.limit",)
 
-    def test_an_implements_entry_point_is_exempt(self):
-        source = """
-            @implements("exp")
-            def run(*, seed=0, n_trials=10):
-                return seed + n_trials
-        """
-        assert _unset_in(source) == ()
-
     def test_an_exempt_dataclass_is_exempt(self):
         source = """
             from dataclasses import dataclass
@@ -717,17 +708,6 @@ class TestRule:
                 return g(x)
         """
         assert _unset_in(source) == ("m.g.factor",)
-
-    def test_an_exempt_runner_forwarding_its_parameter_sets_the_callee(self):
-        source = """
-            def f(x, *, scale=1.0):
-                return x * scale
-
-            @implements("exp")
-            def run(*, scale=1.0):
-                return f(1.0, scale=scale)
-        """
-        assert _unset_in(source) == ()
 
     def test_a_colliding_callee_name_sets_every_namesake(self):
         # The documented blind spot: calls are matched by name only.

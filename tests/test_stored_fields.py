@@ -8,10 +8,11 @@ name or passes the name to ``getattr``.  A value only tests read is
 work every run pays for and nothing uses: delete it, together with the
 computation that only fed it.
 
-Two kinds of class are exempt: the experiment parameter dataclasses,
-which the registry reads field by field through ``dataclasses.fields``,
-and the dataclasses the artifact codec serializes the same way
-(``artifacts._DATACLASS_TYPES``).
+One kind of class is exempt: the dataclasses the artifact codec
+serializes field by field through ``dataclasses.fields``
+(``artifacts._DATACLASS_TYPES``).  The experiment parameter
+dataclasses are not: each runner reads every field as
+``params.<field>``.
 
 Blind spots: reads are matched by name alone, so a field is missed
 when any class reads an attribute of the same name (a result's
@@ -27,7 +28,7 @@ from __future__ import annotations
 import ast
 import functools
 
-from repro.experiments import artifacts, registry
+from repro.experiments import artifacts
 from tests.test_config_setters import _is_dataclass, _program_files
 from tests.test_reachability import _SRC
 
@@ -102,16 +103,10 @@ def _read_names() -> set[str]:
     return names
 
 
-def _exempt() -> set[str]:
-    return {spec.params_type.__name__ for spec in registry.specs()} | set(
-        artifacts._DATACLASS_TYPES
-    )
-
-
 @functools.lru_cache(maxsize=1)
 def _unread() -> tuple[str, ...]:
     read = _read_names()
-    exempt = _exempt()
+    exempt = set(artifacts._DATACLASS_TYPES)
     return tuple(
         f"{cls}.{name}"
         for cls, fields in sorted(_stored().items())

@@ -149,6 +149,7 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
 
     from repro.core.adc import Adc
     from repro.core.identification import (
+        DEFAULT_INCIDENT_DBM,
         IdentificationConfig,
         ProtocolIdentifier,
         score_traces,
@@ -156,7 +157,7 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
     )
     from repro.core.matching import score_capture, search_thresholds
     from repro.core.rectifier import ClampRectifier, _diode_rc, recommended_tau
-    from repro.core.tag import MultiscatterTag
+    from repro.core.tag import TAG_IDENTIFICATION, MultiscatterTag
     from repro.core.templates import TemplateBank
     from repro.experiments import fig07_ordered, fig16_collisions, registry
     from repro.experiments.common import labeled_traces
@@ -228,21 +229,21 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
     # fig16's overlapped ZigBee scene: a 20-byte ZigBee victim, hit 50 us
     # into a 300-byte 802.11n packet 2 MHz away.
     scene_rng = np.random.default_rng(6)
+    zigbee_dbm = DEFAULT_INCIDENT_DBM[Protocol.ZIGBEE]
+    wifi_n_dbm = DEFAULT_INCIDENT_DBM[Protocol.WIFI_N]
     scene_args = (
         random_packet(Protocol.ZIGBEE, scene_rng, n_payload_bytes=20),
-        -31.2,
+        zigbee_dbm,
         random_packet(Protocol.WIFI_N, scene_rng, n_payload_bytes=300),
-        -21.2,
+        wifi_n_dbm,
     )
     scene_kwargs = {"freq_offset_hz": 2e6, "time_offset_s": -50e-6, "duration_s": 90e-6}
     # fig16's identifier on eight such scenes, each call from the same seed.
-    fig16_ident = ProtocolIdentifier(
-        IdentificationConfig(sample_rate_hz=2.5e6, quantized=True, window_us=38.0, ordered=True)
-    )
+    fig16_ident = ProtocolIdentifier(TAG_IDENTIFICATION)
 
     def trials(survival_rate: Callable[..., float]) -> float:
         return survival_rate(
-            fig16_ident, Protocol.ZIGBEE, -31.2, Protocol.WIFI_N, -21.2,
+            fig16_ident, Protocol.ZIGBEE, zigbee_dbm, Protocol.WIFI_N, wifi_n_dbm,
             freq_offset_hz=2e6, time_offset_s=-50e-6, n_trials=8,
             rng=np.random.default_rng(6),
         )
@@ -258,7 +259,7 @@ def kernel_pairs() -> dict[str, tuple[str, Callable[[], Any], Callable[[], Any]]
 
     fig07_ordered.search_thresholds = record_search
     try:
-        registry.run_preset("fig07_ordered", "paper")
+        registry.get_spec("fig07_ordered").run("paper")
     finally:
         fig07_ordered.search_thresholds = search
     (train_scores,) = trained
